@@ -1,12 +1,13 @@
 // Shared plumbing for the experiment binaries: banner printing, CSV output
 // location, the measured-vs-predicted table assembly used by every
-// experiment, the stamped BENCH_*.json emitter, and the sweep-engine
-// glue (engine config from CLI flags + the one-line sweep summary). Each
-// bench prints the same kind of artifact: a table with one row per sweep
-// point carrying the measured minimum resource, the paper's predicted
-// curve, and the fitted constant/slope comparison.
+// experiment, the stamped BENCH_*.json emitter, the micro benches' timer,
+// and the sweep-engine glue (engine config from CLI flags + the one-line
+// sweep summary). Each bench prints the same kind of artifact: a table with
+// one row per sweep point carrying the measured minimum resource, the
+// paper's predicted curve, and the fitted constant/slope comparison.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -18,7 +19,9 @@
 #include "stats/shape.hpp"
 #include "stats/sweep.hpp"
 #include "util/cli.hpp"
+#include "util/simd.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace duti::bench {
 
@@ -41,6 +44,29 @@ inline void print_shape(const std::vector<double>& x,
             << "\n  slope gap              = " << format_double(cmp.slope_gap)
             << "\n  max ratio deviation    = "
             << format_double(cmp.max_ratio_deviation) << "\n";
+}
+
+/// Seconds on the monotonic clock since `start`: the one timer the micro
+/// benches share. Timings are reported, never fed into a ProbeResult.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  // duti-lint: allow(no-wall-clock) -- bench timing; never feeds a result
+  const auto now = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(now - start).count();
+}
+
+/// The configuration a bench actually ran under, for emit_bench_json's
+/// "env" stamp: the global pool's size, the active SIMD level and the global
+/// probe cache's mode — resolved values, not the raw DUTI_* strings.
+[[nodiscard]] inline JsonFields resolved_env() {
+  const char* cache = "off";
+  switch (ProbeCache::global().mode()) {
+    case CacheMode::kOff: break;
+    case CacheMode::kReadOnly: cache = "readonly"; break;
+    case CacheMode::kReadWrite: cache = "rw"; break;
+  }
+  return {{"threads", json_u64(ThreadPool::global().size())},
+          {"simd", json_str(simd_level_name(simd_active_level()))},
+          {"cache", json_str(cache)}};
 }
 
 /// Stock flags every sweep bench accepts.

@@ -35,11 +35,12 @@ inline std::string output_dir() {
 
 // --- BENCH_*.json emission -------------------------------------------------
 // Every artifact carries the same stamped header (bench name, schema
-// version, and the environment knobs that shape results), so downstream
-// comparisons can refuse to diff runs from different configurations.
+// version, and the resolved configuration that shaped the results), so
+// downstream comparisons can refuse to diff runs from different
+// configurations.
 
 /// Schema of the stamped header; bump when the header shape changes.
-inline constexpr int kBenchJsonSchemaVersion = 2;
+inline constexpr int kBenchJsonSchemaVersion = 3;
 
 [[nodiscard]] inline std::string json_escape(const std::string& s) {
   std::string out;
@@ -86,16 +87,15 @@ inline constexpr int kBenchJsonSchemaVersion = 2;
 /// strings the bench assembles.
 using JsonFields = std::vector<std::pair<std::string, std::string>>;
 
-/// Write $DUTI_BENCH_OUT/BENCH_<name>.json with the stamped header
-/// (schema_version + DUTI_THREADS/DUTI_SIMD/DUTI_CACHE/hardware_concurrency)
-/// followed by `fields` in order. Returns the path, or "" on failure
-/// (reported to stderr).
+/// Write $DUTI_BENCH_OUT/BENCH_<name>.json with the stamped header —
+/// schema_version, then an "env" object holding `env` (the resolved library
+/// configuration the artifact was produced under: bench::resolved_env() in
+/// bench_common.hpp, or empty for a tool that runs none of the library)
+/// and hardware_concurrency — followed by `fields` in order. Returns the
+/// path, or "" on failure (reported to stderr).
 inline std::string emit_bench_json(const std::string& name,
+                                   const JsonFields& env,
                                    const JsonFields& fields) {
-  const auto env_or_null = [](const char* var) {
-    const char* v = std::getenv(var);
-    return v ? json_str(v) : std::string("null");
-  };
   const std::string path = output_dir() + "/BENCH_" + name + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -104,12 +104,11 @@ inline std::string emit_bench_json(const std::string& name,
   }
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", json_escape(name).c_str());
   std::fprintf(f, "  \"schema_version\": %d,\n", kBenchJsonSchemaVersion);
-  std::fprintf(f,
-               "  \"env\": {\"DUTI_THREADS\": %s, \"DUTI_SIMD\": %s, "
-               "\"DUTI_CACHE\": %s, \"hardware_concurrency\": %u},\n",
-               env_or_null("DUTI_THREADS").c_str(),
-               env_or_null("DUTI_SIMD").c_str(),
-               env_or_null("DUTI_CACHE").c_str(),
+  std::fprintf(f, "  \"env\": {");
+  for (const auto& [key, value] : env) {
+    std::fprintf(f, "\"%s\": %s, ", json_escape(key).c_str(), value.c_str());
+  }
+  std::fprintf(f, "\"hardware_concurrency\": %u},\n",
                std::thread::hardware_concurrency());
   for (std::size_t i = 0; i < fields.size(); ++i) {
     std::fprintf(f, "  \"%s\": %s%s\n", json_escape(fields[i].first).c_str(),

@@ -1,10 +1,10 @@
 // E13 (extension beyond the paper): what fault tolerance costs.
 //
 // duti-lint: allow-file(no-serial-sweep-loop) -- these probes are
-// fault-aware (probe_success_ex over RefereeOutcome, abort attribution);
+// fault-aware (probe_success over RefereeOutcome, abort attribution);
 // the sweep engine's declarative path only speaks the boolean two-sided
-// probe, so the searches here stay direct until the engine grows an _ex
-// lane.
+// probe, so the searches here stay direct until the engine grows a
+// RefereeOutcome lane.
 //
 // Three sweeps, all against the distributed threshold tester of [7] at
 // fixed (n, k, eps):
@@ -80,7 +80,7 @@ std::pair<std::uint64_t, ProbeResult> min_q_under(
     Rng calib(derive_seed(s.seed, 0xCA11B, q));
     const RobustThresholdTester tester(
         {s.n, s.k, static_cast<unsigned>(q), s.eps}, plan, rule, calib);
-    return probe_success_ex(
+    return probe_success(
         [&tester](const SampleSource& src, Rng& r) {
           return tester.outcome(src, r);
         },

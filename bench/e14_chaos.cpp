@@ -79,7 +79,7 @@ void write_json(const CampaignConfig& cfg, const CampaignSummary& summary) {
   std::snprintf(fp, sizeof fp, "%016llx",
                 static_cast<unsigned long long>(summary.fingerprint));
   const std::string path = bench::emit_bench_json(
-      "chaos",
+      "chaos", bench::resolved_env(),
       {{"seed0", bench::json_u64(summary.seed0)},
        {"num_seeds", bench::json_u64(summary.num_seeds)},
        {"retry_deficit", bench::json_u64(cfg.hooks.retry_deficit)},

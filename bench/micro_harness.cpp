@@ -18,6 +18,7 @@
 #include <thread>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -31,12 +32,6 @@
 namespace {
 
 using namespace duti;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 bool probe_equal(const ProbeResult& a, const ProbeResult& b) {
   return a.uniform_accept_rate == b.uniform_accept_rate &&
@@ -113,7 +108,7 @@ int main(int argc, char** argv) {
                         seed, pool);
     const auto start = std::chrono::steady_clock::now();
     const ProbeResult r = probe_success(run, uniform, far, trials, seed, pool);
-    const double elapsed = seconds_since(start);
+    const double elapsed = bench::seconds_since(start);
     if (threads == 1) {
       reference = r;
       base_tps = static_cast<double>(trials) / elapsed;
@@ -148,7 +143,7 @@ int main(int argc, char** argv) {
       src.sample_many(rng, q, buf);
       sink += buf[0];
     }
-    const double elapsed = seconds_since(start);
+    const double elapsed = bench::seconds_since(start);
     // Keep `sink` observable so the loop is not optimized away.
     if (sink == 0xFFFFFFFFFFFFFFFFULL) std::cout << "";
     return static_cast<double>(batches) * q / elapsed;
@@ -204,7 +199,6 @@ int main(int argc, char** argv) {
   // search replays the fixed search's decisions and lands on the same
   // minimum, only cheaper.
   AdaptiveProbeConfig acfg;
-  const std::size_t bracket_budget = search_trials;
   std::uint64_t fixed_trials_total = 0;
   std::uint64_t adaptive_trials_total = 0;
   const ProbeFn fixed_probe = [&](std::uint64_t qq) {
@@ -222,9 +216,9 @@ int main(int argc, char** argv) {
     return r;
   };
   const ProbeFn bracket_probe = [&](std::uint64_t qq) {
-    const ProbeResult r = probe_success_adaptive(
-        collision_run(qq), s_uniform, s_far, bracket_budget,
-        derive_seed(search_seed, qq), acfg, search_pool);
+    const ProbeResult r =
+        probe_success(collision_run(qq), s_uniform, s_far, search_trials,
+                      derive_seed(search_seed, qq), search_pool, acfg);
     adaptive_trials_total += r.trials;
     return r;
   };
@@ -239,13 +233,14 @@ int main(int argc, char** argv) {
   auto search_start = std::chrono::steady_clock::now();
   const MinSearchResult fixed_search =
       find_min_param(fixed_probe, scfg, search_pool);
-  const double fixed_seconds = seconds_since(search_start);
+  const double fixed_seconds = bench::seconds_since(search_start);
 
-  scfg.adaptive_bracket = true;
+  MinSearchConfig bracketed_cfg = scfg;
+  bracketed_cfg.bracket_probe = bracket_probe;
   search_start = std::chrono::steady_clock::now();
   const MinSearchResult adaptive_search =
-      find_min_param(full_probe, bracket_probe, scfg, search_pool);
-  const double adaptive_seconds = seconds_since(search_start);
+      find_min_param(full_probe, bracketed_cfg, search_pool);
+  const double adaptive_seconds = bench::seconds_since(search_start);
 
   if (cli.get_int("search-debug", 0) != 0) {
     for (const auto& [value, r] : adaptive_search.probes) {
@@ -302,21 +297,21 @@ int main(int argc, char** argv) {
     base.workload = "paninski:n=" + std::to_string(search_n) +
                     ":eps=" + format_double(search_eps);
     base.tester = "collision";
-    const ProbeFn cfull = [&, base](std::uint64_t qq) {
-      ProbeKey key = base;
-      key.param = qq;
-      return probe_success_cached(cache, key, collision_run(qq), s_uniform,
-                                  s_far, search_trials,
-                                  derive_seed(search_seed, qq), search_pool);
+    // One cached probe per flavor; no adaptive config = full budget.
+    const auto cached = [&, base](std::optional<AdaptiveProbeConfig> adaptive) {
+      return ProbeFn([&, base, adaptive](std::uint64_t qq) {
+        const std::uint64_t pseed = derive_seed(search_seed, qq);
+        return cache.get_or_compute(
+            probe_key(base, qq, search_trials, pseed, adaptive), [&] {
+              return probe_success(collision_run(qq), s_uniform, s_far,
+                                   search_trials, pseed, search_pool,
+                                   adaptive);
+            });
+      });
     };
-    const ProbeFn cbracket = [&, base](std::uint64_t qq) {
-      ProbeKey key = base;
-      key.param = qq;
-      return probe_success_adaptive_cached(
-          cache, key, collision_run(qq), s_uniform, s_far, bracket_budget,
-          derive_seed(search_seed, qq), acfg, search_pool);
-    };
-    return find_min_param(cfull, cbracket, scfg, search_pool);
+    MinSearchConfig cached_cfg = scfg;
+    cached_cfg.bracket_probe = cached(acfg);
+    return find_min_param(cached(std::nullopt), cached_cfg, search_pool);
   };
 
   double cache_hit_rate = 0.0;
@@ -327,12 +322,12 @@ int main(int argc, char** argv) {
     ProbeCache cold(cache_dir, CacheMode::kReadWrite);
     search_start = std::chrono::steady_clock::now();
     const MinSearchResult first = cached_search(cold);
-    cold_seconds = seconds_since(search_start);
+    cold_seconds = bench::seconds_since(search_start);
     // Fresh instance over the same directory = the next process run.
     ProbeCache warm(cache_dir, CacheMode::kReadWrite);
     search_start = std::chrono::steady_clock::now();
     const MinSearchResult second = cached_search(warm);
-    warm_seconds = seconds_since(search_start);
+    warm_seconds = bench::seconds_since(search_start);
     const CacheStats ws = warm.stats();
     cache_hit_rate = static_cast<double>(ws.hits) /
                      static_cast<double>(std::max<std::uint64_t>(
@@ -367,7 +362,7 @@ int main(int argc, char** argv) {
   }
   throughput += "  ]";
   const std::string path = bench::emit_bench_json(
-      "harness",
+      "harness", bench::resolved_env(),
       {{"probe", "{\"n\": " + bench::json_u64(n) +
                      ", \"k\": " + bench::json_u64(k) +
                      ", \"q\": " + bench::json_u64(q) +
@@ -384,7 +379,7 @@ int main(int argc, char** argv) {
             ", \"eps\": " + bench::json_num(search_eps) +
             ", \"majority_reps\": " + bench::json_u64(search_reps) +
             ", \"trials\": " + bench::json_u64(search_trials) +
-            ", \"bracket_budget\": " + bench::json_u64(bracket_budget) +
+            ", \"bracket_budget\": " + bench::json_u64(search_trials) +
             ", \"fixed_minimum\": " + bench::json_u64(fixed_search.minimum) +
             ", \"adaptive_minimum\": " +
             bench::json_u64(adaptive_search.minimum) +

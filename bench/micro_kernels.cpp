@@ -29,12 +29,6 @@ namespace {
 
 using namespace duti;
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Best-of-`reps` wall time of fn(), in nanoseconds.
 template <typename Fn>
 double best_ns(std::size_t reps, Fn&& fn) {
@@ -42,7 +36,7 @@ double best_ns(std::size_t reps, Fn&& fn) {
   for (std::size_t r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     fn();
-    best = std::min(best, seconds_since(start) * 1e9);
+    best = std::min(best, bench::seconds_since(start) * 1e9);
   }
   return best;
 }
@@ -275,7 +269,7 @@ int main(int argc, char** argv) {
   }
   sort_json += "  ]";
   const std::string path = bench::emit_bench_json(
-      "kernels",
+      "kernels", bench::resolved_env(),
       {{"cpu", "{\"supported_level\": " +
                    bench::json_str(simd_level_name(supported)) +
                    ", \"active_level\": " +

@@ -4,11 +4,8 @@
 //
 //   legacy  : tester.make_protocol().run(...) per trial — the historical
 //             allocating path (fresh players, messages, votes every trial).
-//   outparam: same protocol through the reusable-buffer run overload.
 //   batched : tester.run(...) — vote functor + referee rule resolved once,
 //             trials through flat per-worker buffers, incremental tally.
-//   counts  : the opt-in SamplingKernel::kCounts plane on a dense regime
-//             (q >= n), where multinomial count kernels apply.
 //
 // Gates (nonzero exit on any failure):
 //   - batched ns/trial beats legacy by >= 3x at the searched q*
@@ -87,11 +84,6 @@ namespace {
 
 using namespace duti;
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 /// One measured execution plane: best-of-reps ns/trial, allocations per
 /// trial in steady state (after a warm-up rep has grown every buffer), and
 /// an accept-count checksum so the compiler cannot elide the loop.
@@ -116,9 +108,9 @@ PlaneRow measure_plane(TrialFn&& trial, std::size_t trials, int reps,
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t accepts = 0;
     for (std::size_t t = 0; t < trials; ++t) {
-      accepts += trial(rng) ? 1 : 0;
+      accepts += trial(rng) ? 1U : 0U;
     }
-    const double secs = seconds_since(t0);
+    const double secs = bench::seconds_since(t0);
     const std::uint64_t allocs1 = g_allocs.load(std::memory_order_relaxed);
     row.ns_per_trial =
         std::min(row.ns_per_trial, secs * 1e9 / static_cast<double>(trials));
@@ -264,8 +256,6 @@ int run_bench(int argc, char** argv) {
   std::uint64_t verdict_mismatches = 0;
   std::uint64_t message_mismatches = 0;
   {
-    ProtocolResult legacy_res;
-    std::vector<std::uint8_t> legacy_votes;
     std::vector<Message> batched_msgs;
     std::vector<std::uint8_t> batched_votes;
     Rng src_rng(derive_seed(seed, 0x5eed));
@@ -281,7 +271,7 @@ int run_bench(int argc, char** argv) {
       }
       Rng rng_a(derive_seed(seed, 0x1de, t));
       Rng rng_b(derive_seed(seed, 0x1de, t));
-      proto.run(*src, rng_a, rule, legacy_res, legacy_votes);
+      const ProtocolResult legacy_res = proto.run(*src, rng_a, rule);
       const bool batched_accept =
           tester.executor().run(*src, rng_b, rule, batched_msgs, batched_votes);
       if (legacy_res.accept != batched_accept) ++verdict_mismatches;
@@ -300,19 +290,11 @@ int run_bench(int argc, char** argv) {
               static_cast<unsigned long long>(verdict_mismatches),
               static_cast<unsigned long long>(message_mismatches));
 
-  // --- ns/trial: legacy vs outparam vs batched at q* -----------------------
+  // --- ns/trial: legacy vs batched at q* -----------------------------------
   const UniformSource timing_src(n);
   const PlaneRow legacy_row = measure_plane(
       [&](Rng& rng) { return proto.run(timing_src, rng, rule).accept; },
       timing_trials, timing_reps, derive_seed(seed, 0x71));
-  ProtocolResult out_res;
-  std::vector<std::uint8_t> out_votes;
-  const PlaneRow outparam_row = measure_plane(
-      [&](Rng& rng) {
-        proto.run(timing_src, rng, rule, out_res, out_votes);
-        return out_res.accept;
-      },
-      timing_trials, timing_reps, derive_seed(seed, 0x72));
   const PlaneRow batched_row = measure_plane(
       [&](Rng& rng) { return tester.run(timing_src, rng); }, timing_trials,
       timing_reps, derive_seed(seed, 0x73));
@@ -321,47 +303,17 @@ int run_bench(int argc, char** argv) {
   const bool speedup_ok = speedup >= 3.0;
   const bool zero_alloc = batched_row.allocs_per_trial == 0.0;
   std::printf(
-      "ns/trial at q*=%llu: legacy=%.0f (%.1f allocs) outparam=%.0f "
+      "ns/trial at q*=%llu: legacy=%.0f (%.1f allocs) "
       "batched=%.0f (%.2f allocs) -> %.2fx\n",
       static_cast<unsigned long long>(q_star), legacy_row.ns_per_trial,
-      legacy_row.allocs_per_trial, outparam_row.ns_per_trial,
-      batched_row.ns_per_trial, batched_row.allocs_per_trial, speedup);
-
-  // --- Counts plane on a dense regime (q >= n) -----------------------------
-  // Same tester family, kCounts kernel; different RNG consumption by
-  // design, so no bitwise gate — the plane's distribution is chi^2-gated
-  // in tests/test_protocol_batch.cpp. Here: timing + accept-rate context.
-  DistributedTesterConfig dense = cfg;
-  dense.n = 64;
-  dense.q = 256;
-  dense.eps = 0.5;
-  Rng dense_calib_a = make_rng(seed, 0xDE45E);
-  Rng dense_calib_b = make_rng(seed, 0xDE45E);
-  const DistributedThresholdTester dense_persample(dense, dense_calib_a);
-  dense.kernel = SamplingKernel::kCounts;
-  const DistributedThresholdTester dense_counts(dense, dense_calib_b);
-  const UniformSource dense_src(dense.n);
-  const PlaneRow dense_persample_row = measure_plane(
-      [&](Rng& rng) { return dense_persample.run(dense_src, rng); },
-      timing_trials, timing_reps, derive_seed(seed, 0x74));
-  const PlaneRow dense_counts_row = measure_plane(
-      [&](Rng& rng) { return dense_counts.run(dense_src, rng); },
-      timing_trials, timing_reps, derive_seed(seed, 0x75));
-  std::printf(
-      "dense n=%llu q=%u: per-sample=%.0f ns/trial, counts=%.0f ns/trial "
-      "(uniform accept %.3f vs %.3f)\n",
-      static_cast<unsigned long long>(dense.n), dense.q,
-      dense_persample_row.ns_per_trial, dense_counts_row.ns_per_trial,
-      static_cast<double>(dense_persample_row.accepts) /
-          static_cast<double>(timing_trials),
-      static_cast<double>(dense_counts_row.accepts) /
-          static_cast<double>(timing_trials));
+      legacy_row.allocs_per_trial, batched_row.ns_per_trial,
+      batched_row.allocs_per_trial, speedup);
 
   const bool ok = minima_match && threads_match && pools_match &&
                   verdicts_match && rerun_all_hits && speedup_ok && zero_alloc;
 
   const std::string path = bench::emit_bench_json(
-      "protocol",
+      "protocol", bench::resolved_env(),
       {{"quick", bench::json_bool(flags.quick)},
        {"n", bench::json_u64(n)},
        {"k", bench::json_u64(k)},
@@ -370,16 +322,11 @@ int run_bench(int argc, char** argv) {
        {"search_trials", bench::json_u64(search_trials)},
        {"timing_trials", bench::json_u64(timing_trials)},
        {"legacy_ns_per_trial", bench::json_num(legacy_row.ns_per_trial)},
-       {"outparam_ns_per_trial", bench::json_num(outparam_row.ns_per_trial)},
        {"batched_ns_per_trial", bench::json_num(batched_row.ns_per_trial)},
        {"speedup", bench::json_num(speedup)},
        {"legacy_allocs_per_trial", bench::json_num(legacy_row.allocs_per_trial)},
        {"batched_allocs_per_trial",
         bench::json_num(batched_row.allocs_per_trial)},
-       {"dense_persample_ns_per_trial",
-        bench::json_num(dense_persample_row.ns_per_trial)},
-       {"dense_counts_ns_per_trial",
-        bench::json_num(dense_counts_row.ns_per_trial)},
        {"min_q_legacy", bench::json_u64(min_legacy.minimum)},
        {"min_q_batched_t1", bench::json_u64(min_batched1.minimum)},
        {"min_q_batched_t8", bench::json_u64(min_batched8.minimum)},

@@ -56,11 +56,6 @@ struct FamilyRow {
   double seconds_warm8 = 0.0;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 FamilyRow measure_family(const std::string& name,
                          const std::vector<SweepPoint>& points,
                          const std::string& cache_root) {
@@ -83,7 +78,7 @@ FamilyRow measure_family(const std::string& name,
 
   auto t0 = std::chrono::steady_clock::now();
   const SweepResult cold = run_sweep(points, cold_cfg, pool1);
-  row.seconds_cold = seconds_since(t0);
+  row.seconds_cold = bench::seconds_since(t0);
 
   ProbeCache cache1(dir1, CacheMode::kReadWrite);
   SweepEngineConfig warm_cfg;
@@ -92,7 +87,7 @@ FamilyRow measure_family(const std::string& name,
 
   t0 = std::chrono::steady_clock::now();
   const SweepResult warm1 = run_sweep(points, warm_cfg, pool1);
-  row.seconds_warm1 = seconds_since(t0);
+  row.seconds_warm1 = bench::seconds_since(t0);
 
   ProbeCache cache8(dir8, CacheMode::kReadWrite);
   SweepEngineConfig warm8_cfg = warm_cfg;
@@ -100,7 +95,7 @@ FamilyRow measure_family(const std::string& name,
 
   t0 = std::chrono::steady_clock::now();
   const SweepResult warm8 = run_sweep(points, warm8_cfg, pool8);
-  row.seconds_warm8 = seconds_since(t0);
+  row.seconds_warm8 = bench::seconds_since(t0);
 
   // Rerun against warm1's populated session: the whole sweep should hit.
   const SweepResult rerun = run_sweep(points, warm_cfg, pool1);
@@ -282,7 +277,7 @@ int main(int argc, char** argv) {
   }
   sweeps += "  ]";
   const std::string path = bench::emit_bench_json(
-      "sweep",
+      "sweep", bench::resolved_env(),
       {{"quick", bench::json_bool(flags.quick)},
        {"trials", bench::json_u64(trials)},
        {"sweeps", sweeps},

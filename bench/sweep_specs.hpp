@@ -22,13 +22,11 @@ namespace duti::bench {
 
 /// E1: calibrated threshold tester, sweep axis k. Seeds per point:
 /// seed_k = derive_seed(seed, k); probe seed derive_seed(seed_k, q);
-/// calibration stream make_rng(seed_k, q, 0xCA11B). The default kernel
-/// reproduces the historical per-sample stream bit-for-bit; kCounts runs
-/// the same testers on the multinomial counts plane (distinct cache rows).
-inline std::vector<SweepPoint> e1_points(
-    std::uint64_t n, double eps, const std::vector<std::int64_t>& ks,
-    std::size_t trials, std::uint64_t seed,
-    SamplingKernel kernel = SamplingKernel::kPerSample) {
+/// calibration stream make_rng(seed_k, q, 0xCA11B).
+inline std::vector<SweepPoint> e1_points(std::uint64_t n, double eps,
+                                         const std::vector<std::int64_t>& ks,
+                                         std::size_t trials,
+                                         std::uint64_t seed) {
   std::vector<SweepPoint> points;
   for (const auto k : ks) {
     const std::uint64_t seed_k =
@@ -42,11 +40,11 @@ inline std::vector<SweepPoint> e1_points(
     p.search.seed = seed_k;
     p.uniform = workloads::uniform_factory(n);
     p.far = workloads::paninski_far_factory(n, eps);
-    p.make_tester = [n, k, eps, seed_k, kernel](std::uint64_t q) -> TesterRun {
+    p.make_tester = [n, k, eps, seed_k](std::uint64_t q) -> TesterRun {
       Rng calib_rng = make_rng(seed_k, q, 0xCA11B);
       auto tester = std::make_shared<DistributedThresholdTester>(
           DistributedTesterConfig{n, static_cast<unsigned>(k),
-                                  static_cast<unsigned>(q), eps, kernel},
+                                  static_cast<unsigned>(q), eps},
           calib_rng);
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
@@ -55,8 +53,7 @@ inline std::vector<SweepPoint> e1_points(
     p.cache_base.workload =
         "paninski:n=" + std::to_string(n) + ":eps=" + std::to_string(eps);
     p.cache_base.tester = "dist-threshold:k=" + std::to_string(k) +
-                          ":seed=" + std::to_string(seed_k) +
-                          (kernel == SamplingKernel::kCounts ? ":counts" : "");
+                          ":seed=" + std::to_string(seed_k);
     points.push_back(std::move(p));
   }
   return points;
@@ -255,10 +252,11 @@ inline std::vector<SweepPoint> e8_eps_points(std::uint64_t n,
 }
 
 /// E9: multibit sum tester, sweep axis r (message bits).
-inline std::vector<SweepPoint> e9_points(
-    std::uint64_t n, unsigned k, double eps,
-    const std::vector<std::int64_t>& rs, std::size_t trials,
-    std::uint64_t seed, SamplingKernel kernel = SamplingKernel::kPerSample) {
+inline std::vector<SweepPoint> e9_points(std::uint64_t n, unsigned k,
+                                         double eps,
+                                         const std::vector<std::int64_t>& rs,
+                                         std::size_t trials,
+                                         std::uint64_t seed) {
   std::vector<SweepPoint> points;
   for (const auto r : rs) {
     const std::uint64_t seed_r =
@@ -272,12 +270,11 @@ inline std::vector<SweepPoint> e9_points(
     p.search.seed = seed_r;
     p.uniform = workloads::uniform_factory(n);
     p.far = workloads::paninski_far_factory(n, eps);
-    p.make_tester = [n, k, eps, r, seed_r,
-                     kernel](std::uint64_t q) -> TesterRun {
+    p.make_tester = [n, k, eps, r, seed_r](std::uint64_t q) -> TesterRun {
       Rng calib_rng = make_rng(seed_r, q, 0xCA11B);
       auto tester = std::make_shared<MultibitSumTester>(
           MultibitSumTester::Config{n, k, static_cast<unsigned>(q), eps,
-                                    static_cast<unsigned>(r), kernel},
+                                    static_cast<unsigned>(r)},
           calib_rng);
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
@@ -286,8 +283,7 @@ inline std::vector<SweepPoint> e9_points(
     p.cache_base.workload =
         "paninski:n=" + std::to_string(n) + ":eps=" + std::to_string(eps);
     p.cache_base.tester = "multibit-sum:k=" + std::to_string(k) +
-                          ":r=" + std::to_string(r) +
-                          (kernel == SamplingKernel::kCounts ? ":counts" : "");
+                          ":r=" + std::to_string(r);
     points.push_back(std::move(p));
   }
   return points;

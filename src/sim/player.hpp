@@ -6,8 +6,6 @@
 #include <functional>
 #include <span>
 
-#include "core/sample_tuple.hpp"
-#include "fourier/boolean_function.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -37,29 +35,6 @@ class Player {
   [[nodiscard]] virtual Message decide(std::span<const std::uint64_t> samples,
                                        Rng& rng) = 0;
   [[nodiscard]] virtual unsigned message_bits() const { return 1; }
-};
-
-/// A player implementing an explicit Boolean message function
-/// G : {-1,1}^{(ell+1)q} -> {0,1} over the cube universe — the object the
-/// paper's lower-bound machinery analyzes. Deterministic.
-class FunctionPlayer final : public Player {
- public:
-  FunctionPlayer(SampleTupleCodec codec, const BooleanCubeFunction* g)
-      : codec_(codec), g_(g) {
-    require(g != nullptr, "FunctionPlayer: null function");
-    require(g->num_vars() == codec.total_bits(),
-            "FunctionPlayer: G arity mismatch");
-    require(g->is_boolean01(), "FunctionPlayer: G must be {0,1}-valued");
-  }
-
-  [[nodiscard]] Message decide(std::span<const std::uint64_t> samples,
-                               Rng& /*rng*/) override {
-    return Message::bit(g_->value(codec_.pack(samples)) >= 0.5);
-  }
-
- private:
-  SampleTupleCodec codec_;
-  const BooleanCubeFunction* g_;  // not owned; outlives the player
 };
 
 /// A player defined by an arbitrary callback (used by the testers).

@@ -25,13 +25,6 @@ SimultaneousProtocol::SimultaneousProtocol(std::vector<unsigned> qs,
 std::vector<Message> SimultaneousProtocol::collect(const SampleSource& source,
                                                    Rng& rng) const {
   std::vector<Message> messages;
-  collect(source, rng, messages);
-  return messages;
-}
-
-void SimultaneousProtocol::collect(const SampleSource& source, Rng& rng,
-                                   std::vector<Message>& messages) const {
-  messages.clear();
   messages.reserve(qs_.size());
   thread_local std::vector<std::uint64_t> samples;
   for (unsigned j = 0; j < qs_.size(); ++j) {
@@ -46,44 +39,28 @@ void SimultaneousProtocol::collect(const SampleSource& source, Rng& rng,
     require(player != nullptr, "SimultaneousProtocol: factory returned null");
     messages.push_back(player->decide(samples, player_rng));
   }
+  return messages;
 }
 
 ProtocolResult SimultaneousProtocol::run(const SampleSource& source, Rng& rng,
                                          const DecisionRule& rule) const {
   ProtocolResult result;
-  std::vector<std::uint8_t> votes;
-  run(source, rng, rule, result, votes);
-  return result;
-}
-
-void SimultaneousProtocol::run(const SampleSource& source, Rng& rng,
-                               const DecisionRule& rule,
-                               ProtocolResult& result,
-                               std::vector<std::uint8_t>& votes) const {
-  result.communication_bits = 0;
-  result.samples_drawn = 0;
-  collect(source, rng, result.messages);
+  result.messages = collect(source, rng);
   for (unsigned j = 0; j < qs_.size(); ++j) {
     result.communication_bits += result.messages[j].width;
     result.samples_drawn += qs_[j];
   }
-  votes_of(result.messages, votes);
-  result.accept = rule.decide(votes);
+  result.accept = rule.decide(votes_of(result.messages));
+  return result;
 }
 
 std::vector<std::uint8_t> SimultaneousProtocol::votes_of(
     const std::vector<Message>& messages) {
-  std::vector<std::uint8_t> votes;
-  votes_of(messages, votes);
-  return votes;
-}
-
-void SimultaneousProtocol::votes_of(const std::vector<Message>& messages,
-                                    std::vector<std::uint8_t>& votes) {
-  votes.resize(messages.size());
+  std::vector<std::uint8_t> votes(messages.size());
   for (std::size_t j = 0; j < messages.size(); ++j) {
     votes[j] = static_cast<std::uint8_t>(messages[j].bits & 1U);
   }
+  return votes;
 }
 
 }  // namespace duti

@@ -47,29 +47,14 @@ class SimultaneousProtocol {
   [[nodiscard]] std::vector<Message> collect(const SampleSource& source,
                                              Rng& rng) const;
 
-  /// Out-parameter twin: reuses `messages`' capacity, so a caller looping
-  /// trials through one buffer pays no per-trial vector allocation.
-  void collect(const SampleSource& source, Rng& rng,
-               std::vector<Message>& messages) const;
-
   /// Full run: collect messages and apply a 1-bit decision rule to the
   /// players' low bits.
   [[nodiscard]] ProtocolResult run(const SampleSource& source, Rng& rng,
                                    const DecisionRule& rule) const;
 
-  /// Out-parameter twin: reuses `result.messages` and `votes` across
-  /// trials (capacities survive, so steady-state trials allocate nothing
-  /// beyond what the player factory itself allocates).
-  void run(const SampleSource& source, Rng& rng, const DecisionRule& rule,
-           ProtocolResult& result, std::vector<std::uint8_t>& votes) const;
-
   /// Extract the 1-bit votes (low bit of each message).
   [[nodiscard]] static std::vector<std::uint8_t> votes_of(
       const std::vector<Message>& messages);
-
-  /// Out-parameter twin of votes_of (reuses `votes`' capacity).
-  static void votes_of(const std::vector<Message>& messages,
-                       std::vector<std::uint8_t>& votes);
 
  private:
   std::vector<unsigned> qs_;

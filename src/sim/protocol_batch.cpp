@@ -15,7 +15,6 @@ namespace {
 // memset-ing the whole plane.
 thread_local std::vector<std::uint64_t> tls_samples;
 thread_local std::vector<std::uint64_t> tls_plane;
-thread_local std::vector<std::uint64_t> tls_counts;
 thread_local std::vector<Message> tls_messages;
 thread_local std::vector<std::uint8_t> tls_votes;
 
@@ -61,10 +60,8 @@ std::uint64_t tallied_collision_pairs(std::span<const std::uint64_t> samples,
 }
 
 ProtocolBatchExecutor::ProtocolBatchExecutor(unsigned k, unsigned q, Vote vote,
-                                             unsigned message_width,
-                                             SamplingKernel kernel)
-    : qs_(k, q), vote_(std::move(vote)), width_(message_width),
-      kernel_(kernel) {
+                                             unsigned message_width)
+    : qs_(k, q), vote_(std::move(vote)), width_(message_width) {
   require(k >= 1, "ProtocolBatchExecutor: need at least one player");
   require(q >= 1, "ProtocolBatchExecutor: q must be >= 1");
   require(static_cast<bool>(vote_), "ProtocolBatchExecutor: null vote");
@@ -73,10 +70,8 @@ ProtocolBatchExecutor::ProtocolBatchExecutor(unsigned k, unsigned q, Vote vote,
 }
 
 ProtocolBatchExecutor::ProtocolBatchExecutor(std::vector<unsigned> qs,
-                                             Vote vote, unsigned message_width,
-                                             SamplingKernel kernel)
-    : qs_(std::move(qs)), vote_(std::move(vote)), width_(message_width),
-      kernel_(kernel) {
+                                             Vote vote, unsigned message_width)
+    : qs_(std::move(qs)), vote_(std::move(vote)), width_(message_width) {
   require(!qs_.empty(), "ProtocolBatchExecutor: need at least one player");
   for (unsigned q : qs_) {
     require(q >= 1, "ProtocolBatchExecutor: every q must be >= 1");
@@ -95,19 +90,12 @@ void ProtocolBatchExecutor::collect(const SampleSource& source, Rng& rng,
     // run-rng draw per player, in player order — so the batched plane
     // replays the legacy path's randomness bit-for-bit.
     Rng player_rng = make_rng(rng(), j);
-    std::uint64_t pairs = 0;
-    if (kernel_ == SamplingKernel::kCounts) {
-      source.sample_counts(player_rng, qs_[j], tls_counts);
-      if (inspect_counts_) inspect_counts_(j, tls_counts);
-      pairs = kernels::collision_pairs_from_counts(tls_counts);
-    } else {
-      source.sample_many(player_rng, qs_[j], tls_samples);
-      // Tally (and reset) before the vote, so a throwing vote cannot leave
-      // the plane dirty for the worker's next trial.
-      pairs = (domain <= kMaxTallyPlaneDomain)
-                  ? pairs_by_tally(tls_samples, domain)
-                  : pairs_by_sort(tls_samples);
-    }
+    source.sample_many(player_rng, qs_[j], tls_samples);
+    // Tally (and reset) before the vote, so a throwing vote cannot leave
+    // the plane dirty for the worker's next trial.
+    const std::uint64_t pairs = (domain <= kMaxTallyPlaneDomain)
+                                    ? pairs_by_tally(tls_samples, domain)
+                                    : pairs_by_sort(tls_samples);
     Message m = vote_(j, pairs, player_rng);
     require(m.width == width_,
             "ProtocolBatchExecutor: vote returned unexpected message width");

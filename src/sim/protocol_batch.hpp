@@ -21,13 +21,6 @@
 // post-sampling player RNG to the vote — so votes, messages, and referee
 // verdicts are bit-identical to SimultaneousProtocol at any DUTI_THREADS
 // and DUTI_SIMD setting (enforced by tests/test_protocol_batch.cpp).
-//
-// The opt-in SamplingKernel::kCounts plane mirrors PR 3's centralized
-// counts kernels: players draw a per-element histogram directly
-// (binomial-split multinomials, O(min(n, q)) RNG work) and the pair count
-// comes from kernels::collision_pairs_from_counts. Same distribution,
-// different RNG stream — statistically equivalent, never bit-identical,
-// hence opt-in (chi-squared-validated in the tests).
 #pragma once
 
 #include <cstdint>
@@ -64,27 +57,13 @@ class ProtocolBatchExecutor {
   using Vote =
       std::function<Message(unsigned j, std::uint64_t pairs, Rng& rng)>;
 
-  /// Called with player j's histogram on the kCounts plane, after sampling
-  /// and before the vote (validation hook; never set in hot paths).
-  using CountsInspector =
-      std::function<void(unsigned j, std::span<const std::uint64_t> counts)>;
-
   /// Symmetric: every player draws `q` samples.
   ProtocolBatchExecutor(unsigned k, unsigned q, Vote vote,
-                        unsigned message_width = 1,
-                        SamplingKernel kernel = SamplingKernel::kPerSample);
+                        unsigned message_width = 1);
 
   /// Asymmetric: player j draws `qs[j]` samples (Section 6.2 rates).
-  explicit ProtocolBatchExecutor(
-      std::vector<unsigned> qs, Vote vote, unsigned message_width = 1,
-      SamplingKernel kernel = SamplingKernel::kPerSample);
-
-  [[nodiscard]] unsigned num_players() const noexcept {
-    return static_cast<unsigned>(qs_.size());
-  }
-  [[nodiscard]] unsigned samples_of(unsigned j) const { return qs_.at(j); }
-  [[nodiscard]] unsigned message_width() const noexcept { return width_; }
-  [[nodiscard]] SamplingKernel kernel() const noexcept { return kernel_; }
+  explicit ProtocolBatchExecutor(std::vector<unsigned> qs, Vote vote,
+                                 unsigned message_width = 1);
 
   /// One trial into a caller-owned buffer: messages.resize(k) once, then
   /// steady-state trials allocate nothing.
@@ -107,17 +86,10 @@ class ProtocolBatchExecutor {
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng,
                          const DecisionRule& rule) const;
 
-  /// Install the kCounts validation hook (not thread-safe; set before use).
-  void set_counts_inspector(CountsInspector inspector) {
-    inspect_counts_ = std::move(inspector);
-  }
-
  private:
   std::vector<unsigned> qs_;
   Vote vote_;
   unsigned width_ = 1;
-  SamplingKernel kernel_ = SamplingKernel::kPerSample;
-  CountsInspector inspect_counts_;
 };
 
 }  // namespace duti

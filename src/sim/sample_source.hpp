@@ -29,9 +29,8 @@ namespace duti {
 /// (the counts vector itself is Theta(domain) memory).
 inline constexpr std::uint64_t kMaxCountedDomain = 1ULL << 26;
 
-/// How a tester materializes its q draws (DESIGN.md section 8). Count-only
-/// statistics (all the collision testers, centralized and distributed) can
-/// consume a per-element histogram directly:
+/// How a centralized tester materializes its q draws (DESIGN.md section 8).
+/// Its count-only statistics can consume a per-element histogram directly:
 ///   kPerSample — sample_many + tally; the historical RNG stream.
 ///   kCounts    — SampleSource::sample_counts multinomial kernels,
 ///                O(min(n, q)) RNG work instead of O(q). Draws come from

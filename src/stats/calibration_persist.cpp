@@ -9,7 +9,12 @@ namespace duti {
 
 namespace {
 
-constexpr std::size_t kSlotsPerRecord = 8;
+// Payload words per journal record: trials, budget, and the four abort
+// tallies. The success slots stay 0 — a ProbeResult is rebuilt through
+// probe_result_from_tallies on every journal load, and a success word above
+// `trials` would fail its Wilson check — so every slot used here round-trips
+// verbatim whatever its value.
+constexpr std::size_t kSlotsPerRecord = 6;
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -24,7 +29,9 @@ ProbeKey chunk_key(const std::string& id, std::uint64_t chunk) {
   ProbeKey key;
   key.workload = "calib:" + id;
   key.tester = "calib";
-  key.flavor = "calib";
+  // "calib2": the six-slot layout. Records of the older eight-slot layout
+  // ("calib") miss instead of decoding wrongly.
+  key.flavor = "calib2";
   key.param = chunk;
   // The journal's framing has no payload-length field and key.trials must
   // stay constant across chunks (the total is unknown when chunk 0 is
@@ -37,19 +44,18 @@ ProbeKey chunk_key(const std::string& id, std::uint64_t chunk) {
 
 std::array<std::uint64_t, kSlotsPerRecord> record_slots(
     const ProbeResult& r) {
-  return {r.uniform_successes,      r.far_successes,
-          r.trials,                 r.budget,
-          r.uniform_aborts_quorum,  r.uniform_aborts_timeout,
-          r.far_aborts_quorum,      r.far_aborts_timeout};
+  return {r.trials,                r.budget,
+          r.uniform_aborts_quorum, r.uniform_aborts_timeout,
+          r.far_aborts_quorum,     r.far_aborts_timeout};
 }
 
 ProbeResult slots_record(const std::array<std::uint64_t, kSlotsPerRecord>& s) {
-  ProbeResult r = probe_result_from_tallies(s[0], s[1], s[2], s[3],
+  ProbeResult r = probe_result_from_tallies(0, 0, s[0], s[1],
                                             ProbeStop::kExhausted);
-  r.uniform_aborts_quorum = s[4];
-  r.uniform_aborts_timeout = s[5];
-  r.far_aborts_quorum = s[6];
-  r.far_aborts_timeout = s[7];
+  r.uniform_aborts_quorum = s[2];
+  r.uniform_aborts_timeout = s[3];
+  r.far_aborts_quorum = s[4];
+  r.far_aborts_timeout = s[5];
   return r;
 }
 

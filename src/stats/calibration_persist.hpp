@@ -3,15 +3,17 @@
 // reruns of a sweep skip referee calibration entirely.
 //
 // The memo's u64 payloads are shoehorned into ProbeResult records: the
-// logical payload is prefixed with a length word and chunked 8 words per
-// record into the 8 free u64 slots (uniform/far successes, trials, budget,
-// four abort tallies; stop stays kExhausted). Records are keyed
-// ProbeKey{workload = "calib:" + memo id, tester = "calib", flavor =
-// "calib", param = chunk index, trials = 0, seed = FNV-1a(id)} — the
-// workload string carries the FULL memo id, and ProbeCache lookups verify
-// full keys, so distinct calibrations can never collide. The rate fields a
-// hit rebuilds from these tallies are meaningless, but nothing reads them:
-// the memo consumes only the raw integer slots.
+// logical payload is prefixed with a length word and chunked 6 words per
+// record into the slots the journal stores verbatim (trials, budget, and
+// the four abort tallies; both success tallies stay 0 and stop stays
+// kExhausted, so the Wilson check of a journal reload can never reject a
+// payload word). Records are keyed ProbeKey{workload = "calib:" + memo id,
+// tester = "calib", flavor = "calib2", param = chunk index, trials = 0,
+// seed = FNV-1a(id)} — the workload string carries the FULL memo id, and
+// ProbeCache lookups verify full keys, so distinct calibrations can never
+// collide. The rate fields a hit rebuilds from these tallies are
+// meaningless, but nothing reads them: the memo consumes only the raw
+// integer slots.
 //
 // Installation is the testers -> stats dependency inversion: this layer
 // registers load/store hooks with CalibMemo::global(). ProbeCache::global()

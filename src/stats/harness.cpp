@@ -251,7 +251,8 @@ ProbeResult adaptive_engine(const SourceSpec& uniform_source,
   return finalize_tally(total, done, max_trials, ProbeStop::kExhausted);
 }
 
-// Tally adapters shared by the full and adaptive entry points.
+// Tally adapters for the boolean and RefereeOutcome testers, shared by both
+// engines.
 struct BoolRuns {
   const TesterRun& tester;
   void uniform(const SampleSource& source, Rng& rng, ChunkTally& tally) const {
@@ -284,127 +285,54 @@ struct ExRuns {
   }
 };
 
+// Dispatch one probe to the full-budget or the adaptive engine.
+template <typename Runs>
+ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
+                      const SourceSpec& far_source, std::size_t trials,
+                      std::uint64_t seed, ThreadPool& pool,
+                      const std::optional<AdaptiveProbeConfig>& adaptive) {
+  require(static_cast<bool>(runs.tester), "probe_success: null tester");
+  const auto run_uniform = [&runs](const SampleSource& s, Rng& r,
+                                   ChunkTally& t) { runs.uniform(s, r, t); };
+  const auto run_far = [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
+    runs.far(s, r, t);
+  };
+  if (adaptive) {
+    return adaptive_engine(uniform_source, far_source, trials, seed,
+                           *adaptive, pool, run_uniform, run_far);
+  }
+  return probe_engine(uniform_source, far_source, trials, seed, pool,
+                      run_uniform, run_far);
+}
+
 }  // namespace
 
 ProbeResult probe_success(const TesterRun& tester,
                           const SourceSpec& uniform_source,
                           const SourceSpec& far_source, std::size_t trials,
-                          std::uint64_t seed, ThreadPool& pool) {
-  require(static_cast<bool>(tester), "probe_success: null tester");
-  const BoolRuns runs{tester};
-  return probe_engine(
-      uniform_source, far_source, trials, seed, pool,
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.uniform(s, r, t);
-      },
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.far(s, r, t);
-      });
+                          std::uint64_t seed, ThreadPool& pool,
+                          const std::optional<AdaptiveProbeConfig>& adaptive) {
+  return run_probe(BoolRuns{tester}, uniform_source, far_source, trials, seed,
+                   pool, adaptive);
 }
 
-ProbeResult probe_success(const TesterRun& tester,
+ProbeResult probe_success(const TesterRunEx& tester,
                           const SourceSpec& uniform_source,
                           const SourceSpec& far_source, std::size_t trials,
-                          std::uint64_t seed) {
-  return probe_success(tester, uniform_source, far_source, trials, seed,
-                       ThreadPool::global());
+                          std::uint64_t seed, ThreadPool& pool,
+                          const std::optional<AdaptiveProbeConfig>& adaptive) {
+  return run_probe(ExRuns{tester}, uniform_source, far_source, trials, seed,
+                   pool, adaptive);
 }
 
-ProbeResult probe_success_ex(const TesterRunEx& tester,
-                             const SourceSpec& uniform_source,
-                             const SourceSpec& far_source, std::size_t trials,
-                             std::uint64_t seed, ThreadPool& pool) {
-  require(static_cast<bool>(tester), "probe_success_ex: null tester");
-  const ExRuns runs{tester};
-  return probe_engine(
-      uniform_source, far_source, trials, seed, pool,
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.uniform(s, r, t);
-      },
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.far(s, r, t);
-      });
-}
-
-ProbeResult probe_success_ex(const TesterRunEx& tester,
-                             const SourceSpec& uniform_source,
-                             const SourceSpec& far_source, std::size_t trials,
-                             std::uint64_t seed) {
-  return probe_success_ex(tester, uniform_source, far_source, trials, seed,
-                          ThreadPool::global());
-}
-
-ProbeResult probe_success_adaptive(const TesterRun& tester,
-                                   const SourceSpec& uniform_source,
-                                   const SourceSpec& far_source,
-                                   std::size_t max_trials, std::uint64_t seed,
-                                   const AdaptiveProbeConfig& cfg,
-                                   ThreadPool& pool) {
-  require(static_cast<bool>(tester), "probe_success_adaptive: null tester");
-  const BoolRuns runs{tester};
-  return adaptive_engine(
-      uniform_source, far_source, max_trials, seed, cfg, pool,
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.uniform(s, r, t);
-      },
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.far(s, r, t);
-      });
-}
-
-ProbeResult probe_success_adaptive(const TesterRun& tester,
-                                   const SourceSpec& uniform_source,
-                                   const SourceSpec& far_source,
-                                   std::size_t max_trials, std::uint64_t seed,
-                                   const AdaptiveProbeConfig& cfg) {
-  return probe_success_adaptive(tester, uniform_source, far_source, max_trials,
-                                seed, cfg, ThreadPool::global());
-}
-
-ProbeResult probe_success_adaptive_ex(const TesterRunEx& tester,
-                                      const SourceSpec& uniform_source,
-                                      const SourceSpec& far_source,
-                                      std::size_t max_trials,
-                                      std::uint64_t seed,
-                                      const AdaptiveProbeConfig& cfg,
-                                      ThreadPool& pool) {
-  require(static_cast<bool>(tester), "probe_success_adaptive_ex: null tester");
-  const ExRuns runs{tester};
-  return adaptive_engine(
-      uniform_source, far_source, max_trials, seed, cfg, pool,
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.uniform(s, r, t);
-      },
-      [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-        runs.far(s, r, t);
-      });
-}
-
-ProbeResult probe_success_adaptive_ex(const TesterRunEx& tester,
-                                      const SourceSpec& uniform_source,
-                                      const SourceSpec& far_source,
-                                      std::size_t max_trials,
-                                      std::uint64_t seed,
-                                      const AdaptiveProbeConfig& cfg) {
-  return probe_success_adaptive_ex(tester, uniform_source, far_source,
-                                   max_trials, seed, cfg,
-                                   ThreadPool::global());
-}
-
-namespace {
-
-// Shared search core. `bracket_probe` may be null; when present (and
-// cfg.adaptive_bracket set) it handles the exponential bracketing rungs and
-// wide bisection midpoints, while the full-budget probe decides the final
-// steps and confirms the returned minimum.
-MinSearchResult find_min_param_impl(const ProbeFn& probe,
-                                    const ProbeFn* bracket_probe,
-                                    const MinSearchConfig& cfg,
-                                    ThreadPool& pool) {
+// When cfg.bracket_probe is set it handles the exponential bracketing rungs
+// and wide bisection midpoints, while the full-budget probe decides the
+// final steps and confirms the returned minimum.
+MinSearchResult find_min_param(const ProbeFn& probe,
+                               const MinSearchConfig& cfg, ThreadPool& pool) {
   require(static_cast<bool>(probe), "find_min_param: null probe");
   require(cfg.lo >= 1 && cfg.lo <= cfg.hi, "find_min_param: bad range");
-  const bool bracketed = bracket_probe != nullptr && cfg.adaptive_bracket &&
-                         static_cast<bool>(*bracket_probe);
+  const bool bracketed = static_cast<bool>(cfg.bracket_probe);
   MinSearchResult result;
 
   // probe() is pure per value, so speculative waves land in a cache that the
@@ -436,7 +364,7 @@ MinSearchResult find_min_param_impl(const ProbeFn& probe,
                       [&](std::size_t begin, std::size_t end, unsigned) {
                         for (std::size_t i = begin; i < end; ++i) {
                           const ProbeFn& fn =
-                              missing[i].second ? *bracket_probe : probe;
+                              missing[i].second ? cfg.bracket_probe : probe;
                           try {
                             fresh[i].result = fn(missing[i].first);
                           } catch (...) {
@@ -516,9 +444,8 @@ MinSearchResult find_min_param_impl(const ProbeFn& probe,
       // before declaring the whole range failed.
       if (bracketed && consult(cfg.hi, false)) {
         MinSearchConfig full_cfg = cfg;
-        full_cfg.adaptive_bracket = false;
-        MinSearchResult rest =
-            find_min_param_impl(probe, nullptr, full_cfg, pool);
+        full_cfg.bracket_probe = nullptr;
+        MinSearchResult rest = find_min_param(probe, full_cfg, pool);
         rest.probes.insert(rest.probes.begin(), result.probes.begin(),
                            result.probes.end());
         return rest;
@@ -586,9 +513,8 @@ MinSearchResult find_min_param_impl(const ProbeFn& probe,
       }
       MinSearchConfig rest_cfg = cfg;
       rest_cfg.lo = minimum + 1;
-      rest_cfg.adaptive_bracket = false;
-      MinSearchResult rest =
-          find_min_param_impl(probe, nullptr, rest_cfg, pool);
+      rest_cfg.bracket_probe = nullptr;
+      MinSearchResult rest = find_min_param(probe, rest_cfg, pool);
       rest.probes.insert(rest.probes.begin(), result.probes.begin(),
                          result.probes.end());
       return rest;
@@ -597,69 +523,6 @@ MinSearchResult find_min_param_impl(const ProbeFn& probe,
   result.found = true;
   result.minimum = minimum;
   return result;
-}
-
-}  // namespace
-
-MinSearchResult find_min_param(const ProbeFn& probe,
-                               const MinSearchConfig& cfg, ThreadPool& pool) {
-  return find_min_param_impl(probe, nullptr, cfg, pool);
-}
-
-MinSearchResult find_min_param(const ProbeFn& probe,
-                               const MinSearchConfig& cfg) {
-  return find_min_param(probe, cfg, ThreadPool::global());
-}
-
-MinSearchResult find_min_param(const ProbeFn& probe,
-                               const ProbeFn& bracket_probe,
-                               const MinSearchConfig& cfg, ThreadPool& pool) {
-  return find_min_param_impl(probe, &bracket_probe, cfg, pool);
-}
-
-MinSearchResult find_min_param(const ProbeFn& probe,
-                               const ProbeFn& bracket_probe,
-                               const MinSearchConfig& cfg) {
-  return find_min_param(probe, bracket_probe, cfg, ThreadPool::global());
-}
-
-double find_min_param_median(
-    const std::function<ProbeFn(std::uint64_t seed)>& make_probe,
-    const MinSearchConfig& cfg, unsigned repeats, ThreadPool& pool) {
-  require(repeats >= 1, "find_min_param_median: repeats >= 1");
-  // Build every repeat's probe on the calling thread (the factory need not
-  // be thread-safe; the probes themselves must be).
-  std::vector<ProbeFn> probes;
-  probes.reserve(repeats);
-  for (unsigned rep = 0; rep < repeats; ++rep) {
-    probes.push_back(make_probe(derive_seed(cfg.seed, rep)));
-  }
-  // Repeats are independent searches; run them across the pool and reduce
-  // the per-repeat minima in repeat order (same order as the serial loop).
-  std::vector<MinSearchResult> results(repeats);
-  pool.parallel_for(repeats, 1,
-                    [&](std::size_t begin, std::size_t end, unsigned) {
-                      for (std::size_t rep = begin; rep < end; ++rep) {
-                        MinSearchConfig rep_cfg = cfg;
-                        rep_cfg.seed = derive_seed(cfg.seed, rep);
-                        results[rep] =
-                            find_min_param(probes[rep], rep_cfg, pool);
-                      }
-                    });
-  std::vector<double> minima;
-  minima.reserve(repeats);
-  for (const MinSearchResult& r : results) {
-    if (r.found) minima.push_back(static_cast<double>(r.minimum));
-  }
-  require(!minima.empty(), "find_min_param_median: no search succeeded");
-  return median(std::move(minima));
-}
-
-double find_min_param_median(
-    const std::function<ProbeFn(std::uint64_t seed)>& make_probe,
-    const MinSearchConfig& cfg, unsigned repeats) {
-  return find_min_param_median(make_probe, cfg, repeats,
-                               ThreadPool::global());
 }
 
 }  // namespace duti

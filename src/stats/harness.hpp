@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/sample_source.hpp"
@@ -94,8 +95,8 @@ struct ProbeResult {
   // Budget the probe was allotted; trials < budget iff it stopped early.
   std::uint64_t budget = 0;
   ProbeStop stop = ProbeStop::kExhausted;
-  // Abort attribution (filled by probe_success_ex; zero for the boolean
-  // probe). Aborted trials fail their side but are NOT rejections.
+  // Abort attribution (filled by the RefereeOutcome probe; zero for the
+  // boolean one). Aborted trials fail their side but are NOT rejections.
   std::uint64_t uniform_aborts_quorum = 0;
   std::uint64_t uniform_aborts_timeout = 0;
   std::uint64_t far_aborts_quorum = 0;
@@ -140,34 +141,7 @@ struct ProbeResult {
     std::uint64_t uniform_successes, std::uint64_t far_successes,
     std::uint64_t trials, std::uint64_t budget, ProbeStop stop);
 
-/// Run `trials` independent executions against fresh uniform and far
-/// sources and tally both error sides. Trials are sharded across `pool`
-/// (default: the global pool, sized by DUTI_THREADS); the result is
-/// bit-identical at any thread count.
-[[nodiscard]] ProbeResult probe_success(const TesterRun& tester,
-                                        const SourceSpec& uniform_source,
-                                        const SourceSpec& far_source,
-                                        std::size_t trials,
-                                        std::uint64_t seed);
-[[nodiscard]] ProbeResult probe_success(const TesterRun& tester,
-                                        const SourceSpec& uniform_source,
-                                        const SourceSpec& far_source,
-                                        std::size_t trials, std::uint64_t seed,
-                                        ThreadPool& pool);
-
-/// Like probe_success, but the tester reports a full RefereeOutcome, so
-/// per-trial abort reasons are attributed instead of being conflated with
-/// rejections. Uses the same seed derivation as probe_success: a boolean
-/// tester and its _ex wrapping see identical sources and run streams.
-[[nodiscard]] ProbeResult probe_success_ex(
-    const TesterRunEx& tester, const SourceSpec& uniform_source,
-    const SourceSpec& far_source, std::size_t trials, std::uint64_t seed);
-[[nodiscard]] ProbeResult probe_success_ex(
-    const TesterRunEx& tester, const SourceSpec& uniform_source,
-    const SourceSpec& far_source, std::size_t trials, std::uint64_t seed,
-    ThreadPool& pool);
-
-/// Knobs for the adaptive early-stopping probes. Batch boundaries are FIXED
+/// Knobs for the adaptive early-stopping engine. Batch boundaries are FIXED
 /// (independent of thread count), and all stopping decisions are functions
 /// of integer tallies at batch boundaries, so adaptive results — including
 /// the stopping point itself — are bit-identical at any thread count.
@@ -184,34 +158,43 @@ struct AdaptiveProbeConfig {
   std::size_t min_trials = 0;
 };
 
-/// Early-stopping probe: runs trials in deterministic batches and stops as
-/// soon as either (a) the remaining budget provably cannot flip the
-/// full-budget pass/fail verdict (deterministic certificate), or (b) a
-/// union-bound-corrected Wilson confidence sequence certifies both sides
-/// above — or either side below — the target (statistical certificate,
-/// wrong with probability at most cfg.delta). Trials reuse probe_success's
-/// per-trial seed derivation, so trial t sees identical sources and run
-/// streams under both probes; the returned result's passes(cfg.target)
-/// IS the certified verdict in every stopping case.
-[[nodiscard]] ProbeResult probe_success_adaptive(
+/// Run up to `trials` independent executions against fresh uniform and far
+/// sources and tally both error sides. Trials are sharded across `pool`
+/// (default: the global pool, sized by DUTI_THREADS); the result is
+/// bit-identical at any thread count.
+///
+/// Without `adaptive` every trial runs. With it, trials run in
+/// deterministic batches and the probe stops as soon as either (a) the
+/// remaining budget provably cannot flip the full-budget pass/fail verdict
+/// (deterministic certificate), or (b) a union-bound-corrected Wilson
+/// confidence sequence certifies both sides above — or either side below —
+/// the target (statistical certificate, wrong with probability at most
+/// adaptive->delta). Both engines derive trial t's streams from (seed, t)
+/// alone, so an early-stopped probe ran a prefix of the full probe's trials
+/// and its passes(adaptive->target) IS the certified verdict.
+///
+/// A braced `{}` in the `adaptive` position is nullopt, i.e. the full-budget
+/// probe; pass `AdaptiveProbeConfig{}` for the default adaptive schedule.
+[[nodiscard]] ProbeResult probe_success(
     const TesterRun& tester, const SourceSpec& uniform_source,
-    const SourceSpec& far_source, std::size_t max_trials, std::uint64_t seed,
-    const AdaptiveProbeConfig& cfg = {});
-[[nodiscard]] ProbeResult probe_success_adaptive(
-    const TesterRun& tester, const SourceSpec& uniform_source,
-    const SourceSpec& far_source, std::size_t max_trials, std::uint64_t seed,
-    const AdaptiveProbeConfig& cfg, ThreadPool& pool);
+    const SourceSpec& far_source, std::size_t trials, std::uint64_t seed,
+    ThreadPool& pool = ThreadPool::global(),
+    const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
 
-/// Fault-aware twin of probe_success_adaptive (same certificates, abort
-/// attribution tallied like probe_success_ex).
-[[nodiscard]] ProbeResult probe_success_adaptive_ex(
+/// The same probe for a tester that reports a full RefereeOutcome: per-trial
+/// abort reasons are attributed instead of being conflated with
+/// rejections. Same seed derivation, so a boolean tester and its
+/// RefereeOutcome wrapping see identical sources and run streams.
+[[nodiscard]] ProbeResult probe_success(
     const TesterRunEx& tester, const SourceSpec& uniform_source,
-    const SourceSpec& far_source, std::size_t max_trials, std::uint64_t seed,
-    const AdaptiveProbeConfig& cfg = {});
-[[nodiscard]] ProbeResult probe_success_adaptive_ex(
-    const TesterRunEx& tester, const SourceSpec& uniform_source,
-    const SourceSpec& far_source, std::size_t max_trials, std::uint64_t seed,
-    const AdaptiveProbeConfig& cfg, ThreadPool& pool);
+    const SourceSpec& far_source, std::size_t trials, std::uint64_t seed,
+    ThreadPool& pool = ThreadPool::global(),
+    const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
+
+/// Probe at one parameter value (the searched resource). Must be a pure
+/// function of the value (all in-repo probes are: they derive their seed
+/// from the value), which is what lets the search speculate.
+using ProbeFn = std::function<ProbeResult(std::uint64_t)>;
 
 struct MinSearchConfig {
   std::uint64_t lo = 2;          // smallest candidate value
@@ -219,14 +202,16 @@ struct MinSearchConfig {
   std::size_t trials = 400;      // trials per probe
   double target = 2.0 / 3.0;     // success bar on both sides
   std::uint64_t seed = 1;
-  // Work-avoidance knobs (DESIGN.md section 8). When adaptive_bracket is set
-  // AND a bracket probe is supplied to find_min_param, the exponential
-  // bracketing rungs and the early bisection midpoints consult the (cheap,
-  // early-stopping) bracket probe; bisection falls back to the full-budget
-  // probe once the bracket narrows to full_budget_width, and the returned
-  // minimum is always confirmed with a full-budget probe before the search
-  // returns.
-  bool adaptive_bracket = false;
+  // Work avoidance (DESIGN.md section 8). When set, this (cheap, typically
+  // early-stopping) probe over the same seeds answers the exponential
+  // bracketing rungs and the early bisection midpoints; bisection falls
+  // back to the full-budget probe once the bracket narrows to
+  // full_budget_width, and the returned minimum is always confirmed with a
+  // full-budget probe. If the confirmation fails (the bracket certificate
+  // mis-fired, probability <= the bracket probe's delta), the search
+  // resumes above the refuted value with full-budget probes, so the
+  // returned minimum's verdict is always full-budget-backed.
+  ProbeFn bracket_probe;
   std::uint64_t full_budget_width = 8;
   // Warm-start hint (0 = none): a predicted minimum, e.g. extrapolated from
   // a neighboring sweep point (src/stats/sweep.hpp). Purely a scheduling
@@ -246,11 +231,6 @@ struct MinSearchResult {
   std::vector<std::pair<std::uint64_t, ProbeResult>> probes;  // audit trail
 };
 
-/// Probe at one parameter value (the searched resource). Must be a pure
-/// function of the value (all in-repo probes are: they derive their seed
-/// from the value), which is what lets the search speculate.
-using ProbeFn = std::function<ProbeResult(std::uint64_t)>;
-
 /// Find the minimal parameter value whose probe passes, assuming success is
 /// (statistically) monotone in the parameter: exponential bracketing from
 /// `lo`, then binary search inside the bracket.
@@ -262,39 +242,8 @@ using ProbeFn = std::function<ProbeResult(std::uint64_t)>;
 /// decision sequence against the precomputed results, so `minimum` and the
 /// `probes` audit trail are identical to the serial search — speculation
 /// only trades spare cores for wall-clock.
-[[nodiscard]] MinSearchResult find_min_param(const ProbeFn& probe,
-                                             const MinSearchConfig& cfg);
-[[nodiscard]] MinSearchResult find_min_param(const ProbeFn& probe,
-                                             const MinSearchConfig& cfg,
-                                             ThreadPool& pool);
-
-/// Work-avoidance variant: `bracket_probe` (typically an adaptive
-/// early-stopping probe over the same seeds) is consulted for the
-/// exponential bracketing rungs and wide bisection midpoints when
-/// cfg.adaptive_bracket is set; the full-budget `probe` decides the final
-/// bisection steps, and the returned minimum always carries a full-budget
-/// confirmation in the audit trail. If the confirmation fails (the bracket
-/// certificate mis-fired, probability <= the bracket probe's delta), the
-/// search resumes above the refuted value with full-budget probes, so the
-/// returned minimum's verdict is always full-budget-backed.
-[[nodiscard]] MinSearchResult find_min_param(const ProbeFn& probe,
-                                             const ProbeFn& bracket_probe,
-                                             const MinSearchConfig& cfg);
-[[nodiscard]] MinSearchResult find_min_param(const ProbeFn& probe,
-                                             const ProbeFn& bracket_probe,
-                                             const MinSearchConfig& cfg,
-                                             ThreadPool& pool);
-
-/// Median of `repeats` independent searches (different probe seeds supplied
-/// by the caller through `make_probe`); smooths the 2/3-crossing noise.
-/// Repeats run concurrently across `pool` (each repeat's nested search then
-/// runs serially inside its worker); per-repeat minima are reduced in repeat
-/// order, so the median matches the serial implementation exactly.
-[[nodiscard]] double find_min_param_median(
-    const std::function<ProbeFn(std::uint64_t seed)>& make_probe,
-    const MinSearchConfig& cfg, unsigned repeats);
-[[nodiscard]] double find_min_param_median(
-    const std::function<ProbeFn(std::uint64_t seed)>& make_probe,
-    const MinSearchConfig& cfg, unsigned repeats, ThreadPool& pool);
+[[nodiscard]] MinSearchResult find_min_param(
+    const ProbeFn& probe, const MinSearchConfig& cfg,
+    ThreadPool& pool = ThreadPool::global());
 
 }  // namespace duti

@@ -466,63 +466,22 @@ std::size_t ProbeCache::size() const {
   return n;
 }
 
-std::string adaptive_flavor(const AdaptiveProbeConfig& cfg) {
-  std::ostringstream os;
-  os << "adaptive:b=" << cfg.batch << ":target=" << cfg.target
-     << ":delta=" << cfg.delta << ":min=" << cfg.min_trials;
-  return os.str();
-}
-
-ProbeResult probe_success_cached(ProbeCache& cache, ProbeKey key,
-                                 const TesterRun& tester,
-                                 const SourceSpec& uniform_source,
-                                 const SourceSpec& far_source,
-                                 std::size_t trials, std::uint64_t seed,
-                                 ThreadPool& pool) {
+ProbeKey probe_key(const ProbeKey& base, std::uint64_t param,
+                   std::uint64_t trials, std::uint64_t seed,
+                   const std::optional<AdaptiveProbeConfig>& adaptive) {
+  ProbeKey key = base;
+  key.param = param;
   key.trials = trials;
   key.seed = seed;
   key.flavor = "full";
+  if (adaptive) {
+    std::ostringstream os;
+    os << "adaptive:b=" << adaptive->batch << ":target=" << adaptive->target
+       << ":delta=" << adaptive->delta << ":min=" << adaptive->min_trials;
+    key.flavor = os.str();
+  }
   key.engine_version = kProbeEngineVersion;
-  return cache.get_or_compute(key, [&] {
-    return probe_success(tester, uniform_source, far_source, trials, seed,
-                         pool);
-  });
-}
-
-ProbeResult probe_success_cached(ProbeCache& cache, ProbeKey key,
-                                 const TesterRun& tester,
-                                 const SourceSpec& uniform_source,
-                                 const SourceSpec& far_source,
-                                 std::size_t trials, std::uint64_t seed) {
-  return probe_success_cached(cache, std::move(key), tester, uniform_source,
-                              far_source, trials, seed, ThreadPool::global());
-}
-
-ProbeResult probe_success_adaptive_cached(
-    ProbeCache& cache, ProbeKey key, const TesterRun& tester,
-    const SourceSpec& uniform_source, const SourceSpec& far_source,
-    std::size_t max_trials, std::uint64_t seed, const AdaptiveProbeConfig& cfg,
-    ThreadPool& pool) {
-  key.trials = max_trials;
-  key.seed = seed;
-  key.flavor = adaptive_flavor(cfg);
-  key.engine_version = kProbeEngineVersion;
-  return cache.get_or_compute(key, [&] {
-    return probe_success_adaptive(tester, uniform_source, far_source,
-                                  max_trials, seed, cfg, pool);
-  });
-}
-
-ProbeResult probe_success_adaptive_cached(ProbeCache& cache, ProbeKey key,
-                                          const TesterRun& tester,
-                                          const SourceSpec& uniform_source,
-                                          const SourceSpec& far_source,
-                                          std::size_t max_trials,
-                                          std::uint64_t seed,
-                                          const AdaptiveProbeConfig& cfg) {
-  return probe_success_adaptive_cached(cache, std::move(key), tester,
-                                       uniform_source, far_source, max_trials,
-                                       seed, cfg, ThreadPool::global());
+  return key;
 }
 
 }  // namespace duti

@@ -145,32 +145,16 @@ class ProbeCache {
 /// Frame a JSON payload as a journal line (without the trailing newline).
 [[nodiscard]] std::string probe_journal_frame(const std::string& json);
 
-/// Cache-aware probe entry points: consult `cache` under `key` (with
-/// key.trials / key.seed / key.flavor filled from the arguments), computing
-/// via the corresponding harness probe on a miss. With the cache off these
-/// are exactly the underlying probes.
-[[nodiscard]] ProbeResult probe_success_cached(
-    ProbeCache& cache, ProbeKey key, const TesterRun& tester,
-    const SourceSpec& uniform_source, const SourceSpec& far_source,
-    std::size_t trials, std::uint64_t seed);
-[[nodiscard]] ProbeResult probe_success_cached(
-    ProbeCache& cache, ProbeKey key, const TesterRun& tester,
-    const SourceSpec& uniform_source, const SourceSpec& far_source,
-    std::size_t trials, std::uint64_t seed, ThreadPool& pool);
-
-[[nodiscard]] ProbeResult probe_success_adaptive_cached(
-    ProbeCache& cache, ProbeKey key, const TesterRun& tester,
-    const SourceSpec& uniform_source, const SourceSpec& far_source,
-    std::size_t max_trials, std::uint64_t seed,
-    const AdaptiveProbeConfig& cfg = {});
-[[nodiscard]] ProbeResult probe_success_adaptive_cached(
-    ProbeCache& cache, ProbeKey key, const TesterRun& tester,
-    const SourceSpec& uniform_source, const SourceSpec& far_source,
-    std::size_t max_trials, std::uint64_t seed, const AdaptiveProbeConfig& cfg,
-    ThreadPool& pool);
-
-/// Canonical flavor string for an adaptive probe config (participates in
-/// the cache key: different stopping schedules are different probes).
-[[nodiscard]] std::string adaptive_flavor(const AdaptiveProbeConfig& cfg);
+/// The cache key of one probe: `base`'s workload and tester identity plus
+/// the searched value, trial budget, seed, and flavor — "full", or the
+/// adaptive config's canonical stopping schedule (different schedules are
+/// different probes). Every cached probe builds its key here, so a probe
+/// computed on a miss is always filed under the key that describes it. As
+/// in probe_success, `{}` for `adaptive` means "full"; the default adaptive
+/// schedule is `AdaptiveProbeConfig{}`.
+[[nodiscard]] ProbeKey probe_key(
+    const ProbeKey& base, std::uint64_t param, std::uint64_t trials,
+    std::uint64_t seed,
+    const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
 
 }  // namespace duti

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <optional>
 
 #include "stats/calibration_persist.hpp"
 #include "util/error.hpp"
@@ -33,44 +34,24 @@ std::uint64_t point_seed(const SweepPoint& p, std::uint64_t value) {
   return p.seed_for ? p.seed_for(value) : derive_seed(p.search.seed, value);
 }
 
-// Full-budget probe for a declarative point, routed through the shared
-// cache session. The key pins every input that shapes the result, so a
-// hit is bit-identical to the fresh computation.
-ProbeFn make_full_probe(const SweepPoint& p, ProbeCache& cache,
-                        RunCounters& counters, ThreadPool& pool) {
-  return [&p, &cache, &counters, &pool](std::uint64_t value) {
+// Cached probe for a declarative point: full budget without `adaptive`,
+// else the early-stopping bracket flavor over the SAME per-value seed (the
+// adaptive engine runs a prefix of the full probe's trial stream, so an
+// exhausted bracket probe is bit-identical to the full one). The key pins
+// every input that shapes the result, so a hit is bit-identical to the
+// fresh computation.
+ProbeFn make_probe(const SweepPoint& p,
+                   std::optional<AdaptiveProbeConfig> adaptive,
+                   ProbeCache& cache, RunCounters& counters,
+                   ThreadPool& pool) {
+  return [&p, adaptive, &cache, &counters, &pool](std::uint64_t value) {
     const std::uint64_t seed = point_seed(p, value);
-    ProbeKey key = p.cache_base;
-    key.param = value;
-    key.trials = p.search.trials;
-    key.seed = seed;
-    key.flavor = "full";
+    const ProbeKey key =
+        probe_key(p.cache_base, value, p.search.trials, seed, adaptive);
     return cache.get_or_compute(key, [&] {
       const ProbeResult r = probe_success(p.make_tester(value), p.uniform,
-                                          p.far, p.search.trials, seed, pool);
-      counters.record(r);
-      return r;
-    });
-  };
-}
-
-// Adaptive (early-stopping) bracket flavor over the SAME per-value seed —
-// the adaptive engine runs a prefix of the full probe's trial stream, so
-// an exhausted bracket probe is bit-identical to the full one.
-ProbeFn make_bracket_probe(const SweepPoint& p, const AdaptiveProbeConfig& ac,
-                           ProbeCache& cache, RunCounters& counters,
-                           ThreadPool& pool) {
-  return [&p, ac, &cache, &counters, &pool](std::uint64_t value) {
-    const std::uint64_t seed = point_seed(p, value);
-    ProbeKey key = p.cache_base;
-    key.param = value;
-    key.trials = p.search.trials;
-    key.seed = seed;
-    key.flavor = adaptive_flavor(ac);
-    return cache.get_or_compute(key, [&] {
-      const ProbeResult r =
-          probe_success_adaptive(p.make_tester(value), p.uniform, p.far,
-                                 p.search.trials, seed, ac, pool);
+                                          p.far, p.search.trials, seed, pool,
+                                          adaptive);
       counters.record(r);
       return r;
     });
@@ -158,7 +139,7 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
                 (static_cast<bool>(p.make_tester) &&
                  static_cast<bool>(p.uniform) && static_cast<bool>(p.far)),
             "run_sweep: point needs a raw probe or a full declarative spec");
-    require(!p.bracket_probe || static_cast<bool>(p.probe),
+    require(!p.search.bracket_probe || static_cast<bool>(p.probe),
             "run_sweep: bracket_probe without a raw probe");
   }
 
@@ -193,23 +174,21 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
     scfg.hint = cfg.warm_start ? hint : 0;
 
     ProbeFn full;
-    ProbeFn bracket;
     if (p.probe) {
       full = wrap_counting(p.probe, counters);
-      if (p.bracket_probe) bracket = wrap_counting(p.bracket_probe, counters);
-    } else {
-      full = make_full_probe(p, cache, counters, pool);
-      if (cfg.warm_start) {
-        AdaptiveProbeConfig ac = cfg.adaptive;
-        ac.target = p.search.target;
-        bracket = make_bracket_probe(p, ac, cache, counters, pool);
+      if (scfg.bracket_probe) {
+        scfg.bracket_probe = wrap_counting(scfg.bracket_probe, counters);
       }
+    } else {
+      full = make_probe(p, std::nullopt, cache, counters, pool);
+      AdaptiveProbeConfig ac = cfg.adaptive;
+      ac.target = p.search.target;
+      scfg.bracket_probe = make_probe(p, ac, cache, counters, pool);
     }
-    scfg.adaptive_bracket = cfg.warm_start && static_cast<bool>(bracket);
+    // Cold mode is the plain full-budget search, whatever the point carries.
+    if (!cfg.warm_start) scfg.bracket_probe = nullptr;
 
-    const MinSearchResult r =
-        bracket ? find_min_param(full, bracket, scfg, pool)
-                : find_min_param(full, scfg, pool);
+    const MinSearchResult r = find_min_param(full, scfg, pool);
 
     SweepPointResult& pr = out.points[i];
     pr.label = p.label;
@@ -236,7 +215,7 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
 
   auto run_wave = [&](const std::vector<std::size_t>& order,
                       const std::vector<std::uint64_t>& hints) {
-    if (cfg.points_parallel && order.size() > 1 && pool.size() > 1) {
+    if (order.size() > 1 && pool.size() > 1) {
       pool.parallel_for(order.size(), 1,
                         [&](std::size_t begin, std::size_t end, unsigned) {
                           for (std::size_t i = begin; i < end; ++i) {
@@ -299,11 +278,6 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
   out.cache = stats_delta(before, cache.stats());
   out.fingerprint = sweep_fingerprint(out.points);
   return out;
-}
-
-SweepResult run_sweep(const std::vector<SweepPoint>& points,
-                      const SweepEngineConfig& cfg) {
-  return run_sweep(points, cfg, ThreadPool::global());
 }
 
 }  // namespace duti

@@ -53,8 +53,9 @@ namespace duti {
 ///     seed, builds full and adaptive-bracket probes, and routes both
 ///     through the shared cache session.
 ///   - Raw (the test path): supply `probe` (and optionally
-///     `bracket_probe`). The engine uses them as-is — no cache, no seed
-///     derivation — which is what makes audit-trail identity checks exact.
+///     `search.bracket_probe`). The engine uses them as-is — no cache, no
+///     seed derivation — which is what makes audit-trail identity checks
+///     exact.
 struct SweepPoint {
   std::string label;  // row label, participates in the sweep fingerprint
   double axis = 0.0;  // coordinate on the sweep axis (k, n, eps, r, T, ...)
@@ -70,9 +71,8 @@ struct SweepPoint {
   // filled per probe by the engine.
   ProbeKey cache_base;
 
-  // Raw overrides (must be pure functions of the value).
+  // Raw override (must be a pure function of the value).
   ProbeFn probe;
-  ProbeFn bracket_probe;
 };
 
 struct SweepEngineConfig {
@@ -80,8 +80,6 @@ struct SweepEngineConfig {
   // Cold mode (false): every point runs the plain full-budget search with
   // no hint — the baseline the warm results must match bit-for-bit.
   bool warm_start = true;
-  // Run points as pool tasks (reduction stays index-keyed either way).
-  bool points_parallel = true;
   // Stopping schedule for the bracket flavor (target is overridden per
   // point from its search config).
   AdaptiveProbeConfig adaptive{};
@@ -143,9 +141,7 @@ struct SweepResult {
 /// the fingerprint) legitimately differs: that is exactly where warm mode
 /// saves trials (adaptive certificates on bracket rungs, hint field).
 [[nodiscard]] SweepResult run_sweep(const std::vector<SweepPoint>& points,
-                                    const SweepEngineConfig& cfg,
-                                    ThreadPool& pool);
-[[nodiscard]] SweepResult run_sweep(const std::vector<SweepPoint>& points,
-                                    const SweepEngineConfig& cfg = {});
+                                    const SweepEngineConfig& cfg = {},
+                                    ThreadPool& pool = ThreadPool::global());
 
 }  // namespace duti

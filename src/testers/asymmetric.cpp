@@ -13,8 +13,7 @@ namespace duti {
 AsymmetricRateTester::AsymmetricRateTester(std::uint64_t n,
                                            std::vector<double> rates,
                                            double tau, Rng& calib_rng,
-                                           std::size_t trials_per_player,
-                                           SamplingKernel kernel)
+                                           std::size_t trials_per_player)
     : n_(n), qs_(rates.size()) {
   require(n_ >= 2, "AsymmetricRateTester: n must be >= 2");
   require(!rates.empty(), "AsymmetricRateTester: need at least one player");
@@ -89,8 +88,7 @@ AsymmetricRateTester::AsymmetricRateTester(std::uint64_t n,
       [local_t = std::move(local_t)](unsigned j, std::uint64_t pairs,
                                      Rng& /*rng*/) {
         return Message::bit(!(static_cast<double>(pairs) > local_t[j]));
-      },
-      1U, kernel);
+      });
   // Same comparison as the original bench referee: it accumulated rejects
   // as a double (exact for any k below 2^53) and accepted on
   // rejects < referee_t_.

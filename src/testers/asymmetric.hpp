@@ -28,8 +28,7 @@ class AsymmetricRateTester {
   /// `trials_per_player` simulations each — memoized through CalibMemo
   /// like the other calibrated testers.
   AsymmetricRateTester(std::uint64_t n, std::vector<double> rates, double tau,
-                       Rng& calib_rng, std::size_t trials_per_player = 600,
-                       SamplingKernel kernel = SamplingKernel::kPerSample);
+                       Rng& calib_rng, std::size_t trials_per_player = 600);
 
   /// One protocol execution on the batched plane; true = accept.
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;

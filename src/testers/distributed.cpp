@@ -104,7 +104,7 @@ DistributedThresholdTester::DistributedThresholdTester(
   referee_t_ = static_cast<std::uint64_t>(
       std::max(1.0, std::ceil(mean_u + sd_u + 1e-9)));
 
-  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_), 1U, cfg_.kernel);
+  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_));
   rule_.emplace(DecisionRule::threshold(referee_t_));
 }
 
@@ -136,7 +136,7 @@ DistributedAndTester::DistributedAndTester(DistributedTesterConfig cfg)
   const double big_l = std::log(3.0 * static_cast<double>(cfg_.k));
   local_t_ = lambda + std::sqrt(2.0 * lambda * big_l) + big_l;
 
-  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_), 1U, cfg_.kernel);
+  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_));
   rule_.emplace(DecisionRule::and_rule());
 }
 

@@ -43,12 +43,6 @@ struct DistributedTesterConfig {
   unsigned k = 0;       // number of players
   unsigned q = 0;       // samples per player (>= 2 so collisions exist)
   double eps = 0.0;     // proximity parameter
-  // How run() draws each player's samples (DESIGN.md section 8): kCounts
-  // swaps the per-sample stream for multinomial count kernels — same
-  // distribution, different RNG consumption, so it is opt-in. Calibration
-  // always uses the per-sample stream regardless (the memoized referee
-  // thresholds are kernel-independent).
-  SamplingKernel kernel = SamplingKernel::kPerSample;
 };
 
 /// Shared implementation detail: a player that votes "reject" iff its local

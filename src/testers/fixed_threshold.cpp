@@ -91,8 +91,7 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
           reject = rng.next_bernoulli(gamma);
         }
         return Message::bit(!reject);
-      },
-      1U, cfg_.kernel);
+      });
   rule_.emplace(DecisionRule::threshold(cfg_.t));
 }
 

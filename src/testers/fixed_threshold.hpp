@@ -42,8 +42,6 @@ class FixedThresholdTester {
     double eps = 0.0;
     std::uint64_t t = 1;       // referee: reject iff >= T players reject
     double uniform_risk = 0.2;  // budget for P(false global reject)
-    // Sampling plane for run() (see DistributedTesterConfig::kernel).
-    SamplingKernel kernel = SamplingKernel::kPerSample;
   };
 
   explicit FixedThresholdTester(Config cfg);

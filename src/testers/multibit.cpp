@@ -84,7 +84,7 @@ MultibitSumTester::MultibitSumTester(Config cfg, Rng& calib_rng,
       [r, offset](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
         return Message{encode_count(pairs, r, offset), r};
       },
-      r, cfg_.kernel);
+      r);
 }
 
 SimultaneousProtocol MultibitSumTester::make_protocol() const {

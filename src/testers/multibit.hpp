@@ -28,9 +28,6 @@ class MultibitSumTester {
     unsigned q = 0;
     double eps = 0.0;
     unsigned r = 1;  // message bits per player, in [1, 24]
-    // Sampling plane for run(); calibration is always per-sample (see
-    // DistributedTesterConfig::kernel).
-    SamplingKernel kernel = SamplingKernel::kPerSample;
   };
 
   /// Calibrates the referee threshold on uniform inputs (see

@@ -48,7 +48,11 @@ std::uint64_t binomial(int n, int k) {
 
 double log_factorial(int n) {
   require(n >= 0, "log_factorial: n must be non-negative");
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: the latter writes the global `signgam`, a
+  // data race when testers are constructed concurrently (sweep points run
+  // as pool tasks). The sign is always +1 here (argument >= 1).
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double log_binomial(int n, int k) {

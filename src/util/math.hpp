@@ -18,7 +18,7 @@ namespace duti {
 /// Exact binomial coefficient C(n, k); throws on overflow of uint64.
 [[nodiscard]] std::uint64_t binomial(int n, int k);
 
-/// log(n!) via lgamma.
+/// log(n!) via lgamma_r (no write to the global signgam).
 [[nodiscard]] double log_factorial(int n);
 
 /// log C(n, k); returns -inf when k < 0 or k > n.

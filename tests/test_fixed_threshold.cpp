@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "dist/generators.hpp"
 #include "util/confidence.hpp"
 #include "util/math.hpp"
+#include "util/thread_pool.hpp"
 
 namespace duti {
 namespace {
@@ -126,6 +128,34 @@ TEST(FixedThresholdTester, LargerTNeedsFewerSamples) {
     return rejects.rate();
   };
   EXPECT_GT(far_reject_rate(large_t, 62), far_reject_rate(small_t, 63) + 0.1);
+}
+
+TEST(FixedThresholdTester, ConcurrentConstructionMatchesSerial) {
+  // Sweep points build testers concurrently, and construction evaluates
+  // Poisson tails through log_factorial, so it must write no shared state:
+  // under the sanitize-thread preset this test reports any such write
+  // (std::lgamma's global signgam would be one). Every concurrent
+  // construction must also agree with the serial one.
+  const auto config = [](std::size_t i) {
+    return FixedThresholdTester::Config{
+        4096, 64, static_cast<unsigned>(8 + 4 * i), 0.5,
+        static_cast<std::uint64_t>(1 + i % 16)};
+  };
+  constexpr std::size_t kTesters = 64;
+  std::vector<std::uint64_t> serial(kTesters);
+  for (std::size_t i = 0; i < kTesters; ++i) {
+    serial[i] = FixedThresholdTester(config(i)).local_count_threshold();
+  }
+  std::vector<std::uint64_t> parallel(kTesters);
+  ThreadPool pool(8);
+  pool.parallel_for(kTesters, 1,
+                    [&](std::size_t begin, std::size_t end, unsigned) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        parallel[i] = FixedThresholdTester(config(i))
+                                          .local_count_threshold();
+                      }
+                    });
+  EXPECT_EQ(parallel, serial);
 }
 
 }  // namespace

@@ -119,25 +119,6 @@ TEST(FindMinParam, BoundaryExactlyAtLoTimesPowerOfTwo) {
   EXPECT_EQ(result.minimum, 64u);
 }
 
-TEST(FindMinParamMedian, SmoothsNoise) {
-  // Noisy threshold near 100: each repeat sees a slightly different cutoff.
-  auto make_probe = [](std::uint64_t seed) -> ProbeFn {
-    return [seed](std::uint64_t value) {
-      ProbeResult r;
-      const std::uint64_t cutoff = 95 + (derive_seed(seed, value) % 11);
-      r.uniform_accept_rate = value >= cutoff ? 1.0 : 0.0;
-      r.far_reject_rate = 1.0;
-      return r;
-    };
-  };
-  MinSearchConfig cfg;
-  cfg.lo = 2;
-  cfg.hi = 4096;
-  const double med = find_min_param_median(make_probe, cfg, 5);
-  EXPECT_GE(med, 90.0);
-  EXPECT_LE(med, 115.0);
-}
-
 TEST(FindMinParam, ValidationErrors) {
   MinSearchConfig cfg;
   cfg.lo = 10;

@@ -91,13 +91,13 @@ TEST(ParallelProbeEx, AbortAttributionBitIdentical) {
                : RefereeOutcome::kReject;
   };
   ThreadPool serial(1);
-  const ProbeResult reference = probe_success_ex(
+  const ProbeResult reference = probe_success(
       tester, workloads::uniform_factory(128),
       workloads::paninski_far_factory(128, 0.5), 500, 17, serial);
   EXPECT_GT(reference.aborts(), 0u);  // the scenario actually aborts
   for (const unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    const ProbeResult parallel = probe_success_ex(
+    const ProbeResult parallel = probe_success(
         tester, workloads::uniform_factory(128),
         workloads::paninski_far_factory(128, 0.5), 500, 17, pool);
     SCOPED_TRACE(threads);
@@ -200,43 +200,22 @@ TEST(ParallelSearch, GivesUpIdentically) {
   EXPECT_FALSE(result.found);
 }
 
-TEST(ParallelSearch, MedianMatchesSerial) {
-  auto make_probe = [](std::uint64_t seed) -> ProbeFn {
-    return [seed](std::uint64_t value) {
-      ProbeResult r;
-      const std::uint64_t cutoff = 95 + (derive_seed(seed, value) % 11);
-      r.uniform_accept_rate = value >= cutoff ? 1.0 : 0.0;
-      r.far_reject_rate = 1.0;
-      return r;
-    };
-  };
-  MinSearchConfig cfg;
-  cfg.lo = 2;
-  cfg.hi = 4096;
-  ThreadPool serial(1);
-  const double reference = find_min_param_median(make_probe, cfg, 5, serial);
-  for (const unsigned threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    SCOPED_TRACE(threads);
-    EXPECT_DOUBLE_EQ(find_min_param_median(make_probe, cfg, 5, pool),
-                     reference);
-  }
-}
-
 TEST(AdaptiveProbe, BitIdenticalAcrossThreadCounts) {
   // The stopping point is decided from integer tallies at FIXED batch
   // boundaries, so the adaptive result — including where it stopped — is
   // bit-identical at any thread count (the DUTI_THREADS=1 vs 8 criterion).
   const TesterRun tester = noisy_collision_tester();
   ThreadPool serial(1);
-  const ProbeResult reference = probe_success_adaptive(
+  const ProbeResult reference = probe_success(
       tester, workloads::uniform_factory(256),
-      workloads::paninski_far_factory(256, 0.5), 400, 11, {}, serial);
+      workloads::paninski_far_factory(256, 0.5), 400, 11, serial,
+      AdaptiveProbeConfig{});
   for (const unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    const ProbeResult parallel = probe_success_adaptive(
+    const ProbeResult parallel = probe_success(
         tester, workloads::uniform_factory(256),
-        workloads::paninski_far_factory(256, 0.5), 400, 11, {}, pool);
+        workloads::paninski_far_factory(256, 0.5), 400, 11, pool,
+        AdaptiveProbeConfig{});
     SCOPED_TRACE(threads);
     expect_probe_equal(reference, parallel);
   }
@@ -258,9 +237,10 @@ TEST(AdaptiveProbe, AgreesWithFullBudgetOnSeedSweep) {
     const ProbeResult full = probe_success(
         easy, workloads::uniform_factory(64),
         workloads::paninski_far_factory(64, 1.0), 320, seed, pool);
-    const ProbeResult adaptive = probe_success_adaptive(
+    const ProbeResult adaptive = probe_success(
         easy, workloads::uniform_factory(64),
-        workloads::paninski_far_factory(64, 1.0), 320, seed, {}, pool);
+        workloads::paninski_far_factory(64, 1.0), 320, seed, pool,
+        AdaptiveProbeConfig{});
     SCOPED_TRACE(seed);
     EXPECT_EQ(full.passes(), adaptive.passes());
     EXPECT_LE(adaptive.trials, adaptive.budget);
@@ -278,18 +258,20 @@ TEST(AdaptiveProbe, StopsEarlyOnClearFailure) {
     return true;
   };
   ThreadPool pool(2);
-  const ProbeResult confident = probe_success_adaptive(
+  const ProbeResult confident = probe_success(
       always_accept, workloads::uniform_factory(64),
-      workloads::paninski_far_factory(64, 0.5), 300, 5, {}, pool);
+      workloads::paninski_far_factory(64, 0.5), 300, 5, pool,
+      AdaptiveProbeConfig{});
   EXPECT_TRUE(confident.early_stopped());
   EXPECT_EQ(confident.stop, ProbeStop::kConfidence);
   EXPECT_LT(confident.trials, confident.budget);
   EXPECT_FALSE(confident.passes());
   EXPECT_EQ(confident.trials % 32, 0u);  // stopped at a batch boundary
 
-  const ProbeResult sealed = probe_success_adaptive(
+  const ProbeResult sealed = probe_success(
       always_accept, workloads::uniform_factory(64),
-      workloads::paninski_far_factory(64, 0.5), 40, 5, {}, pool);
+      workloads::paninski_far_factory(64, 0.5), 40, 5, pool,
+      AdaptiveProbeConfig{});
   // At the only checkpoint (32 trials < min_trials ~ 35) confidence is not
   // consulted, but 0 + 8 remaining < (2/3) * 40 seals the failure.
   EXPECT_EQ(sealed.stop, ProbeStop::kDeterministic);
@@ -306,12 +288,14 @@ TEST(AdaptiveProbe, ExMatchesBooleanProbe) {
                                : RefereeOutcome::kReject;
   };
   ThreadPool pool(4);
-  const ProbeResult b = probe_success_adaptive(
+  const ProbeResult b = probe_success(
       tester, workloads::uniform_factory(128),
-      workloads::paninski_far_factory(128, 0.5), 256, 19, {}, pool);
-  const ProbeResult e = probe_success_adaptive_ex(
+      workloads::paninski_far_factory(128, 0.5), 256, 19, pool,
+      AdaptiveProbeConfig{});
+  const ProbeResult e = probe_success(
       ex, workloads::uniform_factory(128),
-      workloads::paninski_far_factory(128, 0.5), 256, 19, {}, pool);
+      workloads::paninski_far_factory(128, 0.5), 256, 19, pool,
+      AdaptiveProbeConfig{});
   expect_probe_equal(b, e);
   EXPECT_EQ(e.aborts(), 0u);
 }
@@ -333,15 +317,15 @@ TEST(AdaptiveSearch, BracketedSearchFindsTheSameMinimum) {
   MinSearchConfig cfg;
   cfg.lo = 2;
   cfg.hi = 1 << 14;
-  cfg.adaptive_bracket = true;
   ThreadPool serial(1);
   const auto reference = find_min_param(full, cfg, serial);
   ASSERT_TRUE(reference.found);
   EXPECT_EQ(reference.minimum, 517u);
+  cfg.bracket_probe = bracket;
   for (const unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     SCOPED_TRACE(threads);
-    const auto bracketed = find_min_param(full, bracket, cfg, pool);
+    const auto bracketed = find_min_param(full, cfg, pool);
     ASSERT_TRUE(bracketed.found);
     EXPECT_EQ(bracketed.minimum, reference.minimum);
     // The returned minimum carries full-budget evidence in the audit trail.
@@ -371,11 +355,11 @@ TEST(AdaptiveSearch, RefutedBracketMinimumResumesWithFullProbes) {
   MinSearchConfig cfg;
   cfg.lo = 2;
   cfg.hi = 1 << 14;
-  cfg.adaptive_bracket = true;
+  cfg.bracket_probe = bracket;
   for (const unsigned threads : {1u, 8u}) {
     ThreadPool pool(threads);
     SCOPED_TRACE(threads);
-    const auto result = find_min_param(full, bracket, cfg, pool);
+    const auto result = find_min_param(full, cfg, pool);
     ASSERT_TRUE(result.found);
     EXPECT_EQ(result.minimum, 100u);
   }
@@ -395,41 +379,22 @@ TEST(AdaptiveSearch, BracketGiveUpIsConfirmedAtFullBudget) {
   MinSearchConfig cfg;
   cfg.lo = 2;
   cfg.hi = 256;
-  cfg.adaptive_bracket = true;
+  cfg.bracket_probe = bracket;
   ThreadPool pool(4);
-  const auto result = find_min_param(full, bracket, cfg, pool);
+  const auto result = find_min_param(full, cfg, pool);
   ASSERT_TRUE(result.found);
   EXPECT_EQ(result.minimum, 100u);
   // And when the full probe also never passes, not-found stands.
   const ProbeFn never = [](std::uint64_t) {
     return probe_result_from_tallies(10, 100, 100, 100, ProbeStop::kExhausted);
   };
-  const auto nothing = find_min_param(never, bracket, cfg, pool);
+  const auto nothing = find_min_param(never, cfg, pool);
   EXPECT_FALSE(nothing.found);
 }
 
-TEST(AdaptiveSearch, DisabledKnobIgnoresBracketProbe) {
-  // Without adaptive_bracket the bracket probe must never be consulted.
-  const ProbeFn full = [](std::uint64_t value) {
-    return probe_result_from_tallies(value >= 37 ? 100 : 10, 100, 100, 100,
-                                     ProbeStop::kExhausted);
-  };
-  const ProbeFn poison = [](std::uint64_t) -> ProbeResult {
-    throw InvalidArgument("bracket probe must not run");
-  };
-  MinSearchConfig cfg;
-  cfg.lo = 2;
-  cfg.hi = 4096;
-  cfg.adaptive_bracket = false;
-  ThreadPool serial(1);
-  const auto result = find_min_param(full, poison, cfg, serial);
-  ASSERT_TRUE(result.found);
-  EXPECT_EQ(result.minimum, 37u);
-}
-
 TEST(ParallelProbe, DefaultOverloadUsesGlobalPool) {
-  // The pool-less overloads route through ThreadPool::global(); results must
-  // match an explicit serial pool whatever DUTI_THREADS says.
+  // The default pool argument is ThreadPool::global(); results must match
+  // an explicit serial pool whatever DUTI_THREADS says.
   const TesterRun tester = noisy_collision_tester();
   ThreadPool serial(1);
   const ProbeResult reference =

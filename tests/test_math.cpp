@@ -34,6 +34,15 @@ TEST(DoubleFactorial, OverflowThrows) {
   EXPECT_THROW((void)double_factorial(101), InvalidArgument);
 }
 
+TEST(LogFactorial, MatchesLgammaBitForBit) {
+  // log_factorial uses the reentrant lgamma_r; it must return exactly what
+  // std::lgamma does, so every Poisson tail built on it is unchanged.
+  for (int n = 0; n <= 5000; ++n) {
+    EXPECT_EQ(log_factorial(n), std::lgamma(static_cast<double>(n) + 1.0))
+        << "n=" << n;
+  }
+}
+
 TEST(Binomial, KnownValues) {
   EXPECT_EQ(binomial(0, 0), 1u);
   EXPECT_EQ(binomial(5, 0), 1u);

@@ -108,7 +108,8 @@ TEST_F(ProbeCacheTest, FingerprintIsSensitiveToEveryKeyField) {
   k.seed += 1;
   EXPECT_NE(k.fingerprint(), fp);
   k = base;
-  k.flavor = adaptive_flavor(AdaptiveProbeConfig{});
+  k.flavor = probe_key(k, k.param, k.trials, k.seed, AdaptiveProbeConfig{})
+                 .flavor;
   EXPECT_NE(k.fingerprint(), fp);
   k = base;
   k.engine_version += 1;
@@ -232,32 +233,31 @@ TEST_F(ProbeCacheTest, CachedProbeEntryPointIsBitIdentical) {
         static_cast<double>(source.domain_size()), 32);
     return static_cast<double>(collision_pairs(samples)) <= expected + 1.0;
   };
-  ProbeKey key;
-  key.workload = "paninski:n=128:eps=0.5";
-  key.tester = "noisy-collision";
-  key.param = 32;
+  ProbeKey base;
+  base.workload = "paninski:n=128:eps=0.5";
+  base.tester = "noisy-collision";
+  const auto cached_probe = [&](ProbeCache& cache, std::size_t trials) {
+    return cache.get_or_compute(probe_key(base, 32, trials, 13), [&] {
+      return probe_success(tester, workloads::uniform_factory(128),
+                           workloads::paninski_far_factory(128, 0.5), trials,
+                           13);
+    });
+  };
 
   ProbeResult computed;
   {
     ProbeCache cache(dir_, CacheMode::kReadWrite);
-    computed = probe_success_cached(cache, key, tester,
-                                    workloads::uniform_factory(128),
-                                    workloads::paninski_far_factory(128, 0.5),
-                                    200, 13);
+    computed = cached_probe(cache, 200);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().inserts, 1u);
   }
   ProbeCache cache(dir_, CacheMode::kReadOnly);
-  const ProbeResult replayed = probe_success_cached(
-      cache, key, tester, workloads::uniform_factory(128),
-      workloads::paninski_far_factory(128, 0.5), 200, 13);
+  const ProbeResult replayed = cached_probe(cache, 200);
   EXPECT_EQ(cache.stats().hits, 1u);
   expect_bit_identical(computed, replayed);
 
   // A different trial budget is a different probe: miss, then recompute.
-  const ProbeResult other = probe_success_cached(
-      cache, key, tester, workloads::uniform_factory(128),
-      workloads::paninski_far_factory(128, 0.5), 100, 13);
+  const ProbeResult other = cached_probe(cache, 100);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(other.trials, 100u);
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -70,8 +71,6 @@ TEST_P(SimdLevelParam, ThresholdTesterMatchesLegacyProtocol) {
   const SimultaneousProtocol proto = tester.make_protocol();
   const DecisionRule rule = tester.make_rule();
 
-  ProtocolResult legacy_res;
-  std::vector<std::uint8_t> legacy_votes;
   std::vector<Message> batched_msgs;
   Rng src_rng(derive_seed(101, 0x50));
   for (int t = 0; t < 40; ++t) {
@@ -85,7 +84,7 @@ TEST_P(SimdLevelParam, ThresholdTesterMatchesLegacyProtocol) {
     Rng rng_a(derive_seed(101, t));
     Rng rng_b(derive_seed(101, t));
     Rng rng_c(derive_seed(101, t));
-    proto.run(*src, rng_a, rule, legacy_res, legacy_votes);
+    const ProtocolResult legacy_res = proto.run(*src, rng_a, rule);
     tester.executor().collect(*src, rng_b, batched_msgs);
     ASSERT_EQ(batched_msgs.size(), legacy_res.messages.size());
     for (std::size_t j = 0; j < batched_msgs.size(); ++j) {
@@ -161,7 +160,6 @@ TEST_P(SimdLevelParam, MultibitTesterMatchesLegacyProtocol) {
   const MultibitSumTester tester(cfg, calib_rng, 500);
   const SimultaneousProtocol proto = tester.make_protocol();
   Rng src_rng(derive_seed(55, 0x50));
-  std::vector<Message> legacy_msgs;
   for (int t = 0; t < 40; ++t) {
     std::unique_ptr<SampleSource> far;
     const UniformSource uniform(cfg.n);
@@ -172,7 +170,7 @@ TEST_P(SimdLevelParam, MultibitTesterMatchesLegacyProtocol) {
     }
     Rng rng_a(derive_seed(55, t));
     Rng rng_b(derive_seed(55, t));
-    proto.collect(*src, rng_a, legacy_msgs);
+    const std::vector<Message> legacy_msgs = proto.collect(*src, rng_a);
     double legacy_total = 0.0;
     for (const auto& m : legacy_msgs) {
       EXPECT_EQ(m.width, cfg.r);
@@ -208,7 +206,6 @@ TEST_P(SimdLevelParam, AsymmetricTesterMatchesLegacyProtocol) {
             1U);
       });
   Rng src_rng(derive_seed(66, 0x50));
-  std::vector<Message> legacy_msgs;
   for (int t = 0; t < 40; ++t) {
     std::unique_ptr<SampleSource> far;
     const UniformSource uniform(n);
@@ -219,9 +216,9 @@ TEST_P(SimdLevelParam, AsymmetricTesterMatchesLegacyProtocol) {
     }
     Rng rng_a(derive_seed(66, t));
     Rng rng_b(derive_seed(66, t));
-    proto.collect(*src, rng_a, legacy_msgs);
+    const std::vector<Message> legacy_msgs = proto.collect(*src, rng_a);
     std::uint64_t rejects = 0;
-    for (const auto& m : legacy_msgs) rejects += m.as_bit() ? 0 : 1;
+    for (const auto& m : legacy_msgs) rejects += m.as_bit() ? 0U : 1U;
     const bool legacy_accept =
         static_cast<double>(rejects) < tester.referee_threshold();
     EXPECT_EQ(tester.run(*src, rng_b), legacy_accept) << "trial " << t;
@@ -231,8 +228,8 @@ TEST_P(SimdLevelParam, AsymmetricTesterMatchesLegacyProtocol) {
 INSTANTIATE_TEST_SUITE_P(Levels, SimdLevelParam,
                          ::testing::Values(SimdLevel::kScalar,
                                            simd_supported_level()),
-                         [](const auto& info) {
-                           return info.index == 0 ? "off" : "auto";
+                         [](const auto& level) {
+                           return level.index == 0 ? "off" : "auto";
                          });
 
 TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {
@@ -259,50 +256,6 @@ TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {
   EXPECT_EQ(a.uniform_successes, b.uniform_successes);
   EXPECT_EQ(a.far_successes, b.far_successes);
   EXPECT_EQ(a.trials, b.trials);
-}
-
-TEST(ProtocolBatch, CountsPlaneIsChiSquaredUniform) {
-  // kCounts draws per-player histograms via binomial splitting — a
-  // different RNG stream, so no bitwise gate. Instead: every histogram
-  // sums to q, and aggregated cell totals pass a chi-squared GOF test
-  // against the uniform expectation (fixed seed, deterministic).
-  const std::uint64_t n = 16;
-  const unsigned k = 4;
-  const unsigned q = 64;
-  std::vector<std::uint64_t> cell_totals(n, 0);
-  std::uint64_t inspected = 0;
-  ProtocolBatchExecutor exec(
-      k, q,
-      [](unsigned, std::uint64_t, Rng&) { return Message::bit(true); }, 1U,
-      SamplingKernel::kCounts);
-  exec.set_counts_inspector(
-      [&](unsigned /*j*/, std::span<const std::uint64_t> counts) {
-        ASSERT_EQ(counts.size(), n);
-        std::uint64_t total = 0;
-        for (std::size_t c = 0; c < counts.size(); ++c) {
-          cell_totals[c] += counts[c];
-          total += counts[c];
-        }
-        EXPECT_EQ(total, q);
-        ++inspected;
-      });
-  const UniformSource uniform(n);
-  Rng rng(2024);
-  std::vector<Message> msgs;
-  const int trials = 200;
-  for (int t = 0; t < trials; ++t) exec.collect(uniform, rng, msgs);
-  EXPECT_EQ(inspected, static_cast<std::uint64_t>(trials) * k);
-
-  const double expected =
-      static_cast<double>(trials) * k * q / static_cast<double>(n);
-  double chi2 = 0.0;
-  for (const std::uint64_t c : cell_totals) {
-    const double d = static_cast<double>(c) - expected;
-    chi2 += d * d / expected;
-  }
-  // dof = 15; P(chi2 > 45) < 1e-4 — far above any plausible value for a
-  // correct multinomial, far below a broken one.
-  EXPECT_LT(chi2, 45.0);
 }
 
 TEST(CalibMemo, ReplayIsIndistinguishableFromFresh) {
@@ -363,47 +316,90 @@ TEST(CalibMemo, PersistsThroughProbeCacheSessions) {
       (std::filesystem::path(::testing::TempDir()) / "duti_calib_persist")
           .string();
   std::filesystem::remove_all(dir);
-  DistributedTesterConfig cfg;
-  cfg.n = 512;
-  cfg.k = 8;
-  cfg.q = 32;
-  cfg.eps = 0.5;
 
-  double first_p = 0.0;
+  // Each construction calibrates from its own stream and reports what it
+  // calibrated. Besides the threshold tester: a multibit calibration whose
+  // uniform mean is exactly 0.0 (a zero payload word), and an asymmetric
+  // one whose payload spills into a second journal record. Each puts a
+  // payload word above the stored trial count, so neither may ride in a
+  // slot the journal reload Wilson-checks.
+  struct Construction {
+    std::uint64_t seed;
+    std::function<std::vector<double>(Rng&)> build;
+  };
+  const std::vector<Construction> constructions = {
+      {99,
+       [](Rng& calib) {
+         const DistributedThresholdTester t({512, 8, 32, 0.5}, calib, 500);
+         return std::vector<double>{
+             t.p_reject_uniform(), static_cast<double>(t.referee_threshold())};
+       }},
+      {2,
+       [](Rng& calib) {
+         const MultibitSumTester t({4096, 32, 2, 0.5, 8}, calib);
+         return std::vector<double>{t.sum_threshold()};
+       }},
+      {3,
+       [](Rng& calib) {
+         const AsymmetricRateTester t(256, {1, 2, 4}, 8.0, calib, 50);
+         std::vector<double> out = t.p_reject_uniform();
+         out.push_back(t.referee_threshold());
+         return out;
+       }},
+  };
+  struct Outcome {
+    std::vector<double> calibrated;
+    Rng::State exit;
+  };
+  const auto construct_all = [&] {
+    CalibMemo::global().clear();
+    CalibMemo::global().reset_stats();
+    std::vector<Outcome> out;
+    for (const Construction& c : constructions) {
+      Rng calib(c.seed);
+      std::vector<double> calibrated = c.build(calib);
+      out.push_back({std::move(calibrated), calib.state()});
+    }
+    return out;
+  };
+  const auto expect_same = [](const std::vector<Outcome>& a,
+                              const std::vector<Outcome>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].calibrated, b[i].calibrated) << "construction " << i;
+      // A replay must leave the calibration stream exactly where the fresh
+      // computation left it.
+      EXPECT_EQ(a[i].exit, b[i].exit) << "construction " << i;
+    }
+  };
+
+  // Each constructor makes exactly one memo lookup.
+  const std::uint64_t lookups = constructions.size();
+  std::vector<Outcome> first;
   {
     ProbeCache cache(dir, CacheMode::kReadWrite);
     install_calibration_persistence(cache);
-    CalibMemo::global().clear();
-    CalibMemo::global().reset_stats();
-    Rng calib(99);
-    const DistributedThresholdTester t(cfg, calib, 500);
-    first_p = t.p_reject_uniform();
-    EXPECT_EQ(CalibMemo::global().stats().misses, 1u);
+    first = construct_all();
+    EXPECT_EQ(CalibMemo::global().stats().misses, lookups);
     uninstall_calibration_persistence();
   }
   {
     // Fresh session over the same directory, empty in-memory memo: the
-    // load hook must serve the calibration without recomputation.
+    // load hook must serve every calibration without recomputation.
     ProbeCache cache(dir, CacheMode::kReadWrite);
     install_calibration_persistence(cache);
-    CalibMemo::global().clear();
-    CalibMemo::global().reset_stats();
-    Rng calib(99);
-    const DistributedThresholdTester t(cfg, calib, 500);
-    EXPECT_EQ(t.p_reject_uniform(), first_p);
+    const std::vector<Outcome> replayed = construct_all();
     const CalibMemo::Stats stats = CalibMemo::global().stats();
     EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.loads, 1u);
+    EXPECT_EQ(stats.loads, lookups);
+    expect_same(first, replayed);
     uninstall_calibration_persistence();
   }
   {
-    // Hooks removed: the same construction is a full recomputation again.
-    CalibMemo::global().clear();
-    CalibMemo::global().reset_stats();
-    Rng calib(99);
-    const DistributedThresholdTester t(cfg, calib, 500);
-    EXPECT_EQ(t.p_reject_uniform(), first_p);
-    EXPECT_EQ(CalibMemo::global().stats().misses, 1u);
+    // Hooks removed: the same constructions are full recomputations again.
+    const std::vector<Outcome> recomputed = construct_all();
+    EXPECT_EQ(CalibMemo::global().stats().misses, lookups);
+    expect_same(first, recomputed);
   }
   std::filesystem::remove_all(dir);
 }

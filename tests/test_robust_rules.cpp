@@ -97,7 +97,7 @@ std::uint64_t min_q_for(RobustThresholdTester::Rule rule,
     Rng calib(derive_seed(11, q));
     const RobustThresholdTester tester(
         {kN, kK, static_cast<unsigned>(q), kEps}, plan, rule, calib);
-    return probe_success_ex(
+    return probe_success(
         [&tester](const SampleSource& s, Rng& r) {
           return tester.outcome(s, r);
         },
@@ -130,7 +130,7 @@ TEST(RobustThresholdTester, QuorumSurvivesCrashesThatKillNaiveRule) {
   const RobustThresholdTester naive(
       {kN, kK, static_cast<unsigned>(8 * q_free), kEps}, crash20,
       RobustThresholdTester::Rule::kNaive, calib);
-  const auto probe = probe_success_ex(
+  const auto probe = probe_success(
       [&naive](const SampleSource& s, Rng& r) { return naive.outcome(s, r); },
       uniform_factory(kN), far_factory(kN, kEps), 150, 97);
   EXPECT_FALSE(probe.passes());
@@ -145,7 +145,7 @@ TEST(RobustThresholdTester, MedianOfGroupsSurvivesStuckAtOneByzantines) {
   const RobustThresholdTester median({kN, kK, 48, kEps}, byz10,
                                      RobustThresholdTester::Rule::kMedianOfGroups,
                                      calib);
-  const auto probe = probe_success_ex(
+  const auto probe = probe_success(
       [&median](const SampleSource& s, Rng& r) {
         return median.outcome(s, r);
       },
@@ -163,7 +163,7 @@ TEST(RobustThresholdTester, QuorumAbortIsAttributedNotConflated) {
                                      RobustThresholdTester::Rule::kQuorum,
                                      calib);
   const std::size_t trials = 40;
-  const auto probe = probe_success_ex(
+  const auto probe = probe_success(
       [&quorum](const SampleSource& s, Rng& r) {
         return quorum.outcome(s, r);
       },
@@ -186,7 +186,7 @@ TEST(RobustThresholdTester, ZeroFaultPlanMatchesNaiveCalibration) {
   EXPECT_LT(tester.p_reject_uniform(), 1.0);
   EXPECT_GE(tester.naive_referee_threshold(), 1u);
   EXPECT_LE(tester.naive_referee_threshold(), kK);
-  const auto probe = probe_success_ex(
+  const auto probe = probe_success(
       [&tester](const SampleSource& s, Rng& r) {
         return tester.outcome(s, r);
       },

@@ -14,6 +14,8 @@
 
 #include "stats/probe_cache.hpp"
 #include "stats/workloads.hpp"
+#include "sweep_specs.hpp"
+#include "testers/calibration.hpp"
 #include "testers/centralized.hpp"
 #include "util/rng.hpp"
 
@@ -323,6 +325,46 @@ TEST_F(SweepFingerprintTest, WarmMatchesColdMinimaOnRealTester) {
   // Warm mode's adaptive bracket certificates consult no more trials than
   // the cold full-budget search.
   EXPECT_LE(w.trials_consulted, c.trials_consulted);
+}
+
+TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
+  // The e1 and e9 quick tables exactly as the benches build them. Their
+  // fingerprints are pinned constants: with the cache off, and on both
+  // passes through a fresh rw session. The first rw pass starts from an
+  // empty calibration memo, so every referee calibration it computes is
+  // stored in the journal; the second pass (a new session over the same
+  // journal) replays every probe and so builds no tester. Calibration
+  // replay is CalibMemo.PersistsThroughProbeCacheSessions's job.
+  struct Family {
+    const char* name;
+    std::vector<SweepPoint> points;
+    std::uint64_t fingerprint;
+  };
+  const std::vector<Family> families = {
+      {"e1", bench::e1_points(4096, 0.5, {2, 16, 128}, 150, 1),
+       0x9b73e12950f83762ULL},
+      {"e9", bench::e9_points(4096, 32, 0.5, {1, 8}, 150, 1),
+       0x247908c4c95728a8ULL},
+  };
+  ProbeCache off("", CacheMode::kOff);
+  SweepEngineConfig cfg;
+  cfg.cache = &off;
+  CalibMemo::global().clear();
+  for (const Family& f : families) {
+    EXPECT_EQ(run_sweep(f.points, cfg).fingerprint, f.fingerprint) << f.name;
+  }
+  CalibMemo::global().clear();
+  for (int pass = 0; pass < 2; ++pass) {
+    ProbeCache rw(dir_, CacheMode::kReadWrite);
+    cfg.cache = &rw;
+    for (const Family& f : families) {
+      const SweepResult r = run_sweep(f.points, cfg);
+      EXPECT_EQ(r.fingerprint, f.fingerprint) << f.name << " pass " << pass;
+      if (pass == 1) {
+        EXPECT_EQ(r.trials_computed, 0u) << f.name;
+      }
+    }
+  }
 }
 
 TEST(SweepFingerprint, SensitiveToResults) {

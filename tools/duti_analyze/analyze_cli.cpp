@@ -33,8 +33,9 @@ int usage(std::ostream& out, int code) {
 }
 
 /// Graph metrics + rule counts, stamped with the standard bench header so
-/// BENCH_analyze.json diffs like every other artifact. The fingerprint is a
-/// pure function of the sources — identical at any DUTI_THREADS.
+/// BENCH_analyze.json diffs like every other artifact. The analyzer runs
+/// none of the library, so its env stamp carries only hardware_concurrency;
+/// the fingerprint is a pure function of the sources.
 void stamp_bench_json(const AnalyzeReport& report) {
   char fp[24];
   std::snprintf(fp, sizeof fp, "%016llx",
@@ -48,7 +49,7 @@ void stamp_bench_json(const AnalyzeReport& report) {
   }
   counts += "}";
   const std::string path = bench::emit_bench_json(
-      "analyze",
+      "analyze", /*env=*/{},
       {{"fingerprint", bench::json_str(fp)},
        {"files_scanned", bench::json_u64(report.files_scanned)},
        {"modules", bench::json_u64(report.modules.size())},
