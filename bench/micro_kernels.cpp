@@ -125,52 +125,7 @@ int main(int argc, char** argv) {
         {"add_u64", len, as_ns, av_ns, acc_scalar == acc_simd});
   }
 
-  // --- Tally: dispatched path is the scalar scatter at every level (a
-  // banked scatter + vector merge measured slower; see kernels.cpp). This
-  // row should sit at ~1x — a dip below means tally() regressed. ------------
-  {
-    const std::size_t domain = std::size_t{1} << 12;
-    const std::size_t draws = std::size_t{1} << 16;
-    std::vector<std::uint64_t> samples(draws);
-    for (auto& s : samples) s = rng() % domain;
-    std::vector<std::uint64_t> counts_scalar(domain);
-    std::vector<std::uint64_t> counts_simd(domain);
-    const double s_ns = best_ns(reps, [&] {
-      std::fill(counts_scalar.begin(), counts_scalar.end(), 0);
-      kernels::tally_scalar(samples, counts_scalar);
-    });
-    simd_set_level(supported);
-    const double v_ns = best_ns(reps, [&] {
-      std::fill(counts_simd.begin(), counts_simd.end(), 0);
-      kernels::tally(samples, counts_simd);
-    });
-    points.push_back(
-        {"tally", draws, s_ns, v_ns, counts_scalar == counts_simd});
-  }
-
-  // --- Batched samplers (outputs AND final rng state must agree). The
-  // uniform row is a ~1x sentinel: its dispatched path is the scalar loop
-  // at every level (an AVX2 Lemire variant measured slower; kernels.cpp). --
-  {
-    const std::size_t len = std::size_t{1} << 14;
-    const std::uint64_t bound = 1000000007ULL;
-    std::vector<std::uint64_t> out_scalar(len);
-    std::vector<std::uint64_t> out_simd(len);
-    Rng rng_scalar(seed);
-    Rng rng_simd(seed);
-    const double s_ns = best_ns(reps, [&] {
-      rng_scalar = Rng(seed);
-      kernels::uniform_sample_many_scalar(rng_scalar, bound, out_scalar);
-    });
-    simd_set_level(supported);
-    const double v_ns = best_ns(reps, [&] {
-      rng_simd = Rng(seed);
-      kernels::uniform_sample_many(rng_simd, bound, out_simd);
-    });
-    const bool same =
-        out_scalar == out_simd && rng_scalar() == rng_simd();
-    points.push_back({"uniform_sample_many", len, s_ns, v_ns, same});
-  }
+  // --- Batched nu_z sampler (outputs AND final rng state must agree). ------
   {
     const std::size_t len = std::size_t{1} << 14;
     const unsigned ell = 12;

@@ -43,8 +43,8 @@ inline constexpr std::uint64_t kMaxTallyPlaneDomain = 1ULL << 22;
 /// Exact pair-collision count of `samples` drawn from a domain of size
 /// `domain`: the batched plane's tally-or-sort statistic, equal to
 /// testers' collision_pairs() on every input, allocation-free in steady
-/// state (per-thread buffers). Exposed so calibration loops share the
-/// executor's exact statistic.
+/// state (per-thread buffers). Exposed so the testers' uniform calibration
+/// loop shares the executor's exact statistic.
 [[nodiscard]] std::uint64_t tallied_collision_pairs(
     std::span<const std::uint64_t> samples, std::uint64_t domain);
 

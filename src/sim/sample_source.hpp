@@ -20,7 +20,6 @@
 #include "dist/discrete_distribution.hpp"
 #include "dist/nu_z.hpp"
 #include "util/error.hpp"
-#include "util/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
@@ -73,7 +72,9 @@ class SampleSource {
     counts.assign(domain_size(), 0);
     static thread_local std::vector<std::uint64_t> scratch;
     sample_many(rng, draws, scratch);
-    kernels::tally(scratch, counts);
+    // The plain scatter: a banked SIMD variant measured slower (DESIGN.md
+    // §11).
+    for (const std::uint64_t s : scratch) ++counts[s];
   }
 
  protected:
@@ -96,7 +97,11 @@ class UniformSource final : public SampleSource {
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const override {
     out.resize(count);
-    kernels::uniform_sample_many(rng, n_, out);
+    // Serial xoshiro draws either way: a stream-identical AVX2 Lemire loop
+    // measured ~2x slower (DESIGN.md §11). The local bound stays in a
+    // register; n_ could alias the uint64 stores into `out`.
+    const std::uint64_t bound = n_;
+    for (auto& s : out) s = rng.next_below(bound);
   }
   /// Counts kernel: when draws dominate the domain, split the multinomial
   /// recursively with exact binomial draws — O(n) binomial draws instead of

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <system_error>
 
-#include "stats/calibration_persist.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
 
@@ -315,14 +314,6 @@ ProbeCache& ProbeCache::global() {
     const std::string dir = dir_env == nullptr ? ".duti_cache" : dir_env;
     return ProbeCache(dir, mode);
   }();
-  // When the env-configured cache is live, it also backs the testers'
-  // calibration memo (stats -> testers dependency inversion; see
-  // calibration_persist.hpp). Installed once, on first use.
-  static const bool calib_hooked = [] {
-    if (cache.enabled()) install_calibration_persistence(cache);
-    return true;
-  }();
-  (void)calib_hooked;
   return cache;
 }
 

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <optional>
 
-#include "stats/calibration_persist.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
@@ -144,24 +143,6 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
   }
 
   ProbeCache& cache = cfg.cache != nullptr ? *cfg.cache : ProbeCache::global();
-  // Referee calibrations persist through the same session cache as the
-  // probe results for the duration of the sweep; a session cache (which
-  // may not outlive the caller) is detached again on exit so the memo's
-  // hooks never dangle.
-  struct CalibHookGuard {
-    ProbeCache* session;
-    explicit CalibHookGuard(ProbeCache& c) : session(&c) {
-      if (session->enabled()) install_calibration_persistence(*session);
-    }
-    ~CalibHookGuard() {
-      if (session == &ProbeCache::global()) return;
-      if (ProbeCache::global().enabled()) {
-        install_calibration_persistence(ProbeCache::global());
-      } else {
-        uninstall_calibration_persistence();
-      }
-    }
-  } calib_hooks(cache);
   const CacheStats before = cache.stats();
   RunCounters counters;
 

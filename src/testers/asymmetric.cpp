@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <limits>
+#include <string>
 
 #include "testers/calibration.hpp"
 #include "testers/collision.hpp"
@@ -22,53 +23,16 @@ AsymmetricRateTester::AsymmetricRateTester(std::uint64_t n,
           "AsymmetricRateTester: trials_per_player must be >= 1");
   for (std::size_t j = 0; j < rates.size(); ++j) {
     require(rates[j] > 0.0, "AsymmetricRateTester: rates must be positive");
-    qs_[j] =
-        static_cast<unsigned>(std::max(2.0, std::ceil(tau * rates[j])));
+    const double q = std::max(2.0, std::ceil(tau * rates[j]));
+    require(q <= static_cast<double>(std::numeric_limits<unsigned>::max()),
+            "AsymmetricRateTester: player " + std::to_string(j) +
+                "'s sample count ceil(tau * rate) exceeds the unsigned range");
+    qs_[j] = static_cast<unsigned>(q);
   }
 
-  // Memo key: the q vector IS the tester identity (rates and tau only
-  // matter through it), plus the resolved per-player trial count and the
-  // calibration stream's entry state.
-  std::ostringstream id;
-  id << "asym|n=" << n_ << "|t=" << trials_per_player << "|qs=";
-  for (const unsigned q : qs_) id << q << ",";
-  id << "|rng=" << calib_rng_tag(calib_rng);
-  p_.resize(qs_.size());
-  const std::size_t k = qs_.size();
-  if (auto payload = CalibMemo::global().lookup(id.str());
-      payload && payload->size() == k + 5) {
-    for (std::size_t j = 0; j < k; ++j) {
-      p_[j] = calib_unpack_double((*payload)[1 + j]);
-    }
-    calib_rng.set_state(Rng::State{(*payload)[k + 1], (*payload)[k + 2],
-                                   (*payload)[k + 3], (*payload)[k + 4]});
-  } else {
-    // Per-player uniform rejection probabilities by simulation, player 0
-    // first — the stream order the memo replays.
-    const UniformSource uniform(n_);
-    std::vector<std::uint64_t> samples;
-    for (std::size_t j = 0; j < k; ++j) {
-      const double local_t = expected_collision_pairs_uniform(
-          static_cast<double>(n_), qs_[j]);
-      std::size_t rejects = 0;
-      for (std::size_t t = 0; t < trials_per_player; ++t) {
-        uniform.sample_many(calib_rng, qs_[j], samples);
-        if (static_cast<double>(tallied_collision_pairs(samples, n_)) >
-            local_t) {
-          ++rejects;
-        }
-      }
-      p_[j] = static_cast<double>(rejects) /
-              static_cast<double>(trials_per_player);
-    }
-    std::vector<std::uint64_t> fresh;
-    fresh.reserve(k + 5);
-    fresh.push_back(trials_per_player);
-    for (const double p : p_) fresh.push_back(calib_pack_double(p));
-    const Rng::State end = calib_rng.state();
-    fresh.insert(fresh.end(), {end[0], end[1], end[2], end[3]});
-    CalibMemo::global().insert(id.str(), std::move(fresh));
-  }
+  // Per-player uniform rejection probabilities, player 0 first from the
+  // one stream; rates and tau matter only through the q vector.
+  p_ = uniform_reject_rates(n_, qs_, trials_per_player, calib_rng);
 
   double mean = 0.0, var = 0.0;
   for (double p : p_) {
@@ -78,8 +42,8 @@ AsymmetricRateTester::AsymmetricRateTester(std::uint64_t n,
   referee_t_ = mean + std::sqrt(std::max(1e-12, var));
 
   // Per-player local thresholds, resolved once for the vote functor.
-  std::vector<double> local_t(k);
-  for (std::size_t j = 0; j < k; ++j) {
+  std::vector<double> local_t(qs_.size());
+  for (std::size_t j = 0; j < qs_.size(); ++j) {
     local_t[j] = expected_collision_pairs_uniform(static_cast<double>(n_),
                                                   qs_[j]);
   }

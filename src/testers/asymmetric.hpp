@@ -25,8 +25,9 @@ class AsymmetricRateTester {
  public:
   /// Calibrates per-player uniform rejection probabilities, sequentially
   /// (player 0 first) from the single `calib_rng` stream with
-  /// `trials_per_player` simulations each — memoized through CalibMemo
-  /// like the other calibrated testers.
+  /// `trials_per_player` simulations each — memoized like the other
+  /// calibrated testers. Throws InvalidArgument naming the player when
+  /// ceil(tau * rate) exceeds the unsigned sample-count range.
   AsymmetricRateTester(std::uint64_t n, std::vector<double> rates, double tau,
                        Rng& calib_rng, std::size_t trials_per_player = 600);
 

@@ -1,19 +1,80 @@
 #include "testers/calibration.hpp"
 
-#include <array>
-#include <cstdio>
+#include <algorithm>
+#include <cmath>
+
+#include "sim/protocol_batch.hpp"
+#include "sim/sample_source.hpp"
+#include "testers/collision.hpp"
 
 namespace duti {
 
-std::string calib_rng_tag(const Rng& rng) {
-  const Rng::State s = rng.state();
-  std::array<char, 4 * 16 + 4> buf{};
-  std::snprintf(buf.data(), buf.size(), "%016llx.%016llx.%016llx.%016llx",
-                static_cast<unsigned long long>(s[0]),
-                static_cast<unsigned long long>(s[1]),
-                static_cast<unsigned long long>(s[2]),
-                static_cast<unsigned long long>(s[3]));
-  return std::string(buf.data());
+std::size_t calibration_trials(std::size_t requested, std::uint64_t players) {
+  if (requested != 0) return requested;
+  return std::max<std::size_t>(4000, 30ULL * players);
+}
+
+std::vector<double> calibrate_on_uniform(std::string_view statistic,
+                                         std::uint64_t n,
+                                         std::span<const unsigned> qs,
+                                         std::size_t trials, Rng& calib_rng,
+                                         const CalibrationSummary& summarize) {
+  std::string key(statistic);
+  key += "|n=" + std::to_string(n) + "|qs=";
+  for (const unsigned q : qs) key += std::to_string(q) + ",";
+  key += "|t=" + std::to_string(trials) + "|rng=";
+  for (const std::uint64_t word : calib_rng.state()) {
+    key += std::to_string(word) + ".";
+  }
+
+  CalibMemo& memo = CalibMemo::global();
+  if (std::optional<CalibMemo::Entry> hit = memo.find(key)) {
+    // Leave the stream exactly where the loop below would have.
+    calib_rng.set_state(hit->exit);
+    return std::move(hit->values);
+  }
+  // Computed outside the memo lock, so the point-parallel sweeps'
+  // constructions do not serialize on it. Two threads racing on one key
+  // compute, and store, the same entry.
+  const UniformSource uniform(n);
+  std::vector<std::uint64_t> samples;
+  std::vector<std::uint64_t> pairs(trials);
+  std::vector<double> values;
+  for (const unsigned q : qs) {
+    for (std::uint64_t& p : pairs) {
+      uniform.sample_many(calib_rng, q, samples);
+      p = tallied_collision_pairs(samples, n);
+    }
+    const std::vector<double> player = summarize(q, pairs);
+    values.insert(values.end(), player.begin(), player.end());
+  }
+  memo.store(key, {values, calib_rng.state()});
+  return values;
+}
+
+std::vector<double> uniform_reject_rates(std::uint64_t n,
+                                         std::span<const unsigned> qs,
+                                         std::size_t trials, Rng& calib_rng) {
+  return calibrate_on_uniform(
+      "rejects", n, qs, trials, calib_rng,
+      [n](unsigned q, std::span<const std::uint64_t> pairs) {
+        const double local_t =
+            expected_collision_pairs_uniform(static_cast<double>(n), q);
+        std::uint64_t rejects = 0;
+        for (const std::uint64_t p : pairs) {
+          if (static_cast<double>(p) > local_t) ++rejects;
+        }
+        return std::vector<double>{static_cast<double>(rejects) /
+                                   static_cast<double>(pairs.size())};
+      });
+}
+
+std::uint64_t calibrated_referee_threshold(std::uint64_t players, double p_u,
+                                           double z) {
+  const double m = static_cast<double>(players);
+  const double sd = std::sqrt(std::max(1e-12, m * p_u * (1.0 - p_u)));
+  return static_cast<std::uint64_t>(
+      std::max(1.0, std::ceil(m * p_u + z * sd + 1e-9)));
 }
 
 CalibMemo& CalibMemo::global() {
@@ -21,35 +82,19 @@ CalibMemo& CalibMemo::global() {
   return memo;
 }
 
-std::optional<std::vector<std::uint64_t>> CalibMemo::lookup(
-    const std::string& id) {
+std::optional<CalibMemo::Entry> CalibMemo::find(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = map_.find(id); it != map_.end()) {
+  if (auto it = map_.find(key); it != map_.end()) {
     ++stats_.hits;
     return it->second;
-  }
-  if (hooks_.load) {
-    if (auto payload = hooks_.load(id)) {
-      ++stats_.loads;
-      map_.emplace(id, *payload);
-      return payload;
-    }
   }
   ++stats_.misses;
   return std::nullopt;
 }
 
-void CalibMemo::insert(const std::string& id,
-                       std::vector<std::uint64_t> payload) {
+void CalibMemo::store(const std::string& key, Entry entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.inserts;
-  if (hooks_.store) hooks_.store(id, payload);
-  map_.insert_or_assign(id, std::move(payload));
-}
-
-void CalibMemo::install_hooks(Hooks hooks) {
-  std::lock_guard<std::mutex> lock(mu_);
-  hooks_ = std::move(hooks);
+  map_.insert_or_assign(key, std::move(entry));
 }
 
 CalibMemo::Stats CalibMemo::stats() const {
@@ -65,11 +110,6 @@ void CalibMemo::reset_stats() {
 void CalibMemo::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
-}
-
-std::size_t CalibMemo::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
 }
 
 }  // namespace duti

@@ -1,30 +1,30 @@
-// Memoized referee calibration (DESIGN.md §14). The distributed testers
-// that calibrate empirically (threshold, multibit, asymmetric) burn
-// thousands of protocol trials in their CONSTRUCTORS — and sweeps, dual
-// adaptive/full probes, and warm-start reruns rebuild the same tester for
-// the same (n, k, q, eps, calib_trials, seed) many times over. The memo
-// caches the calibration RESULT keyed by the full construction identity.
+// Referee calibration on uniform input (DESIGN.md §14). Every calibrated
+// tester — threshold, robust, tree, multibit and asymmetric — takes its
+// referee bar from one simulated quantity: the exact pair-collision count
+// of a single player's q uniform samples on a domain of size n. The tester
+// knows n and q, so this is information the protocol legitimately has.
+//
+// calibrate_on_uniform is the one loop that simulates it, and the only
+// client of the process-wide CalibMemo: sweeps, dual adaptive/full probes
+// and warm-start reruns rebuild the same tester many times over, and each
+// rebuild after the first is a memo hit.
 //
 // Deterministic-RNG accounting is preserved exactly: the memo key embeds
-// the calibration RNG's ENTRY state, and the payload carries its EXIT
-// state, which is restored on a hit — so a memoized construction leaves
-// the caller's RNG (and therefore every downstream draw) bit-identical to
-// a fresh construction. Keys also embed the RESOLVED trial count, so
-// `calib_trials = 0 /* auto */` and the equivalent explicit count can
-// never alias to different results (the resolution rule could change).
-//
-// Process-wide and thread-safe. Cross-process persistence is layered on
-// top via install_hooks: the stats layer (which owns the ProbeCache
-// session files) registers load/store callbacks here — a dependency
-// inversion, because testers/ sits below stats/ and cannot include it.
+// the calibration RNG's ENTRY state, and the entry records its EXIT state,
+// which a hit restores — so a memoized construction leaves the caller's
+// RNG (and therefore every downstream draw) bit-identical to a fresh one.
+// Keys embed the RESOLVED trial count, so `calib_trials = 0 /* auto */`
+// and the equivalent explicit count share an entry.
 #pragma once
 
-#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,65 +32,73 @@
 
 namespace duti {
 
-/// Round-trip doubles through the integer payload bit-exactly.
-[[nodiscard]] inline std::uint64_t calib_pack_double(double x) {
-  return std::bit_cast<std::uint64_t>(x);
-}
-[[nodiscard]] inline double calib_unpack_double(std::uint64_t bits) {
-  return std::bit_cast<double>(bits);
-}
+/// The calibration trial count for `requested` (0 = auto). Auto resolves
+/// to max(4000, 30 * players), so the referee threshold's error stays below
+/// the binomial noise over `players` votes.
+[[nodiscard]] std::size_t calibration_trials(std::size_t requested,
+                                             std::uint64_t players);
 
-/// Hex tag of the RNG's four state words, for embedding the calibration
-/// stream's entry state in a memo id.
-[[nodiscard]] std::string calib_rng_tag(const Rng& rng);
+/// One player's calibration summary: from its sample count q and the pair
+/// counts of its uniform draws (in draw order), the values the tester
+/// keeps.
+using CalibrationSummary = std::function<std::vector<double>(
+    unsigned q, std::span<const std::uint64_t> pairs)>;
 
+/// For each player j in order, draws `trials` sets of qs[j] samples from
+/// UniformSource(n) through `calib_rng`, takes each set's exact pair count
+/// (tallied_collision_pairs), and appends summarize(qs[j], pairs) to the
+/// result. Memoized in CalibMemo::global() under (statistic, n, qs, trials,
+/// calib_rng's entry state): `statistic` must name every other input that
+/// `summarize` reads.
+[[nodiscard]] std::vector<double> calibrate_on_uniform(
+    std::string_view statistic, std::uint64_t n, std::span<const unsigned> qs,
+    std::size_t trials, Rng& calib_rng, const CalibrationSummary& summarize);
+
+/// Per player, the rate at which its pair count on qs[j] uniform samples
+/// strictly exceeds its uniform mean C(qs[j], 2) / n — the collision
+/// voter's false-alarm rate — over `trials` draws each.
+[[nodiscard]] std::vector<double> uniform_reject_rates(
+    std::uint64_t n, std::span<const unsigned> qs, std::size_t trials,
+    Rng& calib_rng);
+
+/// The referee bar for `players` one-bit voters that each reject uniform
+/// input with probability p_u: max(1, ceil(mean + z sd + 1e-9)) for the
+/// binomial mean and standard deviation of their rejection count.
+[[nodiscard]] std::uint64_t calibrated_referee_threshold(
+    std::uint64_t players, double p_u, double z = 1.0);
+
+/// The process-wide calibration memo behind calibrate_on_uniform.
 class CalibMemo {
  public:
-  /// Hooks for a persistence backend (installed by the stats layer).
-  /// `load` returns the payload for an id, or nullopt; `store` records it.
-  struct Hooks {
-    std::function<std::optional<std::vector<std::uint64_t>>(
-        const std::string& id)>
-        load;
-    std::function<void(const std::string& id,
-                       const std::vector<std::uint64_t>& payload)>
-        store;
-  };
-
   struct Stats {
-    std::uint64_t hits = 0;      // in-memory map hits
-    std::uint64_t loads = 0;     // misses served by the persistence hook
-    std::uint64_t misses = 0;    // full recomputations
-    std::uint64_t inserts = 0;   // results recorded
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;  // full recomputations
   };
 
-  /// The process-wide memo used by the testers.
   [[nodiscard]] static CalibMemo& global();
-
-  /// Payload for `id`, consulting memory then the load hook. Hook results
-  /// are promoted into memory so repeat lookups are map hits.
-  [[nodiscard]] std::optional<std::vector<std::uint64_t>> lookup(
-      const std::string& id);
-
-  /// Record a freshly computed payload (and forward to the store hook).
-  void insert(const std::string& id, std::vector<std::uint64_t> payload);
-
-  /// Install (or clear, with default-constructed Hooks) the persistence
-  /// backend. Replaces any previous hooks.
-  void install_hooks(Hooks hooks);
 
   [[nodiscard]] Stats stats() const;
   void reset_stats();
 
-  /// Drop all memoized entries (tests; keeps hooks and stats).
+  /// Drop all memoized entries (keeps stats).
   void clear();
 
-  [[nodiscard]] std::size_t size() const;
-
  private:
+  friend std::vector<double> calibrate_on_uniform(
+      std::string_view statistic, std::uint64_t n,
+      std::span<const unsigned> qs, std::size_t trials, Rng& calib_rng,
+      const CalibrationSummary& summarize);
+
+  struct Entry {
+    std::vector<double> values;
+    Rng::State exit;  // the calibration stream's state after the loop
+  };
+
+  [[nodiscard]] std::optional<Entry> find(const std::string& key);
+  void store(const std::string& key, Entry entry);
+
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::vector<std::uint64_t>> map_;
-  Hooks hooks_;
+  std::unordered_map<std::string, Entry> map_;
   Stats stats_;
 };
 

@@ -1,12 +1,10 @@
 #include "testers/distributed.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <span>
 
 #include "testers/calibration.hpp"
 #include "testers/collision.hpp"
-#include "util/confidence.hpp"
 #include "util/error.hpp"
 
 namespace duti {
@@ -55,54 +53,15 @@ DistributedThresholdTester::DistributedThresholdTester(
   local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
                                               cfg_.q);
 
-  // Calibrate p_u = P(player rejects | uniform) by simulating independent
-  // players; the referee threshold must dominate binomial noise over k
-  // players, so use at least ~30k trials.
-  if (calib_trials == 0) {
-    calib_trials = std::max<std::size_t>(4000, 30ULL * cfg_.k);
-  }
-  // Memo key: the RESOLVED trial count (so auto and explicit constructions
-  // cannot alias) plus the calibration stream's entry state. k is omitted
-  // on purpose — p_u is a single-player statistic, so testers differing
-  // only in k (same resolved trials) legitimately share a calibration.
-  std::ostringstream id;
-  id << "thr|n=" << cfg_.n << "|q=" << cfg_.q << "|eps="
-     << calib_pack_double(cfg_.eps) << "|t=" << calib_trials << "|rng="
-     << calib_rng_tag(calib_rng);
-  std::uint64_t reject_count = 0;
-  if (auto payload = CalibMemo::global().lookup(id.str());
-      payload && payload->size() == 6) {
-    reject_count = (*payload)[0];
-    // Restore the stream's exit state: the caller's RNG advances exactly
-    // as if the calibration loop had run.
-    calib_rng.set_state(
-        Rng::State{(*payload)[2], (*payload)[3], (*payload)[4], (*payload)[5]});
-  } else {
-    const UniformSource uniform(cfg_.n);
-    std::vector<std::uint64_t> samples;
-    for (std::size_t t = 0; t < calib_trials; ++t) {
-      uniform.sample_many(calib_rng, cfg_.q, samples);
-      // tallied_collision_pairs == collision_pairs on every input; the
-      // tally plane just skips the per-trial sort.
-      if (static_cast<double>(tallied_collision_pairs(samples, cfg_.n)) >
-          local_t_) {
-        ++reject_count;
-      }
-    }
-    const Rng::State end = calib_rng.state();
-    CalibMemo::global().insert(
-        id.str(),
-        {reject_count, calib_trials, end[0], end[1], end[2], end[3]});
-  }
-  p_u_ = static_cast<double>(reject_count) / static_cast<double>(calib_trials);
-
-  // Referee: reject iff #rejecting players >= T, with T one standard
-  // deviation above the uniform mean (uniform-side error ~ 16% < 1/3).
-  const double kd = static_cast<double>(cfg_.k);
-  const double mean_u = kd * p_u_;
-  const double sd_u = std::sqrt(std::max(1e-12, kd * p_u_ * (1.0 - p_u_)));
-  referee_t_ = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(mean_u + sd_u + 1e-9)));
+  // p_u = P(player rejects | uniform), calibrated by simulating one player
+  // (testers differing only in k share the calibration when their trial
+  // counts resolve alike). The referee rejects iff at least T players
+  // reject, with T one standard deviation above the uniform mean
+  // (uniform-side error ~ 16% < 1/3).
+  p_u_ = uniform_reject_rates(cfg_.n, std::span(&cfg_.q, 1),
+                              calibration_trials(calib_trials, cfg_.k),
+                              calib_rng)[0];
+  referee_t_ = calibrated_referee_threshold(cfg_.k, p_u_);
 
   exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_));
   rule_.emplace(DecisionRule::threshold(referee_t_));

@@ -12,13 +12,11 @@
 //    an alarm. Subject of Theorem 1.2: barely cheaper than centralized.
 //
 // Referee thresholds are calibrated by simulating a single player on the
-// uniform distribution (the tester knows n and q, so this is information
-// the protocol legitimately has). Calibration trials should exceed ~30*k
-// so the referee threshold's error stays below binomial noise. Calibration
-// results are memoized through CalibMemo (calibration.hpp) keyed by the
-// full construction identity including the calibration RNG's entry state;
-// a memo hit restores the RNG's exit state, so memoized and fresh
-// constructions are indistinguishable to the caller.
+// uniform distribution (testers/calibration.hpp). Calibration trials
+// should exceed ~30*k so the referee threshold's error stays below
+// binomial noise. Calibrations are memoized; a memo hit restores the
+// calibration RNG's exit state, so memoized and fresh constructions are
+// indistinguishable to the caller.
 //
 // run() executes on the batched protocol plane (sim/protocol_batch.hpp):
 // the vote functor and referee rule are resolved once at construction and

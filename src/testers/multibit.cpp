@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "testers/calibration.hpp"
 #include "testers/collision.hpp"
@@ -36,49 +38,30 @@ MultibitSumTester::MultibitSumTester(Config cfg, Rng& calib_rng,
       static_cast<std::uint64_t>(std::ceil(lambda));
   offset_ = lambda_ceil > half_window ? lambda_ceil - half_window : 0;
 
-  if (calib_trials == 0) {
-    calib_trials = std::max<std::size_t>(4000, 30ULL * cfg_.k);
-  }
-  // Memo key: resolved trial count + calibration stream entry state (see
-  // DistributedThresholdTester). The encoded statistic depends on (n, q,
-  // r) but not k, so k is omitted.
-  std::ostringstream id;
-  id << "mbit|n=" << cfg_.n << "|q=" << cfg_.q << "|eps="
-     << calib_pack_double(cfg_.eps) << "|r=" << cfg_.r << "|t="
-     << calib_trials << "|rng=" << calib_rng_tag(calib_rng);
-  double m_u = 0.0;
-  double v_u = 0.0;
-  if (auto payload = CalibMemo::global().lookup(id.str());
-      payload && payload->size() == 7) {
-    m_u = calib_unpack_double((*payload)[1]);
-    v_u = calib_unpack_double((*payload)[2]);
-    calib_rng.set_state(
-        Rng::State{(*payload)[3], (*payload)[4], (*payload)[5], (*payload)[6]});
-  } else {
-    // Estimate mean and variance of the encoded count under uniform.
-    const UniformSource uniform(cfg_.n);
-    std::vector<std::uint64_t> samples;
-    std::vector<double> encoded;
-    encoded.reserve(calib_trials);
-    for (std::size_t t = 0; t < calib_trials; ++t) {
-      uniform.sample_many(calib_rng, cfg_.q, samples);
-      encoded.push_back(static_cast<double>(encode_count(
-          tallied_collision_pairs(samples, cfg_.n), cfg_.r, offset_)));
-    }
-    m_u = mean(encoded);
-    v_u = encoded.size() >= 2 ? sample_variance(encoded) : 0.0;
-    const Rng::State end = calib_rng.state();
-    CalibMemo::global().insert(
-        id.str(), {calib_trials, calib_pack_double(m_u),
-                   calib_pack_double(v_u), end[0], end[1], end[2], end[3]});
-  }
+  // Mean and variance of the encoded count under uniform. The encoding
+  // reads (n, q, r), so r is the only input the statistic must name.
+  const unsigned r = cfg_.r;
+  const std::uint64_t offset = offset_;
+  const std::vector<double> moments = calibrate_on_uniform(
+      "encoded|r=" + std::to_string(r), cfg_.n, std::span(&cfg_.q, 1),
+      calibration_trials(calib_trials, cfg_.k), calib_rng,
+      [r, offset](unsigned /*q*/, std::span<const std::uint64_t> pairs) {
+        std::vector<double> encoded;
+        encoded.reserve(pairs.size());
+        for (const std::uint64_t p : pairs) {
+          encoded.push_back(static_cast<double>(encode_count(p, r, offset)));
+        }
+        return std::vector<double>{
+            mean(encoded),
+            encoded.size() >= 2 ? sample_variance(encoded) : 0.0};
+      });
+  const double m_u = moments[0];
+  const double v_u = moments[1];
   const double kd = static_cast<double>(cfg_.k);
   // Accept iff the sum of encoded counts is below mean + 1 sd (same
   // one-sided calibration as the 1-bit threshold tester).
   sum_t_ = kd * m_u + std::sqrt(std::max(1e-12, kd * v_u));
 
-  const unsigned r = cfg_.r;
-  const std::uint64_t offset = offset_;
   exec_.emplace(
       cfg_.k, cfg_.q,
       [r, offset](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {

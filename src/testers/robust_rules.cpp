@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
+#include "testers/calibration.hpp"
 #include "testers/collision.hpp"
-#include "util/confidence.hpp"
 #include "util/error.hpp"
 
 namespace duti {
@@ -20,12 +21,7 @@ RefereeOutcome NaiveThresholdRule::decide(std::uint64_t rejects_received,
 
 std::uint64_t QuorumThresholdRule::threshold_for(
     std::uint64_t survivors) const {
-  const double m = static_cast<double>(survivors);
-  const double mean = m * p_reject_uniform;
-  const double sd = std::sqrt(
-      std::max(1e-12, m * p_reject_uniform * (1.0 - p_reject_uniform)));
-  return static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(mean + z * sd + 1e-9)));
+  return calibrated_referee_threshold(survivors, p_reject_uniform, z);
 }
 
 RefereeOutcome QuorumThresholdRule::decide(
@@ -116,25 +112,14 @@ RobustThresholdTester::RobustThresholdTester(DistributedTesterConfig cfg,
               plan_.crash_fraction + plan_.byzantine_fraction <= 1.0,
           "RobustThresholdTester: fault fractions in [0,1], sum <= 1");
 
-  // Identical calibration to DistributedThresholdTester, so rule
-  // comparisons isolate the referee side.
+  // Identical calibration to DistributedThresholdTester (the same memo
+  // entries), so rule comparisons isolate the referee side.
   local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
                                               cfg_.q);
-  if (calib_trials == 0) {
-    calib_trials = std::max<std::size_t>(4000, 30ULL * cfg_.k);
-  }
-  const UniformSource uniform(cfg_.n);
-  std::vector<std::uint64_t> samples;
-  SuccessCounter rejects;
-  for (std::size_t t = 0; t < calib_trials; ++t) {
-    uniform.sample_many(calib_rng, cfg_.q, samples);
-    rejects.record(static_cast<double>(collision_pairs(samples)) > local_t_);
-  }
-  p_u_ = rejects.rate();
-  const double kd = static_cast<double>(cfg_.k);
-  const double sd_u = std::sqrt(std::max(1e-12, kd * p_u_ * (1.0 - p_u_)));
-  naive_t_ = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(kd * p_u_ + sd_u + 1e-9)));
+  p_u_ = uniform_reject_rates(cfg_.n, std::span(&cfg_.q, 1),
+                              calibration_trials(calib_trials, cfg_.k),
+                              calib_rng)[0];
+  naive_t_ = calibrated_referee_threshold(cfg_.k, p_u_);
 }
 
 RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,

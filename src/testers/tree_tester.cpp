@@ -1,10 +1,9 @@
 #include "testers/tree_tester.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <span>
 
+#include "testers/calibration.hpp"
 #include "testers/collision.hpp"
-#include "util/confidence.hpp"
 #include "util/error.hpp"
 
 namespace duti {
@@ -45,22 +44,12 @@ TreeUniformityTester::TreeUniformityTester(Network& net, NodeId root,
           "TreeUniformityTester: eps in (0,1]");
   local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
                                               cfg_.q);
+  // Every node votes, so the referee is calibrated for num_nodes players.
   const std::uint32_t k = net.num_nodes();
-  if (calib_trials == 0) {
-    calib_trials = std::max<std::size_t>(4000, 30ULL * k);
-  }
-  const UniformSource uniform(cfg_.n);
-  std::vector<std::uint64_t> samples;
-  SuccessCounter rejects;
-  for (std::size_t t = 0; t < calib_trials; ++t) {
-    uniform.sample_many(calib_rng, cfg_.q, samples);
-    rejects.record(static_cast<double>(collision_pairs(samples)) > local_t_);
-  }
-  const double p_u = rejects.rate();
-  const double kd = static_cast<double>(k);
-  const double sd_u = std::sqrt(std::max(1e-12, kd * p_u * (1.0 - p_u)));
-  referee_t_ = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(kd * p_u + sd_u + 1e-9)));
+  const double p_u = uniform_reject_rates(
+      cfg_.n, std::span(&cfg_.q, 1), calibration_trials(calib_trials, k),
+      calib_rng)[0];
+  referee_t_ = calibrated_referee_threshold(k, p_u);
 }
 
 TreeTestResult TreeUniformityTester::run_epoch(const SampleSource& source,

@@ -132,24 +132,7 @@ void wht(std::span<double> data) {
 }
 
 // ---------------------------------------------------------------------------
-// Integer tallies.
-
-void tally_scalar(std::span<const std::uint64_t> samples,
-                  std::span<std::uint64_t> counts) {
-  for (const std::uint64_t s : samples) ++counts[s];
-}
-
-void tally(std::span<const std::uint64_t> samples,
-           std::span<std::uint64_t> counts) {
-  // A banked variant (two interleaved scatter banks merged with the
-  // vector add) was measured 1.2-4x *slower* than the plain scatter at
-  // every domain/sample shape in bench/micro_kernels: the extra
-  // O(domain) zero-fills and merge passes cost more than the second
-  // increment chain buys. The scatter is the dispatched path at every
-  // SIMD level; bench/micro_kernels keeps measuring it so a future ISA
-  // where gathers win shows up in BENCH_kernels.json.
-  tally_scalar(samples, counts);
-}
+// Integer reductions.
 
 std::uint64_t collision_pairs_from_counts_scalar(
     std::span<const std::uint64_t> counts) {
@@ -223,25 +206,6 @@ void add_u64(std::span<std::uint64_t> acc,
 
 // ---------------------------------------------------------------------------
 // Batched samplers.
-
-void uniform_sample_many_scalar(Rng& rng, std::uint64_t bound,
-                                std::span<std::uint64_t> out) {
-  for (auto& s : out) s = rng.next_below(bound);
-}
-
-void uniform_sample_many(Rng& rng, std::uint64_t bound,
-                         std::span<std::uint64_t> out) {
-  require(bound >= 1, "uniform_sample_many: bound must be positive");
-  // The scalar rejection loop is the dispatched path at every level. A
-  // four-lane AVX2 Lemire kernel (stream-identical by FIFO raw replay)
-  // measured ~2x *slower* in bench/micro_kernels: the xoshiro draws are
-  // serial either way, and AVX2 has no 64-bit multiply, so both the
-  // rejection test and the high half cost several emulated 32-bit
-  // multiplies per lane against one hardware mul for scalar. The bench
-  // keeps timing this entry point so a regression (or an ISA where wide
-  // multiplies win) shows up in BENCH_kernels.json.
-  uniform_sample_many_scalar(rng, bound, out);
-}
 
 void nuz_sample_many_scalar(Rng& rng, std::span<const std::uint64_t> zwords,
                             unsigned ell, double eps,

@@ -25,14 +25,6 @@ void wht(std::span<double> data);
 /// Reference: the textbook stage-by-stage butterfly loop.
 void wht_scalar(std::span<double> data);
 
-/// Histogram `samples` into `counts`: counts[s] += multiplicity of s.
-/// Entries of `samples` must be < counts.size(); `counts` is NOT cleared
-/// (callers zero or accumulate deliberately).
-void tally(std::span<const std::uint64_t> samples,
-           std::span<std::uint64_t> counts);
-void tally_scalar(std::span<const std::uint64_t> samples,
-                  std::span<std::uint64_t> counts);
-
 /// Sum over cells of c*(c-1)/2 (wrapping u64 arithmetic, same as scalar).
 [[nodiscard]] std::uint64_t collision_pairs_from_counts(
     std::span<const std::uint64_t> counts);
@@ -51,18 +43,6 @@ void add_u64(std::span<std::uint64_t> acc,
              std::span<const std::uint64_t> addend);
 void add_u64_scalar(std::span<std::uint64_t> acc,
                     std::span<const std::uint64_t> addend);
-
-/// Fill `out` with iid uniform draws from [0, bound) using Lemire
-/// multiply-shift rejection, consuming `rng` EXACTLY like out.size()
-/// repeated rng.next_below(bound) calls — outputs AND the final RNG state
-/// are bit-identical at every SimdLevel. Currently the scalar loop at
-/// every level: a stream-identical AVX2 variant measured slower (see
-/// kernels.cpp); the batched entry point stays so callers and the bench
-/// are already shaped for an ISA where it pays.
-void uniform_sample_many(Rng& rng, std::uint64_t bound,
-                         std::span<std::uint64_t> out);
-void uniform_sample_many_scalar(Rng& rng, std::uint64_t bound,
-                                std::span<std::uint64_t> out);
 
 /// Batched nu_z sampling over the cube {0,1}^ell with perturbation sign
 /// bits `zwords` (bit x set means z(x) = -1, as in PerturbationVector):

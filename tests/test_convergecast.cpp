@@ -120,6 +120,24 @@ TEST(Convergecast, SizeMismatchThrows) {
                InvalidArgument);
 }
 
+TEST(TreeTester, ConfigValidation) {
+  Network star(4);
+  star.add_star(0);
+  Rng rng(2);
+  EXPECT_THROW(TreeUniformityTester(star, 0, {64, 0, 0.5}, rng),
+               InvalidArgument);
+  EXPECT_THROW(TreeUniformityTester(star, 0, {64, 1, 0.5}, rng),
+               InvalidArgument);
+  // The smallest legal shape: a lone root with one possible pair.
+  Network lone(1);
+  const TreeUniformityTester smallest(lone, 0, {64, 2, 0.5}, rng);
+  const UniformSource uniform(64);
+  Rng run_rng(3);
+  const TreeTestResult result = smallest.run_epoch(uniform, run_rng);
+  EXPECT_LE(result.reject_votes, 1u);
+  EXPECT_EQ(smallest.referee_threshold(), 1u);
+}
+
 TEST(TreeTester, GridTesterSeparatesUniformFromFar) {
   const std::uint64_t n = 1024;
   const double eps = 0.5;

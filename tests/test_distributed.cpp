@@ -46,8 +46,16 @@ TEST(DistributedThresholdTester, ConfigValidation) {
                InvalidArgument);
   EXPECT_THROW(DistributedThresholdTester({64, 4, 1, 0.5}, rng),
                InvalidArgument);
+  EXPECT_THROW(DistributedThresholdTester({64, 4, 0, 0.5}, rng),
+               InvalidArgument);
   EXPECT_THROW(DistributedThresholdTester({64, 4, 8, 0.0}, rng),
                InvalidArgument);
+  // The smallest legal shape: one player with one possible pair.
+  const DistributedThresholdTester smallest({64, 1, 2, 0.5}, rng);
+  const UniformSource uniform(64);
+  Rng run_rng(3);
+  (void)smallest.run(uniform, run_rng);
+  EXPECT_EQ(smallest.referee_threshold(), 1u);
 }
 
 TEST(DistributedThresholdTester, CalibrationIsSane) {

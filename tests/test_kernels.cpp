@@ -14,6 +14,7 @@
 
 #include "dist/cube_domain.hpp"
 #include "dist/nu_z.hpp"
+#include "sim/sample_source.hpp"
 #include "stats/harness.hpp"
 #include "stats/workloads.hpp"
 #include "testers/collision.hpp"
@@ -171,42 +172,11 @@ TEST(IntegerKernels, ReductionsFuzzAcrossVectorWidthBoundaries) {
   }
 }
 
-TEST(IntegerKernels, TallyMatchesScalarAcrossDomainAndSampleShapes) {
-  // tally() must equal the scalar scatter at every level and shape
-  // (small/large domain, fewer/more samples than cells), including the
-  // accumulate-into-nonzero-counts contract.
-  LevelGuard guard;
-  Rng rng(17);
-  struct Case {
-    std::size_t domain;
-    std::size_t samples;
-  };
-  for (const Case c : {Case{8, 64}, Case{67, 66}, Case{67, 500},
-                       Case{4096, 4096}, Case{5000, 100}, Case{5000, 6000}}) {
-    std::vector<std::uint64_t> samples(c.samples);
-    for (auto& s : samples) s = rng() % c.domain;
-    std::vector<std::uint64_t> base(c.domain);
-    for (auto& b : base) b = rng() % 3;  // pre-existing counts accumulate
-    std::vector<std::uint64_t> reference = base;
-    kernels::tally_scalar(samples, reference);
-    for (const SimdLevel level : testable_levels()) {
-      SCOPED_TRACE(testing::Message() << "domain=" << c.domain
-                                      << " samples=" << c.samples << " level="
-                                      << simd_level_name(level));
-      simd_set_level(level);
-      std::vector<std::uint64_t> counts = base;
-      kernels::tally(samples, counts);
-      EXPECT_EQ(counts, reference);
-    }
-  }
-}
-
 TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
-  // The batched sampler must consume the RNG exactly like repeated
+  // UniformSource's batch draw must consume the RNG exactly like repeated
   // next_below calls: same outputs, same number of raw draws, in the same
-  // order, at every level. bound = 2^63 + 1 gives a ~50% rejection rate so
-  // the stream contract is exercised well past the no-rejection case.
-  LevelGuard guard;
+  // order. bound = 2^63 + 1 gives a ~50% rejection rate so the stream
+  // contract is exercised well past the no-rejection case.
   const std::uint64_t bounds[] = {1,
                                   2,
                                   3,
@@ -217,23 +187,20 @@ TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
                                   (std::uint64_t{1} << 63) + 1,
                                   ~std::uint64_t{0}};
   for (const std::uint64_t bound : bounds) {
+    const UniformSource uniform(bound);
     for (const std::size_t len : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 16u, 67u, 256u}) {
-      for (const SimdLevel level : testable_levels()) {
-        SCOPED_TRACE(testing::Message()
-                     << "bound=" << bound << " len=" << len
-                     << " level=" << simd_level_name(level));
-        simd_set_level(level);
-        Rng batched(derive_seed(23, bound, len));
-        Rng serial(derive_seed(23, bound, len));
-        std::vector<std::uint64_t> out(len);
-        kernels::uniform_sample_many(batched, bound, out);
-        for (std::size_t i = 0; i < len; ++i) {
-          ASSERT_EQ(out[i], serial.next_below(bound)) << i;
-          ASSERT_LT(out[i], bound);
-        }
-        // Same final state: the next raw draws must agree.
-        for (int k = 0; k < 4; ++k) ASSERT_EQ(batched(), serial());
+      SCOPED_TRACE(testing::Message() << "bound=" << bound << " len=" << len);
+      Rng batched(derive_seed(23, bound, len));
+      Rng serial(derive_seed(23, bound, len));
+      std::vector<std::uint64_t> out;
+      uniform.sample_many(batched, len, out);
+      ASSERT_EQ(out.size(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], serial.next_below(bound)) << i;
+        ASSERT_LT(out[i], bound);
       }
+      // Same final state: the next raw draws must agree.
+      for (int k = 0; k < 4; ++k) ASSERT_EQ(batched(), serial());
     }
   }
 }

@@ -58,6 +58,13 @@ TEST(MultibitSumTester, ConfigValidation) {
   EXPECT_THROW(MultibitSumTester({64, 4, 8, 0.5, 0}, rng), InvalidArgument);
   EXPECT_THROW(MultibitSumTester({64, 4, 8, 0.5, 25}, rng), InvalidArgument);
   EXPECT_THROW(MultibitSumTester({64, 4, 1, 0.5, 2}, rng), InvalidArgument);
+  EXPECT_THROW(MultibitSumTester({64, 4, 0, 0.5, 2}, rng), InvalidArgument);
+  // The smallest legal shape: one player with one possible pair.
+  const MultibitSumTester smallest({64, 1, 2, 0.5, 2}, rng);
+  const UniformSource uniform(64);
+  Rng run_rng(3);
+  (void)smallest.run(uniform, run_rng);
+  EXPECT_GT(smallest.sum_threshold(), 0.0);
 }
 
 TEST(MultibitSumTester, SucceedsWithGenerousSamples) {

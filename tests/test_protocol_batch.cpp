@@ -2,18 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/convergecast.hpp"
 #include "sim/network.hpp"
 #include "sim/reliable.hpp"
-#include "stats/calibration_persist.hpp"
 #include "stats/harness.hpp"
-#include "stats/probe_cache.hpp"
 #include "stats/workloads.hpp"
 #include "testers/asymmetric.hpp"
 #include "testers/calibration.hpp"
@@ -21,6 +20,8 @@
 #include "testers/distributed.hpp"
 #include "testers/fixed_threshold.hpp"
 #include "testers/multibit.hpp"
+#include "testers/robust_rules.hpp"
+#include "testers/tree_tester.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -39,13 +40,19 @@ std::uint64_t naive_pairs(const std::vector<std::uint64_t>& samples) {
 
 TEST(TalliedCollisionPairs, MatchesNaiveCountOnBothPlanes) {
   Rng rng(7);
-  // Small domain: the tally plane; huge domain: the sort fallback.
+  // Up to kMaxTallyPlaneDomain: the tally plane; above it: the sort
+  // fallback. The cap is checked at N-1, N and N+1.
   for (const std::uint64_t domain :
-       {std::uint64_t{8}, std::uint64_t{512}, kMaxTallyPlaneDomain + 1}) {
+       {std::uint64_t{8}, std::uint64_t{512}, kMaxTallyPlaneDomain - 1,
+        kMaxTallyPlaneDomain, kMaxTallyPlaneDomain + 1}) {
     for (int rep = 0; rep < 20; ++rep) {
       std::vector<std::uint64_t> samples(32);
-      // Bias into a small range so collisions actually occur.
+      // Bias into a small range so collisions actually occur, and give the
+      // top cell domain - 1 zero to three of the samples.
       for (auto& s : samples) s = rng.next_below(std::min<std::uint64_t>(domain, 16));
+      for (int i = 0; i < rep % 4; ++i) {
+        samples[static_cast<std::size_t>(i)] = domain - 1;
+      }
       EXPECT_EQ(tallied_collision_pairs(samples, domain), naive_pairs(samples))
           << "domain=" << domain;
     }
@@ -258,6 +265,21 @@ TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {
   EXPECT_EQ(a.trials, b.trials);
 }
 
+TEST(AsymmetricRateTester, RejectsSampleCountsBeyondTheUnsignedRange) {
+  // ceil(tau * rate) must fit the per-player unsigned sample count; 1e10
+  // and 1e20 do not, and player 1 is the one named.
+  for (const double rate : {1e10, 1e20}) {
+    Rng calib(5);
+    try {
+      const AsymmetricRateTester t(256, {1.0, rate}, 1.0, calib, 10);
+      ADD_FAILURE() << "rate " << rate << " constructed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("player 1"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CalibMemo, ReplayIsIndistinguishableFromFresh) {
   CalibMemo::global().clear();
   CalibMemo::global().reset_stats();
@@ -278,7 +300,6 @@ TEST(CalibMemo, ReplayIsIndistinguishableFromFresh) {
   const CalibMemo::Stats stats = CalibMemo::global().stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.inserts, 1u);
 
   const UniformSource uniform(cfg.n);
   for (int t = 0; t < 10; ++t) {
@@ -311,97 +332,134 @@ TEST(CalibMemo, AutoTrialCountResolvesIntoTheKey) {
   EXPECT_EQ(CalibMemo::global().stats().misses, 2u);
 }
 
-TEST(CalibMemo, PersistsThroughProbeCacheSessions) {
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "duti_calib_persist")
-          .string();
-  std::filesystem::remove_all(dir);
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-  // Each construction calibrates from its own stream and reports what it
-  // calibrated. Besides the threshold tester: a multibit calibration whose
-  // uniform mean is exactly 0.0 (a zero payload word), and an asymmetric
-  // one whose payload spills into a second journal record. Each puts a
-  // payload word above the stored trial count, so neither may ride in a
-  // slot the journal reload Wilson-checks.
-  struct Construction {
+TEST(CalibMemo, PinnedCalibrationsReplayBitForBit) {
+  // Every calibrated tester's values (as bit patterns) and the calibration
+  // stream's exit state, pinned from the per-tester calibration loops that
+  // calibrate_on_uniform replaced. Each row must reproduce its pins fresh,
+  // as a memo hit, and fresh again after clear(). The multibit row's
+  // uniform mean is exactly 0.0; the asymmetric row calibrates three
+  // players from one stream.
+  struct Row {
+    const char* name;
     std::uint64_t seed;
-    std::function<std::vector<double>(Rng&)> build;
-  };
-  const std::vector<Construction> constructions = {
-      {99,
-       [](Rng& calib) {
-         const DistributedThresholdTester t({512, 8, 32, 0.5}, calib, 500);
-         return std::vector<double>{
-             t.p_reject_uniform(), static_cast<double>(t.referee_threshold())};
-       }},
-      {2,
-       [](Rng& calib) {
-         const MultibitSumTester t({4096, 32, 2, 0.5, 8}, calib);
-         return std::vector<double>{t.sum_threshold()};
-       }},
-      {3,
-       [](Rng& calib) {
-         const AsymmetricRateTester t(256, {1, 2, 4}, 8.0, calib, 50);
-         std::vector<double> out = t.p_reject_uniform();
-         out.push_back(t.referee_threshold());
-         return out;
-       }},
-  };
-  struct Outcome {
-    std::vector<double> calibrated;
+    std::function<std::vector<std::uint64_t>(Rng&)> build;
+    std::vector<std::uint64_t> values;
     Rng::State exit;
   };
-  const auto construct_all = [&] {
-    CalibMemo::global().clear();
-    CalibMemo::global().reset_stats();
-    std::vector<Outcome> out;
-    for (const Construction& c : constructions) {
-      Rng calib(c.seed);
-      std::vector<double> calibrated = c.build(calib);
-      out.push_back({std::move(calibrated), calib.state()});
-    }
-    return out;
+  const std::vector<Row> rows = {
+      {"threshold, 500 trials", 77,
+       [](Rng& calib) {
+         const DistributedThresholdTester t({512, 8, 24, 0.5}, calib, 500);
+         return std::vector<std::uint64_t>{bits_of(t.p_reject_uniform()),
+                                           t.referee_threshold()};
+       },
+       {0x3fdac083126e978dULL, 5},
+       {0x7412859c194a01f9ULL, 0x664615c1a2750840ULL, 0x0dcb54dfe6ca4d67ULL,
+        0xc660a83b8a5d3c8eULL}},
+      {"threshold, auto trials", 77,
+       [](Rng& calib) {
+         const DistributedThresholdTester t({512, 8, 24, 0.5}, calib);
+         return std::vector<std::uint64_t>{bits_of(t.p_reject_uniform()),
+                                           t.referee_threshold()};
+       },
+       {0x3fda624dd2f1a9fcULL, 5},
+       {0xb410af02db88f2f3ULL, 0x087e9648f6dc67f9ULL, 0xa810d82636884fa4ULL,
+        0xeeff407bed1a11b5ULL}},
+      {"robust naive", 78,
+       [](Rng& calib) {
+         const RobustThresholdTester t({512, 8, 24, 0.5}, FaultPlan{},
+                                       RobustThresholdTester::Rule::kNaive,
+                                       calib, 500);
+         return std::vector<std::uint64_t>{bits_of(t.p_reject_uniform()),
+                                           t.naive_referee_threshold()};
+       },
+       {0x3fda9fbe76c8b439ULL, 5},
+       {0x39a7c9dc779f6cc8ULL, 0xe83395cd2c79b95aULL, 0xcf4d1ba9f4e57c42ULL,
+        0xeceb0a87e97b1c9fULL}},
+      {"tree on a 9-node star", 79,
+       [](Rng& calib) {
+         Network net(9);
+         net.add_star(0);
+         const TreeUniformityTester t(net, 0, {512, 24, 0.5}, calib, 500);
+         return std::vector<std::uint64_t>{t.referee_threshold()};
+       },
+       {6},
+       {0xb7a60e0521a60d21ULL, 0xc4e06e7aec75d879ULL, 0x72d3f75af1425c74ULL,
+        0x47446321aa232186ULL}},
+      {"multibit", 2,
+       [](Rng& calib) {
+         const MultibitSumTester t({4096, 32, 2, 0.5, 8}, calib);
+         return std::vector<std::uint64_t>{bits_of(t.sum_threshold())};
+       },
+       {0x3eb0c6f7a0b5ed8dULL},
+       {0x3e0340a37ef8221eULL, 0xe79df4678ecf738bULL, 0x85a07e56fa06f346ULL,
+        0x79ad6f91d4581c5cULL}},
+      {"asymmetric", 3,
+       [](Rng& calib) {
+         const AsymmetricRateTester t(256, {1, 2, 4}, 8.0, calib, 50);
+         std::vector<std::uint64_t> out;
+         for (const double p : t.p_reject_uniform()) out.push_back(bits_of(p));
+         out.push_back(bits_of(t.referee_threshold()));
+         return out;
+       },
+       {0x3fc1eb851eb851ecULL, 0x3fd1eb851eb851ecULL, 0x3fe147ae147ae148ULL,
+        0x3ffb71a83483940dULL},
+       {0x8076eea45c42dd9fULL, 0x6976098182c6e484ULL, 0x5b513064982293f9ULL,
+        0x6f6e4638ade442d1ULL}},
   };
-  const auto expect_same = [](const std::vector<Outcome>& a,
-                              const std::vector<Outcome>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].calibrated, b[i].calibrated) << "construction " << i;
-      // A replay must leave the calibration stream exactly where the fresh
-      // computation left it.
-      EXPECT_EQ(a[i].exit, b[i].exit) << "construction " << i;
+  const auto check_rows = [&rows](const char* pass) {
+    for (const Row& row : rows) {
+      Rng calib(row.seed);
+      EXPECT_EQ(row.build(calib), row.values) << row.name << ", " << pass;
+      EXPECT_EQ(calib.state(), row.exit) << row.name << ", " << pass;
     }
   };
 
-  // Each constructor makes exactly one memo lookup.
-  const std::uint64_t lookups = constructions.size();
-  std::vector<Outcome> first;
-  {
-    ProbeCache cache(dir, CacheMode::kReadWrite);
-    install_calibration_persistence(cache);
-    first = construct_all();
-    EXPECT_EQ(CalibMemo::global().stats().misses, lookups);
-    uninstall_calibration_persistence();
-  }
-  {
-    // Fresh session over the same directory, empty in-memory memo: the
-    // load hook must serve every calibration without recomputation.
-    ProbeCache cache(dir, CacheMode::kReadWrite);
-    install_calibration_persistence(cache);
-    const std::vector<Outcome> replayed = construct_all();
-    const CalibMemo::Stats stats = CalibMemo::global().stats();
-    EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.loads, lookups);
-    expect_same(first, replayed);
-    uninstall_calibration_persistence();
-  }
-  {
-    // Hooks removed: the same constructions are full recomputations again.
-    const std::vector<Outcome> recomputed = construct_all();
-    EXPECT_EQ(CalibMemo::global().stats().misses, lookups);
-    expect_same(first, recomputed);
-  }
-  std::filesystem::remove_all(dir);
+  // Each construction makes exactly one memo lookup.
+  const std::uint64_t lookups = rows.size();
+  CalibMemo::global().clear();
+  CalibMemo::global().reset_stats();
+  check_rows("fresh");
+  EXPECT_EQ(CalibMemo::global().stats().misses, lookups);
+  EXPECT_EQ(CalibMemo::global().stats().hits, 0u);
+
+  CalibMemo::global().reset_stats();
+  check_rows("memo hit");
+  EXPECT_EQ(CalibMemo::global().stats().misses, 0u);
+  EXPECT_EQ(CalibMemo::global().stats().hits, lookups);
+
+  CalibMemo::global().clear();
+  CalibMemo::global().reset_stats();
+  check_rows("after clear");
+  EXPECT_EQ(CalibMemo::global().stats().misses, lookups);
+  EXPECT_EQ(CalibMemo::global().stats().hits, 0u);
+}
+
+TEST(CalibMemo, RobustAndTreeTestersShareTheThresholdCalibration) {
+  // The three one-bit testers calibrate the same statistic, so equal
+  // (n, q, resolved trials, entry state) is one memo entry. k is not part
+  // of it: the tree's 9 voters and the threshold tester's 8 both resolve
+  // to the 4000-trial auto count.
+  CalibMemo::global().clear();
+  CalibMemo::global().reset_stats();
+  Rng calib_thr(77);
+  const DistributedThresholdTester thr({512, 8, 24, 0.5}, calib_thr);
+  Rng calib_robust(77);
+  const RobustThresholdTester robust({512, 8, 24, 0.5}, FaultPlan{},
+                                     RobustThresholdTester::Rule::kNaive,
+                                     calib_robust);
+  Network net(9);
+  net.add_star(0);
+  Rng calib_tree(77);
+  const TreeUniformityTester tree(net, 0, {512, 24, 0.5}, calib_tree);
+  EXPECT_EQ(CalibMemo::global().stats().misses, 1u);
+  EXPECT_EQ(CalibMemo::global().stats().hits, 2u);
+  EXPECT_EQ(robust.p_reject_uniform(), thr.p_reject_uniform());
+  EXPECT_EQ(robust.naive_referee_threshold(), thr.referee_threshold());
+  EXPECT_EQ(calib_robust.state(), calib_thr.state());
+  EXPECT_EQ(calib_tree.state(), calib_thr.state());
 }
 
 TEST(ProtocolBatch, ChaosLaneCarriesBatchedVotes) {

@@ -107,6 +107,23 @@ std::uint64_t min_q_for(RobustThresholdTester::Rule rule,
   return result.found ? result.minimum : 0;  // 0 = not found below hi
 }
 
+TEST(RobustThresholdTester, ConfigValidation) {
+  Rng rng(2);
+  const auto build = [&rng](unsigned k, unsigned q) {
+    return RobustThresholdTester({64, k, q, 0.5}, FaultPlan{},
+                                 RobustThresholdTester::Rule::kNaive, rng);
+  };
+  EXPECT_THROW(build(4, 0), InvalidArgument);
+  EXPECT_THROW(build(4, 1), InvalidArgument);
+  EXPECT_THROW(build(0, 8), InvalidArgument);
+  // The smallest legal shape: one player with one possible pair.
+  const RobustThresholdTester smallest = build(1, 2);
+  const UniformSource uniform(64);
+  Rng run_rng(3);
+  (void)smallest.outcome(uniform, run_rng);
+  EXPECT_EQ(smallest.naive_referee_threshold(), 1u);
+}
+
 // Acceptance criterion: at 20% crashed players the quorum rule's minimal q
 // stays within 2x of the fault-free minimum, while the naive rule cannot
 // clear the 2/3 bar at all (its uniform side false-alarms itself to death).

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -18,6 +19,7 @@
 #include "testers/calibration.hpp"
 #include "testers/centralized.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace duti {
 namespace {
@@ -331,10 +333,10 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   // The e1 and e9 quick tables exactly as the benches build them. Their
   // fingerprints are pinned constants: with the cache off, and on both
   // passes through a fresh rw session. The first rw pass starts from an
-  // empty calibration memo, so every referee calibration it computes is
-  // stored in the journal; the second pass (a new session over the same
-  // journal) replays every probe and so builds no tester. Calibration
-  // replay is CalibMemo.PersistsThroughProbeCacheSessions's job.
+  // empty calibration memo, so it computes every referee calibration; the
+  // second pass (a new session over the same journal) replays every probe
+  // and so builds no tester. Calibration replay from the memo is
+  // CalibMemo.PinnedCalibrationsReplayBitForBit's job.
   struct Family {
     const char* name;
     std::vector<SweepPoint> points;
@@ -365,6 +367,47 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
       }
     }
   }
+}
+
+// --- Process-global state ---------------------------------------------------
+
+// A sweep through an explicit session must leave the env-configured global
+// cache alone: it must neither construct it (a bad DUTI_CACHE throws from
+// its constructor) nor write to its journal. ProbeCache::global() is a
+// function-local static, so each case runs in a fresh process that sets
+// the env before any global use.
+TEST(SweepGlobalCacheDeathTest, ExplicitOffSessionNeverTouchesTheGlobalCache) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Two seeds, so the second sweep computes calibrations of its own.
+  const auto two_off_sweeps = [] {
+    ProbeCache off("", CacheMode::kOff);
+    SweepEngineConfig cfg;
+    cfg.cache = &off;
+    ThreadPool pool(1);
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}}) {
+      (void)run_sweep(bench::e1_points(4096, 0.5, {16}, 60, seed), cfg, pool);
+    }
+    std::exit(0);
+  };
+  EXPECT_EXIT(
+      {
+        setenv("DUTI_CACHE", "bogus", 1);
+        two_off_sweeps();
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "duti_sweep_global_cache";
+  std::filesystem::remove_all(dir);
+  EXPECT_EXIT(
+      {
+        setenv("DUTI_CACHE", "rw", 1);
+        setenv("DUTI_CACHE_DIR", dir.c_str(), 1);
+        two_off_sweeps();
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_FALSE(std::filesystem::exists(dir / "probes.jsonl"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SweepFingerprint, SensitiveToResults) {
