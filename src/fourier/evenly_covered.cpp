@@ -1,6 +1,7 @@
 #include "fourier/evenly_covered.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -10,20 +11,22 @@
 
 namespace duti {
 
-bool is_evenly_covered(std::span<const std::uint64_t> x,
-                       std::uint64_t s_mask) {
-  // XOR-style parity tracking with a small scratch vector: collect values at
-  // the masked positions, sort, and check run lengths are even. Masks are
-  // tiny in the moment sweeps (|S| = 2r), where std::sort's dispatch
-  // overhead dominates — insertion sort wins below ~16 elements (measured
-  // in bench/micro_kernels) and produces the same ordering.
+namespace {
+
+// Multiplicities of the values {x[j] : bit j of s_mask set}: gathers them
+// (only positions below 64 can be in the mask), sorts, and writes each
+// run's length to `runs` in ascending value order. Returns the run count.
+// The gathered sets are small in the moment sweeps (q <= 10), where
+// std::sort's dispatch overhead dominates — insertion sort wins below ~16
+// elements (measured in bench/micro_kernels) and produces the same
+// ordering.
+std::size_t value_multiplicities(std::span<const std::uint64_t> x,
+                                 std::uint64_t s_mask, unsigned (&runs)[64]) {
   std::uint64_t scratch[64];
   std::size_t count = 0;
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    if ((s_mask >> j) & 1ULL) {
-      require(count < 64, "is_evenly_covered: at most 64 positions");
-      scratch[count++] = x[j];
-    }
+  const std::size_t positions = std::min<std::size_t>(x.size(), 64);
+  for (std::size_t j = 0; j < positions; ++j) {
+    if ((s_mask >> j) & 1ULL) scratch[count++] = x[j];
   }
   if (count <= 16) {
     for (std::size_t i = 1; i < count; ++i) {
@@ -38,13 +41,73 @@ bool is_evenly_covered(std::span<const std::uint64_t> x,
   } else {
     std::sort(scratch, scratch + count);
   }
+  std::size_t n_runs = 0;
   for (std::size_t i = 0; i < count;) {
-    std::size_t run = 1;
+    unsigned run = 1;
     while (i + run < count && scratch[i + run] == scratch[i]) ++run;
-    if (run % 2 != 0) return false;
+    runs[n_runs++] = run;
     i += run;
   }
-  return true;
+  return n_runs;
+}
+
+// kPascal[c][k] = C(c, k) for c <= 63; the largest entry, C(63, 31), is
+// below 2^63.
+constexpr auto kPascal = [] {
+  std::array<std::array<std::uint64_t, 64>, 64> t{};
+  for (std::size_t c = 0; c < 64; ++c) {
+    t[c][0] = 1;
+    for (std::size_t k = 1; k <= c; ++k) {
+      t[c][k] = t[c - 1][k - 1] + t[c - 1][k];
+    }
+  }
+  return t;
+}();
+
+// a_r from the value multiplicities c_v of a tuple of q <= 63 samples
+// (2r <= q): an evenly covered 2r-subset takes an even number j_v of the
+// c_v positions holding each value v, so a_r is the coefficient of t^{2r}
+// in prod_v sum_{j even} C(c_v, j) t^j. poly[d] holds the coefficient of
+// t^{2d}; it counts the evenly covered 2d-subsets of the positions
+// multiplied in so far, so every partial sum stays below C(63, 2d) < 2^63.
+std::uint64_t a_r_from_multiplicities(std::span<const unsigned> mult,
+                                      unsigned r) {
+  std::uint64_t poly[32] = {1};
+  for (const unsigned c : mult) {
+    for (unsigned d = r; d >= 1; --d) {  // in place, highest degree first
+      for (unsigned i = 1; i <= std::min(d, c / 2); ++i) {
+        poly[d] += poly[d - i] * kPascal[c][2 * i];
+      }
+    }
+  }
+  return poly[r];
+}
+
+// Calls visit(parts) for each partition of `left` into at most `max_parts`
+// more parts, each at most `max_part`, appended to parts[0..n) in
+// non-increasing order.
+template <typename Visit>
+void for_each_partition(unsigned left, unsigned max_part, unsigned max_parts,
+                        unsigned (&parts)[64], unsigned n, Visit& visit) {
+  if (left == 0) {
+    visit(std::span<const unsigned>(parts, n));
+    return;
+  }
+  if (max_parts == 0) return;
+  for (unsigned p = std::min(left, max_part); p >= 1; --p) {
+    parts[n] = p;
+    for_each_partition(left - p, p, max_parts - 1, parts, n + 1, visit);
+  }
+}
+
+}  // namespace
+
+bool is_evenly_covered(std::span<const std::uint64_t> x,
+                       std::uint64_t s_mask) {
+  unsigned runs[64];
+  const std::size_t n_runs = value_multiplicities(x, s_mask, runs);
+  return std::all_of(runs, runs + n_runs,
+                     [](unsigned run) { return run % 2 == 0; });
 }
 
 namespace {
@@ -129,6 +192,7 @@ double count_even_sequences_log(std::uint64_t alphabet, unsigned m) {
 
 double count_x_s(unsigned ell, unsigned q, unsigned s_size) {
   require(s_size <= q, "count_x_s: |S| cannot exceed q");
+  require(ell < 64, "count_x_s: ell must be below 64");
   const double side = std::ldexp(1.0, static_cast<int>(ell));  // 2^ell
   const double even = count_even_sequences(1ULL << ell, s_size);
   return even * std::pow(side, static_cast<double>(q - s_size));
@@ -137,6 +201,7 @@ double count_x_s(unsigned ell, unsigned q, unsigned s_size) {
 double count_x_s_brute(unsigned ell, unsigned q, std::uint64_t s_mask) {
   require(q >= 1 && q <= 63, "count_x_s_brute: q in [1,63]");
   require(s_mask < (1ULL << q), "count_x_s_brute: mask out of range");
+  require(ell < 64, "count_x_s_brute: ell must be below 64");
   const std::uint64_t side = 1ULL << ell;
   double total_tuples = std::pow(static_cast<double>(side),
                                  static_cast<double>(q));
@@ -179,44 +244,63 @@ std::uint64_t next_same_popcount(std::uint64_t mask) {
 }
 
 std::uint64_t a_r(std::span<const std::uint64_t> x, unsigned r) {
+  require(x.size() <= 63, "a_r: at most 63 samples");
   const auto q = static_cast<unsigned>(x.size());
-  require(q <= 63, "a_r: at most 63 samples");
-  if (2 * r > q) return 0;
-  if (r == 0) return 1;  // only S = empty set
-  std::uint64_t count = 0;
-  const std::uint64_t limit = 1ULL << q;
-  for (std::uint64_t s = lowest_mask(2 * r); s != 0 && s < limit;
-       s = next_same_popcount(s)) {
-    if (is_evenly_covered(x, s)) ++count;
-  }
-  return count;
+  if (r > q / 2) return 0;
+  unsigned runs[64];
+  const std::size_t n_runs = value_multiplicities(x, lowest_mask(q), runs);
+  return a_r_from_multiplicities({runs, n_runs}, r);  // r = 0: just S = {}
 }
 
 double a_r_moment_exact(unsigned ell, unsigned q, unsigned r, unsigned m) {
   require(m >= 1, "a_r_moment_exact: m must be >= 1");
+  require(ell < 64, "a_r_moment_exact: ell must be below 64");
   const std::uint64_t side = 1ULL << ell;
   const double total_tuples = std::pow(static_cast<double>(side),
                                        static_cast<double>(q));
   if (total_tuples > static_cast<double>(1ULL << 26)) {
     throw CapacityError("a_r_moment_exact: enumeration too large");
   }
-  const auto total = static_cast<std::uint64_t>(total_tuples);
-  std::vector<std::uint64_t> x(q);
+  require(q <= 63, "a_r_moment_exact: at most 63 samples");
+  if (r > q / 2) return 0.0;
+  // a_r(x) depends on x only through its value multiplicities, so sum over
+  // their shapes: the partitions of q into at most `side` parts, each
+  // weighted by the number of tuples having it. That weight is the ways to
+  // split the positions, C(q; parts), times the ways to give the parts
+  // distinct values, C(side, k_1) C(side - k_1, k_2) ... over the groups of
+  // k_i equal parts. Every partial product is at most the weight, itself at
+  // most (2^ell)^q <= 2^26. binomial() takes an int, and side fits one
+  // whenever a shape has parts: q >= 1 then forces side <= 2^26.
   double acc = 0.0;
-  for (std::uint64_t idx = 0; idx < total; ++idx) {
-    std::uint64_t rest = idx;
-    for (unsigned j = 0; j < q; ++j) {
-      x[j] = rest % side;
-      rest /= side;
+  auto visit = [&](std::span<const unsigned> parts) {
+    std::uint64_t tuples = 1;
+    unsigned positions = q;
+    std::uint64_t values = side;
+    for (std::size_t i = 0; i < parts.size();) {
+      std::size_t k = 1;
+      while (i + k < parts.size() && parts[i + k] == parts[i]) ++k;
+      tuples *= binomial(static_cast<int>(values), static_cast<int>(k));
+      values -= k;
+      for (std::size_t j = i; j < i + k; ++j) {
+        tuples *= kPascal[positions][parts[j]];
+        positions -= parts[j];
+      }
+      i += k;
     }
-    acc += dpow_int(static_cast<double>(a_r(x, r)), m);
-  }
+    acc += static_cast<double>(tuples) *
+           dpow_int(static_cast<double>(a_r_from_multiplicities(parts, r)), m);
+  };
+  const auto max_parts =
+      static_cast<unsigned>(std::min<std::uint64_t>(side, q));
+  unsigned parts[64];
+  for_each_partition(q, q, max_parts, parts, 0, visit);
   return acc / total_tuples;
 }
 
 double a_r_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,
                      std::size_t trials, Rng& rng) {
   require(trials >= 1, "a_r_moment_mc: need at least one trial");
+  require(ell < 64, "a_r_moment_mc: ell must be below 64");
   const std::uint64_t side = 1ULL << ell;
   std::vector<std::uint64_t> x(q);
   double acc = 0.0;

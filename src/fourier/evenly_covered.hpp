@@ -21,7 +21,8 @@
 namespace duti {
 
 /// True iff every value among {x[j] : bit j of s_mask set} appears an even
-/// number of times. s_mask = 0 is vacuously evenly covered.
+/// number of times. s_mask = 0 is vacuously evenly covered; positions from
+/// 64 on are never in the mask.
 [[nodiscard]] bool is_evenly_covered(std::span<const std::uint64_t> x,
                                      std::uint64_t s_mask);
 
@@ -41,11 +42,12 @@ namespace duti {
 
 /// |X_S| for |S| = s_size on domain side 2^ell with q samples:
 /// count_even_sequences(2^ell, s_size) * (2^ell)^(q - s_size).
-/// Depends only on |S| (Prop 5.2(1)).
+/// Depends only on |S| (Prop 5.2(1)). Throws InvalidArgument for ell >= 64.
 [[nodiscard]] double count_x_s(unsigned ell, unsigned q, unsigned s_size);
 
 /// Brute-force |X_S| by enumerating all (2^ell)^q tuples; for tests.
-/// Throws CapacityError when the enumeration exceeds 2^26 tuples.
+/// Throws InvalidArgument for ell >= 64 and CapacityError when the
+/// enumeration exceeds 2^26 tuples.
 [[nodiscard]] double count_x_s_brute(unsigned ell, unsigned q,
                                      std::uint64_t s_mask);
 
@@ -53,15 +55,24 @@ namespace duti {
 /// (0 when s is odd, since no x is evenly covered then). n = 2^{ell+1}.
 [[nodiscard]] double prop52_bound(unsigned ell, unsigned q, unsigned s_size);
 
-/// a_r(x): number of S with |S| = 2r such that x_S is evenly covered.
+/// a_r(x): number of S with |S| = 2r such that x_S is evenly covered, for
+/// at most 63 samples. Computed from the multiplicities c_v of x's values
+/// as the coefficient of t^{2r} in prod_v sum_{j even} C(c_v, j) t^j.
 [[nodiscard]] std::uint64_t a_r(std::span<const std::uint64_t> x, unsigned r);
 
-/// Exact m-th moment E_x[a_r(x)^m] over uniform tuples x in (2^ell)^q,
-/// by full enumeration. Throws CapacityError beyond 2^26 tuples.
+/// Exact m-th moment E_x[a_r(x)^m] over uniform tuples x in (2^ell)^q.
+/// Sums over multiplicity shapes (partitions of q into at most 2^ell
+/// parts, each weighted by its tuple count) instead of over tuples. When
+/// sum_x a_r(x)^m < 2^53 every term and partial sum is an exact integer,
+/// so the result is bit-identical to the tuple-by-tuple sum in any order;
+/// every E7 row qualifies (the largest, ell=2 q=10 r=2 m=3, sums to
+/// 5.75e10). Throws InvalidArgument for ell >= 64 and CapacityError beyond
+/// 2^26 tuples.
 [[nodiscard]] double a_r_moment_exact(unsigned ell, unsigned q, unsigned r,
                                       unsigned m);
 
 /// Monte-Carlo estimate of E_x[a_r(x)^m] from `trials` uniform tuples.
+/// Throws InvalidArgument for ell >= 64, before drawing from `rng`.
 [[nodiscard]] double a_r_moment_mc(unsigned ell, unsigned q, unsigned r,
                                    unsigned m, std::size_t trials, Rng& rng);
 

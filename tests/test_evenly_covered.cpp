@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +16,53 @@
 
 namespace duti {
 namespace {
+
+// a_r(x) by its definition: test every 2r-subset of positions, enumerated
+// with Gosper's hack. The reference for the multiplicity product.
+std::uint64_t a_r_by_subsets(std::span<const std::uint64_t> x, unsigned r) {
+  const auto q = static_cast<unsigned>(x.size());
+  if (2 * r > q) return 0;
+  if (r == 0) return 1;  // only S = empty set
+  std::uint64_t count = 0;
+  const std::uint64_t limit = 1ULL << q;
+  for (std::uint64_t s = lowest_mask(2 * r); s != 0 && s < limit;
+       s = next_same_popcount(s)) {
+    if (is_evenly_covered(x, s)) ++count;
+  }
+  return count;
+}
+
+// a_r_by_subsets(x, r) for every x in (2^ell)^q, in index order (x_j is
+// base-2^ell digit j of the index). Summing a^m over this vector serially
+// is the tuple-enumeration moment, the reference for the shape sum.
+std::vector<double> a_r_per_tuple(unsigned ell, unsigned q, unsigned r) {
+  const std::uint64_t side = 1ULL << ell;
+  const auto total = static_cast<std::uint64_t>(
+      std::pow(static_cast<double>(side), static_cast<double>(q)));
+  std::vector<double> out(total);
+  std::vector<std::uint64_t> x(q);
+  for (std::uint64_t idx = 0; idx < total; ++idx) {
+    std::uint64_t rest = idx;
+    for (unsigned j = 0; j < q; ++j) {
+      x[j] = rest % side;
+      rest /= side;
+    }
+    out[idx] = static_cast<double>(a_r_by_subsets(x, r));
+  }
+  return out;
+}
+
+// Expects `call` to throw InvalidArgument whose message names ell.
+template <typename Call>
+void expect_throws_naming_ell(Call call) {
+  try {
+    call();
+    ADD_FAILURE() << "no InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("ell"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(EvenlyCovered, Predicate) {
   const std::vector<std::uint64_t> x{3, 5, 3, 5, 7};
@@ -30,6 +79,17 @@ TEST(EvenlyCovered, FourOfAKind) {
   EXPECT_TRUE(is_evenly_covered(x, 0b1111));
   EXPECT_TRUE(is_evenly_covered(x, 0b0011));
   EXPECT_FALSE(is_evenly_covered(x, 0b0111));
+}
+
+TEST(EvenlyCovered, PositionsFrom64OnAreNeverInTheMask) {
+  // 70 positions, all distinct except the equal pair the mask selects.
+  // Positions 64 and 65 must be ignored: a shift by 64 or 65 would wrap to
+  // bits 0 and 1 on x86 and pull in their two distinct values.
+  std::vector<std::uint64_t> x(70);
+  for (std::size_t j = 0; j < x.size(); ++j) x[j] = 100 + j;
+  x[0] = x[1] = 5;
+  EXPECT_TRUE(is_evenly_covered(x, 0b11));
+  EXPECT_FALSE(is_evenly_covered(x, 0b111));
 }
 
 TEST(CountEvenSequences, SmallClosedForms) {
@@ -224,6 +284,36 @@ TEST(ArStatistic, AllEqual) {
   EXPECT_EQ(a_r(x, 2), 1u);
 }
 
+TEST(ArStatistic, MatchesSubsetEnumerationOnRandomTuples) {
+  // q in [0, 20] straddles the insertion-sort cutoff; alphabets of 1-6
+  // random 64-bit letters make repeats likely; r in [0, q/2 + 1] covers
+  // the r = 0 and 2r > q cases.
+  Rng rng(14);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto q = static_cast<unsigned>(rng.next_below(21));
+    std::vector<std::uint64_t> letters(1 + rng.next_below(6));
+    for (auto& letter : letters) letter = rng();
+    const auto r = static_cast<unsigned>(rng.next_below(q / 2 + 2));
+    std::vector<std::uint64_t> x(q);
+    for (auto& xi : x) xi = letters[rng.next_below(letters.size())];
+    EXPECT_EQ(a_r(x, r), a_r_by_subsets(x, r))
+        << "trial=" << trial << " q=" << q << " letters=" << letters.size()
+        << " r=" << r;
+  }
+}
+
+TEST(ArStatistic, SixtyThreeEqualSamples) {
+  // Every 2r-subset is evenly covered; C(63, 31) is the largest
+  // coefficient the multiplicity product can reach.
+  const std::vector<std::uint64_t> x(63, 9);
+  for (unsigned r = 0; r <= 31; ++r) {
+    EXPECT_EQ(a_r(x, r), binomial(63, static_cast<int>(2 * r))) << "r=" << r;
+  }
+  EXPECT_EQ(a_r(x, 32), 0u);
+  EXPECT_THROW((void)a_r(std::vector<std::uint64_t>(64, 9), 1),
+               InvalidArgument);
+}
+
 TEST(ArMoments, FirstMomentMatchesCombinatorialIdentity) {
   // E_x[a_r(x)] = C(q, 2r) |X_{2r}| / (n/2)^q  (the identity used in
   // Section 5.1's moment estimation).
@@ -251,6 +341,113 @@ TEST(ArMoments, McConvergesToExact) {
   EXPECT_NEAR(mc, exact, 0.05 * std::max(1.0, exact));
 }
 
+TEST(ArMoments, ExactMatchesTupleEnumerationBitForBit) {
+  // Every row with at most 2^20 tuples: each sum of a_r^m is an integer
+  // below 2^53, so the shape sum must equal the serial tuple sum exactly.
+  int rows = 0;
+  for (unsigned ell = 0; ell <= 3; ++ell) {
+    for (unsigned q = 0; q <= 8; ++q) {
+      const double total_tuples = std::ldexp(1.0, static_cast<int>(ell * q));
+      if (total_tuples > std::ldexp(1.0, 20)) continue;
+      for (unsigned r = 0; r <= 3; ++r) {
+        const std::vector<double> per_tuple = a_r_per_tuple(ell, q, r);
+        for (unsigned m = 1; m <= 4; ++m) {
+          double acc = 0.0;
+          for (const double a : per_tuple) acc += dpow_int(a, m);
+          const double by_shapes = a_r_moment_exact(ell, q, r, m);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(by_shapes),
+                    std::bit_cast<std::uint64_t>(acc / total_tuples))
+              << "ell=" << ell << " q=" << q << " r=" << r << " m=" << m;
+          ++rows;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rows, 544);
+}
+
+struct PinnedMoment {
+  unsigned ell, q, r, m;
+  bool monte_carlo;
+  double value;
+};
+
+// The 54 E7b rows in e7_moments' table order at its defaults (seed 1,
+// 100 000 Monte-Carlo trials), recorded from the subset-enumeration a_r
+// and tuple-enumeration moment; they equal perfbench/refs/references.txt.
+constexpr PinnedMoment kE7bPins[] = {
+    {2, 4, 1, 1, false, 0x1.8p+0},
+    {2, 4, 1, 2, false, 0x1.bp+1},
+    {2, 4, 1, 3, false, 0x1.44p+3},
+    {2, 4, 2, 1, false, 0x1.4p-3},
+    {2, 4, 2, 2, false, 0x1.4p-3},
+    {2, 4, 2, 3, false, 0x1.4p-3},
+    {2, 6, 1, 1, false, 0x1.ep+1},
+    {2, 6, 1, 2, false, 0x1.0ep+4},
+    {2, 6, 1, 3, false, 0x1.6dap+6},
+    {2, 6, 2, 1, false, 0x1.2cp+1},
+    {2, 6, 2, 2, false, 0x1.2fcp+3},
+    {2, 6, 2, 3, false, 0x1.b12p+5},
+    {2, 10, 1, 1, false, 0x1.68p+3},
+    {2, 10, 1, 2, false, 0x1.0ep+7},
+    {2, 10, 1, 3, false, 0x1.b4a4p+10},
+    {2, 10, 2, 1, false, 0x1.068p+5},
+    {2, 10, 2, 2, false, 0x1.3462ep+10},
+    {2, 10, 2, 3, false, 0x1.ac1b154p+15},
+    {3, 4, 1, 1, false, 0x1.8p-1},
+    {3, 4, 1, 2, false, 0x1.38p+0},
+    {3, 4, 1, 3, false, 0x1.5cp+1},
+    {3, 4, 2, 1, false, 0x1.6p-5},
+    {3, 4, 2, 2, false, 0x1.6p-5},
+    {3, 4, 2, 3, false, 0x1.6p-5},
+    {3, 6, 1, 1, false, 0x1.ep+0},
+    {3, 6, 1, 2, false, 0x1.4ap+2},
+    {3, 6, 1, 3, false, 0x1.2b1p+4},
+    {3, 6, 2, 1, false, 0x1.4ap-1},
+    {3, 6, 2, 2, false, 0x1.8abp+0},
+    {3, 6, 2, 3, false, 0x1.74a8p+2},
+    {3, 10, 1, 1, true, 0x1.682f5989df117p+2},
+    {3, 10, 1, 2, true, 0x1.23d0efdc9c4dbp+5},
+    {3, 10, 1, 3, true, 0x1.13d23f67f4dbep+8},
+    {3, 10, 2, 1, true, 0x1.1f50b0f27bb3p+3},
+    {3, 10, 2, 2, true, 0x1.faae631f8a09p+6},
+    {3, 10, 2, 3, true, 0x1.3e34c9afe1da8p+11},
+    {5, 4, 1, 1, false, 0x1.8p-3},
+    {5, 4, 1, 2, false, 0x1.bcp-3},
+    {5, 4, 1, 3, false, 0x1.35p-2},
+    {5, 4, 2, 1, false, 0x1.78p-9},
+    {5, 4, 2, 2, false, 0x1.78p-9},
+    {5, 4, 2, 3, false, 0x1.78p-9},
+    {5, 6, 1, 1, true, 0x1.e3b256ffc115ep-2},
+    {5, 6, 1, 2, true, 0x1.5833c60029f17p-1},
+    {5, 6, 1, 3, true, 0x1.4ce7ab7564303p+0},
+    {5, 6, 2, 1, true, 0x1.601797cc39ffdp-5},
+    {5, 6, 2, 2, true, 0x1.cdb37c99ae925p-5},
+    {5, 6, 2, 3, true, 0x1.9c432ca57a787p-4},
+    {5, 10, 1, 1, true, 0x1.69a2c669057d1p+0},
+    {5, 10, 1, 2, true, 0x1.a9e9e1b089a02p+1},
+    {5, 10, 1, 3, true, 0x1.4f3d46b26bf87p+3},
+    {5, 10, 2, 1, true, 0x1.363dc486ad2ddp-1},
+    {5, 10, 2, 2, true, 0x1.d62584f4c6e6ep+0},
+    {5, 10, 2, 3, true, 0x1.417fe08aefb2bp+3},
+};
+
+TEST(ArMoments, E7bValuesArePinnedBitForBit) {
+  // One Rng(1) threads through the Monte-Carlo rows in table order, as in
+  // e7_moments; the exact rows draw nothing.
+  Rng rng(1);
+  for (const PinnedMoment& row : kE7bPins) {
+    const double got =
+        row.monte_carlo
+            ? a_r_moment_mc(row.ell, row.q, row.r, row.m, 100000, rng)
+            : a_r_moment_exact(row.ell, row.q, row.r, row.m);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(row.value))
+        << "ell=" << row.ell << " q=" << row.q << " r=" << row.r
+        << " m=" << row.m << " got " << std::hexfloat << got;
+  }
+}
+
 class Lemma55Test : public ::testing::TestWithParam<
                         std::tuple<unsigned, unsigned, unsigned, unsigned>> {};
 
@@ -273,6 +470,28 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Lemma55, CapacityGuard) {
   EXPECT_THROW((void)a_r_moment_exact(10, 10, 1, 1), CapacityError);
   EXPECT_THROW((void)count_x_s_brute(10, 10, 1), CapacityError);
+}
+
+TEST(EllBoundary, SixtyThreeWorksAndSixtyFourThrowsNamingEll) {
+  // The alphabet 2^ell must fit 64 bits.
+  EXPECT_EQ(count_x_s(63, 2, 2), std::ldexp(1.0, 63));
+  expect_throws_naming_ell([] { (void)count_x_s(64, 2, 2); });
+  // Every q >= 1 tuple set at ell = 63 is past the enumeration cap.
+  EXPECT_THROW((void)count_x_s_brute(63, 1, 1), CapacityError);
+  expect_throws_naming_ell([] { (void)count_x_s_brute(64, 1, 1); });
+  // q = 0: the single empty tuple, where only r = 0 counts.
+  EXPECT_EQ(a_r_moment_exact(63, 0, 0, 1), 1.0);
+  EXPECT_EQ(a_r_moment_exact(63, 0, 1, 1), 0.0);
+  EXPECT_THROW((void)a_r_moment_exact(63, 1, 0, 1), CapacityError);
+  expect_throws_naming_ell([] { (void)a_r_moment_exact(64, 0, 0, 1); });
+  // 400 draws below 2^63 hold no repeated value; at ell = 64 the call
+  // throws before its first draw.
+  Rng rng(3);
+  EXPECT_EQ(a_r_moment_mc(63, 4, 1, 1, 100, rng), 0.0);
+  const auto before = rng.state();
+  expect_throws_naming_ell(
+      [&rng] { (void)a_r_moment_mc(64, 4, 1, 1, 100, rng); });
+  EXPECT_EQ(rng.state(), before);
 }
 
 }  // namespace
