@@ -83,10 +83,10 @@ struct CommonFlags {
 
 // --- Sweep-engine glue -----------------------------------------------------
 
-/// Engine config for a sweep bench: warm mode (anchor hints + adaptive
-/// bracket + shared cache session) by default, `--sweep=cold` forces the
-/// cold full-budget baseline. Both modes produce bit-identical minima,
-/// verdicts, and audit trails — cold exists to prove exactly that.
+/// Engine config for a sweep bench: warm mode (adaptive bracket + shared
+/// cache session, with anchor-interpolated hints recorded) by default,
+/// `--sweep=cold` forces the cold full-budget baseline. Both modes produce
+/// bit-identical minima and verdicts — cold exists to prove exactly that.
 [[nodiscard]] inline SweepEngineConfig sweep_engine_config(const Cli& cli) {
   SweepEngineConfig cfg;
   cfg.warm_start = cli.get_string("sweep", "warm") != "cold";

@@ -165,9 +165,10 @@ int main(int argc, char** argv) {
   // majority vote — the standard success-amplification step) steepens the
   // success curve in q, which is what makes the searched threshold
   // well-defined; it is also exactly the regime where early stopping pays,
-  // because most rungs and midpoints sit far from the bar. Both searches run
-  // on a serial pool so trial counts are exactly the consulted probes (no
-  // speculative work muddying the ledger) and deterministic.
+  // because most rungs and midpoints sit far from the bar. The search
+  // computes only the probes it consults, so the trial totals below are the
+  // consulted probes' at any pool size; both searches run on a serial pool
+  // so their timings compare trial budgets, not thread scheduling.
   const std::uint64_t search_n = 4096;
   const double search_eps =
       static_cast<double>(cli.get_int("search-eps100", 100)) / 100.0;

@@ -14,6 +14,8 @@
 //   - per-point minimum and verdict: warm1 == warm8 == cold
 //   - sweep fingerprint: warm1 == warm8 == rerun
 //   - rerun computes zero trials (cache covers the whole sweep)
+//   - computed trials: warm8 == warm1 (searches compute only what they
+//     consult, so thread count cannot add work)
 //   - aggregate 2-run trial reduction (2*cold) / (warm1 + rerun) >= 2x
 //
 // Emits BENCH_sweep.json. Wall-clock numbers are recorded for context
@@ -42,6 +44,7 @@ struct FamilyRow {
   std::size_t points = 0;
   std::uint64_t cold_trials = 0;
   std::uint64_t warm_trials = 0;
+  std::uint64_t warm8_trials = 0;
   std::uint64_t rerun_trials = 0;
   std::uint64_t rerun_hits = 0;
   std::uint64_t rerun_misses = 0;
@@ -102,6 +105,7 @@ FamilyRow measure_family(const std::string& name,
 
   row.cold_trials = cold.trials_computed;
   row.warm_trials = warm1.trials_computed;
+  row.warm8_trials = warm8.trials_computed;
   row.rerun_trials = rerun.trials_computed;
   row.rerun_hits = rerun.cache.hits;
   row.rerun_misses = rerun.cache.misses;
@@ -135,11 +139,13 @@ FamilyRow measure_family(const std::string& name,
                               warm_total;
 
   std::printf(
-      "%-14s points=%zu cold=%llu warm=%llu rerun=%llu (hits=%llu) "
-      "1-run=%.2fx 2-run=%.2fx minima=%s verdicts=%s fingerprints=%s\n",
+      "%-14s points=%zu cold=%llu warm=%llu warm8=%llu rerun=%llu "
+      "(hits=%llu) 1-run=%.2fx 2-run=%.2fx minima=%s verdicts=%s "
+      "fingerprints=%s\n",
       name.c_str(), row.points,
       static_cast<unsigned long long>(row.cold_trials),
       static_cast<unsigned long long>(row.warm_trials),
+      static_cast<unsigned long long>(row.warm8_trials),
       static_cast<unsigned long long>(row.rerun_trials),
       static_cast<unsigned long long>(row.rerun_hits),
       row.single_run_reduction, row.combined_reduction,
@@ -164,7 +170,8 @@ int main(int argc, char** argv) {
   bench::banner("micro_sweep  warm-start + shared-cache sweep engine",
                 "gates: warm minima/verdicts == cold serial baseline at 1 "
                 "and 8 threads; fingerprint thread-count- and cache-"
-                "invariant; >= 2x 2-run trial reduction");
+                "invariant; >= 2x 2-run trial reduction; computed trials "
+                "equal at 1 and 8 threads");
 
   // Families mirror the ported benches' --quick sweeps (same dims, same
   // seed derivations). --quick here trims to three families so the tier-1
@@ -207,6 +214,7 @@ int main(int argc, char** argv) {
   std::uint64_t rerun_total = 0;
   std::uint64_t rerun_misses = 0;
   bool all_match = true;
+  bool computed_invariant = true;
   double speedup_sum = 0.0;
   for (const FamilyRow& r : rows) {
     cold_total += r.cold_trials;
@@ -215,6 +223,8 @@ int main(int argc, char** argv) {
     rerun_misses += r.rerun_misses;
     all_match = all_match && r.minima_match && r.verdicts_match &&
                 r.fingerprints_match;
+    computed_invariant =
+        computed_invariant && r.warm8_trials == r.warm_trials;
     speedup_sum += r.seconds_warm8 > 0.0 ? r.seconds_warm1 / r.seconds_warm8
                                          : 0.0;
   }
@@ -238,13 +248,15 @@ int main(int argc, char** argv) {
       "combined 2-run=%.2fx (gate >= 2x: %s)\n"
       "identity gates (minima/verdicts/fingerprints at 1 and 8 threads): "
       "%s\nrerun served entirely from cache: %s\n"
+      "computed trials thread-invariant (warm8 == warm1): %s\n"
       "mean warm1/warm8 wall ratio: %.2fx (context only; "
       "hardware_concurrency=%u)\n",
       static_cast<unsigned long long>(cold_total),
       static_cast<unsigned long long>(warm_total),
       static_cast<unsigned long long>(rerun_total), single, combined,
       reduction_ok ? "PASS" : "FAIL", all_match ? "PASS" : "FAIL",
-      rerun_ok ? "PASS" : "FAIL", point_speedup,
+      rerun_ok ? "PASS" : "FAIL", computed_invariant ? "PASS" : "FAIL",
+      point_speedup,
       std::thread::hardware_concurrency());
 
   // --- BENCH_sweep.json ----------------------------------------------------
@@ -258,6 +270,7 @@ int main(int argc, char** argv) {
               ", \"points\": " + bench::json_u64(r.points) +
               ", \"cold_trials\": " + bench::json_u64(r.cold_trials) +
               ", \"warm_trials\": " + bench::json_u64(r.warm_trials) +
+              ", \"warm8_trials\": " + bench::json_u64(r.warm8_trials) +
               ", \"rerun_trials\": " + bench::json_u64(r.rerun_trials) +
               ", \"rerun_cache_hits\": " + bench::json_u64(r.rerun_hits) +
               ", \"single_run_reduction\": " +
@@ -289,8 +302,10 @@ int main(int argc, char** argv) {
        {"reduction_gate_2x", bench::json_bool(reduction_ok)},
        {"identity_gates", bench::json_bool(all_match)},
        {"rerun_all_hits", bench::json_bool(rerun_ok)},
+       {"computed_thread_invariant", bench::json_bool(computed_invariant)},
        {"point_parallel_wall_ratio", bench::json_num(point_speedup)}});
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());
 
-  return (reduction_ok && all_match && rerun_ok) ? 0 : 1;
+  const bool ok = reduction_ok && all_match && rerun_ok && computed_invariant;
+  return ok ? 0 : 1;
 }

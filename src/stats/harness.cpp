@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <exception>
-#include <map>
-#include <utility>
 
 #include "util/error.hpp"
 #include "util/kernels.hpp"
@@ -335,109 +332,19 @@ MinSearchResult find_min_param(const ProbeFn& probe,
   const bool bracketed = static_cast<bool>(cfg.bracket_probe);
   MinSearchResult result;
 
-  // probe() is pure per value, so speculative waves land in a cache that the
-  // serial decision replay consults. Consulted probes (and only those) enter
-  // the audit trail, in the order the serial algorithm would visit them.
-  // A speculated value may lie outside the probe's valid range (serial would
-  // never evaluate it), so failures are cached per value and rethrown only if
-  // the serial decision sequence actually consults that value. Full-budget
-  // and bracket evaluations are cached separately (index 0 = full,
-  // 1 = bracket): they answer different questions about the same value.
-  struct CacheEntry {
-    ProbeResult result;
-    std::exception_ptr error;
-  };
-  std::array<std::map<std::uint64_t, CacheEntry>, 2> caches;
-
-  using Want = std::pair<std::uint64_t, bool>;  // (value, use_bracket)
-  auto ensure = [&](const std::vector<Want>& values) {
-    std::vector<Want> missing;
-    for (const Want& w : values) {
-      if (!caches[w.second ? 1 : 0].contains(w.first) &&
-          std::find(missing.begin(), missing.end(), w) == missing.end()) {
-        missing.push_back(w);
-      }
-    }
-    if (missing.empty()) return;
-    std::vector<CacheEntry> fresh(missing.size());
-    pool.parallel_for(missing.size(), 1,
-                      [&](std::size_t begin, std::size_t end, unsigned) {
-                        for (std::size_t i = begin; i < end; ++i) {
-                          const ProbeFn& fn =
-                              missing[i].second ? cfg.bracket_probe : probe;
-                          try {
-                            fresh[i].result = fn(missing[i].first);
-                          } catch (...) {
-                            fresh[i].error = std::current_exception();
-                          }
-                        }
-                      });
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      caches[missing[i].second ? 1 : 0].emplace(missing[i].first,
-                                                std::move(fresh[i]));
-    }
-  };
-
+  // Every probe the search runs is one it consults: the audit trail lists
+  // them in call order, and a probe's exception propagates unchanged.
   auto consult = [&](std::uint64_t value, bool use_bracket) {
-    ensure({{value, use_bracket}});
-    const CacheEntry& entry = caches[use_bracket ? 1 : 0].at(value);
-    if (entry.error) std::rethrow_exception(entry.error);
-    result.probes.emplace_back(value, entry.result);
-    return entry.result.passes(cfg.target);
+    const ProbeResult r = (use_bracket ? cfg.bracket_probe : probe)(value);
+    result.probes.emplace_back(value, r);
+    return r.passes(cfg.target);
   };
-
-  const std::size_t width = pool.size();
-
-  // Warm-start hint: precompute, in one parallel wave, the exact
-  // consultation path the serial replay takes if the minimum is at
-  // cfg.hint — the doubling rungs up to the hint's bracket and the
-  // bisection midpoints descending to it, each in the flavor the replay
-  // will use at that step. The decision replay below never reads the hint,
-  // so the result is identical to the unhinted search by construction;
-  // this wave only decides WHICH values are already cached when the replay
-  // asks. Unlike the blind waves, this runs even from inside a pool worker
-  // (the pool shares nested chunks with idle workers), because the hinted
-  // path is consulted in full whenever the prediction is right.
-  if (cfg.hint >= cfg.lo && cfg.hint <= cfg.hi && width > 1) {
-    std::vector<Want> wave;
-    std::uint64_t rung = cfg.lo;
-    for (;;) {
-      wave.emplace_back(rung, bracketed);
-      if (rung >= cfg.hint || rung >= cfg.hi) break;
-      rung = std::min(cfg.hi, rung * 2);
-    }
-    if (rung != cfg.lo) {
-      std::uint64_t l = rung / 2;
-      std::uint64_t h = rung;
-      while (h - l > 1) {
-        const std::uint64_t m = l + (h - l) / 2;
-        wave.emplace_back(m, bracketed && (h - l) > cfg.full_budget_width);
-        if (cfg.hint <= m) {
-          h = m;
-        } else {
-          l = m;
-        }
-      }
-    }
-    ensure(wave);
-  }
 
   // Exponential bracketing: find the first power-of-two multiple of lo that
-  // passes, speculating the next `width` rungs of the doubling ladder.
-  // Rungs far from the threshold are exactly where adaptive probes certify
-  // fastest, so the bracket flavor handles this whole phase.
+  // passes. Rungs far from the threshold are exactly where adaptive probes
+  // certify fastest, so the bracket flavor handles this whole phase.
   std::uint64_t hi = cfg.lo;
   for (;;) {
-    if (width > 1 && !ThreadPool::in_worker()) {
-      std::vector<Want> ladder;
-      std::uint64_t v = hi;
-      for (std::size_t i = 0; i < width; ++i) {
-        ladder.emplace_back(v, bracketed);
-        if (v >= cfg.hi) break;
-        v = std::min(cfg.hi, v * 2);
-      }
-      ensure(ladder);
-    }
     if (consult(hi, bracketed)) break;
     if (hi >= cfg.hi) {
       // Bracket-flavor give-up is only delta-sure; confirm at full budget
@@ -453,7 +360,8 @@ MinSearchResult find_min_param(const ProbeFn& probe,
       result.found = false;
       return result;
     }
-    hi = std::min(cfg.hi, hi * 2);
+    // Double, saturating at cfg.hi (hi * 2 would wrap past 2^64).
+    hi = hi > cfg.hi / 2 ? cfg.hi : hi * 2;
   }
 
   std::uint64_t minimum = 0;
@@ -462,35 +370,13 @@ MinSearchResult find_min_param(const ProbeFn& probe,
     minimum = cfg.lo;
     minimum_full_backed = !bracketed;
   } else {
-    // Binary search in (hi/2, hi]: the largest failing value seen is hi/2.
-    // Speculation evaluates the next levels of the bisection decision tree
-    // (every midpoint the search could reach within the wave budget), each
-    // midpoint with the flavor its interval width dictates.
+    // Binary search in (hi/2, hi]; hi/2 is the last failing rung unless the
+    // ladder saturated at cfg.hi. Each midpoint uses the flavor its interval
+    // width dictates.
     std::uint64_t lo = hi / 2;
-    auto flavor_for = [&](std::uint64_t l, std::uint64_t h) {
-      return bracketed && (h - l) > cfg.full_budget_width;
-    };
     while (hi - lo > 1) {
-      if (width > 1 && !ThreadPool::in_worker()) {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> frontier{
-            {lo, hi}};
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> next;
-        std::vector<Want> wave;
-        while (!frontier.empty() && wave.size() < width) {
-          next.clear();
-          for (const auto& [l, h] : frontier) {
-            if (h - l <= 1 || wave.size() >= width) continue;
-            const std::uint64_t m = l + (h - l) / 2;
-            wave.emplace_back(m, flavor_for(l, h));
-            next.emplace_back(l, m);
-            next.emplace_back(m, h);
-          }
-          frontier.swap(next);
-        }
-        ensure(wave);
-      }
       const std::uint64_t mid = lo + (hi - lo) / 2;
-      const bool use_bracket = flavor_for(lo, hi);
+      const bool use_bracket = bracketed && (hi - lo) > cfg.full_budget_width;
       if (consult(mid, use_bracket)) {
         hi = mid;
         minimum_full_backed = !use_bracket;

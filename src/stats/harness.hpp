@@ -191,9 +191,9 @@ struct AdaptiveProbeConfig {
     ThreadPool& pool = ThreadPool::global(),
     const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
 
-/// Probe at one parameter value (the searched resource). Must be a pure
+/// Probe at one parameter value (the searched resource). Should be a pure
 /// function of the value (all in-repo probes are: they derive their seed
-/// from the value), which is what lets the search speculate.
+/// from the value), so a search's result depends only on its config.
 using ProbeFn = std::function<ProbeResult(std::uint64_t)>;
 
 struct MinSearchConfig {
@@ -213,16 +213,6 @@ struct MinSearchConfig {
   // returned minimum's verdict is always full-budget-backed.
   ProbeFn bracket_probe;
   std::uint64_t full_budget_width = 8;
-  // Warm-start hint (0 = none): a predicted minimum, e.g. extrapolated from
-  // a neighboring sweep point (src/stats/sweep.hpp). Purely a scheduling
-  // hint: it seeds the first speculative wave with the exact consultation
-  // path the serial replay takes IF the minimum is at the hint (doubling
-  // rungs up to the hint's bracket, then the bisection midpoints descending
-  // to it, each in the flavor the replay would use). The serial decision
-  // sequence itself never looks at the hint, so the returned minimum and
-  // audit trail are provably identical to the unhinted search; a wrong hint
-  // only wastes the speculative wave.
-  std::uint64_t hint = 0;
 };
 
 struct MinSearchResult {
@@ -233,15 +223,14 @@ struct MinSearchResult {
 
 /// Find the minimal parameter value whose probe passes, assuming success is
 /// (statistically) monotone in the parameter: exponential bracketing from
-/// `lo`, then binary search inside the bracket.
+/// `lo` (doubling, saturated at `hi`), then binary search inside the
+/// bracket.
 ///
-/// With a multi-thread pool the search SPECULATES: each wave evaluates, in
-/// parallel, the candidates the serial algorithm might consult next (the
-/// next doublings during bracketing; the next levels of the bisection tree
-/// during binary search). Consultation then replays the exact serial
-/// decision sequence against the precomputed results, so `minimum` and the
-/// `probes` audit trail are identical to the serial search — speculation
-/// only trades spare cores for wall-clock.
+/// The search is serial: it calls the probe once per consulted value, in
+/// order, and computes nothing else, so `probes` lists every probe call.
+/// Parallelism lives inside each probe (probe_success shards its trials
+/// over the pool the probe captured) and across points in run_sweep; the
+/// search itself runs on the calling thread and does not use `pool`.
 [[nodiscard]] MinSearchResult find_min_param(
     const ProbeFn& probe, const MinSearchConfig& cfg,
     ThreadPool& pool = ThreadPool::global());

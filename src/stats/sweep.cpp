@@ -16,9 +16,9 @@ namespace duti {
 namespace {
 
 // Shared per-run tallies of COMPUTED work (cache hits excluded). Updated
-// from probe lambdas that may run concurrently across points and
-// speculative waves; relaxed ordering is fine — the counters are summed
-// after the run joins, and they never feed a determinism-sensitive path.
+// from probe lambdas that may run concurrently across points; relaxed
+// ordering is fine — the counters are summed after the run joins, and they
+// never feed a determinism-sensitive path.
 struct RunCounters {
   std::atomic<std::uint64_t> probes{0};
   std::atomic<std::uint64_t> trials{0};
@@ -149,10 +149,9 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
   SweepResult out;
   out.points.resize(points.size());
 
-  auto run_point = [&](std::size_t i, std::uint64_t hint) {
+  auto run_point = [&](std::size_t i) {
     const SweepPoint& p = points[i];
     MinSearchConfig scfg = p.search;
-    scfg.hint = cfg.warm_start ? hint : 0;
 
     ProbeFn full;
     if (p.probe) {
@@ -176,7 +175,6 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
     pr.axis = p.axis;
     pr.found = r.found;
     pr.minimum = r.found ? r.minimum : 0;
-    pr.hint = scfg.hint;
     pr.audit = r.probes;
     pr.probes_consulted = pr.audit.size();
     for (const auto& [value, probe_result] : pr.audit) {
@@ -194,60 +192,34 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
     }
   };
 
-  auto run_wave = [&](const std::vector<std::size_t>& order,
-                      const std::vector<std::uint64_t>& hints) {
-    if (order.size() > 1 && pool.size() > 1) {
-      pool.parallel_for(order.size(), 1,
-                        [&](std::size_t begin, std::size_t end, unsigned) {
-                          for (std::size_t i = begin; i < end; ++i) {
-                            run_point(order[i], hints[i]);
-                          }
-                        });
-    } else {
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        run_point(order[i], hints[i]);
-      }
-    }
-  };
+  // All points run in one wave, keyed by point index.
+  pool.parallel_for(points.size(), 1,
+                    [&](std::size_t begin, std::size_t end, unsigned) {
+                      for (std::size_t i = begin; i < end; ++i) run_point(i);
+                    });
 
-  // Wave plan: with warm start and >= 3 points, the axis-extreme anchors
-  // run first (cold), then every interior point runs with a hint
-  // interpolated between the anchor minima. The anchors — not "whichever
-  // neighbor finished first" — define the hints, so the schedule is a pure
-  // function of the spec and the anchor results.
-  std::vector<std::size_t> anchors;
-  std::vector<std::size_t> interior;
-  std::size_t imin = 0;
-  std::size_t imax = 0;
+  // Warm-start hints: with >= 3 points, every interior point records the
+  // minimum predicted by interpolating between the axis-extreme anchors'
+  // results. The hint steers no work; it is a pure function of the spec
+  // and the anchor results, recorded so the predictor stays measurable.
   if (cfg.warm_start && points.size() >= 3) {
+    std::size_t imin = 0;
+    std::size_t imax = 0;
     for (std::size_t i = 1; i < points.size(); ++i) {
       if (points[i].axis < points[imin].axis) imin = i;
       if (points[i].axis > points[imax].axis) imax = i;
     }
-  }
-  if (imin != imax) {
-    anchors = {imin, imax};
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (i != imin && i != imax) interior.push_back(i);
-    }
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) anchors.push_back(i);
-  }
-
-  run_wave(anchors, std::vector<std::uint64_t>(anchors.size(), 0));
-  if (!interior.empty()) {
     const SweepPointResult& a = out.points[imin];
     const SweepPointResult& b = out.points[imax];
-    std::vector<std::uint64_t> hints(interior.size(), 0);
-    if (a.found && b.found) {
-      for (std::size_t i = 0; i < interior.size(); ++i) {
-        const SweepPoint& p = points[interior[i]];
-        hints[i] =
+    if (imin != imax && a.found && b.found) {
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        if (i == imin || i == imax) continue;
+        const SweepPoint& p = points[i];
+        out.points[i].hint =
             sweep_interpolate_hint(a.axis, a.minimum, b.axis, b.minimum,
                                    p.axis, p.search.lo, p.search.hi);
       }
     }
-    run_wave(interior, hints);
   }
 
   for (const SweepPointResult& pr : out.points) {

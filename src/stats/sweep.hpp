@@ -4,22 +4,20 @@
 //
 // Three mechanisms, each individually deterministic:
 //
-//   1. Point-level parallelism. Points run as pool tasks layered over the
-//      existing trial-level sharding (the pool shares nested chunks with
-//      idle workers), and every per-point result is keyed by point index —
-//      the reduction order never depends on completion order, so the table
-//      is bit-identical at DUTI_THREADS=1 and 8.
-//   2. Warm-start hints. The two axis-extreme points (anchors) run first
-//      with no hint; every interior point then gets a predicted minimum by
-//      log-log interpolation between the anchor minima (the paper's bounds
-//      are power laws in n, k, eps, r — see PAPER.md). The hint feeds
-//      MinSearchConfig::hint, which only seeds find_min_param's first
-//      speculative wave: the serial decision replay never reads it, so the
-//      returned minimum and audit trail are provably identical to the cold
-//      search, monotone family or not (the adversarial case just wastes
-//      the wave). Hints are computed from anchor RESULTS, not from
-//      whichever neighbor happened to finish first — deterministic by
-//      construction.
+//   1. Point-level parallelism. All points run in one wave of pool tasks
+//      layered over the existing trial-level sharding (the pool shares
+//      nested chunks with idle workers), and every per-point result is
+//      keyed by point index — the reduction order never depends on
+//      completion order, so the table is bit-identical at DUTI_THREADS=1
+//      and 8. Each point's find_min_param is serial and computes only the
+//      probes it consults.
+//   2. Warm-start hints. After the wave, every interior point records a
+//      predicted minimum: log-log interpolation between the minima of the
+//      two axis-extreme points (anchors); the paper's bounds are power
+//      laws in n, k, eps, r — see PAPER.md. The hint steers no work: it is
+//      a recorded prediction, hashed into the fingerprint and read by the
+//      benchmark's hint-error metric. It is computed from anchor RESULTS,
+//      so it is deterministic by construction.
 //   3. One shared probe-cache session. All points (and both search
 //      flavors) go through the same ProbeCache, so repeated probes across
 //      points and across reruns hit instead of re-sampling; cached tallies
@@ -28,8 +26,7 @@
 //
 // Trial-count savings come from the dual-flavor bracket machinery
 // (adaptive certificates on the bracketing rungs, full-budget confirmation
-// at the minimum) plus cache hits; the hint converts idle cores into
-// wall-clock, never into a different answer.
+// at the minimum) plus cache hits.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +73,7 @@ struct SweepPoint {
 };
 
 struct SweepEngineConfig {
-  // Warm mode: anchor-first scheduling + hints + adaptive bracket flavor.
+  // Warm mode: adaptive bracket flavor + recorded anchor-interpolated hints.
   // Cold mode (false): every point runs the plain full-budget search with
   // no hint — the baseline the warm results must match bit-for-bit.
   bool warm_start = true;
@@ -95,7 +92,9 @@ struct SweepPointResult {
   // passes(search.target) of the final consulted probe at the minimum
   // (false when !found).
   bool verdict = false;
-  std::uint64_t hint = 0;  // warm-start prediction used (0 = cold/anchor)
+  // Warm-start prediction of the minimum, recorded only (0 = cold mode,
+  // an anchor, or no usable anchor pair).
+  std::uint64_t hint = 0;
   // Consulted work, summed over the audit trail (identical at any thread
   // count and any cache mode).
   std::uint64_t probes_consulted = 0;
@@ -110,8 +109,9 @@ struct SweepResult {
   std::uint64_t fingerprint = 0;
   std::uint64_t probes_consulted = 0;
   std::uint64_t trials_consulted = 0;
-  // Work actually COMPUTED this run (cache hits excluded). Deterministic at
-  // 1 thread; with speculation it may exceed the consulted numbers.
+  // Work actually COMPUTED this run: the consulted work the cache did not
+  // answer. Searches compute only what they consult, so with the cache off
+  // these equal the consulted numbers.
   std::uint64_t probes_computed = 0;
   std::uint64_t trials_computed = 0;
   CacheStats cache;  // this run's delta on the shared session
@@ -137,9 +137,10 @@ struct SweepResult {
 /// order. Deterministic contract: for a FIXED engine config, minimum,
 /// verdict, audit trail, and fingerprint are identical across
 /// DUTI_THREADS and across cache modes. Between warm and cold configs the
-/// minima and verdicts still match bit-for-bit, but the audit (and hence
-/// the fingerprint) legitimately differs: that is exactly where warm mode
-/// saves trials (adaptive certificates on bracket rungs, hint field).
+/// minima and verdicts still match bit-for-bit, but the audit legitimately
+/// differs — adaptive certificates on bracket rungs are exactly where warm
+/// mode saves trials — and so does the fingerprint, which also hashes the
+/// recorded hints.
 [[nodiscard]] SweepResult run_sweep(const std::vector<SweepPoint>& points,
                                     const SweepEngineConfig& cfg = {},
                                     ThreadPool& pool = ThreadPool::global());

@@ -10,8 +10,8 @@
 namespace duti {
 
 namespace {
-// Set for the lifetime of a pool task; nested parallel_for calls detect it
-// and run inline so a worker never blocks waiting on its own pool.
+// Set on pool worker threads; a parallel_for issued from one shares its
+// chunks with idle workers instead of blocking on the pool's queue.
 thread_local bool tls_in_worker = false;
 }  // namespace
 
@@ -207,7 +207,5 @@ unsigned ThreadPool::configured_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
-
-bool ThreadPool::in_worker() noexcept { return tls_in_worker; }
 
 }  // namespace duti

@@ -65,9 +65,6 @@ class ThreadPool {
   /// hardware_concurrency() (at least 1).
   [[nodiscard]] static unsigned configured_threads();
 
-  /// True when called from inside a pool task (any pool).
-  [[nodiscard]] static bool in_worker() noexcept;
-
  private:
   void worker_loop();
 

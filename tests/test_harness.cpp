@@ -119,6 +119,39 @@ TEST(FindMinParam, BoundaryExactlyAtLoTimesPowerOfTwo) {
   EXPECT_EQ(result.minimum, 64u);
 }
 
+TEST(FindMinParam, LadderSaturatesAtHiNearTheTopOfTheRange) {
+  // A probe that never passes walks the whole doubling ladder. Past 2^63 a
+  // plain doubling wraps to 0; the ladder must instead saturate at cfg.hi,
+  // give up there, and never consult a value outside [lo, hi]. The probe
+  // throws after 70 calls (the longest valid walk is 65), so a ladder that
+  // loops fails fast instead of growing the audit until allocation fails.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  for (const std::uint64_t hi :
+       {kTop - 1, kTop, kTop + 1, ~std::uint64_t{0}}) {
+    for (const bool bracketed : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "hi=" << hi
+                                      << " bracketed=" << bracketed);
+      std::size_t calls = 0;
+      const ProbeFn never = [&calls](std::uint64_t) {
+        if (++calls > 70) throw InvalidArgument("ladder did not terminate");
+        return ProbeResult{};
+      };
+      MinSearchConfig cfg;
+      cfg.lo = 2;
+      cfg.hi = hi;
+      if (bracketed) cfg.bracket_probe = never;
+      const auto result = find_min_param(never, cfg);
+      EXPECT_FALSE(result.found);
+      ASSERT_FALSE(result.probes.empty());
+      for (const auto& [value, probe] : result.probes) {
+        EXPECT_GE(value, cfg.lo);
+        EXPECT_LE(value, cfg.hi);
+      }
+      EXPECT_EQ(result.probes.back().first, cfg.hi);
+    }
+  }
+}
+
 TEST(FindMinParam, ValidationErrors) {
   MinSearchConfig cfg;
   cfg.lo = 10;

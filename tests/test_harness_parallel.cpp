@@ -3,6 +3,10 @@
 // thread count (ISSUE 2 acceptance criterion; DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <mutex>
+#include <utility>
+#include <vector>
+
 #include "stats/harness.hpp"
 #include "stats/workloads.hpp"
 #include "testers/collision.hpp"
@@ -390,6 +394,59 @@ TEST(AdaptiveSearch, BracketGiveUpIsConfirmedAtFullBudget) {
   };
   const auto nothing = find_min_param(never, cfg, pool);
   EXPECT_FALSE(nothing.found);
+}
+
+TEST(SearchWork, ProbeCallsMatchTheAuditTrail) {
+  // The search computes only what it consults: at any pool size, the probe
+  // calls of both flavors are exactly the audit entries, in order. Each
+  // (full cutoff, bracket cutoff) row reaches a different exit: pass at lo,
+  // bisection, a refuted bracket minimum, a bracket give-up overturned at
+  // full budget, and not-found.
+  struct Cutoffs {
+    std::uint64_t full;
+    std::uint64_t bracket;
+  };
+  const std::vector<Cutoffs> rows = {
+      {2, 2}, {37, 37}, {517, 517}, {100, 60}, {100, 9999}, {5000, 5000}};
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const Cutoffs& c : rows) {
+      for (const bool bracketed : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "threads=" << threads << " full=" << c.full
+                     << " bracket=" << c.bracket << " bracketed=" << bracketed);
+        // (value, bracket flavor) per call; the mutex keeps the log sound
+        // even if a search were to call probes concurrently.
+        std::mutex mu;
+        std::vector<std::pair<std::uint64_t, bool>> calls;
+        const auto counting = [&](std::uint64_t cutoff, bool bracket) {
+          return ProbeFn([&, cutoff, bracket](std::uint64_t value) {
+            {
+              const std::lock_guard<std::mutex> lock(mu);
+              calls.emplace_back(value, bracket);
+            }
+            // The flavors report different trial counts, so an audit entry
+            // reveals which probe produced it.
+            const std::uint64_t t = bracket ? 64 : 100;
+            return probe_result_from_tallies(
+                value >= cutoff ? t : t / 10, t, t, 100,
+                bracket ? ProbeStop::kConfidence : ProbeStop::kExhausted);
+          });
+        };
+        MinSearchConfig cfg;
+        cfg.lo = 2;
+        cfg.hi = 4096;
+        if (bracketed) cfg.bracket_probe = counting(c.bracket, true);
+        const auto result = find_min_param(counting(c.full, false), cfg, pool);
+        ASSERT_EQ(calls.size(), result.probes.size());
+        for (std::size_t i = 0; i < calls.size(); ++i) {
+          EXPECT_EQ(calls[i].first, result.probes[i].first) << "call " << i;
+          EXPECT_EQ(calls[i].second, result.probes[i].second.trials == 64)
+              << "call " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelProbe, DefaultOverloadUsesGlobalPool) {

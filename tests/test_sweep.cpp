@@ -1,7 +1,8 @@
-// Tests for the deterministic sweep engine (src/stats/sweep.hpp): the
-// warm-start identity guarantee (hints never change the minimum OR the
-// audit trail, monotone family or not), the cross-thread-count /
-// cross-cache-mode fingerprint invariant, and the hint interpolator.
+// Tests for the deterministic sweep engine (src/stats/sweep.hpp): warm/cold
+// identity of minima and audit trails on raw probes (the recorded hint
+// steers nothing, monotone family or not), computed work equal to consulted
+// work, the cross-thread-count / cross-cache-mode fingerprint invariant,
+// and the hint interpolator.
 #include "stats/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -27,8 +28,8 @@ namespace {
 // --- Raw-probe fixtures ----------------------------------------------------
 
 // A synthetic family of step probes: point i passes iff value >=
-// thresholds[i]. Pure functions of the value, so warm-start speculation is
-// legal; no randomness, so audit identity checks are exact.
+// thresholds[i]. Pure functions of the value with no randomness, so audit
+// identity checks are exact.
 std::vector<SweepPoint> step_points(const std::vector<std::uint64_t>& thresholds,
                                     std::uint64_t hi = 1ULL << 12) {
   std::vector<SweepPoint> points;
@@ -112,7 +113,7 @@ TEST(SweepInterpolateHint, DegenerateEqualAxes) {
 
 TEST(SweepEngine, WarmEqualsColdOnMonotoneFamily) {
   // Minima follow a smooth decreasing family, the warm-start predictor's
-  // best case: hints land close and the speculative wave is productive.
+  // best case: the recorded hints land close to the minima.
   const std::vector<std::uint64_t> thresholds{400, 200, 100, 50, 25};
   ThreadPool pool(1);
   ProbeCache off("", CacheMode::kOff);
@@ -132,8 +133,8 @@ TEST(SweepEngine, WarmEqualsColdOnMonotoneFamily) {
     EXPECT_TRUE(c.points[i].found);
     EXPECT_EQ(c.points[i].minimum, thresholds[i]);
     // Raw probes carry no adaptive bracket flavor, so warm mode differs
-    // from cold ONLY by the hint — and the hint must not change anything
-    // the search consults.
+    // from cold ONLY by the recorded hint, which steers nothing the search
+    // consults.
     expect_same_audit(c.points[i], w.points[i]);
   }
   // Interior points got nonzero hints (anchors stay cold by construction).
@@ -148,8 +149,7 @@ TEST(SweepEngine, WarmEqualsColdOnMonotoneFamily) {
 TEST(SweepEngine, WarmEqualsColdOnAdversarialNonMonotoneNeighbor) {
   // The interior minimum (200) sits far ABOVE both anchors (10, 12), so
   // log-log interpolation predicts ~11 — maximally wrong. The audit must
-  // still match the cold search exactly: a wrong hint only wastes the
-  // speculative wave.
+  // still match the cold search exactly: the hint is only recorded.
   const std::vector<std::uint64_t> thresholds{10, 200, 12};
   ThreadPool pool(4);
   ProbeCache off("", CacheMode::kOff);
@@ -187,37 +187,18 @@ TEST(SweepEngine, PointBeyondCapReportsNotFoundWithFalseVerdict) {
   EXPECT_EQ(r.points[2].minimum, 16u);
 }
 
-// --- MinSearchConfig::hint on find_min_param directly -----------------------
-
-TEST(FindMinParamHint, HintNeverChangesMinimumOrAudit) {
-  const ProbeFn probe = [](std::uint64_t value) {
-    ProbeResult r;
-    r.trials = 1;
-    r.budget = 1;
-    r.uniform_successes = value >= 137 ? 1 : 0;
-    r.far_successes = 1;
-    r.uniform_accept_rate = value >= 137 ? 1.0 : 0.0;
-    r.far_reject_rate = 1.0;
-    return r;
-  };
-  MinSearchConfig cfg;
-  cfg.lo = 2;
-  cfg.hi = 1ULL << 14;
-  const MinSearchResult base = find_min_param(probe, cfg);
-
-  ThreadPool pool(8);
-  for (const std::uint64_t hint : {0ULL, 137ULL, 2ULL, 5000ULL, 1ULL << 14}) {
-    MinSearchConfig hinted = cfg;
-    hinted.hint = hint;
-    const MinSearchResult got = find_min_param(probe, hinted, pool);
-    EXPECT_EQ(got.found, base.found) << "hint=" << hint;
-    EXPECT_EQ(got.minimum, base.minimum) << "hint=" << hint;
-    ASSERT_EQ(got.probes.size(), base.probes.size()) << "hint=" << hint;
-    for (std::size_t i = 0; i < base.probes.size(); ++i) {
-      EXPECT_EQ(got.probes[i].first, base.probes[i].first)
-          << "hint=" << hint << " step " << i;
-    }
-  }
+TEST(SweepEngine, ComputesOnlyWhatItConsults) {
+  // With the cache off, every probe call is a consulted one: a raw-probe
+  // family on a multi-thread pool computes exactly its audit trails.
+  const std::vector<std::uint64_t> thresholds{400, 200, 100, 50, 25};
+  ThreadPool pool(4);
+  ProbeCache off("", CacheMode::kOff);
+  SweepEngineConfig cfg;
+  cfg.cache = &off;
+  const SweepResult r = run_sweep(step_points(thresholds), cfg, pool);
+  EXPECT_GT(r.probes_consulted, 0u);
+  EXPECT_EQ(r.probes_computed, r.probes_consulted);
+  EXPECT_EQ(r.trials_computed, r.trials_consulted);
 }
 
 // --- Fingerprint invariance on a real tester --------------------------------
@@ -293,10 +274,12 @@ TEST_F(SweepFingerprintTest, InvariantAcrossThreadsAndCacheModes) {
     expect_same_audit(t1_off.points[i], t1_rw.points[i]);
     expect_same_audit(t1_off.points[i], t8_rw.points[i]);
   }
-  // Consulted totals are part of the invariant; computed totals are not
-  // (speculation at 8 threads may compute more).
+  // Consulted totals are part of the invariant. With the cache off every
+  // consulted probe is computed, once, at any thread count.
   EXPECT_EQ(t1_off.trials_consulted, t8_off.trials_consulted);
   EXPECT_EQ(t1_off.trials_consulted, t1_rw.trials_consulted);
+  EXPECT_EQ(t1_off.trials_computed, t1_off.trials_consulted);
+  EXPECT_EQ(t8_off.trials_computed, t8_off.trials_consulted);
   // The rw rerun below answers everything from cache.
   cfg.cache = &rw;
   const SweepResult rerun = run_sweep(collision_points(), cfg, pool1);
