@@ -15,6 +15,7 @@
 #include "bench_common.hpp"
 #include "dist/generators.hpp"
 #include "sim/convergecast.hpp"
+#include "testers/collision.hpp"
 #include "testers/distributed.hpp"
 #include "testers/tree_tester.hpp"
 #include "util/confidence.hpp"
@@ -30,19 +31,20 @@ std::pair<double, double> rates_with_byzantine(
     std::uint64_t seed) {
   SuccessCounter uniform_ok, far_ok;
   const UniformSource uniform(cfg.n);
-  const auto factory = make_collision_voters(cfg.q, local_threshold);
   auto run_once = [&](const SampleSource& source, Rng& rng) {
     std::uint64_t rejects = 0;
     std::vector<std::uint64_t> samples;
     for (unsigned j = 0; j < cfg.k; ++j) {
       if (j < byzantine) {
-        ++rejects;  // stuck-on-alarm sensor
+        ++rejects;  // stuck-on-alarm sensor: draws no stream
         continue;
       }
       Rng player_rng = make_rng(rng(), j);
       source.sample_many(player_rng, cfg.q, samples);
-      auto player = factory(j);
-      if (!player->decide(samples, player_rng).as_bit()) ++rejects;
+      if (static_cast<double>(collision_pairs(samples, cfg.n)) >
+          local_threshold) {
+        ++rejects;
+      }
     }
     return and_rule ? rejects == 0 : rejects < referee_t;
   };

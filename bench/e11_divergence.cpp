@@ -16,29 +16,7 @@
 #include "core/divergence.hpp"
 #include "core/message_analysis.hpp"
 #include "fourier/families.hpp"
-#include "testers/collision.hpp"
-
-namespace {
-
-using namespace duti;
-
-BooleanCubeFunction collision_voter(unsigned ell, unsigned q) {
-  const CubeDomain dom(ell);
-  const SampleTupleCodec codec(dom, q);
-  const double local_t = expected_collision_pairs_uniform(
-      static_cast<double>(dom.universe_size()), q);
-  return BooleanCubeFunction::tabulate(
-      codec.total_bits(), [&](std::uint64_t packed) {
-        std::vector<std::uint64_t> elements(q);
-        for (unsigned j = 0; j < q; ++j) {
-          elements[j] = codec.element(packed, j);
-        }
-        return static_cast<double>(collision_pairs(elements)) > local_t ? 0.0
-                                                                        : 1.0;
-      });
-}
-
-}  // namespace
+#include "testers/message_maps.hpp"
 
 int main(int argc, char** argv) {
   using namespace duti;
@@ -62,7 +40,11 @@ int main(int argc, char** argv) {
   for (unsigned q : {2u, 3u}) {  // q >= 2: the voter needs collisions
     if ((ell + 1) * q > 12) continue;
     const SampleTupleCodec codec(dom, q);
-    const auto g = collision_voter(ell, q);
+    const auto vote = collision_vote_message(codec);
+    const auto g = BooleanCubeFunction::tabulate(
+        codec.total_bits(), [&vote](std::uint64_t packed) {
+          return static_cast<double>(vote(packed));
+        });
     const MessageAnalysis analysis(codec, g);
     const double mu_g = analysis.mu();
     if (mu_g <= 0.0 || mu_g >= 1.0) continue;  // degenerate voter at this q

@@ -18,7 +18,7 @@
 #include "core/bounds.hpp"
 #include "core/message_analysis.hpp"
 #include "fourier/families.hpp"
-#include "testers/collision.hpp"
+#include "testers/message_maps.hpp"
 
 namespace {
 
@@ -28,22 +28,6 @@ struct Subject {
   std::string name;
   std::function<BooleanCubeFunction(unsigned bits, Rng&)> make;
 };
-
-BooleanCubeFunction collision_voter(unsigned ell, unsigned q) {
-  const CubeDomain dom(ell);
-  const SampleTupleCodec codec(dom, q);
-  const double local_t = expected_collision_pairs_uniform(
-      static_cast<double>(dom.universe_size()), q);
-  return BooleanCubeFunction::tabulate(
-      codec.total_bits(), [&](std::uint64_t packed) {
-        std::vector<std::uint64_t> elements(q);
-        for (unsigned j = 0; j < q; ++j) {
-          elements[j] = codec.element(packed, j);
-        }
-        return static_cast<double>(collision_pairs(elements)) > local_t ? 0.0
-                                                                        : 1.0;
-      });
-}
 
 }  // namespace
 
@@ -106,7 +90,11 @@ int main(int argc, char** argv) {
         }
         // The real testers' message function (needs q >= 2 for collisions).
         if (q < 2) continue;
-        const auto g = collision_voter(ell, q);
+        const auto vote = collision_vote_message(codec);
+        const auto g = BooleanCubeFunction::tabulate(
+            codec.total_bits(), [&vote](std::uint64_t packed) {
+              return static_cast<double>(vote(packed));
+            });
         const MessageAnalysis analysis(codec, g);
         const auto moments = analysis.z_moments_exact(eps);
         const double bound =

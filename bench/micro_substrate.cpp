@@ -10,10 +10,9 @@
 #include "dist/generators.hpp"
 #include "dist/nu_z.hpp"
 #include "fourier/wht.hpp"
-#include "sim/protocol.hpp"
+#include "sim/protocol_batch.hpp"
 #include "stats/workloads.hpp"
 #include "testers/collision.hpp"
-#include "testers/distributed.hpp"
 
 namespace {
 
@@ -77,7 +76,7 @@ void BM_CollisionPairs(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)));
   for (auto& s : samples) s = rng.next_below(4096);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collision_pairs(samples));
+    benchmark::DoNotOptimize(collision_pairs(samples, 4096));
   }
 }
 BENCHMARK(BM_CollisionPairs)->Arg(64)->Arg(1024)->Arg(16384);
@@ -87,13 +86,16 @@ void BM_ProtocolRound(benchmark::State& state) {
   const auto k = static_cast<unsigned>(state.range(0));
   const std::uint64_t n = 4096;
   const unsigned q = 32;
-  const auto protocol = SimultaneousProtocol(
-      k, q, make_collision_voters(q, expected_collision_pairs_uniform(
-                                         static_cast<double>(n), q)));
+  const double local_t =
+      expected_collision_pairs_uniform(static_cast<double>(n), q);
+  const ProtocolBatchExecutor executor(
+      k, q, [local_t](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
+        return Message::bit(!(static_cast<double>(pairs) > local_t));
+      });
   const UniformSource source(n);
   const auto rule = DecisionRule::threshold(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(protocol.run(source, rng, rule).accept);
+    benchmark::DoNotOptimize(executor.run(source, rng, rule));
   }
 }
 BENCHMARK(BM_ProtocolRound)->Arg(8)->Arg(64)->Arg(512);
@@ -136,7 +138,7 @@ void BM_ProbeSourceHoisted(benchmark::State& state) {
   const TesterRun run = [](const SampleSource& src, Rng& rng) {
     std::vector<std::uint64_t> s;
     src.sample_many(rng, 16, s);
-    return collision_pairs(s) == 0;
+    return collision_pairs(s, src.domain_size()) == 0;
   };
   ThreadPool pool(1);
   const SourceSpec uniform = workloads::uniform_factory(4096);
@@ -152,7 +154,7 @@ void BM_ProbeSourceFresh(benchmark::State& state) {
   const TesterRun run = [](const SampleSource& src, Rng& rng) {
     std::vector<std::uint64_t> s;
     src.sample_many(rng, 16, s);
-    return collision_pairs(s) == 0;
+    return collision_pairs(s, src.domain_size()) == 0;
   };
   ThreadPool pool(1);
   const SourceSpec uniform(workloads::uniform_factory(4096).factory(),

@@ -80,7 +80,8 @@ EpochResult run_epoch(const SampleSource& environment, unsigned sensors,
       std::vector<std::uint64_t> readings;
       environment.sample_many(ctx.rng(), q, readings);
       const bool unhappy =
-          static_cast<double>(collision_pairs(readings)) > local_threshold;
+          static_cast<double>(collision_pairs(
+              readings, environment.domain_size())) > local_threshold;
       if (referee_min_alarms == 0) {
         if (unhappy) ctx.send(0, {1}, 1);  // speak only to raise an alarm
       } else {
@@ -183,8 +184,10 @@ int main(int argc, char** argv) {
     for (NodeId s = 1; s < rows * cols; ++s) {
       Rng sensor_rng = make_rng(rng(), s);
       env.sample_many(sensor_rng, q, readings);
-      values[s] =
-          static_cast<double>(collision_pairs(readings)) > vote_bar ? 1 : 0;
+      values[s] = static_cast<double>(collision_pairs(
+                      readings, env.domain_size())) > vote_bar
+                      ? 1
+                      : 0;
     }
     return values;
   };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
 #include "testers/collision.hpp"
 
@@ -43,7 +42,7 @@ std::vector<double> calibrate_on_uniform(std::string_view statistic,
   for (const unsigned q : qs) {
     for (std::uint64_t& p : pairs) {
       uniform.sample_many(calib_rng, q, samples);
-      p = tallied_collision_pairs(samples, n);
+      p = collision_pairs(samples, n);
     }
     const std::vector<double> player = summarize(q, pairs);
     values.insert(values.end(), player.begin(), player.end());

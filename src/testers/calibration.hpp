@@ -1,8 +1,9 @@
 // Referee calibration on uniform input (DESIGN.md §14). Every calibrated
 // tester — threshold, robust, tree, multibit and asymmetric — takes its
 // referee bar from one simulated quantity: the exact pair-collision count
-// of a single player's q uniform samples on a domain of size n. The tester
-// knows n and q, so this is information the protocol legitimately has.
+// of a single player's q uniform samples on a domain of size n, taken by
+// the same collision_pairs the protocol plane votes on. The tester knows
+// n and q, so this is information the protocol legitimately has.
 //
 // calibrate_on_uniform is the one loop that simulates it, and the only
 // client of the process-wide CalibMemo: sweeps, dual adaptive/full probes
@@ -46,10 +47,10 @@ using CalibrationSummary = std::function<std::vector<double>(
 
 /// For each player j in order, draws `trials` sets of qs[j] samples from
 /// UniformSource(n) through `calib_rng`, takes each set's exact pair count
-/// (tallied_collision_pairs), and appends summarize(qs[j], pairs) to the
-/// result. Memoized in CalibMemo::global() under (statistic, n, qs, trials,
-/// calib_rng's entry state): `statistic` must name every other input that
-/// `summarize` reads.
+/// (collision_pairs, the statistic the protocol plane votes on), and
+/// appends summarize(qs[j], pairs) to the result. Memoized in
+/// CalibMemo::global() under (statistic, n, qs, trials, calib_rng's entry
+/// state): `statistic` must name every other input that `summarize` reads.
 [[nodiscard]] std::vector<double> calibrate_on_uniform(
     std::string_view statistic, std::uint64_t n, std::span<const unsigned> qs,
     std::size_t trials, Rng& calib_rng, const CalibrationSummary& summarize);

@@ -35,7 +35,7 @@ unsigned CentralizedCollisionTester::sufficient_q(std::uint64_t n, double eps,
 bool CentralizedCollisionTester::accept(
     std::span<const std::uint64_t> samples) const {
   require(samples.size() == q_, "CentralizedCollisionTester: wrong q");
-  return static_cast<double>(collision_pairs(samples)) < threshold_;
+  return static_cast<double>(collision_pairs(samples, n_)) < threshold_;
 }
 
 bool CentralizedCollisionTester::accept_counts(
@@ -84,7 +84,7 @@ PaninskiCoincidenceTester::PaninskiCoincidenceTester(std::uint64_t n,
 bool PaninskiCoincidenceTester::accept(
     std::span<const std::uint64_t> samples) const {
   require(samples.size() == q_, "PaninskiCoincidenceTester: wrong q");
-  return static_cast<double>(distinct_values(samples)) > threshold_;
+  return static_cast<double>(distinct_values(samples, n_)) > threshold_;
 }
 
 bool PaninskiCoincidenceTester::accept_counts(

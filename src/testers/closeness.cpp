@@ -52,8 +52,8 @@ double ClosenessTester::statistic(
   const double md = static_cast<double>(m_);
   const double pairs = 0.5 * md * (md - 1.0);
   const double within =
-      static_cast<double>(collision_pairs(p_samples)) / pairs +
-      static_cast<double>(collision_pairs(q_samples)) / pairs;
+      static_cast<double>(collision_pairs(p_samples, n_)) / pairs +
+      static_cast<double>(collision_pairs(q_samples, n_)) / pairs;
   const double cross =
       2.0 * static_cast<double>(cross_collisions(p_samples, q_samples)) /
       (md * md);

@@ -1,36 +1,10 @@
 #include "testers/collision.hpp"
 
-#include <algorithm>
-#include <vector>
-
 #include "util/error.hpp"
 #include "util/kernels.hpp"
 #include "util/math.hpp"
 
 namespace duti {
-
-namespace {
-// Reusable sort scratch. These statistics sit in the inner loop of every
-// collision/threshold tester trial (once per player per protocol run), so
-// a heap allocation per call dominates at small q. One thread_local buffer
-// per thread keeps the loop allocation-free and data-race-free under the
-// harness's trial sharding.
-thread_local std::vector<std::uint64_t> tls_sort_scratch;
-}  // namespace
-
-std::uint64_t collision_pairs(std::span<const std::uint64_t> samples) {
-  std::vector<std::uint64_t>& sorted = tls_sort_scratch;
-  sorted.assign(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::uint64_t pairs = 0;
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t run = 1;
-    while (i + run < sorted.size() && sorted[i + run] == sorted[i]) ++run;
-    pairs += run * (run - 1) / 2;
-    i += run;
-  }
-  return pairs;
-}
 
 std::uint64_t collision_pairs_from_counts(
     std::span<const std::uint64_t> counts) {
@@ -40,14 +14,6 @@ std::uint64_t collision_pairs_from_counts(
 std::uint64_t distinct_values_from_counts(
     std::span<const std::uint64_t> counts) {
   return kernels::distinct_from_counts(counts);
-}
-
-std::uint64_t distinct_values(std::span<const std::uint64_t> samples) {
-  std::vector<std::uint64_t>& sorted = tls_sort_scratch;
-  sorted.assign(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  return static_cast<std::uint64_t>(
-      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
 }
 
 double l2_norm_squared(const DiscreteDistribution& dist) {

@@ -7,30 +7,27 @@
 // has E[C] = C(q,2) * ||mu||_2^2. Uniform gives ||mu||_2^2 = 1/n; any mu
 // that is eps-far from uniform in l1 has ||mu||_2^2 >= (1 + eps^2)/n
 // (Cauchy-Schwarz), so the collision rate separates the two cases.
+//
+// The sample statistics themselves, collision_pairs(samples, domain) and
+// distinct_values(samples, domain), are defined once, beside the protocol
+// plane that counts with them (sim/protocol_batch.hpp, re-exported here):
+// the sim layer sits below testers, and a centralized tester's count on
+// one clique is the same statistic as a player's on its own.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "dist/discrete_distribution.hpp"
+#include "sim/protocol_batch.hpp"
 
 namespace duti {
-
-/// Number of colliding pairs #{i<j : s_i = s_j}; O(q log q). Uses a
-/// thread-local sort scratch, so repeated calls allocate nothing.
-[[nodiscard]] std::uint64_t collision_pairs(
-    std::span<const std::uint64_t> samples);
 
 /// Collision pairs from an already-tallied histogram: sum_i c_i(c_i-1)/2.
 /// O(domain) and allocation-free — the fast path when samples arrive as
 /// counts (e.g. from a HistogramSource or a tallying player).
 [[nodiscard]] std::uint64_t collision_pairs_from_counts(
     std::span<const std::uint64_t> counts);
-
-/// Number of distinct values among the samples (the statistic of
-/// Paninski's coincidence tester).
-[[nodiscard]] std::uint64_t distinct_values(
-    std::span<const std::uint64_t> samples);
 
 /// Distinct values from an already-tallied histogram: #{i : c_i > 0}.
 /// O(domain) and allocation-free — the counts-kernel twin of

@@ -18,10 +18,8 @@ void check_config(const DistributedTesterConfig& cfg) {
   require(cfg.eps > 0.0 && cfg.eps <= 1.0, "DistributedTester: eps in (0,1]");
 }
 
-// The collision voter as a batched vote functor: reject iff the exact pair
-// count strictly exceeds the local threshold. Same integer statistic and
-// same double comparison as make_collision_voters, so the batched plane's
-// votes are bit-identical to the legacy players'.
+// The collision voter: reject iff the exact pair count strictly exceeds
+// the local threshold.
 ProtocolBatchExecutor::Vote collision_vote(double local_threshold) {
   return [local_threshold](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
     return Message::bit(!(static_cast<double>(pairs) > local_threshold));
@@ -29,21 +27,6 @@ ProtocolBatchExecutor::Vote collision_vote(double local_threshold) {
 }
 
 }  // namespace
-
-SimultaneousProtocol::PlayerFactory make_collision_voters(
-    unsigned q, double local_threshold) {
-  return [q, local_threshold](unsigned /*j*/) {
-    return std::make_unique<CallbackPlayer>(
-        [q, local_threshold](std::span<const std::uint64_t> samples,
-                             Rng& /*rng*/) {
-          require(samples.size() == q, "collision voter: wrong sample count");
-          const bool reject =
-              static_cast<double>(collision_pairs(samples)) > local_threshold;
-          return Message::bit(!reject);
-        },
-        1U);
-  };
-}
 
 DistributedThresholdTester::DistributedThresholdTester(
     DistributedTesterConfig cfg, Rng& calib_rng, std::size_t calib_trials)
@@ -67,15 +50,6 @@ DistributedThresholdTester::DistributedThresholdTester(
   rule_.emplace(DecisionRule::threshold(referee_t_));
 }
 
-SimultaneousProtocol DistributedThresholdTester::make_protocol() const {
-  return SimultaneousProtocol(cfg_.k, cfg_.q,
-                              make_collision_voters(cfg_.q, local_t_));
-}
-
-DecisionRule DistributedThresholdTester::make_rule() const {
-  return DecisionRule::threshold(referee_t_);
-}
-
 bool DistributedThresholdTester::run(const SampleSource& source,
                                      Rng& rng) const {
   require(source.domain_size() == cfg_.n,
@@ -97,11 +71,6 @@ DistributedAndTester::DistributedAndTester(DistributedTesterConfig cfg)
 
   exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_));
   rule_.emplace(DecisionRule::and_rule());
-}
-
-SimultaneousProtocol DistributedAndTester::make_protocol() const {
-  return SimultaneousProtocol(cfg_.k, cfg_.q,
-                              make_collision_voters(cfg_.q, local_t_));
 }
 
 bool DistributedAndTester::run(const SampleSource& source, Rng& rng) const {

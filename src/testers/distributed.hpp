@@ -18,18 +18,17 @@
 // calibration RNG's exit state, so memoized and fresh constructions are
 // indistinguishable to the caller.
 //
-// run() executes on the batched protocol plane (sim/protocol_batch.hpp):
-// the vote functor and referee rule are resolved once at construction and
-// trials run through reusable per-worker buffers — bit-identical verdicts
-// to the legacy SimultaneousProtocol path (make_protocol()/make_rule(),
-// kept as the comparator), with zero per-trial heap allocations.
+// run() executes on the protocol plane (sim/protocol_batch.hpp): the vote
+// functor and referee rule are resolved once at construction and trials
+// run through reusable per-worker buffers, with zero per-trial heap
+// allocations. The vote is the only definition of the player's rule:
+// reject iff its exact pair count strictly exceeds local_threshold().
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "sim/decision_rule.hpp"
-#include "sim/protocol.hpp"
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
 #include "util/rng.hpp"
@@ -42,11 +41,6 @@ struct DistributedTesterConfig {
   unsigned q = 0;       // samples per player (>= 2 so collisions exist)
   double eps = 0.0;     // proximity parameter
 };
-
-/// Shared implementation detail: a player that votes "reject" iff its local
-/// pair-collision count strictly exceeds `local_threshold`.
-[[nodiscard]] SimultaneousProtocol::PlayerFactory make_collision_voters(
-    unsigned q, double local_threshold);
 
 class DistributedThresholdTester {
  public:
@@ -69,12 +63,7 @@ class DistributedThresholdTester {
     return cfg_;
   }
 
-  /// Expose the legacy protocol and rule — integration with other harness
-  /// code, and the comparator for the batched plane's bit-identity tests.
-  [[nodiscard]] SimultaneousProtocol make_protocol() const;
-  [[nodiscard]] DecisionRule make_rule() const;
-
-  /// The batched executor run() dispatches to (exposed for benches/tests).
+  /// The executor run() dispatches to (exposed for benches/tests).
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;
   }
@@ -98,9 +87,6 @@ class DistributedAndTester {
   [[nodiscard]] const DistributedTesterConfig& config() const noexcept {
     return cfg_;
   }
-
-  [[nodiscard]] SimultaneousProtocol make_protocol() const;
-  [[nodiscard]] DecisionRule make_rule() const { return DecisionRule::and_rule(); }
 
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;

@@ -78,9 +78,8 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
   gamma_ = at_c > 0.0 ? std::clamp((p_star_ - tail_above) / at_c, 0.0, 1.0)
                       : 0.0;
 
-  // Batched vote: same integer statistic, same boundary bernoulli drawn
-  // from the same post-sampling player stream as the legacy player — so
-  // randomized boundary votes replay bit-for-bit.
+  // The boundary coin comes from the player's post-sampling stream, so
+  // randomized votes replay bit-for-bit.
   const std::uint64_t c = c_;
   const double gamma = gamma_;
   exec_.emplace(
@@ -93,25 +92,6 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
         return Message::bit(!reject);
       });
   rule_.emplace(DecisionRule::threshold(cfg_.t));
-}
-
-SimultaneousProtocol FixedThresholdTester::make_protocol() const {
-  const unsigned q = cfg_.q;
-  const std::uint64_t c = c_;
-  const double gamma = gamma_;
-  return SimultaneousProtocol(cfg_.k, cfg_.q, [q, c, gamma](unsigned /*j*/) {
-    return std::make_unique<CallbackPlayer>(
-        [q, c, gamma](std::span<const std::uint64_t> samples, Rng& rng) {
-          require(samples.size() == q, "fixed-threshold voter: wrong q");
-          const std::uint64_t count = collision_pairs(samples);
-          bool reject = count > c;
-          if (!reject && count == c) {
-            reject = rng.next_bernoulli(gamma);
-          }
-          return Message::bit(!reject);
-        },
-        1U);
-  });
 }
 
 bool FixedThresholdTester::run(const SampleSource& source, Rng& rng) const {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "sim/protocol.hpp"
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
 #include "util/rng.hpp"
@@ -60,11 +59,6 @@ class FixedThresholdTester {
   /// Randomized part: rejection probability when count == c.
   [[nodiscard]] double local_boundary_gamma() const noexcept { return gamma_; }
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
-
-  [[nodiscard]] SimultaneousProtocol make_protocol() const;
-  [[nodiscard]] DecisionRule make_rule() const {
-    return DecisionRule::threshold(cfg_.t);
-  }
 
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;

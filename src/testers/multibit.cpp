@@ -70,29 +70,12 @@ MultibitSumTester::MultibitSumTester(Config cfg, Rng& calib_rng,
       r);
 }
 
-SimultaneousProtocol MultibitSumTester::make_protocol() const {
-  const unsigned q = cfg_.q;
-  const unsigned r = cfg_.r;
-  const std::uint64_t offset = offset_;
-  return SimultaneousProtocol(
-      cfg_.k, cfg_.q, [q, r, offset](unsigned /*j*/) {
-        return std::make_unique<CallbackPlayer>(
-            [q, r, offset](std::span<const std::uint64_t> samples,
-                           Rng& /*rng*/) {
-              require(samples.size() == q, "multibit player: wrong q");
-              return Message{
-                  encode_count(collision_pairs(samples), r, offset), r};
-            },
-            r);
-      });
-}
-
 bool MultibitSumTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == cfg_.n,
           "MultibitSumTester: domain size mismatch");
-  // Same j-ascending fold over the same message integers as the legacy
-  // collect() path, so the referee total is bit-identical.
-  const auto& messages = exec_->collect_tls(source, rng);
+  // A j-ascending fold over the message integers: the referee total is
+  // the same double at any thread count.
+  const auto& messages = exec_->collect(source, rng);
   double total = 0.0;
   for (const auto& m : messages) total += static_cast<double>(m.bits);
   return total < sum_t_;

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "sim/protocol.hpp"
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
 #include "util/rng.hpp"
@@ -51,9 +50,6 @@ class MultibitSumTester {
   [[nodiscard]] std::uint64_t window_offset() const noexcept {
     return offset_;
   }
-
-  /// Legacy comparator path (bit-identity tests run() against it).
-  [[nodiscard]] SimultaneousProtocol make_protocol() const;
 
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;

@@ -156,7 +156,9 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
         plan_.byzantine_mode == ByzantineMode::kAdversarialFlip;
     if (need_honest_vote) {
       source.sample_many(player_rng, cfg_.q, samples);
-      bit = static_cast<double>(collision_pairs(samples)) > local_t_ ? 1 : 0;
+      bit = static_cast<double>(collision_pairs(samples, cfg_.n)) > local_t_
+                ? 1
+                : 0;
     }
     if (role[j] == 1) {
       switch (plan_.byzantine_mode) {

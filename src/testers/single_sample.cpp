@@ -60,7 +60,8 @@ bool SingleSampleHashTester::referee_accept(
     const std::vector<std::uint64_t>& buckets) const {
   require(buckets.size() == cfg_.k,
           "SingleSampleHashTester: expected one bucket per node");
-  return static_cast<double>(collision_pairs(buckets)) < threshold_;
+  return static_cast<double>(collision_pairs(buckets, 1ULL << cfg_.r)) <
+         threshold_;
 }
 
 bool SingleSampleHashTester::run(const SampleSource& source, Rng& rng) const {

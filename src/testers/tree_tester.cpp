@@ -19,9 +19,10 @@ TreeTestResult tree_uniformity_test(Network& net, const SpanningTree& tree,
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
     Rng node_rng = make_rng(rng(), v);
     source.sample_many(node_rng, q, samples);
-    votes[v] =
-        static_cast<double>(collision_pairs(samples)) > local_threshold ? 1
-                                                                        : 0;
+    votes[v] = static_cast<double>(collision_pairs(
+                   samples, source.domain_size())) > local_threshold
+                   ? 1
+                   : 0;
   }
   // Reject-vote partial sums fit in ceil(log2(k+1)) bits per message.
   std::uint64_t bits = 1;

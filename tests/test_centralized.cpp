@@ -102,6 +102,22 @@ TEST(CentralizedCollisionTester, AcceptChecksSampleCount) {
   EXPECT_THROW((void)tester.accept(wrong), InvalidArgument);
 }
 
+TEST(CentralizedTesters, AcceptChecksSamplesAgainstTheDomain) {
+  // Caller samples go straight into the pair and distinct counts: the top
+  // cell n - 1 is counted, and a sample >= n throws instead of indexing
+  // past the counts plane.
+  const CentralizedCollisionTester collision(4, 0.5, 3);
+  EXPECT_TRUE(collision.accept(std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_FALSE(collision.accept(std::vector<std::uint64_t>{3, 3, 1}));
+  EXPECT_THROW((void)collision.accept(std::vector<std::uint64_t>{5, 5, 9}),
+               InvalidArgument);
+  const PaninskiCoincidenceTester coincidence(4, 0.5, 3);
+  EXPECT_EQ(coincidence.accept(std::vector<std::uint64_t>{3, 2, 1}),
+            3.0 > coincidence.threshold());
+  EXPECT_THROW((void)coincidence.accept(std::vector<std::uint64_t>{5, 5, 9}),
+               InvalidArgument);
+}
+
 TEST(CentralizedCollisionTester, DomainMismatchThrows) {
   const CentralizedCollisionTester tester(100, 0.5, 10);
   const UniformSource source(200);

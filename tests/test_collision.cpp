@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/generators.hpp"
@@ -11,14 +13,16 @@
 namespace duti {
 namespace {
 
+using Samples = std::vector<std::uint64_t>;
+
 TEST(CollisionPairs, ByHand) {
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{1, 2, 3}), 0u);
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{1, 1, 2}), 1u);
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{5, 5, 5}), 3u);
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{5, 5, 5, 5}), 6u);
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{1, 2, 1, 2}), 2u);
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{}), 0u);
-  EXPECT_EQ(collision_pairs(std::vector<std::uint64_t>{9}), 0u);
+  EXPECT_EQ(collision_pairs(Samples{1, 2, 3}, 10), 0u);
+  EXPECT_EQ(collision_pairs(Samples{1, 1, 2}, 10), 1u);
+  EXPECT_EQ(collision_pairs(Samples{5, 5, 5}, 10), 3u);
+  EXPECT_EQ(collision_pairs(Samples{5, 5, 5, 5}, 10), 6u);
+  EXPECT_EQ(collision_pairs(Samples{1, 2, 1, 2}, 10), 2u);
+  EXPECT_EQ(collision_pairs(Samples{}, 10), 0u);
+  EXPECT_EQ(collision_pairs(Samples{9}, 10), 0u);
 }
 
 TEST(CollisionPairs, MatchesQuadraticBruteForce) {
@@ -32,14 +36,57 @@ TEST(CollisionPairs, MatchesQuadraticBruteForce) {
         if (samples[i] == samples[j]) ++brute;
       }
     }
-    ASSERT_EQ(collision_pairs(samples), brute);
+    ASSERT_EQ(collision_pairs(samples, 10), brute);
   }
 }
 
 TEST(DistinctValues, ByHand) {
-  EXPECT_EQ(distinct_values(std::vector<std::uint64_t>{1, 1, 2, 3, 3}), 3u);
-  EXPECT_EQ(distinct_values(std::vector<std::uint64_t>{}), 0u);
-  EXPECT_EQ(distinct_values(std::vector<std::uint64_t>{7, 7, 7}), 1u);
+  EXPECT_EQ(distinct_values(Samples{1, 1, 2, 3, 3}, 8), 3u);
+  EXPECT_EQ(distinct_values(Samples{}, 8), 0u);
+  EXPECT_EQ(distinct_values(Samples{7, 7, 7}, 8), 1u);
+}
+
+TEST(CollisionStatistics, SamplesMustLieInTheDomain) {
+  // Domain 4 and the 2^22 cap tally into the per-thread plane; one past
+  // the cap sorts. On each path the top cell, domain - 1, is counted, and
+  // the first value past it throws InvalidArgument naming the sample and
+  // the domain. The throw comes after two increments of the top cell, so
+  // the follow-up counts also check that the plane was left clean.
+  struct Stat {
+    const char* name;
+    std::uint64_t (*count)(std::span<const std::uint64_t>, std::uint64_t);
+    std::uint64_t expected;  // its value on {top, top, 0}
+  };
+  const std::vector<Stat> stats = {{"collision_pairs", &collision_pairs, 1},
+                                   {"distinct_values", &distinct_values, 2}};
+  for (const std::uint64_t domain :
+       {std::uint64_t{4}, kMaxTallyPlaneDomain, kMaxTallyPlaneDomain + 1}) {
+    const std::uint64_t top = domain - 1;
+    for (const auto& [name, count, expected] : stats) {
+      SCOPED_TRACE(std::string(name) + " domain=" + std::to_string(domain));
+      EXPECT_EQ(count(Samples{top, top, 0}, domain), expected);
+      try {
+        (void)count(Samples{top, top, domain}, domain);
+        ADD_FAILURE() << "sample = domain was counted";
+      } catch (const InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(name), std::string::npos) << what;
+        EXPECT_NE(what.find("sample " + std::to_string(domain)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("[0, " + std::to_string(domain) + ")"),
+                  std::string::npos)
+            << what;
+      }
+      EXPECT_EQ(count(Samples{top, top, 0}, domain), expected);
+    }
+  }
+  // A fresh thread's plane holds exactly `domain` cells, so an unchecked
+  // index past it would write out of bounds.
+  std::thread([] {
+    EXPECT_THROW((void)collision_pairs(Samples{5, 5, 9}, 4), InvalidArgument);
+    EXPECT_THROW((void)distinct_values(Samples{5, 5, 9}, 4), InvalidArgument);
+  }).join();
 }
 
 TEST(L2NormSquared, KnownValues) {
@@ -66,7 +113,7 @@ TEST(ExpectedCollisions, EmpiricalAgreement) {
   std::vector<std::uint64_t> samples;
   for (int t = 0; t < trials; ++t) {
     dist.sample_many(rng, q, samples);
-    acc += static_cast<double>(collision_pairs(samples));
+    acc += static_cast<double>(collision_pairs(samples, 50));
   }
   EXPECT_NEAR(acc / trials, expected, 0.05 * expected);
 }
@@ -108,7 +155,7 @@ TEST(CollisionVariance, MatchesEmpiricalUnderUniform) {
   const int trials = 50000;
   for (int t = 0; t < trials; ++t) {
     for (auto& s : samples) s = rng.next_below(64);
-    const auto c = static_cast<double>(collision_pairs(samples));
+    const auto c = static_cast<double>(collision_pairs(samples, 64));
     s1 += c;
     s2 += c * c;
   }

@@ -26,16 +26,42 @@ std::pair<double, double> success_rates(const Tester& tester, double eps,
   return {uniform_ok.rate(), far_ok.rate()};
 }
 
+/// A source that replays fixed draws in order, so a player's pair count is
+/// chosen by the test.
+class ScriptedSource final : public SampleSource {
+ public:
+  ScriptedSource(std::uint64_t n, std::vector<std::uint64_t> draws)
+      : n_(n), draws_(std::move(draws)) {}
+  [[nodiscard]] std::uint64_t sample(Rng& /*rng*/) const override {
+    return draws_[next_++ % draws_.size()];
+  }
+  [[nodiscard]] std::uint64_t domain_size() const override { return n_; }
+  [[nodiscard]] double l1_from_uniform() const override { return 0.0; }
+
+ private:
+  std::uint64_t n_;
+  std::vector<std::uint64_t> draws_;
+  mutable std::size_t next_ = 0;
+};
+
 TEST(CollisionVoters, VoteSemantics) {
-  const auto factory = make_collision_voters(4, 0.5);
-  auto player = factory(0);
-  Rng rng(1);
-  // No collisions: 0 pairs <= 0.5 -> accept.
-  const std::vector<std::uint64_t> distinct{1, 2, 3, 4};
-  EXPECT_TRUE(player->decide(distinct, rng).as_bit());
-  // One collision: 1 > 0.5 -> reject.
-  const std::vector<std::uint64_t> collide{1, 1, 3, 4};
-  EXPECT_FALSE(player->decide(collide, rng).as_bit());
+  // n = 6, q = 4: the local threshold C(4,2)/6 is exactly 1. The reject
+  // test is strict, so a pair count equal to it accepts and one more pair
+  // rejects.
+  Rng calib(1);
+  const DistributedThresholdTester tester({6, 1, 4, 0.5}, calib, 50);
+  ASSERT_EQ(tester.local_threshold(), 1.0);
+  const auto vote = [&tester](std::vector<std::uint64_t> draws) {
+    Rng rng(2);
+    return tester.executor()
+        .collect(ScriptedSource(6, std::move(draws)), rng)
+        .at(0)
+        .as_bit();
+  };
+  EXPECT_TRUE(vote({0, 1, 2, 3}));   // 0 pairs
+  EXPECT_TRUE(vote({0, 0, 2, 3}));   // 1 pair, equal to the threshold
+  EXPECT_FALSE(vote({0, 0, 2, 2}));  // 2 pairs
+  EXPECT_FALSE(vote({5, 5, 5, 1}));  // 3 pairs, at the top cell
 }
 
 TEST(DistributedThresholdTester, ConfigValidation) {
@@ -153,20 +179,6 @@ TEST(DistributedAndTester, DoesNotGainFromMoreNodesAtFixedSmallQ) {
   const auto [u, f] = success_rates(tester, eps, 200, 47);
   EXPECT_GE(u, 0.8);
   EXPECT_LE(f, 0.5);  // threshold tester passed 0.7 here (test above)
-}
-
-TEST(DistributedTesters, ExposedProtocolMatchesRun) {
-  Rng rng(8);
-  const DistributedTesterConfig cfg{512, 16, 32, 0.5};
-  const DistributedThresholdTester tester(cfg, rng);
-  const auto protocol = tester.make_protocol();
-  const auto rule = tester.make_rule();
-  const UniformSource uniform(512);
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    Rng r1 = make_rng(48, seed), r2 = make_rng(48, seed);
-    EXPECT_EQ(tester.run(uniform, r1),
-              protocol.run(uniform, r2, rule).accept);
-  }
 }
 
 }  // namespace

@@ -42,7 +42,8 @@ TesterRun noisy_collision_tester() {
     source.sample_many(rng, 48, samples);
     const double expected = expected_collision_pairs_uniform(
         static_cast<double>(source.domain_size()), 48);
-    return static_cast<double>(collision_pairs(samples)) <=
+    return static_cast<double>(
+               collision_pairs(samples, source.domain_size())) <=
            expected + 1.0 + rng.next_double();
   };
 }
@@ -234,7 +235,9 @@ TEST(AdaptiveProbe, AgreesWithFullBudgetOnSeedSweep) {
     source.sample_many(rng, 64, samples);
     const double expected = expected_collision_pairs_uniform(
         static_cast<double>(source.domain_size()), 64);
-    return static_cast<double>(collision_pairs(samples)) <= expected + 3.0;
+    return static_cast<double>(
+               collision_pairs(samples, source.domain_size())) <=
+           expected + 3.0;
   };
   ThreadPool pool(4);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {

@@ -13,6 +13,7 @@
 #include "testers/centralized.hpp"
 #include "testers/collision.hpp"
 #include "testers/distributed.hpp"
+#include "testers/message_maps.hpp"
 
 namespace duti {
 namespace {
@@ -105,16 +106,10 @@ TEST(IntegrationLemma42, HoldsForTheActualCollisionVoterMessageFunction) {
   const CubeDomain dom(ell);
   const double n = static_cast<double>(dom.universe_size());
   const SampleTupleCodec codec(dom, q);
-  const double local_t = expected_collision_pairs_uniform(n, q);
+  const auto vote = collision_vote_message(codec);
   const auto g = BooleanCubeFunction::tabulate(
-      codec.total_bits(), [&](std::uint64_t packed) {
-        std::vector<std::uint64_t> elements(q);
-        for (unsigned j = 0; j < q; ++j) {
-          elements[j] = codec.element(packed, j);
-        }
-        const bool reject =
-            static_cast<double>(collision_pairs(elements)) > local_t;
-        return reject ? 0.0 : 1.0;  // G = the bit sent (1 = accept)
+      codec.total_bits(), [&vote](std::uint64_t packed) {
+        return static_cast<double>(vote(packed));  // 1 = accept
       });
   const MessageAnalysis analysis(codec, g);
   const auto moments = analysis.z_moments_exact(eps);
@@ -132,17 +127,10 @@ TEST(IntegrationDivergencePipeline, Fact63CapsExactPerPlayerDivergence) {
   const double eps = 0.5;
   const CubeDomain dom(ell);
   const SampleTupleCodec codec(dom, q);
-  const double local_t =
-      expected_collision_pairs_uniform(static_cast<double>(dom.universe_size()), q);
+  const auto vote = collision_vote_message(codec);
   const auto g = BooleanCubeFunction::tabulate(
-      codec.total_bits(), [&](std::uint64_t packed) {
-        std::vector<std::uint64_t> elements(q);
-        for (unsigned j = 0; j < q; ++j) {
-          elements[j] = codec.element(packed, j);
-        }
-        return static_cast<double>(collision_pairs(elements)) > local_t
-                   ? 0.0
-                   : 1.0;
+      codec.total_bits(), [&vote](std::uint64_t packed) {
+        return static_cast<double>(vote(packed));
       });
   const MessageAnalysis analysis(codec, g);
   const double mu_g = analysis.mu();

@@ -287,7 +287,8 @@ TEST(FullProbe, BitIdenticalAcrossSimdLevelsAndThreadCounts) {
     source.sample_many(rng, 48, samples);
     const double expected = expected_collision_pairs_uniform(
         static_cast<double>(source.domain_size()), 48);
-    return static_cast<double>(collision_pairs(samples)) <=
+    return static_cast<double>(
+               collision_pairs(samples, source.domain_size())) <=
            expected + 1.0 + rng.next_double();
   };
   simd_set_level(SimdLevel::kScalar);

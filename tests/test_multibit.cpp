@@ -101,10 +101,9 @@ TEST(MultibitSumTester, ThresholdScalesWithK) {
 TEST(MultibitSumTester, ProtocolMessagesHaveConfiguredWidth) {
   Rng rng(7);
   const MultibitSumTester tester({256, 4, 16, 0.5, 5}, rng);
-  const auto protocol = tester.make_protocol();
   const UniformSource uniform(256);
   Rng run_rng(8);
-  const auto messages = protocol.collect(uniform, run_rng);
+  const auto& messages = tester.executor().collect(uniform, run_rng);
   ASSERT_EQ(messages.size(), 4u);
   for (const auto& m : messages) {
     EXPECT_EQ(m.width, 5u);

@@ -231,7 +231,9 @@ TEST_F(ProbeCacheTest, CachedProbeEntryPointIsBitIdentical) {
     source.sample_many(rng, 32, samples);
     const double expected = expected_collision_pairs_uniform(
         static_cast<double>(source.domain_size()), 32);
-    return static_cast<double>(collision_pairs(samples)) <= expected + 1.0;
+    return static_cast<double>(
+               collision_pairs(samples, source.domain_size())) <=
+           expected + 1.0;
   };
   ProbeKey base;
   base.workload = "paninski:n=128:eps=0.5";

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -22,13 +23,14 @@
 #include "testers/multibit.hpp"
 #include "testers/robust_rules.hpp"
 #include "testers/tree_tester.hpp"
+#include "util/fnv.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace duti {
 namespace {
 
-std::uint64_t naive_pairs(const std::vector<std::uint64_t>& samples) {
+std::uint64_t naive_pairs(std::span<const std::uint64_t> samples) {
   std::uint64_t pairs = 0;
   for (std::size_t a = 0; a < samples.size(); ++a) {
     for (std::size_t b = a + 1; b < samples.size(); ++b) {
@@ -38,7 +40,17 @@ std::uint64_t naive_pairs(const std::vector<std::uint64_t>& samples) {
   return pairs;
 }
 
-TEST(TalliedCollisionPairs, MatchesNaiveCountOnBothPlanes) {
+std::uint64_t naive_distinct(std::span<const std::uint64_t> samples) {
+  std::uint64_t distinct = 0;
+  for (std::size_t a = 0; a < samples.size(); ++a) {
+    bool seen = false;
+    for (std::size_t b = 0; b < a; ++b) seen = seen || samples[b] == samples[a];
+    if (!seen) ++distinct;
+  }
+  return distinct;
+}
+
+TEST(CollisionStatistics, MatchNaiveCountsOnBothPlanes) {
   Rng rng(7);
   // Up to kMaxTallyPlaneDomain: the tally plane; above it: the sort
   // fallback. The cap is checked at N-1, N and N+1.
@@ -53,11 +65,102 @@ TEST(TalliedCollisionPairs, MatchesNaiveCountOnBothPlanes) {
       for (int i = 0; i < rep % 4; ++i) {
         samples[static_cast<std::size_t>(i)] = domain - 1;
       }
-      EXPECT_EQ(tallied_collision_pairs(samples, domain), naive_pairs(samples))
+      EXPECT_EQ(collision_pairs(samples, domain), naive_pairs(samples))
+          << "domain=" << domain;
+      EXPECT_EQ(distinct_values(samples, domain), naive_distinct(samples))
           << "domain=" << domain;
     }
+    EXPECT_EQ(collision_pairs({}, domain), 0u);
+    EXPECT_EQ(distinct_values({}, domain), 0u);
   }
-  EXPECT_EQ(tallied_collision_pairs({}, 16), 0u);
+}
+
+// --- The reference runner ---------------------------------------------------
+//
+// The protocol model written out plainly, independent of the plane's
+// buffers and tally: player j's stream is make_rng(rng(), j), it draws
+// qs[j] samples through the source's sample_many, and its vote sees the
+// O(q^2) naive pair count and the post-sampling stream. Each tester's
+// vote and referee verdict below are rewritten from its public accessors,
+// so they restate the rule rather than reuse the tester's vote functor.
+
+using ReferenceVote =
+    std::function<Message(unsigned j, std::uint64_t pairs, Rng& rng)>;
+
+std::vector<Message> reference_messages(const SampleSource& source, Rng& rng,
+                                        const std::vector<unsigned>& qs,
+                                        const ReferenceVote& vote) {
+  std::vector<Message> messages;
+  std::vector<std::uint64_t> samples;
+  for (unsigned j = 0; j < qs.size(); ++j) {
+    Rng player_rng = make_rng(rng(), j);
+    source.sample_many(player_rng, qs[j], samples);
+    messages.push_back(vote(j, naive_pairs(samples), player_rng));
+  }
+  return messages;
+}
+
+std::uint64_t rejects_of(const std::vector<Message>& messages) {
+  std::uint64_t rejects = 0;
+  for (const Message& m : messages) rejects += m.as_bit() ? 0U : 1U;
+  return rejects;
+}
+
+Message reference_collision_vote(double local_threshold, std::uint64_t pairs) {
+  return Message::bit(!(static_cast<double>(pairs) > local_threshold));
+}
+
+struct PlaneCase {
+  std::uint64_t n = 0;
+  double eps = 0.5;
+  std::uint64_t seed = 0;
+  std::vector<unsigned> qs;
+  const ProtocolBatchExecutor* executor = nullptr;
+  TesterRun run;
+  ReferenceVote vote;
+  std::function<bool(const std::vector<Message>&)> accept;
+  // FNV-1a over every trial's messages (bits, width) and verdict, recorded
+  // from the retired per-player runner; the same at every SIMD level.
+  std::uint64_t golden = 0;
+};
+
+/// 40 trials alternating the uniform source and fresh eps-far sources: the
+/// plane's messages and the tester's verdict must equal the reference
+/// runner's, trial by trial, and hash to the golden fingerprint.
+void expect_plane_matches_reference(const PlaneCase& c) {
+  Fnv64 fingerprint;
+  Rng src_rng(derive_seed(c.seed, 0x50));
+  for (std::uint64_t t = 0; t < 40; ++t) {
+    std::unique_ptr<SampleSource> far;
+    const UniformSource uniform(c.n);
+    const SampleSource* src = &uniform;
+    if (t % 2 == 1) {
+      far = workloads::paninski_far_factory(c.n, c.eps)(src_rng);
+      src = far.get();
+    }
+    Rng rng_ref(derive_seed(c.seed, t));
+    Rng rng_plane(derive_seed(c.seed, t));
+    Rng rng_run(derive_seed(c.seed, t));
+    const std::vector<Message> expected =
+        reference_messages(*src, rng_ref, c.qs, c.vote);
+    const std::vector<Message> messages = c.executor->collect(*src, rng_plane);
+    ASSERT_EQ(messages.size(), expected.size());
+    for (std::size_t j = 0; j < messages.size(); ++j) {
+      EXPECT_EQ(messages[j].bits, expected[j].bits)
+          << "trial " << t << " player " << j;
+      EXPECT_EQ(messages[j].width, expected[j].width);
+      fingerprint.u64(messages[j].bits).u64(messages[j].width);
+    }
+    const bool accept = c.run(*src, rng_run);
+    EXPECT_EQ(accept, c.accept(expected)) << "trial " << t;
+    fingerprint.u64(accept ? 1U : 0U);
+  }
+  EXPECT_EQ(fingerprint.value(), c.golden);
+}
+
+template <typename Tester>
+TesterRun run_of(const Tester& tester) {
+  return [&tester](const SampleSource& s, Rng& r) { return tester.run(s, r); };
 }
 
 class SimdLevelParam : public ::testing::TestWithParam<SimdLevel> {
@@ -67,68 +170,45 @@ class SimdLevelParam : public ::testing::TestWithParam<SimdLevel> {
   SimdLevel prev_ = SimdLevel::kScalar;
 };
 
-TEST_P(SimdLevelParam, ThresholdTesterMatchesLegacyProtocol) {
-  DistributedTesterConfig cfg;
-  cfg.n = 512;
-  cfg.k = 8;
-  cfg.q = 24;
-  cfg.eps = 0.5;
+TEST_P(SimdLevelParam, ThresholdTesterMatchesReference) {
   Rng calib_rng(11);
-  const DistributedThresholdTester tester(cfg, calib_rng, 500);
-  const SimultaneousProtocol proto = tester.make_protocol();
-  const DecisionRule rule = tester.make_rule();
-
-  std::vector<Message> batched_msgs;
-  Rng src_rng(derive_seed(101, 0x50));
-  for (int t = 0; t < 40; ++t) {
-    std::unique_ptr<SampleSource> far;
-    const UniformSource uniform(cfg.n);
-    const SampleSource* src = &uniform;
-    if (t % 2 == 1) {
-      far = workloads::paninski_far_factory(cfg.n, cfg.eps)(src_rng);
-      src = far.get();
-    }
-    Rng rng_a(derive_seed(101, t));
-    Rng rng_b(derive_seed(101, t));
-    Rng rng_c(derive_seed(101, t));
-    const ProtocolResult legacy_res = proto.run(*src, rng_a, rule);
-    tester.executor().collect(*src, rng_b, batched_msgs);
-    ASSERT_EQ(batched_msgs.size(), legacy_res.messages.size());
-    for (std::size_t j = 0; j < batched_msgs.size(); ++j) {
-      EXPECT_EQ(batched_msgs[j].bits, legacy_res.messages[j].bits)
-          << "trial " << t << " player " << j;
-      EXPECT_EQ(batched_msgs[j].width, legacy_res.messages[j].width);
-    }
-    EXPECT_EQ(tester.run(*src, rng_c), legacy_res.accept) << "trial " << t;
-  }
+  const DistributedThresholdTester tester({512, 8, 24, 0.5}, calib_rng, 500);
+  const double local_t = tester.local_threshold();
+  const std::uint64_t referee_t = tester.referee_threshold();
+  PlaneCase c;
+  c.n = 512;
+  c.seed = 101;
+  c.qs.assign(8, 24);
+  c.executor = &tester.executor();
+  c.run = run_of(tester);
+  c.vote = [local_t](unsigned, std::uint64_t pairs, Rng&) {
+    return reference_collision_vote(local_t, pairs);
+  };
+  c.accept = [referee_t](const std::vector<Message>& m) {
+    return rejects_of(m) < referee_t;
+  };
+  c.golden = 0x4984f268fedfd3c4ULL;
+  expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, AndTesterMatchesLegacyProtocol) {
-  DistributedTesterConfig cfg;
-  cfg.n = 256;
-  cfg.k = 6;
-  cfg.q = 40;
-  cfg.eps = 0.5;
-  const DistributedAndTester tester(cfg);
-  const SimultaneousProtocol proto = tester.make_protocol();
-  const DecisionRule rule = tester.make_rule();
-  Rng src_rng(derive_seed(33, 0x50));
-  for (int t = 0; t < 40; ++t) {
-    std::unique_ptr<SampleSource> far;
-    const UniformSource uniform(cfg.n);
-    const SampleSource* src = &uniform;
-    if (t % 2 == 1) {
-      far = workloads::paninski_far_factory(cfg.n, cfg.eps)(src_rng);
-      src = far.get();
-    }
-    Rng rng_a(derive_seed(33, t));
-    Rng rng_b(derive_seed(33, t));
-    EXPECT_EQ(proto.run(*src, rng_a, rule).accept, tester.run(*src, rng_b))
-        << "trial " << t;
-  }
+TEST_P(SimdLevelParam, AndTesterMatchesReference) {
+  const DistributedAndTester tester({256, 6, 40, 0.5});
+  const double local_t = tester.local_threshold();
+  PlaneCase c;
+  c.n = 256;
+  c.seed = 33;
+  c.qs.assign(6, 40);
+  c.executor = &tester.executor();
+  c.run = run_of(tester);
+  c.vote = [local_t](unsigned, std::uint64_t pairs, Rng&) {
+    return reference_collision_vote(local_t, pairs);
+  };
+  c.accept = [](const std::vector<Message>& m) { return rejects_of(m) == 0; };
+  c.golden = 0xe0a4314a5a87afa5ULL;
+  expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, FixedThresholdTesterMatchesLegacyProtocol) {
+TEST_P(SimdLevelParam, FixedThresholdTesterMatchesReference) {
   // The fixed-threshold vote consumes player randomness (the boundary
   // coin), so identity here also pins the post-sampling RNG handoff.
   FixedThresholdTester::Config cfg;
@@ -138,25 +218,27 @@ TEST_P(SimdLevelParam, FixedThresholdTesterMatchesLegacyProtocol) {
   cfg.eps = 0.5;
   cfg.t = 3;
   const FixedThresholdTester tester(cfg);
-  const SimultaneousProtocol proto = tester.make_protocol();
-  const DecisionRule rule = tester.make_rule();
-  Rng src_rng(derive_seed(44, 0x50));
-  for (int t = 0; t < 40; ++t) {
-    std::unique_ptr<SampleSource> far;
-    const UniformSource uniform(cfg.n);
-    const SampleSource* src = &uniform;
-    if (t % 2 == 1) {
-      far = workloads::paninski_far_factory(cfg.n, cfg.eps)(src_rng);
-      src = far.get();
-    }
-    Rng rng_a(derive_seed(44, t));
-    Rng rng_b(derive_seed(44, t));
-    EXPECT_EQ(proto.run(*src, rng_a, rule).accept, tester.run(*src, rng_b))
-        << "trial " << t;
-  }
+  const std::uint64_t c_count = tester.local_count_threshold();
+  const double gamma = tester.local_boundary_gamma();
+  PlaneCase c;
+  c.n = 256;
+  c.seed = 44;
+  c.qs.assign(8, 32);
+  c.executor = &tester.executor();
+  c.run = run_of(tester);
+  c.vote = [c_count, gamma](unsigned, std::uint64_t pairs, Rng& rng) {
+    bool reject = pairs > c_count;
+    if (!reject && pairs == c_count) reject = rng.next_bernoulli(gamma);
+    return Message::bit(!reject);
+  };
+  c.accept = [t = cfg.t](const std::vector<Message>& m) {
+    return rejects_of(m) < t;
+  };
+  c.golden = 0x9ee0ec944e730784ULL;
+  expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, MultibitTesterMatchesLegacyProtocol) {
+TEST_P(SimdLevelParam, MultibitTesterMatchesReference) {
   MultibitSumTester::Config cfg;
   cfg.n = 256;
   cfg.k = 6;
@@ -165,71 +247,51 @@ TEST_P(SimdLevelParam, MultibitTesterMatchesLegacyProtocol) {
   cfg.r = 4;
   Rng calib_rng(55);
   const MultibitSumTester tester(cfg, calib_rng, 500);
-  const SimultaneousProtocol proto = tester.make_protocol();
-  Rng src_rng(derive_seed(55, 0x50));
-  for (int t = 0; t < 40; ++t) {
-    std::unique_ptr<SampleSource> far;
-    const UniformSource uniform(cfg.n);
-    const SampleSource* src = &uniform;
-    if (t % 2 == 1) {
-      far = workloads::paninski_far_factory(cfg.n, cfg.eps)(src_rng);
-      src = far.get();
-    }
-    Rng rng_a(derive_seed(55, t));
-    Rng rng_b(derive_seed(55, t));
-    const std::vector<Message> legacy_msgs = proto.collect(*src, rng_a);
-    double legacy_total = 0.0;
-    for (const auto& m : legacy_msgs) {
-      EXPECT_EQ(m.width, cfg.r);
-      legacy_total += static_cast<double>(m.bits);
-    }
-    const bool legacy_accept = legacy_total < tester.sum_threshold();
-    EXPECT_EQ(tester.run(*src, rng_b), legacy_accept) << "trial " << t;
-  }
+  const std::uint64_t offset = tester.window_offset();
+  const double sum_t = tester.sum_threshold();
+  PlaneCase c;
+  c.n = 256;
+  c.seed = 55;
+  c.qs.assign(6, 48);
+  c.executor = &tester.executor();
+  c.run = run_of(tester);
+  c.vote = [r = cfg.r, offset](unsigned, std::uint64_t pairs, Rng&) {
+    return Message{MultibitSumTester::encode_count(pairs, r, offset), r};
+  };
+  c.accept = [sum_t](const std::vector<Message>& m) {
+    double total = 0.0;
+    for (const Message& x : m) total += static_cast<double>(x.bits);
+    return total < sum_t;
+  };
+  c.golden = 0xe1a8a5957de1f4a5ULL;
+  expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, AsymmetricTesterMatchesLegacyProtocol) {
+TEST_P(SimdLevelParam, AsymmetricTesterMatchesReference) {
   const std::uint64_t n = 256;
-  const std::vector<double> rates = {1.0, 2.0, 4.0, 8.0};
   Rng calib_rng(66);
-  const AsymmetricRateTester tester(n, rates, 8.0, calib_rng, 200);
-  // Legacy comparator: the same per-player vote through the allocating
-  // SimultaneousProtocol runner.
-  std::vector<double> local_t(tester.qs().size());
-  for (std::size_t j = 0; j < local_t.size(); ++j) {
-    local_t[j] = expected_collision_pairs_uniform(static_cast<double>(n),
-                                                  tester.qs()[j]);
+  const AsymmetricRateTester tester(n, {1.0, 2.0, 4.0, 8.0}, 8.0, calib_rng,
+                                    200);
+  std::vector<double> local_t;
+  for (const unsigned q : tester.qs()) {
+    local_t.push_back(
+        expected_collision_pairs_uniform(static_cast<double>(n), q));
   }
-  const SimultaneousProtocol proto(
-      tester.qs(), [&](unsigned j) {
-        const double t = local_t[j];
-        const unsigned q = tester.qs()[j];
-        return std::make_unique<CallbackPlayer>(
-            [t, q](std::span<const std::uint64_t> samples, Rng&) {
-              EXPECT_EQ(samples.size(), q);
-              return Message::bit(
-                  !(static_cast<double>(collision_pairs(samples)) > t));
-            },
-            1U);
-      });
-  Rng src_rng(derive_seed(66, 0x50));
-  for (int t = 0; t < 40; ++t) {
-    std::unique_ptr<SampleSource> far;
-    const UniformSource uniform(n);
-    const SampleSource* src = &uniform;
-    if (t % 2 == 1) {
-      far = workloads::paninski_far_factory(n, 0.5)(src_rng);
-      src = far.get();
-    }
-    Rng rng_a(derive_seed(66, t));
-    Rng rng_b(derive_seed(66, t));
-    const std::vector<Message> legacy_msgs = proto.collect(*src, rng_a);
-    std::uint64_t rejects = 0;
-    for (const auto& m : legacy_msgs) rejects += m.as_bit() ? 0U : 1U;
-    const bool legacy_accept =
-        static_cast<double>(rejects) < tester.referee_threshold();
-    EXPECT_EQ(tester.run(*src, rng_b), legacy_accept) << "trial " << t;
-  }
+  const double referee_t = tester.referee_threshold();
+  PlaneCase c;
+  c.n = n;
+  c.seed = 66;
+  c.qs = tester.qs();
+  c.executor = &tester.executor();
+  c.run = run_of(tester);
+  c.vote = [local_t](unsigned j, std::uint64_t pairs, Rng&) {
+    return reference_collision_vote(local_t[j], pairs);
+  };
+  c.accept = [referee_t](const std::vector<Message>& m) {
+    return static_cast<double>(rejects_of(m)) < referee_t;
+  };
+  c.golden = 0x31c5b4efcba66b85ULL;
+  expect_plane_matches_reference(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, SimdLevelParam,
@@ -476,8 +538,8 @@ TEST(ProtocolBatch, ChaosLaneCarriesBatchedVotes) {
 
   Rng vote_rng(4242);
   Rng run_rng(4242);
-  std::vector<Message> msgs;
-  tester.executor().collect(UniformSource(cfg.n), vote_rng, msgs);
+  const std::vector<Message> msgs =
+      tester.executor().collect(UniformSource(cfg.n), vote_rng);
 
   Network net(cfg.k + 1);
   net.add_star(0);
