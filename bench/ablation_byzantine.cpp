@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "dist/generators.hpp"
+#include "dist/paninski.hpp"
 #include "sim/convergecast.hpp"
 #include "testers/collision.hpp"
 #include "testers/distributed.hpp"
@@ -52,7 +52,7 @@ std::pair<double, double> rates_with_byzantine(
     Rng r1 = make_rng(seed, 1, t);
     uniform_ok.record(run_once(uniform, r1));
     Rng g = make_rng(seed, 2, t);
-    const DistributionSource far(gen::paninski(cfg.n, cfg.eps, g));
+    const PaninskiSource far(Paninski::random(cfg.n, cfg.eps, g));
     Rng r2 = make_rng(seed, 3, t);
     far_ok.record(!run_once(far, r2));
   }
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
       uniform_ok.record(healthy.accept);
       votes_lost += static_cast<double>(healthy.stats.messages_dropped);
       Rng g = make_rng(seed, static_cast<std::uint64_t>(drop * 100), e, 2);
-      const DistributionSource far(gen::paninski(n, eps, g));
+      const PaninskiSource far(Paninski::random(n, eps, g));
       Rng r2 = make_rng(seed, static_cast<std::uint64_t>(drop * 100), e, 3);
       far_ok.record(!tester.run_epoch(far, r2).accept);
     }

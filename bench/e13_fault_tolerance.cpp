@@ -26,26 +26,15 @@
 //     and the honest bit overhead of reliability.
 #include <cmath>
 #include <iostream>
-#include <memory>
 
 #include "bench_common.hpp"
-#include "dist/generators.hpp"
 #include "sim/reliable.hpp"
+#include "stats/workloads.hpp"
 #include "testers/robust_rules.hpp"
 
 namespace {
 
 using namespace duti;
-
-SourceFactory uniform_factory(std::uint64_t n) {
-  return [n](Rng&) { return std::make_unique<UniformSource>(n); };
-}
-
-SourceFactory far_factory(std::uint64_t n, double eps) {
-  return [n, eps](Rng& rng) {
-    return std::make_unique<DistributionSource>(gen::paninski(n, eps, rng));
-  };
-}
 
 struct SweepSetup {
   std::uint64_t n;
@@ -84,7 +73,8 @@ std::pair<std::uint64_t, ProbeResult> min_q_under(
         [&tester](const SampleSource& src, Rng& r) {
           return tester.outcome(src, r);
         },
-        uniform_factory(s.n), far_factory(s.n, s.eps), cfg.trials, cfg.seed);
+        workloads::uniform_factory(s.n),
+        workloads::paninski_far_factory(s.n, s.eps), cfg.trials, cfg.seed);
   };
   const auto result = find_min_param(probe, cfg);
   // Report the rates measured AT the minimum (the binary search's last

@@ -3,7 +3,9 @@
 // with:
 //
 // Gates (nonzero exit on any failure):
-//   - zero heap allocations per trial (global operator-new counter)
+//   - zero heap allocations per trial (global operator-new counter), in
+//     steady state on a uniform source and on the first trial of each
+//     fresh eps-far source (no draw may build a sampler table)
 //   - q*-search minima: 8 threads == 1 thread; ProbeResult tallies at q*
 //     identical across pools
 //   - the 8-thread search services every referee calibration from the
@@ -290,8 +292,33 @@ int run_bench(int argc, char** argv) {
               static_cast<unsigned long long>(q_star), row.ns_per_trial,
               row.allocs_per_trial);
 
+  // --- First trials on fresh far sources ------------------------------------
+  // The sources are built outside the counted window, as the probe loops
+  // build them outside the plane; the plane's own buffers are warm from the
+  // uniform rows above.
+  std::vector<std::unique_ptr<SampleSource>> fresh_far;
+  {
+    Rng src_rng(derive_seed(seed, 0xFA5));
+    const SourceSpec far_spec = workloads::paninski_far_factory(n, eps);
+    for (int i = 0; i < 16; ++i) fresh_far.push_back(far_spec(src_rng));
+  }
+  std::uint64_t far_accepts = 0;
+  const std::uint64_t far_allocs0 = g_allocs.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < fresh_far.size(); ++i) {
+    Rng rng(derive_seed(seed, 0xFA6, i));
+    far_accepts += tester.run(*fresh_far[i], rng) ? 1U : 0U;
+  }
+  const std::uint64_t far_first_trial_allocs =
+      g_allocs.load(std::memory_order_relaxed) - far_allocs0;
+  const bool zero_alloc_far = far_first_trial_allocs == 0;
+  std::printf("first trials on %zu fresh far sources: %llu allocs "
+              "(%llu accepted)\n",
+              fresh_far.size(),
+              static_cast<unsigned long long>(far_first_trial_allocs),
+              static_cast<unsigned long long>(far_accepts));
+
   const bool ok = minima_match && pools_match && rerun_all_hits &&
-                  golden_ok && zero_alloc;
+                  golden_ok && zero_alloc && zero_alloc_far;
 
   const std::string path = bench::emit_bench_json(
       "protocol", bench::resolved_env(),
@@ -304,6 +331,8 @@ int run_bench(int argc, char** argv) {
        {"timing_trials", bench::json_u64(timing_trials)},
        {"batched_ns_per_trial", bench::json_num(row.ns_per_trial)},
        {"batched_allocs_per_trial", bench::json_num(row.allocs_per_trial)},
+       {"far_sources", bench::json_u64(fresh_far.size())},
+       {"far_first_trial_allocs", bench::json_u64(far_first_trial_allocs)},
        {"min_q_t1", bench::json_u64(min1.minimum)},
        {"min_q_t8", bench::json_u64(min8.minimum)},
        {"identity_trials", bench::json_u64(identity_trials)},
@@ -314,6 +343,7 @@ int run_bench(int argc, char** argv) {
        {"calib_rerun_misses", bench::json_u64(rerun_stats.misses)},
        {"calib_rerun_hit_rate", bench::json_num(hit_rate)},
        {"gate_zero_alloc", bench::json_bool(zero_alloc)},
+       {"gate_zero_alloc_far", bench::json_bool(zero_alloc_far)},
        {"gate_thread_identity", bench::json_bool(minima_match && pools_match)},
        {"gate_calib_rerun_all_hits", bench::json_bool(rerun_all_hits)},
        {"gate_golden", bench::json_bool(golden_ok)},
@@ -321,10 +351,10 @@ int run_bench(int argc, char** argv) {
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());
   if (!ok) {
     std::fprintf(stderr,
-                 "micro_protocol: GATE FAILURE (zero_alloc=%d threads=%d "
-                 "calib=%d golden=%d)\n",
-                 zero_alloc, minima_match && pools_match, rerun_all_hits,
-                 golden_ok);
+                 "micro_protocol: GATE FAILURE (zero_alloc=%d "
+                 "zero_alloc_far=%d threads=%d calib=%d golden=%d)\n",
+                 zero_alloc, zero_alloc_far, minima_match && pools_match,
+                 rerun_all_hits, golden_ok);
     return 1;
   }
   std::printf("micro_protocol: all gates passed\n");

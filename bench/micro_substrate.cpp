@@ -9,6 +9,7 @@
 #include "dist/alias_sampler.hpp"
 #include "dist/generators.hpp"
 #include "dist/nu_z.hpp"
+#include "dist/paninski.hpp"
 #include "fourier/wht.hpp"
 #include "sim/protocol_batch.hpp"
 #include "stats/workloads.hpp"
@@ -56,6 +57,46 @@ void BM_NuZSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NuZSample)->Arg(8)->Arg(16)->Arg(24);
+
+/// A far trial's source as paninski_far_factory builds it: n/2 sign draws
+/// and the alias table walked from the pair signs, with no pmf.
+void BM_PaninskiBuild(benchmark::State& state) {
+  Rng rng(8);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const PaninskiSource source(Paninski::random(n, 0.25, rng));
+    benchmark::DoNotOptimize(source.sample(rng));
+  }
+}
+BENCHMARK(BM_PaninskiBuild)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+
+/// The same source through the materialized pmf: normalization, then the
+/// weights constructor's scans inside the first draw.
+void BM_PaninskiPmfBuild(benchmark::State& state) {
+  Rng rng(8);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const DistributionSource source(gen::paninski(n, 0.25, rng));
+    benchmark::DoNotOptimize(source.sample(rng));
+  }
+}
+BENCHMARK(BM_PaninskiPmfBuild)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+
+/// Branch-free alias draws from a Paninski table. At eps = 0.25 the coin
+/// sends a quarter of the draws to the alias, unpredictably.
+void BM_PaninskiSampleMany(benchmark::State& state) {
+  Rng rng(9);
+  const PaninskiSource source(
+      Paninski::random(static_cast<std::size_t>(state.range(0)), 0.25, rng));
+  std::vector<std::uint64_t> buf;
+  for (auto _ : state) {
+    source.sample_many(rng, 312, buf);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 312);
+}
+BENCHMARK(BM_PaninskiSampleMany)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_Wht(benchmark::State& state) {
   Rng rng(3);

@@ -1,10 +1,64 @@
 #include "dist/alias_sampler.hpp"
 
-#include <numeric>
+#include <cmath>
 
 #include "util/error.hpp"
 
 namespace duti {
+
+namespace {
+
+/// Vose's pairing, with the worklists left implicit. The classic build keeps
+/// a stack of small (scaled weight < 1) and of large buckets, in index
+/// order, and tops up the top small bucket from the top large one. A large
+/// bucket demoted below 1 is pushed onto the small stack and popped on the
+/// very next step, so each stack is a downward cursor over its class plus
+/// one pending slot. `next_small(i, v)` and `next_large(i, v)` advance a
+/// class's cursor to its next index below, with that column's scaled
+/// weight, and return false (then and on every later call) once the class
+/// is exhausted. `prob` doubles as the working copy: the only weight that
+/// changes is the current large bucket's, which lives in a register.
+template <typename NextSmall, typename NextLarge>
+void vose(double* prob, std::uint64_t* alias, NextSmall next_small,
+          NextLarge next_large) {
+  std::uint64_t s = 0;
+  std::uint64_t l = 0;
+  double sv = 0.0;
+  double lv = 0.0;
+  std::uint64_t pending = 0;
+  double pending_v = 0.0;
+  bool has_pending = false;
+  bool has_large = next_large(l, lv);
+  while (has_large) {
+    if (has_pending) {
+      s = pending;
+      sv = pending_v;
+      has_pending = false;
+    } else if (!next_small(s, sv)) {
+      break;
+    }
+    prob[s] = sv;
+    alias[s] = l;
+    lv = (lv + sv) - 1.0;
+    if (lv < 1.0) {
+      pending = l;
+      pending_v = lv;
+      has_pending = true;
+      has_large = next_large(l, lv);
+    }
+  }
+  // Remaining buckets are exactly 1 up to float round-off.
+  const auto keep = [prob, alias](std::uint64_t i) {
+    prob[i] = 1.0;
+    alias[i] = i;
+  };
+  if (has_large) keep(l);
+  while (next_large(l, lv)) keep(l);
+  if (has_pending) keep(pending);
+  while (next_small(s, sv)) keep(s);
+}
+
+}  // namespace
 
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
   require(!weights.empty(), "AliasSampler: empty weight vector");
@@ -14,45 +68,71 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
     total += w;
   }
   require(total > 0.0, "AliasSampler: all weights are zero");
+  // An infinite total would scale every weight to 0: all small, all kept,
+  // a uniform table whatever the weights.
+  require(std::isfinite(total), "AliasSampler: weight total overflows");
 
   const std::size_t n = weights.size();
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
-
-  // Scaled probabilities: mean 1. Partition into "small" (< 1) and "large".
-  std::vector<double> scaled(n);
+  prob_.resize(n);
+  alias_.resize(n);
+  // Scaled weights have mean 1; each cursor rescans the caller's weights
+  // for its class.
   const double scale = static_cast<double>(n) / total;
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = weights[i] * scale;
+  const double* w = weights.data();
+  const auto scan = [w, scale](std::size_t& cursor, bool small) {
+    return [w, scale, &cursor, small](std::uint64_t& i, double& v) {
+      while (cursor > 0) {
+        v = w[--cursor] * scale;
+        if ((v < 1.0) == small) {
+          i = cursor;
+          return true;
+        }
+      }
+      return false;
+    };
+  };
+  std::size_t small_cursor = n;
+  std::size_t large_cursor = n;
+  vose(prob_.data(), alias_.data(), scan(small_cursor, true),
+       scan(large_cursor, false));
+}
 
-  std::vector<std::uint64_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(i);
-  }
-
-  // Vose pairing: each small bucket is topped up by one large bucket.
-  while (!small.empty() && !large.empty()) {
-    const std::uint64_t s = small.back();
-    small.pop_back();
-    const std::uint64_t l = large.back();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
+AliasSampler::AliasSampler(std::span<const std::uint64_t> heavy_odd,
+                           std::size_t pairs, double heavy, double light) {
+  require(pairs > 0, "AliasSampler: no pairs");
+  require(heavy_odd.size() >= (pairs + 63) / 64,
+          "AliasSampler: fewer sign words than pairs");
+  require(heavy >= light, "AliasSampler: heavy column below light column");
+  const std::size_t n = 2 * pairs;
+  prob_.resize(n);
+  alias_.resize(n);
+  if (heavy < 1.0 || !(light < 1.0)) {
+    // Both columns on one side of 1: one class is empty and every bucket
+    // is kept, as in the weights constructor.
+    for (std::size_t i = 0; i < n; ++i) {
+      prob_[i] = 1.0;
+      alias_[i] = i;
     }
+    return;
   }
-  // Remaining buckets are exactly 1 up to float round-off.
-  for (std::uint64_t l : large) {
-    prob_[l] = 1.0;
-    alias_[l] = l;
-  }
-  for (std::uint64_t s : small) {
-    prob_[s] = 1.0;
-    alias_[s] = s;
-  }
+  // Every pair holds exactly one small (light) and one large (heavy)
+  // column, so both cursors walk the pairs from the top, without scanning;
+  // `flip` turns a pair's heavy column into its light partner.
+  const std::uint64_t* words = heavy_odd.data();
+  const auto walk = [words](std::size_t& pair, std::uint64_t flip,
+                            double value) {
+    return [words, &pair, flip, value](std::uint64_t& i, double& v) {
+      if (pair == 0) return false;
+      --pair;
+      i = 2 * pair + (((words[pair / 64] >> (pair % 64)) & 1U) ^ flip);
+      v = value;
+      return true;
+    };
+  };
+  std::size_t small_pair = pairs;
+  std::size_t large_pair = pairs;
+  vose(prob_.data(), alias_.data(), walk(small_pair, 1U, light),
+       walk(large_pair, 0U, heavy));
 }
 
 }  // namespace duti

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -14,13 +15,25 @@ namespace duti {
 class AliasSampler {
  public:
   /// Build from unnormalized non-negative weights. Throws InvalidArgument on
-  /// empty input, negative weights, or an all-zero weight vector.
+  /// empty input, negative weights, an all-zero weight vector, or weights
+  /// whose total overflows to infinity.
   explicit AliasSampler(const std::vector<double>& weights);
+
+  /// The table of a two-level pair family (dist/paninski.hpp): 2 * pairs
+  /// columns, where pair p holds one column of scaled weight `heavy` and
+  /// one of `light` (heavy >= light), the heavy one at 2p + 1 when bit p of
+  /// `heavy_odd` is set and at 2p otherwise. The scaled weights already
+  /// carry the weights constructor's n / total factor; the table then
+  /// equals that constructor's, bit for bit, built by walking the pairs
+  /// instead of scanning weights. Throws InvalidArgument on zero pairs, too
+  /// few sign words, or heavy < light.
+  AliasSampler(std::span<const std::uint64_t> heavy_odd, std::size_t pairs,
+               double heavy, double light);
 
   /// Draw one index in [0, size()) with probability proportional to weight.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
     const std::uint64_t i = rng.next_below(prob_.size());
-    return rng.next_double() < prob_[i] ? i : alias_[i];
+    return pick(i, rng.next_double() < prob_[i], alias_[i]);
   }
 
   /// Batched draws: fill `out` with `count` iid samples. Consumes the RNG
@@ -34,7 +47,7 @@ class AliasSampler {
     const std::size_t n = prob_.size();
     for (auto& s : out) {
       const std::uint64_t i = rng.next_below(n);
-      s = rng.next_double() < prob[i] ? i : alias[i];
+      s = pick(i, rng.next_double() < prob[i], alias[i]);
     }
   }
 
@@ -45,7 +58,22 @@ class AliasSampler {
     return prob_;
   }
 
+  /// The alias table (exposed for tests).
+  [[nodiscard]] const std::vector<std::uint64_t>& alias_table()
+      const noexcept {
+    return alias_;
+  }
+
  private:
+  /// `keep ? i : alias` through a mask, not a branch: the coin fails
+  /// wherever a bucket was topped up, which on a Paninski table is a
+  /// quarter to half of all draws, so a branch mispredicts (DESIGN.md §11).
+  static std::uint64_t pick(std::uint64_t i, bool keep,
+                            std::uint64_t alias) noexcept {
+    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(keep);
+    return alias ^ ((i ^ alias) & mask);
+  }
+
   std::vector<double> prob_;
   std::vector<std::uint64_t> alias_;
 };

@@ -9,27 +9,12 @@
 namespace duti::gen {
 
 DiscreteDistribution paninski(std::size_t n, double eps, Rng& rng) {
-  require(n >= 2 && n % 2 == 0, "paninski: n must be even and >= 2");
-  std::vector<int> signs(n / 2);
-  for (auto& s : signs) s = rng.next_sign();
-  return paninski_with_signs(n, eps, signs);
+  return Paninski::random(n, eps, rng).to_distribution();
 }
 
 DiscreteDistribution paninski_with_signs(std::size_t n, double eps,
                                          const std::vector<int>& signs) {
-  require(n >= 2 && n % 2 == 0, "paninski_with_signs: n must be even");
-  require(signs.size() == n / 2, "paninski_with_signs: need n/2 signs");
-  require(eps >= 0.0 && eps <= 1.0, "paninski_with_signs: eps in [0,1]");
-  std::vector<double> pmf(n);
-  const double base = 1.0 / static_cast<double>(n);
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    require(signs[i] == 1 || signs[i] == -1,
-            "paninski_with_signs: signs must be +-1");
-    const double d = static_cast<double>(signs[i]) * eps * base;
-    pmf[2 * i] = base + d;
-    pmf[2 * i + 1] = base - d;
-  }
-  return DiscreteDistribution(std::move(pmf));
+  return Paninski::from_signs(n, eps, signs).to_distribution();
 }
 
 DiscreteDistribution zipf(std::size_t n, double s) {

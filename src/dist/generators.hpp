@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dist/discrete_distribution.hpp"
+#include "dist/paninski.hpp"
 #include "util/rng.hpp"
 
 namespace duti::gen {
@@ -17,6 +18,8 @@ namespace duti::gen {
 /// pair up (2i, 2i+1) and move eps/n mass within each pair according to a
 /// random sign. Exactly eps-far from uniform in l1. This is the same family
 /// as NuZ but without the cube structure — used for the flat-domain testers.
+/// Materializes Paninski::random(n, eps, rng) (dist/paninski.hpp), which
+/// samples the same table without the pmf.
 [[nodiscard]] DiscreteDistribution paninski(std::size_t n, double eps,
                                             Rng& rng);
 

@@ -1,8 +1,8 @@
 // A uniform interface over "things players can draw samples from": a
-// materialized DiscreteDistribution, the structured NuZ family (sampled
-// without materializing its pmf), the exact uniform distribution on a
-// large domain, or an empirical histogram of counts. The protocol runner
-// only needs sample() and domain_size().
+// materialized DiscreteDistribution, the structured NuZ and Paninski
+// families (built without materializing a pmf), the exact uniform
+// distribution on a large domain, or an empirical histogram of counts.
+// The protocol runner only needs sample() and domain_size().
 //
 // sample_many is the hot path of every tester's inner loop, so it is
 // virtual: each source draws whole batches with one dispatch instead of one
@@ -19,6 +19,7 @@
 #include "dist/count_samplers.hpp"
 #include "dist/discrete_distribution.hpp"
 #include "dist/nu_z.hpp"
+#include "dist/paninski.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -201,6 +202,35 @@ class NuZSource final : public SampleSource {
   NuZ nu_;
 };
 
+/// Wraps the flat-domain Paninski family (dist/paninski.hpp). The alias
+/// table is built from the pair signs at construction, so no draw builds
+/// one, and every draw is bit-identical to
+/// DistributionSource(p.to_distribution())'s. sample_counts keeps the
+/// per-sample default, which consumes the RNG like sample_many.
+class PaninskiSource final : public SampleSource {
+ public:
+  explicit PaninskiSource(Paninski p)
+      : p_(std::move(p)), sampler_(p_.sampler()) {}
+  [[nodiscard]] std::uint64_t sample(Rng& rng) const override {
+    return sampler_.sample(rng);
+  }
+  void sample_many(Rng& rng, std::size_t count,
+                   std::vector<std::uint64_t>& out) const override {
+    sampler_.sample_many(rng, count, out);
+  }
+  [[nodiscard]] std::uint64_t domain_size() const override {
+    return p_.domain_size();
+  }
+  [[nodiscard]] double l1_from_uniform() const override {
+    return p_.l1_from_uniform();
+  }
+  [[nodiscard]] const Paninski& paninski() const noexcept { return p_; }
+
+ private:
+  Paninski p_;
+  AliasSampler sampler_;
+};
+
 /// Empirical distribution backed by a histogram of observed counts: element
 /// i is drawn with probability counts[i] / total. Lets testers replay or
 /// bootstrap from tallied data without rebuilding a DiscreteDistribution
@@ -212,7 +242,11 @@ class HistogramSource final : public SampleSource {
       : n_(counts.size()),
         sampler_(std::vector<double>(counts.begin(), counts.end())) {
     std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) total += c;
+    for (const std::uint64_t c : counts) {
+      if (__builtin_add_overflow(total, c, &total)) {
+        throw CapacityError("HistogramSource: total count exceeds 2^64-1");
+      }
+    }
     require(total > 0, "HistogramSource: all counts are zero");
     // l1 from uniform, exact from the integer counts.
     double l1 = 0.0;

@@ -1,7 +1,7 @@
 #include "stats/workloads.hpp"
 
-#include "dist/generators.hpp"
 #include "dist/nu_z.hpp"
+#include "dist/paninski.hpp"
 #include "util/error.hpp"
 
 namespace duti::workloads {
@@ -18,7 +18,7 @@ SourceSpec paninski_far_factory(std::uint64_t n, double eps) {
   require(n >= 2 && n % 2 == 0, "paninski_far_factory: n must be even");
   require(eps > 0.0 && eps <= 1.0, "paninski_far_factory: eps in (0,1]");
   return {[n, eps](Rng& rng) -> std::unique_ptr<SampleSource> {
-    return std::make_unique<DistributionSource>(gen::paninski(n, eps, rng));
+    return std::make_unique<PaninskiSource>(Paninski::random(n, eps, rng));
   }};
 }
 

@@ -16,6 +16,7 @@ namespace duti::workloads {
 
 /// Fresh eps-far Paninski distribution with random pair signs per trial
 /// (n even). This is the flat-domain version of the paper's hard mixture.
+/// Returns a PaninskiSource: no pmf, the alias table built in the factory.
 [[nodiscard]] SourceSpec paninski_far_factory(std::uint64_t n, double eps);
 
 /// Fresh nu_z with a uniformly random perturbation vector per trial

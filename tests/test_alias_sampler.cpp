@@ -79,6 +79,8 @@ TEST(AliasSampler, InvalidInputsThrow) {
   EXPECT_THROW(AliasSampler({}), InvalidArgument);
   EXPECT_THROW(AliasSampler({1.0, -0.5}), InvalidArgument);
   EXPECT_THROW(AliasSampler({0.0, 0.0}), InvalidArgument);
+  // The total overflows to inf: the scale would be 0 and the table uniform.
+  EXPECT_THROW(AliasSampler({1e308, 1e308, 1e308, 1.0}), InvalidArgument);
 }
 
 TEST(AliasSampler, ProbTablesWellFormed) {

@@ -1,0 +1,229 @@
+// Paninski (dist/paninski.hpp) and PaninskiSource build their alias table
+// from the pair signs, without a pmf. These tests pin that every table,
+// draw and RNG exit state is bit-identical to the materialized path
+// (gen::paninski -> DiscreteDistribution -> AliasSampler over the pmf), and
+// that AliasSampler's implicit-stack Vose loop reproduces the classic
+// worklist construction.
+#include "dist/paninski.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "dist/alias_sampler.hpp"
+#include "dist/generators.hpp"
+#include "sim/sample_source.hpp"
+#include "stats/workloads.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
+
+namespace duti {
+namespace {
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::transform(v.begin(), v.end(), out.begin(),
+                 [](double x) { return std::bit_cast<std::uint64_t>(x); });
+  return out;
+}
+
+/// Vose's construction with explicit small/large worklists and a scaled
+/// copy, as AliasSampler built it before its cursors: the reference the
+/// implicit-stack loop must reproduce bit for bit.
+struct WorklistTable {
+  std::vector<double> prob;
+  std::vector<std::uint64_t> alias;
+};
+
+WorklistTable worklist_table(const std::vector<double>& weights) {
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  const std::size_t n = weights.size();
+  WorklistTable t{std::vector<double>(n, 0.0),
+                  std::vector<std::uint64_t>(n, 0)};
+  std::vector<double> scaled(n);
+  const double scale = static_cast<double>(n) / total;
+  for (std::size_t i = 0; i < n; ++i) scaled[i] = weights[i] * scale;
+  std::vector<std::uint64_t> small;
+  std::vector<std::uint64_t> large;
+  for (std::size_t i = 0; i < n; ++i) {
+    (scaled[i] < 1.0 ? small : large).push_back(i);
+  }
+  while (!small.empty() && !large.empty()) {
+    const std::uint64_t s = small.back();
+    small.pop_back();
+    const std::uint64_t l = large.back();
+    t.prob[s] = scaled[s];
+    t.alias[s] = l;
+    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+    if (scaled[l] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
+    }
+  }
+  for (const std::uint64_t l : large) {
+    t.prob[l] = 1.0;
+    t.alias[l] = l;
+  }
+  for (const std::uint64_t s : small) {
+    t.prob[s] = 1.0;
+    t.alias[s] = s;
+  }
+  return t;
+}
+
+TEST(AliasSamplerCursors, MatchWorklistConstruction) {
+  Rng rng(17);
+  int exact_ones = 0;
+  for (int c = 0; c < 480; ++c) {
+    const std::size_t n = 1 + rng.next_below(64);
+    std::vector<double> w;
+    if (c % 2 == 0) {
+      // Zeros, ties and arbitrary reals.
+      const double tie = 1.0 + static_cast<double>(rng.next_below(3));
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t kind = rng.next_below(4);
+        w.push_back(kind == 0   ? 0.0
+                    : kind == 1 ? tie
+                                : rng.next_double() * 5.0);
+      }
+    } else {
+      // Pairs (m - d, m + d) around a power-of-two mean m, plus lone m's:
+      // the total is exactly n*m, so the scale 1/m is exact and every
+      // weight m scales to exactly 1.0; d = m gives zeros, d = 0 ties.
+      const double m = static_cast<double>(1ULL << rng.next_below(4));
+      while (w.size() < n) {
+        if (w.size() + 1 == n || rng.next_below(3) == 0) {
+          w.push_back(m);
+          continue;
+        }
+        const double d = static_cast<double>(
+            rng.next_below(static_cast<std::uint64_t>(m) + 1));
+        w.push_back(m - d);
+        w.push_back(m + d);
+      }
+      for (std::size_t i = w.size(); i > 1; --i) {
+        std::swap(w[i - 1], w[rng.next_below(i)]);
+      }
+      exact_ones += static_cast<int>(std::count(w.begin(), w.end(), m));
+    }
+    if (std::all_of(w.begin(), w.end(), [](double x) { return x == 0.0; })) {
+      w.back() = 1.0;
+    }
+    const AliasSampler sampler(w);
+    const WorklistTable ref = worklist_table(w);
+    ASSERT_EQ(bits_of(sampler.prob_table()), bits_of(ref.prob)) << "case " << c;
+    ASSERT_EQ(sampler.alias_table(), ref.alias) << "case " << c;
+  }
+  EXPECT_GT(exact_ones, 400);
+}
+
+/// One cell of the bit-identity grid: the factory's PaninskiSource against
+/// DistributionSource(gen::paninski(...)) from the same stream.
+void expect_bit_identical(std::size_t n, double eps, std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message()
+               << "n=" << n << " eps=" << eps << " seed=" << seed);
+  Rng factory_rng(seed);
+  Rng pmf_rng(seed);
+  const auto made = workloads::paninski_far_factory(n, eps)(factory_rng);
+  const DistributionSource materialized(gen::paninski(n, eps, pmf_rng));
+  ASSERT_EQ(factory_rng.state(), pmf_rng.state());
+
+  const auto* source = dynamic_cast<const PaninskiSource*>(made.get());
+  ASSERT_NE(source, nullptr);
+  const AliasSampler direct = source->paninski().sampler();
+  const AliasSampler reference(materialized.distribution().pmf_vector());
+  ASSERT_EQ(bits_of(direct.prob_table()), bits_of(reference.prob_table()));
+  ASSERT_EQ(direct.alias_table(), reference.alias_table());
+
+  Rng draw_a(derive_seed(seed, 1));
+  Rng draw_b(derive_seed(seed, 1));
+  std::vector<std::uint64_t> a;
+  std::vector<std::uint64_t> b;
+  made->sample_many(draw_a, 20000, a);
+  materialized.sample_many(draw_b, 20000, b);
+  ASSERT_EQ(a, b);
+  ASSERT_EQ(draw_a.state(), draw_b.state());
+}
+
+TEST(PaninskiSource, BitIdenticalToMaterializedPmf) {
+  const std::size_t sizes[] = {2, 4, 10, 256, 1000, 4096, 4098};
+  for (const std::size_t n : sizes) {
+    for (const double eps :
+         {1e-17, 1e-15, 0.01, 0.25, 0.3, 1.0 / 3.0, 0.5, 0.999, 1.0}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        expect_bit_identical(n, eps, seed);
+      }
+    }
+  }
+}
+
+TEST(Paninski, RandomMatchesPerPairSignLoop) {
+  const std::size_t sizes[] = {2, 10, 128, 130, 1000};
+  for (const std::size_t n : sizes) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng rng(seed);
+      Rng loop_rng(seed);
+      const Paninski p = Paninski::random(n, 0.3, rng);
+      std::vector<int> signs(n / 2);
+      for (auto& s : signs) s = loop_rng.next_sign();
+      EXPECT_EQ(rng.state(), loop_rng.state());
+      for (std::size_t i = 0; i < n / 2; ++i) {
+        ASSERT_EQ(p.sign(i), signs[i]) << "pair " << i;
+      }
+      // Unused high bits of the last word stay clear.
+      const std::size_t used = (n / 2) % 64;
+      if (used != 0) {
+        EXPECT_EQ(p.words().back() >> used, 0U);
+      }
+
+      EXPECT_EQ(bits_of(p.to_distribution().pmf_vector()),
+                bits_of(gen::paninski_with_signs(n, 0.3, signs).pmf_vector()));
+      // The pmf arithmetic gen::paninski_with_signs has always used.
+      const double base = 1.0 / static_cast<double>(n);
+      std::vector<double> pmf(n);
+      for (std::size_t i = 0; i < n / 2; ++i) {
+        const double d = static_cast<double>(signs[i]) * 0.3 * base;
+        pmf[2 * i] = base + d;
+        pmf[2 * i + 1] = base - d;
+      }
+      EXPECT_EQ(bits_of(p.to_distribution().pmf_vector()),
+                bits_of(DiscreteDistribution(pmf).pmf_vector()));
+    }
+  }
+}
+
+TEST(Paninski, ExactlyEpsFarWithHeavyMemberBySign) {
+  Rng rng(5);
+  const Paninski p = Paninski::random(64, 0.4, rng);
+  EXPECT_EQ(p.domain_size(), 64U);
+  EXPECT_EQ(p.l1_from_uniform(), 0.4);
+  const auto d = p.to_distribution();
+  EXPECT_NEAR(d.l1_from_uniform(), 0.4, 1e-12);
+  for (std::size_t i = 0; i < 32; ++i) {
+    const std::size_t heavy = p.sign(i) == 1 ? 2 * i : 2 * i + 1;
+    EXPECT_NEAR(d.pmf(heavy), 1.4 / 64.0, 1e-15);
+  }
+}
+
+TEST(Paninski, InvalidArgumentsThrow) {
+  Rng rng(6);
+  EXPECT_THROW((void)Paninski::random(0, 0.5, rng), InvalidArgument);
+  EXPECT_THROW((void)Paninski::random(7, 0.5, rng), InvalidArgument);
+  EXPECT_THROW((void)Paninski::random(8, -0.1, rng), InvalidArgument);
+  EXPECT_THROW((void)Paninski::random(8, 1.5, rng), InvalidArgument);
+  EXPECT_THROW((void)Paninski::from_signs(8, 0.5, {1, -1}), InvalidArgument);
+  EXPECT_THROW((void)Paninski::from_signs(4, 0.5, {1, 0}), InvalidArgument);
+  const std::uint64_t word = 0;
+  EXPECT_THROW(AliasSampler({}, 1, 1.5, 0.5), InvalidArgument);
+  EXPECT_THROW(AliasSampler({&word, 1}, 0, 1.5, 0.5), InvalidArgument);
+  EXPECT_THROW(AliasSampler({&word, 1}, 65, 1.5, 0.5), InvalidArgument);
+  EXPECT_THROW(AliasSampler({&word, 1}, 1, 0.5, 1.5), InvalidArgument);
+}
+
+}  // namespace
+}  // namespace duti

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dist/generators.hpp"
 #include "util/error.hpp"
 
@@ -26,12 +28,14 @@ TEST(Workloads, PaninskiFarFactoryFreshPerTrial) {
   const auto b = factory(rng);
   EXPECT_NEAR(a->l1_from_uniform(), 0.5, 1e-12);
   EXPECT_NEAR(b->l1_from_uniform(), 0.5, 1e-12);
-  // Fresh perturbations: the underlying pmfs should differ.
-  const auto* da = dynamic_cast<const DistributionSource*>(a.get());
-  const auto* db = dynamic_cast<const DistributionSource*>(b.get());
-  ASSERT_NE(da, nullptr);
-  ASSERT_NE(db, nullptr);
-  EXPECT_GT(da->distribution().l1_distance(db->distribution()), 0.0);
+  // Fresh perturbations: the two sources' pair signs should differ.
+  const auto* pa = dynamic_cast<const PaninskiSource*>(a.get());
+  const auto* pb = dynamic_cast<const PaninskiSource*>(b.get());
+  ASSERT_NE(pa, nullptr);
+  ASSERT_NE(pb, nullptr);
+  const auto wa = pa->paninski().words();
+  const auto wb = pb->paninski().words();
+  EXPECT_FALSE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()));
 }
 
 TEST(Workloads, NuZFarFactory) {
@@ -95,6 +99,7 @@ TEST(SampleSources, BatchedDrawsMatchScalarDraws) {
   check(NuZSource(
       NuZ(CubeDomain(5), PerturbationVector::random(5, rng), 0.4)));
   check(HistogramSource({5, 0, 3, 12, 1}));
+  check(PaninskiSource(Paninski::random(64, 0.25, rng)));
 }
 
 TEST(SampleSources, HistogramSource) {
@@ -106,6 +111,17 @@ TEST(SampleSources, HistogramSource) {
     EXPECT_EQ(source.sample(rng), 1u);  // all mass on element 1
   }
   EXPECT_THROW(HistogramSource({0, 0}), InvalidArgument);
+}
+
+TEST(SampleSources, HistogramSourceTotalMustFitInUint64) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // A total of exactly 2^64 - 1 fits.
+  EXPECT_NO_THROW(HistogramSource({kMax}));
+  EXPECT_NO_THROW(HistogramSource({kMax - 1, 1}));
+  // One more wraps: 2^64, and the 2^65 - 1 whose wrapped total read
+  // l1_from_uniform() as 5/3 instead of 2/3.
+  EXPECT_THROW(HistogramSource({kMax, 1}), CapacityError);
+  EXPECT_THROW(HistogramSource({kMax, kMax, 1}), CapacityError);
 }
 
 TEST(Workloads, Validation) {
