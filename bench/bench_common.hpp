@@ -55,7 +55,7 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// The configuration a bench actually ran under, for emit_bench_json's
-/// "env" stamp: the global pool's size, the active SIMD level and the global
+/// "env" stamp: the global pool's size, the host's SIMD tier and the global
 /// probe cache's mode — resolved values, not the raw DUTI_* strings.
 [[nodiscard]] inline JsonFields resolved_env() {
   const char* cache = "off";

@@ -42,7 +42,7 @@
 // --- Global allocation counter ---------------------------------------------
 // Replaces the global allocation functions so the zero-alloc gate can count
 // every heap allocation made inside a timed trial loop, including aligned
-// variants (the SIMD kernels' buffers must not sneak past the gate).
+// variants.
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};

@@ -10,6 +10,7 @@
 #include "dist/generators.hpp"
 #include "dist/nu_z.hpp"
 #include "dist/paninski.hpp"
+#include "fourier/evenly_covered.hpp"
 #include "fourier/wht.hpp"
 #include "sim/protocol_batch.hpp"
 #include "stats/workloads.hpp"
@@ -110,6 +111,22 @@ void BM_Wht(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Wht)->Arg(10)->Arg(16)->Arg(20);
+
+/// is_evenly_covered at |S| = range(0) of q = 48 positions over 7 values:
+/// |S| <= 16 gathers through the insertion sort, 24 through std::sort, so
+/// the three sizes bracket the cutoff in value_multiplicities.
+void BM_IsEvenlyCovered(benchmark::State& state) {
+  Rng rng(9);
+  std::vector<std::uint64_t> x(48);
+  for (auto& xi : x) xi = rng() % 7;
+  std::uint64_t mask = lowest_mask(static_cast<unsigned>(state.range(0)));
+  // A mid-range mask (not the lowest) so positions are spread out.
+  for (int skip = 0; skip < 20; ++skip) mask = next_same_popcount(mask);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(is_evenly_covered(x, mask));
+  }
+}
+BENCHMARK(BM_IsEvenlyCovered)->Arg(8)->Arg(16)->Arg(24);
 
 void BM_CollisionPairs(benchmark::State& state) {
   Rng rng(4);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/error.hpp"
-#include "util/kernels.hpp"
 
 namespace duti {
 
@@ -67,10 +66,7 @@ std::uint64_t NuZ::sample(Rng& rng) const noexcept {
 void NuZ::sample_many(Rng& rng, std::size_t count,
                       std::vector<std::uint64_t>& out) const {
   out.resize(count);
-  // Batched kernel: vectorized heavy/light classification with the RNG
-  // consumed exactly like `count` repeated sample() calls (two raw draws
-  // per sample, in sample order) — bit-identical at every SimdLevel.
-  kernels::nuz_sample_many(rng, z_.words(), domain_.ell(), eps_, out);
+  for (std::uint64_t& o : out) o = sample(rng);
 }
 
 DiscreteDistribution NuZ::to_distribution(std::size_t max_cells) const {

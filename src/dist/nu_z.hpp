@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "dist/cube_domain.hpp"
@@ -40,12 +39,6 @@ class PerturbationVector {
   }
 
   void set_sign(std::uint64_t x, int s);
-
-  /// The packed sign words backing sign() (bit x set means z(x) = -1):
-  /// the layout consumed by the batched sampling kernels (util/kernels.hpp).
-  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
-    return bits_;
-  }
 
  private:
   unsigned ell_;

@@ -18,8 +18,8 @@ namespace {
 // run's length to `runs` in ascending value order. Returns the run count.
 // The gathered sets are small in the moment sweeps (q <= 10), where
 // std::sort's dispatch overhead dominates — insertion sort wins below ~16
-// elements (measured in bench/micro_kernels) and produces the same
-// ordering.
+// elements (measured by BM_IsEvenlyCovered in bench/micro_substrate) and
+// produces the same ordering.
 std::size_t value_multiplicities(std::span<const std::uint64_t> x,
                                  std::uint64_t s_mask, unsigned (&runs)[64]) {
   std::uint64_t scratch[64];

@@ -8,8 +8,8 @@
 // per-worker flat buffers, with zero heap allocations per trial in steady
 // state. The stream of player j is make_rng(rng(), j): one run-rng draw
 // per player, in player order, so runs replay bit-for-bit at any
-// DUTI_THREADS and DUTI_SIMD setting (pinned by the golden fingerprints
-// and the test-local reference runner in tests/test_protocol_batch.cpp).
+// DUTI_THREADS setting (pinned by the golden fingerprints and the
+// test-local reference runner in tests/test_protocol_batch.cpp).
 //
 // The plane also owns the library's two collision statistics, the pair
 // count and the distinct count, which the centralized and distributed

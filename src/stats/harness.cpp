@@ -4,7 +4,6 @@
 #include <array>
 
 #include "util/error.hpp"
-#include "util/kernels.hpp"
 #include "util/math.hpp"
 
 namespace duti {
@@ -33,9 +32,9 @@ ProbeResult probe_result_from_tallies(std::uint64_t uniform_successes,
 namespace {
 
 // Partial tallies for one chunk of trials, stored as one flat array of
-// integer counts so chunk reduction is a single kernels::add_u64 pass.
-// Merging chunks in chunk order reproduces the serial tally exactly
-// (integer addition, no rounding).
+// integer counts so chunk reduction is one elementwise add. Merging chunks
+// in chunk order reproduces the serial tally exactly (integer addition, no
+// rounding).
 struct ChunkTally {
   enum Field : std::size_t {
     kUniformSuccesses = 0,
@@ -62,7 +61,9 @@ struct ChunkTally {
     counts[kFarSuccesses] += success ? 1 : 0;
   }
 
-  void merge(const ChunkTally& other) { kernels::add_u64(counts, other.counts); }
+  void merge(const ChunkTally& other) noexcept {
+    for (std::size_t f = 0; f < kFieldCount; ++f) counts[f] += other.counts[f];
+  }
 };
 
 // Per-worker cache for trial-invariant sources: materialized on first use,

@@ -1,6 +1,8 @@
 #include "stats/probe_cache.hpp"
 
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -466,10 +468,17 @@ ProbeKey probe_key(const ProbeKey& base, std::uint64_t param,
   key.seed = seed;
   key.flavor = "full";
   if (adaptive) {
-    std::ostringstream os;
-    os << "adaptive:b=" << adaptive->batch << ":target=" << adaptive->target
-       << ":delta=" << adaptive->delta << ":min=" << adaptive->min_trials;
-    key.flavor = os.str();
+    // Shortest round-trip form: two schedules share a key only if their
+    // doubles are equal.
+    const auto exact = [](double v) {
+      std::array<char, 32> buf{};
+      const auto end = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+      return std::string(buf.data(), end.ptr);
+    };
+    key.flavor = "adaptive:b=" + std::to_string(adaptive->batch) +
+                 ":target=" + exact(adaptive->target) +
+                 ":delta=" + exact(adaptive->delta) +
+                 ":min=" + std::to_string(adaptive->min_trials);
   }
   key.engine_version = kProbeEngineVersion;
   return key;

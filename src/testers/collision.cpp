@@ -1,19 +1,22 @@
 #include "testers/collision.hpp"
 
 #include "util/error.hpp"
-#include "util/kernels.hpp"
 #include "util/math.hpp"
 
 namespace duti {
 
 std::uint64_t collision_pairs_from_counts(
     std::span<const std::uint64_t> counts) {
-  return kernels::collision_pairs_from_counts(counts);
+  std::uint64_t pairs = 0;
+  for (const std::uint64_t c : counts) pairs += c * (c - 1) / 2;
+  return pairs;
 }
 
 std::uint64_t distinct_values_from_counts(
     std::span<const std::uint64_t> counts) {
-  return kernels::distinct_from_counts(counts);
+  std::uint64_t distinct = 0;
+  for (const std::uint64_t c : counts) distinct += c > 0 ? 1 : 0;
+  return distinct;
 }
 
 double l2_norm_squared(const DiscreteDistribution& dist) {

@@ -1,45 +1,37 @@
-// Runtime SIMD dispatch state for the compute-kernel layer (DESIGN.md
-// section 11). The library ships scalar, SSE2 and AVX2 variants of its hot
-// kernels; which variant runs is decided once at startup from cpuid,
-// overridable with DUTI_SIMD=auto|off|sse2|avx2 (and per-process via
-// simd_set_level, for equivalence tests and benchmarks).
-//
-// This header is intrinsics-free on purpose: <immintrin.h> and the __m128/
-// __m256 types are confined to src/util/kernels_*.cpp (enforced by the
-// duti-lint rule no-intrinsics-outside-kernels), so every other TU builds
-// with baseline flags on every architecture.
+// The host's SIMD tier, as a run stamp for benchmark reports. Nothing in
+// the library selects on it: every computation has one portable
+// implementation (DESIGN.md section 11), so outputs cannot depend on it.
 #pragma once
-
-#include <string_view>
 
 namespace duti {
 
 /// Instruction-set tiers, ordered: higher levels strictly extend lower ones.
 enum class SimdLevel : int {
-  kScalar = 0,  ///< portable C++ only (DUTI_SIMD=off)
-  kSse2 = 1,    ///< 128-bit double/integer kernels
-  kAvx2 = 2,    ///< 256-bit kernels incl. batched samplers
+  kScalar = 0,  ///< no x86 vector extension reported
+  kSse2 = 1,
+  kAvx2 = 2,
 };
 
 /// Short lowercase name ("scalar", "sse2", "avx2") for logs and JSON.
-[[nodiscard]] const char* simd_level_name(SimdLevel level) noexcept;
+[[nodiscard]] constexpr const char* simd_level_name(SimdLevel level) noexcept {
+  switch (level) {
+    case SimdLevel::kSse2:
+      return "sse2";
+    case SimdLevel::kAvx2:
+      return "avx2";
+    default:
+      return "scalar";
+  }
+}
 
-/// Best level this binary can run: the highest tier that was both compiled
-/// in (ISA TUs present) and is reported by cpuid on this machine.
-[[nodiscard]] SimdLevel simd_supported_level() noexcept;
-
-/// The level kernels dispatch on right now. Initialized on first use from
-/// DUTI_SIMD (default auto = supported level), clamped to supported.
-[[nodiscard]] SimdLevel simd_active_level() noexcept;
-
-/// Override the active level (clamped to supported; returns what was
-/// actually installed). For tests and benchmarks that compare tiers
-/// in-process; the environment is only read once.
-SimdLevel simd_set_level(SimdLevel level) noexcept;
-
-/// Parse a DUTI_SIMD value: "off"/"scalar", "sse2", "avx2", or "auto"
-/// (the supported level). Returns false (out untouched) on anything else.
-[[nodiscard]] bool simd_level_from_string(std::string_view text,
-                                          SimdLevel& out) noexcept;
+/// The widest tier cpuid reports on this machine.
+[[nodiscard]] inline SimdLevel simd_active_level() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!__builtin_cpu_supports("sse2")) return SimdLevel::kScalar;
+  return __builtin_cpu_supports("avx2") ? SimdLevel::kAvx2 : SimdLevel::kSse2;
+#else
+  return SimdLevel::kScalar;
+#endif
+}
 
 }  // namespace duti

@@ -1,9 +1,12 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <exception>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -199,13 +202,24 @@ ThreadPool& ThreadPool::global() {
 }
 
 unsigned ThreadPool::configured_threads() {
-  if (const char* env = std::getenv("DUTI_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<unsigned>(v);
+  const char* env = std::getenv("DUTI_THREADS");
+  if (env == nullptr || *env == '\0') {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  // Digits only (from_chars takes no sign or blanks), and no wrap: a value
+  // past the unsigned range is out of range, not reduced modulo 2^32.
+  const std::string_view text(env);
+  unsigned threads = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), threads);
+  if (ec != std::errc{} || end != text.data() + text.size() || threads < 1 ||
+      threads > 1024) {
+    throw InvalidArgument(
+        "DUTI_THREADS must be an integer in [1, 1024], got \"" +
+        std::string(text) + "\"");
+  }
+  return threads;
 }
 
 }  // namespace duti

@@ -61,8 +61,9 @@ class ThreadPool {
   /// Process-wide pool, sized by configured_threads() on first use.
   static ThreadPool& global();
 
-  /// DUTI_THREADS env var if set to a positive integer, else
-  /// hardware_concurrency() (at least 1).
+  /// DUTI_THREADS as a decimal integer in [1, 1024]; hardware_concurrency()
+  /// (at least 1) when unset or empty. Throws InvalidArgument, naming the
+  /// value, for anything else.
   [[nodiscard]] static unsigned configured_threads();
 
  private:

@@ -121,6 +121,38 @@ TEST_F(ProbeCacheTest, FingerprintIsSensitiveToEveryKeyField) {
   EXPECT_NE(k.fingerprint(), fp);
 }
 
+TEST_F(ProbeCacheTest, AdaptiveKeysKeepEveryDigitOfTargetAndDelta) {
+  // Written at six significant digits, all three schedules would share
+  // "adaptive:b=32:target=0.666667:delta=0.001:min=0", and one schedule's
+  // early-stopped probe would be served to another.
+  const AdaptiveProbeConfig two_thirds;  // target 2/3, delta 1e-3
+  AdaptiveProbeConfig near_target = two_thirds;
+  near_target.target = 0.6666671;
+  AdaptiveProbeConfig near_delta = two_thirds;
+  near_delta.delta = 1.0000004e-3;
+  const ProbeKey base = sample_key();
+  const ProbeKey a = probe_key(base, base.param, base.trials, base.seed,
+                               two_thirds);
+  const ProbeKey b = probe_key(base, base.param, base.trials, base.seed,
+                               near_target);
+  const ProbeKey c = probe_key(base, base.param, base.trials, base.seed,
+                               near_delta);
+  EXPECT_NE(a.flavor, b.flavor);
+  EXPECT_NE(a.flavor, c.flavor);
+  EXPECT_NE(b.flavor, c.flavor);
+
+  {
+    ProbeCache cache(dir_, CacheMode::kReadWrite);
+    cache.insert(a, sample_result());
+  }
+  ProbeCache cache(dir_, CacheMode::kReadWrite);
+  EXPECT_FALSE(cache.lookup(b).has_value());
+  EXPECT_FALSE(cache.lookup(c).has_value());
+  const auto hit = cache.lookup(a);
+  ASSERT_TRUE(hit.has_value());
+  expect_bit_identical(*hit, sample_result());
+}
+
 TEST_F(ProbeCacheTest, MissOnDifferentKeyAndHitAfterInsert) {
   ProbeCache cache(dir_, CacheMode::kReadWrite);
   const ProbeKey key = sample_key();

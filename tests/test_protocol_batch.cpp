@@ -24,7 +24,6 @@
 #include "testers/robust_rules.hpp"
 #include "testers/tree_tester.hpp"
 #include "util/fnv.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace duti {
@@ -120,7 +119,7 @@ struct PlaneCase {
   ReferenceVote vote;
   std::function<bool(const std::vector<Message>&)> accept;
   // FNV-1a over every trial's messages (bits, width) and verdict, recorded
-  // from the retired per-player runner; the same at every SIMD level.
+  // from the retired per-player runner.
   std::uint64_t golden = 0;
 };
 
@@ -163,14 +162,7 @@ TesterRun run_of(const Tester& tester) {
   return [&tester](const SampleSource& s, Rng& r) { return tester.run(s, r); };
 }
 
-class SimdLevelParam : public ::testing::TestWithParam<SimdLevel> {
- protected:
-  void SetUp() override { prev_ = simd_set_level(GetParam()); }
-  void TearDown() override { simd_set_level(prev_); }
-  SimdLevel prev_ = SimdLevel::kScalar;
-};
-
-TEST_P(SimdLevelParam, ThresholdTesterMatchesReference) {
+TEST(ProtocolBatch, ThresholdTesterMatchesReference) {
   Rng calib_rng(11);
   const DistributedThresholdTester tester({512, 8, 24, 0.5}, calib_rng, 500);
   const double local_t = tester.local_threshold();
@@ -191,7 +183,7 @@ TEST_P(SimdLevelParam, ThresholdTesterMatchesReference) {
   expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, AndTesterMatchesReference) {
+TEST(ProtocolBatch, AndTesterMatchesReference) {
   const DistributedAndTester tester({256, 6, 40, 0.5});
   const double local_t = tester.local_threshold();
   PlaneCase c;
@@ -208,7 +200,7 @@ TEST_P(SimdLevelParam, AndTesterMatchesReference) {
   expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, FixedThresholdTesterMatchesReference) {
+TEST(ProtocolBatch, FixedThresholdTesterMatchesReference) {
   // The fixed-threshold vote consumes player randomness (the boundary
   // coin), so identity here also pins the post-sampling RNG handoff.
   FixedThresholdTester::Config cfg;
@@ -238,7 +230,7 @@ TEST_P(SimdLevelParam, FixedThresholdTesterMatchesReference) {
   expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, MultibitTesterMatchesReference) {
+TEST(ProtocolBatch, MultibitTesterMatchesReference) {
   MultibitSumTester::Config cfg;
   cfg.n = 256;
   cfg.k = 6;
@@ -267,7 +259,7 @@ TEST_P(SimdLevelParam, MultibitTesterMatchesReference) {
   expect_plane_matches_reference(c);
 }
 
-TEST_P(SimdLevelParam, AsymmetricTesterMatchesReference) {
+TEST(ProtocolBatch, AsymmetricTesterMatchesReference) {
   const std::uint64_t n = 256;
   Rng calib_rng(66);
   const AsymmetricRateTester tester(n, {1.0, 2.0, 4.0, 8.0}, 8.0, calib_rng,
@@ -293,13 +285,6 @@ TEST_P(SimdLevelParam, AsymmetricTesterMatchesReference) {
   c.golden = 0x31c5b4efcba66b85ULL;
   expect_plane_matches_reference(c);
 }
-
-INSTANTIATE_TEST_SUITE_P(Levels, SimdLevelParam,
-                         ::testing::Values(SimdLevel::kScalar,
-                                           simd_supported_level()),
-                         [](const auto& level) {
-                           return level.index == 0 ? "off" : "auto";
-                         });
 
 TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {
   DistributedTesterConfig cfg;

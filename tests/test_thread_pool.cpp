@@ -5,6 +5,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -130,15 +133,62 @@ TEST(ThreadPool, EmptyAndSingleChunkRunInline) {
   EXPECT_EQ(calls, 1);
 }
 
+/// Restores the caller's DUTI_THREADS on scope exit: the determinism
+/// workflow runs this binary with the variable set.
+class ThreadsEnvGuard {
+ public:
+  ThreadsEnvGuard() {
+    if (const char* v = std::getenv("DUTI_THREADS")) saved_ = v;
+  }
+  ~ThreadsEnvGuard() {
+    if (saved_) {
+      setenv("DUTI_THREADS", saved_->c_str(), 1);
+    } else {
+      unsetenv("DUTI_THREADS");
+    }
+  }
+  ThreadsEnvGuard(const ThreadsEnvGuard&) = delete;
+  ThreadsEnvGuard& operator=(const ThreadsEnvGuard&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// These rows call configured_threads() only and never build a pool: a
+// parser that wrapped a rejected value would otherwise start that many
+// threads.
 TEST(ThreadPool, ConfiguredThreadsReadsEnv) {
-  ASSERT_EQ(setenv("DUTI_THREADS", "5", 1), 0);
-  EXPECT_EQ(ThreadPool::configured_threads(), 5u);
-  ASSERT_EQ(setenv("DUTI_THREADS", "junk", 1), 0);
-  EXPECT_GE(ThreadPool::configured_threads(), 1u);  // falls back to hardware
-  ASSERT_EQ(setenv("DUTI_THREADS", "0", 1), 0);
-  EXPECT_GE(ThreadPool::configured_threads(), 1u);
+  const ThreadsEnvGuard guard;
+  for (const char* value : {"1", "5", "8", "1024"}) {
+    ASSERT_EQ(setenv("DUTI_THREADS", value, 1), 0);
+    EXPECT_EQ(ThreadPool::configured_threads(),
+              static_cast<unsigned>(std::stoul(value)));
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  const unsigned fallback = hw == 0 ? 1 : hw;
+  ASSERT_EQ(setenv("DUTI_THREADS", "", 1), 0);
+  EXPECT_EQ(ThreadPool::configured_threads(), fallback);
   ASSERT_EQ(unsetenv("DUTI_THREADS"), 0);
-  EXPECT_GE(ThreadPool::configured_threads(), 1u);
+  EXPECT_EQ(ThreadPool::configured_threads(), fallback);
+}
+
+TEST(ThreadPool, ConfiguredThreadsRejectsAnythingElseLoudly) {
+  const ThreadsEnvGuard guard;
+  for (const char* value : {"0", "-3", "abc", "8x", "junk", "1025",
+                            "4294967297", "5000000000"}) {
+    SCOPED_TRACE(value);
+    ASSERT_EQ(setenv("DUTI_THREADS", value, 1), 0);
+    try {
+      const unsigned threads = ThreadPool::configured_threads();
+      ADD_FAILURE() << "accepted as " << threads;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DUTI_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + value + "\""),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ThreadPool, NullBodyThrows) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -39,6 +41,25 @@ TEST(Wht, MatchesNaiveTransform) {
       }
       ASSERT_NEAR(fast[s], naive, 1e-9) << "m=" << m << " S=" << s;
     }
+  }
+}
+
+TEST(Wht, MatchesNaiveTransformExactly) {
+  // Small integer inputs keep every sum exactly representable, so the
+  // butterflies and the O(N^2) definition must agree to the last bit.
+  Rng rng(2026);
+  for (const std::size_t n : {1u, 2u, 4u, 8u, 16u, 64u, 256u, 1024u}) {
+    std::vector<double> input(n);
+    for (auto& v : input)
+      v = static_cast<double>(static_cast<std::int64_t>(rng() % 17) - 8);
+    std::vector<double> expected(n, 0.0);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t x = 0; x < n; ++x) expected[s] += input[x] * chi(s, x);
+    }
+    std::vector<double> data = input;
+    wht_inplace(data);
+    EXPECT_EQ(std::memcmp(data.data(), expected.data(), n * sizeof(double)), 0)
+        << "n=" << n;
   }
 }
 

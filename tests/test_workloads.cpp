@@ -83,23 +83,65 @@ TEST(Workloads, TrialInvarianceFlags) {
 
 TEST(SampleSources, BatchedDrawsMatchScalarDraws) {
   // sample_many overrides must consume the RNG exactly like repeated
-  // sample() calls — batch and scalar paths are interchangeable bit-for-bit.
-  const auto check = [](const SampleSource& source) {
+  // sample() calls — batch and scalar paths are interchangeable bit-for-bit,
+  // and leave the RNG in the same state.
+  const auto check = [](const SampleSource& source, std::size_t count) {
     Rng scalar_rng(99), batch_rng(99);
     std::vector<std::uint64_t> batch;
-    source.sample_many(batch_rng, 257, batch);
-    ASSERT_EQ(batch.size(), 257u);
+    source.sample_many(batch_rng, count, batch);
+    ASSERT_EQ(batch.size(), count);
     for (const std::uint64_t b : batch) {
       EXPECT_EQ(b, source.sample(scalar_rng));
     }
+    for (int k = 0; k < 4; ++k) ASSERT_EQ(batch_rng(), scalar_rng());
   };
-  check(UniformSource(1000));
-  check(DistributionSource(gen::zipf(64, 1.0)));
+  check(UniformSource(1000), 257);
+  check(DistributionSource(gen::zipf(64, 1.0)), 257);
+  check(HistogramSource({5, 0, 3, 12, 1}), 257);
   Rng rng(7);
-  check(NuZSource(
-      NuZ(CubeDomain(5), PerturbationVector::random(5, rng), 0.4)));
-  check(HistogramSource({5, 0, 3, 12, 1}));
-  check(PaninskiSource(Paninski::random(64, 0.25, rng)));
+  check(PaninskiSource(Paninski::random(64, 0.25, rng)), 257);
+  for (unsigned ell = 1; ell <= 10; ++ell) {
+    for (const double eps : {0.0, 0.3, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "ell=" << ell << " eps=" << eps);
+      const NuZSource nu(
+          NuZ(CubeDomain(ell), PerturbationVector::random(ell, rng), eps));
+      check(nu, 0);
+      check(nu, 257);
+    }
+  }
+}
+
+TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
+  // UniformSource's batch draw must consume the RNG exactly like repeated
+  // next_below calls: same outputs, same number of raw draws, in the same
+  // order. bound = 2^63 + 1 gives a ~50% rejection rate so the stream
+  // contract is exercised well past the no-rejection case.
+  const std::uint64_t bounds[] = {1,
+                                  2,
+                                  3,
+                                  10,
+                                  255,
+                                  257,
+                                  (std::uint64_t{1} << 32) + 7,
+                                  (std::uint64_t{1} << 63) + 1,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t bound : bounds) {
+    const UniformSource uniform(bound);
+    for (const std::size_t len : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 16u, 67u, 256u}) {
+      SCOPED_TRACE(testing::Message() << "bound=" << bound << " len=" << len);
+      Rng batched(derive_seed(23, bound, len));
+      Rng serial(derive_seed(23, bound, len));
+      std::vector<std::uint64_t> out;
+      uniform.sample_many(batched, len, out);
+      ASSERT_EQ(out.size(), len);
+      for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(out[i], serial.next_below(bound)) << i;
+        ASSERT_LT(out[i], bound);
+      }
+      // Same final state: the next raw draws must agree.
+      for (int k = 0; k < 4; ++k) ASSERT_EQ(batched(), serial());
+    }
+  }
 }
 
 TEST(SampleSources, HistogramSource) {

@@ -262,12 +262,10 @@ std::vector<Rule> build_rules() {
        "error and let the binary's edge decide",
        {"src/"}, {"src/util/error.hpp"}, false},
       {"no-intrinsics-outside-kernels",
-       "raw SIMD intrinsics are confined to the kernel layer "
-       "(src/util/simd.hpp and src/util/kernels*); everything else calls "
-       "the runtime-dispatched duti::kernels API so DUTI_SIMD=off stays "
-       "bit-identical to the vector paths",
-       {"src/", "tests/", "bench/"},
-       {"src/util/simd.hpp", "src/util/kernels"}, false},
+       "no raw SIMD intrinsics or ISA headers anywhere: every computation "
+       "has one portable implementation (DESIGN.md section 11), so no "
+       "output can depend on the host's instruction set",
+       {"src/", "tests/", "bench/"}, {}, false},
       // Protocol-plane discipline (DESIGN.md section 14): trial loops in
       // the sim layer run through reusable flat buffers; per-iteration
       // heap construction is what the batched executor exists to remove.
@@ -633,9 +631,8 @@ void check_intrinsics(const std::string& file, const std::vector<LexedLine>& lin
     }
     if (hit)
       add(out, file, static_cast<int>(i + 1), "no-intrinsics-outside-kernels",
-          "raw SIMD intrinsics outside the kernel layer; call the "
-          "runtime-dispatched duti::kernels API so every call site keeps "
-          "the scalar/SIMD bit-identity contract");
+          "raw SIMD intrinsics; write the portable loop, the one "
+          "implementation of each computation (DESIGN.md section 11)");
   }
 }
 
