@@ -1,10 +1,5 @@
 // E10 — the asymmetric-cost model of Section 6.2.
 //
-// duti-lint: allow-file(no-serial-sweep-loop) -- the sweep axis is a set
-// of categorical rate-vector SHAPES, not a numeric coordinate: there is
-// nothing to interpolate warm-start hints along, which is the engine's
-// whole point here.
-//
 // Paper claim: if player i samples at rate T_i for tau time units
 // (q_i = T_i * tau), the optimal time is tau = Theta(sqrt(n)/(eps^2 ||T||_2))
 // — only the l2 norm of the rate vector matters, not its shape.
@@ -12,27 +7,12 @@
 // The bench measures the minimal integer tau for several rate vectors with
 // DIFFERENT shapes but controlled l2 norms, and checks that
 // tau* x ||T||_2 is approximately the same constant across shapes.
-#include <cmath>
+#include <algorithm>
 #include <iostream>
-#include <numeric>
 
 #include "bench_common.hpp"
 #include "core/predictions.hpp"
-#include "stats/workloads.hpp"
-#include "testers/asymmetric.hpp"
-#include "util/confidence.hpp"
-
-namespace {
-
-using namespace duti;
-
-double l2_norm(const std::vector<double>& rates) {
-  double acc = 0.0;
-  for (double t : rates) acc += t * t;
-  return std::sqrt(acc);
-}
-
-}  // namespace
+#include "sweep_specs.hpp"
 
 int main(int argc, char** argv) {
   using namespace duti;
@@ -49,66 +29,30 @@ int main(int argc, char** argv) {
                 "expected: tau* ~ sqrt(n)/(eps^2 ||T||_2); tau* x ||T||_2 "
                 "approximately constant across rate-vector shapes");
 
-  struct Shape {
-    std::string name;
-    std::vector<double> rates;
-  };
-  std::vector<Shape> shapes;
-  shapes.push_back({"uniform x16", std::vector<double>(16, 1.0)});
-  {
-    std::vector<double> one_fast(16, 1.0);
-    one_fast[0] = 8.0;
-    shapes.push_back({"one fast node", one_fast});
-  }
-  {
-    std::vector<double> two_speed(16, 1.0);
-    for (int i = 0; i < 8; ++i) two_speed[static_cast<std::size_t>(i)] = 3.0;
-    shapes.push_back({"half fast", two_speed});
-  }
-  {
-    std::vector<double> few(4, 2.0);
-    shapes.push_back({"4 nodes at rate 2", few});
-  }
+  // One declarative point per rate shape, axis ||T||_2; --sweep=cold reruns
+  // the serial full-budget baseline with identical minima.
+  const auto shapes = bench::e10_shapes();
+  const SweepResult sweep = run_sweep(
+      bench::e10_points(n, eps, shapes, static_cast<std::size_t>(flags.trials),
+                        static_cast<std::uint64_t>(flags.seed)),
+      bench::sweep_engine_config(cli));
+  bench::print_sweep_summary("e10", sweep);
 
   Table table({"rate vector", "||T||_2", "tau* (measured)",
                "predicted sqrt(n)/(eps^2 ||T||_2)", "tau* x ||T||_2"});
   std::vector<double> products;
-  for (const auto& shape : shapes) {
-    const ProbeFn probe = [&](std::uint64_t tau) {
-      Rng calib_rng =
-          make_rng(static_cast<std::uint64_t>(flags.seed), tau, 0xCA11B);
-      // The library tester replays the original bench-local tester's
-      // calibration stream and verdicts bit-for-bit (same 600 trials per
-      // player from this shared calib_rng, same referee comparison).
-      const AsymmetricRateTester tester(n, shape.rates,
-                                        static_cast<double>(tau), calib_rng);
-      const TesterRun run = [&tester](const SampleSource& src, Rng& rng) {
-        return tester.run(src, rng);
-      };
-      return probe_success(
-          run, workloads::uniform_factory(n),
-          workloads::paninski_far_factory(n, eps),
-          static_cast<std::size_t>(flags.trials),
-          derive_seed(static_cast<std::uint64_t>(flags.seed), tau,
-                      shape.rates.size()));
-    };
-    MinSearchConfig cfg;
-    cfg.lo = 2;
-    cfg.hi = 1ULL << 14;
-    cfg.trials = static_cast<std::size_t>(flags.trials);
-    cfg.seed = static_cast<std::uint64_t>(flags.seed);
-    const auto result = find_min_param(probe, cfg);
-    if (!result.found) {
-      std::cout << shape.name << ": search failed\n";
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const SweepPointResult& point = sweep.points[i];
+    if (!point.found) {
+      std::cout << shapes[i].name << ": search failed\n";
       continue;
     }
-    const double norm = l2_norm(shape.rates);
-    const double product = static_cast<double>(result.minimum) * norm;
+    const double product = static_cast<double>(point.minimum) * point.axis;
     products.push_back(product);
-    table.add_row({shape.name, norm,
-                   static_cast<std::int64_t>(result.minimum),
+    table.add_row({shapes[i].name, point.axis,
+                   static_cast<std::int64_t>(point.minimum),
                    predict::asymmetric_tau(static_cast<double>(n), eps,
-                                           shape.rates),
+                                           shapes[i].rates),
                    product});
   }
   table.print(std::cout, "E10: time-to-decision vs rate-vector shape");

@@ -1,11 +1,5 @@
 // E13 (extension beyond the paper): what fault tolerance costs.
 //
-// duti-lint: allow-file(no-serial-sweep-loop) -- these probes are
-// fault-aware (probe_success over RefereeOutcome, abort attribution);
-// the sweep engine's declarative path only speaks the boolean two-sided
-// probe, so the searches here stay direct until the engine grows a
-// RefereeOutcome lane.
-//
 // Three sweeps, all against the distributed threshold tester of [7] at
 // fixed (n, k, eps):
 //
@@ -29,62 +23,25 @@
 
 #include "bench_common.hpp"
 #include "sim/reliable.hpp"
-#include "stats/workloads.hpp"
-#include "testers/robust_rules.hpp"
+#include "sweep_specs.hpp"
 
 namespace {
 
 using namespace duti;
+using bench::FaultSweepSetup;
+using bench::RefereeRule;
 
-struct SweepSetup {
-  std::uint64_t n;
-  unsigned k;
-  double eps;
-  std::size_t trials;
-  std::uint64_t seed;
-  std::uint64_t hi;  // give-up cap for the q search
-};
-
-const char* rule_name(RobustThresholdTester::Rule rule) {
-  switch (rule) {
-    case RobustThresholdTester::Rule::kNaive: return "naive";
-    case RobustThresholdTester::Rule::kQuorum: return "quorum";
-    case RobustThresholdTester::Rule::kMedianOfGroups: return "median";
-    case RobustThresholdTester::Rule::kTrimmed: return "trimmed";
-  }
-  return "?";
-}
-
-/// Minimal q clearing the 2/3 bar (0 if even `hi` fails), plus the probe at
-/// the found minimum (or at `hi`) for rate/abort reporting.
-std::pair<std::uint64_t, ProbeResult> min_q_under(
-    const SweepSetup& s, const FaultPlan& plan,
-    RobustThresholdTester::Rule rule) {
-  MinSearchConfig cfg;
-  cfg.lo = 2;
-  cfg.hi = s.hi;
-  cfg.trials = s.trials;
-  cfg.seed = s.seed;
-  const auto probe = [&](std::uint64_t q) {
-    Rng calib(derive_seed(s.seed, 0xCA11B, q));
-    const RobustThresholdTester tester(
-        {s.n, s.k, static_cast<unsigned>(q), s.eps}, plan, rule, calib);
-    return probe_success(
-        [&tester](const SampleSource& src, Rng& r) {
-          return tester.outcome(src, r);
-        },
-        workloads::uniform_factory(s.n),
-        workloads::paninski_far_factory(s.n, s.eps), cfg.trials, cfg.seed);
-  };
-  const auto result = find_min_param(probe, cfg);
-  // Report the rates measured AT the minimum (the binary search's last
-  // probe may be a failing midpoint), or at the cap when nothing passed.
-  const std::uint64_t at = result.found ? result.minimum : cfg.hi;
-  ProbeResult shown = result.probes.back().second;
-  for (const auto& [value, probed] : result.probes) {
+/// Minimal q clearing the 2/3 bar (0 if even the cap fails), plus the probe
+/// at the found minimum (or at the cap) for rate/abort reporting: the
+/// binary search's last probe may be a failing midpoint.
+std::pair<std::uint64_t, ProbeResult> at_minimum(const SweepPointResult& p,
+                                                 std::uint64_t cap) {
+  const std::uint64_t at = p.found ? p.minimum : cap;
+  ProbeResult shown = p.audit.back().second;
+  for (const auto& [value, probed] : p.audit) {
     if (value == at) shown = probed;
   }
-  return {result.found ? result.minimum : 0, shown};
+  return {p.minimum, shown};
 }
 
 /// Gate bookkeeping: each sweep reports whether every robust rule cleared
@@ -98,21 +55,20 @@ struct GateResult {
   }
 };
 
-bool sweep_crash(const SweepSetup& s) {
+bool sweep_crash(const FaultSweepSetup& s, const SweepEngineConfig& engine) {
   GateResult gate;
   std::cout << "\n-- crash faults: minimal q, naive vs quorum referee --\n";
+  const SweepResult sweep = run_sweep(bench::e13_crash_points(s), engine);
+  bench::print_sweep_summary("e13_crash", sweep);
   Table table({"crash_frac", "rule", "min_q", "q_ratio", "pred_ratio",
                "uniform_rate", "far_rate", "abort_frac"});
-  std::vector<double> frac = {0.0, 0.05, 0.1, 0.2, 0.3};
   std::vector<double> xs, measured, predicted;
   std::uint64_t q_free = 0;
-  for (const double c : frac) {
-    FaultPlan plan;
-    plan.crash_fraction = c;
-    for (const auto rule : {RobustThresholdTester::Rule::kNaive,
-                            RobustThresholdTester::Rule::kQuorum}) {
-      const auto [min_q, probe] = min_q_under(s, plan, rule);
-      if (c == 0.0 && rule == RobustThresholdTester::Rule::kNaive) {
+  std::size_t i = 0;
+  for (const double c : bench::kCrashFractions) {
+    for (const RefereeRule rule : bench::kCrashRules) {
+      const auto [min_q, probe] = at_minimum(sweep.points[i++], s.cap);
+      if (c == 0.0 && rule == RefereeRule::kNaive) {
         q_free = min_q;
       }
       const double ratio =
@@ -120,13 +76,12 @@ bool sweep_crash(const SweepSetup& s) {
               ? static_cast<double>(min_q) / static_cast<double>(q_free)
               : 0.0;
       const double pred = 1.0 / std::sqrt(1.0 - c);
-      table.add_row({c, std::string(rule_name(rule)),
+      table.add_row({c, std::string(bench::rule_name(rule)),
                      static_cast<std::int64_t>(min_q), ratio, pred,
                      probe.uniform_accept_rate, probe.far_reject_rate,
                      static_cast<double>(probe.aborts()) /
                          static_cast<double>(2 * probe.trials)});
-      if (rule == RobustThresholdTester::Rule::kQuorum && min_q > 0 &&
-          c > 0.0) {
+      if (rule == RefereeRule::kQuorum && min_q > 0 && c > 0.0) {
         xs.push_back(1.0 - c);
         measured.push_back(static_cast<double>(min_q));
         predicted.push_back(static_cast<double>(q_free) * pred);
@@ -134,7 +89,7 @@ bool sweep_crash(const SweepSetup& s) {
       // The quorum referee advertises surviving every swept crash
       // fraction: failing to find ANY q below the cap means the rule
       // itself is broken, not just expensive.
-      if (rule == RobustThresholdTester::Rule::kQuorum && min_q == 0) {
+      if (rule == RefereeRule::kQuorum && min_q == 0) {
         gate.fail("quorum referee found no passing q at crash_frac=" +
                   std::to_string(c));
       }
@@ -149,30 +104,28 @@ bool sweep_crash(const SweepSetup& s) {
   return gate.ok;
 }
 
-bool sweep_byzantine(const SweepSetup& s) {
+bool sweep_byzantine(const FaultSweepSetup& s,
+                     const SweepEngineConfig& engine) {
   GateResult gate;
   std::cout << "\n-- Byzantine stuck-at-one bits: minimal q by referee --\n";
+  const SweepResult sweep = run_sweep(bench::e13_byzantine_points(s), engine);
+  bench::print_sweep_summary("e13_byzantine", sweep);
   Table table({"byz_frac", "rule", "min_q", "uniform_rate", "far_rate"});
-  for (const double b : {0.0, 0.05, 0.1, 0.15}) {
-    FaultPlan plan;
-    plan.byzantine_fraction = b;
-    plan.byzantine_mode = ByzantineMode::kStuckAtOne;
-    for (const auto rule : {RobustThresholdTester::Rule::kNaive,
-                            RobustThresholdTester::Rule::kMedianOfGroups,
-                            RobustThresholdTester::Rule::kTrimmed}) {
-      const auto [min_q, probe] = min_q_under(s, plan, rule);
-      table.add_row({b, std::string(rule_name(rule)),
+  std::size_t i = 0;
+  for (const double b : bench::kByzantineFractions) {
+    for (const RefereeRule rule : bench::kByzantineRules) {
+      const auto [min_q, probe] = at_minimum(sweep.points[i++], s.cap);
+      table.add_row({b, std::string(bench::rule_name(rule)),
                      static_cast<std::int64_t>(min_q),
                      probe.uniform_accept_rate, probe.far_reject_rate});
       // Advertised bars: median-of-groups absorbs every swept fraction;
       // the trimmed mean holds strictly below its 10% trim floor (at the
       // floor the stuck bits exactly fill the trimmed slots and the rule
       // is expected to die — the naive rule is never gated at all).
-      const bool must_pass =
-          rule == RobustThresholdTester::Rule::kMedianOfGroups ||
-          (rule == RobustThresholdTester::Rule::kTrimmed && b < 0.1 - 1e-9);
+      const bool must_pass = rule == RefereeRule::kMedianOfGroups ||
+                             (rule == RefereeRule::kTrimmed && b < 0.1 - 1e-9);
       if (must_pass && min_q == 0) {
-        gate.fail(std::string(rule_name(rule)) +
+        gate.fail(std::string(bench::rule_name(rule)) +
                   " referee found no passing q at byz_frac=" +
                   std::to_string(b));
       }
@@ -255,13 +208,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  SweepSetup s;
+  FaultSweepSetup s;
   s.n = static_cast<std::uint64_t>(cli.get_int("n", 256));
   s.k = static_cast<unsigned>(cli.get_int("k", 60));
   s.eps = cli.get_double("eps", 0.5);
   s.trials = static_cast<std::size_t>(flags.trials);
   s.seed = static_cast<std::uint64_t>(flags.seed);
-  s.hi = flags.quick ? (1 << 8) : (1 << 10);
+  s.cap = flags.quick ? (1 << 8) : (1 << 10);
   if (flags.quick) s.trials = std::min<std::size_t>(s.trials, 60);
 
   bench::banner(
@@ -274,11 +227,12 @@ int main(int argc, char** argv) {
       "cost.");
   std::cout << "n=" << s.n << " k=" << s.k << " eps=" << s.eps
             << " trials=" << s.trials << " seed=" << s.seed
-            << " q_cap=" << s.hi << "\n";
+            << " q_cap=" << s.cap << "\n";
 
   bool ok = true;
-  ok &= sweep_crash(s);
-  ok &= sweep_byzantine(s);
+  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
+  ok &= sweep_crash(s, engine);
+  ok &= sweep_byzantine(s, engine);
   ok &= sweep_transport(s.trials, s.seed);
   std::cout << "\nCSV written to " << bench::output_dir()
             << "/e13_{crash,byzantine,transport}.csv\n";

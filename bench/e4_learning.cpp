@@ -1,10 +1,5 @@
 // E4 — Theorem 1.4 (distributed learning of an unknown distribution).
 //
-// duti-lint: allow-file(no-serial-sweep-loop) -- the searched resource is
-// k (node count) for a LEARNING protocol, not a two-sided uniformity
-// probe: the sweep engine's declarative cache identity does not describe
-// this probe, and a raw-probe port would run uncached, buying nothing.
-//
 // Paper claim (lower bound): any q-query 1-bit protocol computing a
 // delta-approximation needs k = Omega(n^2/q^2) nodes. The natural 1-bit
 // upper bound we implement (presence-bit learner) needs
@@ -21,43 +16,7 @@
 
 #include "bench_common.hpp"
 #include "core/predictions.hpp"
-#include "dist/generators.hpp"
-#include "stats/harness.hpp"
-#include "testers/learner.hpp"
-
-namespace {
-
-using namespace duti;
-
-/// Success = learned distribution within `delta` of the truth in l1.
-ProbeResult learning_probe(std::uint64_t n, std::uint64_t k, unsigned q,
-                           double delta, std::size_t trials,
-                           std::uint64_t seed) {
-  const PresenceBitLearner learner(n, k, q);
-  SuccessCounter uniform_side, structured_side;
-  for (std::size_t t = 0; t < trials; ++t) {
-    {
-      const auto truth = DiscreteDistribution::uniform(n);
-      Rng rng = make_rng(seed, 1, t);
-      uniform_side.record(learner.learn_l1_error(truth, rng) <= delta);
-    }
-    {
-      Rng gen_rng = make_rng(seed, 2, t);
-      const auto truth = gen::random_perturbation(n, 1.0, gen_rng);
-      Rng rng = make_rng(seed, 3, t);
-      structured_side.record(learner.learn_l1_error(truth, rng) <= delta);
-    }
-  }
-  ProbeResult out;
-  out.trials = trials;
-  out.uniform_accept_rate = uniform_side.rate();
-  out.far_reject_rate = structured_side.rate();  // reused as "side 2"
-  out.uniform_ci = uniform_side.wilson();
-  out.far_ci = structured_side.wilson();
-  return out;
-}
-
-}  // namespace
+#include "sweep_specs.hpp"
 
 int main(int argc, char** argv) {
   using namespace duti;
@@ -79,29 +38,27 @@ int main(int argc, char** argv) {
                 "expected: measured k* above the paper's n^2/q^2 lower "
                 "bound; this 1-bit protocol decays like ~n^2/q (gap open)");
 
+  // One raw point per q (the learning probe is not a uniformity probe, so
+  // it bypasses the cache); the points run in one engine wave.
+  const SweepResult sweep =
+      run_sweep(bench::e4_points(n, delta, qs, trials, seed),
+                bench::sweep_engine_config(c));
+  bench::print_sweep_summary("e4", sweep);
+
   Table table({"q", "k* (measured, multiples of n)", "thm1.4 lower bound",
                "natural upper-bound shape n^2/q"});
   std::vector<double> xs, measured, lower_curve;
-  for (const auto q : qs) {
-    // Search k in units of n (the learner needs k >= n).
-    const ProbeFn probe = [&, q](std::uint64_t k_units) {
-      return learning_probe(n, k_units * n, static_cast<unsigned>(q), delta,
-                            trials, derive_seed(seed, q, k_units));
-    };
-    MinSearchConfig cfg;
-    cfg.lo = 1;
-    cfg.hi = 1ULL << 14;
-    cfg.trials = trials;
-    cfg.seed = derive_seed(seed, q);
-    const auto result = find_min_param(probe, cfg);
-    if (!result.found) {
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    const auto q = qs[i];
+    const SweepPointResult& point = sweep.points[i];
+    if (!point.found) {
       std::cout << "q=" << q << ": search failed\n";
       continue;
     }
-    const double k_star = static_cast<double>(result.minimum * n);
+    const double k_star = static_cast<double>(point.minimum * n);
     const double lower = predict::thm14_learning_k(static_cast<double>(n),
                                                    static_cast<double>(q));
-    table.add_row({q, static_cast<std::int64_t>(result.minimum), lower,
+    table.add_row({q, static_cast<std::int64_t>(point.minimum), lower,
                    static_cast<double>(n) * static_cast<double>(n) /
                        static_cast<double>(q)});
     xs.push_back(static_cast<double>(q));

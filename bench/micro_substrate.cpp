@@ -15,6 +15,7 @@
 #include "sim/protocol_batch.hpp"
 #include "stats/workloads.hpp"
 #include "testers/collision.hpp"
+#include "testers/fixed_threshold.hpp"
 
 namespace {
 
@@ -224,6 +225,29 @@ void BM_ProbeSourceFresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProbeSourceFresh);
+
+/// probe_success throughput against the pool size (the argument): one
+/// 300-trial probe of the forced-threshold tester at n=4096, k=32, q=64.
+/// Every pool size returns the bit-identical result
+/// (ParallelProbe.BitIdenticalAcrossThreadCounts); items/s is trials/s.
+void BM_ProbeSuccess(benchmark::State& state) {
+  constexpr std::uint64_t kN = 4096;
+  constexpr std::size_t kTrials = 300;
+  const FixedThresholdTester tester({kN, 32, 64, 0.5, 4});
+  const TesterRun run = [&tester](const SampleSource& src, Rng& rng) {
+    return tester.run(src, rng);
+  };
+  const SourceSpec uniform = workloads::uniform_factory(kN);
+  const SourceSpec far = workloads::paninski_far_factory(kN, 0.5);
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        probe_success(run, uniform, far, kTrials, 1, pool).uniform_successes);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kTrials));
+}
+BENCHMARK(BM_ProbeSuccess)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_PerturbationVector(benchmark::State& state) {
   Rng rng(6);

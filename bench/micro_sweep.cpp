@@ -174,8 +174,9 @@ int main(int argc, char** argv) {
                 "equal at 1 and 8 threads");
 
   // Families mirror the ported benches' --quick sweeps (same dims, same
-  // seed derivations). --quick here trims to three families so the tier-1
-  // smoke stays fast; the full set is the default.
+  // seed derivations; e10, which has no quick mode, at its defaults).
+  // --quick here trims to three families so the tier-1 smoke stays fast;
+  // the full set is the default.
   using Builder = std::function<std::vector<SweepPoint>()>;
   std::vector<std::pair<std::string, Builder>> families = {
       {"e1_any_rule",
@@ -200,6 +201,9 @@ int main(int argc, char** argv) {
     families.push_back({"e8_collision_eps", [&] {
       return bench::e8_eps_points(4096, {0.25, 0.5, 1.0}, trials, seed,
                                   SamplingKernel::kPerSample);
+    }});
+    families.push_back({"e10_asymmetric", [&] {
+      return bench::e10_points(4096, 0.5, bench::e10_shapes(), trials, seed);
     }});
   }
 

@@ -1,22 +1,31 @@
-// Declarative SweepPoint builders for the q*-sweep benches (e1, e2, e3,
-// e8, e9). Each builder reproduces the EXACT per-point seed derivations of
-// the pre-engine serial loops — probe seed, calibration stream, and search
+// SweepPoint builders for every bench that searches a minimum: the
+// declarative q*-sweeps of e1, e2, e3, e8, e9 and e10, and the raw-probe
+// points of e4 (a learning probe) and e13 (RefereeOutcome probes with abort
+// attribution), whose probes the declarative path cannot describe. Each
+// builder reproduces the EXACT per-point seed derivations of the
+// pre-engine serial loops — probe seed, calibration stream, and search
 // range — so the engine's minima match the historical tables bit-for-bit,
-// warm or cold. micro_sweep reuses the same builders to measure the
-// engine against its cold serial baseline on the real sweeps.
+// warm or cold. micro_sweep and test_sweep reuse the same builders.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "dist/generators.hpp"
 #include "stats/sweep.hpp"
 #include "stats/workloads.hpp"
+#include "testers/asymmetric.hpp"
 #include "testers/centralized.hpp"
 #include "testers/distributed.hpp"
 #include "testers/fixed_threshold.hpp"
+#include "testers/learner.hpp"
 #include "testers/multibit.hpp"
+#include "testers/robust_rules.hpp"
 
 namespace duti::bench {
 
@@ -285,6 +294,218 @@ inline std::vector<SweepPoint> e9_points(std::uint64_t n, unsigned k,
     p.cache_base.tester = "multibit-sum:k=" + std::to_string(k) +
                           ":r=" + std::to_string(r);
     points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// One E10 rate vector: player i samples at rate rates[i].
+struct RateShape {
+  std::string name;
+  std::vector<double> rates;
+};
+
+/// The E10 shapes, in table order. Three have 16 players, so they share
+/// probe seeds and differ only in their cache identity.
+inline std::vector<RateShape> e10_shapes() {
+  std::vector<double> one_fast(16, 1.0);
+  one_fast[0] = 8.0;
+  std::vector<double> half_fast(16, 1.0);
+  for (std::size_t i = 0; i < 8; ++i) half_fast[i] = 3.0;
+  return {{"uniform x16", std::vector<double>(16, 1.0)},
+          {"one fast node", one_fast},
+          {"half fast", half_fast},
+          {"4 nodes at rate 2", std::vector<double>(4, 2.0)}};
+}
+
+/// ||T||_2, the quantity the Section 6.2 prediction is a power law in.
+inline double l2_norm(const std::vector<double>& rates) {
+  double acc = 0.0;
+  for (double t : rates) acc += t * t;
+  return std::sqrt(acc);
+}
+
+/// E10: asymmetric-rate tester, one point per rate shape, axis ||T||_2,
+/// searching the time budget tau. Per point the serial loop used probe seed
+/// derive_seed(seed, tau, rates.size()) and calibration stream
+/// make_rng(seed, tau, 0xCA11B) with the tester's default 600 trials per
+/// player.
+inline std::vector<SweepPoint> e10_points(std::uint64_t n, double eps,
+                                          const std::vector<RateShape>& shapes,
+                                          std::size_t trials,
+                                          std::uint64_t seed) {
+  std::vector<SweepPoint> points;
+  for (const RateShape& shape : shapes) {
+    const std::vector<double> rates = shape.rates;
+    SweepPoint p;
+    p.label = shape.name;
+    p.axis = l2_norm(rates);
+    p.search.lo = 2;
+    p.search.hi = 1ULL << 14;
+    p.search.trials = trials;
+    p.search.seed = seed;
+    p.seed_for = [seed, players = rates.size()](std::uint64_t tau) {
+      return derive_seed(seed, tau, players);
+    };
+    p.uniform = workloads::uniform_factory(n);
+    p.far = workloads::paninski_far_factory(n, eps);
+    p.make_tester = [n, rates, seed](std::uint64_t tau) -> TesterRun {
+      Rng calib_rng = make_rng(seed, tau, 0xCA11B);
+      auto tester = std::make_shared<AsymmetricRateTester>(
+          n, rates, static_cast<double>(tau), calib_rng);
+      return [tester](const SampleSource& src, Rng& rng) {
+        return tester->run(src, rng);
+      };
+    };
+    p.cache_base.workload =
+        "paninski:n=" + std::to_string(n) + ":eps=" + std::to_string(eps);
+    p.cache_base.tester = "asymmetric:rates=";
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      p.cache_base.tester += (i > 0 ? "," : "") + std::to_string(rates[i]);
+    }
+    p.cache_base.tester += ":seed=" + std::to_string(seed);
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// E4's two-sided learning probe. Side 1 succeeds when the presence-bit
+/// learner's l1 error on the uniform truth is at most `delta`, side 2 when
+/// it is on a fresh random perturbation of it. Trials run serially, each
+/// from streams derived from (seed, side, t).
+inline ProbeResult learning_probe(std::uint64_t n, std::uint64_t k, unsigned q,
+                                  double delta, std::size_t trials,
+                                  std::uint64_t seed) {
+  const PresenceBitLearner learner(n, k, q);
+  SuccessCounter uniform_side, structured_side;
+  for (std::size_t t = 0; t < trials; ++t) {
+    {
+      const auto truth = DiscreteDistribution::uniform(n);
+      Rng rng = make_rng(seed, 1, t);
+      uniform_side.record(learner.learn_l1_error(truth, rng) <= delta);
+    }
+    {
+      Rng gen_rng = make_rng(seed, 2, t);
+      const auto truth = gen::random_perturbation(n, 1.0, gen_rng);
+      Rng rng = make_rng(seed, 3, t);
+      structured_side.record(learner.learn_l1_error(truth, rng) <= delta);
+    }
+  }
+  return probe_result_from_tallies(uniform_side.successes(),
+                                   structured_side.successes(), trials, trials,
+                                   ProbeStop::kExhausted);
+}
+
+/// E4: presence-bit learner, one raw point per q, searching k in units of n
+/// (the learner needs k >= n). Per point the serial loop used search seed
+/// derive_seed(seed, q) and probe seed derive_seed(seed, q, k_units).
+inline std::vector<SweepPoint> e4_points(std::uint64_t n, double delta,
+                                         const std::vector<std::int64_t>& qs,
+                                         std::size_t trials,
+                                         std::uint64_t seed) {
+  std::vector<SweepPoint> points;
+  for (const auto q : qs) {
+    const auto qu = static_cast<std::uint64_t>(q);
+    SweepPoint p;
+    p.label = "q=" + std::to_string(q);
+    p.axis = static_cast<double>(q);
+    p.search.lo = 1;
+    p.search.hi = 1ULL << 14;
+    p.search.trials = trials;
+    p.search.seed = derive_seed(seed, qu);
+    p.probe = [n, qu, delta, trials, seed](std::uint64_t k_units) {
+      return learning_probe(n, k_units * n, static_cast<unsigned>(qu), delta,
+                            trials, derive_seed(seed, qu, k_units));
+    };
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// E13's search setup, shared by the crash and Byzantine families.
+struct FaultSweepSetup {
+  std::uint64_t n;
+  unsigned k;
+  double eps;
+  std::size_t trials;
+  std::uint64_t seed;
+  std::uint64_t cap;  // give-up cap for the q search
+};
+
+using RefereeRule = RobustThresholdTester::Rule;
+
+/// E13's fault grids, in table order: fault fraction outer, rule inner.
+inline constexpr std::array<double, 5> kCrashFractions{0.0, 0.05, 0.1, 0.2,
+                                                       0.3};
+inline constexpr std::array<RefereeRule, 2> kCrashRules{RefereeRule::kNaive,
+                                                        RefereeRule::kQuorum};
+inline constexpr std::array<double, 4> kByzantineFractions{0.0, 0.05, 0.1,
+                                                           0.15};
+inline constexpr std::array<RefereeRule, 3> kByzantineRules{
+    RefereeRule::kNaive, RefereeRule::kMedianOfGroups, RefereeRule::kTrimmed};
+
+inline const char* rule_name(RefereeRule rule) {
+  switch (rule) {
+    case RefereeRule::kNaive: return "naive";
+    case RefereeRule::kQuorum: return "quorum";
+    case RefereeRule::kMedianOfGroups: return "median";
+    case RefereeRule::kTrimmed: return "trimmed";
+  }
+  return "?";
+}
+
+/// E13: the threshold tester of [7] under one fault plan and referee rule,
+/// as a raw point: its RefereeOutcome probe attributes aborts, which the
+/// declarative path cannot carry. Per q the serial loop used calibration
+/// stream Rng(derive_seed(seed, 0xCA11B, q)) and probe seed `seed` itself,
+/// the same at every q.
+inline SweepPoint e13_point(const FaultSweepSetup& s, const std::string& family,
+                            double fraction, const FaultPlan& plan,
+                            RefereeRule rule) {
+  SweepPoint p;
+  p.label = family + "=" + std::to_string(fraction) + ":" + rule_name(rule);
+  p.axis = fraction;
+  p.search.lo = 2;
+  p.search.hi = s.cap;
+  p.search.trials = s.trials;
+  p.search.seed = s.seed;
+  p.probe = [s, plan, rule, uniform = workloads::uniform_factory(s.n),
+             far = workloads::paninski_far_factory(s.n, s.eps)](
+                std::uint64_t q) {
+    Rng calib(derive_seed(s.seed, 0xCA11B, q));
+    const RobustThresholdTester tester(
+        {s.n, s.k, static_cast<unsigned>(q), s.eps}, plan, rule, calib);
+    const TesterRunEx run = [&tester](const SampleSource& src, Rng& r) {
+      return tester.outcome(src, r);
+    };
+    return probe_success(run, uniform, far, s.trials, s.seed);
+  };
+  return p;
+}
+
+/// E13 crash family: each crash fraction under the naive and quorum rules.
+inline std::vector<SweepPoint> e13_crash_points(const FaultSweepSetup& s) {
+  std::vector<SweepPoint> points;
+  for (const double c : kCrashFractions) {
+    FaultPlan plan;
+    plan.crash_fraction = c;
+    for (const RefereeRule rule : kCrashRules) {
+      points.push_back(e13_point(s, "crash", c, plan, rule));
+    }
+  }
+  return points;
+}
+
+/// E13 Byzantine family: stuck-at-one bits at each fraction under the
+/// naive, median-of-groups and trimmed-mean rules.
+inline std::vector<SweepPoint> e13_byzantine_points(const FaultSweepSetup& s) {
+  std::vector<SweepPoint> points;
+  for (const double b : kByzantineFractions) {
+    FaultPlan plan;
+    plan.byzantine_fraction = b;
+    plan.byzantine_mode = ByzantineMode::kStuckAtOne;
+    for (const RefereeRule rule : kByzantineRules) {
+      points.push_back(e13_point(s, "byzantine", b, plan, rule));
+    }
   }
   return points;
 }

@@ -31,6 +31,10 @@ ProbeResult probe_result_from_tallies(std::uint64_t uniform_successes,
 
 namespace {
 
+// Bisection answers midpoints with the bracket probe until the bracket is at
+// most this wide; the final steps always run at full budget.
+constexpr std::uint64_t kFullBudgetWidth = 8;
+
 // Partial tallies for one chunk of trials, stored as one flat array of
 // integer counts so chunk reduction is one elementwise add. Merging chunks
 // in chunk order reproduces the serial tally exactly (integer addition, no
@@ -91,13 +95,11 @@ const SampleSource& trial_source(const SourceSpec& spec, Rng& rng,
 // would run, and the full/adaptive probes agree trial-for-trial. Chunks are
 // reduced in chunk order; all counts are integers, so the merged tally is
 // bit-identical at any thread count.
-template <typename UniformRun, typename FarRun>
-void run_trial_range(const SourceSpec& uniform_source,
+template <typename Runs>
+void run_trial_range(const Runs& runs, const SourceSpec& uniform_source,
                      const SourceSpec& far_source, std::size_t t0,
                      std::size_t t1, std::uint64_t seed, ThreadPool& pool,
-                     std::vector<WorkerSources>& cached,
-                     const UniformRun& run_uniform, const FarRun& run_far,
-                     ChunkTally& total) {
+                     std::vector<WorkerSources>& cached, ChunkTally& total) {
   const std::size_t count = t1 - t0;
   // ~4 chunks per worker for load balance. The chunk layout varies with the
   // pool size, but the reduction is exact integer addition, so the merged
@@ -120,7 +122,7 @@ void run_trial_range(const SourceSpec& uniform_source,
             const SampleSource& source =
                 trial_source(uniform_source, rng, ws.uniform, fresh);
             Rng run_rng = make_rng(seed, 0xBEEFULL, t);
-            run_uniform(source, run_rng, tally);
+            runs.uniform(source, run_rng, tally);
           }
           {
             Rng rng = make_rng(seed, 0xFA5ULL, t);
@@ -128,7 +130,7 @@ void run_trial_range(const SourceSpec& uniform_source,
             const SampleSource& source =
                 trial_source(far_source, rng, ws.far, fresh);
             Rng run_rng = make_rng(seed, 0xCAFEULL, t);
-            run_far(source, run_rng, tally);
+            runs.far(source, run_rng, tally);
           }
         }
       });
@@ -148,24 +150,10 @@ ProbeResult finalize_tally(const ChunkTally& total, std::uint64_t trials,
   return out;
 }
 
-// Full-budget probe engine: one range, no certificates.
-template <typename UniformRun, typename FarRun>
-ProbeResult probe_engine(const SourceSpec& uniform_source,
-                         const SourceSpec& far_source, std::size_t trials,
-                         std::uint64_t seed, ThreadPool& pool,
-                         const UniformRun& run_uniform, const FarRun& run_far) {
-  require(static_cast<bool>(uniform_source), "probe: null uniform factory");
-  require(static_cast<bool>(far_source), "probe: null far factory");
-  require(trials >= 1, "probe: need at least one trial");
-  std::vector<WorkerSources> cached(pool.size());
-  ChunkTally total;
-  run_trial_range(uniform_source, far_source, 0, trials, seed, pool, cached,
-                  run_uniform, run_far, total);
-  return finalize_tally(total, trials, trials, ProbeStop::kExhausted);
-}
-
-// Adaptive probe engine (DESIGN.md section 8): run deterministic batches,
-// after each completed batch consult two certificate families:
+// The probe engine. Without a schedule the whole budget is one batch, so it
+// runs [0, max_trials) as a single range and consults no certificate. With
+// one (DESIGN.md section 8) it runs deterministic batches and, after each
+// completed batch, consults two certificate families:
 //
 //   Deterministic ("the budget cannot flip it"): if even with every
 //   remaining trial succeeding a side's final rate stays below the target —
@@ -182,16 +170,17 @@ ProbeResult probe_engine(const SourceSpec& uniform_source,
 // the certified verdict: Wilson intervals contain the empirical rate, and
 // the deterministic bounds sandwich it (worst-case final rates bracket the
 // current rate because successes/trials is monotone in both coordinates).
-template <typename UniformRun, typename FarRun>
-ProbeResult adaptive_engine(const SourceSpec& uniform_source,
-                            const SourceSpec& far_source,
-                            std::size_t max_trials, std::uint64_t seed,
-                            const AdaptiveProbeConfig& cfg, ThreadPool& pool,
-                            const UniformRun& run_uniform,
-                            const FarRun& run_far) {
+template <typename Runs>
+ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
+                      const SourceSpec& far_source, std::size_t max_trials,
+                      std::uint64_t seed, ThreadPool& pool,
+                      const std::optional<AdaptiveProbeConfig>& schedule) {
+  require(static_cast<bool>(runs.tester), "probe_success: null tester");
   require(static_cast<bool>(uniform_source), "probe: null uniform factory");
   require(static_cast<bool>(far_source), "probe: null far factory");
-  require(max_trials >= 1, "adaptive probe: need at least one trial");
+  require(max_trials >= 1, "probe: need at least one trial");
+  const AdaptiveProbeConfig cfg =
+      schedule.value_or(AdaptiveProbeConfig{.batch = max_trials});
   require(cfg.batch >= 1, "adaptive probe: batch must be >= 1");
   require(cfg.target > 0.0 && cfg.target < 1.0,
           "adaptive probe: target in (0,1)");
@@ -218,8 +207,8 @@ ProbeResult adaptive_engine(const SourceSpec& uniform_source,
   std::size_t done = 0;
   while (done < max_trials) {
     const std::size_t next = std::min(done + cfg.batch, max_trials);
-    run_trial_range(uniform_source, far_source, done, next, seed, pool,
-                    cached, run_uniform, run_far, total);
+    run_trial_range(runs, uniform_source, far_source, done, next, seed, pool,
+                    cached, total);
     done = next;
     if (done == max_trials) break;
 
@@ -249,8 +238,7 @@ ProbeResult adaptive_engine(const SourceSpec& uniform_source,
   return finalize_tally(total, done, max_trials, ProbeStop::kExhausted);
 }
 
-// Tally adapters for the boolean and RefereeOutcome testers, shared by both
-// engines.
+// Tally adapters for the boolean and RefereeOutcome testers.
 struct BoolRuns {
   const TesterRun& tester;
   void uniform(const SampleSource& source, Rng& rng, ChunkTally& tally) const {
@@ -282,26 +270,6 @@ struct ExRuns {
     }
   }
 };
-
-// Dispatch one probe to the full-budget or the adaptive engine.
-template <typename Runs>
-ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
-                      const SourceSpec& far_source, std::size_t trials,
-                      std::uint64_t seed, ThreadPool& pool,
-                      const std::optional<AdaptiveProbeConfig>& adaptive) {
-  require(static_cast<bool>(runs.tester), "probe_success: null tester");
-  const auto run_uniform = [&runs](const SampleSource& s, Rng& r,
-                                   ChunkTally& t) { runs.uniform(s, r, t); };
-  const auto run_far = [&runs](const SampleSource& s, Rng& r, ChunkTally& t) {
-    runs.far(s, r, t);
-  };
-  if (adaptive) {
-    return adaptive_engine(uniform_source, far_source, trials, seed,
-                           *adaptive, pool, run_uniform, run_far);
-  }
-  return probe_engine(uniform_source, far_source, trials, seed, pool,
-                      run_uniform, run_far);
-}
 
 }  // namespace
 
@@ -377,7 +345,7 @@ MinSearchResult find_min_param(const ProbeFn& probe,
     std::uint64_t lo = hi / 2;
     while (hi - lo > 1) {
       const std::uint64_t mid = lo + (hi - lo) / 2;
-      const bool use_bracket = bracketed && (hi - lo) > cfg.full_budget_width;
+      const bool use_bracket = bracketed && (hi - lo) > kFullBudgetWidth;
       if (consult(mid, use_bracket)) {
         hi = mid;
         minimum_full_backed = !use_bracket;

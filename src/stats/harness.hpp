@@ -44,7 +44,7 @@ using SourceFactory = std::function<std::unique_ptr<SampleSource>(Rng&)>;
 /// A SourceFactory plus the promise (or not) that it ignores its Rng — i.e.
 /// every trial would see an identical source. When the promise holds, the
 /// probe loops materialize the source once per worker instead of paying a
-/// heap allocation per trial (measured in micro_substrate / micro_harness).
+/// heap allocation per trial (measured in micro_substrate).
 /// Implicitly convertible from a plain SourceFactory (treated as
 /// trial-varying), so existing call sites are unaffected.
 class SourceSpec {
@@ -163,13 +163,13 @@ struct AdaptiveProbeConfig {
 /// (default: the global pool, sized by DUTI_THREADS); the result is
 /// bit-identical at any thread count.
 ///
-/// Without `adaptive` every trial runs. With it, trials run in
+/// Without `adaptive` every trial runs, as one batch. With it, trials run in
 /// deterministic batches and the probe stops as soon as either (a) the
 /// remaining budget provably cannot flip the full-budget pass/fail verdict
 /// (deterministic certificate), or (b) a union-bound-corrected Wilson
 /// confidence sequence certifies both sides above — or either side below —
 /// the target (statistical certificate, wrong with probability at most
-/// adaptive->delta). Both engines derive trial t's streams from (seed, t)
+/// adaptive->delta). Either way trial t's streams derive from (seed, t)
 /// alone, so an early-stopped probe ran a prefix of the full probe's trials
 /// and its passes(adaptive->target) IS the certified verdict.
 ///
@@ -205,14 +205,13 @@ struct MinSearchConfig {
   // Work avoidance (DESIGN.md section 8). When set, this (cheap, typically
   // early-stopping) probe over the same seeds answers the exponential
   // bracketing rungs and the early bisection midpoints; bisection falls
-  // back to the full-budget probe once the bracket narrows to
-  // full_budget_width, and the returned minimum is always confirmed with a
-  // full-budget probe. If the confirmation fails (the bracket certificate
-  // mis-fired, probability <= the bracket probe's delta), the search
-  // resumes above the refuted value with full-budget probes, so the
-  // returned minimum's verdict is always full-budget-backed.
+  // back to the full-budget probe once the bracket is at most 8 values
+  // wide, and the returned minimum is always confirmed with a full-budget
+  // probe. If the confirmation fails (the bracket certificate mis-fired,
+  // probability <= the bracket probe's delta), the search resumes above
+  // the refuted value with full-budget probes, so the returned minimum's
+  // verdict is always full-budget-backed.
   ProbeFn bracket_probe;
-  std::uint64_t full_budget_width = 8;
 };
 
 struct MinSearchResult {

@@ -161,7 +161,7 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
       }
     } else {
       full = make_probe(p, std::nullopt, cache, counters, pool);
-      AdaptiveProbeConfig ac = cfg.adaptive;
+      AdaptiveProbeConfig ac;
       ac.target = p.search.target;
       scfg.bracket_probe = make_probe(p, ac, cache, counters, pool);
     }

@@ -45,14 +45,16 @@ namespace duti {
 /// axis coordinate the warm-start predictor interpolates along.
 ///
 /// Two ways to describe the probe:
-///   - Declarative (the bench path): supply `make_tester` + `uniform` +
-///     `far` (+ `cache_base` identity). The engine derives the per-value
-///     seed, builds full and adaptive-bracket probes, and routes both
-///     through the shared cache session.
-///   - Raw (the test path): supply `probe` (and optionally
-///     `search.bracket_probe`). The engine uses them as-is — no cache, no
-///     seed derivation — which is what makes audit-trail identity checks
-///     exact.
+///   - Declarative (boolean uniformity testers): supply `make_tester` +
+///     `uniform` + `far` (+ `cache_base` identity). The engine derives the
+///     per-value seed, builds full and adaptive-bracket probes, and routes
+///     both through the shared cache session.
+///   - Raw (any other probe, e.g. e4's learning probe or e13's
+///     RefereeOutcome probes, and the tests' synthetic ones): supply
+///     `probe` (and optionally `search.bracket_probe`). The engine uses
+///     them as-is — no cache, no seed derivation — so a raw point without
+///     a bracket probe runs exactly the find_min_param search it describes,
+///     which also makes audit-trail identity checks exact.
 struct SweepPoint {
   std::string label;  // row label, participates in the sweep fingerprint
   double axis = 0.0;  // coordinate on the sweep axis (k, n, eps, r, T, ...)
@@ -73,13 +75,11 @@ struct SweepPoint {
 };
 
 struct SweepEngineConfig {
-  // Warm mode: adaptive bracket flavor + recorded anchor-interpolated hints.
+  // Warm mode: adaptive bracket flavor (the default AdaptiveProbeConfig
+  // schedule at each point's target) + recorded anchor-interpolated hints.
   // Cold mode (false): every point runs the plain full-budget search with
   // no hint — the baseline the warm results must match bit-for-bit.
   bool warm_start = true;
-  // Stopping schedule for the bracket flavor (target is overridden per
-  // point from its search config).
-  AdaptiveProbeConfig adaptive{};
   // Shared cache session; nullptr = ProbeCache::global() (DUTI_CACHE).
   ProbeCache* cache = nullptr;
 };

@@ -1,8 +1,8 @@
 #include "util/cli.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -32,14 +32,23 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+namespace {
+
+// The whole of `text` as a T; nullopt when it is not one or has trailing
+// characters (--trials=150x, --eps=0.5.3).
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 std::optional<std::string> Cli::get(const std::string& name) const {
   if (auto it = flags_.find(name); it != flags_.end()) return it->second;
-  std::string env = "DUTI_";
-  for (char ch : name) {
-    env += (ch == '-') ? '_' : static_cast<char>(std::toupper(
-                                   static_cast<unsigned char>(ch)));
-  }
-  if (const char* v = std::getenv(env.c_str())) return std::string(v);
   return std::nullopt;
 }
 
@@ -52,23 +61,17 @@ std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    throw InvalidArgument("Cli: flag --" + name + " expects an integer, got '" +
-                          *v + "'");
-  }
+  if (const auto parsed = parse_whole<std::int64_t>(*v)) return *parsed;
+  throw InvalidArgument("Cli: flag --" + name + " expects an integer, got '" +
+                        *v + "'");
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    throw InvalidArgument("Cli: flag --" + name + " expects a number, got '" +
-                          *v + "'");
-  }
+  if (const auto parsed = parse_whole<double>(*v)) return *parsed;
+  throw InvalidArgument("Cli: flag --" + name + " expects a number, got '" +
+                        *v + "'");
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -89,13 +92,13 @@ std::vector<std::int64_t> Cli::get_int_list(
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    try {
-      out.push_back(std::stoll(item));
-    } catch (const std::exception&) {
+    const auto parsed = parse_whole<std::int64_t>(item);
+    if (!parsed) {
       throw InvalidArgument("Cli: flag --" + name +
                             " expects comma-separated integers, got '" + *v +
                             "'");
     }
+    out.push_back(*parsed);
   }
   require(!out.empty(), "Cli: flag --" + name + " list is empty");
   return out;

@@ -1,8 +1,8 @@
-// Minimal command-line / environment flag parsing for the bench binaries and
-// examples. Flags look like --name=value or --name value; every flag can
-// also be supplied via the environment as DUTI_<NAME> (upper-cased, dashes
-// to underscores), which lets `for b in build/bench/*; do $b; done` runs be
-// tuned globally without editing commands.
+// Minimal command-line flag parsing for the bench binaries and examples.
+// Flags look like --name=value or --name value. Only the command line sets
+// them: a stray environment variable cannot change a bench's flags (the
+// few DUTI_* variables that exist, such as DUTI_THREADS, are read by their
+// own modules).
 #pragma once
 
 #include <cstdint>
@@ -18,8 +18,11 @@ class Cli {
   /// Parse argv; throws InvalidArgument on malformed flags.
   Cli(int argc, const char* const* argv);
 
-  /// Value lookup order: command line, then DUTI_<NAME> env var, then none.
+  /// The flag's value as given on the command line, if it was.
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
+
+  /// Typed getters throw InvalidArgument naming the flag unless the whole
+  /// value parses: --trials=150x or --eps=0.5.3 is an error, not a prefix.
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;

@@ -313,39 +313,63 @@ TEST_F(SweepFingerprintTest, WarmMatchesColdMinimaOnRealTester) {
 }
 
 TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
-  // The e1 and e9 quick tables exactly as the benches build them. Their
-  // fingerprints are pinned constants: with the cache off, and on both
-  // passes through a fresh rw session. The first rw pass starts from an
-  // empty calibration memo, so it computes every referee calibration; the
-  // second pass (a new session over the same journal) replays every probe
-  // and so builds no tester. Calibration replay from the memo is
+  // The bench tables exactly as the benches build them: e10 at its
+  // defaults, the rest at --quick. Fingerprints and minima are pinned with
+  // the cache off and on both passes through a fresh rw session. The first
+  // rw pass starts from an empty calibration memo, so it computes every
+  // referee calibration; on the second pass (a new session over the same
+  // journal) the declarative families replay every probe and so build no
+  // tester. The raw families (e4, e13) bypass the cache and recompute on
+  // every pass they run; e4, at ~1 s a pass, runs on the cache-off pass
+  // only. Calibration replay from the memo is
   // CalibMemo.PinnedCalibrationsReplayBitForBit's job.
   struct Family {
     const char* name;
     std::vector<SweepPoint> points;
     std::uint64_t fingerprint;
+    std::vector<std::uint64_t> minima;
+    bool raw = false;
+    bool off_pass_only = false;
   };
+  const bench::FaultSweepSetup e13_quick{256, 60, 0.5, 60, 1, 1 << 8};
   const std::vector<Family> families = {
       {"e1", bench::e1_points(4096, 0.5, {2, 16, 128}, 150, 1),
-       0x9b73e12950f83762ULL},
+       0x9b73e12950f83762ULL, {369, 197, 59}},
       {"e9", bench::e9_points(4096, 32, 0.5, {1, 8}, 150, 1),
-       0x247908c4c95728a8ULL},
+       0x247908c4c95728a8ULL, {125, 106}},
+      {"e10", bench::e10_points(4096, 0.5, bench::e10_shapes(), 150, 1),
+       0x625de3bcb9b8a769ULL, {155, 164, 80, 193}},
+      {"e13_crash", bench::e13_crash_points(e13_quick), 0x2f49bc8fae3bec99ULL,
+       {21, 21, 14, 22, 0, 24, 0, 29, 0, 31}, true},
+      {"e13_byzantine", bench::e13_byzantine_points(e13_quick),
+       0x45064704396e0ec5ULL, {21, 37, 21, 13, 65, 33, 0, 97, 0, 0, 81, 0},
+       true},
+      {"e4", bench::e4_points(64, 0.3, {1, 4, 16}, 40, 1),
+       0xe4b7222d8d55f851ULL, {460, 120, 33}, true, true},
+  };
+  const auto expect_pinned = [](const Family& f, const SweepResult& r,
+                                const std::string& pass) {
+    EXPECT_EQ(r.fingerprint, f.fingerprint) << f.name << " " << pass;
+    std::vector<std::uint64_t> minima;
+    for (const SweepPointResult& p : r.points) minima.push_back(p.minimum);
+    EXPECT_EQ(minima, f.minima) << f.name << " " << pass;
   };
   ProbeCache off("", CacheMode::kOff);
   SweepEngineConfig cfg;
   cfg.cache = &off;
   CalibMemo::global().clear();
   for (const Family& f : families) {
-    EXPECT_EQ(run_sweep(f.points, cfg).fingerprint, f.fingerprint) << f.name;
+    expect_pinned(f, run_sweep(f.points, cfg), "cache off");
   }
   CalibMemo::global().clear();
   for (int pass = 0; pass < 2; ++pass) {
     ProbeCache rw(dir_, CacheMode::kReadWrite);
     cfg.cache = &rw;
     for (const Family& f : families) {
+      if (f.off_pass_only) continue;
       const SweepResult r = run_sweep(f.points, cfg);
-      EXPECT_EQ(r.fingerprint, f.fingerprint) << f.name << " pass " << pass;
-      if (pass == 1) {
+      expect_pinned(f, r, "rw pass " + std::to_string(pass));
+      if (pass == 1 && !f.raw) {
         EXPECT_EQ(r.trials_computed, 0u) << f.name;
       }
     }
