@@ -69,12 +69,12 @@ int main(int argc, char** argv) {
                  "--trials=150\n";
     return 0;
   }
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1024));
-  const auto k = static_cast<unsigned>(cli.get_int("k", 64));
+  const auto n = cli.get_uint<std::uint64_t>("n", 1024);
+  const auto k = cli.get_uint<unsigned>("k", 64);
   const double eps = cli.get_double("eps", 0.5);
-  const auto q = static_cast<unsigned>(cli.get_int("q", 96));
-  const auto trials = static_cast<int>(cli.get_int("trials", 150));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto q = cli.get_uint<unsigned>("q", 96);
+  const auto trials = cli.get_uint<int>("trials", 150);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   bench::banner("Ablation: fault tolerance of decision rules (extension)",
                 "expected: one Byzantine sensor destroys the AND rule's "

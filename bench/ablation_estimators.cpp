@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
     std::cout << "ablation_estimators --ell=3 --q=2 --eps=0.2 --seed=1\n";
     return 0;
   }
-  const auto ell = static_cast<unsigned>(cli.get_int("ell", 3));
-  const auto q = static_cast<unsigned>(cli.get_int("q", 2));
+  const auto ell = cli.get_uint<unsigned>("ell", 3);
+  const auto q = cli.get_uint<unsigned>("q", 2);
   const double eps = cli.get_double("eps", 0.2);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   bench::banner("Ablation D1: exact vs Monte-Carlo z-moment estimation",
                 "expected: MC relative error ~ 1/sqrt(trials); exact "

@@ -71,13 +71,13 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// Stock flags every sweep bench accepts.
 struct CommonFlags {
-  std::int64_t trials;
-  std::int64_t seed;
+  std::size_t trials;
+  std::uint64_t seed;
   bool quick;
 
   explicit CommonFlags(const Cli& cli)
-      : trials(cli.get_int("trials", 150)),
-        seed(cli.get_int("seed", 1)),
+      : trials(cli.get_uint<std::size_t>("trials", 150)),
+        seed(cli.get_uint<std::uint64_t>("seed", 1)),
         quick(cli.get_bool("quick", false)) {}
 };
 

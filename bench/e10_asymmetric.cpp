@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
+  const auto n = cli.get_uint<std::uint64_t>("n", 4096);
   const double eps = cli.get_double("eps", 0.5);
 
   bench::banner("E10  asymmetric sampling rates  [Section 6.2]",
@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   // the serial full-budget baseline with identical minima.
   const auto shapes = bench::e10_shapes();
   const SweepResult sweep = run_sweep(
-      bench::e10_points(n, eps, shapes, static_cast<std::size_t>(flags.trials),
-                        static_cast<std::uint64_t>(flags.seed)),
+      bench::e10_points(n, eps, shapes, flags.trials, flags.seed),
       bench::sweep_engine_config(cli));
   bench::print_sweep_summary("e10", sweep);
 

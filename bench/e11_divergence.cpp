@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     std::cout << "e11_divergence --ell=3 --delta=0.333\n";
     return 0;
   }
-  const auto ell = static_cast<unsigned>(cli.get_int("ell", 3));
+  const auto ell = cli.get_uint<unsigned>("ell", 3);
   const double delta = cli.get_double("delta", 1.0 / 3.0);
   const CubeDomain dom(ell);
   const double n = static_cast<double>(dom.universe_size());

@@ -89,10 +89,10 @@ int main(int argc, char** argv) {
     std::cout << "e12_single_sample_and --n=256 --eps=1.0 --trials=400\n";
     return 0;
   }
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 256));
+  const auto n = cli.get_uint<std::uint64_t>("n", 256);
   const double eps = cli.get_double("eps", 1.0);
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 400));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto trials = cli.get_uint<std::size_t>("trials", 400);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   bench::banner("E12  q = 1 with the AND rule is impossible  [remark, Sec 6.3]",
                 "expected: single-sample AND advantage ~ 0 at every k, even "

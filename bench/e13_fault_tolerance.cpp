@@ -209,11 +209,11 @@ int main(int argc, char** argv) {
   }
   const bench::CommonFlags flags(cli);
   FaultSweepSetup s;
-  s.n = static_cast<std::uint64_t>(cli.get_int("n", 256));
-  s.k = static_cast<unsigned>(cli.get_int("k", 60));
+  s.n = cli.get_uint<std::uint64_t>("n", 256);
+  s.k = cli.get_uint<unsigned>("k", 60);
   s.eps = cli.get_double("eps", 0.5);
-  s.trials = static_cast<std::size_t>(flags.trials);
-  s.seed = static_cast<std::uint64_t>(flags.seed);
+  s.trials = flags.trials;
+  s.seed = flags.seed;
   s.cap = flags.quick ? (1 << 8) : (1 << 10);
   if (flags.quick) s.trials = std::min<std::size_t>(s.trials, 60);
 

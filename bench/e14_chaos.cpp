@@ -107,15 +107,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   ChaosHooks hooks;
-  hooks.retry_deficit = static_cast<unsigned>(
-      cli.get_int("inject-retry-deficit", 0));
+  hooks.retry_deficit = cli.get_uint<unsigned>("inject-retry-deficit", 0);
 
   const std::string token = cli.get_string("replay", "");
   if (!token.empty()) return replay_mode(token, hooks);
 
   CampaignConfig cfg;
-  cfg.seed0 = static_cast<std::uint64_t>(cli.get_int("seed0", 1));
-  cfg.num_seeds = static_cast<std::uint32_t>(cli.get_int("seeds", 256));
+  cfg.seed0 = cli.get_uint<std::uint64_t>("seed0", 1);
+  cfg.num_seeds = cli.get_uint<std::uint32_t>("seeds", 256);
   cfg.hooks = hooks;
   if (cli.get_bool("quick", false)) {
     cfg.num_seeds = std::min<std::uint32_t>(cfg.num_seeds, 64);

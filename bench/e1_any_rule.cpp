@@ -26,9 +26,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
+  const auto n = cli.get_uint<std::uint64_t>("n", 4096);
   const double eps = cli.get_double("eps", 0.5);
-  auto ks = cli.get_int_list("ks", {2, 4, 8, 16, 32, 64, 128, 256});
+  auto ks =
+      cli.get_uint_list<std::int64_t>("ks", {2, 4, 8, 16, 32, 64, 128, 256});
   if (flags.quick) ks = {2, 16, 128};
 
   bench::banner("E1  any-rule sample complexity vs k  [Thm 1.1 / 6.1]  (k=1 is the centralized case, covered by E8)",
@@ -40,8 +41,7 @@ int main(int argc, char** argv) {
   // scheduling, shared probe-cache session. --sweep=cold reruns the serial
   // full-budget baseline; minima are bit-identical either way.
   const auto points =
-      bench::e1_points(n, eps, ks, static_cast<std::size_t>(flags.trials),
-                       static_cast<std::uint64_t>(flags.seed));
+      bench::e1_points(n, eps, ks, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points, bench::sweep_engine_config(cli));
   bench::print_sweep_summary("e1", sweep);
 

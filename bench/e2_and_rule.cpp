@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1024));
+  const auto n = cli.get_uint<std::uint64_t>("n", 1024);
   const double eps = cli.get_double("eps", 0.5);
-  auto ks = cli.get_int_list("ks", {2, 8, 32, 128, 512});
+  auto ks = cli.get_uint_list<std::int64_t>("ks", {2, 8, 32, 128, 512});
   if (flags.quick) ks = {2, 32, 512};
 
   bench::banner("E2  AND rule vs threshold rule, q* vs k  [Thm 1.2 / 6.5]",
@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   // the old serial loop's exact seed derivations; both share the cache
   // session and warm-start independently (their minima live on different
   // curves, so cross-rule hints would mislead).
-  const auto trials = static_cast<std::size_t>(flags.trials);
-  const auto seed = static_cast<std::uint64_t>(flags.seed);
+  const auto trials = flags.trials;
+  const auto seed = flags.seed;
   const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   const SweepResult and_sweep =
       run_sweep(bench::e2_and_points(n, eps, ks, trials, seed), engine);

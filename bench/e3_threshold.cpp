@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
-  const auto k = static_cast<unsigned>(cli.get_int("k", 64));
+  const auto n = cli.get_uint<std::uint64_t>("n", 4096);
+  const auto k = cli.get_uint<unsigned>("k", 64);
   const double eps = cli.get_double("eps", 0.5);
-  auto ts = cli.get_int_list("ts", {1, 2, 4, 8, 16, 32});
+  auto ts = cli.get_uint_list<std::int64_t>("ts", {1, 2, 4, 8, 16, 32});
   if (flags.quick) ts = {1, 4, 16};
 
   bench::banner(
@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
       "(q* x T roughly constant), flattening once T is large");
 
   const auto points =
-      bench::e3_points(n, k, eps, ts, static_cast<std::size_t>(flags.trials),
-                       static_cast<std::uint64_t>(flags.seed));
+      bench::e3_points(n, k, eps, ts, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points, bench::sweep_engine_config(cli));
   bench::print_sweep_summary("e3", sweep);
 

@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
     return 0;
   }
   const Cli& c = cli;
-  const auto n = static_cast<std::uint64_t>(c.get_int("n", 64));
+  const auto n = c.get_uint<std::uint64_t>("n", 64);
   const double delta = c.get_double("delta", 0.3);
-  auto qs = c.get_int_list("qs", {1, 2, 4, 8, 16});
-  const auto trials = static_cast<std::size_t>(c.get_int("trials", 40));
-  const auto seed = static_cast<std::uint64_t>(c.get_int("seed", 1));
+  auto qs = c.get_uint_list<std::int64_t>("qs", {1, 2, 4, 8, 16});
+  const auto trials = c.get_uint<std::size_t>("trials", 40);
+  const auto seed = c.get_uint<std::uint64_t>("seed", 1);
   if (c.get_bool("quick", false)) qs = {1, 4, 16};
 
   bench::banner("E4  distributed learning, k* vs q  [Thm 1.4]",

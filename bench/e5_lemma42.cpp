@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     std::cout << "e5_lemma42 --seed=1  (exact enumeration; no trial count)\n";
     return 0;
   }
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
 
   bench::banner("E5  Lemma 4.2 second-moment bound, exact evaluation",
                 "expected: lhs <= 2x stated bound everywhere; lhs tracks "

@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
     std::cout << "e6_lemma43 --ell=3 --q=2 --eps=0.05\n";
     return 0;
   }
-  const auto ell = static_cast<unsigned>(cli.get_int("ell", 3));
-  const auto q = static_cast<unsigned>(cli.get_int("q", 2));
+  const auto ell = cli.get_uint<unsigned>("ell", 3);
+  const auto q = cli.get_uint<unsigned>("q", 2);
   const double eps = cli.get_double("eps", 0.05);
   const double n = std::ldexp(1.0, static_cast<int>(ell) + 1);
   const SampleTupleCodec codec(CubeDomain(ell), q);

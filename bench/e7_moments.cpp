@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
     std::cout << "e7_moments --seed=1 --mc-trials=100000\n";
     return 0;
   }
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto mc_trials =
-      static_cast<std::size_t>(cli.get_int("mc-trials", 100000));
+      cli.get_uint<std::size_t>("mc-trials", 100000);
 
   bench::banner("E7  evenly-covered counts and moments  [Prop 5.2, Lem 5.5]",
                 "expected: every exact count/moment below its bound; slack "

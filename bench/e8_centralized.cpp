@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const double eps = cli.get_double("eps", 0.5);
-  const auto n_fixed = static_cast<std::uint64_t>(cli.get_int("n", 4096));
-  auto ns = cli.get_int_list("ns", {256, 1024, 4096, 16384});
+  const auto n_fixed = cli.get_uint<std::uint64_t>("n", 4096);
+  auto ns = cli.get_uint_list<std::int64_t>("ns", {256, 1024, 4096, 16384});
   if (flags.quick) ns = {256, 4096};
 
   bench::banner("E8  centralized baseline q* ~ sqrt(n)/eps^2  [Paninski'08]",
@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
   // Three engine sweeps over the n axis (one per tester family) plus the
   // eps sweep below, all sharing one cache session; seed derivations match
   // the old serial loops exactly.
-  const auto trials = static_cast<std::size_t>(flags.trials);
-  const auto seed = static_cast<std::uint64_t>(flags.seed);
+  const auto trials = flags.trials;
+  const auto seed = flags.seed;
   const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   const SweepResult coll_sweep = run_sweep(
       bench::e8_n_points<CentralizedCollisionTester>("collision", ns, eps,

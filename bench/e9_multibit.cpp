@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
-  const auto k = static_cast<unsigned>(cli.get_int("k", 32));
+  const auto n = cli.get_uint<std::uint64_t>("n", 4096);
+  const auto k = cli.get_uint<unsigned>("k", 32);
   const double eps = cli.get_double("eps", 0.5);
-  auto rs = cli.get_int_list("rs", {1, 2, 4, 8});
+  auto rs = cli.get_uint_list<std::int64_t>("rs", {1, 2, 4, 8});
   if (flags.quick) rs = {1, 8};
 
   bench::banner("E9  q* vs message width r  [Thm 6.4]",
@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
                 "every point");
 
   const auto points =
-      bench::e9_points(n, k, eps, rs, static_cast<std::size_t>(flags.trials),
-                       static_cast<std::uint64_t>(flags.seed));
+      bench::e9_points(n, k, eps, rs, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points, bench::sweep_engine_config(cli));
   bench::print_sweep_summary("e9", sweep);
 

@@ -176,15 +176,14 @@ int run_bench(int argc, char** argv) {
     return 0;
   }
   bench::CommonFlags flags(cli);
-  const std::uint64_t n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
-  const unsigned k = static_cast<unsigned>(cli.get_int("k", 64));
+  const std::uint64_t n = cli.get_uint<std::uint64_t>("n", 4096);
+  const unsigned k = cli.get_uint<unsigned>("k", 64);
   const double eps = cli.get_double("eps", 0.25);
-  const std::size_t search_trials =
-      flags.quick ? 60 : static_cast<std::size_t>(flags.trials);
+  const std::size_t search_trials = flags.quick ? 60 : flags.trials;
   const std::size_t timing_trials = flags.quick ? 400 : 2000;
   const int timing_reps = flags.quick ? 2 : 3;
   const std::size_t identity_trials = flags.quick ? 128 : 512;
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.seed);
+  const std::uint64_t seed = flags.seed;
 
   bench::banner("micro_protocol",
                 "protocol plane: zero per-trial allocations, thread-invariant "

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "dist/alias_sampler.hpp"
@@ -14,8 +15,10 @@
 #include "fourier/wht.hpp"
 #include "sim/protocol_batch.hpp"
 #include "stats/workloads.hpp"
+#include "testers/calibration.hpp"
 #include "testers/collision.hpp"
 #include "testers/fixed_threshold.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -128,6 +131,32 @@ void BM_IsEvenlyCovered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IsEvenlyCovered)->Arg(8)->Arg(16)->Arg(24);
+
+/// E7's Monte-Carlo row ell = 5, q = 10, r = 2, m = 3 (100 000 trials) on
+/// a pool of range(0) threads.
+void BM_ArMomentMc(benchmark::State& state) {
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    Rng rng(1);
+    benchmark::DoNotOptimize(a_r_moment_mc(5, 10, 2, 3, 100000, rng, pool));
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_ArMomentMc)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+/// A jump of range(0) draws: the stride polynomial x^d mod P, then its
+/// 256-step application. parallel_for_stream pays the first once per loop
+/// and the second once per chunk; 79 872 is one calibration chunk of the
+/// reference search (256 trials of q = 312).
+void BM_RngJump(benchmark::State& state) {
+  const auto draws = static_cast<std::uint64_t>(state.range(0));
+  Rng rng(3);
+  for (auto _ : state) {
+    rng.jump(Rng::jump_polynomial(draws));
+    benchmark::DoNotOptimize(rng.state());
+  }
+}
+BENCHMARK(BM_RngJump)->Arg(1)->Arg(79872)->Arg(1LL << 40);
 
 void BM_CollisionPairs(benchmark::State& state) {
   Rng rng(4);
@@ -248,6 +277,25 @@ void BM_ProbeSuccess(benchmark::State& state) {
                           static_cast<std::int64_t>(kTrials));
 }
 BENCHMARK(BM_ProbeSuccess)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+/// One reference-search calibration (n = 4096, q = 312, 4000 trials) on a
+/// pool of range(0) threads; the memo is cleared every iteration, so each
+/// one computes.
+void BM_CalibrateOnUniform(benchmark::State& state) {
+  constexpr std::size_t kTrials = 4000;
+  const unsigned q = 312;
+  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    CalibMemo::global().clear();
+    Rng rng(5);
+    benchmark::DoNotOptimize(
+        uniform_reject_rates(4096, std::span(&q, 1), kTrials, rng, pool));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kTrials));
+}
+BENCHMARK(BM_CalibrateOnUniform)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_PerturbationVector(benchmark::State& state) {
   Rng rng(6);

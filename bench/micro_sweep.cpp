@@ -164,8 +164,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  const auto trials = static_cast<std::size_t>(flags.trials);
-  const auto seed = static_cast<std::uint64_t>(flags.seed);
+  const auto trials = flags.trials;
+  const auto seed = flags.seed;
 
   bench::banner("micro_sweep  warm-start + shared-cache sweep engine",
                 "gates: warm minima/verdicts == cold serial baseline at 1 "

@@ -22,11 +22,11 @@
 int main(int argc, char** argv) {
   using namespace duti;
   const Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 64));
-  const auto k = static_cast<unsigned>(cli.get_int("k", 32));
+  const auto n = cli.get_uint<std::uint64_t>("n", 64);
+  const auto k = cli.get_uint<unsigned>("k", 32);
   const double eps = cli.get_double("eps", 0.5);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
-  const auto reps = static_cast<int>(cli.get_int("reps", 100));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 5);
+  const auto reps = cli.get_uint<int>("reps", 100);
 
   // The workload model the algorithm was designed for.
   const auto eta = gen::zipf(n, 1.0);

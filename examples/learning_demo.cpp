@@ -16,10 +16,10 @@
 int main(int argc, char** argv) {
   using namespace duti;
   const Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 32));
-  const auto q = static_cast<unsigned>(cli.get_int("q", 8));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 3));
-  const auto reps = static_cast<int>(cli.get_int("reps", 12));
+  const auto n = cli.get_uint<std::uint64_t>("n", 32);
+  const auto q = cli.get_uint<unsigned>("q", 8);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 3);
+  const auto reps = cli.get_uint<int>("reps", 12);
 
   // The unknown distribution the network must learn.
   const auto truth = gen::zipf(n, 1.0);

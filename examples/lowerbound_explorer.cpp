@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const double n = cli.get_double("n", 1e6);
   const double k = cli.get_double("k", 256);
   const double eps = cli.get_double("eps", 0.1);
-  const auto r = static_cast<unsigned>(cli.get_int("r", 1));
+  const auto r = cli.get_uint<unsigned>("r", 1);
   const double t = cli.get_double("t", 4);
 
   std::cout << "universe n = " << n << ", players k = " << k

@@ -17,13 +17,13 @@
 int main(int argc, char** argv) {
   using namespace duti;
   const Cli cli(argc, argv);
-  const auto rows = static_cast<std::uint32_t>(cli.get_int("rows", 8));
-  const auto cols = static_cast<std::uint32_t>(cli.get_int("cols", 8));
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1024));
+  const auto rows = cli.get_uint<std::uint32_t>("rows", 8);
+  const auto cols = cli.get_uint<std::uint32_t>("cols", 8);
+  const auto n = cli.get_uint<std::uint64_t>("n", 1024);
   const double eps = cli.get_double("eps", 0.5);
-  const auto q = static_cast<unsigned>(cli.get_int("q", 80));
-  const auto epochs = static_cast<int>(cli.get_int("epochs", 80));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 17));
+  const auto q = cli.get_uint<unsigned>("q", 80);
+  const auto epochs = cli.get_uint<int>("epochs", 80);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 17);
 
   const std::uint32_t k = rows * cols;
   std::cout << rows << "x" << cols << " sensor grid (" << k

@@ -17,10 +17,10 @@
 int main(int argc, char** argv) {
   using namespace duti;
   const Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 4096));
-  const auto k = static_cast<unsigned>(cli.get_int("k", 64));
+  const auto n = cli.get_uint<std::uint64_t>("n", 4096);
+  const auto k = cli.get_uint<unsigned>("k", 64);
   const double eps = cli.get_double("eps", 0.5);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 7);
 
   // How many samples per node? The paper says Theta(sqrt(n/k)/eps^2);
   // a constant of 4 is comfortably inside the tester's working regime.

@@ -100,12 +100,12 @@ EpochResult run_epoch(const SampleSource& environment, unsigned sensors,
 int main(int argc, char** argv) {
   using namespace duti;
   const Cli cli(argc, argv);
-  const auto n = static_cast<std::uint64_t>(cli.get_int("n", 1024));
-  const auto sensors = static_cast<unsigned>(cli.get_int("sensors", 32));
+  const auto n = cli.get_uint<std::uint64_t>("n", 1024);
+  const auto sensors = cli.get_uint<unsigned>("sensors", 32);
   const double eps = cli.get_double("eps", 0.5);
-  const auto q = static_cast<unsigned>(cli.get_int("q", 96));
-  const auto epochs = static_cast<int>(cli.get_int("epochs", 150));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 11));
+  const auto q = cli.get_uint<unsigned>("q", 96);
+  const auto epochs = cli.get_uint<int>("epochs", 150);
+  const auto seed = cli.get_uint<std::uint64_t>("seed", 11);
 
   std::cout << "sensor network: " << sensors << " sensors + base station, "
             << q << " measurements/sensor/epoch, healthy = uniform over "

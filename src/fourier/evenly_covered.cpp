@@ -64,6 +64,26 @@ constexpr auto kPascal = [] {
   return t;
 }();
 
+// Trials per chunk of a_r_moment_mc: E7's 100 000-trial rows run as 25
+// chunks.
+constexpr std::size_t kMomentGrain = 4096;
+
+// True when every partial sum of `trials` terms a_r(x)^m over q <= 63
+// samples is an integer below 2^53, so a double holds it exactly: each term
+// is at most C(q, 2r)^m (E7's largest Monte-Carlo row gives
+// 210^3 * 10^5 ~ 9.3e11).
+bool moment_sums_exact(unsigned q, unsigned r, unsigned m,
+                       std::size_t trials) {
+  constexpr std::uint64_t kExactMax = (1ULL << 53) - 1;
+  if (2 * r > q) return true;  // every term is 0
+  std::uint64_t cap = trials;
+  for (unsigned i = 0; i < m; ++i) {
+    if (cap > kExactMax / kPascal[q][2 * r]) return false;
+    cap *= kPascal[q][2 * r];
+  }
+  return cap <= kExactMax;
+}
+
 // a_r from the value multiplicities c_v of a tuple of q <= 63 samples
 // (2r <= q): an evenly covered 2r-subset takes an even number j_v of the
 // c_v positions holding each value v, so a_r is the coefficient of t^{2r}
@@ -298,16 +318,31 @@ double a_r_moment_exact(unsigned ell, unsigned q, unsigned r, unsigned m) {
 }
 
 double a_r_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,
-                     std::size_t trials, Rng& rng) {
+                     std::size_t trials, Rng& rng, ThreadPool& pool) {
   require(trials >= 1, "a_r_moment_mc: need at least one trial");
   require(ell < 64, "a_r_moment_mc: ell must be below 64");
+  require(q <= 63, "a_r_moment_mc: at most 63 samples");
   const std::uint64_t side = 1ULL << ell;
-  std::vector<std::uint64_t> x(q);
+  // Folding per-chunk sums in chunk order equals the serial fold bit for
+  // bit while every partial sum is an exact integer; past that the loop
+  // runs as one chunk, which is the serial fold.
+  const std::size_t grain =
+      moment_sums_exact(q, r, m, trials) ? kMomentGrain : trials;
+  std::vector<double> partial((trials + grain - 1) / grain);
+  // The alphabet 2^ell is a power of two, so every draw is one raw output.
+  parallel_for_stream(
+      pool, trials, grain, q, rng,
+      [&](std::size_t begin, std::size_t end, Rng& stream) {
+        std::vector<std::uint64_t> x(q);
+        double sum = 0.0;
+        for (std::size_t t = begin; t < end; ++t) {
+          for (auto& xi : x) xi = stream.next_below(side);
+          sum += dpow_int(static_cast<double>(a_r(x, r)), m);
+        }
+        partial[begin / grain] = sum;
+      });
   double acc = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    for (auto& xi : x) xi = rng.next_below(side);
-    acc += dpow_int(static_cast<double>(a_r(x, r)), m);
-  }
+  for (const double p : partial) acc += p;
   return acc / static_cast<double>(trials);
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace duti {
 
@@ -71,10 +72,14 @@ namespace duti {
 [[nodiscard]] double a_r_moment_exact(unsigned ell, unsigned q, unsigned r,
                                       unsigned m);
 
-/// Monte-Carlo estimate of E_x[a_r(x)^m] from `trials` uniform tuples.
-/// Throws InvalidArgument for ell >= 64, before drawing from `rng`.
+/// Monte-Carlo estimate of E_x[a_r(x)^m] from `trials` uniform tuples,
+/// run on `pool` (parallel_for_stream): bit-identical to the serial fold
+/// over one stream at any thread count, with `rng` left where that fold
+/// leaves it. Throws InvalidArgument for ell >= 64 or q > 63, before
+/// drawing from `rng`.
 [[nodiscard]] double a_r_moment_mc(unsigned ell, unsigned q, unsigned r,
-                                   unsigned m, std::size_t trials, Rng& rng);
+                                   unsigned m, std::size_t trials, Rng& rng,
+                                   ThreadPool& pool = ThreadPool::global());
 
 /// Lemma 5.5 upper bound on E_x[a_r(x)^m] (log-space to avoid overflow):
 /// returns log of (4m)^{2mr} (q/sqrt(n/2))^{2mr}   when q >= sqrt(n/2),

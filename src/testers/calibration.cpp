@@ -5,8 +5,15 @@
 
 #include "sim/sample_source.hpp"
 #include "testers/collision.hpp"
+#include "util/error.hpp"
 
 namespace duti {
+
+namespace {
+// Trials per chunk of the calibration loop: the default 4000 trials cut
+// into 16 chunks, whatever the pool.
+constexpr std::size_t kCalibrationGrain = 256;
+}  // namespace
 
 std::size_t calibration_trials(std::size_t requested, std::uint64_t players) {
   if (requested != 0) return requested;
@@ -17,7 +24,9 @@ std::vector<double> calibrate_on_uniform(std::string_view statistic,
                                          std::uint64_t n,
                                          std::span<const unsigned> qs,
                                          std::size_t trials, Rng& calib_rng,
-                                         const CalibrationSummary& summarize) {
+                                         const CalibrationSummary& summarize,
+                                         ThreadPool& pool) {
+  require(trials >= 1, "calibrate_on_uniform: need at least one trial");
   std::string key(statistic);
   key += "|n=" + std::to_string(n) + "|qs=";
   for (const unsigned q : qs) key += std::to_string(q) + ",";
@@ -34,16 +43,22 @@ std::vector<double> calibrate_on_uniform(std::string_view statistic,
   }
   // Computed outside the memo lock, so the point-parallel sweeps'
   // constructions do not serialize on it. Two threads racing on one key
-  // compute, and store, the same entry.
+  // compute, and store, the same entry. Each trial is q uniform draws, so
+  // the trial loop splits across the pool and still sees the serial
+  // stream's draws in the serial order (DESIGN.md §7).
   const UniformSource uniform(n);
-  std::vector<std::uint64_t> samples;
   std::vector<std::uint64_t> pairs(trials);
   std::vector<double> values;
   for (const unsigned q : qs) {
-    for (std::uint64_t& p : pairs) {
-      uniform.sample_many(calib_rng, q, samples);
-      p = collision_pairs(samples, n);
-    }
+    parallel_for_stream(
+        pool, trials, kCalibrationGrain, q, calib_rng,
+        [&](std::size_t begin, std::size_t end, Rng& stream) {
+          std::vector<std::uint64_t> samples;
+          for (std::size_t t = begin; t < end; ++t) {
+            uniform.sample_many(stream, q, samples);
+            pairs[t] = collision_pairs(samples, n);
+          }
+        });
     const std::vector<double> player = summarize(q, pairs);
     values.insert(values.end(), player.begin(), player.end());
   }
@@ -53,7 +68,8 @@ std::vector<double> calibrate_on_uniform(std::string_view statistic,
 
 std::vector<double> uniform_reject_rates(std::uint64_t n,
                                          std::span<const unsigned> qs,
-                                         std::size_t trials, Rng& calib_rng) {
+                                         std::size_t trials, Rng& calib_rng,
+                                         ThreadPool& pool) {
   return calibrate_on_uniform(
       "rejects", n, qs, trials, calib_rng,
       [n](unsigned q, std::span<const std::uint64_t> pairs) {
@@ -65,7 +81,8 @@ std::vector<double> uniform_reject_rates(std::uint64_t n,
         }
         return std::vector<double>{static_cast<double>(rejects) /
                                    static_cast<double>(pairs.size())};
-      });
+      },
+      pool);
 }
 
 std::uint64_t calibrated_referee_threshold(std::uint64_t players, double p_u,

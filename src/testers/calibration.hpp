@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace duti {
 
@@ -48,19 +49,24 @@ using CalibrationSummary = std::function<std::vector<double>(
 /// For each player j in order, draws `trials` sets of qs[j] samples from
 /// UniformSource(n) through `calib_rng`, takes each set's exact pair count
 /// (collision_pairs, the statistic the protocol plane votes on), and
-/// appends summarize(qs[j], pairs) to the result. Memoized in
-/// CalibMemo::global() under (statistic, n, qs, trials, calib_rng's entry
-/// state): `statistic` must name every other input that `summarize` reads.
+/// appends summarize(qs[j], pairs) to the result. The trials run on `pool`
+/// (parallel_for_stream), each seeing exactly the draws of the serial loop
+/// over one stream, so values and exit state are the same at any thread
+/// count. Memoized in CalibMemo::global() under (statistic, n, qs, trials,
+/// calib_rng's entry state): `statistic` must name every other input that
+/// `summarize` reads. Throws InvalidArgument for zero trials, before any
+/// draw.
 [[nodiscard]] std::vector<double> calibrate_on_uniform(
     std::string_view statistic, std::uint64_t n, std::span<const unsigned> qs,
-    std::size_t trials, Rng& calib_rng, const CalibrationSummary& summarize);
+    std::size_t trials, Rng& calib_rng, const CalibrationSummary& summarize,
+    ThreadPool& pool = ThreadPool::global());
 
 /// Per player, the rate at which its pair count on qs[j] uniform samples
 /// strictly exceeds its uniform mean C(qs[j], 2) / n — the collision
 /// voter's false-alarm rate — over `trials` draws each.
 [[nodiscard]] std::vector<double> uniform_reject_rates(
     std::uint64_t n, std::span<const unsigned> qs, std::size_t trials,
-    Rng& calib_rng);
+    Rng& calib_rng, ThreadPool& pool = ThreadPool::global());
 
 /// The referee bar for `players` one-bit voters that each reject uniform
 /// input with probability p_u: max(1, ceil(mean + z sd + 1e-9)) for the
@@ -88,7 +94,7 @@ class CalibMemo {
   friend std::vector<double> calibrate_on_uniform(
       std::string_view statistic, std::uint64_t n,
       std::span<const unsigned> qs, std::size_t trials, Rng& calib_rng,
-      const CalibrationSummary& summarize);
+      const CalibrationSummary& summarize, ThreadPool& pool);
 
   struct Entry {
     std::vector<double> values;

@@ -57,13 +57,18 @@ std::string Cli::get_string(const std::string& name,
   return get(name).value_or(fallback);
 }
 
-std::int64_t Cli::get_int(const std::string& name,
-                          std::int64_t fallback) const {
+std::uint64_t Cli::uint_at_most(const std::string& name,
+                                std::uint64_t fallback,
+                                std::uint64_t max) const {
   const auto v = get(name);
   if (!v) return fallback;
-  if (const auto parsed = parse_whole<std::int64_t>(*v)) return *parsed;
-  throw InvalidArgument("Cli: flag --" + name + " expects an integer, got '" +
-                        *v + "'");
+  // from_chars into an unsigned type takes no sign: "-1" does not parse.
+  if (const auto parsed = parse_whole<std::uint64_t>(*v);
+      parsed && *parsed <= max) {
+    return *parsed;
+  }
+  throw InvalidArgument("Cli: flag --" + name + " expects an integer in [0, " +
+                        std::to_string(max) + "], got '" + *v + "'");
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
@@ -83,20 +88,19 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
                         *v + "'");
 }
 
-std::vector<std::int64_t> Cli::get_int_list(
-    const std::string& name, std::vector<std::int64_t> fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  std::vector<std::int64_t> out;
-  std::stringstream ss(*v);
+std::vector<std::uint64_t> Cli::uint_list_at_most(const std::string& name,
+                                                   std::uint64_t max) const {
+  const std::string v = get(name).value_or("");
+  std::vector<std::uint64_t> out;
+  std::stringstream ss(v);
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (item.empty()) continue;
-    const auto parsed = parse_whole<std::int64_t>(item);
-    if (!parsed) {
+    const auto parsed = parse_whole<std::uint64_t>(item);
+    if (!parsed || *parsed > max) {
       throw InvalidArgument("Cli: flag --" + name +
-                            " expects comma-separated integers, got '" + *v +
-                            "'");
+                            " expects comma-separated integers in [0, " +
+                            std::to_string(max) + "], got '" + v + "'");
     }
     out.push_back(*parsed);
   }

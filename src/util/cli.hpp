@@ -5,7 +5,9 @@
 // own modules).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,15 +28,33 @@ class Cli {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Comma-separated list of integers, e.g. --ks=1,2,4,8.
-  [[nodiscard]] std::vector<std::int64_t> get_int_list(
-      const std::string& name, std::vector<std::int64_t> fallback) const;
+  /// A non-negative integer that fits T, e.g. get_uint<unsigned>("k", 64):
+  /// --k=-1 or --k=4294967296 throws InvalidArgument naming the flag and
+  /// the value instead of wrapping.
+  template <std::integral T>
+  [[nodiscard]] T get_uint(const std::string& name, T fallback) const {
+    return static_cast<T>(uint_at_most(
+        name, static_cast<std::uint64_t>(fallback),
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+  }
+
+  /// Comma-separated list of non-negative integers that fit T, e.g.
+  /// --ks=1,2,4,8; range-checked like get_uint.
+  template <std::integral T>
+  [[nodiscard]] std::vector<T> get_uint_list(const std::string& name,
+                                             std::vector<T> fallback) const {
+    if (!get(name)) return fallback;
+    std::vector<T> out;
+    for (const std::uint64_t v : uint_list_at_most(
+             name, static_cast<std::uint64_t>(std::numeric_limits<T>::max()))) {
+      out.push_back(static_cast<T>(v));
+    }
+    return out;
+  }
 
   /// Positional (non-flag) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -45,6 +65,14 @@ class Cli {
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
 
  private:
+  // The flag's value (or `fallback` when absent), and each value of the
+  // flag's list, as an integer in [0, max].
+  [[nodiscard]] std::uint64_t uint_at_most(const std::string& name,
+                                           std::uint64_t fallback,
+                                           std::uint64_t max) const;
+  [[nodiscard]] std::vector<std::uint64_t> uint_list_at_most(
+      const std::string& name, std::uint64_t max) const;
+
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
   bool help_ = false;

@@ -110,6 +110,19 @@ class Xoshiro256pp {
   [[nodiscard]] State state() const noexcept { return state_; }
   void set_state(const State& s) noexcept { state_ = s; }
 
+  /// A jump of `draws` * 2^doublings outputs as a GF(2) polynomial: the
+  /// state map T is linear over GF(2), so that many steps equal
+  /// (x^(draws * 2^doublings) mod P)(T) for T's characteristic polynomial
+  /// P. Word 0 holds the coefficients of x^0..x^63. (1, 128) and (1, 192)
+  /// give the reference implementation's JUMP and LONG_JUMP constants.
+  using JumpPolynomial = std::array<std::uint64_t, 4>;
+  [[nodiscard]] static JumpPolynomial jump_polynomial(
+      std::uint64_t draws, unsigned doublings = 0) noexcept;
+
+  /// Advance the state by `poly`'s jump in 256 steps, XOR-accumulating the
+  /// state at each set coefficient, as the reference jump() does.
+  void jump(const JumpPolynomial& poly) noexcept;
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <cstdlib>
@@ -194,6 +195,55 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
     state.done.wait(lock, [&state] { return state.pending == 0; });
   }
   if (state.error) std::rethrow_exception(state.error);
+}
+
+void parallel_for_stream(ThreadPool& pool, std::size_t n, std::size_t grain,
+                         std::uint64_t draws_per_item, Rng& rng,
+                         const StreamChunkBody& body) {
+  require(static_cast<bool>(body), "parallel_for_stream: null body");
+  if (n == 0) return;
+  if (grain == 0) grain = 1;
+  const std::size_t chunks = (n + grain - 1) / grain;
+  // Chunk c's start is the entry state jumped c strides; one stride
+  // polynomial serves every chunk.
+  std::vector<Rng::State> starts(chunks, rng.state());
+  if (chunks > 1) {
+    std::uint64_t stride = 0;
+    require(!__builtin_mul_overflow(grain, draws_per_item, &stride),
+            "parallel_for_stream: a chunk's draws exceed 2^64");
+    const Rng::JumpPolynomial jump = Rng::jump_polynomial(stride);
+    Rng cursor;
+    cursor.set_state(starts[0]);
+    for (std::size_t c = 1; c < chunks; ++c) {
+      cursor.jump(jump);
+      starts[c] = cursor.state();
+    }
+  }
+  const auto run_chunk = [&](std::size_t c, Rng& stream) {
+    body(c * grain, std::min(n, (c + 1) * grain), stream);
+  };
+  std::vector<Rng::State> ends(chunks);
+  pool.parallel_for(chunks, 1, [&](std::size_t begin, std::size_t end,
+                                   unsigned /*worker*/) {
+    for (std::size_t c = begin; c < end; ++c) {
+      Rng stream;
+      stream.set_state(starts[c]);
+      run_chunk(c, stream);
+      ends[c] = stream.state();
+    }
+  });
+  // Walk the true stream: a chunk that ran from it keeps its results and
+  // end state; one that did not (its predecessor drew extra raws) reruns.
+  Rng stream;
+  stream.set_state(ends[0]);
+  for (std::size_t c = 1; c < chunks; ++c) {
+    if (stream.state() == starts[c]) {
+      stream.set_state(ends[c]);
+    } else {
+      run_chunk(c, stream);
+    }
+  }
+  rng.set_state(stream.state());
 }
 
 ThreadPool& ThreadPool::global() {

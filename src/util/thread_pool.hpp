@@ -17,6 +17,10 @@
 //   3. No silent swallowing: the first exception thrown by a chunk body is
 //      captured and rethrown on the calling thread after the loop drains.
 //
+// parallel_for_stream runs a loop whose items all draw from ONE stream
+// (a calibration, a Monte-Carlo moment) on the pool, bit-identically to the
+// serial loop: it cuts the stream at jump-computed chunk starts.
+//
 // The global pool is sized by the DUTI_THREADS environment variable
 // (default: std::thread::hardware_concurrency()).
 #pragma once
@@ -28,6 +32,8 @@
 #include <queue>
 #include <thread>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace duti {
 
@@ -76,5 +82,25 @@ class ThreadPool {
   std::condition_variable wake_;
   bool stop_ = false;
 };
+
+/// Chunk body of parallel_for_stream: items [begin, end), drawing from
+/// `rng`, which stands where the serial loop's stream stands at `begin`.
+using StreamChunkBody =
+    std::function<void(std::size_t begin, std::size_t end, Rng& rng)>;
+
+/// The serial loop "for each item in [0, n), draw from `rng`" on `pool`,
+/// for items that each take `draws_per_item` raw outputs. Items run in
+/// parallel_for's chunks of `grain`; chunk c starts from `rng`'s entry
+/// state jumped c * grain * draws_per_item outputs. A chunk whose draws
+/// took more raws (a next_below rejection, never for a power-of-two bound)
+/// ends off its successor's start; every later chunk then reruns, in
+/// order, from the true end state. So every chunk sees exactly the serial
+/// loop's draws, for any grain and pool, and `rng` ends where the serial
+/// loop leaves it. `body` must write its results keyed by item or chunk
+/// (a rerun overwrites them), never accumulate across chunks. If a body
+/// throws, the exception propagates and `rng` keeps its entry state.
+void parallel_for_stream(ThreadPool& pool, std::size_t n, std::size_t grain,
+                         std::uint64_t draws_per_item, Rng& rng,
+                         const StreamChunkBody& body);
 
 }  // namespace duti

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -17,13 +20,13 @@ Cli make(std::initializer_list<const char*> args) {
 
 TEST(Cli, EqualsSyntax) {
   const auto cli = make({"--n=1024", "--eps=0.25"});
-  EXPECT_EQ(cli.get_int("n", 0), 1024);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("n", 0), 1024u);
   EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.0), 0.25);
 }
 
 TEST(Cli, SpaceSyntax) {
   const auto cli = make({"--n", "2048"});
-  EXPECT_EQ(cli.get_int("n", 0), 2048);
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("n", 0), 2048u);
 }
 
 TEST(Cli, BareFlagIsTrue) {
@@ -33,7 +36,7 @@ TEST(Cli, BareFlagIsTrue) {
 
 TEST(Cli, FallbacksWhenMissing) {
   const auto cli = make({});
-  EXPECT_EQ(cli.get_int("n", 7), 7);
+  EXPECT_EQ(cli.get_uint<unsigned>("n", 7), 7u);
   EXPECT_DOUBLE_EQ(cli.get_double("eps", 0.5), 0.5);
   EXPECT_EQ(cli.get_string("mode", "fast"), "fast");
   EXPECT_FALSE(cli.get_bool("verbose", false));
@@ -41,7 +44,7 @@ TEST(Cli, FallbacksWhenMissing) {
 
 TEST(Cli, IntList) {
   const auto cli = make({"--ks=1,2,4,8"});
-  const auto ks = cli.get_int_list("ks", {});
+  const auto ks = cli.get_uint_list<std::int64_t>("ks", {});
   ASSERT_EQ(ks.size(), 4u);
   EXPECT_EQ(ks[0], 1);
   EXPECT_EQ(ks[3], 8);
@@ -49,25 +52,74 @@ TEST(Cli, IntList) {
 
 TEST(Cli, IntListFallback) {
   const auto cli = make({});
-  const auto ks = cli.get_int_list("ks", {3, 5});
+  const auto ks = cli.get_uint_list<std::int64_t>("ks", {3, 5});
   ASSERT_EQ(ks.size(), 2u);
   EXPECT_EQ(ks[1], 5);
 }
 
 TEST(Cli, MalformedValuesThrow) {
   const auto cli = make({"--n=abc", "--b=maybe", "--ks=1,x"});
-  EXPECT_THROW((void)cli.get_int("n", 0), InvalidArgument);
+  EXPECT_THROW((void)cli.get_uint<unsigned>("n", 0), InvalidArgument);
   EXPECT_THROW((void)cli.get_bool("b", false), InvalidArgument);
-  EXPECT_THROW(cli.get_int_list("ks", {}), InvalidArgument);
+  EXPECT_THROW(cli.get_uint_list<std::int64_t>("ks", {}), InvalidArgument);
 }
 
 TEST(Cli, TrailingCharactersThrow) {
   const auto cli =
       make({"--trials=150x", "--eps=0.5.3", "--n=1e3", "--ks=2,4x"});
-  EXPECT_THROW((void)cli.get_int("trials", 0), InvalidArgument);
+  EXPECT_THROW((void)cli.get_uint<std::size_t>("trials", 0), InvalidArgument);
   EXPECT_THROW((void)cli.get_double("eps", 0.0), InvalidArgument);
-  EXPECT_THROW((void)cli.get_int("n", 0), InvalidArgument);
-  EXPECT_THROW(cli.get_int_list("ks", {}), InvalidArgument);
+  EXPECT_THROW((void)cli.get_uint<std::uint64_t>("n", 0), InvalidArgument);
+  EXPECT_THROW(cli.get_uint_list<std::int64_t>("ks", {}), InvalidArgument);
+}
+
+// Expects `call` to throw InvalidArgument naming --<flag> and `value`.
+template <typename Call>
+void expect_throws_naming(Call call, const std::string& flag,
+                          const std::string& value) {
+  try {
+    (void)call();
+    ADD_FAILURE() << "--" << flag << "=" << value << " did not throw";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+    EXPECT_NE(what.find(value), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, UnsignedGettersRejectNegativeAndOutOfRangeValues) {
+  // A negative value used to wrap at the call site's cast: --k=-1 became
+  // 2^32 - 1 players, --mc-trials=-1 2^64 - 1 trials.
+  const auto cli =
+      make({"--k=-1", "--mc-trials=-1", "--k32=4294967296", "--seeds=+5",
+            "--ks=2,-4", "--ts=1,9223372036854775808", "--reps=2147483648"});
+  expect_throws_naming([&] { return cli.get_uint<unsigned>("k", 60); }, "k",
+                       "-1");
+  expect_throws_naming(
+      [&] { return cli.get_uint<std::size_t>("mc-trials", 1); }, "mc-trials",
+      "-1");
+  expect_throws_naming([&] { return cli.get_uint<unsigned>("k32", 1); },
+                       "k32", "4294967296");
+  expect_throws_naming([&] { return cli.get_uint<std::uint32_t>("seeds", 1); },
+                       "seeds", "+5");
+  expect_throws_naming(
+      [&] { return cli.get_uint_list<std::int64_t>("ks", {1}); }, "ks",
+      "2,-4");
+  expect_throws_naming(
+      [&] { return cli.get_uint_list<std::int64_t>("ts", {1}); }, "ts",
+      "9223372036854775808");
+  expect_throws_naming([&] { return cli.get_uint<int>("reps", 1); }, "reps",
+                       "2147483648");
+}
+
+TEST(Cli, UnsignedGettersTakeTheirWholeRange) {
+  const auto cli = make({"--seed=18446744073709551615", "--k=4294967295",
+                         "--zero=0", "--ks=0,9223372036854775807"});
+  EXPECT_EQ(cli.get_uint<std::uint64_t>("seed", 1), ~0ULL);
+  EXPECT_EQ(cli.get_uint<unsigned>("k", 1), 4294967295u);
+  EXPECT_EQ(cli.get_uint<int>("zero", 1), 0);
+  EXPECT_EQ(cli.get_uint_list<std::int64_t>("ks", {1}),
+            (std::vector<std::int64_t>{0, 9223372036854775807LL}));
 }
 
 TEST(Cli, Positional) {
@@ -86,7 +138,7 @@ TEST(Cli, HelpDetected) {
 TEST(Cli, EnvironmentSetsNoFlag) {
   ::setenv("DUTI_N", "1", 1);
   const auto cli = make({});
-  EXPECT_EQ(cli.get_int("n", 7), 7);
+  EXPECT_EQ(cli.get_uint<unsigned>("n", 7), 7u);
   ::unsetenv("DUTI_N");
 }
 

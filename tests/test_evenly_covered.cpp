@@ -13,6 +13,7 @@
 
 #include "util/error.hpp"
 #include "util/math.hpp"
+#include "util/thread_pool.hpp"
 
 namespace duti {
 namespace {
@@ -446,6 +447,59 @@ TEST(ArMoments, E7bValuesArePinnedBitForBit) {
         << "ell=" << row.ell << " q=" << row.q << " r=" << row.r
         << " m=" << row.m << " got " << std::hexfloat << got;
   }
+}
+
+// The serial Monte-Carlo fold over one stream that a_r_moment_mc splits.
+double serial_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,
+                        std::size_t trials, Rng& rng) {
+  std::vector<std::uint64_t> x(q);
+  double acc = 0.0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    for (auto& xi : x) xi = rng.next_below(1ULL << ell);
+    acc += dpow_int(static_cast<double>(a_r(x, r)), m);
+  }
+  return acc / static_cast<double>(trials);
+}
+
+TEST(ArMoments, McOnEveryPoolEqualsTheSerialFoldBitForBit) {
+  // Inside the 2^53 bound (210^3 * 20 000 ~ 1.9e11) the chunk sums fold
+  // exactly; past it (C(40, 20)^2 ~ 1.9e22 per term) the loop runs as one
+  // chunk. Both rows span several chunks' worth of trials.
+  struct Row {
+    unsigned ell, q, r, m;
+    std::size_t trials;
+  };
+  for (const Row& row : {Row{5, 10, 2, 3, 20000}, Row{3, 40, 10, 2, 10000}}) {
+    Rng serial(21);
+    const double want =
+        serial_moment_mc(row.ell, row.q, row.r, row.m, row.trials, serial);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      Rng rng(21);
+      const double got =
+          a_r_moment_mc(row.ell, row.q, row.r, row.m, row.trials, rng, pool);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "q=" << row.q << " threads " << threads << ": got "
+          << std::hexfloat << got << ", serial " << want;
+      EXPECT_EQ(rng.state(), serial.state())
+          << "q=" << row.q << " threads " << threads;
+    }
+  }
+}
+
+TEST(ArMoments, McTakesAtMostSixtyThreeSamplesCheckedBeforeDrawing) {
+  Rng rng(5);
+  EXPECT_GT(a_r_moment_mc(2, 63, 1, 1, 10, rng), 0.0);
+  const Rng::State before = rng.state();
+  try {
+    (void)a_r_moment_mc(2, 64, 1, 1, 10, rng);
+    ADD_FAILURE() << "q = 64 did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("63 samples"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rng.state(), before);
 }
 
 class Lemma55Test : public ::testing::TestWithParam<

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +24,9 @@
 #include "testers/multibit.hpp"
 #include "testers/robust_rules.hpp"
 #include "testers/tree_tester.hpp"
+#include "util/error.hpp"
 #include "util/fnv.hpp"
+#include "util/math.hpp"
 #include "util/thread_pool.hpp"
 
 namespace duti {
@@ -507,6 +510,105 @@ TEST(CalibMemo, RobustAndTreeTestersShareTheThresholdCalibration) {
   EXPECT_EQ(robust.naive_referee_threshold(), thr.referee_threshold());
   EXPECT_EQ(calib_robust.state(), calib_thr.state());
   EXPECT_EQ(calib_tree.state(), calib_thr.state());
+}
+
+// The serial calibration loop: per player in order, `trials` sets of q
+// draws below n from the one stream, each pair-counted naively, then
+// summarized.
+std::vector<double> serial_calibration(std::uint64_t n,
+                                       std::span<const unsigned> qs,
+                                       std::size_t trials, Rng& rng,
+                                       const CalibrationSummary& summarize) {
+  std::vector<double> values;
+  for (const unsigned q : qs) {
+    std::vector<std::uint64_t> pairs(trials);
+    std::vector<std::uint64_t> samples(q);
+    for (std::uint64_t& p : pairs) {
+      for (std::uint64_t& s : samples) s = rng.next_below(n);
+      p = naive_pairs(samples);
+    }
+    const std::vector<double> player = summarize(q, pairs);
+    values.insert(values.end(), player.begin(), player.end());
+  }
+  return values;
+}
+
+TEST(Calibration, EveryPoolReproducesTheSerialLoop) {
+  // Fresh calibrations (memo cleared) on pools of 1, 2 and 8 threads match
+  // the serial loop's values and exit state: the one-bit "rejects" rate,
+  // a multibit-style encoded mean and variance, and three players drawing
+  // from one stream.
+  const CalibrationSummary rejects = [](unsigned q,
+                                        std::span<const std::uint64_t> pairs) {
+    const double local_t = expected_collision_pairs_uniform(1000.0, q);
+    const auto over = std::count_if(pairs.begin(), pairs.end(),
+                                    [&](std::uint64_t p) {
+                                      return static_cast<double>(p) > local_t;
+                                    });
+    return std::vector<double>{static_cast<double>(over) /
+                               static_cast<double>(pairs.size())};
+  };
+  const CalibrationSummary encoded = [](unsigned,
+                                        std::span<const std::uint64_t> pairs) {
+    std::vector<double> clipped;
+    for (const std::uint64_t p : pairs) {
+      clipped.push_back(static_cast<double>(std::min<std::uint64_t>(p, 7)));
+    }
+    return std::vector<double>{mean(clipped), sample_variance(clipped)};
+  };
+  struct Case {
+    std::string statistic;
+    std::vector<unsigned> qs;
+    std::size_t trials;
+    CalibrationSummary summarize;
+  };
+  const std::vector<Case> cases = {
+      {"rejects", {40}, 4000, rejects},
+      {"encoded|r=3", {60}, 1000, encoded},
+      {"rejects", {12, 24, 48}, 700, rejects},
+  };
+  for (const Case& c : cases) {
+    Rng serial(55);
+    const std::vector<double> want =
+        serial_calibration(1000, c.qs, c.trials, serial, c.summarize);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      CalibMemo::global().clear();
+      Rng rng(55);
+      EXPECT_EQ(calibrate_on_uniform(c.statistic, 1000, c.qs, c.trials, rng,
+                                     c.summarize, pool),
+                want)
+          << c.statistic << ", " << c.qs.size() << " players, threads "
+          << threads;
+      EXPECT_EQ(rng.state(), serial.state())
+          << c.statistic << ", " << c.qs.size() << " players, threads "
+          << threads;
+    }
+  }
+  // uniform_reject_rates is the "rejects" summary over the same loop.
+  ThreadPool pool(8);
+  CalibMemo::global().clear();
+  Rng rng(55);
+  Rng serial(55);
+  const std::vector<unsigned> qs = {12, 24, 48};
+  EXPECT_EQ(uniform_reject_rates(1000, qs, 700, rng, pool),
+            serial_calibration(1000, qs, 700, serial, rejects));
+  EXPECT_EQ(rng.state(), serial.state());
+}
+
+TEST(Calibration, ZeroTrialsThrowBeforeAnyDraw) {
+  Rng rng(4);
+  const Rng::State entry = rng.state();
+  const std::vector<unsigned> qs = {4};
+  try {
+    (void)uniform_reject_rates(64, qs, 0, rng);
+    ADD_FAILURE() << "zero trials did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("calibrate_on_uniform"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(rng.state(), entry);
 }
 
 TEST(ProtocolBatch, ChaosLaneCarriesBatchedVotes) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace duti {
@@ -130,6 +131,52 @@ TEST(MakeRng, DistinctStreamsAreIndependentish) {
     if (a() == b()) ++equal;
   }
   EXPECT_EQ(equal, 0);
+}
+
+// Advances `rng` by `draws` outputs, one step at a time.
+void step(Rng& rng, std::uint64_t draws) {
+  for (std::uint64_t i = 0; i < draws; ++i) (void)rng();
+}
+
+TEST(XoshiroJump, PolynomialsReproduceTheReferenceJumpConstants) {
+  // JUMP (2^128 draws) and LONG_JUMP (2^192 draws) of the xoshiro256
+  // reference implementation.
+  EXPECT_EQ(Rng::jump_polynomial(1, 128),
+            (Rng::JumpPolynomial{0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                                 0xa9582618e03fc9aaULL,
+                                 0x39abdc4529b1661cULL}));
+  EXPECT_EQ(Rng::jump_polynomial(1, 192),
+            (Rng::JumpPolynomial{0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                                 0x77710069854ee241ULL,
+                                 0x39109bb02acbe635ULL}));
+}
+
+TEST(XoshiroJump, JumpEqualsStepping) {
+  for (const std::uint64_t draws :
+       {0ULL, 1ULL, 255ULL, 256ULL, 257ULL, (1ULL << 20) + 3}) {
+    Rng stepped(41), jumped(41);
+    step(stepped, draws);
+    jumped.jump(Rng::jump_polynomial(draws));
+    EXPECT_EQ(jumped.state(), stepped.state()) << "draws=" << draws;
+    EXPECT_EQ(jumped(), stepped()) << "draws=" << draws;
+  }
+  // Doublings scale the distance: 3 * 2^5 draws.
+  Rng stepped(42), jumped(42);
+  step(stepped, 96);
+  jumped.jump(Rng::jump_polynomial(3, 5));
+  EXPECT_EQ(jumped.state(), stepped.state());
+}
+
+TEST(XoshiroJump, JumpsCompose) {
+  const std::pair<std::uint64_t, std::uint64_t> splits[] = {
+      {0, 5}, {1, 1}, {255, 257}, {1000, 1ULL << 40}, {~0ULL >> 1, 12345}};
+  for (const auto& [a, b] : splits) {
+    Rng twice(43), once(43);
+    twice.jump(Rng::jump_polynomial(a));
+    twice.jump(Rng::jump_polynomial(b));
+    once.jump(Rng::jump_polynomial(a + b));
+    EXPECT_EQ(twice.state(), once.state()) << "a=" << a << " b=" << b;
+  }
 }
 
 TEST(Xoshiro, SatisfiesUniformRandomBitGenerator) {

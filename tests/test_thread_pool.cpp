@@ -217,5 +217,99 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   }
 }
 
+// Each of `items` items draws `draws` values below `bound` from one
+// stream, item by item: the serial loop parallel_for_stream replaces.
+std::vector<std::uint64_t> serial_stream_draws(std::size_t items,
+                                               unsigned draws,
+                                               std::uint64_t bound, Rng& rng) {
+  std::vector<std::uint64_t> out(items * draws);
+  for (auto& v : out) v = rng.next_below(bound);
+  return out;
+}
+
+TEST(ParallelForStream, MatchesTheSerialLoopOnEveryPoolAndGrain) {
+  // 2^20 takes one raw output per draw; 2^63 + 1 rejects about half of
+  // them, so nearly every chunk starts off its jumped position and reruns.
+  constexpr std::size_t kItems = 1000;
+  constexpr unsigned kDraws = 5;
+  for (const std::uint64_t bound : {1ULL << 20, (1ULL << 63) + 1}) {
+    Rng serial(7);
+    const std::vector<std::uint64_t> want =
+        serial_stream_draws(kItems, kDraws, bound, serial);
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      for (const std::size_t grain : {1UL, 7UL, 64UL, 1000UL, 5000UL}) {
+        Rng rng(7);
+        std::vector<std::uint64_t> got(kItems * kDraws);
+        parallel_for_stream(
+            pool, kItems, grain, kDraws, rng,
+            [&](std::size_t begin, std::size_t end, Rng& stream) {
+              for (std::size_t i = begin * kDraws; i < end * kDraws; ++i) {
+                got[i] = stream.next_below(bound);
+              }
+            });
+        EXPECT_EQ(got, want) << "bound " << bound << ", threads " << threads
+                             << ", grain " << grain;
+        EXPECT_EQ(rng.state(), serial.state())
+            << "bound " << bound << ", threads " << threads << ", grain "
+            << grain;
+      }
+    }
+  }
+}
+
+TEST(ParallelForStream, NestedInsideAPoolTaskMatchesTheSerialLoop) {
+  // Issued from pool workers: the share-and-help path.
+  constexpr std::size_t kLoops = 6, kItems = 300;
+  ThreadPool pool(4);
+  std::vector<std::vector<std::uint64_t>> got(kLoops);
+  std::vector<Rng::State> exits(kLoops);
+  pool.parallel_for(kLoops, 1, [&](std::size_t b, std::size_t e, unsigned) {
+    for (std::size_t l = b; l < e; ++l) {
+      Rng rng(100 + l);
+      got[l].resize(kItems * 3);
+      parallel_for_stream(pool, kItems, 16, 3, rng,
+                          [&](std::size_t begin, std::size_t end,
+                              Rng& stream) {
+                            for (std::size_t i = begin * 3; i < end * 3; ++i) {
+                              got[l][i] = stream.next_below(1000);
+                            }
+                          });
+      exits[l] = rng.state();
+    }
+  });
+  for (std::size_t l = 0; l < kLoops; ++l) {
+    Rng serial(100 + l);
+    EXPECT_EQ(got[l], serial_stream_draws(kItems, 3, 1000, serial)) << l;
+    EXPECT_EQ(exits[l], serial.state()) << l;
+  }
+}
+
+TEST(ParallelForStream, AThrowingBodyLeavesTheStreamAtItsEntryState) {
+  for (const unsigned threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    Rng rng(9);
+    const Rng::State entry = rng.state();
+    EXPECT_THROW(parallel_for_stream(pool, 100, 10, 2, rng,
+                                     [](std::size_t begin, std::size_t,
+                                        Rng& stream) {
+                                       (void)stream();
+                                       if (begin == 50) {
+                                         throw InvalidArgument("chunk 5");
+                                       }
+                                     }),
+                 InvalidArgument);
+    EXPECT_EQ(rng.state(), entry) << "threads " << threads;
+  }
+  ThreadPool pool(2);
+  Rng rng(9);
+  const Rng::State entry = rng.state();
+  parallel_for_stream(pool, 0, 10, 2, rng,
+                      [](std::size_t, std::size_t, Rng&) { FAIL(); });
+  EXPECT_EQ(rng.state(), entry);
+  EXPECT_THROW(parallel_for_stream(pool, 10, 1, 1, rng, nullptr),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace duti
