@@ -11,6 +11,7 @@
 // few rejections and detection collapses quickly — quantifying how much
 // the one-round referee model's reliability assumption is worth.
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "dist/paninski.hpp"
@@ -19,6 +20,7 @@
 #include "testers/distributed.hpp"
 #include "testers/tree_tester.hpp"
 #include "util/confidence.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -75,6 +77,9 @@ int main(int argc, char** argv) {
   const auto q = cli.get_uint<unsigned>("q", 96);
   const auto trials = cli.get_uint<int>("trials", 150);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  // The drop table runs trials/2 epochs and averages over them.
+  require(trials >= 2, "ablation_byzantine: --trials must be >= 2, got " +
+                           std::to_string(trials));
 
   bench::banner("Ablation: fault tolerance of decision rules (extension)",
                 "expected: one Byzantine sensor destroys the AND rule's "

@@ -1,14 +1,16 @@
 // Shared plumbing for the experiment binaries: banner printing, CSV output
 // location, the measured-vs-predicted table assembly used by every
 // experiment, the stamped BENCH_*.json emitter, the micro benches' timer,
-// and the sweep-engine glue (engine config from CLI flags + the one-line
-// sweep summary). Each bench prints the same kind of artifact: a table with
-// one row per sweep point carrying the measured minimum resource, the
-// paper's predicted curve, and the fitted constant/slope comparison.
+// the probe-cache session the benches share, and the sweep-engine glue
+// (engine config from CLI flags + the one-line sweep summary). Each bench
+// prints the same kind of artifact: a table with one row per sweep point
+// carrying the measured minimum resource, the paper's predicted curve, and
+// the fitted constant/slope comparison.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "stats/shape.hpp"
 #include "stats/sweep.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -54,19 +57,37 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(now - start).count();
 }
 
-/// The configuration a bench actually ran under, for emit_bench_json's
-/// "env" stamp: the global pool's size, the host's SIMD tier and the global
-/// probe cache's mode — resolved values, not the raw DUTI_* strings.
-[[nodiscard]] inline JsonFields resolved_env() {
-  const char* cache = "off";
-  switch (ProbeCache::global().mode()) {
-    case CacheMode::kOff: break;
-    case CacheMode::kReadOnly: cache = "readonly"; break;
-    case CacheMode::kReadWrite: cache = "rw"; break;
+/// The probe-cache session that the values of DUTI_CACHE and
+/// DUTI_CACHE_DIR describe (nullptr = unset). DUTI_CACHE is `off` or `rw`;
+/// unset or empty means off. DUTI_CACHE_DIR defaults to ".duti_cache".
+/// Any other DUTI_CACHE value throws InvalidArgument naming the variable
+/// and the value.
+[[nodiscard]] inline ProbeCache open_cache_session(const char* mode,
+                                                   const char* dir) {
+  const std::string m = mode == nullptr ? "" : mode;
+  if (!m.empty() && m != "off" && m != "rw") {
+    throw InvalidArgument("DUTI_CACHE must be off|rw, got \"" + m + "\"");
   }
+  return ProbeCache(dir == nullptr ? ".duti_cache" : dir,
+                    m == "rw" ? CacheMode::kReadWrite : CacheMode::kOff);
+}
+
+/// The one probe-cache session every sweep of a bench process shares,
+/// opened from the environment on first use.
+[[nodiscard]] inline ProbeCache& cache_session() {
+  static ProbeCache session = open_cache_session(
+      std::getenv("DUTI_CACHE"), std::getenv("DUTI_CACHE_DIR"));
+  return session;
+}
+
+/// The configuration a bench actually ran under, for emit_bench_json's
+/// "env" stamp: the global pool's size, the host's SIMD tier and the shared
+/// probe-cache session's mode — resolved values, not the raw DUTI_*
+/// strings.
+[[nodiscard]] inline JsonFields resolved_env() {
   return {{"threads", json_u64(ThreadPool::global().size())},
           {"simd", json_str(simd_level_name(simd_active_level()))},
-          {"cache", json_str(cache)}};
+          {"cache", json_str(cache_session().enabled() ? "rw" : "off")}};
 }
 
 /// Stock flags every sweep bench accepts.
@@ -83,14 +104,15 @@ struct CommonFlags {
 
 // --- Sweep-engine glue -----------------------------------------------------
 
-/// Engine config for a sweep bench: warm mode (adaptive bracket + shared
-/// cache session, with anchor-interpolated hints recorded) by default,
-/// `--sweep=cold` forces the cold full-budget baseline. Both modes produce
-/// bit-identical minima and verdicts — cold exists to prove exactly that.
+/// Engine config for a sweep bench: warm mode (adaptive bracket + the
+/// shared cache session, with anchor-interpolated hints recorded) by
+/// default, `--sweep=cold` forces the cold full-budget baseline. Both modes
+/// produce bit-identical minima and verdicts — cold exists to prove exactly
+/// that.
 [[nodiscard]] inline SweepEngineConfig sweep_engine_config(const Cli& cli) {
   SweepEngineConfig cfg;
   cfg.warm_start = cli.get_string("sweep", "warm") != "cold";
-  cfg.cache = &ProbeCache::global();
+  cfg.cache = &cache_session();
   return cfg;
 }
 

@@ -13,11 +13,13 @@
 // which should hover near zero everywhere; the same harness with q = 2
 // collision voters (AND rule, generous samples) is shown as the contrast.
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "stats/workloads.hpp"
 #include "testers/distributed.hpp"
 #include "util/confidence.hpp"
+#include "util/error.hpp"
 
 namespace {
 
@@ -93,6 +95,9 @@ int main(int argc, char** argv) {
   const double eps = cli.get_double("eps", 1.0);
   const auto trials = cli.get_uint<std::size_t>("trials", 400);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  // An advantage over zero trials is undefined, not -1.
+  require(trials >= 1, "e12_single_sample_and: --trials must be >= 1, got " +
+                           std::to_string(trials));
 
   bench::banner("E12  q = 1 with the AND rule is impossible  [remark, Sec 6.3]",
                 "expected: single-sample AND advantage ~ 0 at every k, even "

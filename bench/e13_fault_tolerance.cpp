@@ -212,10 +212,11 @@ int main(int argc, char** argv) {
   s.n = cli.get_uint<std::uint64_t>("n", 256);
   s.k = cli.get_uint<unsigned>("k", 60);
   s.eps = cli.get_double("eps", 0.5);
-  s.trials = flags.trials;
+  // --quick lowers the default budget only; an explicit --trials wins.
+  s.trials = cli.get_uint<std::size_t>(
+      "trials", flags.quick ? std::size_t{60} : flags.trials);
   s.seed = flags.seed;
   s.cap = flags.quick ? (1 << 8) : (1 << 10);
-  if (flags.quick) s.trials = std::min<std::size_t>(s.trials, 60);
 
   bench::banner(
       "E13: fault tolerance — crash/Byzantine referees and reliable "

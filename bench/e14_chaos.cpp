@@ -114,11 +114,10 @@ int main(int argc, char** argv) {
 
   CampaignConfig cfg;
   cfg.seed0 = cli.get_uint<std::uint64_t>("seed0", 1);
-  cfg.num_seeds = cli.get_uint<std::uint32_t>("seeds", 256);
+  // --quick lowers the default seed count only; an explicit --seeds wins.
+  cfg.num_seeds = cli.get_uint<std::uint32_t>(
+      "seeds", cli.get_bool("quick", false) ? 64u : 256u);
   cfg.hooks = hooks;
-  if (cli.get_bool("quick", false)) {
-    cfg.num_seeds = std::min<std::uint32_t>(cfg.num_seeds, 64);
-  }
 
   bench::banner(
       "E14: chaos campaign — seeded fault schedules vs the oracle registry "

@@ -28,9 +28,11 @@ int main(int argc, char** argv) {
   const bench::CommonFlags flags(cli);
   const auto n = cli.get_uint<std::uint64_t>("n", 4096);
   const double eps = cli.get_double("eps", 0.5);
-  auto ks =
-      cli.get_uint_list<std::int64_t>("ks", {2, 4, 8, 16, 32, 64, 128, 256});
-  if (flags.quick) ks = {2, 16, 128};
+  // --quick shrinks the default axis only; an explicit --ks wins.
+  const auto ks = cli.get_uint_list<std::int64_t>(
+      "ks", flags.quick ? std::vector<std::int64_t>{2, 16, 128}
+                        : std::vector<std::int64_t>{2, 4, 8, 16, 32, 64, 128,
+                                                    256});
 
   bench::banner("E1  any-rule sample complexity vs k  [Thm 1.1 / 6.1]  (k=1 is the centralized case, covered by E8)",
                 "expected: q* ~ sqrt(n/k)/eps^2 (slope -1/2 in k); the "

@@ -26,8 +26,10 @@ int main(int argc, char** argv) {
   const bench::CommonFlags flags(cli);
   const auto n = cli.get_uint<std::uint64_t>("n", 1024);
   const double eps = cli.get_double("eps", 0.5);
-  auto ks = cli.get_uint_list<std::int64_t>("ks", {2, 8, 32, 128, 512});
-  if (flags.quick) ks = {2, 32, 512};
+  // --quick shrinks the default axis only; an explicit --ks wins.
+  const auto ks = cli.get_uint_list<std::int64_t>(
+      "ks", flags.quick ? std::vector<std::int64_t>{2, 32, 512}
+                        : std::vector<std::int64_t>{2, 8, 32, 128, 512});
 
   bench::banner("E2  AND rule vs threshold rule, q* vs k  [Thm 1.2 / 6.5]",
                 "expected: AND-rule q* nearly flat in k (polylog gain only); "

@@ -35,8 +35,11 @@ int main(int argc, char** argv) {
   }
   const double eps = cli.get_double("eps", 0.5);
   const auto n_fixed = cli.get_uint<std::uint64_t>("n", 4096);
-  auto ns = cli.get_uint_list<std::int64_t>("ns", {256, 1024, 4096, 16384});
-  if (flags.quick) ns = {256, 4096};
+  // --quick shrinks the default axis only; an explicit --ns wins.
+  const auto ns = cli.get_uint_list<std::int64_t>(
+      "ns", flags.quick
+                ? std::vector<std::int64_t>{256, 4096}
+                : std::vector<std::int64_t>{256, 1024, 4096, 16384});
 
   bench::banner("E8  centralized baseline q* ~ sqrt(n)/eps^2  [Paninski'08]",
                 "expected: slope 1/2 in n, slope -2 in eps");

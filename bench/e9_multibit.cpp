@@ -29,8 +29,10 @@ int main(int argc, char** argv) {
   const auto n = cli.get_uint<std::uint64_t>("n", 4096);
   const auto k = cli.get_uint<unsigned>("k", 32);
   const double eps = cli.get_double("eps", 0.5);
-  auto rs = cli.get_uint_list<std::int64_t>("rs", {1, 2, 4, 8});
-  if (flags.quick) rs = {1, 8};
+  // --quick shrinks the default axis only; an explicit --rs wins.
+  const auto rs = cli.get_uint_list<std::int64_t>(
+      "rs", flags.quick ? std::vector<std::int64_t>{1, 8}
+                        : std::vector<std::int64_t>{1, 2, 4, 8});
 
   bench::banner("E9  q* vs message width r  [Thm 6.4]",
                 "expected: q* falls as r grows, then saturates at the "

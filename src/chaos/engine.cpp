@@ -9,7 +9,7 @@
 namespace duti::chaos {
 
 ReliableConfig chaos_transport_config() noexcept {
-  return ReliableConfig{};  // ack_timeout 2, max_retries 4, backoff 2
+  return ReliableConfig{};  // max_retries 4
 }
 
 RunResult run_scenario(const ScenarioSpec& spec, const ChaosHooks& hooks) {
@@ -93,14 +93,9 @@ CampaignSummary run_campaign(const CampaignConfig& cfg, ThreadPool& pool) {
       f.token = rep.token;
       f.components = rep.spec.components.size();
       f.violations = rep.violations;
-      if (cfg.shrink_failures) {
-        const ShrinkResult shrunk = shrink_failing(rep.spec, cfg.hooks);
-        f.shrunk_token = shrunk.token;
-        f.shrunk_components = shrunk.minimal.components.size();
-      } else {
-        f.shrunk_token = rep.token;
-        f.shrunk_components = f.components;
-      }
+      const ShrinkResult shrunk = shrink_failing(rep.spec, cfg.hooks);
+      f.shrunk_token = shrunk.token;
+      f.shrunk_components = shrunk.minimal.components.size();
       summary.failures.push_back(std::move(f));
     }
   }

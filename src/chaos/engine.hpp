@@ -53,7 +53,6 @@ struct CampaignConfig {
   std::uint64_t seed0 = 1;
   std::uint32_t num_seeds = 64;
   ChaosHooks hooks;
-  bool shrink_failures = true;  // minimize each failing schedule
 };
 
 /// One failing seed, with its original and minimized reproducers.
@@ -81,9 +80,9 @@ struct CampaignSummary {
 };
 
 /// Sweep seeds [seed0, seed0+num_seeds) on `pool`. Scenario checks run in
-/// parallel (one seed per work item); the summary reduction and all
-/// shrinking run sequentially in seed order, so the result is bit-identical
-/// at any pool width.
+/// parallel (one seed per work item); the summary reduction and the
+/// shrinking of every failing schedule run sequentially in seed order, so
+/// the result is bit-identical at any pool width.
 [[nodiscard]] CampaignSummary run_campaign(const CampaignConfig& cfg,
                                            ThreadPool& pool);
 

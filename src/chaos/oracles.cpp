@@ -1,7 +1,6 @@
 #include "chaos/oracles.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
@@ -42,8 +41,6 @@ QuorumThresholdRule referee_rule_of(const ScenarioSpec& spec) {
   QuorumThresholdRule rule;
   rule.k = spec.k();
   rule.p_reject_uniform = static_cast<double>(spec.vote_pct) / 100.0;
-  rule.quorum_fraction = 0.5;
-  rule.z = 1.0;
   return rule;
 }
 
@@ -206,10 +203,7 @@ void oracle_replay_determinism(const OracleContext& ctx,
 void oracle_no_spurious_abort(const OracleContext& ctx,
                               std::vector<Violation>& out) {
   if (!ctx.predicted.within_tolerance) return;
-  const QuorumThresholdRule rule = referee_rule_of(ctx.spec);
-  const auto quorum = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(
-             rule.quorum_fraction * static_cast<double>(rule.k))));
+  const std::uint64_t quorum = referee_rule_of(ctx.spec).quorum();
   const bool satisfiable = ctx.predicted.predicted_reached >= quorum;
   const bool aborted = ctx.run.outcome == RefereeOutcome::kAbortQuorum ||
                        ctx.run.outcome == RefereeOutcome::kAbortTimeout;

@@ -8,6 +8,8 @@ namespace {
 
 constexpr std::uint64_t kKindData = 1;
 constexpr std::uint64_t kKindAck = 2;
+constexpr unsigned kAckTimeout = 2;  // rounds before the first retransmit
+constexpr unsigned kBackoff = 2;     // timeout multiplier per retry
 constexpr unsigned kTimeoutCap = 256;  // rounds; keeps backoff finite
 
 [[nodiscard]] std::uint64_t make_header(std::uint64_t kind,
@@ -18,9 +20,9 @@ constexpr unsigned kTimeoutCap = 256;  // rounds; keeps backoff finite
 }  // namespace
 
 unsigned ReliableConfig::timeout(unsigned attempt) const noexcept {
-  std::uint64_t t = std::max(1u, ack_timeout);
+  std::uint64_t t = std::max(1u, kAckTimeout);
   for (unsigned i = 0; i < attempt; ++i) {
-    t *= std::max(1u, backoff);
+    t *= std::max(1u, kBackoff);
     if (t >= kTimeoutCap) return kTimeoutCap;
   }
   return static_cast<unsigned>(std::min<std::uint64_t>(t, kTimeoutCap));

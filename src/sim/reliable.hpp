@@ -20,18 +20,21 @@
 
 namespace duti {
 
+/// Accounted width of the sequence number in every DATA/ACK frame.
+inline constexpr unsigned kSeqBits = 16;
+
+/// The transport's one setting: how many times a send is retried. The
+/// timeout schedule is fixed: 2 rounds before the first retransmit, doubling
+/// per retry (exponential backoff).
 struct ReliableConfig {
-  unsigned ack_timeout = 2;   // rounds to wait before the first retransmit
-  unsigned max_retries = 4;   // retransmissions after the initial send
-  unsigned backoff = 2;       // timeout multiplier per retry (exponential)
-  unsigned seq_bits = 16;     // accounted width of the sequence number
+  unsigned max_retries = 4;  // retransmissions after the initial send
 
   /// Accounted header width of every DATA/ACK frame (kind tag + seq).
   [[nodiscard]] std::uint64_t header_bits() const noexcept {
-    return 2 + seq_bits;
+    return 2 + kSeqBits;
   }
   /// Timeout before retransmission number `attempt` (0-based), capped so
-  /// pathological configs cannot overflow.
+  /// long retry ladders cannot overflow.
   [[nodiscard]] unsigned timeout(unsigned attempt) const noexcept;
   /// Rounds from first transmission until the sender declares failure.
   [[nodiscard]] unsigned window() const noexcept;

@@ -1,8 +1,8 @@
 // A uniform interface over "things players can draw samples from": a
 // materialized DiscreteDistribution, the structured NuZ and Paninski
-// families (built without materializing a pmf), the exact uniform
-// distribution on a large domain, or an empirical histogram of counts.
-// The protocol runner only needs sample() and domain_size().
+// families (built without materializing a pmf), or the exact uniform
+// distribution on a large domain. The protocol runner only needs sample()
+// and domain_size().
 //
 // sample_many is the hot path of every tester's inner loop, so it is
 // virtual: each source draws whole batches with one dispatch instead of one
@@ -11,7 +11,6 @@
 // interchangeable bit-for-bit (checked in test_workloads).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -229,51 +228,6 @@ class PaninskiSource final : public SampleSource {
  private:
   Paninski p_;
   AliasSampler sampler_;
-};
-
-/// Empirical distribution backed by a histogram of observed counts: element
-/// i is drawn with probability counts[i] / total. Lets testers replay or
-/// bootstrap from tallied data without rebuilding a DiscreteDistribution
-/// (no pmf normalization pass), with the same O(1) alias draws and batched
-/// sample_many as the other sources.
-class HistogramSource final : public SampleSource {
- public:
-  explicit HistogramSource(const std::vector<std::uint64_t>& counts)
-      : n_(counts.size()),
-        sampler_(std::vector<double>(counts.begin(), counts.end())) {
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) {
-      if (__builtin_add_overflow(total, c, &total)) {
-        throw CapacityError("HistogramSource: total count exceeds 2^64-1");
-      }
-    }
-    require(total > 0, "HistogramSource: all counts are zero");
-    // l1 from uniform, exact from the integer counts.
-    double l1 = 0.0;
-    const double inv_n = 1.0 / static_cast<double>(n_);
-    for (const std::uint64_t c : counts) {
-      l1 += std::fabs(static_cast<double>(c) / static_cast<double>(total) -
-                      inv_n);
-    }
-    l1_from_uniform_ = l1;
-  }
-
-  [[nodiscard]] std::uint64_t sample(Rng& rng) const override {
-    return sampler_.sample(rng);
-  }
-  void sample_many(Rng& rng, std::size_t count,
-                   std::vector<std::uint64_t>& out) const override {
-    sampler_.sample_many(rng, count, out);
-  }
-  [[nodiscard]] std::uint64_t domain_size() const override { return n_; }
-  [[nodiscard]] double l1_from_uniform() const override {
-    return l1_from_uniform_;
-  }
-
- private:
-  std::uint64_t n_;
-  AliasSampler sampler_;
-  double l1_from_uniform_ = 0.0;
 };
 
 }  // namespace duti

@@ -150,63 +150,58 @@ ProbeResult finalize_tally(const ChunkTally& total, std::uint64_t trials,
   return out;
 }
 
-// The probe engine. Without a schedule the whole budget is one batch, so it
-// runs [0, max_trials) as a single range and consults no certificate. With
-// one (DESIGN.md section 8) it runs deterministic batches and, after each
-// completed batch, consults two certificate families:
+// The probe engine. The full flavor makes the whole budget one batch, so it
+// runs [0, max_trials) as a single range and consults no certificate. The
+// adaptive flavor (DESIGN.md section 8) runs deterministic batches and,
+// after each completed batch, consults two certificate families:
 //
 //   Deterministic ("the budget cannot flip it"): if even with every
-//   remaining trial succeeding a side's final rate stays below the target —
+//   remaining trial succeeding a side's final rate stays below the bar —
 //   or with every remaining trial failing both sides stay at/above it — the
 //   full-budget pass/fail verdict is already decided, and stopping cannot
 //   disagree with it.
 //
 //   Confidence (Wilson sequence): if both sides' Wilson lower bounds clear
-//   the target, or either side's upper bound is below it, at a z corrected
+//   the bar, or either side's upper bound is below it, at a z corrected
 //   for every peek the schedule could make (union bound over 2 sides x K
-//   checkpoints), stop; wrong with probability at most cfg.delta.
+//   checkpoints), stop; wrong with probability at most kAdaptiveDelta.
 //
-// In every stopping case the returned result's passes(cfg.target) equals
-// the certified verdict: Wilson intervals contain the empirical rate, and
-// the deterministic bounds sandwich it (worst-case final rates bracket the
+// In every stopping case the returned result's passes() equals the
+// certified verdict: Wilson intervals contain the empirical rate, and the
+// deterministic bounds sandwich it (worst-case final rates bracket the
 // current rate because successes/trials is monotone in both coordinates).
 template <typename Runs>
 ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
                       const SourceSpec& far_source, std::size_t max_trials,
                       std::uint64_t seed, ThreadPool& pool,
-                      const std::optional<AdaptiveProbeConfig>& schedule) {
+                      ProbeFlavor flavor) {
   require(static_cast<bool>(runs.tester), "probe_success: null tester");
   require(static_cast<bool>(uniform_source), "probe: null uniform factory");
   require(static_cast<bool>(far_source), "probe: null far factory");
   require(max_trials >= 1, "probe: need at least one trial");
-  const AdaptiveProbeConfig cfg =
-      schedule.value_or(AdaptiveProbeConfig{.batch = max_trials});
-  require(cfg.batch >= 1, "adaptive probe: batch must be >= 1");
-  require(cfg.target > 0.0 && cfg.target < 1.0,
-          "adaptive probe: target in (0,1)");
-  require(cfg.delta > 0.0 && cfg.delta < 1.0,
-          "adaptive probe: delta in (0,1)");
+  const std::size_t batch =
+      flavor == ProbeFlavor::kAdaptive ? kAdaptiveBatch : max_trials;
 
   // Before this many trials not even a perfect run separates from the
-  // target at confidence delta (Hoeffding), so earlier confidence checks
+  // bar at confidence delta (Hoeffding), so earlier confidence checks
   // only burn union-bound budget.
   const std::size_t min_trials =
-      cfg.min_trials != 0 ? cfg.min_trials
-                          : hoeffding_trials(1.0 - cfg.target, cfg.delta);
+      hoeffding_trials(1.0 - kSuccessBar, kAdaptiveDelta);
   // Checkpoints at batch boundaries strictly before exhaustion; 2 interval
   // evaluations (uniform + far side) per checkpoint.
   const std::uint64_t checks =
-      max_trials > cfg.batch
-          ? static_cast<std::uint64_t>((max_trials - 1) / cfg.batch)
+      max_trials > batch
+          ? static_cast<std::uint64_t>((max_trials - 1) / batch)
           : 0;
-  const double z = checks > 0 ? union_bound_z(cfg.delta, 2 * checks) : 0.0;
+  const double z =
+      checks > 0 ? union_bound_z(kAdaptiveDelta, 2 * checks) : 0.0;
 
   std::vector<WorkerSources> cached(pool.size());
   ChunkTally total;
   const double budget_d = static_cast<double>(max_trials);
   std::size_t done = 0;
   while (done < max_trials) {
-    const std::size_t next = std::min(done + cfg.batch, max_trials);
+    const std::size_t next = std::min(done + batch, max_trials);
     run_trial_range(runs, uniform_source, far_source, done, next, seed, pool,
                     cached, total);
     done = next;
@@ -217,11 +212,11 @@ ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
     const auto remaining = static_cast<std::uint64_t>(max_trials - done);
     // Worst-case FINAL rates if the remaining trials all fail / all succeed.
     const bool pass_sure =
-        static_cast<double>(us) / budget_d >= cfg.target &&
-        static_cast<double>(fs) / budget_d >= cfg.target;
+        static_cast<double>(us) / budget_d >= kSuccessBar &&
+        static_cast<double>(fs) / budget_d >= kSuccessBar;
     const bool fail_sure =
-        static_cast<double>(us + remaining) / budget_d < cfg.target ||
-        static_cast<double>(fs + remaining) / budget_d < cfg.target;
+        static_cast<double>(us + remaining) / budget_d < kSuccessBar ||
+        static_cast<double>(fs + remaining) / budget_d < kSuccessBar;
     if (pass_sure || fail_sure) {
       return finalize_tally(total, done, max_trials,
                             ProbeStop::kDeterministic);
@@ -229,8 +224,7 @@ ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
     if (checks > 0 && done >= min_trials) {
       const ProbeResult interim =
           finalize_tally(total, done, max_trials, ProbeStop::kConfidence);
-      if (interim.passes_with_margin(cfg.target, z) ||
-          interim.fails_with_margin(cfg.target, z)) {
+      if (interim.passes_with_margin(z) || interim.fails_with_margin(z)) {
         return interim;
       }
     }
@@ -277,18 +271,18 @@ ProbeResult probe_success(const TesterRun& tester,
                           const SourceSpec& uniform_source,
                           const SourceSpec& far_source, std::size_t trials,
                           std::uint64_t seed, ThreadPool& pool,
-                          const std::optional<AdaptiveProbeConfig>& adaptive) {
+                          ProbeFlavor flavor) {
   return run_probe(BoolRuns{tester}, uniform_source, far_source, trials, seed,
-                   pool, adaptive);
+                   pool, flavor);
 }
 
 ProbeResult probe_success(const TesterRunEx& tester,
                           const SourceSpec& uniform_source,
                           const SourceSpec& far_source, std::size_t trials,
                           std::uint64_t seed, ThreadPool& pool,
-                          const std::optional<AdaptiveProbeConfig>& adaptive) {
+                          ProbeFlavor flavor) {
   return run_probe(ExRuns{tester}, uniform_source, far_source, trials, seed,
-                   pool, adaptive);
+                   pool, flavor);
 }
 
 // When cfg.bracket_probe is set it handles the exponential bracketing rungs
@@ -306,7 +300,7 @@ MinSearchResult find_min_param(const ProbeFn& probe,
   auto consult = [&](std::uint64_t value, bool use_bracket) {
     const ProbeResult r = (use_bracket ? cfg.bracket_probe : probe)(value);
     result.probes.emplace_back(value, r);
-    return r.passes(cfg.target);
+    return r.passes();
   };
 
   // Exponential bracketing: find the first power-of-two multiple of lo that

@@ -1,8 +1,9 @@
 // The measurement harness: estimates a tester's two-sided success
 // probability (accept uniform AND reject far), and searches for the minimal
 // resource (q samples, k nodes, ...) at which the tester clears the paper's
-// 2/3 success bar. These measured minima are the data points every bench
-// compares against the paper's predicted curves.
+// 2/3 success bar (kSuccessBar). These measured minima are the data points
+// every bench compares against the paper's predicted curves. The bar and
+// the adaptive schedule are constants: every caller uses the same ones.
 //
 // Parallelism (DESIGN.md §7): every probe trial derives its RNG streams from
 // (seed, salt, trial-index) alone, so trials are order-free and the harness
@@ -17,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/sample_source.hpp"
@@ -73,6 +73,10 @@ class SourceSpec {
   bool trial_invariant_ = false;
 };
 
+/// The paper's success bar: a tester must accept uniform input and reject
+/// far input, each with probability at least 2/3.
+inline constexpr double kSuccessBar = 2.0 / 3.0;
+
 /// Why a probe stopped: ran its whole budget, or an early-stopping
 /// certificate fired first (DESIGN.md section 8).
 enum class ProbeStop : std::uint8_t {
@@ -102,9 +106,10 @@ struct ProbeResult {
   std::uint64_t far_aborts_quorum = 0;
   std::uint64_t far_aborts_timeout = 0;
 
-  /// Both sides at or above the target success probability.
-  [[nodiscard]] bool passes(double target = 2.0 / 3.0) const {
-    return uniform_accept_rate >= target && far_reject_rate >= target;
+  /// Both sides at or above the success bar.
+  [[nodiscard]] bool passes() const {
+    return uniform_accept_rate >= kSuccessBar &&
+           far_reject_rate >= kSuccessBar;
   }
   /// Wilson interval for each side at confidence multiplier `z`, rebuilt
   /// from the integer tallies.
@@ -114,15 +119,17 @@ struct ProbeResult {
   [[nodiscard]] Interval far_wilson(double z) const {
     return wilson_interval(far_successes, trials, z);
   }
-  /// CI-aware pass: both sides' Wilson LOWER bounds clear the target — the
-  /// single place the 2/3 bar is decided with a margin (used by the
-  /// adaptive certificate and by benches that want certified passes).
-  [[nodiscard]] bool passes_with_margin(double target, double z) const {
-    return uniform_wilson(z).lo >= target && far_wilson(z).lo >= target;
+  /// CI-aware pass: both sides' Wilson LOWER bounds clear the bar — the
+  /// single place the 2/3 bar is decided with a margin (the adaptive
+  /// certificate).
+  [[nodiscard]] bool passes_with_margin(double z) const {
+    return uniform_wilson(z).lo >= kSuccessBar &&
+           far_wilson(z).lo >= kSuccessBar;
   }
-  /// CI-aware fail: either side's Wilson UPPER bound is below the target.
-  [[nodiscard]] bool fails_with_margin(double target, double z) const {
-    return uniform_wilson(z).hi < target || far_wilson(z).hi < target;
+  /// CI-aware fail: either side's Wilson UPPER bound is below the bar.
+  [[nodiscard]] bool fails_with_margin(double z) const {
+    return uniform_wilson(z).hi < kSuccessBar ||
+           far_wilson(z).hi < kSuccessBar;
   }
   [[nodiscard]] bool early_stopped() const noexcept {
     return stop != ProbeStop::kExhausted;
@@ -141,45 +148,40 @@ struct ProbeResult {
     std::uint64_t uniform_successes, std::uint64_t far_successes,
     std::uint64_t trials, std::uint64_t budget, ProbeStop stop);
 
-/// Knobs for the adaptive early-stopping engine. Batch boundaries are FIXED
-/// (independent of thread count), and all stopping decisions are functions
-/// of integer tallies at batch boundaries, so adaptive results — including
-/// the stopping point itself — are bit-identical at any thread count.
-struct AdaptiveProbeConfig {
-  std::size_t batch = 32;     // trials per batch; certificates checked at
-                              // batch boundaries only
-  double target = 2.0 / 3.0;  // the success bar being certified
-  double delta = 1e-3;        // total certificate failure probability across
-                              // every peek (union-bound corrected)
-  // First trial count at which confidence certificates are consulted.
-  // 0 = derive from hoeffding_trials(1 - target, delta): below that count
-  // not even a perfect empirical run is delta-certifiable, so checking
-  // earlier only burns union-bound budget.
-  std::size_t min_trials = 0;
-};
+/// Which trial schedule a probe runs. kFull runs the whole budget as one
+/// batch. kAdaptive runs fixed batches of kAdaptiveBatch trials and may stop
+/// at a batch boundary. Batch boundaries never depend on the thread count,
+/// and every stopping decision is a function of integer tallies, so an
+/// adaptive result, its stopping point included, is bit-identical at any
+/// thread count. kFull is 0, so a braced `{}` means the full-budget probe.
+enum class ProbeFlavor : std::uint8_t { kFull = 0, kAdaptive = 1 };
+
+/// The adaptive schedule: trials per batch (certificates are checked at
+/// batch boundaries only), and the total certificate failure probability
+/// across every peek (union-bound corrected). Confidence certificates are
+/// first consulted at hoeffding_trials(1 - kSuccessBar, kAdaptiveDelta)
+/// trials: below that count not even a perfect run is certifiable.
+inline constexpr std::size_t kAdaptiveBatch = 32;
+inline constexpr double kAdaptiveDelta = 1e-3;
 
 /// Run up to `trials` independent executions against fresh uniform and far
 /// sources and tally both error sides. Trials are sharded across `pool`
 /// (default: the global pool, sized by DUTI_THREADS); the result is
 /// bit-identical at any thread count.
 ///
-/// Without `adaptive` every trial runs, as one batch. With it, trials run in
-/// deterministic batches and the probe stops as soon as either (a) the
+/// kFull runs every trial. kAdaptive stops as soon as either (a) the
 /// remaining budget provably cannot flip the full-budget pass/fail verdict
 /// (deterministic certificate), or (b) a union-bound-corrected Wilson
 /// confidence sequence certifies both sides above — or either side below —
-/// the target (statistical certificate, wrong with probability at most
-/// adaptive->delta). Either way trial t's streams derive from (seed, t)
+/// the bar (statistical certificate, wrong with probability at most
+/// kAdaptiveDelta). Either way trial t's streams derive from (seed, t)
 /// alone, so an early-stopped probe ran a prefix of the full probe's trials
-/// and its passes(adaptive->target) IS the certified verdict.
-///
-/// A braced `{}` in the `adaptive` position is nullopt, i.e. the full-budget
-/// probe; pass `AdaptiveProbeConfig{}` for the default adaptive schedule.
+/// and its passes() IS the certified verdict.
 [[nodiscard]] ProbeResult probe_success(
     const TesterRun& tester, const SourceSpec& uniform_source,
     const SourceSpec& far_source, std::size_t trials, std::uint64_t seed,
     ThreadPool& pool = ThreadPool::global(),
-    const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
+    ProbeFlavor flavor = ProbeFlavor::kFull);
 
 /// The same probe for a tester that reports a full RefereeOutcome: per-trial
 /// abort reasons are attributed instead of being conflated with
@@ -189,7 +191,7 @@ struct AdaptiveProbeConfig {
     const TesterRunEx& tester, const SourceSpec& uniform_source,
     const SourceSpec& far_source, std::size_t trials, std::uint64_t seed,
     ThreadPool& pool = ThreadPool::global(),
-    const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
+    ProbeFlavor flavor = ProbeFlavor::kFull);
 
 /// Probe at one parameter value (the searched resource). Should be a pure
 /// function of the value (all in-repo probes are: they derive their seed
@@ -200,7 +202,6 @@ struct MinSearchConfig {
   std::uint64_t lo = 2;          // smallest candidate value
   std::uint64_t hi = 1ULL << 22; // give-up cap
   std::size_t trials = 400;      // trials per probe
-  double target = 2.0 / 3.0;     // success bar on both sides
   std::uint64_t seed = 1;
   // Work avoidance (DESIGN.md section 8). When set, this (cheap, typically
   // early-stopping) probe over the same seeds answers the exponential

@@ -10,7 +10,6 @@
 #include <sstream>
 #include <system_error>
 
-#include "util/error.hpp"
 #include "util/fnv.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -255,14 +254,12 @@ ProbeCache::ProbeCache(std::string dir, CacheMode mode)
   if (!enabled()) return;
   path_ = (std::filesystem::path(dir_) / "probes.jsonl").string();
   lock_path_ = (std::filesystem::path(dir_) / "probes.lock").string();
-  if (this->mode() == CacheMode::kReadWrite) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      degrade("cache dir '" + dir_ + "' unavailable: " + ec.message());
-      return;
-    }
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    degrade("cache dir '" + dir_ + "' unavailable: " + ec.message());
+    return;
   }
   load();
 }
@@ -276,47 +273,21 @@ void ProbeCache::load() {
     while (std::getline(in, line)) {
       if (line.empty()) continue;
       Record rec;
-      // Framed lines must verify; unframed lines are legacy records and
-      // must parse whole. Anything else is a torn/corrupt line: skipped
-      // now, scrubbed by the compaction below.
-      if (const auto payload = probe_journal_decode(line)) {
-        if (!parse_record(*payload, rec.key, rec.result)) {
-          ++damaged;
-          continue;
-        }
-      } else if (!parse_record(line, rec.key, rec.result)) {
+      // Only a framed line that verifies and parses whole is a record.
+      // Anything else (torn, corrupt, unframed) is skipped now and
+      // scrubbed by the compaction below.
+      const auto payload = probe_journal_decode(line);
+      if (!payload || !parse_record(*payload, rec.key, rec.result)) {
         ++damaged;
         continue;
       }
       index_[rec.key.fingerprint()].push_back(std::move(rec));
     }
   }
-  if (damaged > 0 && mode() == CacheMode::kReadWrite) {
+  if (damaged > 0) {
     const std::lock_guard<std::mutex> lock(mu_);
     compact_locked();  // scrub the journal while we know it is dirty
   }
-}
-
-ProbeCache& ProbeCache::global() {
-  static ProbeCache cache = [] {
-    const char* mode_env = std::getenv("DUTI_CACHE");
-    const std::string mode_str = mode_env == nullptr ? "off" : mode_env;
-    CacheMode mode = CacheMode::kOff;
-    if (mode_str == "off" || mode_str.empty()) {
-      mode = CacheMode::kOff;
-    } else if (mode_str == "readonly") {
-      mode = CacheMode::kReadOnly;
-    } else if (mode_str == "rw") {
-      mode = CacheMode::kReadWrite;
-    } else {
-      throw InvalidArgument("DUTI_CACHE must be off|readonly|rw, got \"" +
-                            mode_str + "\"");
-    }
-    const char* dir_env = std::getenv("DUTI_CACHE_DIR");
-    const std::string dir = dir_env == nullptr ? ".duti_cache" : dir_env;
-    return ProbeCache(dir, mode);
-  }();
-  return cache;
 }
 
 std::optional<ProbeResult> ProbeCache::lookup(const ProbeKey& key) {
@@ -336,9 +307,9 @@ std::optional<ProbeResult> ProbeCache::lookup(const ProbeKey& key) {
 }
 
 void ProbeCache::insert(const ProbeKey& key, const ProbeResult& result) {
-  if (mode() != CacheMode::kReadWrite) return;
+  if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (mode() != CacheMode::kReadWrite) return;  // degraded concurrently
+  if (!enabled()) return;  // degraded concurrently
   const FileLock file_lock(lock_path_);
   if (!file_lock.held()) {
     degrade("cannot lock '" + lock_path_ + "' (cache dir gone?)");
@@ -359,13 +330,6 @@ void ProbeCache::insert(const ProbeKey& key, const ProbeResult& result) {
   ++stats_.inserts;
 }
 
-void ProbeCache::compact() {
-  if (mode() != CacheMode::kReadWrite) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (mode() != CacheMode::kReadWrite) return;
-  compact_locked();
-}
-
 void ProbeCache::compact_locked() {
   const FileLock file_lock(lock_path_);
   if (!file_lock.held()) {
@@ -381,11 +345,8 @@ void ProbeCache::compact_locked() {
     while (in && std::getline(in, line)) {
       if (line.empty()) continue;
       Record rec;
-      if (const auto payload = probe_journal_decode(line)) {
-        if (!parse_record(*payload, rec.key, rec.result)) continue;
-      } else if (!parse_record(line, rec.key, rec.result)) {
-        continue;
-      }
+      const auto payload = probe_journal_decode(line);
+      if (!payload || !parse_record(*payload, rec.key, rec.result)) continue;
       auto& bucket = merged[rec.key.fingerprint()];
       bool known = false;
       for (const Record& have : bucket) {
@@ -447,11 +408,6 @@ CacheStats ProbeCache::stats() const {
   return stats_;
 }
 
-void ProbeCache::reset_stats() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  stats_ = CacheStats{};
-}
-
 std::size_t ProbeCache::size() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
@@ -461,24 +417,24 @@ std::size_t ProbeCache::size() const {
 
 ProbeKey probe_key(const ProbeKey& base, std::uint64_t param,
                    std::uint64_t trials, std::uint64_t seed,
-                   const std::optional<AdaptiveProbeConfig>& adaptive) {
+                   ProbeFlavor flavor) {
   ProbeKey key = base;
   key.param = param;
   key.trials = trials;
   key.seed = seed;
   key.flavor = "full";
-  if (adaptive) {
-    // Shortest round-trip form: two schedules share a key only if their
-    // doubles are equal.
+  if (flavor == ProbeFlavor::kAdaptive) {
+    // The schedule in shortest round-trip form. "min=0" records that the
+    // first confidence check is derived from the bar and delta, as it was
+    // when the schedule was configurable, so older journals keep hitting.
     const auto exact = [](double v) {
       std::array<char, 32> buf{};
       const auto end = std::to_chars(buf.data(), buf.data() + buf.size(), v);
       return std::string(buf.data(), end.ptr);
     };
-    key.flavor = "adaptive:b=" + std::to_string(adaptive->batch) +
-                 ":target=" + exact(adaptive->target) +
-                 ":delta=" + exact(adaptive->delta) +
-                 ":min=" + std::to_string(adaptive->min_trials);
+    key.flavor = "adaptive:b=" + std::to_string(kAdaptiveBatch) +
+                 ":target=" + exact(kSuccessBar) +
+                 ":delta=" + exact(kAdaptiveDelta) + ":min=0";
   }
   key.engine_version = kProbeEngineVersion;
   return key;

@@ -15,9 +15,8 @@
 //
 // so a SIGKILL mid-write can tear at most the final line, and the tear is
 // DETECTED (length or checksum mismatch), never silently half-parsed.
-// Unframed legacy lines are still accepted when their JSON parses whole.
-// Corrupt or truncated lines are skipped on load and scrubbed by an
-// atomic tmp-file+rename compaction. Writers serialize through a flock'd
+// Corrupt, truncated or unframed lines are skipped on load and scrubbed by
+// an atomic tmp-file+rename compaction. Writers serialize through a flock'd
 // lockfile (`probes.lock`) — advisory locks die with the process, so a
 // killed writer never wedges the cache. Lookups verify the FULL key
 // fields, not just the fingerprint, so a fingerprint collision degrades to
@@ -26,9 +25,10 @@
 // An unwritable or vanished cache directory is not an error: the cache
 // warns once on stderr and degrades to kOff (probes just compute).
 //
-// The cache is OFF by default. Environment knobs:
-//   DUTI_CACHE     = off (default) | readonly | rw
-//   DUTI_CACHE_DIR = directory for the journal (default ".duti_cache")
+// A session is either off (no I/O) or read-write. The library keeps no
+// session of its own and reads no environment for one: callers construct
+// a session and pass it in. The benches share one, opened from DUTI_CACHE
+// and DUTI_CACHE_DIR by bench/bench_common.hpp.
 #pragma once
 
 #include <atomic>
@@ -52,9 +52,9 @@ inline constexpr std::uint64_t kProbeEngineVersion = 3;
 
 /// Identity of one probe evaluation. `workload` and `tester` are canonical
 /// human-readable id strings (workload name + every parameter that shapes
-/// it); `flavor` distinguishes probe variants over the same tuple (e.g.
-/// "full" vs an adaptive config). Every field participates in the
-/// fingerprint and in the full-key equality check.
+/// it); `flavor` distinguishes probe variants over the same tuple ("full"
+/// vs the adaptive schedule). Every field participates in the fingerprint
+/// and in the full-key equality check.
 struct ProbeKey {
   std::string workload;  // workload id + params, e.g. "nuz:n=4096:eps=0.5"
   std::string tester;    // tester id, e.g. "collision"
@@ -68,7 +68,7 @@ struct ProbeKey {
   [[nodiscard]] bool operator==(const ProbeKey& other) const = default;
 };
 
-enum class CacheMode : std::uint8_t { kOff = 0, kReadOnly = 1, kReadWrite = 2 };
+enum class CacheMode : std::uint8_t { kOff = 0, kReadWrite = 1 };
 
 struct CacheStats {
   std::uint64_t hits = 0;
@@ -78,13 +78,9 @@ struct CacheStats {
 
 class ProbeCache {
  public:
-  /// Opens (and, for kReadWrite, creates) `dir`/probes.jsonl and loads every
-  /// parseable record. kOff skips all I/O.
+  /// Opens `dir`/probes.jsonl (creating `dir` if needed) and loads every
+  /// intact record. kOff skips all I/O.
   ProbeCache(std::string dir, CacheMode mode);
-
-  /// Process-wide cache configured from DUTI_CACHE / DUTI_CACHE_DIR
-  /// (constructed on first use; defaults to kOff when DUTI_CACHE is unset).
-  static ProbeCache& global();
 
   [[nodiscard]] CacheMode mode() const noexcept {
     return mode_.load(std::memory_order_relaxed);
@@ -97,15 +93,10 @@ class ProbeCache {
   /// Full-key-verified lookup. Counts a hit or miss (no-op at kOff).
   [[nodiscard]] std::optional<ProbeResult> lookup(const ProbeKey& key);
 
-  /// Record a result (kReadWrite only; no-op otherwise). Appends one
-  /// framed journal line under the lockfile and updates the in-memory
-  /// index. An I/O failure degrades the cache to kOff (warned once).
+  /// Record a result (no-op at kOff). Appends one framed journal line
+  /// under the lockfile and updates the in-memory index. An I/O failure
+  /// degrades the cache to kOff (warned once).
   void insert(const ProbeKey& key, const ProbeResult& result);
-
-  /// Rewrite the journal as one framed record per cached key (merged with
-  /// any records other processes appended since load), via tmp file +
-  /// atomic rename under the lockfile. kReadWrite only.
-  void compact();
 
   /// lookup(), falling back to compute() + insert() on a miss. At kOff this
   /// is exactly compute(). Thread-safe; compute runs outside the lock.
@@ -113,7 +104,6 @@ class ProbeCache {
       const ProbeKey& key, const std::function<ProbeResult()>& compute);
 
   [[nodiscard]] CacheStats stats() const;
-  void reset_stats();
   /// Number of loaded/inserted records (testing aid).
   [[nodiscard]] std::size_t size() const;
 
@@ -123,6 +113,9 @@ class ProbeCache {
     ProbeResult result;
   };
   void load();
+  // Rewrite the journal as one framed record per cached key (merged with
+  // any records other processes appended since load), via tmp file +
+  // atomic rename under the lockfile.
   void compact_locked();                // requires mu_ held
   void degrade(const std::string& why);  // requires mu_ held
 
@@ -147,14 +140,12 @@ class ProbeCache {
 
 /// The cache key of one probe: `base`'s workload and tester identity plus
 /// the searched value, trial budget, seed, and flavor — "full", or the
-/// adaptive config's canonical stopping schedule (different schedules are
-/// different probes). Every cached probe builds its key here, so a probe
-/// computed on a miss is always filed under the key that describes it. As
-/// in probe_success, `{}` for `adaptive` means "full"; the default adaptive
-/// schedule is `AdaptiveProbeConfig{}`.
-[[nodiscard]] ProbeKey probe_key(
-    const ProbeKey& base, std::uint64_t param, std::uint64_t trials,
-    std::uint64_t seed,
-    const std::optional<AdaptiveProbeConfig>& adaptive = std::nullopt);
+/// adaptive schedule spelled out
+/// ("adaptive:b=32:target=0.6666666666666666:delta=0.001:min=0"). Every
+/// cached probe builds its key here, so a probe computed on a miss is
+/// always filed under the key that describes it.
+[[nodiscard]] ProbeKey probe_key(const ProbeKey& base, std::uint64_t param,
+                                 std::uint64_t trials, std::uint64_t seed,
+                                 ProbeFlavor flavor = ProbeFlavor::kFull);
 
 }  // namespace duti

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
-#include <optional>
 
 #include "util/error.hpp"
 #include "util/fnv.hpp"
@@ -33,24 +32,22 @@ std::uint64_t point_seed(const SweepPoint& p, std::uint64_t value) {
   return p.seed_for ? p.seed_for(value) : derive_seed(p.search.seed, value);
 }
 
-// Cached probe for a declarative point: full budget without `adaptive`,
-// else the early-stopping bracket flavor over the SAME per-value seed (the
-// adaptive engine runs a prefix of the full probe's trial stream, so an
-// exhausted bracket probe is bit-identical to the full one). The key pins
-// every input that shapes the result, so a hit is bit-identical to the
-// fresh computation.
-ProbeFn make_probe(const SweepPoint& p,
-                   std::optional<AdaptiveProbeConfig> adaptive,
-                   ProbeCache& cache, RunCounters& counters,
-                   ThreadPool& pool) {
-  return [&p, adaptive, &cache, &counters, &pool](std::uint64_t value) {
+// Cached probe for a declarative point: the full-budget flavor, or the
+// early-stopping bracket flavor over the SAME per-value seed (the adaptive
+// engine runs a prefix of the full probe's trial stream, so an exhausted
+// bracket probe is bit-identical to the full one). The key pins every
+// input that shapes the result, so a hit is bit-identical to the fresh
+// computation.
+ProbeFn make_probe(const SweepPoint& p, ProbeFlavor flavor, ProbeCache& cache,
+                   RunCounters& counters, ThreadPool& pool) {
+  return [&p, flavor, &cache, &counters, &pool](std::uint64_t value) {
     const std::uint64_t seed = point_seed(p, value);
     const ProbeKey key =
-        probe_key(p.cache_base, value, p.search.trials, seed, adaptive);
+        probe_key(p.cache_base, value, p.search.trials, seed, flavor);
     return cache.get_or_compute(key, [&] {
       const ProbeResult r = probe_success(p.make_tester(value), p.uniform,
                                           p.far, p.search.trials, seed, pool,
-                                          adaptive);
+                                          flavor);
       counters.record(r);
       return r;
     });
@@ -138,11 +135,13 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
                 (static_cast<bool>(p.make_tester) &&
                  static_cast<bool>(p.uniform) && static_cast<bool>(p.far)),
             "run_sweep: point needs a raw probe or a full declarative spec");
-    require(!p.search.bracket_probe || static_cast<bool>(p.probe),
-            "run_sweep: bracket_probe without a raw probe");
+    require(!p.search.bracket_probe,
+            "run_sweep: a point must not carry a bracket_probe; the engine "
+            "sets the bracket flavor");
   }
 
-  ProbeCache& cache = cfg.cache != nullptr ? *cfg.cache : ProbeCache::global();
+  ProbeCache no_cache("", CacheMode::kOff);
+  ProbeCache& cache = cfg.cache != nullptr ? *cfg.cache : no_cache;
   const CacheStats before = cache.stats();
   RunCounters counters;
 
@@ -156,17 +155,14 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
     ProbeFn full;
     if (p.probe) {
       full = wrap_counting(p.probe, counters);
-      if (scfg.bracket_probe) {
-        scfg.bracket_probe = wrap_counting(scfg.bracket_probe, counters);
-      }
     } else {
-      full = make_probe(p, std::nullopt, cache, counters, pool);
-      AdaptiveProbeConfig ac;
-      ac.target = p.search.target;
-      scfg.bracket_probe = make_probe(p, ac, cache, counters, pool);
+      full = make_probe(p, ProbeFlavor::kFull, cache, counters, pool);
+      // Cold mode is the plain full-budget search.
+      if (cfg.warm_start) {
+        scfg.bracket_probe =
+            make_probe(p, ProbeFlavor::kAdaptive, cache, counters, pool);
+      }
     }
-    // Cold mode is the plain full-budget search, whatever the point carries.
-    if (!cfg.warm_start) scfg.bracket_probe = nullptr;
 
     const MinSearchResult r = find_min_param(full, scfg, pool);
 
@@ -185,7 +181,7 @@ SweepResult run_sweep(const std::vector<SweepPoint>& points,
     if (r.found) {
       for (auto it = pr.audit.rbegin(); it != pr.audit.rend(); ++it) {
         if (it->first == r.minimum) {
-          pr.verdict = it->second.passes(p.search.target);
+          pr.verdict = it->second.passes();
           break;
         }
       }

@@ -19,10 +19,11 @@
 //      benchmark's hint-error metric. It is computed from anchor RESULTS,
 //      so it is deterministic by construction.
 //   3. One shared probe-cache session. All points (and both search
-//      flavors) go through the same ProbeCache, so repeated probes across
-//      points and across reruns hit instead of re-sampling; cached tallies
-//      rebuild results bit-for-bit, so DUTI_CACHE=off|rw cannot change a
-//      verdict.
+//      flavors) go through the ProbeCache session the caller passes, so
+//      repeated probes across points and across reruns hit instead of
+//      re-sampling; cached tallies rebuild results bit-for-bit, so the
+//      cache mode cannot change a verdict. Without a session every probe
+//      computes.
 //
 // Trial-count savings come from the dual-flavor bracket machinery
 // (adaptive certificates on the bracketing rungs, full-budget confirmation
@@ -51,10 +52,13 @@ namespace duti {
 ///     both through the shared cache session.
 ///   - Raw (any other probe, e.g. e4's learning probe or e13's
 ///     RefereeOutcome probes, and the tests' synthetic ones): supply
-///     `probe` (and optionally `search.bracket_probe`). The engine uses
-///     them as-is — no cache, no seed derivation — so a raw point without
-///     a bracket probe runs exactly the find_min_param search it describes,
-///     which also makes audit-trail identity checks exact.
+///     `probe`. The engine uses it as-is — no cache, no seed derivation,
+///     no bracket flavor — so a raw point runs exactly the find_min_param
+///     search it describes, which also makes audit-trail identity checks
+///     exact.
+///
+/// The engine owns the bracket flavor: a point whose `search.bracket_probe`
+/// is set is rejected with InvalidArgument.
 struct SweepPoint {
   std::string label;  // row label, participates in the sweep fingerprint
   double axis = 0.0;  // coordinate on the sweep axis (k, n, eps, r, T, ...)
@@ -75,12 +79,12 @@ struct SweepPoint {
 };
 
 struct SweepEngineConfig {
-  // Warm mode: adaptive bracket flavor (the default AdaptiveProbeConfig
-  // schedule at each point's target) + recorded anchor-interpolated hints.
-  // Cold mode (false): every point runs the plain full-budget search with
-  // no hint — the baseline the warm results must match bit-for-bit.
+  // Warm mode: the adaptive bracket flavor on declarative points +
+  // recorded anchor-interpolated hints. Cold mode (false): every point
+  // runs the plain full-budget search with no hint — the baseline the warm
+  // results must match bit-for-bit.
   bool warm_start = true;
-  // Shared cache session; nullptr = ProbeCache::global() (DUTI_CACHE).
+  // Shared cache session; nullptr = no cache (every probe computes).
   ProbeCache* cache = nullptr;
 };
 
@@ -89,8 +93,8 @@ struct SweepPointResult {
   double axis = 0.0;
   bool found = false;
   std::uint64_t minimum = 0;
-  // passes(search.target) of the final consulted probe at the minimum
-  // (false when !found).
+  // passes() of the final consulted probe at the minimum (false when
+  // !found).
   bool verdict = false;
   // Warm-start prediction of the minimum, recorded only (0 = cold mode,
   // an anchor, or no usable anchor pair).

@@ -85,12 +85,12 @@ std::vector<double> uniform_reject_rates(std::uint64_t n,
       pool);
 }
 
-std::uint64_t calibrated_referee_threshold(std::uint64_t players, double p_u,
-                                           double z) {
+std::uint64_t calibrated_referee_threshold(std::uint64_t players,
+                                           double p_u) {
   const double m = static_cast<double>(players);
   const double sd = std::sqrt(std::max(1e-12, m * p_u * (1.0 - p_u)));
   return static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(m * p_u + z * sd + 1e-9)));
+      std::max(1.0, std::ceil(m * p_u + kRefereeZ * sd + 1e-9)));
 }
 
 CalibMemo& CalibMemo::global() {

@@ -68,11 +68,16 @@ using CalibrationSummary = std::function<std::vector<double>(
     std::uint64_t n, std::span<const unsigned> qs, std::size_t trials,
     Rng& calib_rng, ThreadPool& pool = ThreadPool::global());
 
+/// Standard deviations above the uniform mean at which every calibrated
+/// referee bar sits (the threshold, quorum, median-of-groups and trimmed
+/// referees).
+inline constexpr double kRefereeZ = 1.0;
+
 /// The referee bar for `players` one-bit voters that each reject uniform
-/// input with probability p_u: max(1, ceil(mean + z sd + 1e-9)) for the
-/// binomial mean and standard deviation of their rejection count.
+/// input with probability p_u: max(1, ceil(mean + kRefereeZ sd + 1e-9)) for
+/// the binomial mean and standard deviation of their rejection count.
 [[nodiscard]] std::uint64_t calibrated_referee_threshold(
-    std::uint64_t players, double p_u, double z = 1.0);
+    std::uint64_t players, double p_u);
 
 /// The process-wide calibration memo behind calibrate_on_uniform.
 class CalibMemo {

@@ -25,7 +25,7 @@ namespace duti {
 
 /// Collision pairs from an already-tallied histogram: sum_i c_i(c_i-1)/2.
 /// O(domain) and allocation-free — the fast path when samples arrive as
-/// counts (e.g. from a HistogramSource or a tallying player).
+/// counts (e.g. from SampleSource::sample_counts or a tallying player).
 [[nodiscard]] std::uint64_t collision_pairs_from_counts(
     std::span<const std::uint64_t> counts);
 

@@ -8,6 +8,13 @@
 
 namespace duti {
 
+namespace {
+
+// Budget for P(false global reject): the uniform side's error allowance.
+constexpr double kUniformRisk = 0.2;
+
+}  // namespace
+
 double poisson_pmf(double lambda, std::uint64_t c) {
   require(lambda >= 0.0, "poisson_pmf: lambda must be >= 0");
   if (lambda == 0.0) return c == 0 ? 1.0 : 0.0;
@@ -51,8 +58,6 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
           "FixedThresholdTester: eps in (0,1]");
   require(cfg_.t >= 1 && cfg_.t <= cfg_.k,
           "FixedThresholdTester: T must be in [1, k]");
-  require(cfg_.uniform_risk > 0.0 && cfg_.uniform_risk < 0.5,
-          "FixedThresholdTester: uniform_risk in (0, 0.5)");
 
   // Step 1: the largest safe per-player rejection probability, by binary
   // search on the exact binomial tail.
@@ -60,7 +65,7 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
     if (binomial_upper_tail(static_cast<int>(cfg_.k), mid,
-                            static_cast<int>(cfg_.t)) <= cfg_.uniform_risk) {
+                            static_cast<int>(cfg_.t)) <= kUniformRisk) {
       lo = mid;
     } else {
       hi = mid;

@@ -3,7 +3,8 @@
 // most aggressive local rule that keeps the uniform side safe:
 //
 //   1. Find the largest per-player rejection probability p* such that
-//      P(Bin(k, p*) >= T) stays below a risk budget (uniform-side error).
+//      P(Bin(k, p*) >= T) stays below a risk budget of 0.2 (uniform-side
+//      error).
 //   2. Realize p* exactly with a RANDOMIZED collision threshold (c, gamma):
 //      reject when the local collision count exceeds c, and with
 //      probability gamma when it equals c (the Poisson model of the count
@@ -39,8 +40,7 @@ class FixedThresholdTester {
     unsigned k = 0;
     unsigned q = 0;
     double eps = 0.0;
-    std::uint64_t t = 1;       // referee: reject iff >= T players reject
-    double uniform_risk = 0.2;  // budget for P(false global reject)
+    std::uint64_t t = 1;  // referee: reject iff >= T players reject
   };
 
   explicit FixedThresholdTester(Config cfg);

@@ -10,6 +10,13 @@
 
 namespace duti {
 
+namespace {
+
+// Share of the k players whose bits the quorum referee needs to decide.
+constexpr double kQuorumFraction = 0.5;
+
+}  // namespace
+
 RefereeOutcome NaiveThresholdRule::decide(std::uint64_t rejects_received,
                                           std::uint64_t bits_received) const {
   // Silence is indistinguishable from an alarm to the naive referee.
@@ -19,18 +26,20 @@ RefereeOutcome NaiveThresholdRule::decide(std::uint64_t rejects_received,
                                                  : RefereeOutcome::kAccept;
 }
 
+std::uint64_t QuorumThresholdRule::quorum() const {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(kQuorumFraction * static_cast<double>(k))));
+}
+
 std::uint64_t QuorumThresholdRule::threshold_for(
     std::uint64_t survivors) const {
-  return calibrated_referee_threshold(survivors, p_reject_uniform, z);
+  return calibrated_referee_threshold(survivors, p_reject_uniform);
 }
 
 RefereeOutcome QuorumThresholdRule::decide(
     std::uint64_t rejects_received, std::uint64_t bits_received) const {
-  const auto quorum = static_cast<std::uint64_t>(
-      std::ceil(quorum_fraction * static_cast<double>(k)));
-  if (bits_received < std::max<std::uint64_t>(1, quorum)) {
-    return RefereeOutcome::kAbortQuorum;
-  }
+  if (bits_received < quorum()) return RefereeOutcome::kAbortQuorum;
   return rejects_received >= threshold_for(bits_received)
              ? RefereeOutcome::kReject
              : RefereeOutcome::kAccept;
@@ -68,8 +77,8 @@ RefereeOutcome MedianOfGroupsRule::decide(
   const double s = static_cast<double>(base);
   const double bar =
       p_reject_uniform +
-      z * std::sqrt(std::max(1e-12, p_reject_uniform *
-                                        (1.0 - p_reject_uniform) / s));
+      kRefereeZ * std::sqrt(std::max(1e-12, p_reject_uniform *
+                                                (1.0 - p_reject_uniform) / s));
   return median > bar ? RefereeOutcome::kReject : RefereeOutcome::kAccept;
 }
 
@@ -90,9 +99,10 @@ RefereeOutcome TrimmedMeanRule::decide(std::uint64_t rejects_received,
       static_cast<double>(kept_ones) / static_cast<double>(kept);
   const double bar =
       p_reject_uniform +
-      z * std::sqrt(std::max(1e-12,
-                             p_reject_uniform * (1.0 - p_reject_uniform) /
-                                 static_cast<double>(kept)));
+      kRefereeZ * std::sqrt(std::max(1e-12,
+                                     p_reject_uniform *
+                                         (1.0 - p_reject_uniform) /
+                                         static_cast<double>(kept)));
   return mean > bar ? RefereeOutcome::kReject : RefereeOutcome::kAccept;
 }
 

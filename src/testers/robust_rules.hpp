@@ -63,14 +63,14 @@ struct NaiveThresholdRule {
 };
 
 /// Quorum rule: decide from the m bits that arrived, with the threshold
-/// re-calibrated to m: T(m) = ceil(m p_u + z sqrt(m p_u (1-p_u))). Aborts
-/// when fewer than `quorum_fraction * k` bits arrived.
+/// re-calibrated to m: T(m) = ceil(m p_u + kRefereeZ sqrt(m p_u (1-p_u))).
+/// Aborts when fewer than quorum() bits arrived.
 struct QuorumThresholdRule {
   unsigned k = 0;
   double p_reject_uniform = 0.0;  // per-player P(reject | uniform)
-  double quorum_fraction = 0.5;
-  double z = 1.0;  // standard deviations above the surviving mean
 
+  /// Bits needed to decide: half the players, rounded up, and at least 1.
+  [[nodiscard]] std::uint64_t quorum() const;
   [[nodiscard]] std::uint64_t threshold_for(std::uint64_t survivors) const;
   [[nodiscard]] RefereeOutcome decide(std::uint64_t rejects_received,
                                       std::uint64_t bits_received) const;
@@ -84,7 +84,6 @@ struct MedianOfGroupsRule {
   unsigned k = 0;
   double p_reject_uniform = 0.0;
   double delta = 0.1;  // tolerated Byzantine fraction
-  double z = 1.0;
 
   [[nodiscard]] unsigned groups() const;
   [[nodiscard]] RefereeOutcome decide(
@@ -98,7 +97,6 @@ struct TrimmedMeanRule {
   unsigned k = 0;
   double p_reject_uniform = 0.0;
   double delta = 0.1;
-  double z = 1.0;
 
   [[nodiscard]] RefereeOutcome decide(std::uint64_t rejects_received,
                                       std::uint64_t bits_received) const;

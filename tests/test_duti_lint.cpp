@@ -124,6 +124,39 @@ TEST(NoRawThread, ThreadPoolDirAndStaticsAreExempt) {
   EXPECT_EQ(count_rule(statics, "no-raw-thread"), 0u);
 }
 
+TEST(NoGetenvInLibrary, FlagsEnvironmentReadsUnderSrc) {
+  const auto r = lint("src/stats/probe_cache.cpp",
+                      R"(const char* mode = std::getenv("DUTI_CACHE");
+const char* dir = getenv("DUTI_CACHE_DIR");
+const char* safe = secure_getenv("HOME");
+)");
+  EXPECT_EQ(count_rule(r, "no-getenv-in-library"), 3u);
+}
+
+TEST(NoGetenvInLibrary, ThreadPoolBenchesTestsAndLookalikesAreClean) {
+  // The pool's DUTI_THREADS is the library's one environment read.
+  EXPECT_EQ(count_rule(lint("src/util/thread_pool.cpp",
+                            R"(const char* env = std::getenv("DUTI_THREADS");
+)"),
+                       "no-getenv-in-library"),
+            0u);
+  // Binaries and tests read the environment and pass the values in.
+  for (const char* path : {"bench/bench_common.hpp", "tests/t.cpp",
+                           "tools/x.cpp", "examples/demo.cpp"}) {
+    EXPECT_EQ(count_rule(lint(path, R"(const char* v = std::getenv("DUTI_CACHE");
+)"),
+                         "no-getenv-in-library"),
+              0u)
+        << path;
+  }
+  // Identifiers that merely contain the name are not reads.
+  EXPECT_EQ(count_rule(lint("src/a.cpp", R"(bool no_getenv = true;
+int getenv_calls = count_getenv(log);
+)"),
+                       "no-getenv-in-library"),
+            0u);
+}
+
 TEST(NoUnorderedIteration, FlagsRangeForOverUnordered) {
   const auto r = lint("src/stats/agg.cpp",
                       R"(std::unordered_map<int, int> tally;

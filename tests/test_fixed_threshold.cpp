@@ -74,7 +74,7 @@ TEST(FixedThresholdTester, CalibrationRealizesPStar) {
 TEST(FixedThresholdTester, PStarIsSafeAndMaximal) {
   const unsigned k = 64;
   for (std::uint64_t t_param : {1ULL, 4ULL, 16ULL}) {
-    const FixedThresholdTester tester({4096, k, 64, 0.5, t_param, 0.2});
+    const FixedThresholdTester tester({4096, k, 64, 0.5, t_param});
     const double p = tester.local_reject_probability();
     EXPECT_LE(binomial_upper_tail(k, p, static_cast<int>(t_param)), 0.2);
     // Maximal: 5% more would break the budget.

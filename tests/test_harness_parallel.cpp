@@ -214,13 +214,13 @@ TEST(AdaptiveProbe, BitIdenticalAcrossThreadCounts) {
   const ProbeResult reference = probe_success(
       tester, workloads::uniform_factory(256),
       workloads::paninski_far_factory(256, 0.5), 400, 11, serial,
-      AdaptiveProbeConfig{});
+      ProbeFlavor::kAdaptive);
   for (const unsigned threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads);
     const ProbeResult parallel = probe_success(
         tester, workloads::uniform_factory(256),
         workloads::paninski_far_factory(256, 0.5), 400, 11, pool,
-        AdaptiveProbeConfig{});
+        ProbeFlavor::kAdaptive);
     SCOPED_TRACE(threads);
     expect_probe_equal(reference, parallel);
   }
@@ -247,7 +247,7 @@ TEST(AdaptiveProbe, AgreesWithFullBudgetOnSeedSweep) {
     const ProbeResult adaptive = probe_success(
         easy, workloads::uniform_factory(64),
         workloads::paninski_far_factory(64, 1.0), 320, seed, pool,
-        AdaptiveProbeConfig{});
+        ProbeFlavor::kAdaptive);
     SCOPED_TRACE(seed);
     EXPECT_EQ(full.passes(), adaptive.passes());
     EXPECT_LE(adaptive.trials, adaptive.budget);
@@ -268,7 +268,7 @@ TEST(AdaptiveProbe, StopsEarlyOnClearFailure) {
   const ProbeResult confident = probe_success(
       always_accept, workloads::uniform_factory(64),
       workloads::paninski_far_factory(64, 0.5), 300, 5, pool,
-      AdaptiveProbeConfig{});
+      ProbeFlavor::kAdaptive);
   EXPECT_TRUE(confident.early_stopped());
   EXPECT_EQ(confident.stop, ProbeStop::kConfidence);
   EXPECT_LT(confident.trials, confident.budget);
@@ -278,7 +278,7 @@ TEST(AdaptiveProbe, StopsEarlyOnClearFailure) {
   const ProbeResult sealed = probe_success(
       always_accept, workloads::uniform_factory(64),
       workloads::paninski_far_factory(64, 0.5), 40, 5, pool,
-      AdaptiveProbeConfig{});
+      ProbeFlavor::kAdaptive);
   // At the only checkpoint (32 trials < min_trials ~ 35) confidence is not
   // consulted, but 0 + 8 remaining < (2/3) * 40 seals the failure.
   EXPECT_EQ(sealed.stop, ProbeStop::kDeterministic);
@@ -298,11 +298,11 @@ TEST(AdaptiveProbe, ExMatchesBooleanProbe) {
   const ProbeResult b = probe_success(
       tester, workloads::uniform_factory(128),
       workloads::paninski_far_factory(128, 0.5), 256, 19, pool,
-      AdaptiveProbeConfig{});
+      ProbeFlavor::kAdaptive);
   const ProbeResult e = probe_success(
       ex, workloads::uniform_factory(128),
       workloads::paninski_far_factory(128, 0.5), 256, 19, pool,
-      AdaptiveProbeConfig{});
+      ProbeFlavor::kAdaptive);
   expect_probe_equal(b, e);
   EXPECT_EQ(e.aborts(), 0u);
 }

@@ -1,12 +1,15 @@
 // Persistent probe cache (DESIGN.md section 8): round-trip bit-identity,
-// fingerprint sensitivity to every key field, readonly mode, and tolerance
-// to corrupt JSONL lines.
+// fingerprint sensitivity to every key field, the two flavor keys byte for
+// byte, tolerance to corrupt and unframed JSONL lines, and the benches'
+// shared session opened from DUTI_CACHE / DUTI_CACHE_DIR.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
+#include "bench_common.hpp"
 #include "stats/probe_cache.hpp"
 #include "stats/workloads.hpp"
 #include "testers/collision.hpp"
@@ -108,8 +111,8 @@ TEST_F(ProbeCacheTest, FingerprintIsSensitiveToEveryKeyField) {
   k.seed += 1;
   EXPECT_NE(k.fingerprint(), fp);
   k = base;
-  k.flavor = probe_key(k, k.param, k.trials, k.seed, AdaptiveProbeConfig{})
-                 .flavor;
+  k.flavor =
+      probe_key(k, k.param, k.trials, k.seed, ProbeFlavor::kAdaptive).flavor;
   EXPECT_NE(k.fingerprint(), fp);
   k = base;
   k.engine_version += 1;
@@ -121,36 +124,22 @@ TEST_F(ProbeCacheTest, FingerprintIsSensitiveToEveryKeyField) {
   EXPECT_NE(k.fingerprint(), fp);
 }
 
-TEST_F(ProbeCacheTest, AdaptiveKeysKeepEveryDigitOfTargetAndDelta) {
-  // Written at six significant digits, all three schedules would share
-  // "adaptive:b=32:target=0.666667:delta=0.001:min=0", and one schedule's
-  // early-stopped probe would be served to another.
-  const AdaptiveProbeConfig two_thirds;  // target 2/3, delta 1e-3
-  AdaptiveProbeConfig near_target = two_thirds;
-  near_target.target = 0.6666671;
-  AdaptiveProbeConfig near_delta = two_thirds;
-  near_delta.delta = 1.0000004e-3;
+TEST_F(ProbeCacheTest, FlavorKeysAreByteExact) {
+  // Journals written while the adaptive schedule was a config struct
+  // filed its default schedule under exactly this string; keeping it byte
+  // for byte keeps those journals hitting.
   const ProbeKey base = sample_key();
-  const ProbeKey a = probe_key(base, base.param, base.trials, base.seed,
-                               two_thirds);
-  const ProbeKey b = probe_key(base, base.param, base.trials, base.seed,
-                               near_target);
-  const ProbeKey c = probe_key(base, base.param, base.trials, base.seed,
-                               near_delta);
-  EXPECT_NE(a.flavor, b.flavor);
-  EXPECT_NE(a.flavor, c.flavor);
-  EXPECT_NE(b.flavor, c.flavor);
-
-  {
-    ProbeCache cache(dir_, CacheMode::kReadWrite);
-    cache.insert(a, sample_result());
-  }
-  ProbeCache cache(dir_, CacheMode::kReadWrite);
-  EXPECT_FALSE(cache.lookup(b).has_value());
-  EXPECT_FALSE(cache.lookup(c).has_value());
-  const auto hit = cache.lookup(a);
-  ASSERT_TRUE(hit.has_value());
-  expect_bit_identical(*hit, sample_result());
+  const ProbeKey full = probe_key(base, 384, 400, 7);
+  const ProbeKey adaptive =
+      probe_key(base, 384, 400, 7, ProbeFlavor::kAdaptive);
+  EXPECT_EQ(full.flavor, "full");
+  EXPECT_EQ(adaptive.flavor,
+            "adaptive:b=32:target=0.6666666666666666:delta=0.001:min=0");
+  EXPECT_EQ(full, base);
+  EXPECT_EQ(adaptive.param, 384u);
+  EXPECT_EQ(adaptive.trials, 400u);
+  EXPECT_EQ(adaptive.seed, 7u);
+  EXPECT_EQ(adaptive.engine_version, kProbeEngineVersion);
 }
 
 TEST_F(ProbeCacheTest, MissOnDifferentKeyAndHitAfterInsert) {
@@ -164,22 +153,6 @@ TEST_F(ProbeCacheTest, MissOnDifferentKeyAndHitAfterInsert) {
   EXPECT_TRUE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST_F(ProbeCacheTest, ReadOnlyModeNeverWrites) {
-  {
-    ProbeCache writer(dir_, CacheMode::kReadWrite);
-    writer.insert(sample_key(), sample_result());
-  }
-  ProbeCache reader(dir_, CacheMode::kReadOnly);
-  EXPECT_TRUE(reader.lookup(sample_key()).has_value());
-  ProbeKey fresh = sample_key();
-  fresh.param += 100;
-  reader.insert(fresh, sample_result());  // must be a no-op
-  EXPECT_EQ(reader.size(), 1u);
-  EXPECT_EQ(reader.stats().inserts, 0u);
-  ProbeCache reloaded(dir_, CacheMode::kReadOnly);
-  EXPECT_FALSE(reloaded.lookup(fresh).has_value());
 }
 
 TEST_F(ProbeCacheTest, OffModeDoesNoIOAndComputesEveryTime) {
@@ -235,10 +208,48 @@ TEST_F(ProbeCacheTest, ToleratesCorruptLines) {
     std::ofstream out(path, std::ios::app);
     out << "{\"workload\":\"torn\",\"tester\":\"t\",\"par";
   }
-  ProbeCache reloaded(dir_, CacheMode::kReadOnly);
+  ProbeCache reloaded(dir_, CacheMode::kReadWrite);
   EXPECT_EQ(reloaded.size(), 2u);
   EXPECT_TRUE(reloaded.lookup(sample_key()).has_value());
   EXPECT_TRUE(reloaded.lookup(second).has_value());
+}
+
+TEST_F(ProbeCacheTest, UnframedLinesAreSkippedAndScrubbed) {
+  // A whole JSON record without its J1 frame is not a record: it is
+  // skipped like a torn line, scrubbed from the journal on load, and the
+  // probe it described recomputes on demand.
+  {
+    ProbeCache writer(dir_, CacheMode::kReadWrite);
+    writer.insert(sample_key(), sample_result());
+  }
+  const std::string path =
+      (std::filesystem::path(dir_) / "probes.jsonl").string();
+  std::string framed;
+  {
+    std::ifstream in(path);
+    std::getline(in, framed);
+  }
+  const auto payload = probe_journal_decode(framed);
+  ASSERT_TRUE(payload.has_value());
+  ProbeKey unframed_key = sample_key();
+  unframed_key.seed += 1;
+  std::string unframed = *payload;
+  const std::string seed_field = "\"seed\":7,";
+  ASSERT_NE(unframed.find(seed_field), std::string::npos);
+  unframed.replace(unframed.find(seed_field), seed_field.size(),
+                   "\"seed\":8,");
+  {
+    std::ofstream out(path, std::ios::app);
+    out << unframed << "\n";
+  }
+  ProbeCache reloaded(dir_, CacheMode::kReadWrite);
+  EXPECT_EQ(reloaded.size(), 1u);
+  EXPECT_TRUE(reloaded.lookup(sample_key()).has_value());
+  EXPECT_FALSE(reloaded.lookup(unframed_key).has_value());
+  std::ifstream in(path);
+  std::stringstream journal;
+  journal << in.rdbuf();
+  EXPECT_EQ(journal.str(), framed + "\n");
 }
 
 TEST_F(ProbeCacheTest, KeyStringsSurviveEscaping) {
@@ -249,7 +260,7 @@ TEST_F(ProbeCacheTest, KeyStringsSurviveEscaping) {
     ProbeCache writer(dir_, CacheMode::kReadWrite);
     writer.insert(key, original);
   }
-  ProbeCache reloaded(dir_, CacheMode::kReadOnly);
+  ProbeCache reloaded(dir_, CacheMode::kReadWrite);
   const auto hit = reloaded.lookup(key);
   ASSERT_TRUE(hit.has_value());
   expect_bit_identical(*hit, original);
@@ -285,7 +296,7 @@ TEST_F(ProbeCacheTest, CachedProbeEntryPointIsBitIdentical) {
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().inserts, 1u);
   }
-  ProbeCache cache(dir_, CacheMode::kReadOnly);
+  ProbeCache cache(dir_, CacheMode::kReadWrite);
   const ProbeResult replayed = cached_probe(cache, 200);
   EXPECT_EQ(cache.stats().hits, 1u);
   expect_bit_identical(computed, replayed);
@@ -296,39 +307,57 @@ TEST_F(ProbeCacheTest, CachedProbeEntryPointIsBitIdentical) {
   EXPECT_EQ(other.trials, 100u);
 }
 
-TEST(GlobalProbeCache, HonorsEnvironmentConfiguration) {
-  // Under the `adaptive-check` workflow preset this runs with DUTI_CACHE=rw
-  // against a scratch dir, exercising the global cache end to end (the
-  // second preset run hits entries persisted by the first); in a plain test
-  // run DUTI_CACHE is unset and the global cache must be off.
-  const char* mode_env = std::getenv("DUTI_CACHE");
-  const std::string mode = mode_env == nullptr ? "off" : mode_env;
-  ProbeCache& g = ProbeCache::global();
-  if (mode == "off") {
-    EXPECT_EQ(g.mode(), CacheMode::kOff);
-  } else if (mode == "readonly") {
-    EXPECT_EQ(g.mode(), CacheMode::kReadOnly);
-  } else {
-    ASSERT_EQ(mode, "rw");
-    EXPECT_EQ(g.mode(), CacheMode::kReadWrite);
+TEST_F(ProbeCacheTest, BenchSessionParsesTheEnvironment) {
+  // DUTI_CACHE unset, empty or "off": no session I/O.
+  EXPECT_EQ(bench::open_cache_session(nullptr, nullptr).mode(),
+            CacheMode::kOff);
+  EXPECT_EQ(bench::open_cache_session("", dir_.c_str()).mode(),
+            CacheMode::kOff);
+  EXPECT_EQ(bench::open_cache_session("off", dir_.c_str()).mode(),
+            CacheMode::kOff);
+  EXPECT_FALSE(std::filesystem::exists(dir_));
+  // "rw": a read-write session whose journal lives in DUTI_CACHE_DIR.
+  const ProbeCache rw = bench::open_cache_session("rw", dir_.c_str());
+  EXPECT_EQ(rw.mode(), CacheMode::kReadWrite);
+  EXPECT_EQ(rw.path(),
+            (std::filesystem::path(dir_) / "probes.jsonl").string());
+  // Anything else throws, naming the variable and the value.
+  for (const char* bad : {"readonly", "bogus"}) {
+    try {
+      (void)bench::open_cache_session(bad, dir_.c_str());
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DUTI_CACHE"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
   }
+}
+
+TEST(BenchCacheSession, FollowsTheEnvironmentEndToEnd) {
+  // Under the `adaptive-check` workflow preset this runs with DUTI_CACHE=rw
+  // against a scratch dir, exercising the benches' shared session end to
+  // end (the second preset run hits entries persisted by the first); in a
+  // plain test run DUTI_CACHE is unset and the session must be off.
+  const char* mode_env = std::getenv("DUTI_CACHE");
+  const std::string mode = mode_env == nullptr ? "" : mode_env;
+  ProbeCache& session = bench::cache_session();
+  EXPECT_EQ(session.mode(),
+            mode == "rw" ? CacheMode::kReadWrite : CacheMode::kOff);
 
   ProbeKey key = sample_key();
-  key.workload = "global-cache-smoke";
+  key.workload = "bench-cache-session-smoke";
   int computes = 0;
   const auto compute = [&] {
     ++computes;
     return sample_result();
   };
-  const ProbeResult first = g.get_or_compute(key, compute);
-  const ProbeResult second = g.get_or_compute(key, compute);
+  const ProbeResult first = session.get_or_compute(key, compute);
+  const ProbeResult second = session.get_or_compute(key, compute);
   expect_bit_identical(first, second);
   expect_bit_identical(first, sample_result());
-  if (g.mode() == CacheMode::kOff) {
+  if (session.mode() == CacheMode::kOff) {
     EXPECT_EQ(computes, 2);
-  } else if (g.mode() == CacheMode::kReadOnly) {
-    // Either both calls computed (nothing persisted) or both were hits.
-    EXPECT_TRUE(computes == 0 || computes == 2) << computes;
   } else {
     // At most one compute (zero when a previous run already persisted the
     // record); the second call must always be served from the cache.

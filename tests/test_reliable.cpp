@@ -13,8 +13,6 @@ std::uint64_t sum_of(const std::vector<std::uint64_t>& v) {
 
 TEST(ReliableConfig, ExponentialBackoffWindow) {
   ReliableConfig cfg;
-  cfg.ack_timeout = 2;
-  cfg.backoff = 2;
   cfg.max_retries = 4;
   EXPECT_EQ(cfg.timeout(0), 2u);
   EXPECT_EQ(cfg.timeout(1), 4u);

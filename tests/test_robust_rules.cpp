@@ -26,8 +26,6 @@ TEST(QuorumThresholdRule, AbortsBelowQuorumAndRecalibratesAbove) {
   QuorumThresholdRule rule;
   rule.k = 100;
   rule.p_reject_uniform = 0.5;
-  rule.quorum_fraction = 0.5;
-  rule.z = 1.0;
   // 49 < quorum of 50: cannot decide, and says so explicitly.
   EXPECT_EQ(rule.decide(30, 49), RefereeOutcome::kAbortQuorum);
   // With 60 survivors the threshold tracks 60, not 100.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "dist/count_samplers.hpp"
+#include "dist/discrete_distribution.hpp"
 #include "dist/nu_z.hpp"
 #include "sim/sample_source.hpp"
 #include "util/error.hpp"
@@ -161,10 +162,14 @@ TEST(NuZCounts, KernelMatchesPerSampleDistribution) {
 }
 
 TEST(GenericCounts, DefaultPathTalliesSampleManyBitExactly) {
-  // Sources without a direct kernel (here: HistogramSource) tally their own
-  // sample_many, so the histogram is bit-exact against a manual tally.
+  // Sources without a direct kernel (here: DistributionSource) tally their
+  // own sample_many, so the histogram is bit-exact against a manual tally.
   const std::vector<std::uint64_t> weights{5, 1, 0, 3, 7, 2, 2, 4};
-  const HistogramSource source(weights);
+  std::vector<double> pmf;
+  for (const std::uint64_t w : weights) {
+    pmf.push_back(static_cast<double>(w) / 24.0);
+  }
+  const DistributionSource source{DiscreteDistribution(pmf)};
   Rng counts_rng(51), manual_rng(51);
   std::vector<std::uint64_t> counts;
   source.sample_counts(counts_rng, 500, counts);

@@ -19,6 +19,7 @@
 #include "sweep_specs.hpp"
 #include "testers/calibration.hpp"
 #include "testers/centralized.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -376,45 +377,39 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   }
 }
 
-// --- Process-global state ---------------------------------------------------
+// --- No session, no cache ----------------------------------------------------
 
-// A sweep through an explicit session must leave the env-configured global
-// cache alone: it must neither construct it (a bad DUTI_CACHE throws from
-// its constructor) nor write to its journal. ProbeCache::global() is a
-// function-local static, so each case runs in a fresh process that sets
-// the env before any global use.
-TEST(SweepGlobalCacheDeathTest, ExplicitOffSessionNeverTouchesTheGlobalCache) {
+// Without a session run_sweep computes every probe it consults, whatever
+// DUTI_CACHE says: the library reads no cache environment. The sweep runs
+// in a fresh process that sets the env first, so nothing this process
+// opened earlier can answer for it.
+TEST(SweepNoSessionDeathTest, DefaultConfigComputesEverythingAndWritesNothing) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // Two seeds, so the second sweep computes calibrations of its own.
-  const auto two_off_sweeps = [] {
-    ProbeCache off("", CacheMode::kOff);
-    SweepEngineConfig cfg;
-    cfg.cache = &off;
-    ThreadPool pool(1);
-    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}}) {
-      (void)run_sweep(bench::e1_points(4096, 0.5, {16}, 60, seed), cfg, pool);
-    }
-    std::exit(0);
-  };
-  EXPECT_EXIT(
-      {
-        setenv("DUTI_CACHE", "bogus", 1);
-        two_off_sweeps();
-      },
-      ::testing::ExitedWithCode(0), "");
-
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "duti_sweep_global_cache";
+      std::filesystem::temp_directory_path() / "duti_sweep_no_session";
   std::filesystem::remove_all(dir);
   EXPECT_EXIT(
       {
         setenv("DUTI_CACHE", "rw", 1);
         setenv("DUTI_CACHE_DIR", dir.c_str(), 1);
-        two_off_sweeps();
+        ThreadPool pool(1);
+        const SweepResult r =
+            run_sweep(bench::e1_points(4096, 0.5, {16}, 60, 1), {}, pool);
+        const bool computed_all = r.trials_consulted > 0 &&
+                                  r.trials_computed == r.trials_consulted &&
+                                  r.cache.hits == 0 && r.cache.misses == 0;
+        std::exit(computed_all ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
-  EXPECT_FALSE(std::filesystem::exists(dir / "probes.jsonl"));
+  EXPECT_FALSE(std::filesystem::exists(dir));
   std::filesystem::remove_all(dir);
+}
+
+TEST(SweepEngine, RejectsAPointThatCarriesABracketProbe) {
+  // The engine owns the bracket flavor; a point may not bring its own.
+  std::vector<SweepPoint> points = step_points({8});
+  points[0].search.bracket_probe = points[0].probe;
+  EXPECT_THROW((void)run_sweep(points), InvalidArgument);
 }
 
 TEST(SweepFingerprint, SensitiveToResults) {

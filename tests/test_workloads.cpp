@@ -97,7 +97,6 @@ TEST(SampleSources, BatchedDrawsMatchScalarDraws) {
   };
   check(UniformSource(1000), 257);
   check(DistributionSource(gen::zipf(64, 1.0)), 257);
-  check(HistogramSource({5, 0, 3, 12, 1}), 257);
   Rng rng(7);
   check(PaninskiSource(Paninski::random(64, 0.25, rng)), 257);
   for (unsigned ell = 1; ell <= 10; ++ell) {
@@ -142,28 +141,6 @@ TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
       for (int k = 0; k < 4; ++k) ASSERT_EQ(batched(), serial());
     }
   }
-}
-
-TEST(SampleSources, HistogramSource) {
-  HistogramSource source({0, 10, 0, 0});
-  EXPECT_EQ(source.domain_size(), 4u);
-  EXPECT_DOUBLE_EQ(source.l1_from_uniform(), 1.5);  // |1-1/4| + 3*|0-1/4|
-  Rng rng(11);
-  for (int t = 0; t < 50; ++t) {
-    EXPECT_EQ(source.sample(rng), 1u);  // all mass on element 1
-  }
-  EXPECT_THROW(HistogramSource({0, 0}), InvalidArgument);
-}
-
-TEST(SampleSources, HistogramSourceTotalMustFitInUint64) {
-  constexpr std::uint64_t kMax = ~std::uint64_t{0};
-  // A total of exactly 2^64 - 1 fits.
-  EXPECT_NO_THROW(HistogramSource({kMax}));
-  EXPECT_NO_THROW(HistogramSource({kMax - 1, 1}));
-  // One more wraps: 2^64, and the 2^65 - 1 whose wrapped total read
-  // l1_from_uniform() as 5/3 instead of 2/3.
-  EXPECT_THROW(HistogramSource({kMax, 1}), CapacityError);
-  EXPECT_THROW(HistogramSource({kMax, kMax, 1}), CapacityError);
 }
 
 TEST(Workloads, Validation) {

@@ -237,6 +237,11 @@ std::vector<Rule> build_rules() {
        "raw std::thread/std::async/OpenMP bypass the deterministic "
        "ThreadPool; use duti::ThreadPool / parallel_for",
        {"src/"}, {kThreadPoolDir}, false},
+      {"no-getenv-in-library",
+       "library code must not read the environment: an env-configured "
+       "global leaks between runs; the one exception is the pool's "
+       "DUTI_THREADS, and benches pass everything else in explicitly",
+       {"src/"}, {kThreadPoolDir}, false},
       // Reduction discipline (the ProbeResult integer-tally contract).
       {"no-unordered-iteration",
        "iteration order over unordered containers varies across runs and "
@@ -419,6 +424,17 @@ void check_raw_thread(const std::string& file, const std::vector<LexedLine>& lin
       add(out, file, static_cast<int>(i + 1), "no-raw-thread",
           "raw threading primitive; route parallelism through "
           "duti::ThreadPool so DUTI_THREADS stays deterministic");
+  }
+}
+
+void check_getenv(const std::string& file, const std::vector<LexedLine>& lines,
+                  RawFindings& out) {
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& code = lines[i].code;
+    if (has_word(code, "getenv") || has_word(code, "secure_getenv"))
+      add(out, file, static_cast<int>(i + 1), "no-getenv-in-library",
+          "environment read in library code; take the setting as a "
+          "parameter and let the binary read the environment");
   }
 }
 
@@ -775,6 +791,7 @@ void lint_source(const std::string& rel_path, const std::string& content,
   if (enabled("no-wall-clock")) check_wall_clock(rel_path, lines, raw);
   if (enabled("no-default-mt19937")) check_default_mt19937(rel_path, lines, raw);
   if (enabled("no-raw-thread")) check_raw_thread(rel_path, lines, raw);
+  if (enabled("no-getenv-in-library")) check_getenv(rel_path, lines, raw);
   if (enabled("no-unordered-iteration"))
     check_unordered_iteration(rel_path, lines, raw);
   if (enabled("no-float-accumulate"))
