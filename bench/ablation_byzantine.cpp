@@ -77,6 +77,8 @@ int main(int argc, char** argv) {
   const auto q = cli.get_uint<unsigned>("q", 96);
   const auto trials = cli.get_uint<int>("trials", 150);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  bench::accept_quick(cli);
+  cli.reject_unread();
   // The drop table runs trials/2 epochs and averages over them.
   require(trials >= 2, "ablation_byzantine: --trials must be >= 2, got " +
                            std::to_string(trials));

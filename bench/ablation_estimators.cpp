@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   const auto q = cli.get_uint<unsigned>("q", 2);
   const double eps = cli.get_double("eps", 0.2);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  bench::accept_quick(cli);
+  cli.reject_unread();
 
   bench::banner("Ablation D1: exact vs Monte-Carlo z-moment estimation",
                 "expected: MC relative error ~ 1/sqrt(trials); exact "

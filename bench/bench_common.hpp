@@ -90,6 +90,19 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
           {"cache", json_str(cache_session().enabled() ? "rw" : "off")}};
 }
 
+/// `trials` unless it is zero; zero throws InvalidArgument naming --trials.
+/// A success rate over zero trials is undefined, and a search over it
+/// would print a table of failed rows and exit 0.
+[[nodiscard]] inline std::size_t positive_trials(std::size_t trials) {
+  require(trials >= 1, "--trials must be >= 1, got " + std::to_string(trials));
+  return trials;
+}
+
+/// Reads --quick for a bench whose defaults are already quick and ignores
+/// it, so Cli::reject_unread accepts it and `<bench> --quick` runs every
+/// bench of the table set.
+inline void accept_quick(const Cli& cli) { (void)cli.get_bool("quick", false); }
+
 /// Stock flags every sweep bench accepts.
 struct CommonFlags {
   std::size_t trials;
@@ -97,7 +110,7 @@ struct CommonFlags {
   bool quick;
 
   explicit CommonFlags(const Cli& cli)
-      : trials(cli.get_uint<std::size_t>("trials", 150)),
+      : trials(positive_trials(cli.get_uint<std::size_t>("trials", 150))),
         seed(cli.get_uint<std::uint64_t>("seed", 1)),
         quick(cli.get_bool("quick", false)) {}
 };

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
   }
   const auto ell = cli.get_uint<unsigned>("ell", 3);
   const double delta = cli.get_double("delta", 1.0 / 3.0);
+  bench::accept_quick(cli);
+  cli.reject_unread();
   const CubeDomain dom(ell);
   const double n = static_cast<double>(dom.universe_size());
 

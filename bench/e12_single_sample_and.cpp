@@ -95,6 +95,8 @@ int main(int argc, char** argv) {
   const double eps = cli.get_double("eps", 1.0);
   const auto trials = cli.get_uint<std::size_t>("trials", 400);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  bench::accept_quick(cli);
+  cli.reject_unread();
   // An advantage over zero trials is undefined, not -1.
   require(trials >= 1, "e12_single_sample_and: --trials must be >= 1, got " +
                            std::to_string(trials));

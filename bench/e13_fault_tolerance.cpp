@@ -217,6 +217,8 @@ int main(int argc, char** argv) {
       "trials", flags.quick ? std::size_t{60} : flags.trials);
   s.seed = flags.seed;
   s.cap = flags.quick ? (1 << 8) : (1 << 10);
+  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
+  cli.reject_unread();
 
   bench::banner(
       "E13: fault tolerance — crash/Byzantine referees and reliable "
@@ -231,7 +233,6 @@ int main(int argc, char** argv) {
             << " q_cap=" << s.cap << "\n";
 
   bool ok = true;
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   ok &= sweep_crash(s, engine);
   ok &= sweep_byzantine(s, engine);
   ok &= sweep_transport(s.trials, s.seed);

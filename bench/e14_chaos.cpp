@@ -108,16 +108,18 @@ int main(int argc, char** argv) {
   }
   ChaosHooks hooks;
   hooks.retry_deficit = cli.get_uint<unsigned>("inject-retry-deficit", 0);
-
   const std::string token = cli.get_string("replay", "");
-  if (!token.empty()) return replay_mode(token, hooks);
-
   CampaignConfig cfg;
   cfg.seed0 = cli.get_uint<std::uint64_t>("seed0", 1);
   // --quick lowers the default seed count only; an explicit --seeds wins.
   cfg.num_seeds = cli.get_uint<std::uint32_t>(
       "seeds", cli.get_bool("quick", false) ? 64u : 256u);
   cfg.hooks = hooks;
+  cli.reject_unread();
+  // A campaign over zero schedules checks nothing, so it may not pass.
+  require(cfg.num_seeds >= 1, "e14_chaos: --seeds must be >= 1, got 0");
+
+  if (!token.empty()) return replay_mode(token, hooks);
 
   bench::banner(
       "E14: chaos campaign — seeded fault schedules vs the oracle registry "

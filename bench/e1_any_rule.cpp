@@ -33,6 +33,8 @@ int main(int argc, char** argv) {
       "ks", flags.quick ? std::vector<std::int64_t>{2, 16, 128}
                         : std::vector<std::int64_t>{2, 4, 8, 16, 32, 64, 128,
                                                     256});
+  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
+  cli.reject_unread();
 
   bench::banner("E1  any-rule sample complexity vs k  [Thm 1.1 / 6.1]  (k=1 is the centralized case, covered by E8)",
                 "expected: q* ~ sqrt(n/k)/eps^2 (slope -1/2 in k); the "
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
   // full-budget baseline; minima are bit-identical either way.
   const auto points =
       bench::e1_points(n, eps, ks, flags.trials, flags.seed);
-  const SweepResult sweep = run_sweep(points, bench::sweep_engine_config(cli));
+  const SweepResult sweep = run_sweep(points, engine);
   bench::print_sweep_summary("e1", sweep);
 
   Table table({"k", "q* (measured)", "predicted sqrt(n/k)/eps^2",

@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
   const auto ks = cli.get_uint_list<std::int64_t>(
       "ks", flags.quick ? std::vector<std::int64_t>{2, 32, 512}
                         : std::vector<std::int64_t>{2, 8, 32, 128, 512});
+  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
+  cli.reject_unread();
 
   bench::banner("E2  AND rule vs threshold rule, q* vs k  [Thm 1.2 / 6.5]",
                 "expected: AND-rule q* nearly flat in k (polylog gain only); "
@@ -41,7 +43,6 @@ int main(int argc, char** argv) {
   // curves, so cross-rule hints would mislead).
   const auto trials = flags.trials;
   const auto seed = flags.seed;
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   const SweepResult and_sweep =
       run_sweep(bench::e2_and_points(n, eps, ks, trials, seed), engine);
   const SweepResult thr_sweep =

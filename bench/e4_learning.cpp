@@ -34,8 +34,11 @@ int main(int argc, char** argv) {
       "qs", c.get_bool("quick", false)
                 ? std::vector<std::int64_t>{1, 4, 16}
                 : std::vector<std::int64_t>{1, 2, 4, 8, 16});
-  const auto trials = c.get_uint<std::size_t>("trials", 40);
+  const auto trials =
+      bench::positive_trials(c.get_uint<std::size_t>("trials", 40));
   const auto seed = c.get_uint<std::uint64_t>("seed", 1);
+  const SweepEngineConfig engine = bench::sweep_engine_config(c);
+  c.reject_unread();
 
   bench::banner("E4  distributed learning, k* vs q  [Thm 1.4]",
                 "expected: measured k* above the paper's n^2/q^2 lower "
@@ -44,8 +47,7 @@ int main(int argc, char** argv) {
   // One raw point per q (the learning probe is not a uniformity probe, so
   // it bypasses the cache); the points run in one engine wave.
   const SweepResult sweep =
-      run_sweep(bench::e4_points(n, delta, qs, trials, seed),
-                bench::sweep_engine_config(c));
+      run_sweep(bench::e4_points(n, delta, qs, trials, seed), engine);
   bench::print_sweep_summary("e4", sweep);
 
   Table table({"q", "k* (measured, multiples of n)", "thm1.4 lower bound",

@@ -39,6 +39,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
+  bench::accept_quick(cli);
+  cli.reject_unread();
 
   bench::banner("E5  Lemma 4.2 second-moment bound, exact evaluation",
                 "expected: lhs <= 2x stated bound everywhere; lhs tracks "

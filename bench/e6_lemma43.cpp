@@ -32,6 +32,8 @@ int main(int argc, char** argv) {
   const auto ell = cli.get_uint<unsigned>("ell", 3);
   const auto q = cli.get_uint<unsigned>("q", 2);
   const double eps = cli.get_double("eps", 0.05);
+  bench::accept_quick(cli);
+  cli.reject_unread();
   const double n = std::ldexp(1.0, static_cast<int>(ell) + 1);
   const SampleTupleCodec codec(CubeDomain(ell), q);
   const unsigned bits = codec.total_bits();

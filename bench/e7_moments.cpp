@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
   const auto seed = cli.get_uint<std::uint64_t>("seed", 1);
   const auto mc_trials =
       cli.get_uint<std::size_t>("mc-trials", 100000);
+  bench::accept_quick(cli);
+  cli.reject_unread();
 
   bench::banner("E7  evenly-covered counts and moments  [Prop 5.2, Lem 5.5]",
                 "expected: every exact count/moment below its bound; slack "

@@ -40,6 +40,8 @@ int main(int argc, char** argv) {
       "ns", flags.quick
                 ? std::vector<std::int64_t>{256, 4096}
                 : std::vector<std::int64_t>{256, 1024, 4096, 16384});
+  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
+  cli.reject_unread();
 
   bench::banner("E8  centralized baseline q* ~ sqrt(n)/eps^2  [Paninski'08]",
                 "expected: slope 1/2 in n, slope -2 in eps");
@@ -49,7 +51,6 @@ int main(int argc, char** argv) {
   // the old serial loops exactly.
   const auto trials = flags.trials;
   const auto seed = flags.seed;
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   const SweepResult coll_sweep = run_sweep(
       bench::e8_n_points<CentralizedCollisionTester>("collision", ns, eps,
                                                      trials, seed, kernel),

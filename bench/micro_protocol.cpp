@@ -179,6 +179,7 @@ int run_bench(int argc, char** argv) {
   const std::uint64_t n = cli.get_uint<std::uint64_t>("n", 4096);
   const unsigned k = cli.get_uint<unsigned>("k", 64);
   const double eps = cli.get_double("eps", 0.25);
+  cli.reject_unread();
   const std::size_t search_trials = flags.quick ? 60 : flags.trials;
   const std::size_t timing_trials = flags.quick ? 400 : 2000;
   const int timing_reps = flags.quick ? 2 : 3;

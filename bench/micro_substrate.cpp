@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -177,16 +178,41 @@ void BM_ProtocolRound(benchmark::State& state) {
   const double local_t =
       expected_collision_pairs_uniform(static_cast<double>(n), q);
   const ProtocolBatchExecutor executor(
-      k, q, [local_t](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
+      k, q,
+      [local_t](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
         return Message::bit(!(static_cast<double>(pairs) > local_t));
-      });
+      },
+      collision_vote_decided_above(local_t));
   const UniformSource source(n);
-  const auto rule = DecisionRule::threshold(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.run(source, rng, rule));
+    benchmark::DoNotOptimize(executor.run(source, rng, 2));
   }
 }
 BENCHMARK(BM_ProtocolRound)->Arg(8)->Arg(64)->Arg(512);
+
+/// One player of the reference search (n = 4096, q = 312): draw and count
+/// pairs through count_pairs, on the uniform source (arg 0 = 0) or a
+/// Paninski far source (ε = 0.25), with no bound (arg 1 = 0) or the
+/// threshold vote's floor(C(q,2)/n) = 11 (arg 1 = 1).
+void BM_PlayerPairs(benchmark::State& state) {
+  const std::uint64_t n = 4096;
+  const unsigned q = 312;
+  Rng build(6);
+  const std::unique_ptr<SampleSource> source =
+      state.range(0) == 0
+          ? workloads::uniform_factory(n)(build)
+          : workloads::paninski_far_factory(n, 0.25)(build);
+  const std::uint64_t bound =
+      state.range(1) == 0
+          ? kNoPairBound
+          : collision_vote_decided_above(
+                expected_collision_pairs_uniform(static_cast<double>(n), q));
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source->count_pairs(rng, q, bound));
+  }
+}
+BENCHMARK(BM_PlayerPairs)->ArgsProduct({{0, 1}, {0, 1}});
 
 /// Batched sample_many on a DistributionSource: one virtual dispatch per
 /// batch, alias tables kept hot.

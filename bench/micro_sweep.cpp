@@ -166,6 +166,7 @@ int main(int argc, char** argv) {
   const bench::CommonFlags flags(cli);
   const auto trials = flags.trials;
   const auto seed = flags.seed;
+  cli.reject_unread();
 
   bench::banner("micro_sweep  warm-start + shared-cache sweep engine",
                 "gates: warm minima/verdicts == cold serial baseline at 1 "

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const double eps = cli.get_double("eps", 0.5);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 5);
   const auto reps = cli.get_uint<int>("reps", 100);
+  cli.reject_unread();
 
   // The workload model the algorithm was designed for.
   const auto eta = gen::zipf(n, 1.0);

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const auto q = cli.get_uint<unsigned>("q", 8);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 3);
   const auto reps = cli.get_uint<int>("reps", 12);
+  cli.reject_unread();
 
   // The unknown distribution the network must learn.
   const auto truth = gen::zipf(n, 1.0);

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const double eps = cli.get_double("eps", 0.1);
   const auto r = cli.get_uint<unsigned>("r", 1);
   const double t = cli.get_double("t", 4);
+  cli.reject_unread();
 
   std::cout << "universe n = " << n << ", players k = " << k
             << ", proximity eps = " << eps << ", message bits r = " << r

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const auto q = cli.get_uint<unsigned>("q", 80);
   const auto epochs = cli.get_uint<int>("epochs", 80);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 17);
+  cli.reject_unread();
 
   const std::uint32_t k = rows * cols;
   std::cout << rows << "x" << cols << " sensor grid (" << k

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const auto k = cli.get_uint<unsigned>("k", 64);
   const double eps = cli.get_double("eps", 0.5);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 7);
+  cli.reject_unread();
 
   // How many samples per node? The paper says Theta(sqrt(n/k)/eps^2);
   // a constant of 4 is comfortably inside the tester's working regime.

@@ -106,6 +106,7 @@ int main(int argc, char** argv) {
   const auto q = cli.get_uint<unsigned>("q", 96);
   const auto epochs = cli.get_uint<int>("epochs", 150);
   const auto seed = cli.get_uint<std::uint64_t>("seed", 11);
+  cli.reject_unread();
 
   std::cout << "sensor network: " << sensors << " sensors + base station, "
             << q << " measurements/sensor/epoch, healthy = uniform over "

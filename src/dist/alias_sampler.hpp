@@ -30,25 +30,40 @@ class AliasSampler {
   AliasSampler(std::span<const std::uint64_t> heavy_odd, std::size_t pairs,
                double heavy, double light);
 
+  /// The one alias draw, over pointers into the table: two raws per draw,
+  /// `next_below(size())` then the coin. sample(), sample_many and the
+  /// sources' fused pair count (sim/sample_source.hpp) all draw through it,
+  /// so a loop holding a Draw keeps the table pointers in registers.
+  struct Draw {
+    const double* prob;
+    const std::uint64_t* alias;
+    std::size_t n;
+
+    std::uint64_t operator()(Rng& rng) const noexcept {
+      const std::uint64_t i = rng.next_below(n);
+      return pick(i, rng.next_double() < prob[i], alias[i]);
+    }
+  };
+
+  [[nodiscard]] Draw draw() const noexcept {
+    return {prob_.data(), alias_.data(), prob_.size()};
+  }
+
   /// Draw one index in [0, size()) with probability proportional to weight.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
-    const std::uint64_t i = rng.next_below(prob_.size());
-    return pick(i, rng.next_double() < prob_[i], alias_[i]);
+    return draw()(rng);
   }
 
   /// Batched draws: fill `out` with `count` iid samples. Consumes the RNG
-  /// exactly like `count` sample() calls (bit-identical), but keeps the
-  /// table pointers hot and lets callers skip per-draw call overhead.
+  /// exactly like `count` sample() calls (bit-identical), on a register
+  /// copy of the stream (util/rng.hpp).
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const {
     out.resize(count);
-    const double* prob = prob_.data();
-    const std::uint64_t* alias = alias_.data();
-    const std::size_t n = prob_.size();
-    for (auto& s : out) {
-      const std::uint64_t i = rng.next_below(n);
-      s = pick(i, rng.next_double() < prob[i], alias[i]);
-    }
+    const Draw d = draw();
+    with_register_copy(rng, [&out, d](Rng& local) {
+      for (auto& s : out) s = d(local);
+    });
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }

@@ -29,15 +29,18 @@ DiscreteDistribution DiscreteDistribution::uniform(std::size_t n) {
       std::vector<double>(n, 1.0 / static_cast<double>(n)));
 }
 
-std::uint64_t DiscreteDistribution::sample(Rng& rng) const {
+const AliasSampler& DiscreteDistribution::sampler() const {
   if (!sampler_) sampler_ = std::make_shared<AliasSampler>(pmf_);
-  return sampler_->sample(rng);
+  return *sampler_;
+}
+
+std::uint64_t DiscreteDistribution::sample(Rng& rng) const {
+  return sampler().sample(rng);
 }
 
 void DiscreteDistribution::sample_many(Rng& rng, std::size_t count,
                                        std::vector<std::uint64_t>& out) const {
-  if (!sampler_) sampler_ = std::make_shared<AliasSampler>(pmf_);
-  sampler_->sample_many(rng, count, out);
+  sampler().sample_many(rng, count, out);
 }
 
 double DiscreteDistribution::l1_distance(

@@ -33,6 +33,9 @@ class DiscreteDistribution {
   /// Draw one sample. The sampler is built lazily on first use.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const;
 
+  /// The alias table every draw goes through, built on first use.
+  [[nodiscard]] const AliasSampler& sampler() const;
+
   /// Draw `count` iid samples into `out` (resized).
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const;

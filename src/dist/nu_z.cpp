@@ -55,18 +55,12 @@ double NuZ::pmf(std::uint64_t element) const noexcept {
   return (1.0 + static_cast<double>(s * zx) * eps_) / n;
 }
 
-std::uint64_t NuZ::sample(Rng& rng) const noexcept {
-  const std::uint64_t x = rng.next_below(domain_.side_size());
-  // P(s=+1 | x) = (1 + z(x) eps) / 2.
-  const double p_plus = 0.5 * (1.0 + static_cast<double>(z_.sign(x)) * eps_);
-  const int s = rng.next_double() < p_plus ? +1 : -1;
-  return x | (static_cast<std::uint64_t>(s == -1) << domain_.ell());
-}
-
 void NuZ::sample_many(Rng& rng, std::size_t count,
                       std::vector<std::uint64_t>& out) const {
   out.resize(count);
-  for (std::uint64_t& o : out) o = sample(rng);
+  with_register_copy(rng, [this, &out](Rng& local) {
+    for (std::uint64_t& o : out) o = sample(local);
+  });
 }
 
 DiscreteDistribution NuZ::to_distribution(std::size_t max_cells) const {

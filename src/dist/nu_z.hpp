@@ -58,8 +58,15 @@ class NuZ {
   /// pmf of element (x,s) under nu_z.
   [[nodiscard]] double pmf(std::uint64_t element) const noexcept;
 
-  /// Draw one element.
-  [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept;
+  /// Draw one element: two raws, x = next_below(2^ell), then the coin.
+  /// Inline, so batched loops draw on a register copy of the stream.
+  [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
+    const std::uint64_t x = rng.next_below(domain_.side_size());
+    // P(s=+1 | x) = (1 + z(x) eps) / 2.
+    const double p_plus = 0.5 * (1.0 + static_cast<double>(z_.sign(x)) * eps_);
+    const int s = rng.next_double() < p_plus ? +1 : -1;
+    return x | (static_cast<std::uint64_t>(s == -1) << domain_.ell());
+  }
 
   /// Draw `count` iid elements into `out`.
   void sample_many(Rng& rng, std::size_t count,

@@ -336,7 +336,9 @@ double a_r_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,
         std::vector<std::uint64_t> x(q);
         double sum = 0.0;
         for (std::size_t t = begin; t < end; ++t) {
-          for (auto& xi : x) xi = stream.next_below(side);
+          with_register_copy(stream, [&x, side](Rng& local) {
+            for (auto& xi : x) xi = local.next_below(side);
+          });
           sum += dpow_int(static_cast<double>(a_r(x, r)), m);
         }
         partial[begin / grain] = sum;

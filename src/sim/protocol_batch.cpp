@@ -15,8 +15,8 @@ namespace {
 thread_local std::vector<std::uint64_t> tls_samples;
 thread_local std::vector<std::uint64_t> tls_plane;
 thread_local std::vector<std::uint64_t> tls_sorted;
+thread_local std::vector<std::uint64_t> tls_seeds;
 thread_local std::vector<Message> tls_messages;
-thread_local std::vector<std::uint8_t> tls_votes;
 
 [[noreturn]] void throw_outside_domain(const char* who, std::uint64_t sample,
                                        std::uint64_t domain) {
@@ -25,45 +25,27 @@ thread_local std::vector<std::uint8_t> tls_votes;
                         std::to_string(domain) + ")");
 }
 
-// Zeroes the cells the samples counted so far touched, so the plane stays
-// clean for this worker's next call, then rejects the sample that follows
-// them. Kept out of line so the tally loop stays small.
-[[noreturn, gnu::noinline, gnu::cold]] void reject_on_plane(
-    std::uint64_t* plane, std::span<const std::uint64_t> counted,
-    const char* who, std::uint64_t sample, std::uint64_t domain) {
-  for (const std::uint64_t s : counted) plane[s] = 0;
-  throw_outside_domain(who, sample, domain);
-}
-
-// Both statistics are sums over cells of a function of the cell's count c:
-// C(c,2) for pairs, [c > 0] for distinct values. The tally adds, at each
-// draw, what that function gains when c becomes c+1 (c for pairs, [c == 0]
-// for distinct values), so the sum over draws is exact.
+// The tally step over `samples` on the plane, stopped after the first
+// sample that takes the total above `decided_above`; the plane is zeroed
+// through the counted samples afterwards.
 template <bool kPairs>
 std::uint64_t count_on_plane(std::span<const std::uint64_t> samples,
-                             std::uint64_t domain, const char* who) {
-  if (tls_plane.size() < domain) tls_plane.resize(domain);
-  // A raw pointer keeps the thread_local's guard check out of the loop.
-  std::uint64_t* const plane = tls_plane.data();
+                             std::uint64_t domain, const char* who,
+                             std::uint64_t decided_above) {
+  std::uint64_t* const plane = tally::plane(domain);
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const std::uint64_t s = samples[i];
-    if (s >= domain) [[unlikely]] {
-      reject_on_plane(plane, samples.first(i), who, s, domain);
-    }
-    const std::uint64_t c = plane[s]++;
-    if constexpr (kPairs) {
-      total += c;
-    } else {
-      total += c == 0 ? 1 : 0;
-    }
+  std::size_t counted = 0;
+  while (counted < samples.size()) {
+    total += tally::step<kPairs>(plane, samples.data(), counted, domain, who);
+    ++counted;
+    if (total > decided_above) break;
   }
-  for (const std::uint64_t s : samples) plane[s] = 0;
+  for (const std::uint64_t s : samples.first(counted)) plane[s] = 0;
   return total;
 }
 
-// The fallback above the plane cap: the same sums, taken once per run of
-// equal values in a sorted per-worker copy.
+// The fallback above the plane cap: the same sums over all samples, taken
+// once per run of equal values in a sorted per-worker copy.
 template <bool kPairs>
 std::uint64_t count_by_sort(std::span<const std::uint64_t> samples,
                             std::uint64_t domain, const char* who) {
@@ -86,13 +68,35 @@ std::uint64_t count_by_sort(std::span<const std::uint64_t> samples,
 
 template <bool kPairs>
 std::uint64_t count_cells(std::span<const std::uint64_t> samples,
-                          std::uint64_t domain, const char* who) {
+                          std::uint64_t domain, const char* who,
+                          std::uint64_t decided_above = kNoPairBound) {
   return domain <= kMaxTallyPlaneDomain
-             ? count_on_plane<kPairs>(samples, domain, who)
+             ? count_on_plane<kPairs>(samples, domain, who, decided_above)
              : count_by_sort<kPairs>(samples, domain, who);
 }
 
 }  // namespace
+
+std::uint64_t* tally::plane(std::uint64_t domain) {
+  if (tls_plane.size() < domain) tls_plane.resize(domain);
+  return tls_plane.data();
+}
+
+std::vector<std::uint64_t>& tally::samples() { return tls_samples; }
+
+void tally::reject(std::uint64_t* plane,
+                   std::span<const std::uint64_t> counted, const char* who,
+                   std::uint64_t sample, std::uint64_t domain) {
+  for (const std::uint64_t s : counted) plane[s] = 0;
+  throw_outside_domain(who, sample, domain);
+}
+
+std::uint64_t SampleSource::count_pairs(Rng& rng, unsigned q,
+                                        std::uint64_t decided_above) const {
+  sample_many(rng, q, tls_samples);
+  return count_cells<true>(tls_samples, domain_size(), "count_pairs",
+                           decided_above);
+}
 
 std::uint64_t collision_pairs(std::span<const std::uint64_t> samples,
                               std::uint64_t domain) {
@@ -105,50 +109,72 @@ std::uint64_t distinct_values(std::span<const std::uint64_t> samples,
 }
 
 ProtocolBatchExecutor::ProtocolBatchExecutor(unsigned k, unsigned q, Vote vote,
+                                             std::uint64_t decided_above,
                                              unsigned message_width)
     : ProtocolBatchExecutor(std::vector<unsigned>(k, q), std::move(vote),
+                            std::vector<std::uint64_t>(k, decided_above),
                             message_width) {}
 
-ProtocolBatchExecutor::ProtocolBatchExecutor(std::vector<unsigned> qs,
-                                             Vote vote, unsigned message_width)
-    : qs_(std::move(qs)), vote_(std::move(vote)), width_(message_width) {
+ProtocolBatchExecutor::ProtocolBatchExecutor(
+    std::vector<unsigned> qs, Vote vote,
+    std::vector<std::uint64_t> decided_above, unsigned message_width)
+    : qs_(std::move(qs)),
+      decided_above_(std::move(decided_above)),
+      vote_(std::move(vote)),
+      width_(message_width) {
   require(!qs_.empty(), "ProtocolBatchExecutor: need at least one player");
   for (unsigned q : qs_) {
     require(q >= 1, "ProtocolBatchExecutor: every q must be >= 1");
   }
+  require(decided_above_.size() == qs_.size(),
+          "ProtocolBatchExecutor: need one decided_above per player");
   require(static_cast<bool>(vote_), "ProtocolBatchExecutor: null vote");
   require(width_ >= 1 && width_ <= 32,
           "ProtocolBatchExecutor: message width must be in [1, 32]");
 }
 
+Message ProtocolBatchExecutor::play(unsigned j, std::uint64_t seed,
+                                    const SampleSource& source) const {
+  // A private stream per player, so runs replay regardless of how much
+  // randomness a vote consumes or how early the player stops drawing.
+  Rng player_rng = make_rng(seed, j);
+  // count_pairs resets the plane before the vote, so a throwing vote
+  // cannot leave it dirty for the worker's next trial.
+  const std::uint64_t pairs =
+      source.count_pairs(player_rng, qs_[j], decided_above_[j]);
+  const Message m = vote_(j, pairs, player_rng);
+  require(m.width == width_,
+          "ProtocolBatchExecutor: vote returned unexpected message width");
+  return m;
+}
+
 const std::vector<Message>& ProtocolBatchExecutor::collect(
     const SampleSource& source, Rng& rng) const {
-  const std::uint64_t domain = source.domain_size();
   tls_messages.resize(qs_.size());
   for (unsigned j = 0; j < qs_.size(); ++j) {
-    // A private stream per player, one run-rng draw each in player order,
-    // so runs replay regardless of how much randomness a vote consumes.
-    Rng player_rng = make_rng(rng(), j);
-    source.sample_many(player_rng, qs_[j], tls_samples);
-    // Count (and reset the plane) before the vote, so a throwing vote
-    // cannot leave the plane dirty for the worker's next trial.
-    const std::uint64_t pairs = collision_pairs(tls_samples, domain);
-    const Message m = vote_(j, pairs, player_rng);
-    require(m.width == width_,
-            "ProtocolBatchExecutor: vote returned unexpected message width");
-    tls_messages[j] = m;
+    tls_messages[j] = play(j, rng(), source);
   }
   return tls_messages;
 }
 
 bool ProtocolBatchExecutor::run(const SampleSource& source, Rng& rng,
-                                const DecisionRule& rule) const {
-  const std::vector<Message>& messages = collect(source, rng);
-  tls_votes.resize(messages.size());
-  for (std::size_t j = 0; j < messages.size(); ++j) {
-    tls_votes[j] = static_cast<std::uint8_t>(messages[j].bits & 1U);
+                                std::uint64_t reject_bar) const {
+  require(reject_bar >= 1,
+          "ProtocolBatchExecutor::run: reject_bar must be >= 1");
+  const std::size_t k = qs_.size();
+  // All k seeds first: the caller's stream moves k draws whether or not
+  // every player runs.
+  tls_seeds.resize(k);
+  for (std::uint64_t& seed : tls_seeds) seed = rng();
+  std::uint64_t rejects = 0;
+  // Player j runs only while the verdict is open: rejects below the bar,
+  // and the k - j players left could still reach it.
+  for (unsigned j = 0; j < k && rejects < reject_bar &&
+                       rejects + (k - j) >= reject_bar;
+       ++j) {
+    if ((play(j, tls_seeds[j], source).bits & 1U) == 0) ++rejects;
   }
-  return rule.decide(tls_votes);
+  return rejects < reject_bar;
 }
 
 }  // namespace duti

@@ -1,6 +1,6 @@
 // The protocol plane (Section 2; DESIGN.md §14): k players each draw q_j
 // iid samples from the unknown distribution, send a short message to the
-// referee, and the referee applies a decision rule to the received bits.
+// referee, and the referee decides on the received bits.
 //
 // Every tester in this repository is a STATELESS function of each player's
 // exact pair-collision count, so the executor resolves one vote functor
@@ -11,11 +11,17 @@
 // DUTI_THREADS setting (pinned by the golden fingerprints and the
 // test-local reference runner in tests/test_protocol_batch.cpp).
 //
+// The plane skips work no output depends on. A player stops drawing once
+// its pair count passes its vote's `decided_above` (above it the message
+// is fixed and the vote reads no RNG), and run() stops calling players
+// once the referee's verdict is fixed. Player streams are private and
+// never read after the vote, so the skipped draws are never observed.
+//
 // The plane also owns the library's two collision statistics, the pair
 // count and the distinct count, which the centralized and distributed
 // testers share (a centralized tester counts pairs on one clique, the
 // players on disjoint cliques). Both scatter into a per-worker counts
-// plane:
+// plane (sim/sample_source.hpp's tally step):
 //
 //   pairs += plane[s]++  over the q samples, then plane[s] = 0 over the
 //   same samples — an exact integer count (sum over cells of C(c,2)),
@@ -28,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/decision_rule.hpp"
 #include "sim/sample_source.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -48,11 +53,6 @@ struct Message {
 
   static Message bit(bool b) { return Message{b ? 1U : 0U, 1U}; }
 };
-
-/// Largest domain the collision statistics tally into a flat counts plane;
-/// above this they sort a copy of the samples instead. The plane is
-/// per-worker memory: 2^22 cells = 32 MiB ceiling.
-inline constexpr std::uint64_t kMaxTallyPlaneDomain = 1ULL << 22;
 
 /// Number of colliding pairs #{i<j : s_i = s_j} among `samples` drawn from
 /// a domain of size `domain`. Allocation-free in steady state (per-thread
@@ -76,26 +76,41 @@ class ProtocolBatchExecutor {
   using Vote =
       std::function<Message(unsigned j, std::uint64_t pairs, Rng& rng)>;
 
-  /// Symmetric: every player draws `q` samples.
+  /// Symmetric: every player draws `q` samples. Above `decided_above`
+  /// pairs the vote is decided: its message no longer changes with the
+  /// count and it reads no RNG, so a player stops drawing there
+  /// (SampleSource::count_pairs). kNoPairBound decides nothing early.
   ProtocolBatchExecutor(unsigned k, unsigned q, Vote vote,
+                        std::uint64_t decided_above,
                         unsigned message_width = 1);
 
-  /// Asymmetric: player j draws `qs[j]` samples (Section 6.2 rates).
-  explicit ProtocolBatchExecutor(std::vector<unsigned> qs, Vote vote,
-                                 unsigned message_width = 1);
+  /// Asymmetric: player j draws `qs[j]` samples (Section 6.2 rates), and
+  /// its vote is decided above `decided_above[j]` pairs.
+  ProtocolBatchExecutor(std::vector<unsigned> qs, Vote vote,
+                        std::vector<std::uint64_t> decided_above,
+                        unsigned message_width = 1);
 
   /// One trial's messages, in player order, in a per-worker buffer (valid
   /// until the same worker's next call).
   [[nodiscard]] const std::vector<Message>& collect(const SampleSource& source,
                                                     Rng& rng) const;
 
-  /// Full trial: collect, extract low-bit votes, apply the referee rule.
-  /// true = accept.
+  /// Full trial under the T-threshold referee with T = `reject_bar` >= 1:
+  /// reject iff at least `reject_bar` players reject (a message whose low
+  /// bit is 0). Players run in order and the trial stops once rejects reach
+  /// the bar or accepts exceed k - bar (so a bar above k accepts without
+  /// running a player). `rng` advances by exactly k draws either way: the
+  /// k player seeds are drawn up front. true = accept.
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng,
-                         const DecisionRule& rule) const;
+                         std::uint64_t reject_bar) const;
 
  private:
+  // Player j's message from the run-rng draw `seed`.
+  [[nodiscard]] Message play(unsigned j, std::uint64_t seed,
+                             const SampleSource& source) const;
+
   std::vector<unsigned> qs_;
+  std::vector<std::uint64_t> decided_above_;
   Vote vote_;
   unsigned width_ = 1;
 };

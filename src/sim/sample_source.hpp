@@ -1,18 +1,20 @@
 // A uniform interface over "things players can draw samples from": a
 // materialized DiscreteDistribution, the structured NuZ and Paninski
 // families (built without materializing a pmf), or the exact uniform
-// distribution on a large domain. The protocol runner only needs sample()
-// and domain_size().
+// distribution on a large domain.
 //
-// sample_many is the hot path of every tester's inner loop, so it is
-// virtual: each source draws whole batches with one dispatch instead of one
-// virtual call per sample. Overrides MUST consume the RNG exactly like
-// count repeated sample() calls, so batch and scalar drawing are
-// interchangeable bit-for-bit (checked in test_workloads).
+// sample_many and count_pairs are the hot paths of every tester's inner
+// loop, so they are virtual: each source draws whole batches with one
+// dispatch instead of one virtual call per sample. Overrides MUST consume
+// the RNG exactly like repeated sample() calls, so batch and scalar drawing
+// are interchangeable bit-for-bit (checked in test_workloads and
+// test_protocol_batch).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dist/count_samplers.hpp"
@@ -27,6 +29,60 @@ namespace duti {
 /// Largest domain for which sample_counts will materialize a histogram
 /// (the counts vector itself is Theta(domain) memory).
 inline constexpr std::uint64_t kMaxCountedDomain = 1ULL << 26;
+
+/// Largest domain the pair and distinct counts tally into a flat counts
+/// plane; above this they sort a copy of the samples instead. The plane is
+/// per-worker memory: 2^22 cells = 32 MiB ceiling.
+inline constexpr std::uint64_t kMaxTallyPlaneDomain = 1ULL << 22;
+
+/// The `decided_above` of a count nothing decides early: count_pairs makes
+/// all q draws and counts every pair.
+inline constexpr std::uint64_t kNoPairBound =
+    std::numeric_limits<std::uint64_t>::max();
+
+// The per-worker counts plane behind every pair and distinct count
+// (collision_pairs, distinct_values and SampleSource::count_pairs; DESIGN.md
+// §11). Defined in sim/protocol_batch.cpp.
+namespace tally {
+
+/// The calling thread's plane, at least `domain` cells. Every cell is zero
+/// between tallies: each tally zeroes the cells it touched before it
+/// returns or throws.
+[[nodiscard]] std::uint64_t* plane(std::uint64_t domain);
+
+/// The calling thread's sample buffer for count_pairs.
+[[nodiscard]] std::vector<std::uint64_t>& samples();
+
+/// Zeroes the cells `counted` touched, then throws InvalidArgument naming
+/// `who`, the sample and the domain. Out of line and cold, so the tally
+/// loops stay small.
+[[noreturn, gnu::noinline, gnu::cold]] void reject(
+    std::uint64_t* plane, std::span<const std::uint64_t> counted,
+    const char* who, std::uint64_t sample, std::uint64_t domain);
+
+/// The tally's one step: counts samples[i] on the plane (samples[0..i)
+/// already counted) and returns what the statistic gains. Both statistics
+/// are sums over cells of a function of the cell's count c — C(c,2) for
+/// pairs, [c > 0] for distinct values — and the step adds what that
+/// function gains when c becomes c+1 (c, or [c == 0]), so the sum over the
+/// steps is exact. A sample outside the domain is rejected before it
+/// indexes the plane.
+template <bool kPairs>
+std::uint64_t step(std::uint64_t* plane, const std::uint64_t* samples,
+                   std::size_t i, std::uint64_t domain, const char* who) {
+  const std::uint64_t s = samples[i];
+  if (s >= domain) [[unlikely]] {
+    reject(plane, {samples, i}, who, s, domain);
+  }
+  const std::uint64_t c = plane[s]++;
+  if constexpr (kPairs) {
+    return c;
+  } else {
+    return c == 0 ? 1 : 0;
+  }
+}
+
+}  // namespace tally
 
 /// How a centralized tester materializes its q draws (DESIGN.md section 8).
 /// Its count-only statistics can consume a per-element histogram directly:
@@ -77,6 +133,20 @@ class SampleSource {
     for (const std::uint64_t s : scratch) ++counts[s];
   }
 
+  /// A player's exact pair count #{a < b : s_a = s_b} over its draws,
+  /// stopped once it is decided: the count covers the draws up to and
+  /// including the first one after which it exceeds `decided_above`, or all
+  /// q draws when none does (always, with kNoPairBound). The default draws
+  /// all q through sample_many and tallies that prefix, so a source that
+  /// overrides only sample_many keeps its stream and its counts; the
+  /// built-in sources override it with draw_and_count_pairs below, which
+  /// makes no draw past that prefix. Domains above kMaxTallyPlaneDomain
+  /// count all q draws by sorting and ignore the bound. Throws
+  /// InvalidArgument, naming the sample and the domain, if a draw falls
+  /// outside [0, domain_size()).
+  [[nodiscard]] virtual std::uint64_t count_pairs(
+      Rng& rng, unsigned q, std::uint64_t decided_above) const;
+
  protected:
   void check_counted_domain() const {
     if (domain_size() > kMaxCountedDomain) {
@@ -84,6 +154,41 @@ class SampleSource {
     }
   }
 };
+
+/// count_pairs for a source whose one draw is `draw(rng)`: draws and
+/// tallies in one loop on the worker's plane, on a register copy of the
+/// stream (util/rng.hpp), and makes no draw once the count exceeds
+/// `decided_above`. The draws it makes are sample_many's first ones, so
+/// with no bound the stream ends where sample_many(rng, q, ...) leaves it.
+/// Domains above the plane cap take the default (all q draws, sorted).
+template <typename Draw>
+std::uint64_t draw_and_count_pairs(const SampleSource& source, Rng& rng,
+                                   unsigned q, std::uint64_t decided_above,
+                                   Draw draw) {
+  const std::uint64_t domain = source.domain_size();
+  if (domain > kMaxTallyPlaneDomain) {
+    return source.SampleSource::count_pairs(rng, q, decided_above);
+  }
+  std::vector<std::uint64_t>& buffer = tally::samples();
+  if (buffer.size() < q) buffer.resize(q);
+  // Raw pointers keep the thread_locals' guard checks out of the loop.
+  std::uint64_t* const out = buffer.data();
+  std::uint64_t* const plane = tally::plane(domain);
+  // Forced inline: left to the heuristics, GCC 12 -O2 calls the alias
+  // instantiation's body out of line, and the copy goes back to memory.
+  return with_register_copy(rng, [&] [[gnu::always_inline]] (Rng& local) {
+    std::uint64_t pairs = 0;
+    std::size_t drawn = 0;
+    while (drawn < q) {
+      out[drawn] = draw(local);
+      pairs += tally::step<true>(plane, out, drawn, domain, "count_pairs");
+      ++drawn;
+      if (pairs > decided_above) break;
+    }
+    for (std::size_t i = 0; i < drawn; ++i) plane[out[i]] = 0;
+    return pairs;
+  });
+}
 
 /// Exact uniform on {0,...,n-1}; O(1) memory for any n.
 class UniformSource final : public SampleSource {
@@ -98,10 +203,20 @@ class UniformSource final : public SampleSource {
                    std::vector<std::uint64_t>& out) const override {
     out.resize(count);
     // Serial xoshiro draws either way: a stream-identical AVX2 Lemire loop
-    // measured ~2x slower (DESIGN.md §11). The local bound stays in a
-    // register; n_ could alias the uint64 stores into `out`.
+    // measured ~2x slower (DESIGN.md §11). The local bound and the register
+    // copy of the stream stay in registers; n_ and rng's state could alias
+    // the uint64 stores into `out`.
     const std::uint64_t bound = n_;
-    for (auto& s : out) s = rng.next_below(bound);
+    with_register_copy(rng, [&out, bound](Rng& local) {
+      for (auto& s : out) s = local.next_below(bound);
+    });
+  }
+  [[nodiscard]] std::uint64_t count_pairs(
+      Rng& rng, unsigned q, std::uint64_t decided_above) const override {
+    const std::uint64_t bound = n_;
+    return draw_and_count_pairs(
+        *this, rng, q, decided_above,
+        [bound](Rng& r) { return r.next_below(bound); });
   }
   /// Counts kernel: when draws dominate the domain, split the multinomial
   /// recursively with exact binomial draws — O(n) binomial draws instead of
@@ -138,6 +253,11 @@ class DistributionSource final : public SampleSource {
                    std::vector<std::uint64_t>& out) const override {
     dist_.sample_many(rng, count, out);
   }
+  [[nodiscard]] std::uint64_t count_pairs(
+      Rng& rng, unsigned q, std::uint64_t decided_above) const override {
+    return draw_and_count_pairs(*this, rng, q, decided_above,
+                                dist_.sampler().draw());
+  }
   [[nodiscard]] std::uint64_t domain_size() const override {
     return dist_.domain_size();
   }
@@ -163,6 +283,11 @@ class NuZSource final : public SampleSource {
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const override {
     nu_.sample_many(rng, count, out);
+  }
+  [[nodiscard]] std::uint64_t count_pairs(
+      Rng& rng, unsigned q, std::uint64_t decided_above) const override {
+    return draw_and_count_pairs(*this, rng, q, decided_above,
+                                [this](Rng& r) { return nu_.sample(r); });
   }
   /// Counts kernel via the two-level structure of nu_z: every cube point x
   /// has one HEAVY element (x, s = z(x)) of mass (1+eps)/n and one LIGHT
@@ -216,6 +341,11 @@ class PaninskiSource final : public SampleSource {
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const override {
     sampler_.sample_many(rng, count, out);
+  }
+  [[nodiscard]] std::uint64_t count_pairs(
+      Rng& rng, unsigned q, std::uint64_t decided_above) const override {
+    return draw_and_count_pairs(*this, rng, q, decided_above,
+                                sampler_.draw());
   }
   [[nodiscard]] std::uint64_t domain_size() const override {
     return p_.domain_size();

@@ -43,30 +43,30 @@ AsymmetricRateTester::AsymmetricRateTester(std::uint64_t n,
 
   // Per-player local thresholds, resolved once for the vote functor.
   std::vector<double> local_t(qs_.size());
+  std::vector<std::uint64_t> decided_above(qs_.size());
   for (std::size_t j = 0; j < qs_.size(); ++j) {
     local_t[j] = expected_collision_pairs_uniform(static_cast<double>(n_),
                                                   qs_[j]);
+    decided_above[j] = collision_vote_decided_above(local_t[j]);
   }
   exec_.emplace(
       qs_,
       [local_t = std::move(local_t)](unsigned j, std::uint64_t pairs,
                                      Rng& /*rng*/) {
         return Message::bit(!(static_cast<double>(pairs) > local_t[j]));
-      });
-  // Same comparison as the original bench referee: it accumulated rejects
-  // as a double (exact for any k below 2^53) and accepted on
-  // rejects < referee_t_.
-  const double referee_t = referee_t_;
-  rule_.emplace(DecisionRule::symmetric(
-      "asym-sd-sum", [referee_t](std::uint64_t rejects, std::uint64_t /*k*/) {
-        return static_cast<double>(rejects) < referee_t;
-      }));
+      },
+      std::move(decided_above));
+  // Same verdict as the original bench referee: it accumulated rejects as
+  // a double (exact for any k below 2^53) and accepted on
+  // rejects < referee_t_, which for an integer count is
+  // rejects < ceil(referee_t_). referee_t_ > 0, so the bar is >= 1.
+  reject_bar_ = static_cast<std::uint64_t>(std::ceil(referee_t_));
 }
 
 bool AsymmetricRateTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == n_,
           "AsymmetricRateTester: domain size mismatch");
-  return exec_->run(source, rng, *rule_);
+  return exec_->run(source, rng, reject_bar_);
 }
 
 }  // namespace duti

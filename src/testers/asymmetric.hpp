@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "sim/decision_rule.hpp"
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
 #include "util/rng.hpp"
@@ -56,8 +55,10 @@ class AsymmetricRateTester {
   std::vector<unsigned> qs_;
   std::vector<double> p_;
   double referee_t_ = 1.0;
+  // ceil(referee_t_): for an integer count, rejects < reject_bar_ is
+  // exactly rejects < referee_t_.
+  std::uint64_t reject_bar_ = 1;
   std::optional<ProtocolBatchExecutor> exec_;
-  std::optional<DecisionRule> rule_;
 };
 
 }  // namespace duti

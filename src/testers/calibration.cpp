@@ -53,10 +53,9 @@ std::vector<double> calibrate_on_uniform(std::string_view statistic,
     parallel_for_stream(
         pool, trials, kCalibrationGrain, q, calib_rng,
         [&](std::size_t begin, std::size_t end, Rng& stream) {
-          std::vector<std::uint64_t> samples;
+          // With no bound, count_pairs draws exactly sample_many's q.
           for (std::size_t t = begin; t < end; ++t) {
-            uniform.sample_many(stream, q, samples);
-            pairs[t] = collision_pairs(samples, n);
+            pairs[t] = uniform.count_pairs(stream, q, kNoPairBound);
           }
         });
     const std::vector<double> player = summarize(q, pairs);

@@ -2,7 +2,7 @@
 // tester — threshold, robust, tree, multibit and asymmetric — takes its
 // referee bar from one simulated quantity: the exact pair-collision count
 // of a single player's q uniform samples on a domain of size n, taken by
-// the same collision_pairs the protocol plane votes on. The tester knows
+// the same count_pairs kernel the protocol plane votes on. The tester knows
 // n and q, so this is information the protocol legitimately has.
 //
 // calibrate_on_uniform is the one loop that simulates it, and the only
@@ -48,7 +48,8 @@ using CalibrationSummary = std::function<std::vector<double>(
 
 /// For each player j in order, draws `trials` sets of qs[j] samples from
 /// UniformSource(n) through `calib_rng`, takes each set's exact pair count
-/// (collision_pairs, the statistic the protocol plane votes on), and
+/// (UniformSource::count_pairs with no bound, the kernel the protocol
+/// plane votes on, which draws exactly like sample_many), and
 /// appends summarize(qs[j], pairs) to the result. The trials run on `pool`
 /// (parallel_for_stream), each seeing exactly the draws of the serial loop
 /// over one stream, so values and exit state are the same at any thread

@@ -1,5 +1,7 @@
 #include "testers/collision.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 #include "util/math.hpp"
 
@@ -39,6 +41,14 @@ double expected_collision_pairs_uniform(double n, unsigned q) {
   const double pairs = 0.5 * static_cast<double>(q) *
                        (static_cast<double>(q) - 1.0);
   return pairs / n;
+}
+
+std::uint64_t collision_vote_decided_above(double local_threshold) {
+  // Below 2^53 every count above floor(t) converts to a double above t.
+  constexpr double kExactCounts = 9007199254740992.0;  // 2^53
+  if (!(local_threshold < kExactCounts)) return kNoPairBound;
+  if (local_threshold < 0.0) return 0;
+  return static_cast<std::uint64_t>(std::floor(local_threshold));
 }
 
 double far_l2_lower_bound(double n, double eps) {

@@ -45,6 +45,14 @@ namespace duti {
 /// Expected pair-collision count for q uniform samples on domain n.
 [[nodiscard]] double expected_collision_pairs_uniform(double n, unsigned q);
 
+/// The decided_above of the one-bit collision vote "reject iff
+/// double(pairs) > local_threshold" (sim/protocol_batch.hpp): any count
+/// above floor(local_threshold) rejects. Counts from 2^53 up no longer
+/// convert to double exactly, so a threshold there decides nothing early
+/// (kNoPairBound).
+[[nodiscard]] std::uint64_t collision_vote_decided_above(
+    double local_threshold);
+
 /// Lower bound on ||mu||_2^2 for mu eps-far from uniform: (1 + eps^2)/n.
 [[nodiscard]] double far_l2_lower_bound(double n, double eps);
 

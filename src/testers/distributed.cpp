@@ -46,15 +46,15 @@ DistributedThresholdTester::DistributedThresholdTester(
                               calib_rng)[0];
   referee_t_ = calibrated_referee_threshold(cfg_.k, p_u_);
 
-  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_));
-  rule_.emplace(DecisionRule::threshold(referee_t_));
+  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_),
+                collision_vote_decided_above(local_t_));
 }
 
 bool DistributedThresholdTester::run(const SampleSource& source,
                                      Rng& rng) const {
   require(source.domain_size() == cfg_.n,
           "DistributedThresholdTester: domain size mismatch");
-  return exec_->run(source, rng, *rule_);
+  return exec_->run(source, rng, referee_t_);
 }
 
 DistributedAndTester::DistributedAndTester(DistributedTesterConfig cfg)
@@ -69,14 +69,15 @@ DistributedAndTester::DistributedAndTester(DistributedTesterConfig cfg)
   const double big_l = std::log(3.0 * static_cast<double>(cfg_.k));
   local_t_ = lambda + std::sqrt(2.0 * lambda * big_l) + big_l;
 
-  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_));
-  rule_.emplace(DecisionRule::and_rule());
+  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_),
+                collision_vote_decided_above(local_t_));
 }
 
 bool DistributedAndTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == cfg_.n,
           "DistributedAndTester: domain size mismatch");
-  return exec_->run(source, rng, *rule_);
+  // The AND rule: one rejecting player rejects.
+  return exec_->run(source, rng, 1);
 }
 
 }  // namespace duti

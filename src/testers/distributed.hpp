@@ -19,16 +19,16 @@
 // indistinguishable to the caller.
 //
 // run() executes on the protocol plane (sim/protocol_batch.hpp): the vote
-// functor and referee rule are resolved once at construction and trials
-// run through reusable per-worker buffers, with zero per-trial heap
-// allocations. The vote is the only definition of the player's rule:
-// reject iff its exact pair count strictly exceeds local_threshold().
+// functor and the referee's reject bar are resolved once at construction
+// and trials run through reusable per-worker buffers, with zero per-trial
+// heap allocations. The vote is the only definition of the player's rule:
+// reject iff its exact pair count strictly exceeds local_threshold(), so a
+// player stops drawing once its count passes floor(local_threshold()).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
-#include "sim/decision_rule.hpp"
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
 #include "util/rng.hpp"
@@ -74,7 +74,6 @@ class DistributedThresholdTester {
   double p_u_ = 0.0;
   std::uint64_t referee_t_ = 1;
   std::optional<ProtocolBatchExecutor> exec_;
-  std::optional<DecisionRule> rule_;
 };
 
 class DistributedAndTester {
@@ -96,7 +95,6 @@ class DistributedAndTester {
   DistributedTesterConfig cfg_;
   double local_t_ = 0.0;
   std::optional<ProtocolBatchExecutor> exec_;
-  std::optional<DecisionRule> rule_;
 };
 
 }  // namespace duti

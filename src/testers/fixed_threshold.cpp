@@ -84,7 +84,8 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
                       : 0.0;
 
   // The boundary coin comes from the player's post-sampling stream, so
-  // randomized votes replay bit-for-bit.
+  // randomized votes replay bit-for-bit. It is drawn only at a count of
+  // exactly c; above c the vote rejects without it, so it is decided there.
   const std::uint64_t c = c_;
   const double gamma = gamma_;
   exec_.emplace(
@@ -95,14 +96,14 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
           reject = rng.next_bernoulli(gamma);
         }
         return Message::bit(!reject);
-      });
-  rule_.emplace(DecisionRule::threshold(cfg_.t));
+      },
+      c);
 }
 
 bool FixedThresholdTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == cfg_.n,
           "FixedThresholdTester: domain size mismatch");
-  return exec_->run(source, rng, *rule_);
+  return exec_->run(source, rng, cfg_.t);
 }
 
 }  // namespace duti

@@ -70,7 +70,6 @@ class FixedThresholdTester {
   std::uint64_t c_ = 0;
   double gamma_ = 0.0;
   std::optional<ProtocolBatchExecutor> exec_;
-  std::optional<DecisionRule> rule_;
 };
 
 }  // namespace duti

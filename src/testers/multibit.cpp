@@ -62,12 +62,14 @@ MultibitSumTester::MultibitSumTester(Config cfg, Rng& calib_rng,
   // one-sided calibration as the 1-bit threshold tester).
   sum_t_ = kd * m_u + std::sqrt(std::max(1e-12, kd * v_u));
 
+  // From offset + 2^r - 1 pairs up the encoding saturates at 2^r - 1, so
+  // the vote is decided above offset + 2^r - 2.
   exec_.emplace(
       cfg_.k, cfg_.q,
       [r, offset](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
         return Message{encode_count(pairs, r, offset), r};
       },
-      r);
+      offset + (1ULL << r) - 2, r);
 }
 
 bool MultibitSumTester::run(const SampleSource& source, Rng& rng) const {

@@ -48,8 +48,21 @@ std::optional<T> parse_whole(const std::string& text) {
 }  // namespace
 
 std::optional<std::string> Cli::get(const std::string& name) const {
+  read_.insert(name);
   if (auto it = flags_.find(name); it != flags_.end()) return it->second;
   return std::nullopt;
+}
+
+void Cli::reject_unread() const {
+  std::string unread;
+  for (const auto& [name, value] : flags_) {
+    if (read_.count(name) != 0) continue;
+    unread += (unread.empty() ? "--" : ", --") + name;
+  }
+  if (!unread.empty()) {
+    throw InvalidArgument("Cli: unknown flag(s) " + unread +
+                          ": given but never read (misspelt?)");
+  }
 }
 
 std::string Cli::get_string(const std::string& name,

@@ -2,7 +2,8 @@
 // Flags look like --name=value or --name value. Only the command line sets
 // them: a stray environment variable cannot change a bench's flags (the
 // few DUTI_* variables that exist, such as DUTI_THREADS, are read by their
-// own modules).
+// own modules). A binary reads its flags, then calls reject_unread(), so a
+// misspelt flag fails instead of silently running the defaults.
 #pragma once
 
 #include <concepts>
@@ -10,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,8 +22,14 @@ class Cli {
   /// Parse argv; throws InvalidArgument on malformed flags.
   Cli(int argc, const char* const* argv);
 
-  /// The flag's value as given on the command line, if it was.
+  /// The flag's value as given on the command line, if it was. Every
+  /// getter goes through here and marks `name` as read.
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
+
+  /// Throws InvalidArgument naming every flag given on the command line
+  /// that no getter has asked for (`--trails=5` for `--trials`). Call it
+  /// after reading every flag the invocation uses and before any work.
+  void reject_unread() const;
 
   /// Typed getters throw InvalidArgument naming the flag unless the whole
   /// value parses: --trials=150x or --eps=0.5.3 is an error, not a prefix.
@@ -74,6 +82,7 @@ class Cli {
       const std::string& name, std::uint64_t max) const;
 
   std::map<std::string, std::string> flags_;
+  mutable std::set<std::string> read_;  // every name a getter asked for
   std::vector<std::string> positional_;
   bool help_ = false;
 };

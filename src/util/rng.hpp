@@ -134,6 +134,29 @@ class Xoshiro256pp {
 /// Default generator alias used throughout the library.
 using Rng = Xoshiro256pp;
 
+/// Run `body(local)` on a local copy of `rng`, then write the copy's state
+/// back into `rng`, also when `body` throws: the stream advances exactly as
+/// if `body` had drawn from `rng` itself. A batched draw loop that stores
+/// uint64 outputs through a pointer cannot keep `rng`'s four state words in
+/// registers, because every store may alias them; the copy's address never
+/// escapes an inlined body, so its words stay in registers across the loop.
+/// This is the library's only Rng copy outside make_rng/derive_seed
+/// (DESIGN.md §11).
+template <typename Body>
+[[gnu::always_inline]] inline decltype(auto) with_register_copy(Rng& rng,
+                                                                Body&& body) {
+  struct WriteBack {
+    Rng& rng;
+    Rng& local;
+    ~WriteBack() { rng = local; }
+  };
+  // duti-lint: allow(rng-copy) -- write_back stores the copy's state into
+  // rng when the body returns or throws, so exactly one stream advances.
+  Rng local = rng;
+  const WriteBack write_back{rng, local};
+  return body(local);
+}
+
 /// Construct the RNG for a derived stream in one call.
 template <typename... Labels>
 Rng make_rng(std::uint64_t root, Labels... labels) noexcept {

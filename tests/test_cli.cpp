@@ -142,6 +142,32 @@ TEST(Cli, EnvironmentSetsNoFlag) {
   ::unsetenv("DUTI_N");
 }
 
+TEST(Cli, UnreadFlagsAreRejected) {
+  // Every flag a getter asked for is read, whether or not it parsed to the
+  // fallback; each one given but never asked for is named.
+  const auto cli = make({"--quick", "--kss=16", "--trails=5", "--n=8"});
+  EXPECT_EQ(cli.get_uint<unsigned>("n", 1), 8u);
+  EXPECT_TRUE(cli.get_bool("quick", false));
+  (void)cli.get_uint_list<unsigned>("ks", {2});
+  (void)cli.get_uint<unsigned>("trials", 150);
+  try {
+    cli.reject_unread();
+    ADD_FAILURE() << "unread flags were accepted";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--kss"), std::string::npos) << what;
+    EXPECT_NE(what.find("--trails"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--n"), std::string::npos) << what;
+    EXPECT_EQ(what.find("--quick"), std::string::npos) << what;
+  }
+  (void)cli.get_string("kss", "");
+  (void)cli.get_double("trails", 0.0);
+  EXPECT_NO_THROW(cli.reject_unread());
+  // Positional arguments and --help are not flags.
+  EXPECT_NO_THROW(make({"first", "--help"}).reject_unread());
+  EXPECT_NO_THROW(make({}).reject_unread());
+}
+
 TEST(Cli, BooleanSpellings) {
   EXPECT_TRUE(make({"--a=yes"}).get_bool("a", false));
   EXPECT_TRUE(make({"--a=on"}).get_bool("a", false));

@@ -10,7 +10,7 @@
 namespace duti {
 namespace {
 
-/// Accept iff the player saw no collision.
+/// Accept iff the player saw no collision: decided above 0 pairs.
 ProtocolBatchExecutor::Vote no_collision_vote() {
   return [](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
     return Message::bit(pairs == 0);
@@ -50,23 +50,31 @@ std::vector<std::uint32_t> bits_of(const std::vector<Message>& messages) {
 }
 
 TEST(Protocol, ConstructionValidation) {
-  EXPECT_THROW(ProtocolBatchExecutor(0, 3, no_collision_vote()),
+  EXPECT_THROW(ProtocolBatchExecutor(0, 3, no_collision_vote(), 0),
                InvalidArgument);
-  EXPECT_THROW(ProtocolBatchExecutor(2, 0, no_collision_vote()),
+  EXPECT_THROW(ProtocolBatchExecutor(2, 0, no_collision_vote(), 0),
                InvalidArgument);
   EXPECT_THROW(ProtocolBatchExecutor(std::vector<unsigned>{},
-                                     no_collision_vote()),
+                                     no_collision_vote(), {}),
                InvalidArgument);
-  EXPECT_THROW(ProtocolBatchExecutor(2, 2, nullptr), InvalidArgument);
-  EXPECT_THROW(ProtocolBatchExecutor(2, 2, no_collision_vote(), 0),
+  // One decided_above per player.
+  EXPECT_THROW(ProtocolBatchExecutor(std::vector<unsigned>{2, 2},
+                                     no_collision_vote(), {0}),
                InvalidArgument);
-  EXPECT_THROW(ProtocolBatchExecutor(2, 2, no_collision_vote(), 33),
+  EXPECT_THROW(ProtocolBatchExecutor(2, 2, nullptr, 0), InvalidArgument);
+  EXPECT_THROW(ProtocolBatchExecutor(2, 2, no_collision_vote(), 0, 0),
                InvalidArgument);
-  EXPECT_NO_THROW(ProtocolBatchExecutor(2, 2, no_collision_vote(), 32));
+  EXPECT_THROW(ProtocolBatchExecutor(2, 2, no_collision_vote(), 0, 33),
+               InvalidArgument);
+  EXPECT_NO_THROW(ProtocolBatchExecutor(2, 2, no_collision_vote(), 0, 32));
+  // The referee's bar is a T-threshold: T >= 1.
+  const ProtocolBatchExecutor executor(2, 2, no_collision_vote(), 0);
+  Rng rng(3);
+  EXPECT_THROW((void)executor.run(UniformSource(4), rng, 0), InvalidArgument);
 }
 
 TEST(Protocol, CollectsOneMessagePerPlayer) {
-  const ProtocolBatchExecutor executor(5, 3, no_collision_vote());
+  const ProtocolBatchExecutor executor(5, 3, no_collision_vote(), 0);
   const UniformSource source(8);
   Rng rng(1);
   const auto& messages = executor.collect(source, rng);
@@ -75,7 +83,7 @@ TEST(Protocol, CollectsOneMessagePerPlayer) {
 }
 
 TEST(Protocol, DeterministicUnderSameSeed) {
-  const ProtocolBatchExecutor executor(8, 4, no_collision_vote());
+  const ProtocolBatchExecutor executor(8, 4, no_collision_vote(), 0);
   const UniformSource source(16);
   Rng rng1(42), rng2(42);
   const auto m1 = bits_of(executor.collect(source, rng1));
@@ -84,7 +92,7 @@ TEST(Protocol, DeterministicUnderSameSeed) {
 }
 
 TEST(Protocol, DifferentSeedsDiffer) {
-  const ProtocolBatchExecutor executor(32, 4, no_collision_vote());
+  const ProtocolBatchExecutor executor(32, 4, no_collision_vote(), 0);
   const UniformSource source(16);
   Rng rng1(1), rng2(2);
   const auto m1 = bits_of(executor.collect(source, rng1));
@@ -93,7 +101,7 @@ TEST(Protocol, DifferentSeedsDiffer) {
 }
 
 TEST(Protocol, AndRuleMatchesVotes) {
-  const ProtocolBatchExecutor executor(10, 2, no_collision_vote());
+  const ProtocolBatchExecutor executor(10, 2, no_collision_vote(), 0);
   const UniformSource source(4);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng collect_rng(seed), run_rng(seed);
@@ -101,8 +109,7 @@ TEST(Protocol, AndRuleMatchesVotes) {
     for (const auto& m : executor.collect(source, collect_rng)) {
       if (!m.as_bit()) expected = false;
     }
-    EXPECT_EQ(executor.run(source, run_rng, DecisionRule::and_rule()),
-              expected);
+    EXPECT_EQ(executor.run(source, run_rng, 1), expected);
   }
 }
 
@@ -110,13 +117,15 @@ TEST(Protocol, AsymmetricSampleCounts) {
   const std::vector<unsigned> qs{1, 5, 10};
   std::vector<unsigned> voters;
   const ProtocolBatchExecutor executor(
-      qs, [&voters](unsigned j, std::uint64_t /*pairs*/, Rng& /*rng*/) {
+      qs,
+      [&voters](unsigned j, std::uint64_t /*pairs*/, Rng& /*rng*/) {
         voters.push_back(j);
         return Message::bit(true);
-      });
+      },
+      {kNoPairBound, kNoPairBound, kNoPairBound});
   const RecordingSource source(4);
   Rng rng(5);
-  EXPECT_TRUE(executor.run(source, rng, DecisionRule::and_rule()));
+  EXPECT_TRUE(executor.run(source, rng, 1));
   EXPECT_EQ(source.batches, (std::vector<std::size_t>{1, 5, 10}));
   EXPECT_EQ(source.pooled.size(), 16u);
   EXPECT_EQ(voters, (std::vector<unsigned>{0, 1, 2}));
@@ -128,7 +137,7 @@ TEST(Protocol, MultibitMessageWidths) {
       [](unsigned /*j*/, std::uint64_t /*pairs*/, Rng& /*rng*/) {
         return Message{0b101, 3};
       },
-      3);
+      kNoPairBound, 3);
   const UniformSource source(4);
   Rng collect_rng(6), run_rng(6);
   for (const auto& m : executor.collect(source, collect_rng)) {
@@ -136,20 +145,22 @@ TEST(Protocol, MultibitMessageWidths) {
     EXPECT_EQ(m.bits, 0b101u);
   }
   // Low bit of 0b101 is 1: all votes accept.
-  EXPECT_TRUE(executor.run(source, run_rng, DecisionRule::and_rule()));
+  EXPECT_TRUE(executor.run(source, run_rng, 1));
   // A vote whose width disagrees with the declared one is refused.
   const ProtocolBatchExecutor narrow(
       3, 2,
       [](unsigned /*j*/, std::uint64_t /*pairs*/, Rng& /*rng*/) {
         return Message{0b101, 3};
       },
-      2);
+      kNoPairBound, 2);
   EXPECT_THROW((void)narrow.collect(source, collect_rng), InvalidArgument);
 }
 
 TEST(Protocol, PlayersSeeIidSamplesFromSource) {
-  // Statistical check: pooled samples across many runs look uniform.
-  const ProtocolBatchExecutor executor(4, 8, no_collision_vote());
+  // Statistical check: pooled samples across many runs look uniform. No
+  // bound, so every player draws all 8.
+  const ProtocolBatchExecutor executor(4, 8, no_collision_vote(),
+                                       kNoPairBound);
   const RecordingSource source(4);
   Rng rng(7);
   for (int run = 0; run < 500; ++run) {

@@ -9,8 +9,10 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "dist/generators.hpp"
 #include "sim/convergecast.hpp"
 #include "sim/network.hpp"
 #include "sim/reliable.hpp"
@@ -74,6 +76,170 @@ TEST(CollisionStatistics, MatchNaiveCountsOnBothPlanes) {
     }
     EXPECT_EQ(collision_pairs({}, domain), 0u);
     EXPECT_EQ(distinct_values({}, domain), 0u);
+  }
+}
+
+// --- count_pairs: the per-player kernel ------------------------------------
+
+/// Forwards sample() and sample_many to a uniform source and overrides
+/// nothing else, so count_pairs takes SampleSource's default.
+class ForwardingSource final : public SampleSource {
+ public:
+  explicit ForwardingSource(std::uint64_t n) : inner_(n) {}
+  [[nodiscard]] std::uint64_t sample(Rng& rng) const override {
+    return inner_.sample(rng);
+  }
+  [[nodiscard]] std::uint64_t domain_size() const override {
+    return inner_.domain_size();
+  }
+  [[nodiscard]] double l1_from_uniform() const override { return 0.0; }
+  void sample_many(Rng& rng, std::size_t count,
+                   std::vector<std::uint64_t>& out) const override {
+    inner_.sample_many(rng, count, out);
+  }
+
+ private:
+  UniformSource inner_;
+};
+
+struct NamedSource {
+  std::string name;
+  std::unique_ptr<SampleSource> source;
+  bool stops_drawing;  // overrides count_pairs with the fused kernel
+};
+
+std::vector<NamedSource> pair_count_sources() {
+  Rng rng(404);
+  std::vector<NamedSource> out;
+  out.push_back({"uniform 4096", std::make_unique<UniformSource>(4096), true});
+  // 1000 is no power of two, so next_below rejects some raws.
+  out.push_back({"uniform 1000", std::make_unique<UniformSource>(1000), true});
+  out.push_back({"paninski 4096",
+                 workloads::paninski_far_factory(4096, 0.25)(rng), true});
+  out.push_back({"nu_z ell=6", workloads::nu_z_far_factory(6, 0.5)(rng), true});
+  out.push_back({"zipf 512", std::make_unique<DistributionSource>(
+                                 gen::zipf(512, 1.0)),
+                 true});
+  out.push_back(
+      {"forwarding 1000", std::make_unique<ForwardingSource>(1000), false});
+  return out;
+}
+
+/// The naive pair count of the shortest prefix of `samples` whose count
+/// exceeds `bound` (all of them when none does), and that prefix's length.
+std::pair<std::uint64_t, std::size_t> naive_prefix_pairs(
+    std::span<const std::uint64_t> samples, std::uint64_t bound) {
+  std::uint64_t pairs = 0;
+  for (std::size_t len = 1; len <= samples.size(); ++len) {
+    // The pairs the len-th sample closes with the ones before it.
+    for (std::size_t a = 0; a + 1 < len; ++a) {
+      if (samples[a] == samples[len - 1]) ++pairs;
+    }
+    if (pairs > bound) return {pairs, len};
+  }
+  return {pairs, samples.size()};
+}
+
+TEST(CountPairs, NoBoundCountsEveryDrawOfSampleMany) {
+  for (const NamedSource& s : pair_count_sources()) {
+    for (const unsigned q : {1u, 2u, 40u, 312u}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        Rng drawn(derive_seed(seed, q));
+        Rng counted(derive_seed(seed, q));
+        std::vector<std::uint64_t> samples;
+        s.source->sample_many(drawn, q, samples);
+        EXPECT_EQ(s.source->count_pairs(counted, q, kNoPairBound),
+                  naive_pairs(samples))
+            << s.name << " q=" << q << " seed=" << seed;
+        EXPECT_EQ(counted.state(), drawn.state())
+            << s.name << " q=" << q << " seed=" << seed;
+      }
+    }
+  }
+}
+
+TEST(CountPairs, BoundStopsAtTheFirstDrawPastIt) {
+  std::size_t fired = 0;
+  for (const NamedSource& s : pair_count_sources()) {
+    for (const unsigned q : {40u, 312u}) {
+      for (const std::uint64_t bound : {0u, 1u, 3u, 11u, 40u}) {
+        for (std::uint64_t seed = 0; seed < 8; ++seed) {
+          Rng drawn(derive_seed(seed, q, bound));
+          std::vector<std::uint64_t> samples;
+          s.source->sample_many(drawn, q, samples);
+          const auto [want, len] = naive_prefix_pairs(samples, bound);
+          Rng counted(derive_seed(seed, q, bound));
+          EXPECT_EQ(s.source->count_pairs(counted, q, bound), want)
+              << s.name << " q=" << q << " bound=" << bound
+              << " seed=" << seed;
+          if (len == q) {
+            // Nothing to skip: the stream ends where sample_many's does.
+            EXPECT_EQ(counted.state(), drawn.state()) << s.name;
+            continue;
+          }
+          ++fired;
+          // A fired bound: the fused kernel made exactly the prefix's
+          // draws, the default made all q.
+          Rng prefix(derive_seed(seed, q, bound));
+          s.source->sample_many(prefix, s.stops_drawing ? len : q, samples);
+          EXPECT_EQ(counted.state(), prefix.state())
+              << s.name << " q=" << q << " bound=" << bound
+              << " seed=" << seed;
+          if (s.stops_drawing) {
+            EXPECT_NE(counted.state(), drawn.state()) << s.name;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fired, 100u);
+}
+
+TEST(CountPairs, LeavesThePlaneCleanAndChecksTheDomain) {
+  // After a stopped count the next count on the same worker starts from an
+  // all-zero plane: interleave bounded and unbounded counts.
+  const UniformSource uniform(64);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    Rng a(seed);
+    Rng b(seed);
+    (void)uniform.count_pairs(a, 40, 0);
+    (void)uniform.count_pairs(b, 40, 0);
+    std::vector<std::uint64_t> samples;
+    uniform.sample_many(b, 40, samples);
+    EXPECT_EQ(uniform.count_pairs(a, 40, kNoPairBound), naive_pairs(samples));
+  }
+  // A source drawing outside its domain is rejected, naming the sample,
+  // and leaves the plane clean.
+  class Outside final : public SampleSource {
+   public:
+    std::uint64_t sample(Rng& rng) const override { return rng() % 2 + 7; }
+    std::uint64_t domain_size() const override { return 8; }
+    double l1_from_uniform() const override { return 0.0; }
+  };
+  Rng rng(3);
+  EXPECT_THROW((void)Outside().count_pairs(rng, 64, kNoPairBound),
+               InvalidArgument);
+  const std::vector<std::uint64_t> sevens(5, 7);
+  EXPECT_EQ(collision_pairs(sevens, 8), 10u);
+}
+
+TEST(CountPairs, DomainsAboveThePlaneCapIgnoreTheBound) {
+  // Above kMaxTallyPlaneDomain the count sorts all q draws, bound or not.
+  const UniformSource wide(kMaxTallyPlaneDomain + 1);
+  Rng rng(8);
+  const std::unique_ptr<SampleSource> nu =
+      workloads::nu_z_far_factory(22, 0.5)(rng);
+  ASSERT_GT(nu->domain_size(), kMaxTallyPlaneDomain);
+  for (const SampleSource* src : {static_cast<const SampleSource*>(&wide),
+                                  static_cast<const SampleSource*>(nu.get())}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      Rng drawn(seed);
+      Rng counted(seed);
+      std::vector<std::uint64_t> samples;
+      src->sample_many(drawn, 3000, samples);
+      EXPECT_EQ(src->count_pairs(counted, 3000, 0), naive_pairs(samples));
+      EXPECT_EQ(counted.state(), drawn.state());
+    }
   }
 }
 
@@ -287,6 +453,117 @@ TEST(ProtocolBatch, AsymmetricTesterMatchesReference) {
   };
   c.golden = 0x31c5b4efcba66b85ULL;
   expect_plane_matches_reference(c);
+}
+
+TEST(ProtocolBatch, RunStopsOnTheFullCollectVerdict) {
+  // run(source, rng, bar) against the verdict of every player's message,
+  // for each plane tester's executor (multibit's low bit included), over
+  // the uniform source and fresh far sources, at bars 1, k and k + 1; the
+  // run stream must move exactly k draws whatever the bar.
+  Rng calib(21);
+  const DistributedThresholdTester threshold({256, 8, 24, 0.5}, calib, 300);
+  const DistributedAndTester and_tester({256, 8, 24, 0.5});
+  FixedThresholdTester::Config fcfg;
+  fcfg.n = 256;
+  fcfg.k = 8;
+  fcfg.q = 24;
+  fcfg.eps = 0.5;
+  fcfg.t = 2;
+  const FixedThresholdTester fixed(fcfg);
+  const MultibitSumTester multibit({256, 8, 24, 0.5, 3}, calib, 300);
+  const AsymmetricRateTester asymmetric(256, {1, 2, 3, 4, 5, 6, 7, 8}, 6.0,
+                                        calib, 100);
+  const std::vector<std::pair<const char*, const ProtocolBatchExecutor*>>
+      executors = {{"threshold", &threshold.executor()},
+                   {"and", &and_tester.executor()},
+                   {"fixed", &fixed.executor()},
+                   {"multibit", &multibit.executor()},
+                   {"asymmetric", &asymmetric.executor()}};
+  const std::uint64_t k = 8;
+  const UniformSource uniform(256);
+  Rng far_rng(22);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const auto& [name, executor] : executors) {
+    for (std::uint64_t t = 0; t < 30; ++t) {
+      std::unique_ptr<SampleSource> far;
+      const SampleSource* src = &uniform;
+      if (t % 2 == 1) {
+        far = workloads::paninski_far_factory(256, 0.5)(far_rng);
+        src = far.get();
+      }
+      Rng collect_rng(derive_seed(23, t));
+      std::uint64_t rejects = 0;
+      for (const Message& m : executor->collect(*src, collect_rng)) {
+        if ((m.bits & 1U) == 0) ++rejects;
+      }
+      for (const std::uint64_t bar : {std::uint64_t{1}, k, k + 1}) {
+        Rng run_rng(derive_seed(23, t));
+        const bool accept = executor->run(*src, run_rng, bar);
+        EXPECT_EQ(accept, rejects < bar)
+            << name << " trial " << t << " bar " << bar;
+        (accept ? accepted : rejected) += 1;
+        Rng k_draws(derive_seed(23, t));
+        for (std::uint64_t j = 0; j < k; ++j) (void)k_draws();
+        EXPECT_EQ(run_rng.state(), k_draws.state())
+            << name << " trial " << t << " bar " << bar;
+        EXPECT_EQ(run_rng.state(), collect_rng.state()) << name;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(ProtocolBatch, FixedThresholdTieCoinSurvivesTheStop) {
+  // The fixed-threshold vote draws its coin only at exactly c pairs and is
+  // decided above c. Players whose full count sits at c - 1, c and c + 1
+  // must get the reference runner's message: the stop at c + 1 pairs may
+  // not swallow a coin, and a tie still sees the whole post-sampling
+  // stream.
+  FixedThresholdTester::Config cfg;
+  cfg.n = 256;
+  cfg.k = 8;
+  cfg.q = 32;
+  cfg.eps = 0.5;
+  cfg.t = 3;
+  const FixedThresholdTester tester(cfg);
+  const std::uint64_t c = tester.local_count_threshold();
+  const double gamma = tester.local_boundary_gamma();
+  ASSERT_GT(gamma, 0.0);
+  ASSERT_LT(gamma, 1.0);
+  const UniformSource uniform(cfg.n);
+  std::size_t below = 0;
+  std::size_t ties = 0;
+  std::size_t tie_rejects = 0;
+  std::size_t above = 0;
+  for (std::uint64_t t = 0; t < 200; ++t) {
+    Rng ref_rng(derive_seed(45, t));
+    Rng plane_rng(derive_seed(45, t));
+    const std::vector<Message>& messages =
+        tester.executor().collect(uniform, plane_rng);
+    std::vector<std::uint64_t> samples;
+    for (unsigned j = 0; j < cfg.k; ++j) {
+      Rng player = make_rng(ref_rng(), j);
+      uniform.sample_many(player, cfg.q, samples);
+      const std::uint64_t pairs = naive_pairs(samples);
+      bool reject = pairs > c;
+      if (pairs == c) {
+        reject = player.next_bernoulli(gamma);
+        ++ties;
+        tie_rejects += reject ? 1 : 0;
+      }
+      below += pairs + 1 == c ? 1 : 0;
+      above += pairs == c + 1 ? 1 : 0;
+      EXPECT_EQ(messages[j].bits, reject ? 0U : 1U)
+          << "trial " << t << " player " << j << " pairs " << pairs;
+    }
+  }
+  EXPECT_GT(below, 20u);
+  EXPECT_GT(above, 20u);
+  // Both sides of the coin showed up.
+  EXPECT_GT(tie_rejects, 0u);
+  EXPECT_LT(tie_rejects, ties);
 }
 
 TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {
