@@ -45,9 +45,11 @@ int main(int argc, char** argv) {
                 "bound; this 1-bit protocol decays like ~n^2/q (gap open)");
 
   // One raw point per q (the learning probe is not a uniformity probe, so
-  // it bypasses the cache); the points run in one engine wave.
-  const SweepResult sweep =
-      run_sweep(bench::e4_points(n, delta, qs, trials, seed), engine);
+  // it bypasses the cache); the points run in one engine wave, and each
+  // probe's trials on the same pool.
+  ThreadPool& pool = ThreadPool::global();
+  const SweepResult sweep = run_sweep(
+      bench::e4_points(pool, n, delta, qs, trials, seed), engine, pool);
   bench::print_sweep_summary("e4", sweep);
 
   Table table({"q", "k* (measured, multiples of n)", "thm1.4 lower bound",

@@ -302,7 +302,8 @@ void BM_ProbeSuccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kTrials));
 }
-BENCHMARK(BM_ProbeSuccess)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ProbeSuccess)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->UseRealTime();
 
 /// One reference-search calibration (n = 4096, q = 312, 4000 trials) on a
 /// pool of range(0) threads; the memo is cleared every iteration, so each

@@ -370,35 +370,56 @@ inline std::vector<SweepPoint> e10_points(std::uint64_t n, double eps,
 
 /// E4's two-sided learning probe. Side 1 succeeds when the presence-bit
 /// learner's l1 error on the uniform truth is at most `delta`, side 2 when
-/// it is on a fresh random perturbation of it. Trials run serially, each
-/// from streams derived from (seed, side, t).
+/// it is on a fresh random perturbation of it. Trials run on `pool`, one per
+/// claim, each from streams derived from (seed, side, t) alone. Successes
+/// are counted per worker slot and added up after the loop: integer sums,
+/// the same in any order, so the result does not depend on the pool.
 inline ProbeResult learning_probe(std::uint64_t n, std::uint64_t k, unsigned q,
                                   double delta, std::size_t trials,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, ThreadPool& pool) {
   const PresenceBitLearner learner(n, k, q);
-  SuccessCounter uniform_side, structured_side;
-  for (std::size_t t = 0; t < trials; ++t) {
-    {
-      const auto truth = DiscreteDistribution::uniform(n);
-      Rng rng = make_rng(seed, 1, t);
-      uniform_side.record(learner.learn_l1_error(truth, rng) <= delta);
-    }
-    {
-      Rng gen_rng = make_rng(seed, 2, t);
-      const auto truth = gen::random_perturbation(n, 1.0, gen_rng);
-      Rng rng = make_rng(seed, 3, t);
-      structured_side.record(learner.learn_l1_error(truth, rng) <= delta);
-    }
+  // One cache line per slot: workers never write to a shared line.
+  struct alignas(64) SlotTally {
+    std::uint64_t uniform = 0;
+    std::uint64_t structured = 0;
+  };
+  std::vector<SlotTally> slots(pool.size());
+  pool.parallel_for(
+      trials, 1, [&](std::size_t begin, std::size_t end, unsigned worker) {
+        SlotTally& slot = slots[worker];
+        for (std::size_t t = begin; t < end; ++t) {
+          {
+            const auto truth = DiscreteDistribution::uniform(n);
+            Rng rng = make_rng(seed, 1, t);
+            slot.uniform +=
+                learner.learn_l1_error(truth, rng) <= delta ? 1U : 0U;
+          }
+          {
+            Rng gen_rng = make_rng(seed, 2, t);
+            const auto truth = gen::random_perturbation(n, 1.0, gen_rng);
+            Rng rng = make_rng(seed, 3, t);
+            slot.structured +=
+                learner.learn_l1_error(truth, rng) <= delta ? 1U : 0U;
+          }
+        }
+      });
+  std::uint64_t uniform_successes = 0;
+  std::uint64_t structured_successes = 0;
+  for (const SlotTally& slot : slots) {
+    uniform_successes += slot.uniform;
+    structured_successes += slot.structured;
   }
-  return probe_result_from_tallies(uniform_side.successes(),
-                                   structured_side.successes(), trials, trials,
-                                   ProbeStop::kExhausted);
+  return probe_result_from_tallies(uniform_successes, structured_successes,
+                                   trials, trials, ProbeStop::kExhausted);
 }
 
 /// E4: presence-bit learner, one raw point per q, searching k in units of n
 /// (the learner needs k >= n). Per point the serial loop used search seed
-/// derive_seed(seed, q) and probe seed derive_seed(seed, q, k_units).
-inline std::vector<SweepPoint> e4_points(std::uint64_t n, double delta,
+/// derive_seed(seed, q) and probe seed derive_seed(seed, q, k_units). Each
+/// probe's trials run on `pool`, which must outlive the points; pass the
+/// pool that runs the sweep, so a point's trials share its workers.
+inline std::vector<SweepPoint> e4_points(ThreadPool& pool, std::uint64_t n,
+                                         double delta,
                                          const std::vector<std::int64_t>& qs,
                                          std::size_t trials,
                                          std::uint64_t seed) {
@@ -412,9 +433,9 @@ inline std::vector<SweepPoint> e4_points(std::uint64_t n, double delta,
     p.search.hi = 1ULL << 14;
     p.search.trials = trials;
     p.search.seed = derive_seed(seed, qu);
-    p.probe = [n, qu, delta, trials, seed](std::uint64_t k_units) {
+    p.probe = [&pool, n, qu, delta, trials, seed](std::uint64_t k_units) {
       return learning_probe(n, k_units * n, static_cast<unsigned>(qu), delta,
-                            trials, derive_seed(seed, qu, k_units));
+                            trials, derive_seed(seed, qu, k_units), pool);
     };
     points.push_back(std::move(p));
   }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -15,6 +16,16 @@
 #include "util/rng.hpp"
 
 namespace duti {
+
+/// pairs * (hi + lo) when adding `pairs` addends of `hi` and `pairs` of
+/// `lo`, in any order, rounds no partial sum: both levels are multiples of
+/// one power of two 2^g and pairs * (hi + lo) <= 2^53 * 2^g, so every
+/// partial sum is an integer number of 2^g units that a double holds
+/// exactly. nullopt when that does not hold, or unless both levels are
+/// finite with hi > 0 and lo >= 0: the sum must then be taken in order.
+[[nodiscard]] std::optional<double> exact_pair_sum(std::size_t pairs,
+                                                   double hi,
+                                                   double lo) noexcept;
 
 class Paninski {
  public:
@@ -53,7 +64,8 @@ class Paninski {
   Paninski(std::size_t n, double eps);
 
   /// Sum of the pmf in index order when the heavy members have mass `hi`
-  /// and the light ones `lo`, rounding exactly as a loop over the pmf does.
+  /// and the light ones `lo`, rounding exactly as a loop over the pmf does:
+  /// exact_pair_sum when it applies, else the loop itself.
   [[nodiscard]] double pmf_order_sum(double hi, double lo) const noexcept;
 
   std::size_t n_;

@@ -35,11 +35,10 @@ namespace {
 // most this wide; the final steps always run at full budget.
 constexpr std::uint64_t kFullBudgetWidth = 8;
 
-// Partial tallies for one chunk of trials, stored as one flat array of
-// integer counts so chunk reduction is one elementwise add. Merging chunks
-// in chunk order reproduces the serial tally exactly (integer addition, no
-// rounding).
-struct ChunkTally {
+// Integer tallies of a set of trials, one flat array of counts, so a merge
+// is one elementwise add. Every field is a count, so merging tallies in any
+// order gives the same totals (integer addition, no rounding).
+struct Tally {
   enum Field : std::size_t {
     kUniformSuccesses = 0,
     kUniformTrials,
@@ -65,16 +64,20 @@ struct ChunkTally {
     counts[kFarSuccesses] += success ? 1 : 0;
   }
 
-  void merge(const ChunkTally& other) noexcept {
+  void merge(const Tally& other) noexcept {
     for (std::size_t f = 0; f < kFieldCount; ++f) counts[f] += other.counts[f];
   }
 };
 
-// Per-worker cache for trial-invariant sources: materialized on first use,
-// reused for every later trial that worker runs (the allocation hoist).
-struct WorkerSources {
+// One worker slot's state for a whole probe: its trial-invariant sources,
+// materialized on first use and reused for every later trial the slot runs
+// (the allocation hoist), and the tallies of every trial it ran. Only the
+// thread running the slot touches it during a loop, and each slot has its
+// own cache lines, so workers never write to a shared line.
+struct alignas(64) WorkerSlot {
   std::unique_ptr<SampleSource> uniform;
   std::unique_ptr<SampleSource> far;
+  Tally tally;
 };
 
 // Materialize (or fetch the cached) source for one trial side.
@@ -89,64 +92,60 @@ const SampleSource& trial_source(const SourceSpec& spec, Rng& rng,
   return *fresh;
 }
 
-// Run trials [t0, t1) and fold their tallies into `total`. Trial t derives
-// its RNG streams from (seed, salt, t) alone — the GLOBAL trial index — so
-// a range executed in batches sees exactly the trials the one-shot probe
-// would run, and the full/adaptive probes agree trial-for-trial. Chunks are
-// reduced in chunk order; all counts are integers, so the merged tally is
-// bit-identical at any thread count.
+// Run trials [t0, t1), one per claim, into the claiming worker's slot. Trial
+// t derives its RNG streams from (seed, salt, t) alone — the GLOBAL trial
+// index — so a range executed in batches sees exactly the trials the
+// one-shot probe would run, and the full/adaptive probes agree
+// trial-for-trial. Which slot runs a trial depends on timing, but the slots
+// hold only integer counts, so their merge is bit-identical at any thread
+// count. One trial per claim keeps every worker on trials until the last
+// one is taken.
 template <typename Runs>
 void run_trial_range(const Runs& runs, const SourceSpec& uniform_source,
                      const SourceSpec& far_source, std::size_t t0,
                      std::size_t t1, std::uint64_t seed, ThreadPool& pool,
-                     std::vector<WorkerSources>& cached, ChunkTally& total) {
-  const std::size_t count = t1 - t0;
-  // ~4 chunks per worker for load balance. The chunk layout varies with the
-  // pool size, but the reduction is exact integer addition, so the merged
-  // result does not.
-  const std::size_t workers = pool.size();
-  const std::size_t grain =
-      std::max<std::size_t>(1, (count + 4 * workers - 1) / (4 * workers));
-  const std::size_t chunks = (count + grain - 1) / grain;
-
-  std::vector<ChunkTally> tallies(chunks);
+                     std::vector<WorkerSlot>& slots) {
   pool.parallel_for(
-      count, grain, [&](std::size_t begin, std::size_t end, unsigned worker) {
-        ChunkTally& tally = tallies[begin / grain];
-        WorkerSources& ws = cached[worker];
+      t1 - t0, 1, [&](std::size_t begin, std::size_t end, unsigned worker) {
+        WorkerSlot& slot = slots[worker];
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t t = t0 + i;
           {
             Rng rng = make_rng(seed, 0xF00DULL, t);
             std::unique_ptr<SampleSource> fresh;
             const SampleSource& source =
-                trial_source(uniform_source, rng, ws.uniform, fresh);
+                trial_source(uniform_source, rng, slot.uniform, fresh);
             Rng run_rng = make_rng(seed, 0xBEEFULL, t);
-            runs.uniform(source, run_rng, tally);
+            runs.uniform(source, run_rng, slot.tally);
           }
           {
             Rng rng = make_rng(seed, 0xFA5ULL, t);
             std::unique_ptr<SampleSource> fresh;
             const SampleSource& source =
-                trial_source(far_source, rng, ws.far, fresh);
+                trial_source(far_source, rng, slot.far, fresh);
             Rng run_rng = make_rng(seed, 0xCAFEULL, t);
-            runs.far(source, run_rng, tally);
+            runs.far(source, run_rng, slot.tally);
           }
         }
       });
-
-  for (const ChunkTally& tally : tallies) total.merge(tally);
 }
 
-ProbeResult finalize_tally(const ChunkTally& total, std::uint64_t trials,
+// The tallies of every trial run so far: the slots' merge.
+Tally merged_tally(const std::vector<WorkerSlot>& slots) {
+  Tally total;
+  for (const WorkerSlot& slot : slots) total.merge(slot.tally);
+  return total;
+}
+
+ProbeResult finalize_tally(const Tally& total, std::uint64_t trials,
                            std::uint64_t budget, ProbeStop stop) {
   ProbeResult out = probe_result_from_tallies(
-      total[ChunkTally::kUniformSuccesses], total[ChunkTally::kFarSuccesses],
+      total[Tally::kUniformSuccesses], total[Tally::kFarSuccesses],
       trials, budget, stop);
-  out.uniform_aborts_quorum = total[ChunkTally::kUniformAbortsQuorum];
-  out.uniform_aborts_timeout = total[ChunkTally::kUniformAbortsTimeout];
-  out.far_aborts_quorum = total[ChunkTally::kFarAbortsQuorum];
-  out.far_aborts_timeout = total[ChunkTally::kFarAbortsTimeout];
+  out.uniform_aborts_quorum = total[Tally::kUniformAbortsQuorum];
+  out.uniform_aborts_timeout = total[Tally::kUniformAbortsTimeout];
+  out.far_aborts_quorum = total[Tally::kFarAbortsQuorum];
+  out.far_aborts_timeout = total[Tally::kFarAbortsTimeout];
   return out;
 }
 
@@ -196,19 +195,20 @@ ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
   const double z =
       checks > 0 ? union_bound_z(kAdaptiveDelta, 2 * checks) : 0.0;
 
-  std::vector<WorkerSources> cached(pool.size());
-  ChunkTally total;
+  std::vector<WorkerSlot> slots(pool.size());
+  Tally total;
   const double budget_d = static_cast<double>(max_trials);
   std::size_t done = 0;
   while (done < max_trials) {
     const std::size_t next = std::min(done + batch, max_trials);
     run_trial_range(runs, uniform_source, far_source, done, next, seed, pool,
-                    cached, total);
+                    slots);
+    total = merged_tally(slots);
     done = next;
     if (done == max_trials) break;
 
-    const std::uint64_t us = total[ChunkTally::kUniformSuccesses];
-    const std::uint64_t fs = total[ChunkTally::kFarSuccesses];
+    const std::uint64_t us = total[Tally::kUniformSuccesses];
+    const std::uint64_t fs = total[Tally::kFarSuccesses];
     const auto remaining = static_cast<std::uint64_t>(max_trials - done);
     // Worst-case FINAL rates if the remaining trials all fail / all succeed.
     const bool pass_sure =
@@ -235,32 +235,32 @@ ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
 // Tally adapters for the boolean and RefereeOutcome testers.
 struct BoolRuns {
   const TesterRun& tester;
-  void uniform(const SampleSource& source, Rng& rng, ChunkTally& tally) const {
+  void uniform(const SampleSource& source, Rng& rng, Tally& tally) const {
     tally.record_uniform(tester(source, rng));
   }
-  void far(const SampleSource& source, Rng& rng, ChunkTally& tally) const {
+  void far(const SampleSource& source, Rng& rng, Tally& tally) const {
     tally.record_far(!tester(source, rng));
   }
 };
 
 struct ExRuns {
   const TesterRunEx& tester;
-  void uniform(const SampleSource& source, Rng& rng, ChunkTally& tally) const {
+  void uniform(const SampleSource& source, Rng& rng, Tally& tally) const {
     const RefereeOutcome o = tester(source, rng);
     tally.record_uniform(o == RefereeOutcome::kAccept);
     if (o == RefereeOutcome::kAbortQuorum) {
-      ++tally[ChunkTally::kUniformAbortsQuorum];
+      ++tally[Tally::kUniformAbortsQuorum];
     }
     if (o == RefereeOutcome::kAbortTimeout) {
-      ++tally[ChunkTally::kUniformAbortsTimeout];
+      ++tally[Tally::kUniformAbortsTimeout];
     }
   }
-  void far(const SampleSource& source, Rng& rng, ChunkTally& tally) const {
+  void far(const SampleSource& source, Rng& rng, Tally& tally) const {
     const RefereeOutcome o = tester(source, rng);
     tally.record_far(o == RefereeOutcome::kReject);
-    if (o == RefereeOutcome::kAbortQuorum) ++tally[ChunkTally::kFarAbortsQuorum];
+    if (o == RefereeOutcome::kAbortQuorum) ++tally[Tally::kFarAbortsQuorum];
     if (o == RefereeOutcome::kAbortTimeout) {
-      ++tally[ChunkTally::kFarAbortsTimeout];
+      ++tally[Tally::kFarAbortsTimeout];
     }
   }
 };

@@ -7,9 +7,10 @@
 //
 // Parallelism (DESIGN.md §7): every probe trial derives its RNG streams from
 // (seed, salt, trial-index) alone, so trials are order-free and the harness
-// shards them across a ThreadPool. All tallies are integer counts reduced in
-// deterministic chunk order, so a ProbeResult is bit-for-bit identical at
-// any thread count (enforced by test_harness_parallel). Testers and source
+// shards them across a ThreadPool, one trial per claim. All tallies are
+// integer counts, kept per worker slot and merged by addition, which gives
+// the same totals in any order, so a ProbeResult is bit-for-bit identical
+// at any thread count (enforced by test_harness_parallel). Testers and source
 // factories passed to the probe functions must be safe to invoke
 // concurrently from several threads (all in-repo ones are: they only read
 // captured immutable state).

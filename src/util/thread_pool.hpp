@@ -42,7 +42,8 @@ class ThreadPool {
   /// Chunk body: half-open index range [begin, end) plus the id of the
   /// worker slot executing it (0 <= worker < size()). Per-worker scratch
   /// buffers may be indexed by `worker`; per-chunk RESULTS must be keyed by
-  /// the chunk range (e.g. begin / grain), never by worker.
+  /// the chunk range (e.g. begin / grain), never by worker, unless their
+  /// merge gives the same value in any order (integer counts do).
   using ChunkBody =
       std::function<void(std::size_t begin, std::size_t end, unsigned worker)>;
 

@@ -1,6 +1,6 @@
 // Determinism regression for the parallel measurement engine: every probe
 // and search result must be bit-for-bit identical to the serial path at any
-// thread count (ISSUE 2 acceptance criterion; DESIGN.md §7).
+// thread count (DESIGN.md §7).
 #include <gtest/gtest.h>
 
 #include <mutex>
@@ -48,6 +48,21 @@ TesterRun noisy_collision_tester() {
   };
 }
 
+// A TesterRunEx whose outcome depends on the trial's sample and run
+// streams, with all four referee outcomes reachable, so every abort tally
+// moves.
+TesterRunEx aborting_tester() {
+  return [](const SampleSource& source, Rng& rng) {
+    const std::uint64_t s = source.sample(rng);
+    const double u = rng.next_double();
+    if (u < 0.10) return RefereeOutcome::kAbortQuorum;
+    if (u < 0.25) return RefereeOutcome::kAbortTimeout;
+    return (s + static_cast<std::uint64_t>(u * 1000.0)) % 3 == 0
+               ? RefereeOutcome::kAccept
+               : RefereeOutcome::kReject;
+  };
+}
+
 TEST(ParallelProbe, BitIdenticalAcrossThreadCounts) {
   const TesterRun tester = noisy_collision_tester();
   ThreadPool serial(1);
@@ -84,17 +99,7 @@ TEST(ParallelProbe, RealTesterBitIdentical) {
 }
 
 TEST(ParallelProbeEx, AbortAttributionBitIdentical) {
-  // Outcome depends on the trial's sample and run streams, with all four
-  // referee outcomes reachable — exercises every abort tally.
-  const TesterRunEx tester = [](const SampleSource& source, Rng& rng) {
-    const std::uint64_t s = source.sample(rng);
-    const double u = rng.next_double();
-    if (u < 0.10) return RefereeOutcome::kAbortQuorum;
-    if (u < 0.25) return RefereeOutcome::kAbortTimeout;
-    return (s + static_cast<std::uint64_t>(u * 1000.0)) % 3 == 0
-               ? RefereeOutcome::kAccept
-               : RefereeOutcome::kReject;
-  };
+  const TesterRunEx tester = aborting_tester();
   ThreadPool serial(1);
   const ProbeResult reference = probe_success(
       tester, workloads::uniform_factory(128),
@@ -128,8 +133,108 @@ TEST(ParallelProbe, SourceHoistDoesNotChangeResults) {
   expect_probe_equal(a, b);
 }
 
-TEST(ParallelSearch, SpeculativeMinimumMatchesSerial) {
+// One trial per claim: which worker slot runs a trial depends on timing, so
+// these cases pin that the merged slot tallies do not, on pools that divide
+// none of the budgets, a budget below the pool size, and a probe run from
+// inside a pool task.
+TEST(OneTrialClaims, MatchSerialOnPoolsThatDivideNoBudget) {
+  const TesterRun tester = noisy_collision_tester();
+  const TesterRunEx ex = aborting_tester();
+  ThreadPool serial(1);
+  ThreadPool three(3);
+  ThreadPool five(5);
+  for (const std::size_t budget : {150u, 400u, 32u}) {
+    for (const ProbeFlavor flavor :
+         {ProbeFlavor::kFull, ProbeFlavor::kAdaptive}) {
+      const auto run = [&](ThreadPool& pool) {
+        return std::pair(
+            probe_success(tester, workloads::uniform_factory(256),
+                          workloads::paninski_far_factory(256, 0.5), budget,
+                          31, pool, flavor),
+            probe_success(ex, workloads::uniform_factory(256),
+                          workloads::paninski_far_factory(256, 0.5), budget,
+                          31, pool, flavor));
+      };
+      const auto [ref_bool, ref_ex] = run(serial);
+      EXPECT_GT(ref_ex.aborts(), 0u);
+      for (ThreadPool* pool : {&three, &five}) {
+        SCOPED_TRACE(testing::Message()
+                     << "budget=" << budget << " adaptive="
+                     << (flavor == ProbeFlavor::kAdaptive)
+                     << " threads=" << pool->size());
+        const auto [got_bool, got_ex] = run(*pool);
+        expect_probe_equal(ref_bool, got_bool);
+        expect_probe_equal(ref_ex, got_ex);
+      }
+    }
+  }
+}
+
+TEST(OneTrialClaims, BudgetBelowPoolSize) {
+  // 2 trials on 8 threads: six slots run no trial and merge as zeros.
+  const TesterRun tester = noisy_collision_tester();
+  const TesterRunEx ex = aborting_tester();
+  ThreadPool serial(1);
+  ThreadPool wide(8);
+  for (const ProbeFlavor flavor :
+       {ProbeFlavor::kFull, ProbeFlavor::kAdaptive}) {
+    SCOPED_TRACE(flavor == ProbeFlavor::kAdaptive);
+    const auto run = [&](const auto& t, ThreadPool& pool) {
+      return probe_success(t, workloads::uniform_factory(64),
+                           workloads::paninski_far_factory(64, 0.5), 2, 37,
+                           pool, flavor);
+    };
+    const ProbeResult ref_bool = run(tester, serial);
+    EXPECT_EQ(ref_bool.trials, 2u);
+    expect_probe_equal(ref_bool, run(tester, wide));
+    expect_probe_equal(run(ex, serial), run(ex, wide));
+  }
+}
+
+TEST(OneTrialClaims, NestedProbeMatchesSerial) {
+  // A probe run from inside a pool task takes parallel_for's
+  // share-and-help path: the calling worker is slot 0 and claims trials
+  // while idle workers help. Each outer item runs its own probe, full or
+  // adaptive, boolean or TesterRunEx; every result must equal the serial
+  // pool's.
+  const TesterRun tester = noisy_collision_tester();
+  const TesterRunEx ex = aborting_tester();
+  constexpr std::size_t kProbes = 8;
+  const auto probe = [&](std::size_t i, ThreadPool& pool) {
+    const ProbeFlavor flavor =
+        i % 2 == 0 ? ProbeFlavor::kFull : ProbeFlavor::kAdaptive;
+    const SourceSpec uniform = workloads::uniform_factory(256);
+    const SourceSpec far = workloads::paninski_far_factory(256, 0.5);
+    return i % 4 < 2
+               ? probe_success(tester, uniform, far, 150, 41 + i, pool, flavor)
+               : probe_success(ex, uniform, far, 150, 41 + i, pool, flavor);
+  };
+  ThreadPool serial(1);
+  std::vector<ProbeResult> reference;
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    reference.push_back(probe(i, serial));
+  }
+  for (const unsigned threads : {3u, 8u}) {
+    ThreadPool pool(threads);
+    std::vector<ProbeResult> nested(kProbes);
+    pool.parallel_for(kProbes, 1,
+                      [&](std::size_t begin, std::size_t end, unsigned) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          nested[i] = probe(i, pool);
+                        }
+                      });
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << " probe "
+                                      << i);
+      expect_probe_equal(reference[i], nested[i]);
+    }
+  }
+}
+
+TEST(ParallelSearch, MinimumAndAuditTrailDoNotDependOnPool) {
   // Statistically monotone synthetic probe: pure per value, noisy cutoff.
+  // The search is serial, so its minimum and audit trail are the same on
+  // any pool.
   const ProbeFn probe = [](std::uint64_t value) {
     ProbeResult r;
     r.trials = 1;
@@ -146,25 +251,26 @@ TEST(ParallelSearch, SpeculativeMinimumMatchesSerial) {
   ASSERT_TRUE(reference.found);
   for (const unsigned threads : {2u, 8u}) {
     ThreadPool pool(threads);
-    const auto speculative = find_min_param(probe, cfg, pool);
+    const auto searched = find_min_param(probe, cfg, pool);
     SCOPED_TRACE(threads);
-    ASSERT_TRUE(speculative.found);
-    EXPECT_EQ(speculative.minimum, reference.minimum);
+    ASSERT_TRUE(searched.found);
+    EXPECT_EQ(searched.minimum, reference.minimum);
     // The audit trail replays the serial consultation sequence exactly.
-    ASSERT_EQ(speculative.probes.size(), reference.probes.size());
+    ASSERT_EQ(searched.probes.size(), reference.probes.size());
     for (std::size_t i = 0; i < reference.probes.size(); ++i) {
-      EXPECT_EQ(speculative.probes[i].first, reference.probes[i].first);
+      EXPECT_EQ(searched.probes[i].first, reference.probes[i].first);
     }
   }
 }
 
-TEST(ParallelSearch, SpeculativeProbeFailuresDoNotEscape) {
+TEST(ParallelSearch, ProbeExceptionDoesNotDependOnPool) {
   // Probes can have validity limits (e.g. a tester config that only exists
-  // for small q). Speculation may evaluate values past where the serial
-  // search stops; a failure there must stay invisible unless the serial
-  // decision sequence actually consults that value. Regression: e3_threshold
-  // aborted at DUTI_THREADS=8 because a speculated rung beyond the passing
-  // point threw in FixedThresholdTester's Poisson quantile.
+  // for small q). A value past where the search stops is never consulted,
+  // so its failure must stay invisible on any pool; a value the search does
+  // consult throws the same exception on every pool. Regression: the
+  // search once evaluated rungs beyond the passing point ahead of need, and
+  // e3_threshold aborted at DUTI_THREADS=8 when one threw in
+  // FixedThresholdTester's Poisson quantile.
   const ProbeFn probe = [](std::uint64_t value) {
     if (value > 128) throw InvalidArgument("probe: value out of range");
     ProbeResult r;
@@ -182,13 +288,13 @@ TEST(ParallelSearch, SpeculativeProbeFailuresDoNotEscape) {
   for (const unsigned threads : {2u, 8u}) {
     ThreadPool pool(threads);
     SCOPED_TRACE(threads);
-    const auto speculative = find_min_param(probe, cfg, pool);
-    ASSERT_TRUE(speculative.found);
-    EXPECT_EQ(speculative.minimum, reference.minimum);
-    ASSERT_EQ(speculative.probes.size(), reference.probes.size());
+    const auto searched = find_min_param(probe, cfg, pool);
+    ASSERT_TRUE(searched.found);
+    EXPECT_EQ(searched.minimum, reference.minimum);
+    ASSERT_EQ(searched.probes.size(), reference.probes.size());
   }
-  // When the serial sequence itself consults a throwing value, every thread
-  // count must surface the same exception.
+  // When the search itself consults a throwing value, every thread count
+  // must surface the same exception.
   cfg.lo = 200;  // first consulted value is already out of range
   EXPECT_THROW(find_min_param(probe, cfg, serial), InvalidArgument);
   ThreadPool wide(8);

@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -195,6 +198,84 @@ TEST(Paninski, RandomMatchesPerPairSignLoop) {
                 bits_of(DiscreteDistribution(pmf).pmf_vector()));
     }
   }
+}
+
+TEST(PaninskiPmfSum, ExactShortcutMatchesOrderedLoop) {
+  // The two pmf levels as Paninski computes them.
+  const auto levels = [](std::size_t n, double eps) {
+    const double base = 1.0 / static_cast<double>(n);
+    const double d = eps * base;
+    return std::pair(base + d, base - d);
+  };
+  // The sum a loop over the pmf takes: per pair, the first member's mass,
+  // then the second's; a set entry puts the light member first.
+  const auto ordered = [](const std::vector<bool>& light_first, double hi,
+                          double lo) {
+    double total = 0.0;
+    for (const bool b : light_first) {
+      total += b ? lo : hi;
+      total += b ? hi : lo;
+    }
+    return total;
+  };
+  const std::size_t sizes[] = {2, 6, 256, 1000, 1024, 4096, 1U << 20};
+  const double epss[] = {0.0, 1.0 / 16, 0.25, 0.3, 0.5, 0.75, 1.0, 1e-9};
+  int fired = 0;
+  for (const std::size_t n : sizes) {
+    const std::size_t pairs = n / 2;
+    std::vector<std::vector<bool>> patterns = {
+        std::vector<bool>(pairs, false), std::vector<bool>(pairs, true),
+        std::vector<bool>(pairs, false)};
+    for (std::size_t i = 0; i < pairs; i += 2) patterns[2][i] = true;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      Rng rng(seed);
+      std::vector<bool> random(pairs);
+      for (std::size_t i = 0; i < pairs; ++i) random[i] = rng.next_sign() < 0;
+      patterns.push_back(std::move(random));
+    }
+    for (const double eps : epss) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " eps=" << eps);
+      const auto [hi, lo] = levels(n, eps);
+      const std::optional<double> exact = exact_pair_sum(pairs, hi, lo);
+      // It fires on power-of-two domains at eps of few bits, and must not
+      // where the levels' low bits make a partial sum round (n not a power
+      // of two; eps = 0.3 or 1e-9 beyond one pair, whose one sum hi + lo
+      // = 2/n may still be exact).
+      const bool few_bits = eps != 0.3 && eps != 1e-9;
+      if (std::has_single_bit(n) && few_bits) {
+        ASSERT_TRUE(exact.has_value());
+      } else if (pairs > 1) {
+        ASSERT_FALSE(exact.has_value());
+      }
+      if (!exact) continue;
+      ++fired;
+      for (const std::vector<bool>& pattern : patterns) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(*exact),
+                  std::bit_cast<std::uint64_t>(ordered(pattern, hi, lo)));
+      }
+    }
+  }
+  EXPECT_GE(fired, 30);
+}
+
+TEST(PaninskiPmfSum, ExactShortcutBoundary) {
+  // Every partial sum must fit 2^53 units of the levels' common low bit.
+  constexpr std::uint64_t k52 = std::uint64_t{1} << 52;
+  EXPECT_EQ(exact_pair_sum(k52, 1.0, 1.0), 0x1p53);
+  EXPECT_EQ(exact_pair_sum(k52 + 1, 1.0, 1.0), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(2 * k52, 1.0, 0.0), 0x1p53);
+  EXPECT_EQ(exact_pair_sum(2 * k52 + 1, 1.0, 0.0), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(std::uint64_t{1} << 62, 1.0, 1.0), std::nullopt);
+  // 1 + 2^-60 rounds, so one pair already needs the loop.
+  EXPECT_EQ(exact_pair_sum(1, 1.0, 0x1p-60), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(1, 1.0, 0x1p-52), 1.0 + 0x1p-52);
+  // Levels outside hi > 0, lo >= 0 or not finite are left to the loop.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(exact_pair_sum(1, 0.0, 0.0), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(1, 1.0, -1.0), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(1, kInf, 1.0), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(1, 1.0, kInf), std::nullopt);
+  EXPECT_EQ(exact_pair_sum(1, std::nan(""), 1.0), std::nullopt);
 }
 
 TEST(Paninski, ExactlyEpsFarWithHeavyMemberBySign) {

@@ -321,9 +321,9 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   // referee calibration; on the second pass (a new session over the same
   // journal) the declarative families replay every probe and so build no
   // tester. The raw families (e4, e13) bypass the cache and recompute on
-  // every pass they run; e4, at ~1 s a pass, runs on the cache-off pass
-  // only. Calibration replay from the memo is
-  // CalibMemo.PinnedCalibrationsReplayBitForBit's job.
+  // every pass they run; e4 runs on the cache-off pass only. Calibration
+  // replay from the memo is CalibMemo.PinnedCalibrationsReplayBitForBit's
+  // job.
   struct Family {
     const char* name;
     std::vector<SweepPoint> points;
@@ -333,6 +333,8 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
     bool off_pass_only = false;
   };
   const bench::FaultSweepSetup e13_quick{256, 60, 0.5, 60, 1, 1 << 8};
+  // e4's probes run their trials on the pool that runs the sweep.
+  ThreadPool& pool = ThreadPool::global();
   const std::vector<Family> families = {
       {"e1", bench::e1_points(4096, 0.5, {2, 16, 128}, 150, 1),
        0x9b73e12950f83762ULL, {369, 197, 59}},
@@ -345,7 +347,7 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
       {"e13_byzantine", bench::e13_byzantine_points(e13_quick),
        0x45064704396e0ec5ULL, {21, 37, 21, 13, 65, 33, 0, 97, 0, 0, 81, 0},
        true},
-      {"e4", bench::e4_points(64, 0.3, {1, 4, 16}, 40, 1),
+      {"e4", bench::e4_points(pool, 64, 0.3, {1, 4, 16}, 40, 1),
        0xe4b7222d8d55f851ULL, {460, 120, 33}, true, true},
   };
   const auto expect_pinned = [](const Family& f, const SweepResult& r,
@@ -360,7 +362,7 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   cfg.cache = &off;
   CalibMemo::global().clear();
   for (const Family& f : families) {
-    expect_pinned(f, run_sweep(f.points, cfg), "cache off");
+    expect_pinned(f, run_sweep(f.points, cfg, pool), "cache off");
   }
   CalibMemo::global().clear();
   for (int pass = 0; pass < 2; ++pass) {
@@ -368,7 +370,7 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
     cfg.cache = &rw;
     for (const Family& f : families) {
       if (f.off_pass_only) continue;
-      const SweepResult r = run_sweep(f.points, cfg);
+      const SweepResult r = run_sweep(f.points, cfg, pool);
       expect_pinned(f, r, "rw pass " + std::to_string(pass));
       if (pass == 1 && !f.raw) {
         EXPECT_EQ(r.trials_computed, 0u) << f.name;
