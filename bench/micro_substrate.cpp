@@ -190,12 +190,14 @@ void BM_ProtocolRound(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtocolRound)->Arg(8)->Arg(64)->Arg(512);
 
-/// One player of the reference search (n = 4096, q = 312): draw and count
-/// pairs through count_pairs, on the uniform source (arg 0 = 0) or a
-/// Paninski far source (ε = 0.25), with no bound (arg 1 = 0) or the
-/// threshold vote's floor(C(q,2)/n) = 11 (arg 1 = 1).
+/// One player of the reference search (q = 312): draw and count pairs
+/// through count_pairs, on the uniform source (arg 0 = 0) or a Paninski far
+/// source (ε = 0.25), with no bound (arg 1 = 0) or the threshold vote's
+/// floor(C(q,2)/n) (arg 1 = 1; 11 at both sizes), over n = arg 2. n = 4096
+/// (the reference search's) takes the one-shift index draw, n = 4094 (the
+/// nearest even size, as Paninski needs) Lemire's multiply.
 void BM_PlayerPairs(benchmark::State& state) {
-  const std::uint64_t n = 4096;
+  const auto n = static_cast<std::uint64_t>(state.range(2));
   const unsigned q = 312;
   Rng build(6);
   const std::unique_ptr<SampleSource> source =
@@ -212,7 +214,7 @@ void BM_PlayerPairs(benchmark::State& state) {
     benchmark::DoNotOptimize(source->count_pairs(rng, q, bound));
   }
 }
-BENCHMARK(BM_PlayerPairs)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_PlayerPairs)->ArgsProduct({{0, 1}, {0, 1}, {4094, 4096}});
 
 /// Batched sample_many on a DistributionSource: one virtual dispatch per
 /// batch, alias tables kept hot.

@@ -60,6 +60,12 @@ void vose(double* prob, std::uint64_t* alias, NextSmall next_small,
 
 }  // namespace
 
+void AliasSampler::allocate(std::size_t n) {
+  n_ = n;
+  prob_ = std::make_unique_for_overwrite<double[]>(n);
+  alias_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+}
+
 AliasSampler::AliasSampler(const std::vector<double>& weights) {
   require(!weights.empty(), "AliasSampler: empty weight vector");
   double total = 0.0;
@@ -73,8 +79,7 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   require(std::isfinite(total), "AliasSampler: weight total overflows");
 
   const std::size_t n = weights.size();
-  prob_.resize(n);
-  alias_.resize(n);
+  allocate(n);
   // Scaled weights have mean 1; each cursor rescans the caller's weights
   // for its class.
   const double scale = static_cast<double>(n) / total;
@@ -93,7 +98,7 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   };
   std::size_t small_cursor = n;
   std::size_t large_cursor = n;
-  vose(prob_.data(), alias_.data(), scan(small_cursor, true),
+  vose(prob_.get(), alias_.get(), scan(small_cursor, true),
        scan(large_cursor, false));
 }
 
@@ -104,8 +109,7 @@ AliasSampler::AliasSampler(std::span<const std::uint64_t> heavy_odd,
           "AliasSampler: fewer sign words than pairs");
   require(heavy >= light, "AliasSampler: heavy column below light column");
   const std::size_t n = 2 * pairs;
-  prob_.resize(n);
-  alias_.resize(n);
+  allocate(n);
   if (heavy < 1.0 || !(light < 1.0)) {
     // Both columns on one side of 1: one class is empty and every bucket
     // is kept, as in the weights constructor.
@@ -131,7 +135,7 @@ AliasSampler::AliasSampler(std::span<const std::uint64_t> heavy_odd,
   };
   std::size_t small_pair = pairs;
   std::size_t large_pair = pairs;
-  vose(prob_.data(), alias_.data(), walk(small_pair, 1U, light),
+  vose(prob_.get(), alias_.get(), walk(small_pair, 1U, light),
        walk(large_pair, 0U, heavy));
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -31,27 +32,34 @@ class AliasSampler {
                double heavy, double light);
 
   /// The one alias draw, over pointers into the table: two raws per draw,
-  /// `next_below(size())` then the coin. sample(), sample_many and the
-  /// sources' fused pair count (sim/sample_source.hpp) all draw through it,
+  /// the index draw `Index` (next_below(size()) as util/rng.hpp's ShiftIndex
+  /// or BelowIndex) then the coin. sample(), sample_many and the sources'
+  /// fused pair count (sim/sample_source.hpp) all draw through with_draw,
   /// so a loop holding a Draw keeps the table pointers in registers.
+  template <typename Index>
   struct Draw {
     const double* prob;
     const std::uint64_t* alias;
-    std::size_t n;
+    Index index;
 
     std::uint64_t operator()(Rng& rng) const noexcept {
-      const std::uint64_t i = rng.next_below(n);
+      const std::uint64_t i = index(rng);
       return pick(i, rng.next_double() < prob[i], alias[i]);
     }
   };
 
-  [[nodiscard]] Draw draw() const noexcept {
-    return {prob_.data(), alias_.data(), prob_.size()};
+  /// Run `body(draw)` with this table's Draw, its index draw chosen once
+  /// for size() (with_index_draw).
+  template <typename Body>
+  [[gnu::always_inline]] decltype(auto) with_draw(Body&& body) const {
+    return with_index_draw(n_, [this, &body](auto index) {
+      return body(Draw<decltype(index)>{prob_.get(), alias_.get(), index});
+    });
   }
 
   /// Draw one index in [0, size()) with probability proportional to weight.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
-    return draw()(rng);
+    return with_draw([&rng](const auto& d) { return d(rng); });
   }
 
   /// Batched draws: fill `out` with `count` iid samples. Consumes the RNG
@@ -60,23 +68,23 @@ class AliasSampler {
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const {
     out.resize(count);
-    const Draw d = draw();
-    with_register_copy(rng, [&out, d](Rng& local) {
-      for (auto& s : out) s = d(local);
+    with_draw([&rng, &out](const auto& d) {
+      with_register_copy(rng, [&out, d](Rng& local) {
+        for (auto& s : out) s = d(local);
+      });
     });
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return prob_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
   /// The acceptance probability table (exposed for tests).
-  [[nodiscard]] const std::vector<double>& prob_table() const noexcept {
-    return prob_;
+  [[nodiscard]] std::span<const double> prob_table() const noexcept {
+    return {prob_.get(), n_};
   }
 
   /// The alias table (exposed for tests).
-  [[nodiscard]] const std::vector<std::uint64_t>& alias_table()
-      const noexcept {
-    return alias_;
+  [[nodiscard]] std::span<const std::uint64_t> alias_table() const noexcept {
+    return {alias_.get(), n_};
   }
 
  private:
@@ -89,8 +97,13 @@ class AliasSampler {
     return alias ^ ((i ^ alias) & mask);
   }
 
-  std::vector<double> prob_;
-  std::vector<std::uint64_t> alias_;
+  /// Allocate both n-entry tables without zero-filling them: the Vose walk
+  /// and the identity path of each constructor write every entry.
+  void allocate(std::size_t n);
+
+  std::size_t n_ = 0;
+  std::unique_ptr<double[]> prob_;
+  std::unique_ptr<std::uint64_t[]> alias_;
 };
 
 }  // namespace duti

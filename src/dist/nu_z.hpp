@@ -58,14 +58,18 @@ class NuZ {
   /// pmf of element (x,s) under nu_z.
   [[nodiscard]] double pmf(std::uint64_t element) const noexcept;
 
-  /// Draw one element: two raws, x = next_below(2^ell), then the coin.
-  /// Inline, so batched loops draw on a register copy of the stream.
+  /// Draw one element: two raws, x = next_below(2^ell) as one shift (ell
+  /// is in [1, 30], so the side is a power of two above 1; ShiftIndex in
+  /// util/rng.hpp), then the coin. Inline, so batched loops draw on a
+  /// register copy of the stream.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
-    const std::uint64_t x = rng.next_below(domain_.side_size());
+    const std::uint64_t x = ShiftIndex{64U - domain_.ell()}(rng);
     // P(s=+1 | x) = (1 + z(x) eps) / 2.
     const double p_plus = 0.5 * (1.0 + static_cast<double>(z_.sign(x)) * eps_);
-    const int s = rng.next_double() < p_plus ? +1 : -1;
-    return x | (static_cast<std::uint64_t>(s == -1) << domain_.ell());
+    // s = -1 sets bit ell. As a shifted flag, not a select: GCC 12 turned
+    // the select into a branch, which the coin mispredicts half the time.
+    const bool minus = !(rng.next_double() < p_plus);
+    return x | (static_cast<std::uint64_t>(minus) << domain_.ell());
   }
 
   /// Draw `count` iid elements into `out`.

@@ -202,21 +202,23 @@ class UniformSource final : public SampleSource {
   void sample_many(Rng& rng, std::size_t count,
                    std::vector<std::uint64_t>& out) const override {
     out.resize(count);
-    // Serial xoshiro draws either way: a stream-identical AVX2 Lemire loop
-    // measured ~2x slower (DESIGN.md §11). The local bound and the register
-    // copy of the stream stay in registers; n_ and rng's state could alias
-    // the uint64 stores into `out`.
-    const std::uint64_t bound = n_;
-    with_register_copy(rng, [&out, bound](Rng& local) {
-      for (auto& s : out) s = local.next_below(bound);
+    // next_below(n) through with_index_draw: one shift per draw when n is a
+    // power of two, the same stream either way. Serial xoshiro draws: a
+    // stream-identical AVX2 Lemire loop measured ~2x slower (DESIGN.md
+    // §11). The index draw and the register copy of the stream stay in
+    // registers; n_ and rng's state could alias the uint64 stores into
+    // `out`.
+    with_index_draw(n_, [&rng, &out](auto index) {
+      with_register_copy(rng, [&out, index](Rng& local) {
+        for (auto& s : out) s = index(local);
+      });
     });
   }
   [[nodiscard]] std::uint64_t count_pairs(
       Rng& rng, unsigned q, std::uint64_t decided_above) const override {
-    const std::uint64_t bound = n_;
-    return draw_and_count_pairs(
-        *this, rng, q, decided_above,
-        [bound](Rng& r) { return r.next_below(bound); });
+    return with_index_draw(n_, [&](auto index) {
+      return draw_and_count_pairs(*this, rng, q, decided_above, index);
+    });
   }
   /// Counts kernel: when draws dominate the domain, split the multinomial
   /// recursively with exact binomial draws — O(n) binomial draws instead of
@@ -255,8 +257,9 @@ class DistributionSource final : public SampleSource {
   }
   [[nodiscard]] std::uint64_t count_pairs(
       Rng& rng, unsigned q, std::uint64_t decided_above) const override {
-    return draw_and_count_pairs(*this, rng, q, decided_above,
-                                dist_.sampler().draw());
+    return dist_.sampler().with_draw([&](const auto& draw) {
+      return draw_and_count_pairs(*this, rng, q, decided_above, draw);
+    });
   }
   [[nodiscard]] std::uint64_t domain_size() const override {
     return dist_.domain_size();
@@ -344,8 +347,9 @@ class PaninskiSource final : public SampleSource {
   }
   [[nodiscard]] std::uint64_t count_pairs(
       Rng& rng, unsigned q, std::uint64_t decided_above) const override {
-    return draw_and_count_pairs(*this, rng, q, decided_above,
-                                sampler_.draw());
+    return sampler_.with_draw([&](const auto& draw) {
+      return draw_and_count_pairs(*this, rng, q, decided_above, draw);
+    });
   }
   [[nodiscard]] std::uint64_t domain_size() const override {
     return p_.domain_size();

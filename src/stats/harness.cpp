@@ -41,9 +41,7 @@ constexpr std::uint64_t kFullBudgetWidth = 8;
 struct Tally {
   enum Field : std::size_t {
     kUniformSuccesses = 0,
-    kUniformTrials,
     kFarSuccesses,
-    kFarTrials,
     kUniformAbortsQuorum,
     kUniformAbortsTimeout,
     kFarAbortsQuorum,
@@ -56,11 +54,9 @@ struct Tally {
   std::uint64_t operator[](Field f) const noexcept { return counts[f]; }
 
   void record_uniform(bool success) noexcept {
-    ++counts[kUniformTrials];
     counts[kUniformSuccesses] += success ? 1 : 0;
   }
   void record_far(bool success) noexcept {
-    ++counts[kFarTrials];
     counts[kFarSuccesses] += success ? 1 : 0;
   }
 

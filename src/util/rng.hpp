@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -155,6 +156,39 @@ template <typename Body>
   Rng local = rng;
   const WriteBack write_back{rng, local};
   return body(local);
+}
+
+/// `next_below(2^k)` for 1 <= k <= 63 as one shift: Lemire's product
+/// raw * 2^k has high word raw >> (64 - k), and its rejection threshold
+/// (2^64 - 2^k) mod 2^k is 0, so next_below takes the same one raw and
+/// returns the same value (DESIGN.md §11).
+struct ShiftIndex {
+  unsigned shift;  // 64 - k
+  std::uint64_t operator()(Rng& rng) const noexcept { return rng() >> shift; }
+};
+
+/// `next_below(bound)` for every other bound.
+struct BelowIndex {
+  std::uint64_t bound;
+  std::uint64_t operator()(Rng& rng) const noexcept {
+    return rng.next_below(bound);
+  }
+};
+
+/// Run `body(index)` with the index draw over [0, n): ShiftIndex when n is
+/// a power of two above 1, BelowIndex otherwise (n = 1 takes one raw and
+/// returns 0; a shift by 64 would be undefined). Both draw exactly
+/// `next_below(n)`. The choice is made once per call, outside the body's
+/// loop: GCC 12 at -O2 does not unswitch loops, so a test per draw would
+/// stay in the loop.
+template <typename Body>
+[[gnu::always_inline]] inline decltype(auto) with_index_draw(std::uint64_t n,
+                                                             Body&& body) {
+  // Not std::has_single_bit: without -mpopcnt that is a library call.
+  if (n > 1 && (n & (n - 1)) == 0) {
+    return body(ShiftIndex{1U + static_cast<unsigned>(std::countl_zero(n))});
+  }
+  return body(BelowIndex{n});
 }
 
 /// Construct the RNG for a derived stream in one call.

@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "sim/sample_source.hpp"
 
 namespace duti {
 namespace {
@@ -177,6 +180,78 @@ TEST(XoshiroJump, JumpsCompose) {
     once.jump(Rng::jump_polynomial(a + b));
     EXPECT_EQ(twice.state(), once.state()) << "a=" << a << " b=" << b;
   }
+}
+
+TEST(IndexDraw, ShiftEqualsNextBelowOnEveryPowerOfTwo) {
+  // Same value from the same one raw, and the same exit state, for every
+  // k in [1, 63] on 4096 raws from several seeds.
+  for (unsigned k = 1; k <= 63; ++k) {
+    const std::uint64_t n = std::uint64_t{1} << k;
+    const ShiftIndex shift{64 - k};
+    for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL, 0xDEADBEEFULL}) {
+      Rng shifted(derive_seed(seed, k));
+      Rng lemire(derive_seed(seed, k));
+      for (int i = 0; i < 4096; ++i) {
+        ASSERT_EQ(shift(shifted), lemire.next_below(n))
+            << "k=" << k << " seed=" << seed << " i=" << i;
+      }
+      ASSERT_EQ(shifted.state(), lemire.state())
+          << "k=" << k << " seed=" << seed;
+    }
+  }
+}
+
+TEST(IndexDraw, ChoosesTheShiftExactlyForPowersOfTwoAboveOne) {
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  const std::pair<std::uint64_t, unsigned> cases[] = {
+      {0, 0},       {1, 0},       {2, 63},       {3, 0},
+      {4, 62},      {1023, 0},    {1024, 54},    {1025, 0},
+      {top - 1, 0}, {top, 1},     {top + 1, 0},  {~std::uint64_t{0}, 0}};
+  for (const auto& [n, want_shift] : cases) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    Rng drawn(derive_seed(5, n));
+    Rng lemire(derive_seed(5, n));
+    with_index_draw(n, [&](auto index) {
+      if constexpr (std::is_same_v<decltype(index), ShiftIndex>) {
+        EXPECT_EQ(index.shift, want_shift);
+      } else {
+        EXPECT_EQ(want_shift, 0U);
+        EXPECT_EQ(index.bound, n);
+      }
+      for (int i = 0; i < 256; ++i) {
+        ASSERT_EQ(index(drawn), lemire.next_below(n)) << i;
+      }
+    });
+    EXPECT_EQ(drawn.state(), lemire.state());
+  }
+}
+
+TEST(IndexDraw, UniformOverOneTakesOneRawPerDrawAndReturnsZero) {
+  const UniformSource one(1);
+  const auto expect_raws = [](const Rng& drawn, std::uint64_t seed,
+                              std::size_t raws) {
+    Rng stepped(seed);
+    for (std::size_t i = 0; i < raws; ++i) (void)stepped();
+    EXPECT_EQ(drawn.state(), stepped.state()) << raws << " raws";
+  };
+  Rng scalar(31);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(one.sample(scalar), 0U);
+  expect_raws(scalar, 31, 5);
+
+  Rng batched(32);
+  std::vector<std::uint64_t> out;
+  one.sample_many(batched, 257, out);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(257, 0));
+  expect_raws(batched, 32, 257);
+
+  // Every pair of draws collides: C(q, 2) pairs with no bound, and a bound
+  // of 5 is passed at the fourth draw (C(4, 2) = 6).
+  Rng counted(33);
+  EXPECT_EQ(one.count_pairs(counted, 40, kNoPairBound), 40U * 39U / 2U);
+  expect_raws(counted, 33, 40);
+  Rng stopped(34);
+  EXPECT_EQ(one.count_pairs(stopped, 40, 5), 6U);
+  expect_raws(stopped, 34, 4);
 }
 
 TEST(Xoshiro, SatisfiesUniformRandomBitGenerator) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 
 #include "dist/generators.hpp"
 #include "util/error.hpp"
@@ -140,6 +142,122 @@ TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
       // Same final state: the next raw draws must agree.
       for (int k = 0; k < 4; ++k) ASSERT_EQ(batched(), serial());
     }
+  }
+}
+
+// --- Boundary rows against next_below ---------------------------------------
+//
+// Every source's sample, sample_many and count_pairs against a test-local
+// loop that draws each index through next_below itself, at domains on both
+// sides of a power of two, where the sources take the one-shift index draw
+// (with_index_draw, util/rng.hpp). The existing batch-vs-scalar and
+// count-vs-sample_many tests compare two paths that both take the new
+// draw; these rows compare against Lemire's draw.
+
+using ReferenceDraw = std::function<std::uint64_t(Rng&)>;
+
+/// The alias draw written out over `sampler`'s tables (which must outlive
+/// the draw): next_below(n), then the coin.
+ReferenceDraw alias_reference(const AliasSampler& sampler) {
+  const std::span<const double> prob = sampler.prob_table();
+  const std::span<const std::uint64_t> alias = sampler.alias_table();
+  return [prob, alias](Rng& rng) {
+    const std::uint64_t i = rng.next_below(prob.size());
+    return rng.next_double() < prob[i] ? i : alias[i];
+  };
+}
+
+/// nu_z's draw written out: x = next_below(2^ell), then the side coin.
+ReferenceDraw nu_z_reference(const NuZ& nu) {
+  return [&nu](Rng& rng) {
+    const unsigned ell = nu.domain().ell();
+    const std::uint64_t x = rng.next_below(std::uint64_t{1} << ell);
+    const double p_plus =
+        0.5 * (1.0 + static_cast<double>(nu.z().sign(x)) * nu.eps());
+    const bool minus = !(rng.next_double() < p_plus);
+    return x | (static_cast<std::uint64_t>(minus) << ell);
+  };
+}
+
+/// sample, sample_many and count_pairs (no bound, and bounds that stop it
+/// early on the plane) equal `reference`'s draws, value for value, and
+/// leave the stream where it does.
+void expect_draws_like(const SampleSource& source,
+                       const ReferenceDraw& reference, std::uint64_t seed) {
+  Rng drawn(seed);
+  Rng expected(seed);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(source.sample(drawn), reference(expected)) << "sample " << i;
+  }
+  ASSERT_EQ(drawn.state(), expected.state()) << "sample";
+
+  std::vector<std::uint64_t> out;
+  source.sample_many(drawn, 1000, out);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], reference(expected)) << "sample_many " << i;
+  }
+  ASSERT_EQ(drawn.state(), expected.state()) << "sample_many";
+
+  // Above the plane cap the count sorts all q draws and ignores the bound.
+  const bool on_plane = source.domain_size() <= kMaxTallyPlaneDomain;
+  const unsigned q = 8192;
+  for (const std::uint64_t bound : {kNoPairBound, std::uint64_t{0},
+                                    std::uint64_t{3}}) {
+    SCOPED_TRACE(testing::Message() << "count_pairs bound=" << bound);
+    const bool stops = on_plane && bound != kNoPairBound;
+    std::map<std::uint64_t, std::uint64_t> seen;
+    std::uint64_t pairs = 0;
+    unsigned made = 0;
+    while (made < q) {
+      pairs += seen[reference(expected)]++;
+      ++made;
+      if (stops && pairs > bound) break;
+    }
+    if (stops) {
+      EXPECT_LT(made, q);
+    }
+    EXPECT_EQ(source.count_pairs(drawn, q, bound), pairs);
+    ASSERT_EQ(drawn.state(), expected.state());
+  }
+}
+
+TEST(SampleSources, UniformBoundaryRowsDrawLikeNextBelow) {
+  const std::uint64_t sizes[] = {1,    2,    3,    1023,
+                                 1024, 1025, 4095, 4096,
+                                 4097, kMaxTallyPlaneDomain,
+                                 kMaxTallyPlaneDomain + 1};
+  for (const std::uint64_t n : sizes) {
+    SCOPED_TRACE(testing::Message() << "uniform n=" << n);
+    expect_draws_like(UniformSource(n),
+                      [n](Rng& rng) { return rng.next_below(n); }, n);
+  }
+}
+
+TEST(SampleSources, AliasBoundaryRowsDrawLikeNextBelow) {
+  Rng rng(2026);
+  const std::size_t paninski_sizes[] = {2, 1022, 1024, 1026, 4094, 4096};
+  for (const std::size_t n : paninski_sizes) {
+    SCOPED_TRACE(testing::Message() << "paninski n=" << n);
+    const PaninskiSource source(Paninski::random(n, 0.25, rng));
+    const AliasSampler table = source.paninski().sampler();
+    expect_draws_like(source, alias_reference(table), n);
+  }
+  const std::size_t zipf_sizes[] = {1000, 1024};
+  for (const std::size_t n : zipf_sizes) {
+    SCOPED_TRACE(testing::Message() << "zipf n=" << n);
+    const DistributionSource source(gen::zipf(n, 1.0));
+    expect_draws_like(source, alias_reference(source.distribution().sampler()),
+                      n);
+  }
+}
+
+TEST(SampleSources, NuZBoundaryRowsDrawLikeNextBelow) {
+  Rng rng(2027);
+  for (const unsigned ell : {1U, 12U, 30U}) {
+    SCOPED_TRACE(testing::Message() << "nu_z ell=" << ell);
+    const NuZSource source(
+        NuZ(CubeDomain(ell), PerturbationVector::random(ell, rng), 0.5));
+    expect_draws_like(source, nu_z_reference(source.nu()), ell);
   }
 }
 
