@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "core/multibit_analysis.hpp"
 #include "dist/alias_sampler.hpp"
 #include "dist/generators.hpp"
 #include "dist/nu_z.hpp"
@@ -19,6 +20,7 @@
 #include "testers/calibration.hpp"
 #include "testers/collision.hpp"
 #include "testers/fixed_threshold.hpp"
+#include "testers/message_maps.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -133,17 +135,38 @@ void BM_IsEvenlyCovered(benchmark::State& state) {
 }
 BENCHMARK(BM_IsEvenlyCovered)->Arg(8)->Arg(16)->Arg(24);
 
-/// E7's Monte-Carlo row ell = 5, q = 10, r = 2, m = 3 (100 000 trials) on
-/// a pool of range(0) threads.
+/// E7's Monte-Carlo row (ell, q) = (range(0), range(1)) at r = 2, m = 3
+/// (100 000 trials) on a pool of range(2) threads; E7 draws from all
+/// three shapes below.
 void BM_ArMomentMc(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  const auto ell = static_cast<unsigned>(state.range(0));
+  const auto q = static_cast<unsigned>(state.range(1));
+  ThreadPool pool(static_cast<unsigned>(state.range(2)));
   for (auto _ : state) {
     Rng rng(1);
-    benchmark::DoNotOptimize(a_r_moment_mc(5, 10, 2, 3, 100000, rng, pool));
+    benchmark::DoNotOptimize(a_r_moment_mc(ell, q, 2, 3, 100000, rng, pool));
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
-BENCHMARK(BM_ArMomentMc)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_ArMomentMc)
+    ->ArgNames({"ell", "q", "threads"})
+    ->ArgsProduct({{3}, {10}, {1, 4}})
+    ->ArgsProduct({{5}, {6, 10}, {1, 4}})
+    ->UseRealTime();
+
+/// One of E9b's exact information rows: the collision count on r =
+/// range(0) bits at ell = 3, q = 3, eps = 0.4, from construction (the
+/// tuples' symbols) through E_z over all 256 perturbation vectors.
+void BM_MultibitDivergenceExact(benchmark::State& state) {
+  const SampleTupleCodec codec(CubeDomain(3), 3);
+  const auto r = static_cast<unsigned>(state.range(0));
+  for (auto _ : state) {
+    const MultibitMessageAnalysis analysis(codec, r,
+                                           collision_count_message(codec, r));
+    benchmark::DoNotOptimize(analysis.expected_divergence_exact(0.4));
+  }
+}
+BENCHMARK(BM_MultibitDivergenceExact)->Arg(2)->Arg(8);
 
 /// A jump of range(0) draws: the stride polynomial x^d mod P, then its
 /// 256-step application. parallel_for_stream pays the first once per loop

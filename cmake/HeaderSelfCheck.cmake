@@ -40,9 +40,13 @@ function(duti_add_header_self_check)
   find_package(Threads REQUIRED)
   target_link_libraries(duti_header_check PRIVATE Threads::Threads)
 
+  # The test runs alone (RUN_SERIAL), so it compiles on every logical core;
+  # without --parallel the Makefile generator runs one compiler at a time.
+  cmake_host_system_information(RESULT duti_host_cores
+                                QUERY NUMBER_OF_LOGICAL_CORES)
   add_test(NAME header_self_sufficiency
     COMMAND ${CMAKE_COMMAND} --build ${CMAKE_BINARY_DIR}
-            --target duti_header_check)
+            --target duti_header_check --parallel ${duti_host_cores})
   set_tests_properties(header_self_sufficiency PROPERTIES LABELS "lint"
     RUN_SERIAL TRUE)
 endfunction()

@@ -15,6 +15,16 @@ double nu_zq_pmf_direct(const SampleTupleCodec& codec, const NuZ& nu,
   return p;
 }
 
+NuZqPmf::NuZqPmf(const SampleTupleCodec& codec, const NuZ& nu)
+    : codec_(codec) {
+  require(codec.domain().ell() == nu.domain().ell(),
+          "NuZqPmf: domain mismatch");
+  element_pmf_.resize(codec.domain().universe_size());
+  for (std::uint64_t e = 0; e < element_pmf_.size(); ++e) {
+    element_pmf_[e] = nu.pmf(e);
+  }
+}
+
 double nu_zq_pmf_expansion(const SampleTupleCodec& codec, const NuZ& nu,
                            std::uint64_t packed) {
   require(codec.domain().ell() == nu.domain().ell(),

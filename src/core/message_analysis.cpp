@@ -19,10 +19,11 @@ MessageAnalysis::MessageAnalysis(SampleTupleCodec codec, BooleanCubeFunction g)
 double MessageAnalysis::nu_z_exact(const NuZ& nu) const {
   require(nu.domain().ell() == codec_.domain().ell(),
           "nu_z_exact: domain mismatch");
+  const NuZqPmf pmf(codec_, nu);
   double acc = 0.0;
   for (std::uint64_t t = 0; t < codec_.num_tuples(); ++t) {
     const double gv = g_.value(t);
-    if (gv != 0.0) acc += gv * nu_zq_pmf_direct(codec_, nu, t);
+    if (gv != 0.0) acc += gv * pmf(t);
   }
   return acc;
 }

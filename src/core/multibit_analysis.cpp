@@ -17,18 +17,26 @@ MultibitMessageAnalysis::MultibitMessageAnalysis(
           "MultibitMessageAnalysis: null message function");
 }
 
+const std::vector<std::uint32_t>& MultibitMessageAnalysis::symbols() const {
+  if (symbols_.empty()) {  // a codec has at least two tuples
+    std::vector<std::uint32_t> table(codec_.num_tuples());
+    for (std::uint64_t t = 0; t < table.size(); ++t) {
+      table[t] = message_(t);
+      require(table[t] < num_symbols(),
+              "MultibitMessageAnalysis: message symbol out of range");
+    }
+    symbols_ = std::move(table);
+  }
+  return symbols_;
+}
+
 const std::vector<double>& MultibitMessageAnalysis::uniform_pushforward()
     const {
   if (uniform_push_.empty()) {
+    const std::vector<std::uint32_t>& symbol_of = symbols();
+    const double per_tuple = 1.0 / static_cast<double>(symbol_of.size());
     uniform_push_.assign(num_symbols(), 0.0);
-    const double per_tuple =
-        1.0 / static_cast<double>(codec_.num_tuples());
-    for (std::uint64_t t = 0; t < codec_.num_tuples(); ++t) {
-      const std::uint32_t symbol = message_(t);
-      require(symbol < num_symbols(),
-              "MultibitMessageAnalysis: message symbol out of range");
-      uniform_push_[symbol] += per_tuple;
-    }
+    for (const std::uint32_t s : symbol_of) uniform_push_[s] += per_tuple;
   }
   return uniform_push_;
 }
@@ -37,9 +45,11 @@ std::vector<double> MultibitMessageAnalysis::nu_z_pushforward(
     const NuZ& nu) const {
   require(nu.domain().ell() == codec_.domain().ell(),
           "nu_z_pushforward: domain mismatch");
+  const std::vector<std::uint32_t>& symbol_of = symbols();
+  const NuZqPmf pmf(codec_, nu);
   std::vector<double> push(num_symbols(), 0.0);
-  for (std::uint64_t t = 0; t < codec_.num_tuples(); ++t) {
-    push[message_(t)] += nu_zq_pmf_direct(codec_, nu, t);
+  for (std::uint64_t t = 0; t < symbol_of.size(); ++t) {
+    push[symbol_of[t]] += pmf(t);
   }
   return push;
 }
@@ -90,10 +100,10 @@ double MultibitMessageAnalysis::full_tuple_divergence_exact(
     for (std::uint64_t x = 0; x < side; ++x) {
       z.set_sign(x, ((zbits >> x) & 1ULL) ? -1 : +1);
     }
-    const NuZ nu(codec.domain(), z, eps);
+    const NuZqPmf pmf(codec, NuZ(codec.domain(), z, eps));
     double kl = 0.0;
     for (std::uint64_t t = 0; t < codec.num_tuples(); ++t) {
-      const double p = nu_zq_pmf_direct(codec, nu, t);
+      const double p = pmf(t);
       if (p > 0.0) kl += p * std::log2(p / uniform_pmf);
     }
     acc += kl;

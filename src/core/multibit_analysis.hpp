@@ -42,10 +42,12 @@ class MultibitMessageAnalysis {
   }
 
   /// Pushforward of the uniform tuple distribution through the message map
-  /// (computed once, cached).
+  /// (computed once, cached). Throws InvalidArgument when a symbol is
+  /// outside [0, 2^r).
   [[nodiscard]] const std::vector<double>& uniform_pushforward() const;
 
   /// Pushforward of nu_z^q through the message map (exact enumeration).
+  /// Throws like uniform_pushforward.
   [[nodiscard]] std::vector<double> nu_z_pushforward(const NuZ& nu) const;
 
   /// KL divergence D(message | nu_z || message | uniform) in bits.
@@ -65,9 +67,14 @@ class MultibitMessageAnalysis {
       const SampleTupleCodec& codec, double eps);
 
  private:
+  /// message_(t) for every packed tuple t, computed and range-checked on
+  /// first use: the pushforwards of all 2^(2^ell) vectors z share it.
+  [[nodiscard]] const std::vector<std::uint32_t>& symbols() const;
+
   SampleTupleCodec codec_;
   unsigned r_;
   std::function<std::uint32_t(std::uint64_t)> message_;
+  mutable std::vector<std::uint32_t> symbols_;
   mutable std::vector<double> uniform_push_;
 };
 

@@ -103,6 +103,112 @@ std::uint64_t a_r_from_multiplicities(std::span<const unsigned> mult,
   return poly[r];
 }
 
+// a_r(x) depends on x only through its multiplicity type, the partition of
+// q that its value counts c_v form, so a_r_moment_mc computes a_r once per
+// type it meets. With K(0) = 0 and K(c) = (q+1)^(c-1), the key
+// sum_v K(c_v) writes the type's part counts as base-(q+1) digits, each at
+// most q: two tuples share a key exactly when they share a type. The
+// largest key, (q+1)^(q-1) for one value drawn q times, fits 64 bits while
+// q <= kTypedMaxSamples; the value counts fit a histogram of kTypedMaxSide
+// cells. Past either limit the loop computes a_r per tuple.
+constexpr unsigned kTypedMaxSamples = 16;
+constexpr std::uint64_t kTypedMaxSide = 64;
+
+// steps[c] = K(c+1) - K(c): the key's increment when a value's count goes
+// from c to c + 1 <= q (q <= kTypedMaxSamples).
+using TypeKeySteps = std::array<std::uint64_t, kTypedMaxSamples>;
+TypeKeySteps type_key_steps(unsigned q) {
+  TypeKeySteps steps{};
+  std::uint64_t k_c = 0;  // K(c)
+  for (unsigned c = 0; c < q; ++c) {
+    const std::uint64_t k_next = c == 0 ? 1 : k_c * (q + 1);
+    steps[c] = k_next - k_c;
+    k_c = k_next;
+  }
+  return steps;
+}
+
+// a_r(x)^m of each type a chunk meets, keyed by type key in an open-address
+// table: at most p(16) = 231 types can fill its 512 slots.
+class TypeTerms {
+ public:
+  TypeTerms(unsigned q, unsigned r, unsigned m) : q_(q), r_(r), m_(m) {
+    keys_.fill(kEmpty);
+  }
+
+  // The term of the type with key `key`, whose value counts are the
+  // nonzero cells of `counts`. a_r is a product of integer polynomials, so
+  // the order in which the counts come out does not change it.
+  double term(std::uint64_t key, std::span<const std::uint8_t> counts) {
+    std::size_t slot = (key * 0x9e3779b97f4a7c15ULL) >> (64 - kSlotBits);
+    while (keys_[slot] != key) {
+      if (keys_[slot] == kEmpty) return insert(slot, key, counts);
+      slot = (slot + 1) % kSlots;
+    }
+    return terms_[slot];
+  }
+
+ private:
+  static constexpr unsigned kSlotBits = 9;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr std::uint64_t kEmpty = ~0ULL;  // above every key
+
+  double insert(std::size_t slot, std::uint64_t key,
+                std::span<const std::uint8_t> counts) {
+    unsigned mult[kTypedMaxSide] = {};
+    std::size_t n_mult = 0;
+    for (const std::uint8_t c : counts) {
+      if (c != 0) mult[n_mult++] = c;
+    }
+    const std::uint64_t a =
+        r_ > q_ / 2 ? 0 : a_r_from_multiplicities({mult, n_mult}, r_);
+    keys_[slot] = key;
+    terms_[slot] = dpow_int(static_cast<double>(a), m_);
+    return terms_[slot];
+  }
+
+  unsigned q_, r_, m_;
+  std::array<std::uint64_t, kSlots> keys_;
+  std::array<double, kSlots> terms_{};
+};
+
+// Sum of a_r(x)^m over `trials` tuples of q <= kTypedMaxSamples values
+// drawn by `draw` below side <= kTypedMaxSide, in draw order. Each draw
+// bumps its value's count and adds the key's step; the term comes from the
+// chunk's type table.
+template <typename Draw>
+double moment_sum_by_type(Draw draw, const TypeKeySteps& steps, unsigned q,
+                          unsigned r, unsigned m, std::size_t trials,
+                          Rng& stream) {
+  TypeTerms terms(q, r, m);
+  std::array<std::uint8_t, kTypedMaxSide> counts{};
+  return with_register_copy(stream, [&](Rng& local) {
+    double sum = 0.0;
+    for (std::size_t t = 0; t < trials; ++t) {
+      std::uint64_t key = 0;
+      for (unsigned j = 0; j < q; ++j) key += steps[counts[draw(local)]++];
+      sum += terms.term(key, counts);
+      counts.fill(0);
+    }
+    return sum;
+  });
+}
+
+// The same sum for any q <= 63 and alphabet: a_r per tuple.
+template <typename Draw>
+double moment_sum_by_tuple(Draw draw, unsigned q, unsigned r, unsigned m,
+                           std::size_t trials, Rng& stream) {
+  std::vector<std::uint64_t> x(q);
+  return with_register_copy(stream, [&](Rng& local) {
+    double sum = 0.0;
+    for (std::size_t t = 0; t < trials; ++t) {
+      for (auto& xi : x) xi = draw(local);
+      sum += dpow_int(static_cast<double>(a_r(x, r)), m);
+    }
+    return sum;
+  });
+}
+
 // Calls visit(parts) for each partition of `left` into at most `max_parts`
 // more parts, each at most `max_part`, appended to parts[0..n) in
 // non-increasing order.
@@ -329,20 +435,21 @@ double a_r_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,
   const std::size_t grain =
       moment_sums_exact(q, r, m, trials) ? kMomentGrain : trials;
   std::vector<double> partial((trials + grain - 1) / grain);
-  // The alphabet 2^ell is a power of two, so every draw is one raw output.
-  parallel_for_stream(
-      pool, trials, grain, q, rng,
-      [&](std::size_t begin, std::size_t end, Rng& stream) {
-        std::vector<std::uint64_t> x(q);
-        double sum = 0.0;
-        for (std::size_t t = begin; t < end; ++t) {
-          with_register_copy(stream, [&x, side](Rng& local) {
-            for (auto& xi : x) xi = local.next_below(side);
-          });
-          sum += dpow_int(static_cast<double>(a_r(x, r)), m);
-        }
-        partial[begin / grain] = sum;
-      });
+  const bool by_type = side <= kTypedMaxSide && q <= kTypedMaxSamples;
+  const TypeKeySteps steps = by_type ? type_key_steps(q) : TypeKeySteps{};
+  // The alphabet 2^ell is a power of two, so every draw is one raw output,
+  // taken with one shift from ell = 1 on.
+  with_index_draw(side, [&](const auto draw) {
+    parallel_for_stream(
+        pool, trials, grain, q, rng,
+        [&](std::size_t begin, std::size_t end, Rng& stream) {
+          partial[begin / grain] =
+              by_type ? moment_sum_by_type(draw, steps, q, r, m, end - begin,
+                                           stream)
+                      : moment_sum_by_tuple(draw, q, r, m, end - begin,
+                                            stream);
+        });
+  });
   double acc = 0.0;
   for (const double p : partial) acc += p;
   return acc / static_cast<double>(trials);

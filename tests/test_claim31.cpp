@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <tuple>
 
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
@@ -28,6 +30,22 @@ TEST_P(Claim31Test, ExpansionEqualsDirectProductEverywhere) {
   }
 }
 
+TEST_P(Claim31Test, ElementTableProductIsTheDirectProductBitForBit) {
+  const auto [ell, q, eps] = GetParam();
+  const CubeDomain dom(ell);
+  const SampleTupleCodec codec(dom, q);
+  Rng rng(derive_seed(32, ell, q, static_cast<std::uint64_t>(eps * 1000)));
+  for (int z_trial = 0; z_trial < 3; ++z_trial) {
+    const NuZ nu(dom, PerturbationVector::random(ell, rng), eps);
+    const NuZqPmf pmf(codec, nu);
+    for (std::uint64_t t = 0; t < codec.num_tuples(); ++t) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pmf(t)),
+                std::bit_cast<std::uint64_t>(nu_zq_pmf_direct(codec, nu, t)))
+          << "tuple=" << t << " z_trial=" << z_trial;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     DomainsAndEps, Claim31Test,
     ::testing::Combine(::testing::Values(1u, 2u, 3u),       // ell
@@ -44,6 +62,12 @@ TEST(Claim31, ProductPmfSumsToOne) {
     total += nu_zq_pmf_direct(codec, nu, t);
   }
   EXPECT_NEAR(total, 1.0, 1e-10);
+}
+
+TEST(Claim31, ElementTableRejectsAnotherDomain) {
+  const NuZ nu(CubeDomain(2), PerturbationVector(2), 0.5);
+  EXPECT_THROW(NuZqPmf(SampleTupleCodec(CubeDomain(3), 2), nu),
+               InvalidArgument);
 }
 
 TEST(Claim31, MatchesMaterializedPowerDistribution) {

@@ -464,12 +464,20 @@ double serial_moment_mc(unsigned ell, unsigned q, unsigned r, unsigned m,
 TEST(ArMoments, McOnEveryPoolEqualsTheSerialFoldBitForBit) {
   // Inside the 2^53 bound (210^3 * 20 000 ~ 1.9e11) the chunk sums fold
   // exactly; past it (C(40, 20)^2 ~ 1.9e22 per term) the loop runs as one
-  // chunk. Both rows span several chunks' worth of trials.
+  // chunk. Every row spans several chunks' worth of trials. The loop keys
+  // tuples by multiplicity type for alphabets up to 64 (ell <= 6) and
+  // q <= 16; the rows sit on both sides of both limits, at an alphabet of
+  // one, and at r = 0 (every term 1) and r > q/2 (every term 0).
   struct Row {
     unsigned ell, q, r, m;
     std::size_t trials;
   };
-  for (const Row& row : {Row{5, 10, 2, 3, 20000}, Row{3, 40, 10, 2, 10000}}) {
+  for (const Row& row :
+       {Row{5, 10, 2, 3, 20000}, Row{3, 40, 10, 2, 10000},
+        Row{0, 10, 2, 3, 10000}, Row{6, 10, 2, 3, 10000},
+        Row{7, 10, 2, 3, 10000}, Row{3, 16, 4, 2, 10000},
+        Row{3, 17, 4, 2, 10000}, Row{5, 10, 0, 1, 10000},
+        Row{5, 10, 6, 2, 10000}}) {
     Rng serial(21);
     const double want =
         serial_moment_mc(row.ell, row.q, row.r, row.m, row.trials, serial);
@@ -480,10 +488,12 @@ TEST(ArMoments, McOnEveryPoolEqualsTheSerialFoldBitForBit) {
           a_r_moment_mc(row.ell, row.q, row.r, row.m, row.trials, rng, pool);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
                 std::bit_cast<std::uint64_t>(want))
-          << "q=" << row.q << " threads " << threads << ": got "
-          << std::hexfloat << got << ", serial " << want;
+          << "ell=" << row.ell << " q=" << row.q << " r=" << row.r
+          << " threads " << threads << ": got " << std::hexfloat << got
+          << ", serial " << want;
       EXPECT_EQ(rng.state(), serial.state())
-          << "q=" << row.q << " threads " << threads;
+          << "ell=" << row.ell << " q=" << row.q << " r=" << row.r
+          << " threads " << threads;
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -130,6 +131,47 @@ TEST(MultibitAnalysis, McConvergesToExact) {
   Rng rng(3);
   const double mc = analysis.expected_divergence_mc(0.6, 3000, rng);
   EXPECT_NEAR(mc, exact, 0.15 * std::max(exact, 1e-6));
+}
+
+TEST(MultibitAnalysis, E9bValuesArePinnedBitForBit) {
+  // bench/e9_multibit's information table at ell = 3, q = 3, eps = 0.4:
+  // its collision and random-hash messages, the full-tuple ceiling, and one
+  // Monte-Carlo estimate over 40 random z.
+  const SampleTupleCodec codec(CubeDomain(3), 3);
+  const double eps = 0.4;
+  const auto hash_message = [](unsigned r) {
+    const std::uint64_t key = derive_seed(0x9E37, r);
+    return [key, r](std::uint64_t t) {
+      return static_cast<std::uint32_t>(SplitMix64(t ^ key).next() &
+                                        ((1ULL << r) - 1));
+    };
+  };
+  const auto expect_bits = [](double got, double want, const char* what,
+                              unsigned r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << what << " r=" << r << ": got " << std::hexfloat << got;
+  };
+  expect_bits(MultibitMessageAnalysis::full_tuple_divergence_exact(codec, eps),
+              0x1.6caca2b280441p-2, "ceiling", 0);
+  struct Row {
+    unsigned r;
+    double collision, hash;
+  };
+  for (const Row& row : {Row{1, 0x1.aa62a517ee837p-9, 0x1.e12ce0e23ecacp-15},
+                         Row{2, 0x1.cc0f744f77fc3p-9, 0x1.38436cd0959bcp-12},
+                         Row{8, 0x1.cc0f744f77fc3p-9, 0x1.9def678ecdd04p-6}}) {
+    const MultibitMessageAnalysis collision(
+        codec, row.r, collision_count_message(codec, row.r));
+    const MultibitMessageAnalysis hash(codec, row.r, hash_message(row.r));
+    expect_bits(collision.expected_divergence_exact(eps), row.collision,
+                "collision", row.r);
+    expect_bits(hash.expected_divergence_exact(eps), row.hash, "hash", row.r);
+  }
+  const MultibitMessageAnalysis hash(codec, 8, hash_message(8));
+  Rng rng(11);
+  expect_bits(hash.expected_divergence_mc(eps, 40, rng), 0x1.a271535996d8p-6,
+              "hash mc", 8);
 }
 
 TEST(MultibitAnalysis, VoteMessageMatchesOneBitAnalysis) {
