@@ -121,10 +121,13 @@ struct CommonFlags {
 /// shared cache session, with anchor-interpolated hints recorded) by
 /// default, `--sweep=cold` forces the cold full-budget baseline. Both modes
 /// produce bit-identical minima and verdicts — cold exists to prove exactly
-/// that.
+/// that. Any other --sweep value throws InvalidArgument naming it.
 [[nodiscard]] inline SweepEngineConfig sweep_engine_config(const Cli& cli) {
+  const std::string mode = cli.get_string("sweep", "warm");
+  require(mode == "warm" || mode == "cold",
+          "--sweep must be warm|cold, got \"" + mode + "\"");
   SweepEngineConfig cfg;
-  cfg.warm_start = cli.get_string("sweep", "warm") != "cold";
+  cfg.warm_start = mode == "warm";
   cfg.cache = &cache_session();
   return cfg;
 }

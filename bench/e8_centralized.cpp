@@ -16,23 +16,10 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
     std::cout << "e8_centralized --eps=0.5 --n=4096 "
-                 "--ns=256,1024,4096,16384 --trials=200 "
-                 "--kernel=persample|counts\n";
+                 "--ns=256,1024,4096,16384 --trials=200\n";
     return 0;
   }
   const bench::CommonFlags flags(cli);
-  // --kernel=counts: draw per-element histograms via the multinomial counts
-  // kernels (O(min(n, q)) per trial) instead of per-sample streams. Same
-  // distribution, different RNG consumption; q* shifts only within noise.
-  const std::string kernel_name = cli.get_string("kernel", "persample");
-  SamplingKernel kernel = SamplingKernel::kPerSample;
-  if (kernel_name == "counts") {
-    kernel = SamplingKernel::kCounts;
-  } else if (kernel_name != "persample") {
-    std::cerr << "unknown --kernel=" << kernel_name
-              << " (expected persample|counts)\n";
-    return 2;
-  }
   const double eps = cli.get_double("eps", 0.5);
   const auto n_fixed = cli.get_uint<std::uint64_t>("n", 4096);
   // --quick shrinks the default axis only; an explicit --ns wins.
@@ -53,15 +40,16 @@ int main(int argc, char** argv) {
   const auto seed = flags.seed;
   const SweepResult coll_sweep = run_sweep(
       bench::e8_n_points<CentralizedCollisionTester>("collision", ns, eps,
-                                                     trials, seed, kernel),
+                                                     trials, seed),
       engine);
   const SweepResult chi_sweep = run_sweep(
       bench::e8_n_points<ChiSquaredTester>("chi-squared", ns, eps, trials,
-                                           seed, kernel, 1),
+                                           seed, SamplingKernel::kPerSample,
+                                           1),
       engine);
   const SweepResult coin_sweep = run_sweep(
-      bench::e8_n_points<PaninskiCoincidenceTester>("coincidence", ns, eps,
-                                                    trials, seed, kernel, 2),
+      bench::e8_n_points<PaninskiCoincidenceTester>(
+          "coincidence", ns, eps, trials, seed, SamplingKernel::kPerSample, 2),
       engine);
   bench::print_sweep_summary("e8_collision", coll_sweep);
   bench::print_sweep_summary("e8_chi", chi_sweep);
@@ -100,7 +88,7 @@ int main(int argc, char** argv) {
   std::vector<double> eps_values{0.25, 0.35, 0.5, 0.7, 1.0};
   if (flags.quick) eps_values = {0.25, 0.5, 1.0};
   const SweepResult eps_sweep = run_sweep(
-      bench::e8_eps_points(n_fixed, eps_values, trials, seed, kernel), engine);
+      bench::e8_eps_points(n_fixed, eps_values, trials, seed), engine);
   bench::print_sweep_summary("e8_eps", eps_sweep);
   for (std::size_t i = 0; i < eps_values.size(); ++i) {
     const double e = eps_values[i];

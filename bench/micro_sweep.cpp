@@ -196,12 +196,10 @@ int main(int argc, char** argv) {
     }});
     families.push_back({"e8_collision_n", [&] {
       return bench::e8_n_points<CentralizedCollisionTester>(
-          "collision", {256, 4096}, 0.5, trials, seed,
-          SamplingKernel::kPerSample);
+          "collision", {256, 4096}, 0.5, trials, seed);
     }});
     families.push_back({"e8_collision_eps", [&] {
-      return bench::e8_eps_points(4096, {0.25, 0.5, 1.0}, trials, seed,
-                                  SamplingKernel::kPerSample);
+      return bench::e8_eps_points(4096, {0.25, 0.5, 1.0}, trials, seed);
     }});
     families.push_back({"e10_asymmetric", [&] {
       return bench::e10_points(4096, 0.5, bench::e10_shapes(), trials, seed);

@@ -27,6 +27,15 @@
 #include "testers/multibit.hpp"
 #include "testers/robust_rules.hpp"
 
+namespace duti {
+
+/// A one-value tag that the e8 builders take and ignore: every centralized
+/// tester draws per sample. It stays only because perfbench's sweeps
+/// workload still passes it.
+enum class SamplingKernel : std::uint8_t { kPerSample };
+
+}  // namespace duti
+
 namespace duti::bench {
 
 /// E1: calibrated threshold tester, sweep axis k. Seeds per point:
@@ -191,7 +200,9 @@ template <typename Tester>
 std::vector<SweepPoint> e8_n_points(const std::string& tester_id,
                                     const std::vector<std::int64_t>& ns,
                                     double eps, std::size_t trials,
-                                    std::uint64_t seed, SamplingKernel kernel,
+                                    std::uint64_t seed,
+                                    SamplingKernel /*unused*/ =
+                                        SamplingKernel::kPerSample,
                                     std::uint64_t seed_salt = 0) {
   std::vector<SweepPoint> points;
   for (const auto n : ns) {
@@ -207,17 +218,16 @@ std::vector<SweepPoint> e8_n_points(const std::string& tester_id,
     p.search.seed = seed_n;
     p.uniform = workloads::uniform_factory(nd);
     p.far = workloads::paninski_far_factory(nd, eps);
-    p.make_tester = [nd, eps, kernel](std::uint64_t q) -> TesterRun {
-      auto tester = std::make_shared<Tester>(nd, eps,
-                                             static_cast<unsigned>(q), kernel);
+    p.make_tester = [nd, eps](std::uint64_t q) -> TesterRun {
+      auto tester =
+          std::make_shared<Tester>(nd, eps, static_cast<unsigned>(q));
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
       };
     };
     p.cache_base.workload =
         "paninski:n=" + std::to_string(n) + ":eps=" + std::to_string(eps);
-    p.cache_base.tester =
-        tester_id + (kernel == SamplingKernel::kCounts ? ":counts" : "");
+    p.cache_base.tester = tester_id;
     points.push_back(std::move(p));
   }
   return points;
@@ -229,7 +239,8 @@ inline std::vector<SweepPoint> e8_eps_points(std::uint64_t n,
                                              const std::vector<double>& epss,
                                              std::size_t trials,
                                              std::uint64_t seed,
-                                             SamplingKernel kernel) {
+                                             SamplingKernel /*unused*/ =
+                                                 SamplingKernel::kPerSample) {
   std::vector<SweepPoint> points;
   for (const double eps : epss) {
     const std::uint64_t seed_e =
@@ -243,18 +254,16 @@ inline std::vector<SweepPoint> e8_eps_points(std::uint64_t n,
     p.search.seed = seed_e;
     p.uniform = workloads::uniform_factory(n);
     p.far = workloads::paninski_far_factory(n, eps);
-    p.make_tester = [n, eps, kernel](std::uint64_t q) -> TesterRun {
+    p.make_tester = [n, eps](std::uint64_t q) -> TesterRun {
       auto tester = std::make_shared<CentralizedCollisionTester>(
-          n, eps, static_cast<unsigned>(q), kernel);
+          n, eps, static_cast<unsigned>(q));
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
       };
     };
     p.cache_base.workload =
         "paninski:n=" + std::to_string(n) + ":eps=" + std::to_string(eps);
-    p.cache_base.tester =
-        std::string("collision") +
-        (kernel == SamplingKernel::kCounts ? ":counts" : "");
+    p.cache_base.tester = "collision";
     points.push_back(std::move(p));
   }
   return points;

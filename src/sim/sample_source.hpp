@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "dist/count_samplers.hpp"
 #include "dist/discrete_distribution.hpp"
 #include "dist/nu_z.hpp"
 #include "dist/paninski.hpp"
@@ -84,16 +83,6 @@ std::uint64_t step(std::uint64_t* plane, const std::uint64_t* samples,
 
 }  // namespace tally
 
-/// How a centralized tester materializes its q draws (DESIGN.md section 8).
-/// Its count-only statistics can consume a per-element histogram directly:
-///   kPerSample — sample_many + tally; the historical RNG stream.
-///   kCounts    — SampleSource::sample_counts multinomial kernels,
-///                O(min(n, q)) RNG work instead of O(q). Draws come from
-///                the same distribution but consume the RNG DIFFERENTLY, so
-///                per-trial outcomes (and thus measured ProbeResults) shift
-///                within statistical noise; opt-in for that reason.
-enum class SamplingKernel : std::uint8_t { kPerSample = 0, kCounts = 1 };
-
 class SampleSource {
  public:
   virtual ~SampleSource() = default;
@@ -116,15 +105,15 @@ class SampleSource {
 
   /// Tally `draws` iid samples into a per-element histogram:
   /// counts.size() == domain_size(), counts[i] = multiplicity of element i.
-  /// The default draws through sample_many and tallies, so it consumes the
-  /// RNG exactly like per-sample drawing. Structured sources override with
-  /// direct multinomial kernels (binomial splitting) that match the sample
-  /// DISTRIBUTION but consume the RNG stream differently — which is why
-  /// count-kernel consumers are opt-in (DESIGN.md section 8). Throws
+  /// Draws through sample_many and tallies, so it consumes the RNG exactly
+  /// like sample_many (DESIGN.md section 8). Virtual only so that a
+  /// forwarding decorator (perfbench's TracedSource) can time it. Throws
   /// CapacityError when the domain exceeds kMaxCountedDomain.
   virtual void sample_counts(Rng& rng, std::size_t draws,
                              std::vector<std::uint64_t>& counts) const {
-    check_counted_domain();
+    if (domain_size() > kMaxCountedDomain) {
+      throw CapacityError("sample_counts: domain too large to materialize");
+    }
     counts.assign(domain_size(), 0);
     static thread_local std::vector<std::uint64_t> scratch;
     sample_many(rng, draws, scratch);
@@ -146,13 +135,6 @@ class SampleSource {
   /// outside [0, domain_size()).
   [[nodiscard]] virtual std::uint64_t count_pairs(
       Rng& rng, unsigned q, std::uint64_t decided_above) const;
-
- protected:
-  void check_counted_domain() const {
-    if (domain_size() > kMaxCountedDomain) {
-      throw CapacityError("sample_counts: domain too large to materialize");
-    }
-  }
 };
 
 /// count_pairs for a source whose one draw is `draw(rng)`: draws and
@@ -220,22 +202,6 @@ class UniformSource final : public SampleSource {
       return draw_and_count_pairs(*this, rng, q, decided_above, index);
     });
   }
-  /// Counts kernel: when draws dominate the domain, split the multinomial
-  /// recursively with exact binomial draws — O(n) binomial draws instead of
-  /// O(draws) samples. Below that crossover, per-sample tallying is already
-  /// the cheaper path (and keeps the per-sample RNG stream).
-  void sample_counts(Rng& rng, std::size_t draws,
-                     std::vector<std::uint64_t>& counts) const override {
-    if (draws < n_) {
-      SampleSource::sample_counts(rng, draws, counts);
-      return;
-    }
-    check_counted_domain();
-    counts.assign(n_, 0);
-    binomial_split_counts(
-        rng, draws, 0, n_,
-        [&counts](std::uint64_t cell, std::uint64_t c) { counts[cell] = c; });
-  }
   [[nodiscard]] std::uint64_t domain_size() const override { return n_; }
   [[nodiscard]] double l1_from_uniform() const override { return 0.0; }
 
@@ -292,31 +258,6 @@ class NuZSource final : public SampleSource {
     return draw_and_count_pairs(*this, rng, q, decided_above,
                                 [this](Rng& r) { return nu_.sample(r); });
   }
-  /// Counts kernel via the two-level structure of nu_z: every cube point x
-  /// has one HEAVY element (x, s = z(x)) of mass (1+eps)/n and one LIGHT
-  /// partner of mass (1-eps)/n, and each class is uniform over the 2^ell
-  /// cube points. Draw the heavy-class total as one Binomial(draws,
-  /// (1+eps)/2), then split each class over its cube points with the
-  /// uniform binomial-splitting kernel, scattering through the element
-  /// encoding. O(min(2^ell, draws)) instead of O(draws) per trial.
-  void sample_counts(Rng& rng, std::size_t draws,
-                     std::vector<std::uint64_t>& counts) const override {
-    check_counted_domain();
-    const CubeDomain& dom = nu_.domain();
-    const std::uint64_t side = dom.side_size();
-    counts.assign(dom.universe_size(), 0);
-    const double p_heavy = 0.5 * (1.0 + nu_.eps());
-    const std::uint64_t heavy = binomial_sample(rng, draws, p_heavy);
-    const PerturbationVector& z = nu_.z();
-    binomial_split_counts(rng, heavy, 0, side,
-                          [&](std::uint64_t x, std::uint64_t c) {
-                            counts[dom.encode(x, z.sign(x))] = c;
-                          });
-    binomial_split_counts(rng, draws - heavy, 0, side,
-                          [&](std::uint64_t x, std::uint64_t c) {
-                            counts[dom.encode(x, -z.sign(x))] = c;
-                          });
-  }
   [[nodiscard]] std::uint64_t domain_size() const override {
     return nu_.domain().universe_size();
   }
@@ -332,8 +273,7 @@ class NuZSource final : public SampleSource {
 /// Wraps the flat-domain Paninski family (dist/paninski.hpp). The alias
 /// table is built from the pair signs at construction, so no draw builds
 /// one, and every draw is bit-identical to
-/// DistributionSource(p.to_distribution())'s. sample_counts keeps the
-/// per-sample default, which consumes the RNG like sample_many.
+/// DistributionSource(p.to_distribution())'s.
 class PaninskiSource final : public SampleSource {
  public:
   explicit PaninskiSource(Paninski p)

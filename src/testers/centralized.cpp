@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "testers/collision.hpp"
@@ -10,9 +11,8 @@
 namespace duti {
 
 CentralizedCollisionTester::CentralizedCollisionTester(std::uint64_t n,
-                                                       double eps, unsigned q,
-                                                       SamplingKernel kernel)
-    : n_(n), eps_(eps), q_(q), kernel_(kernel) {
+                                                       double eps, unsigned q)
+    : n_(n), eps_(eps), q_(q) {
   require(n >= 2, "CentralizedCollisionTester: n must be >= 2");
   require(eps > 0.0 && eps <= 1.0, "CentralizedCollisionTester: eps in (0,1]");
   require(q >= 2, "CentralizedCollisionTester: q must be >= 2");
@@ -38,30 +38,18 @@ bool CentralizedCollisionTester::accept(
   return static_cast<double>(collision_pairs(samples, n_)) < threshold_;
 }
 
-bool CentralizedCollisionTester::accept_counts(
-    std::span<const std::uint64_t> counts) const {
-  require(counts.size() == n_, "CentralizedCollisionTester: wrong domain");
-  return static_cast<double>(collision_pairs_from_counts(counts)) < threshold_;
-}
-
 bool CentralizedCollisionTester::run(const SampleSource& source,
                                      Rng& rng) const {
   require(source.domain_size() == n_,
           "CentralizedCollisionTester: domain size mismatch");
-  if (kernel_ == SamplingKernel::kCounts) {
-    std::vector<std::uint64_t> counts;
-    source.sample_counts(rng, q_, counts);
-    return accept_counts(counts);
-  }
   std::vector<std::uint64_t> samples;
   source.sample_many(rng, q_, samples);
   return accept(samples);
 }
 
 PaninskiCoincidenceTester::PaninskiCoincidenceTester(std::uint64_t n,
-                                                     double eps, unsigned q,
-                                                     SamplingKernel kernel)
-    : n_(n), eps_(eps), q_(q), kernel_(kernel) {
+                                                     double eps, unsigned q)
+    : n_(n), eps_(eps), q_(q) {
   require(n >= 2, "PaninskiCoincidenceTester: n must be >= 2");
   require(eps > 0.0 && eps <= 1.0, "PaninskiCoincidenceTester: eps in (0,1]");
   require(q >= 2, "PaninskiCoincidenceTester: q must be >= 2");
@@ -87,29 +75,17 @@ bool PaninskiCoincidenceTester::accept(
   return static_cast<double>(distinct_values(samples, n_)) > threshold_;
 }
 
-bool PaninskiCoincidenceTester::accept_counts(
-    std::span<const std::uint64_t> counts) const {
-  require(counts.size() == n_, "PaninskiCoincidenceTester: wrong domain");
-  return static_cast<double>(distinct_values_from_counts(counts)) > threshold_;
-}
-
 bool PaninskiCoincidenceTester::run(const SampleSource& source,
                                     Rng& rng) const {
   require(source.domain_size() == n_,
           "PaninskiCoincidenceTester: domain size mismatch");
-  if (kernel_ == SamplingKernel::kCounts) {
-    std::vector<std::uint64_t> counts;
-    source.sample_counts(rng, q_, counts);
-    return accept_counts(counts);
-  }
   std::vector<std::uint64_t> samples;
   source.sample_many(rng, q_, samples);
   return accept(samples);
 }
 
-ChiSquaredTester::ChiSquaredTester(std::uint64_t n, double eps, unsigned q,
-                                   SamplingKernel kernel)
-    : n_(n), eps_(eps), q_(q), kernel_(kernel) {
+ChiSquaredTester::ChiSquaredTester(std::uint64_t n, double eps, unsigned q)
+    : n_(n), eps_(eps), q_(q) {
   require(n >= 2, "ChiSquaredTester: n must be >= 2");
   require(eps > 0.0 && eps <= 1.0, "ChiSquaredTester: eps in (0,1]");
   require(q >= 2, "ChiSquaredTester: q must be >= 2");
@@ -128,6 +104,13 @@ double ChiSquaredTester::statistic(
   // deviation from the all-zero-count baseline.
   std::vector<std::uint64_t> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
+  // The largest sample is the last: one compare checks the domain.
+  if (sorted.back() >= n_) {
+    throw InvalidArgument("ChiSquaredTester: sample " +
+                          std::to_string(sorted.back()) +
+                          " is outside the domain [0, " + std::to_string(n_) +
+                          ")");
+  }
   const double m = static_cast<double>(q_) / static_cast<double>(n_);
   // Baseline: all n elements with c_a = 0 contribute n * (m^2 - 0)/m = q.
   double stat = static_cast<double>(q_);
@@ -141,39 +124,13 @@ double ChiSquaredTester::statistic(
   return stat;
 }
 
-double ChiSquaredTester::statistic_from_counts(
-    std::span<const std::uint64_t> counts) const {
-  require(counts.size() == n_, "ChiSquaredTester: wrong domain");
-  const double m = static_cast<double>(q_) / static_cast<double>(n_);
-  // Same accumulation as statistic(): start from the all-zero-count
-  // baseline (= q) and swap in each nonzero count's term, so both paths
-  // run the identical float operations per occupied element.
-  double stat = static_cast<double>(q_);
-  for (const std::uint64_t count : counts) {
-    if (count == 0) continue;
-    const double c = static_cast<double>(count);
-    stat += ((c - m) * (c - m) - c) / m - m;
-  }
-  return stat;
-}
-
 bool ChiSquaredTester::accept(std::span<const std::uint64_t> samples) const {
   return statistic(samples) < threshold_;
-}
-
-bool ChiSquaredTester::accept_counts(
-    std::span<const std::uint64_t> counts) const {
-  return statistic_from_counts(counts) < threshold_;
 }
 
 bool ChiSquaredTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == n_,
           "ChiSquaredTester: domain size mismatch");
-  if (kernel_ == SamplingKernel::kCounts) {
-    std::vector<std::uint64_t> counts;
-    source.sample_counts(rng, q_, counts);
-    return accept_counts(counts);
-  }
   std::vector<std::uint64_t> samples;
   source.sample_many(rng, q_, samples);
   return accept(samples);

@@ -12,18 +12,13 @@
 
 namespace duti {
 
-// SamplingKernel now lives beside SampleSource (sim/sample_source.hpp,
-// re-exported here through that include) so the distributed protocol plane
-// can share the flag without a testers-layer dependency.
-
 /// Collision-count tester: accept iff the pair-collision count among the q
 /// samples is below the midpoint between the uniform expectation
 /// C(q,2)/n and the far-case floor C(q,2)(1+eps^2)/n.
 class CentralizedCollisionTester {
  public:
   /// Tester for universe size n and proximity eps, using q samples.
-  CentralizedCollisionTester(std::uint64_t n, double eps, unsigned q,
-                             SamplingKernel kernel = SamplingKernel::kPerSample);
+  CentralizedCollisionTester(std::uint64_t n, double eps, unsigned q);
 
   /// Number of samples sufficient for constant (2/3) success, with the
   /// constant `c` in q = c * sqrt(n)/eps^2 (empirically c ~ 3 suffices).
@@ -32,15 +27,11 @@ class CentralizedCollisionTester {
 
   [[nodiscard]] unsigned q() const noexcept { return q_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
-  [[nodiscard]] SamplingKernel kernel() const noexcept { return kernel_; }
 
   /// Decide from an explicit sample vector: true = accept (looks uniform).
   [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
 
-  /// Decide from a per-element histogram of the q draws.
-  [[nodiscard]] bool accept_counts(std::span<const std::uint64_t> counts) const;
-
-  /// Draw q samples from `source` (via the configured kernel) and decide.
+  /// Draw q samples from `source` and decide.
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
  private:
@@ -48,7 +39,6 @@ class CentralizedCollisionTester {
   double eps_;
   unsigned q_;
   double threshold_;
-  SamplingKernel kernel_;
 };
 
 /// Paninski's coincidence tester: with q <= sqrt(n) samples most values are
@@ -57,15 +47,12 @@ class CentralizedCollisionTester {
 /// independent baseline; both testers agree on who wins in every bench.
 class PaninskiCoincidenceTester {
  public:
-  PaninskiCoincidenceTester(std::uint64_t n, double eps, unsigned q,
-                            SamplingKernel kernel = SamplingKernel::kPerSample);
+  PaninskiCoincidenceTester(std::uint64_t n, double eps, unsigned q);
 
   [[nodiscard]] unsigned q() const noexcept { return q_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
-  [[nodiscard]] SamplingKernel kernel() const noexcept { return kernel_; }
 
   [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
-  [[nodiscard]] bool accept_counts(std::span<const std::uint64_t> counts) const;
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
  private:
@@ -73,7 +60,6 @@ class PaninskiCoincidenceTester {
   double eps_;
   unsigned q_;
   double threshold_;
-  SamplingKernel kernel_;
 };
 
 /// Chi-squared-style tester [Diakonikolas-Kane'16 / DGPP'18 flavour]:
@@ -84,22 +70,16 @@ class PaninskiCoincidenceTester {
 /// with a smaller constant in the dense regime (compared in bench E8).
 class ChiSquaredTester {
  public:
-  ChiSquaredTester(std::uint64_t n, double eps, unsigned q,
-                   SamplingKernel kernel = SamplingKernel::kPerSample);
+  ChiSquaredTester(std::uint64_t n, double eps, unsigned q);
 
   [[nodiscard]] unsigned q() const noexcept { return q_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
-  [[nodiscard]] SamplingKernel kernel() const noexcept { return kernel_; }
 
-  /// The statistic itself (exposed for tests).
+  /// The statistic itself (exposed for tests). Throws InvalidArgument,
+  /// naming the sample and the domain, on a sample outside [0, n).
   [[nodiscard]] double statistic(std::span<const std::uint64_t> samples) const;
 
-  /// The statistic from a per-element histogram of the q draws.
-  [[nodiscard]] double statistic_from_counts(
-      std::span<const std::uint64_t> counts) const;
-
   [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
-  [[nodiscard]] bool accept_counts(std::span<const std::uint64_t> counts) const;
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
  private:
@@ -107,7 +87,6 @@ class ChiSquaredTester {
   double eps_;
   unsigned q_;
   double threshold_;
-  SamplingKernel kernel_;
 };
 
 }  // namespace duti

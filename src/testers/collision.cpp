@@ -7,20 +7,6 @@
 
 namespace duti {
 
-std::uint64_t collision_pairs_from_counts(
-    std::span<const std::uint64_t> counts) {
-  std::uint64_t pairs = 0;
-  for (const std::uint64_t c : counts) pairs += c * (c - 1) / 2;
-  return pairs;
-}
-
-std::uint64_t distinct_values_from_counts(
-    std::span<const std::uint64_t> counts) {
-  std::uint64_t distinct = 0;
-  for (const std::uint64_t c : counts) distinct += c > 0 ? 1 : 0;
-  return distinct;
-}
-
 double l2_norm_squared(const DiscreteDistribution& dist) {
   double acc = 0.0;
   for (double p : dist.pmf_vector()) acc += p * p;

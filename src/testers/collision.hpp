@@ -16,24 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "dist/discrete_distribution.hpp"
 #include "sim/protocol_batch.hpp"
 
 namespace duti {
-
-/// Collision pairs from an already-tallied histogram: sum_i c_i(c_i-1)/2.
-/// O(domain) and allocation-free — the fast path when samples arrive as
-/// counts (e.g. from SampleSource::sample_counts or a tallying player).
-[[nodiscard]] std::uint64_t collision_pairs_from_counts(
-    std::span<const std::uint64_t> counts);
-
-/// Distinct values from an already-tallied histogram: #{i : c_i > 0}.
-/// O(domain) and allocation-free — the counts-kernel twin of
-/// distinct_values, mirroring collision_pairs_from_counts.
-[[nodiscard]] std::uint64_t distinct_values_from_counts(
-    std::span<const std::uint64_t> counts);
 
 /// ||mu||_2^2 = sum_i mu(i)^2, the per-pair collision probability.
 [[nodiscard]] double l2_norm_squared(const DiscreteDistribution& dist);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -106,9 +105,9 @@ TEST(CentralizedCollisionTester, AcceptChecksSampleCount) {
 }
 
 TEST(CentralizedTesters, AcceptChecksSamplesAgainstTheDomain) {
-  // Caller samples go straight into the pair and distinct counts: the top
-  // cell n - 1 is counted, and a sample >= n throws instead of indexing
-  // past the counts plane.
+  // Caller samples go straight into the pair and distinct counts and the
+  // chi^2 fold: the top cell n - 1 is counted, and a sample >= n throws
+  // instead of indexing past the counts plane or counting as a cell.
   const CentralizedCollisionTester collision(4, 0.5, 3);
   EXPECT_TRUE(collision.accept(std::vector<std::uint64_t>{3, 2, 1}));
   EXPECT_FALSE(collision.accept(std::vector<std::uint64_t>{3, 3, 1}));
@@ -119,42 +118,13 @@ TEST(CentralizedTesters, AcceptChecksSamplesAgainstTheDomain) {
             3.0 > coincidence.threshold());
   EXPECT_THROW((void)coincidence.accept(std::vector<std::uint64_t>{5, 5, 9}),
                InvalidArgument);
-}
-
-TEST(CentralizedTesters, CountsTwinsDecideLikeTheSampleTwins) {
-  // accept_counts and statistic_from_counts see a tally of the same draws
-  // that accept and statistic see, so they must decide identically; chi^2
-  // folds in ascending element order on both paths, so its statistic is
-  // bit-equal. Uniform and Paninski-far draws alternate.
-  const std::pair<std::uint64_t, unsigned> shapes[] = {
-      {64, 16}, {64, 200}, {4096, 312}};
-  for (const auto& [n, q] : shapes) {
-    const CentralizedCollisionTester collision(n, 0.5, q);
-    const PaninskiCoincidenceTester coincidence(n, 0.5, q);
-    const ChiSquaredTester chi(n, 0.5, q);
-    for (std::uint64_t t = 0; t < 40; ++t) {
-      SCOPED_TRACE(testing::Message() << "n=" << n << " q=" << q << " t=" << t);
-      Rng rng = make_rng(0xC0DE, n, t);
-      std::vector<std::uint64_t> samples;
-      if (t % 2 == 0) {
-        UniformSource(n).sample_many(rng, q, samples);
-      } else {
-        PaninskiSource(Paninski::random(n, 0.5, rng))
-            .sample_many(rng, q, samples);
-      }
-      std::vector<std::uint64_t> tally(n, 0);
-      for (const std::uint64_t s : samples) ++tally[s];
-      EXPECT_EQ(collision.accept_counts(tally), collision.accept(samples));
-      EXPECT_EQ(coincidence.accept_counts(tally), coincidence.accept(samples));
-      EXPECT_EQ(chi.accept_counts(tally), chi.accept(samples));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(chi.statistic_from_counts(tally)),
-                std::bit_cast<std::uint64_t>(chi.statistic(samples)));
-      EXPECT_EQ(collision_pairs_from_counts(tally),
-                collision_pairs(samples, n));
-      EXPECT_EQ(distinct_values_from_counts(tally),
-                distinct_values(samples, n));
-    }
-  }
+  const ChiSquaredTester chi(4, 0.5, 3);
+  EXPECT_TRUE(chi.accept(std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_FALSE(chi.accept(std::vector<std::uint64_t>{3, 3, 1}));
+  EXPECT_THROW((void)chi.accept(std::vector<std::uint64_t>{5, 5, 9}),
+               InvalidArgument);
+  EXPECT_THROW((void)chi.statistic(std::vector<std::uint64_t>{0, 4, 1}),
+               InvalidArgument);
 }
 
 TEST(CentralizedCollisionTester, DomainMismatchThrows) {

@@ -237,7 +237,7 @@ std::vector<SweepPoint> collision_points() {
     p.far = workloads::paninski_far_factory(n, 0.5);
     p.make_tester = [n](std::uint64_t q) -> TesterRun {
       auto tester = std::make_shared<CentralizedCollisionTester>(
-          n, 0.5, static_cast<unsigned>(q), SamplingKernel::kPerSample);
+          n, 0.5, static_cast<unsigned>(q));
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
       };

@@ -86,18 +86,30 @@ TEST(Workloads, TrialInvarianceFlags) {
 TEST(SampleSources, BatchedDrawsMatchScalarDraws) {
   // sample_many overrides must consume the RNG exactly like repeated
   // sample() calls — batch and scalar paths are interchangeable bit-for-bit,
-  // and leave the RNG in the same state.
+  // and leave the RNG in the same state. sample_counts is the tally of the
+  // same draws and leaves the same state too, also when the draws outnumber
+  // the domain.
   const auto check = [](const SampleSource& source, std::size_t count) {
-    Rng scalar_rng(99), batch_rng(99);
+    Rng scalar_rng(99), batch_rng(99), counts_rng(99);
     std::vector<std::uint64_t> batch;
     source.sample_many(batch_rng, count, batch);
     ASSERT_EQ(batch.size(), count);
+    std::vector<std::uint64_t> tally(source.domain_size(), 0);
     for (const std::uint64_t b : batch) {
       EXPECT_EQ(b, source.sample(scalar_rng));
+      ++tally[b];
     }
-    for (int k = 0; k < 4; ++k) ASSERT_EQ(batch_rng(), scalar_rng());
+    std::vector<std::uint64_t> counts;
+    source.sample_counts(counts_rng, count, counts);
+    EXPECT_EQ(counts, tally);
+    for (int k = 0; k < 4; ++k) {
+      const std::uint64_t next = batch_rng();
+      ASSERT_EQ(next, scalar_rng());
+      ASSERT_EQ(next, counts_rng());
+    }
   };
   check(UniformSource(1000), 257);
+  check(UniformSource(64), 257);
   check(DistributionSource(gen::zipf(64, 1.0)), 257);
   Rng rng(7);
   check(PaninskiSource(Paninski::random(64, 0.25, rng)), 257);
@@ -110,6 +122,14 @@ TEST(SampleSources, BatchedDrawsMatchScalarDraws) {
       check(nu, 257);
     }
   }
+}
+
+TEST(Counts, OversizedDomainThrowsCapacityError) {
+  const UniformSource source(kMaxCountedDomain + 1);
+  Rng rng(1);
+  std::vector<std::uint64_t> counts;
+  EXPECT_THROW(source.sample_counts(rng, kMaxCountedDomain + 2, counts),
+               CapacityError);
 }
 
 TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
