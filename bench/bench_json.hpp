@@ -1,7 +1,7 @@
-// Stamped BENCH_*.json emission, split out of bench_common.hpp so tools
-// that produce bench artifacts (tools/duti_analyze) can stamp them with the
-// same header without pulling in the stats/sweep layers. Everything here is
-// dependency-free standard library; names stay in duti::bench.
+// Stamped BENCH_*.json emission, split out of bench_common.hpp so the JSON
+// helpers stand without the stats/sweep layers: tools/duti_lint escapes its
+// report with json_escape. Everything here is dependency-free standard
+// library; names stay in duti::bench.
 #pragma once
 
 #include <cstdint>

@@ -9,8 +9,8 @@
 function(duti_add_header_self_check)
   file(GLOB_RECURSE duti_headers RELATIVE ${CMAKE_SOURCE_DIR}/src
        CONFIGURE_DEPENDS ${CMAKE_SOURCE_DIR}/src/*.hpp)
-  # Tool headers (duti_lint, duti_analyze) are spelled repo-relative; the
-  # extra include dirs below mirror the tools' own target include paths.
+  # Tool headers (duti_lint) are spelled repo-relative; the extra include
+  # dirs below mirror the tool's own target include paths.
   file(GLOB_RECURSE duti_tool_headers RELATIVE ${CMAKE_SOURCE_DIR}
        CONFIGURE_DEPENDS ${CMAKE_SOURCE_DIR}/tools/*.hpp)
   list(APPEND duti_headers ${duti_tool_headers})
@@ -35,8 +35,7 @@ function(duti_add_header_self_check)
   target_include_directories(duti_header_check PRIVATE
     ${CMAKE_SOURCE_DIR}
     ${CMAKE_SOURCE_DIR}/src
-    ${CMAKE_SOURCE_DIR}/tools/duti_lint
-    ${CMAKE_SOURCE_DIR}/tools/duti_analyze)
+    ${CMAKE_SOURCE_DIR}/tools/duti_lint)
   find_package(Threads REQUIRED)
   target_link_libraries(duti_header_check PRIVATE Threads::Threads)
 

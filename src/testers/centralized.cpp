@@ -2,13 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include "testers/collision.hpp"
 #include "util/error.hpp"
 
 namespace duti {
+namespace {
+
+/// The chi^2 statistic from the pair count C of q samples on n elements.
+/// With m = q/n, sum_a ((c_a - m)^2 - c_a)/m = (sum_a c_a^2 - q)/m - q, and
+/// sum_a c_a^2 - q = 2C, so the statistic is 2nC/q - q.
+double chi_squared_from_pairs(std::uint64_t n, unsigned q,
+                              std::uint64_t pairs) {
+  const double qd = static_cast<double>(q);
+  return 2.0 * static_cast<double>(n) * static_cast<double>(pairs) / qd - qd;
+}
+
+}  // namespace
 
 CentralizedCollisionTester::CentralizedCollisionTester(std::uint64_t n,
                                                        double eps, unsigned q)
@@ -42,9 +53,8 @@ bool CentralizedCollisionTester::run(const SampleSource& source,
                                      Rng& rng) const {
   require(source.domain_size() == n_,
           "CentralizedCollisionTester: domain size mismatch");
-  std::vector<std::uint64_t> samples;
-  source.sample_many(rng, q_, samples);
-  return accept(samples);
+  return static_cast<double>(source.count_pairs(rng, q_, kNoPairBound)) <
+         threshold_;
 }
 
 PaninskiCoincidenceTester::PaninskiCoincidenceTester(std::uint64_t n,
@@ -99,29 +109,7 @@ ChiSquaredTester::ChiSquaredTester(std::uint64_t n, double eps, unsigned q)
 double ChiSquaredTester::statistic(
     std::span<const std::uint64_t> samples) const {
   require(samples.size() == q_, "ChiSquaredTester: wrong sample count");
-  // Count occurrences; only elements that appear contribute to the
-  // (c_a - m)^2 - c_a part beyond the constant baseline, so accumulate the
-  // deviation from the all-zero-count baseline.
-  std::vector<std::uint64_t> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  // The largest sample is the last: one compare checks the domain.
-  if (sorted.back() >= n_) {
-    throw InvalidArgument("ChiSquaredTester: sample " +
-                          std::to_string(sorted.back()) +
-                          " is outside the domain [0, " + std::to_string(n_) +
-                          ")");
-  }
-  const double m = static_cast<double>(q_) / static_cast<double>(n_);
-  // Baseline: all n elements with c_a = 0 contribute n * (m^2 - 0)/m = q.
-  double stat = static_cast<double>(q_);
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t run = 1;
-    while (i + run < sorted.size() && sorted[i + run] == sorted[i]) ++run;
-    const double c = static_cast<double>(run);
-    stat += ((c - m) * (c - m) - c) / m - m;  // replace the zero-count term
-    i += run;
-  }
-  return stat;
+  return chi_squared_from_pairs(n_, q_, collision_pairs(samples, n_));
 }
 
 bool ChiSquaredTester::accept(std::span<const std::uint64_t> samples) const {
@@ -131,9 +119,9 @@ bool ChiSquaredTester::accept(std::span<const std::uint64_t> samples) const {
 bool ChiSquaredTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == n_,
           "ChiSquaredTester: domain size mismatch");
-  std::vector<std::uint64_t> samples;
-  source.sample_many(rng, q_, samples);
-  return accept(samples);
+  return chi_squared_from_pairs(n_, q_,
+                                source.count_pairs(rng, q_, kNoPairBound)) <
+         threshold_;
 }
 
 }  // namespace duti

@@ -66,8 +66,9 @@ class PaninskiCoincidenceTester {
 /// the statistic sum_a ((c_a - q/n)^2 - c_a) / (q/n) over element counts
 /// c_a has mean q n ||mu - U||_2^2 - n ||mu||_2^2 (= -1 under uniform,
 /// >= q eps^2 - 1 - eps^2 when eps-far) and variance ~ 2n under uniform,
-/// so it separates at q = O(sqrt(n)/eps^2) like the collision tester but
-/// with a smaller constant in the dense regime (compared in bench E8).
+/// so it separates at q = O(sqrt(n)/eps^2) like the collision tester. It
+/// equals 2nC/q - q for the pair count C, so it is the collision statistic
+/// at another threshold (compared in bench E8), and it is computed that way.
 class ChiSquaredTester {
  public:
   ChiSquaredTester(std::uint64_t n, double eps, unsigned q);

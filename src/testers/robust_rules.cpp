@@ -156,7 +156,10 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
 
   std::vector<std::uint8_t> bits;  // arrival order = player order
   bits.reserve(k);
-  std::vector<std::uint64_t> samples;
+  // A player's vote is decided once its pair count passes floor(local_t_),
+  // and nothing reads its stream after the vote, so its count may stop
+  // there (a kRandomBit Byzantine player draws no samples at all).
+  const std::uint64_t decided_above = collision_vote_decided_above(local_t_);
   for (unsigned j = 0; j < k; ++j) {
     if (role[j] == 2) continue;  // crashed: nothing arrives
     Rng player_rng = make_rng(rng(), j);
@@ -165,10 +168,9 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
         role[j] == 0 ||
         plan_.byzantine_mode == ByzantineMode::kAdversarialFlip;
     if (need_honest_vote) {
-      source.sample_many(player_rng, cfg_.q, samples);
-      bit = static_cast<double>(collision_pairs(samples, cfg_.n)) > local_t_
-                ? 1
-                : 0;
+      const std::uint64_t pairs =
+          source.count_pairs(player_rng, cfg_.q, decided_above);
+      bit = static_cast<double>(pairs) > local_t_ ? 1 : 0;
     }
     if (role[j] == 1) {
       switch (plan_.byzantine_mode) {

@@ -15,14 +15,14 @@ TreeTestResult tree_uniformity_test(Network& net, const SpanningTree& tree,
   require(q >= 2, "tree_uniformity_test: q must be >= 2");
   // Every node (including the root, which also holds samples) votes.
   std::vector<std::uint64_t> votes(net.num_nodes(), 0);
-  std::vector<std::uint64_t> samples;
+  // Nothing reads a node's stream after its vote, so its pair count stops
+  // once the vote is decided.
+  const std::uint64_t decided_above =
+      collision_vote_decided_above(local_threshold);
   for (NodeId v = 0; v < net.num_nodes(); ++v) {
     Rng node_rng = make_rng(rng(), v);
-    source.sample_many(node_rng, q, samples);
-    votes[v] = static_cast<double>(collision_pairs(
-                   samples, source.domain_size())) > local_threshold
-                   ? 1
-                   : 0;
+    const std::uint64_t pairs = source.count_pairs(node_rng, q, decided_above);
+    votes[v] = static_cast<double>(pairs) > local_threshold ? 1 : 0;
   }
   // Reject-vote partial sums fit in ceil(log2(k+1)) bits per message.
   std::uint64_t bits = 1;

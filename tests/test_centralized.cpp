@@ -127,6 +127,33 @@ TEST(CentralizedTesters, AcceptChecksSamplesAgainstTheDomain) {
                InvalidArgument);
 }
 
+TEST(CentralizedTesters, RunDecidesOnTheDrawsAcceptSees) {
+  // run counts its q draws' pairs without keeping the draws: it must reach
+  // accept's verdict on those draws and leave the stream where sample_many
+  // leaves it.
+  const std::uint64_t n = 256;
+  const unsigned q = 48;
+  const CentralizedCollisionTester collision(n, 0.5, q);
+  const ChiSquaredTester chi(n, 0.5, q);
+  Rng gen_rng(31);
+  const UniformSource uniform(n);
+  const DistributionSource far(gen::paninski(n, 0.5, gen_rng));
+  const std::vector<const SampleSource*> sources = {&uniform, &far};
+  std::vector<std::uint64_t> samples;
+  for (const SampleSource* source : sources) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Rng drawn(seed), ran_collision(seed), ran_chi(seed);
+      source->sample_many(drawn, q, samples);
+      EXPECT_EQ(collision.run(*source, ran_collision),
+                collision.accept(samples));
+      EXPECT_EQ(chi.run(*source, ran_chi), chi.accept(samples));
+      const std::uint64_t next = drawn();
+      EXPECT_EQ(ran_collision(), next);
+      EXPECT_EQ(ran_chi(), next);
+    }
+  }
+}
+
 TEST(CentralizedCollisionTester, DomainMismatchThrows) {
   const CentralizedCollisionTester tester(100, 0.5, 10);
   const UniformSource source(200);

@@ -1,30 +1,27 @@
-// Tests for duti-analyze (tools/duti_analyze): layer-policy parsing, the
-// token stream and definition finder, layering enforcement over in-memory
-// trees (positive AND seeded-violation fixtures), the RNG-stream dataflow
-// rules, the determinism-purity walk from src/stats entry points, the
-// shared suppression grammar (including staleness and the lint/analyze
-// ownership split), report shapes, fingerprint invariance, and the CLI
-// exit-code contract. Fixtures are string literals, so the tree-wide
-// `duti_analyze` CTest pass does not see their contents.
-#include "analyze.hpp"
+// Tests for duti-lint's cross-TU passes (tools/duti_lint): layer-policy
+// parsing, the token stream and definition finder, layering enforcement over
+// in-memory trees (positive AND seeded-violation fixtures), the RNG-stream
+// dataflow rules, the determinism-purity walk from src/stats entry points,
+// suppression of cross-TU findings (including staleness), report shapes and
+// fingerprint invariance. The per-file rules, the ledger they share and the
+// CLI are tested in test_duti_lint.cpp. Fixtures are string literals, so the
+// tree-wide `duti_lint` CTest pass does not see their contents.
+#include "lint.hpp"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <set>
-#include <sstream>
+#include <algorithm>
 #include <string>
 #include <vector>
 
 namespace {
 
-using duti::analyze::AnalyzeReport;
-using duti::analyze::Finding;
-using duti::analyze::FunctionDef;
-using duti::analyze::LayerPolicy;
-using duti::analyze::SourceFile;
-using duti::analyze::Token;
+using duti::lint::Finding;
+using duti::lint::FunctionDef;
+using duti::lint::LayerPolicy;
+using duti::lint::LintReport;
+using duti::lint::SourceFile;
+using duti::lint::Token;
 
 const char kPolicy[] =
     "layer util\n"
@@ -35,25 +32,31 @@ const char kPolicy[] =
 LayerPolicy policy_of(const std::string& text) {
   LayerPolicy p;
   std::string err;
-  EXPECT_TRUE(duti::analyze::parse_layer_policy(text, p, err)) << err;
+  EXPECT_TRUE(duti::lint::parse_layer_policy(text, p, err)) << err;
   return p;
 }
 
-AnalyzeReport run(const std::vector<SourceFile>& files,
+LintReport run(const std::vector<SourceFile>& files,
                   const std::string& policy_text = kPolicy) {
-  return duti::analyze::analyze_sources(files, policy_of(policy_text));
+  return duti::lint::lint_sources(files, policy_of(policy_text));
 }
 
-std::size_t count_rule(const AnalyzeReport& r, const std::string& rule) {
+std::size_t count_rule(const LintReport& r, const std::string& rule) {
   return r.rule_counts.at(rule);
 }
 
+/// The first finding of `rule`; the per-file rules may report the same line.
+const Finding& first_of(const LintReport& r, const std::string& rule) {
+  return *std::find_if(r.findings.begin(), r.findings.end(),
+                       [&](const Finding& f) { return f.rule == rule; });
+}
+
 std::vector<Token> tokens_of(const std::string& src) {
-  return duti::analyze::tokenize(duti::lint::lex_lines(src));
+  return duti::lint::tokenize(duti::lint::lex_lines(src));
 }
 
 std::vector<FunctionDef> defs_of(const std::string& src) {
-  return duti::analyze::find_functions(tokens_of(src));
+  return duti::lint::find_functions(tokens_of(src));
 }
 
 // ---------------------------------------------------------------------------
@@ -78,28 +81,28 @@ TEST(LayerPolicy, ParsesLayersAllowsAndComments) {
 TEST(LayerPolicy, RejectsUnknownDirective) {
   LayerPolicy p;
   std::string err;
-  EXPECT_FALSE(duti::analyze::parse_layer_policy("stratum util\n", p, err));
+  EXPECT_FALSE(duti::lint::parse_layer_policy("stratum util\n", p, err));
   EXPECT_NE(err.find("unknown directive"), std::string::npos);
 }
 
 TEST(LayerPolicy, RejectsEmptyLayerLine) {
   LayerPolicy p;
   std::string err;
-  EXPECT_FALSE(duti::analyze::parse_layer_policy("layer\n", p, err));
+  EXPECT_FALSE(duti::lint::parse_layer_policy("layer\n", p, err));
 }
 
 TEST(LayerPolicy, RejectsDuplicateModule) {
   LayerPolicy p;
   std::string err;
   EXPECT_FALSE(
-      duti::analyze::parse_layer_policy("layer util\nlayer util\n", p, err));
+      duti::lint::parse_layer_policy("layer util\nlayer util\n", p, err));
   EXPECT_NE(err.find("duplicate"), std::string::npos);
 }
 
 TEST(LayerPolicy, RejectsAllowOfUnplacedModule) {
   LayerPolicy p;
   std::string err;
-  EXPECT_FALSE(duti::analyze::parse_layer_policy(
+  EXPECT_FALSE(duti::lint::parse_layer_policy(
       "layer util\nallow util ghost\n", p, err));
   EXPECT_NE(err.find("unplaced"), std::string::npos);
 }
@@ -107,15 +110,15 @@ TEST(LayerPolicy, RejectsAllowOfUnplacedModule) {
 TEST(LayerPolicy, RejectsEmptyPolicy) {
   LayerPolicy p;
   std::string err;
-  EXPECT_FALSE(duti::analyze::parse_layer_policy("# only comments\n", p, err));
+  EXPECT_FALSE(duti::lint::parse_layer_policy("# only comments\n", p, err));
 }
 
 TEST(LayerPolicy, ModuleOfPaths) {
-  EXPECT_EQ(duti::analyze::module_of("src/util/rng.hpp"), "util");
-  EXPECT_EQ(duti::analyze::module_of("src/stats/harness.cpp"), "stats");
-  EXPECT_EQ(duti::analyze::module_of("bench/e1.cpp"), "bench");
-  EXPECT_EQ(duti::analyze::module_of("tools/duti_lint/lint.hpp"), "tools");
-  EXPECT_EQ(duti::analyze::module_of("README.md"), "");
+  EXPECT_EQ(duti::lint::module_of("src/util/rng.hpp"), "util");
+  EXPECT_EQ(duti::lint::module_of("src/stats/harness.cpp"), "stats");
+  EXPECT_EQ(duti::lint::module_of("bench/e1.cpp"), "bench");
+  EXPECT_EQ(duti::lint::module_of("tools/duti_lint/lint.hpp"), "tools");
+  EXPECT_EQ(duti::lint::module_of("README.md"), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -382,7 +385,7 @@ TEST(Purity, WallClockReachableFromStatsCarriesCallPath) {
        {"src/util/h.cpp",
         "int helper(int x) {\n  auto t = Clock::now();\n  return x;\n}\n"}});
   ASSERT_EQ(count_rule(r, "pure-wall-clock"), 1u);
-  const Finding& f = r.findings[0];
+  const Finding& f = first_of(r, "pure-wall-clock");
   EXPECT_EQ(f.file, "src/util/h.cpp");
   EXPECT_EQ(f.line, 2);
   EXPECT_EQ(f.path, "probe_entry -> helper");
@@ -426,12 +429,12 @@ TEST(Purity, FloatPlusEqualsInsideStatsIsFlagged) {
                        "  return s;\n"
                        "}\n"}});
   ASSERT_EQ(count_rule(r, "pure-float-reduce"), 1u);
-  EXPECT_EQ(r.findings[0].line, 3);
+  EXPECT_EQ(first_of(r, "pure-float-reduce").line, 3);
 }
 
 TEST(Purity, FloatPlusEqualsOutsideStatsIsNotFlagged) {
-  // File-local float += outside src/stats stays duti-lint's jurisdiction;
-  // the analyzer only chases accumulate-style folds across TU boundaries.
+  // Outside src/stats a float += breaks no rule: the purity walk chases
+  // only accumulate-style folds across TU boundaries.
   const auto r = run(
       {{"src/stats/probe.cpp", "double probe_entry() {\n  return s();\n}\n"},
        {"src/util/m.cpp",
@@ -503,7 +506,7 @@ TEST(Suppression, UnjustifiedAllowDoesNotApply) {
   EXPECT_EQ(r.suppressions_used, 0u);
 }
 
-TEST(Suppression, StaleAnalyzerSuppressionIsFlagged) {
+TEST(Suppression, StaleCrossTuSuppressionIsFlagged) {
   const auto r = run({{"src/util/a.cpp",
                        "// duti-lint: allow(rng-copy) -- nothing here\n"
                        "int x = 1;\n"}});
@@ -519,33 +522,8 @@ TEST(Suppression, StaleFileScopedSuppressionIsFlagged) {
   EXPECT_EQ(count_rule(r, "stale-suppression"), 1u);
 }
 
-TEST(Suppression, LintOwnedRulesAreIgnoredNotStale) {
-  // no-wall-clock belongs to duti-lint: the analyzer must neither apply
-  // nor stale-flag it. (duti-lint symmetrically skips analyzer rules.)
-  const auto r = run({{"src/util/a.cpp",
-                       "// duti-lint: allow(no-wall-clock) -- lint's call\n"
-                       "auto t = Clock::now();\n"}});
-  EXPECT_EQ(count_rule(r, "stale-suppression"), 0u);
-  EXPECT_EQ(r.suppressions_used, 0u);
-}
-
-TEST(Registry, AnalyzerRulesMatchLintForeignNamesExactly) {
-  std::set<std::string> own;
-  for (const auto& rule : duti::analyze::default_rules()) {
-    EXPECT_FALSE(rule.description.empty()) << rule.name;
-    EXPECT_TRUE(own.insert(rule.name).second) << rule.name;
-  }
-  // Both tools run a stale check for the rules they own; every other
-  // analyzer rule must be advertised to duti-lint as foreign, or lint's
-  // unknown-rule would reject the shared suppressions.
-  ASSERT_TRUE(own.count("stale-suppression"));
-  own.erase("stale-suppression");
-  const auto& foreign = duti::lint::foreign_rule_names();
-  EXPECT_EQ(own, std::set<std::string>(foreign.begin(), foreign.end()));
-}
-
 // ---------------------------------------------------------------------------
-// Report, fingerprint, CLI
+// Report, fingerprint
 // ---------------------------------------------------------------------------
 
 TEST(Report, JsonShapeHasStableKeys) {
@@ -553,9 +531,9 @@ TEST(Report, JsonShapeHasStableKeys) {
       {{"src/util/rng.hpp", "#pragma once\nint util_fn();\n"},
        {"src/stats/h.cpp",
         "#include \"util/rng.hpp\"\nint f() {\n  return 1;\n}\n"}});
-  const std::string js = duti::analyze::to_json(r);
-  EXPECT_NE(js.find("\"tool\": \"duti_analyze\""), std::string::npos);
-  EXPECT_NE(js.find("\"schema_version\": 1"), std::string::npos);
+  const std::string js = duti::lint::to_json(r);
+  EXPECT_NE(js.find("\"tool\": \"duti_lint\""), std::string::npos);
+  EXPECT_NE(js.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(js.find("\"fingerprint\": \""), std::string::npos);
   EXPECT_NE(js.find("\"module_edges\": ["), std::string::npos);
   EXPECT_NE(js.find("[\"stats\", \"util\"]"), std::string::npos);
@@ -568,7 +546,7 @@ TEST(Report, HumanOutputCarriesReachabilityPath) {
       {{"src/stats/probe.cpp", "int probe_entry() {\n  return helper(1);\n}\n"},
        {"src/util/h.cpp",
         "int helper(int x) {\n  auto t = Clock::now();\n  return x;\n}\n"}});
-  const std::string human = duti::analyze::to_human(r);
+  const std::string human = duti::lint::to_human(r);
   EXPECT_NE(human.find("src/util/h.cpp:2"), std::string::npos);
   EXPECT_NE(human.find("reachable via probe_entry -> helper"),
             std::string::npos);
@@ -577,7 +555,7 @@ TEST(Report, HumanOutputCarriesReachabilityPath) {
 TEST(Report, DotOutputRanksLayersAndListsEdges) {
   const auto r = run({{"src/util/rng.hpp", "#pragma once\n"},
                       {"src/stats/h.cpp", "#include \"util/rng.hpp\"\n"}});
-  const std::string dot = duti::analyze::to_dot(r, policy_of(kPolicy));
+  const std::string dot = duti::lint::to_dot(r, policy_of(kPolicy));
   EXPECT_NE(dot.find("digraph duti_modules"), std::string::npos);
   EXPECT_NE(dot.find("rank=same; \"util\""), std::string::npos);
   EXPECT_NE(dot.find("\"stats\" -> \"util\";"), std::string::npos);
@@ -603,84 +581,6 @@ TEST(Fingerprint, SensitiveToGraphChanges) {
                        "#include \"util/rng.hpp\"\nint f() {\n"
                        "  return 1;\n}\n"}});
   EXPECT_NE(a.fingerprint, b.fingerprint);
-}
-
-// The CLI contract, exercised against a small on-disk tree: 0 clean,
-// 1 findings, 2 usage/IO error.
-class AnalyzeCli : public ::testing::Test {
- protected:
-  void SetUp() override {
-    root_ = std::filesystem::temp_directory_path() / "duti_analyze_cli_tree";
-    std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_ / "tools/duti_analyze");
-    std::filesystem::create_directories(root_ / "src/util");
-    std::filesystem::create_directories(root_ / "src/stats");
-    write("tools/duti_analyze/layers.txt", "layer util\nlayer stats\n");
-    write("src/util/a.hpp", "#pragma once\nint util_fn();\n");
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-
-  void write(const std::string& rel, const std::string& content) {
-    std::ofstream out(root_ / rel, std::ios::binary);
-    out << content;
-  }
-
-  int cli(const std::vector<std::string>& extra, std::string* stdout_text,
-          std::string* stderr_text) {
-    std::vector<std::string> args = {"duti_analyze", "--root",
-                                     root_.string()};
-    args.insert(args.end(), extra.begin(), extra.end());
-    std::vector<const char*> argv;
-    argv.reserve(args.size());
-    for (const auto& a : args) argv.push_back(a.c_str());
-    std::ostringstream out, err;
-    const int code = duti::analyze::run_analyze_cli(
-        static_cast<int>(argv.size()), argv.data(), out, err);
-    if (stdout_text != nullptr) *stdout_text = out.str();
-    if (stderr_text != nullptr) *stderr_text = err.str();
-    return code;
-  }
-
-  std::filesystem::path root_;
-};
-
-TEST_F(AnalyzeCli, CleanTreeExitsZero) {
-  std::string out;
-  EXPECT_EQ(cli({}, &out, nullptr), 0);
-  EXPECT_NE(out.find("0 findings"), std::string::npos);
-}
-
-TEST_F(AnalyzeCli, SeededLayeringViolationExitsOne) {
-  write("src/util/bad.hpp", "#pragma once\n#include \"stats/s.hpp\"\n");
-  write("src/stats/s.hpp", "#pragma once\n");
-  std::string out;
-  EXPECT_EQ(cli({}, &out, nullptr), 1);
-  EXPECT_NE(out.find("layer-violation"), std::string::npos);
-}
-
-TEST_F(AnalyzeCli, SeededRngCopyExitsOne) {
-  write("src/util/bad.cpp", "void f(Rng& g) {\n  Rng a = g;\n  a();\n}\n");
-  std::string out;
-  EXPECT_EQ(cli({}, &out, nullptr), 1);
-  EXPECT_NE(out.find("rng-copy"), std::string::npos);
-}
-
-TEST_F(AnalyzeCli, UnknownFlagAndMissingPolicyExitTwo) {
-  std::string err;
-  EXPECT_EQ(cli({"--nope"}, nullptr, &err), 2);
-  EXPECT_NE(err.find("unknown option"), std::string::npos);
-  EXPECT_EQ(cli({"--layers", (root_ / "missing.txt").string()}, nullptr,
-                &err),
-            2);
-}
-
-TEST_F(AnalyzeCli, JsonReportLandsInOutFile) {
-  const std::string out_file = (root_ / "report.json").string();
-  EXPECT_EQ(cli({"--json", "--out", out_file}, nullptr, nullptr), 0);
-  std::ifstream in(out_file, std::ios::binary);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("\"tool\": \"duti_analyze\""), std::string::npos);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Tests for the duti-lint rule engine (tools/duti_lint). Each rule gets at
+// Tests for duti-lint's per-file rules (tools/duti_lint). Each rule gets at
 // least one positive fixture (snippet that must be flagged) and one
 // negative (clean or out-of-scope snippet), plus coverage for suppression
-// parsing and the JSON report shape. Fixtures are raw string literals, so
-// the tree-wide `duti_lint` CTest pass does not see their contents.
+// parsing, the one ledger that settles per-file and cross-TU findings, the
+// JSON report shape and the CLI. The cross-TU passes are tested in
+// test_duti_analyze.cpp. Fixtures are raw string literals, so the tree-wide
+// `duti_lint` CTest pass does not see their contents.
 #include "lint.hpp"
 
 #include <gtest/gtest.h>
@@ -15,15 +17,22 @@
 #include <string>
 #include <vector>
 
+#include "bench_json.hpp"
+
 namespace {
 
 using duti::lint::Finding;
 using duti::lint::LintReport;
 
+// One layer placing every module the fixtures use: a one-file fixture has
+// no include edges, and no fixture trips layer-unknown-module.
+const duti::lint::LayerPolicy kPolicy{
+    {{"util", "dist", "fourier", "core", "sim", "testers", "stats", "chaos",
+      "bench", "examples", "tools", "tests"}},
+    {}};
+
 LintReport lint(const std::string& path, const std::string& content) {
-  LintReport report = duti::lint::make_report();
-  duti::lint::lint_source(path, content, report);
-  return report;
+  return duti::lint::lint_sources({{path, content}}, kPolicy);
 }
 
 std::size_t count_rule(const LintReport& r, const std::string& rule) {
@@ -38,7 +47,8 @@ TEST(Registry, RuleNamesAreUniqueAndDescribed) {
     EXPECT_TRUE(names.insert(rule.name).second) << rule.name;
     EXPECT_FALSE(rule.description.empty()) << rule.name;
   }
-  EXPECT_GE(names.size(), 10u);
+  // 15 per-file rules, 10 cross-TU rules and the ledger's 3 meta rules.
+  EXPECT_EQ(names.size(), 28u);
 }
 
 TEST(NoRandomDevice, FlagsUseInSrc) {
@@ -487,7 +497,7 @@ TEST(Report, JsonShapeHasStableKeysAndAnchors) {
 )");
   const std::string json = duti::lint::to_json(r);
   EXPECT_NE(json.find("\"tool\": \"duti_lint\""), std::string::npos);
-  EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"files_scanned\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"total_findings\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"rule_counts\""), std::string::npos);
@@ -543,38 +553,53 @@ int y = rand();
   EXPECT_EQ(count_rule(r, "no-rand"), 1u);
 }
 
-TEST(StaleSuppression, ForeignAnalyzerRulesAreExempt) {
-  // rng-copy belongs to duti-analyze: the linter accepts the name (no
-  // unknown-rule) but must not stale-flag it — duti_analyze runs the
-  // symmetric check over the rules it owns.
-  const auto r = lint("src/a.cpp",
-                      R"(int x = 1;  // duti-lint: allow(rng-copy) -- theirs
+TEST(Ledger, OneDirectiveCreditsAPerFileAndACrossTuFinding) {
+  // The shape of src/stats/shape.cpp's curve fit: one directive names a
+  // per-file rule and a cross-TU rule, and each credits its own finding.
+  const auto r = lint("src/stats/fit.cpp", R"(double fit(int n) {
+  double acc = 0.0;
+  for (int i = 0; i < n; ++i) {
+    // duti-lint: allow(no-float-accumulate, pure-float-reduce) -- fixture
+    acc += term(i);
+  }
+  return acc;
+}
 )");
-  EXPECT_EQ(count_rule(r, "unknown-rule"), 0u);
-  EXPECT_EQ(count_rule(r, "stale-suppression"), 0u);
-  EXPECT_EQ(r.suppressions_used, 0u);
+  EXPECT_TRUE(r.findings.empty()) << duti::lint::to_human(r);
+  EXPECT_EQ(r.suppressions_used, 2u);
+}
+
+TEST(Ledger, StaleDirectivesOfBothKindsAreFlaggedOnce) {
+  const auto r = lint("src/stats/fit.cpp",
+                      R"(int x = 1;  // duti-lint: allow(no-rand) -- why
+int y = 2;  // duti-lint: allow(rng-copy) -- why
+)");
+  ASSERT_EQ(r.findings.size(), 2u) << duti::lint::to_human(r);
+  EXPECT_EQ(count_rule(r, "stale-suppression"), 2u);
+  EXPECT_NE(r.findings[0].message.find("'no-rand'"), std::string::npos);
+  EXPECT_NE(r.findings[1].message.find("'rng-copy'"), std::string::npos);
 }
 
 TEST(JsonEscape, QuotesAndBackslashes) {
-  EXPECT_EQ(duti::lint::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(duti::bench::json_escape("a\"b\\c"), "a\\\"b\\\\c");
 }
 
 TEST(JsonEscape, NewlineAndTab) {
-  EXPECT_EQ(duti::lint::json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(duti::bench::json_escape("a\nb\tc"), "a\\nb\\tc");
 }
 
 TEST(JsonEscape, ControlCharactersUseUnicodeEscapes) {
-  EXPECT_EQ(duti::lint::json_escape(std::string("\x01\x1f")),
+  EXPECT_EQ(duti::bench::json_escape(std::string("\x01\x1f")),
             "\\u0001\\u001f");
 }
 
 TEST(JsonEscape, NonAsciiUtf8PassesThrough) {
   const std::string mu = "\xce\xbc";  // U+03BC in UTF-8
-  EXPECT_EQ(duti::lint::json_escape(mu), mu);
+  EXPECT_EQ(duti::bench::json_escape(mu), mu);
 }
 
 TEST(JsonEscape, EscapedMessageStaysInsideJsonString) {
-  duti::lint::LintReport r = duti::lint::make_report();
+  duti::lint::LintReport r;
   r.findings.push_back(
       {"src/a.cpp", 1, "no-rand", "say \"no\" to rand\\srand"});
   r.rule_counts["no-rand"] = 1;
@@ -591,7 +616,10 @@ class LintCli : public ::testing::Test {
   void SetUp() override {
     root_ = std::filesystem::temp_directory_path() / "duti_lint_cli_tree";
     std::filesystem::remove_all(root_);
-    std::filesystem::create_directories(root_ / "src");
+    std::filesystem::create_directories(root_ / "src/util");
+    std::filesystem::create_directories(root_ / "src/stats");
+    std::filesystem::create_directories(root_ / "tools/duti_lint");
+    write("tools/duti_lint/layers.txt", "layer util\nlayer stats\n");
     write("src/clean.cpp", "int x = 1;\n");
   }
   void TearDown() override { std::filesystem::remove_all(root_); }
@@ -632,10 +660,32 @@ TEST_F(LintCli, FindingsExitOne) {
   EXPECT_NE(out.find("no-rand"), std::string::npos);
 }
 
+TEST_F(LintCli, CrossTuFindingExitsOne) {
+  write("src/util/bad.hpp", "#pragma once\n#include \"stats/s.hpp\"\n");
+  write("src/stats/s.hpp", "#pragma once\n");
+  std::string out;
+  EXPECT_EQ(cli({}, &out, nullptr), 1);
+  EXPECT_NE(out.find("layer-violation"), std::string::npos);
+}
+
+TEST_F(LintCli, OverlappingPathsScanEachFileOnce) {
+  // A second copy of util/rng.hpp would make the include ambiguous and the
+  // directive stale.
+  write("src/util/rng.hpp", "#pragma once\n"
+                            "// duti-lint: allow(no-rand) -- fixture\n"
+                            "int x = rand();\n");
+  write("src/stats/s.cpp", "#include \"rng.hpp\"\n");
+  std::string out;
+  EXPECT_EQ(cli({"src", "src/util"}, &out, nullptr), 0) << out;
+  EXPECT_NE(out.find("0 findings in 3 files"), std::string::npos) << out;
+  EXPECT_NE(out.find("includes=1 "), std::string::npos) << out;
+}
+
 TEST_F(LintCli, ListRulesExitsZero) {
   std::string out;
   EXPECT_EQ(cli({"--list-rules"}, &out, nullptr), 0);
   EXPECT_NE(out.find("no-rand"), std::string::npos);
+  EXPECT_NE(out.find("pure-float-reduce"), std::string::npos);
   EXPECT_NE(out.find("stale-suppression"), std::string::npos);
 }
 
@@ -653,6 +703,23 @@ TEST_F(LintCli, BadRootExitsTwo) {
                                      argv.data(), out, err),
             2);
   EXPECT_NE(err.str().find("not a directory"), std::string::npos);
+}
+
+TEST_F(LintCli, MissingLayerPolicyExitsTwo) {
+  std::filesystem::remove(root_ / "tools/duti_lint/layers.txt");
+  std::string err;
+  EXPECT_EQ(cli({}, nullptr, &err), 2);
+  EXPECT_NE(err.find("tools/duti_lint/layers.txt"), std::string::npos);
+}
+
+TEST_F(LintCli, JsonReportLandsInOutFile) {
+  const std::string out_file = (root_ / "report.json").string();
+  EXPECT_EQ(cli({"--json", "--out", out_file}, nullptr, nullptr), 0);
+  std::ifstream in(out_file, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_NE(buf.str().find("\"tool\": \"duti_lint\""), std::string::npos);
+  EXPECT_NE(buf.str().find("\"graph\": {"), std::string::npos);
 }
 
 TEST_F(LintCli, UnwritableOutExitsTwo) {

@@ -3,9 +3,11 @@
 //
 //   0  clean (no findings)
 //   1  findings reported
-//   2  usage error or I/O error (bad flag, bad root, unwritable --out)
+//   2  usage error or I/O error (bad flag, bad root, missing or malformed
+//      tools/duti_lint/layers.txt, unwritable --out)
 #include "lint.hpp"
 
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -14,14 +16,17 @@ namespace duti::lint {
 namespace {
 
 int usage(std::ostream& out, int code) {
-  out << "usage: duti_lint [--root <dir>] [--json] [--out <file>]"
+  out << "usage: duti_lint [--root <dir>] [--json] [--out <file>] [--dot]"
          " [--list-rules] [paths...]\n"
-         "  --root <dir>   repository root to scan (default: .)\n"
+         "  --root <dir>   repository root to scan (default: .); the layer"
+         " policy is\n"
+         "                 <root>/tools/duti_lint/layers.txt\n"
          "  --json         machine-readable report on stdout (or --out)\n"
          "  --out <file>   write the report to <file> instead of stdout\n"
+         "  --dot          emit the module DAG as Graphviz dot\n"
          "  --list-rules   print the rule registry and exit\n"
          "  paths          files/dirs relative to root"
-         " (default: src bench tests tools)\n";
+         " (default: src bench tests tools examples)\n";
   return code;
 }
 
@@ -31,12 +36,14 @@ int run_lint_cli(int argc, const char* const* argv, std::ostream& out,
                  std::ostream& err) {
   std::string root = ".";
   std::string out_path;
-  bool json = false;
+  bool json = false, dot = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--json") {
       json = true;
+    } else if (arg == "--dot") {
+      dot = true;
     } else if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {
@@ -60,14 +67,24 @@ int run_lint_cli(int argc, const char* const* argv, std::ostream& out,
       paths.push_back(arg);
     }
   }
-  if (paths.empty()) paths = {"src", "bench", "tests", "tools"};
+  if (paths.empty()) paths = {"src", "bench", "tests", "tools", "examples"};
   if (!std::filesystem::is_directory(root)) {
     err << "duti_lint: root '" << root << "' is not a directory\n";
     return 2;
   }
 
-  const LintReport report = lint_tree(root, paths);
-  const std::string rendered = json ? to_json(report) : to_human(report);
+  LayerPolicy policy;
+  LintReport report;
+  try {
+    policy = load_layer_policy(root);
+    report = lint_tree(root, paths, policy);
+  } catch (const std::exception& e) {
+    err << "duti_lint: " << e.what() << "\n";
+    return 2;
+  }
+  const std::string rendered = dot    ? to_dot(report, policy)
+                               : json ? to_json(report)
+                                      : to_human(report);
   if (!out_path.empty()) {
     std::ofstream file(out_path, std::ios::binary);
     if (!file) {

@@ -1,17 +1,15 @@
-// Rule engine for duti-lint. Pure standard library: a light lexical pass
-// (comments and literal contents removed, line structure preserved) feeds
-// line-oriented pattern checks. This is deliberately not a C++ parser —
-// every rule is chosen so that lexical evidence is enough, and anything
-// deeper belongs in clang-tidy (see .clang-tidy, wired into the lint lane).
+// Rule engine for duti-lint: the lexer, the suppression grammar, the
+// per-file checks and the one rule registry. Pure standard library: a light
+// lexical pass (comments and literal contents removed, line structure
+// preserved) feeds line-oriented pattern checks. This is deliberately not a
+// C++ parser — every per-file rule is chosen so that lexical evidence is
+// enough; the cross-TU passes (lint_scan.cpp) build a token stream and a
+// function table on the same pass, and anything deeper belongs in clang-tidy
+// (see .clang-tidy, wired into the lint lane).
 #include "lint.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
-#include <tuple>
 
 namespace duti::lint {
 namespace {
@@ -154,7 +152,7 @@ bool word_followed_by(const std::string& s, const std::string& word,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Suppressions — public so tools/duti_analyze reuses the exact grammar.
+// Suppressions
 // ---------------------------------------------------------------------------
 
 std::vector<SuppressionDirective> parse_suppressions(const std::string& comment,
@@ -208,115 +206,6 @@ std::vector<SuppressionDirective> parse_suppressions(const std::string& comment,
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Rule registry
-// ---------------------------------------------------------------------------
-
-const char* kThreadPoolDir = "src/util/thread_pool";
-
-std::vector<Rule> build_rules() {
-  return {
-      // Determinism: every random draw must flow from an explicit seed.
-      {"no-random-device",
-       "std::random_device is nondeterministic; derive seeds with "
-       "duti::derive_seed from an explicit root seed",
-       {"src/", "tests/", "bench/", "tools/"}, {}, false},
-      {"no-rand",
-       "std::rand/srand use hidden global state; use duti::Xoshiro256pp",
-       {"src/", "tests/", "bench/", "tools/"}, {}, false},
-      {"no-wall-clock",
-       "wall-clock reads (time(), *_clock::now()) break bit-identical "
-       "replay; results must depend only on seeds",
-       {"src/", "bench/"}, {}, false},
-      {"no-default-mt19937",
-       "default-constructed std::mt19937 has a fixed but implementation-"
-       "defined seed; construct generators from an explicit seed",
-       {"src/", "tests/", "bench/", "tools/"}, {}, false},
-      {"no-raw-thread",
-       "raw std::thread/std::async/OpenMP bypass the deterministic "
-       "ThreadPool; use duti::ThreadPool / parallel_for",
-       {"src/"}, {kThreadPoolDir}, false},
-      {"no-getenv-in-library",
-       "library code must not read the environment: an env-configured "
-       "global leaks between runs; the one exception is the pool's "
-       "DUTI_THREADS, and benches pass everything else in explicitly",
-       {"src/"}, {kThreadPoolDir}, false},
-      // Reduction discipline (the ProbeResult integer-tally contract).
-      {"no-unordered-iteration",
-       "iteration order over unordered containers varies across runs and "
-       "libraries; reductions must iterate deterministic containers",
-       {"src/stats/"}, {}, false},
-      {"no-float-accumulate",
-       "floating-point += accumulation is order-sensitive; tallies in "
-       "reduction paths must stay integral (ProbeResult design)",
-       {"src/stats/"}, {}, false},
-      // Hygiene.
-      {"pragma-once",
-       "every header must start with #pragma once",
-       {"src/", "tests/", "bench/", "tools/"}, {}, true},
-      {"no-using-namespace-header",
-       "using namespace in a header leaks into every includer",
-       {"src/", "tests/", "bench/", "tools/"}, {}, true},
-      {"no-side-effect-assert",
-       "assert() with side effects changes behavior under NDEBUG",
-       {"src/", "tests/", "bench/", "tools/"}, {}, false},
-      {"no-exit-in-library",
-       "library code must not call exit/abort/terminate: it kills the "
-       "embedding process (and every in-flight cache write); throw a duti "
-       "error and let the binary's edge decide",
-       {"src/"}, {"src/util/error.hpp"}, false},
-      {"no-intrinsics-outside-kernels",
-       "no raw SIMD intrinsics or ISA headers anywhere: every computation "
-       "has one portable implementation (DESIGN.md section 11), so no "
-       "output can depend on the host's instruction set",
-       {"src/", "tests/", "bench/"}, {}, false},
-      // Protocol-plane discipline (DESIGN.md section 14): trial loops in
-      // the sim layer run through reusable flat buffers; per-iteration
-      // heap construction is what the batched executor exists to remove.
-      {"no-per-trial-alloc",
-       "heap allocation (new/make_unique/make_shared) inside a loop in "
-       "the sim layer churns the allocator once per trial; reuse flat "
-       "per-worker buffers (sim/protocol_batch.hpp) or hoist the "
-       "construction out of the loop",
-       {"src/sim/"}, {}, false},
-      // Sweep discipline: benches that q*-sweep an axis should go through
-      // the sweep engine (warm starts, shared cache, point parallelism)
-      // instead of a serial loop of cold find_min_param calls.
-      {"no-serial-sweep-loop",
-       "bench calls find_min_param directly without using run_sweep; "
-       "axis sweeps should build SweepPoints and call duti::run_sweep "
-       "(src/stats/sweep.hpp) for warm starts and the shared probe cache",
-       {"bench/"}, {}, false},
-      // Meta rules, emitted by the suppression parser itself.
-      {"bare-suppression",
-       "duti-lint suppressions must carry '-- <justification>' text",
-       {}, {}, false},
-      {"unknown-rule",
-       "suppression names a rule that is not in the registry",
-       {}, {}, false},
-      {"stale-suppression",
-       "justified suppression whose rule produces no finding on its "
-       "line/file; delete it so exemptions track reality",
-       {}, {}, false},
-  };
-}
-
-bool is_header_path(const std::string& path) {
-  return path.size() >= 2 &&
-         (path.rfind(".hpp") == path.size() - 4 ||
-          path.rfind(".h") == path.size() - 2);
-}
-
-bool rule_applies(const Rule& rule, const std::string& path, bool header) {
-  if (rule.headers_only && !header) return false;
-  for (const auto& ex : rule.exclude)
-    if (path.rfind(ex, 0) == 0) return false;
-  if (rule.include.empty()) return true;
-  for (const auto& in : rule.include)
-    if (path.rfind(in, 0) == 0) return true;
-  return false;
-}
 
 // ---------------------------------------------------------------------------
 // Checks. Each appends raw findings (pre-suppression) for one file.
@@ -747,196 +636,138 @@ void check_serial_sweep_loop(const std::string& file,
   }
 }
 
+
+// ---------------------------------------------------------------------------
+// Rule registry
+// ---------------------------------------------------------------------------
+
+const char* kThreadPoolDir = "src/util/thread_pool";
+
+std::vector<Rule> build_rules() {
+  const std::vector<std::string> kAllDirs = {"src/", "tests/", "bench/",
+                                             "tools/"};
+  return {
+      // Determinism: every random draw must flow from an explicit seed.
+      {"no-random-device",
+       "std::random_device is nondeterministic; derive seeds with "
+       "duti::derive_seed from an explicit root seed",
+       kAllDirs, {}, false, check_random_device},
+      {"no-rand",
+       "std::rand/srand use hidden global state; use duti::Xoshiro256pp",
+       kAllDirs, {}, false, check_rand},
+      {"no-wall-clock",
+       "wall-clock reads (time(), *_clock::now()) break bit-identical "
+       "replay; results must depend only on seeds",
+       {"src/", "bench/"}, {}, false, check_wall_clock},
+      {"no-default-mt19937",
+       "default-constructed std::mt19937 has a fixed but implementation-"
+       "defined seed; construct generators from an explicit seed",
+       kAllDirs, {}, false, check_default_mt19937},
+      {"no-raw-thread",
+       "raw std::thread/std::async/OpenMP bypass the deterministic "
+       "ThreadPool; use duti::ThreadPool / parallel_for",
+       {"src/"}, {kThreadPoolDir}, false, check_raw_thread},
+      {"no-getenv-in-library",
+       "library code must not read the environment: an env-configured "
+       "global leaks between runs; the one exception is the pool's "
+       "DUTI_THREADS, and benches pass everything else in explicitly",
+       {"src/"}, {kThreadPoolDir}, false, check_getenv},
+      // Reduction discipline (the ProbeResult integer-tally contract).
+      {"no-unordered-iteration",
+       "iteration order over unordered containers varies across runs and "
+       "libraries; reductions must iterate deterministic containers",
+       {"src/stats/"}, {}, false, check_unordered_iteration},
+      {"no-float-accumulate",
+       "floating-point += accumulation is order-sensitive; tallies in "
+       "reduction paths must stay integral (ProbeResult design)",
+       {"src/stats/"}, {}, false, check_float_accumulate},
+      // Hygiene.
+      {"pragma-once",
+       "every header must start with #pragma once",
+       kAllDirs, {}, true, check_pragma_once},
+      {"no-using-namespace-header",
+       "using namespace in a header leaks into every includer",
+       kAllDirs, {}, true, check_using_namespace_header},
+      {"no-side-effect-assert",
+       "assert() with side effects changes behavior under NDEBUG",
+       kAllDirs, {}, false, check_side_effect_assert},
+      {"no-exit-in-library",
+       "library code must not call exit/abort/terminate: it kills the "
+       "embedding process (and every in-flight cache write); throw a duti "
+       "error and let the binary's edge decide",
+       {"src/"}, {"src/util/error.hpp"}, false, check_exit_in_library},
+      {"no-intrinsics-outside-kernels",
+       "no raw SIMD intrinsics or ISA headers anywhere: every computation "
+       "has one portable implementation (DESIGN.md section 11), so no "
+       "output can depend on the host's instruction set",
+       {"src/", "tests/", "bench/"}, {}, false, check_intrinsics},
+      // Protocol-plane discipline (DESIGN.md section 14): trial loops in
+      // the sim layer run through reusable flat buffers; per-iteration
+      // heap construction is what the batched executor exists to remove.
+      {"no-per-trial-alloc",
+       "heap allocation (new/make_unique/make_shared) inside a loop in "
+       "the sim layer churns the allocator once per trial; reuse flat "
+       "per-worker buffers (sim/protocol_batch.hpp) or hoist the "
+       "construction out of the loop",
+       {"src/sim/"}, {}, false, check_per_trial_alloc},
+      // Sweep discipline: benches that q*-sweep an axis should go through
+      // the sweep engine (warm starts, shared cache, point parallelism)
+      // instead of a serial loop of cold find_min_param calls.
+      {"no-serial-sweep-loop",
+       "bench calls find_min_param directly without using run_sweep; "
+       "axis sweeps should build SweepPoints and call duti::run_sweep "
+       "(src/stats/sweep.hpp) for warm starts and the shared probe cache",
+       {"bench/"}, {}, false, check_serial_sweep_loop},
+      // Cross-TU passes (lint_scan.cpp). Layering: the module include DAG
+      // against layers.txt.
+      {"layer-violation",
+       "#include edge crosses into the same or a higher layer than the "
+       "including module (layers.txt)"},
+      {"layer-cycle",
+       "the module include graph contains a cycle; the layering must be a "
+       "DAG"},
+      {"layer-unknown-module",
+       "file belongs to a module that layers.txt does not place"},
+      // RNG-stream dataflow, per function definition.
+      {"rng-by-value",
+       "function takes an RNG parameter by value; each copy replays the "
+       "same stream — pass Rng& (or derive a sub-stream seed)"},
+      {"rng-copy",
+       "RNG object copied; the copy replays the original's stream — draw "
+       "from the original or derive a fresh stream via derive_seed/make_rng"},
+      {"rng-captured-in-parallel",
+       "parallel_for lambda draws from an RNG captured from the enclosing "
+       "scope; worker interleaving breaks bit-identical replay — derive a "
+       "per-chunk stream (derive_seed + make_rng) inside the lambda"},
+      // Determinism purity of everything a src/stats function can reach.
+      {"pure-wall-clock",
+       "wall-clock read reachable from a src/stats entry point; probe "
+       "results must be a pure function of seeds"},
+      {"pure-locale",
+       "locale use reachable from a src/stats entry point; formatting and "
+       "classification must not depend on the process environment"},
+      {"pure-unordered-iteration",
+       "unordered-container iteration reachable from a src/stats entry "
+       "point; iteration order varies across runs and libraries"},
+      {"pure-float-reduce",
+       "floating-point accumulation reachable from a src/stats entry "
+       "point; reductions must stay integral (ProbeResult design)"},
+      // Meta rules, emitted by the suppression ledger itself.
+      {"bare-suppression",
+       "duti-lint suppressions must carry '-- <justification>' text"},
+      {"unknown-rule",
+       "suppression names a rule that is not in the registry"},
+      {"stale-suppression",
+       "justified suppression whose rule produces no finding on its "
+       "line/file; delete it so exemptions track reality"},
+  };
+}
+
 }  // namespace
 
 const std::vector<Rule>& default_rules() {
   static const std::vector<Rule> rules = build_rules();
   return rules;
-}
-
-const std::vector<std::string>& foreign_rule_names() {
-  // Owned by tools/duti_analyze. unknown-rule accepts them; the stale check
-  // skips them (their findings live in the analyzer's report, not here).
-  static const std::vector<std::string> names = {
-      "layer-violation",          "layer-cycle",
-      "layer-unknown-module",     "rng-by-value",
-      "rng-copy",                 "rng-captured-in-parallel",
-      "pure-wall-clock",          "pure-locale",
-      "pure-unordered-iteration", "pure-float-reduce"};
-  return names;
-}
-
-LintReport make_report() {
-  LintReport report;
-  for (const auto& rule : default_rules()) report.rule_counts[rule.name] = 0;
-  return report;
-}
-
-void lint_source(const std::string& rel_path, const std::string& content,
-                 LintReport& report) {
-  if (report.rule_counts.empty()) report.rule_counts = make_report().rule_counts;
-  const std::vector<LexedLine> lines = lex_lines(content);
-  const bool header = is_header_path(rel_path);
-  ++report.files_scanned;
-
-  RawFindings raw;
-  const auto& rules = default_rules();
-  auto enabled = [&](const char* name) {
-    for (const auto& r : rules)
-      if (r.name == name) return rule_applies(r, rel_path, header);
-    return false;
-  };
-  if (enabled("no-random-device")) check_random_device(rel_path, lines, raw);
-  if (enabled("no-rand")) check_rand(rel_path, lines, raw);
-  if (enabled("no-wall-clock")) check_wall_clock(rel_path, lines, raw);
-  if (enabled("no-default-mt19937")) check_default_mt19937(rel_path, lines, raw);
-  if (enabled("no-raw-thread")) check_raw_thread(rel_path, lines, raw);
-  if (enabled("no-getenv-in-library")) check_getenv(rel_path, lines, raw);
-  if (enabled("no-unordered-iteration"))
-    check_unordered_iteration(rel_path, lines, raw);
-  if (enabled("no-float-accumulate"))
-    check_float_accumulate(rel_path, lines, raw);
-  if (enabled("pragma-once")) check_pragma_once(rel_path, lines, raw);
-  if (enabled("no-using-namespace-header"))
-    check_using_namespace_header(rel_path, lines, raw);
-  if (enabled("no-side-effect-assert"))
-    check_side_effect_assert(rel_path, lines, raw);
-  if (enabled("no-exit-in-library"))
-    check_exit_in_library(rel_path, lines, raw);
-  if (enabled("no-intrinsics-outside-kernels"))
-    check_intrinsics(rel_path, lines, raw);
-  if (enabled("no-per-trial-alloc"))
-    check_per_trial_alloc(rel_path, lines, raw);
-  if (enabled("no-serial-sweep-loop"))
-    check_serial_sweep_loop(rel_path, lines, raw);
-
-  // Collect suppressions; malformed ones are themselves findings. Each
-  // well-formed, justified directive becomes an AllowEntry whose credit
-  // count feeds the stale-suppression check below.
-  struct AllowEntry {
-    std::string rule;
-    bool file_scope = false;
-    int target = 0;  // line a line-scoped entry covers
-    int at = 0;      // line the directive sits on (finding anchor)
-    bool foreign = false;
-    std::size_t used = 0;
-  };
-  std::vector<AllowEntry> allows;
-  std::set<std::string> known, foreign;
-  for (const auto& r : rules) known.insert(r.name);
-  for (const auto& n : foreign_rule_names()) foreign.insert(n);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    if (lines[i].comment.find("duti-lint") == std::string::npos) continue;
-    const bool own_line = skip_spaces(lines[i].code, 0) >= lines[i].code.size();
-    for (const auto& s : parse_suppressions(lines[i].comment,
-                                            static_cast<int>(i + 1),
-                                            own_line)) {
-      if (!s.justified)
-        add(raw, rel_path, s.line, "bare-suppression",
-            "suppression without '-- <justification>' text");
-      if (s.rules.empty())
-        add(raw, rel_path, s.line, "unknown-rule",
-            "suppression names no rule: expected allow(<rule>[, <rule>])");
-      for (const auto& name : s.rules) {
-        const bool is_foreign = foreign.count(name) > 0;
-        if (!known.count(name) && !is_foreign) {
-          add(raw, rel_path, s.line, "unknown-rule",
-              "suppression names unknown rule '" + name + "'");
-          continue;
-        }
-        if (!s.justified) continue;  // undocumented exemptions don't apply
-        AllowEntry e;
-        e.rule = name;
-        e.file_scope = s.file_scope;
-        e.at = s.line;
-        e.foreign = is_foreign;
-        if (!s.file_scope) {
-          // A trailing comment covers its own line; a standalone comment
-          // covers the next line that has code (so multi-line
-          // justifications work).
-          int target = s.line;
-          if (s.own_line) {
-            std::size_t j = static_cast<std::size_t>(s.line);
-            while (j < lines.size() &&
-                   skip_spaces(lines[j].code, 0) >= lines[j].code.size())
-              ++j;
-            target = static_cast<int>(j + 1);
-          }
-          e.target = target;
-        }
-        allows.push_back(std::move(e));
-      }
-    }
-  }
-
-  for (auto& f : raw) {
-    // Meta findings from the suppression parser are never suppressible.
-    const bool meta = f.rule == "bare-suppression" || f.rule == "unknown-rule";
-    bool suppressed = false;
-    if (!meta) {
-      for (auto& e : allows) {
-        if (e.foreign || e.rule != f.rule) continue;
-        if (e.file_scope || e.target == f.line) {
-          ++e.used;
-          suppressed = true;
-          break;
-        }
-      }
-    }
-    if (suppressed) {
-      ++report.suppressions_used;
-      continue;
-    }
-    ++report.rule_counts[f.rule];
-    report.findings.push_back(std::move(f));
-  }
-
-  // A justified suppression that credited no finding is dead weight.
-  // Foreign (analyzer-owned) rules are exempt: duti_analyze runs its own
-  // symmetric stale check over the rules it owns.
-  for (const auto& e : allows) {
-    if (e.foreign || e.used > 0) continue;
-    Finding f{rel_path, e.at, "stale-suppression",
-              "suppression of '" + e.rule + "' matches no finding " +
-                  (e.file_scope ? "in this file" : "on its line") +
-                  "; remove it"};
-    ++report.rule_counts[f.rule];
-    report.findings.push_back(std::move(f));
-  }
-}
-
-LintReport lint_tree(const std::string& root,
-                     const std::vector<std::string>& rel_paths) {
-  namespace fs = std::filesystem;
-  LintReport report = make_report();
-  std::vector<std::string> files;
-  auto consider = [&](const fs::path& p) {
-    const std::string ext = p.extension().string();
-    if (ext == ".hpp" || ext == ".h" || ext == ".cpp" || ext == ".cc")
-      files.push_back(fs::relative(p, root).generic_string());
-  };
-  for (const auto& rel : rel_paths) {
-    const fs::path p = fs::path(root) / rel;
-    if (fs::is_directory(p)) {
-      for (const auto& e : fs::recursive_directory_iterator(p))
-        if (e.is_regular_file()) consider(e.path());
-    } else if (fs::is_regular_file(p)) {
-      consider(p);
-    }
-  }
-  std::sort(files.begin(), files.end());
-  for (const auto& rel : files) {
-    std::ifstream in(fs::path(root) / rel, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    lint_source(rel, buf.str(), report);
-  }
-  std::sort(report.findings.begin(), report.findings.end(),
-            [](const Finding& a, const Finding& b) {
-              return std::tie(a.file, a.line, a.rule) <
-                     std::tie(b.file, b.line, b.rule);
-            });
-  return report;
 }
 
 }  // namespace duti::lint
