@@ -1,23 +1,22 @@
 // Shared plumbing for the experiment binaries: banner printing, CSV output
 // location, the measured-vs-predicted table assembly used by every
 // experiment, the stamped BENCH_*.json emitter, the micro benches' timer,
-// the probe-cache session the benches share, and the sweep-engine glue
-// (engine config from CLI flags + the one-line sweep summary). Each bench
-// prints the same kind of artifact: a table with one row per sweep point
-// carrying the measured minimum resource, the paper's predicted curve, and
-// the fitted constant/slope comparison.
+// and the one-line sweep summary. Each bench prints the same kind of
+// artifact: a table with one row per sweep point carrying the measured
+// minimum resource, the paper's predicted curve, and the fitted
+// constant/slope comparison. Every sweep bench runs the engine's one
+// default configuration (warm, no cache session), so its table is a
+// function of its flags and seed alone.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "stats/harness.hpp"
-#include "stats/probe_cache.hpp"
 #include "stats/shape.hpp"
 #include "stats/sweep.hpp"
 #include "util/cli.hpp"
@@ -57,37 +56,12 @@ inline double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(now - start).count();
 }
 
-/// The probe-cache session that the values of DUTI_CACHE and
-/// DUTI_CACHE_DIR describe (nullptr = unset). DUTI_CACHE is `off` or `rw`;
-/// unset or empty means off. DUTI_CACHE_DIR defaults to ".duti_cache".
-/// Any other DUTI_CACHE value throws InvalidArgument naming the variable
-/// and the value.
-[[nodiscard]] inline ProbeCache open_cache_session(const char* mode,
-                                                   const char* dir) {
-  const std::string m = mode == nullptr ? "" : mode;
-  if (!m.empty() && m != "off" && m != "rw") {
-    throw InvalidArgument("DUTI_CACHE must be off|rw, got \"" + m + "\"");
-  }
-  return ProbeCache(dir == nullptr ? ".duti_cache" : dir,
-                    m == "rw" ? CacheMode::kReadWrite : CacheMode::kOff);
-}
-
-/// The one probe-cache session every sweep of a bench process shares,
-/// opened from the environment on first use.
-[[nodiscard]] inline ProbeCache& cache_session() {
-  static ProbeCache session = open_cache_session(
-      std::getenv("DUTI_CACHE"), std::getenv("DUTI_CACHE_DIR"));
-  return session;
-}
-
 /// The configuration a bench actually ran under, for emit_bench_json's
-/// "env" stamp: the global pool's size, the host's SIMD tier and the shared
-/// probe-cache session's mode — resolved values, not the raw DUTI_*
-/// strings.
+/// "env" stamp: the global pool's size and the host's SIMD tier — resolved
+/// values, not the raw DUTI_THREADS string.
 [[nodiscard]] inline JsonFields resolved_env() {
   return {{"threads", json_u64(ThreadPool::global().size())},
-          {"simd", json_str(simd_level_name(simd_active_level()))},
-          {"cache", json_str(cache_session().enabled() ? "rw" : "off")}};
+          {"simd", json_str(simd_level_name(simd_active_level()))}};
 }
 
 /// `trials` unless it is zero; zero throws InvalidArgument naming --trials.
@@ -115,26 +89,10 @@ struct CommonFlags {
         quick(cli.get_bool("quick", false)) {}
 };
 
-// --- Sweep-engine glue -----------------------------------------------------
-
-/// Engine config for a sweep bench: warm mode (adaptive bracket + the
-/// shared cache session, with anchor-interpolated hints recorded) by
-/// default, `--sweep=cold` forces the cold full-budget baseline. Both modes
-/// produce bit-identical minima and verdicts — cold exists to prove exactly
-/// that. Any other --sweep value throws InvalidArgument naming it.
-[[nodiscard]] inline SweepEngineConfig sweep_engine_config(const Cli& cli) {
-  const std::string mode = cli.get_string("sweep", "warm");
-  require(mode == "warm" || mode == "cold",
-          "--sweep must be warm|cold, got \"" + mode + "\"");
-  SweepEngineConfig cfg;
-  cfg.warm_start = mode == "warm";
-  cfg.cache = &cache_session();
-  return cfg;
-}
-
 /// One-line machine-diffable summary of a finished sweep: fingerprint plus
-/// the consulted/computed work ledger. Runs at different DUTI_THREADS or
-/// DUTI_CACHE settings must print the same fingerprint.
+/// the consulted/computed work ledger. Runs at different DUTI_THREADS
+/// settings must print the same fingerprint. The benches open no cache
+/// session, so cache_hits is always 0.
 inline void print_sweep_summary(const std::string& name,
                                 const SweepResult& sweep) {
   std::printf(

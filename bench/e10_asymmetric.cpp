@@ -24,18 +24,17 @@ int main(int argc, char** argv) {
   const bench::CommonFlags flags(cli);
   const auto n = cli.get_uint<std::uint64_t>("n", 4096);
   const double eps = cli.get_double("eps", 0.5);
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner("E10  asymmetric sampling rates  [Section 6.2]",
                 "expected: tau* ~ sqrt(n)/(eps^2 ||T||_2); tau* x ||T||_2 "
                 "approximately constant across rate-vector shapes");
 
-  // One declarative point per rate shape, axis ||T||_2; --sweep=cold reruns
-  // the serial full-budget baseline with identical minima.
+  // One declarative point per rate shape, axis ||T||_2; the cold
+  // full-budget baseline gives identical minima (micro_sweep checks it).
   const auto shapes = bench::e10_shapes();
   const SweepResult sweep = run_sweep(
-      bench::e10_points(n, eps, shapes, flags.trials, flags.seed), engine);
+      bench::e10_points(n, eps, shapes, flags.trials, flags.seed));
   bench::print_sweep_summary("e10", sweep);
 
   Table table({"rate vector", "||T||_2", "tau* (measured)",

@@ -55,10 +55,10 @@ struct GateResult {
   }
 };
 
-bool sweep_crash(const FaultSweepSetup& s, const SweepEngineConfig& engine) {
+bool sweep_crash(const FaultSweepSetup& s) {
   GateResult gate;
   std::cout << "\n-- crash faults: minimal q, naive vs quorum referee --\n";
-  const SweepResult sweep = run_sweep(bench::e13_crash_points(s), engine);
+  const SweepResult sweep = run_sweep(bench::e13_crash_points(s));
   bench::print_sweep_summary("e13_crash", sweep);
   Table table({"crash_frac", "rule", "min_q", "q_ratio", "pred_ratio",
                "uniform_rate", "far_rate", "abort_frac"});
@@ -104,11 +104,10 @@ bool sweep_crash(const FaultSweepSetup& s, const SweepEngineConfig& engine) {
   return gate.ok;
 }
 
-bool sweep_byzantine(const FaultSweepSetup& s,
-                     const SweepEngineConfig& engine) {
+bool sweep_byzantine(const FaultSweepSetup& s) {
   GateResult gate;
   std::cout << "\n-- Byzantine stuck-at-one bits: minimal q by referee --\n";
-  const SweepResult sweep = run_sweep(bench::e13_byzantine_points(s), engine);
+  const SweepResult sweep = run_sweep(bench::e13_byzantine_points(s));
   bench::print_sweep_summary("e13_byzantine", sweep);
   Table table({"byz_frac", "rule", "min_q", "uniform_rate", "far_rate"});
   std::size_t i = 0;
@@ -217,7 +216,6 @@ int main(int argc, char** argv) {
       "trials", flags.quick ? std::size_t{60} : flags.trials);
   s.seed = flags.seed;
   s.cap = flags.quick ? (1 << 8) : (1 << 10);
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner(
@@ -233,8 +231,8 @@ int main(int argc, char** argv) {
             << " q_cap=" << s.cap << "\n";
 
   bool ok = true;
-  ok &= sweep_crash(s, engine);
-  ok &= sweep_byzantine(s, engine);
+  ok &= sweep_crash(s);
+  ok &= sweep_byzantine(s);
   ok &= sweep_transport(s.trials, s.seed);
   std::cout << "\nCSV written to " << bench::output_dir()
             << "/e13_{crash,byzantine,transport}.csv\n";

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       "ks", flags.quick ? std::vector<std::int64_t>{2, 16, 128}
                         : std::vector<std::int64_t>{2, 4, 8, 16, 32, 64, 128,
                                                     256});
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner("E1  any-rule sample complexity vs k  [Thm 1.1 / 6.1]  (k=1 is the centralized case, covered by E8)",
@@ -41,12 +40,12 @@ int main(int argc, char** argv) {
                 "Thm 6.1 lower bound sits below every measured point");
 
   // The whole sweep runs through the engine: one declarative point per k
-  // (seed derivations identical to the old serial loop), anchor-first warm
-  // scheduling, shared probe-cache session. --sweep=cold reruns the serial
-  // full-budget baseline; minima are bit-identical either way.
+  // (seed derivations identical to the old serial loop) and anchor-first
+  // warm scheduling. The cold full-budget baseline gives bit-identical
+  // minima; micro_sweep and test_sweep check that.
   const auto points =
       bench::e1_points(n, eps, ks, flags.trials, flags.seed);
-  const SweepResult sweep = run_sweep(points, engine);
+  const SweepResult sweep = run_sweep(points);
   bench::print_sweep_summary("e1", sweep);
 
   Table table({"k", "q* (measured)", "predicted sqrt(n/k)/eps^2",

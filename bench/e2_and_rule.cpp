@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   const auto ks = cli.get_uint_list<std::int64_t>(
       "ks", flags.quick ? std::vector<std::int64_t>{2, 32, 512}
                         : std::vector<std::int64_t>{2, 8, 32, 128, 512});
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner("E2  AND rule vs threshold rule, q* vs k  [Thm 1.2 / 6.5]",
@@ -38,15 +37,15 @@ int main(int argc, char** argv) {
                 "threshold-rule q* falls like k^{-1/2}");
 
   // Two engine sweeps over the same k axis — one per decision rule — with
-  // the old serial loop's exact seed derivations; both share the cache
-  // session and warm-start independently (their minima live on different
-  // curves, so cross-rule hints would mislead).
+  // the old serial loop's exact seed derivations; they warm-start
+  // independently (their minima live on different curves, so cross-rule
+  // hints would mislead).
   const auto trials = flags.trials;
   const auto seed = flags.seed;
   const SweepResult and_sweep =
-      run_sweep(bench::e2_and_points(n, eps, ks, trials, seed), engine);
+      run_sweep(bench::e2_and_points(n, eps, ks, trials, seed));
   const SweepResult thr_sweep =
-      run_sweep(bench::e2_threshold_points(n, eps, ks, trials, seed), engine);
+      run_sweep(bench::e2_threshold_points(n, eps, ks, trials, seed));
   bench::print_sweep_summary("e2_and", and_sweep);
   bench::print_sweep_summary("e2_thr", thr_sweep);
 

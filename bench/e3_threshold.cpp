@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   const auto ts = cli.get_uint_list<std::int64_t>(
       "ts", flags.quick ? std::vector<std::int64_t>{1, 4, 16}
                         : std::vector<std::int64_t>{1, 2, 4, 8, 16, 32});
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner(
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
 
   const auto points =
       bench::e3_points(n, k, eps, ts, flags.trials, flags.seed);
-  const SweepResult sweep = run_sweep(points, engine);
+  const SweepResult sweep = run_sweep(points);
   bench::print_sweep_summary("e3", sweep);
 
   Table table({"T", "q* (measured)", "q* x T", "thm1.3 shape",

@@ -37,19 +37,18 @@ int main(int argc, char** argv) {
   const auto trials =
       bench::positive_trials(c.get_uint<std::size_t>("trials", 40));
   const auto seed = c.get_uint<std::uint64_t>("seed", 1);
-  const SweepEngineConfig engine = bench::sweep_engine_config(c);
   c.reject_unread();
 
   bench::banner("E4  distributed learning, k* vs q  [Thm 1.4]",
                 "expected: measured k* above the paper's n^2/q^2 lower "
                 "bound; this 1-bit protocol decays like ~n^2/q (gap open)");
 
-  // One raw point per q (the learning probe is not a uniformity probe, so
-  // it bypasses the cache); the points run in one engine wave, and each
-  // probe's trials on the same pool.
+  // One raw point per q (the learning probe is not a uniformity probe); the
+  // points run in one engine wave, and each probe's trials on the same
+  // pool.
   ThreadPool& pool = ThreadPool::global();
   const SweepResult sweep = run_sweep(
-      bench::e4_points(pool, n, delta, qs, trials, seed), engine, pool);
+      bench::e4_points(pool, n, delta, qs, trials, seed), {}, pool);
   bench::print_sweep_summary("e4", sweep);
 
   Table table({"q", "k* (measured, multiples of n)", "thm1.4 lower bound",

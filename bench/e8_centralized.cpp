@@ -27,30 +27,24 @@ int main(int argc, char** argv) {
       "ns", flags.quick
                 ? std::vector<std::int64_t>{256, 4096}
                 : std::vector<std::int64_t>{256, 1024, 4096, 16384});
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner("E8  centralized baseline q* ~ sqrt(n)/eps^2  [Paninski'08]",
                 "expected: slope 1/2 in n, slope -2 in eps");
 
   // Three engine sweeps over the n axis (one per tester family) plus the
-  // eps sweep below, all sharing one cache session; seed derivations match
-  // the old serial loops exactly.
+  // eps sweep below; seed derivations match the old serial loops exactly.
   const auto trials = flags.trials;
   const auto seed = flags.seed;
-  const SweepResult coll_sweep = run_sweep(
-      bench::e8_n_points<CentralizedCollisionTester>("collision", ns, eps,
-                                                     trials, seed),
-      engine);
-  const SweepResult chi_sweep = run_sweep(
-      bench::e8_n_points<ChiSquaredTester>("chi-squared", ns, eps, trials,
-                                           seed, SamplingKernel::kPerSample,
-                                           1),
-      engine);
-  const SweepResult coin_sweep = run_sweep(
-      bench::e8_n_points<PaninskiCoincidenceTester>(
-          "coincidence", ns, eps, trials, seed, SamplingKernel::kPerSample, 2),
-      engine);
+  const SweepResult coll_sweep =
+      run_sweep(bench::e8_n_points<CentralizedCollisionTester>(
+          "collision", ns, eps, trials, seed));
+  const SweepResult chi_sweep =
+      run_sweep(bench::e8_n_points<ChiSquaredTester>(
+          "chi-squared", ns, eps, trials, seed, SamplingKernel::kPerSample, 1));
+  const SweepResult coin_sweep =
+      run_sweep(bench::e8_n_points<PaninskiCoincidenceTester>(
+          "coincidence", ns, eps, trials, seed, SamplingKernel::kPerSample, 2));
   bench::print_sweep_summary("e8_collision", coll_sweep);
   bench::print_sweep_summary("e8_chi", chi_sweep);
   bench::print_sweep_summary("e8_coincidence", coin_sweep);
@@ -88,7 +82,7 @@ int main(int argc, char** argv) {
   std::vector<double> eps_values{0.25, 0.35, 0.5, 0.7, 1.0};
   if (flags.quick) eps_values = {0.25, 0.5, 1.0};
   const SweepResult eps_sweep = run_sweep(
-      bench::e8_eps_points(n_fixed, eps_values, trials, seed), engine);
+      bench::e8_eps_points(n_fixed, eps_values, trials, seed));
   bench::print_sweep_summary("e8_eps", eps_sweep);
   for (std::size_t i = 0; i < eps_values.size(); ++i) {
     const double e = eps_values[i];

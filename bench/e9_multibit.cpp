@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   const auto rs = cli.get_uint_list<std::int64_t>(
       "rs", flags.quick ? std::vector<std::int64_t>{1, 8}
                         : std::vector<std::int64_t>{1, 2, 4, 8});
-  const SweepEngineConfig engine = bench::sweep_engine_config(cli);
   cli.reject_unread();
 
   bench::banner("E9  q* vs message width r  [Thm 6.4]",
@@ -43,7 +42,7 @@ int main(int argc, char** argv) {
 
   const auto points =
       bench::e9_points(n, k, eps, rs, flags.trials, flags.seed);
-  const SweepResult sweep = run_sweep(points, engine);
+  const SweepResult sweep = run_sweep(points);
   bench::print_sweep_summary("e9", sweep);
 
   Table table({"r (bits)", "q* (measured)", "thm6.4 lower-bound shape",

@@ -126,8 +126,8 @@ class RobustThresholdTester {
   /// One full execution with fault injection; aborts are distinct.
   [[nodiscard]] RefereeOutcome outcome(const SampleSource& source,
                                        Rng& rng) const;
-  /// Boolean view for the legacy harness: accept == true; aborts are
-  /// failures on both sides.
+  /// Boolean view in the TesterRun shape (stats/harness.hpp): accept ==
+  /// true; aborts are failures on both sides.
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const {
     return outcome(source, rng) == RefereeOutcome::kAccept;
   }

@@ -401,6 +401,26 @@ TEST(Purity, UnreachableWallClockIsNotFlagged) {
   EXPECT_EQ(r.reachable_functions, 1u);
 }
 
+TEST(Purity, CallsResolveOnlyToLibraryDefinitions) {
+  // src/ cannot include tests/ (layers.txt), and a std::-qualified call
+  // names the standard library: neither reaches a same-named definition.
+  const auto r = run(
+      {{"src/stats/probe.cpp",
+        "int probe_id(const Key& key) {\n"
+        "  std::sort(v.begin(), v.end());\n"
+        "  return key.fingerprint();\n"
+        "}\n"},
+       {"src/util/s.cpp",
+        "void sort(int* a, int* b) {\n  auto t = Clock::now();\n}\n"},
+       {"tests/helper.cpp",
+        "int fingerprint() {\n"
+        "  auto t = std::chrono::steady_clock::now();\n"
+        "  return 0;\n"
+        "}\n"}});
+  EXPECT_EQ(count_rule(r, "pure-wall-clock"), 0u);
+  EXPECT_EQ(r.reachable_functions, 1u);
+}
+
 TEST(Purity, AccumulateWithFloatInitReachableIsFlagged) {
   const auto r = run(
       {{"src/stats/probe.cpp", "double probe_entry() {\n  return s();\n}\n"},

@@ -1,19 +1,15 @@
 // Persistent probe cache (DESIGN.md section 8): round-trip bit-identity,
 // fingerprint sensitivity to every key field, the two flavor keys byte for
-// byte, tolerance to corrupt and unframed JSONL lines, and the benches'
-// shared session opened from DUTI_CACHE / DUTI_CACHE_DIR.
+// byte, and tolerance to corrupt and unframed JSONL lines.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "bench_common.hpp"
 #include "stats/probe_cache.hpp"
 #include "stats/workloads.hpp"
 #include "testers/collision.hpp"
-#include "util/error.hpp"
 
 namespace duti {
 namespace {
@@ -305,64 +301,6 @@ TEST_F(ProbeCacheTest, CachedProbeEntryPointIsBitIdentical) {
   const ProbeResult other = cached_probe(cache, 100);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(other.trials, 100u);
-}
-
-TEST_F(ProbeCacheTest, BenchSessionParsesTheEnvironment) {
-  // DUTI_CACHE unset, empty or "off": no session I/O.
-  EXPECT_EQ(bench::open_cache_session(nullptr, nullptr).mode(),
-            CacheMode::kOff);
-  EXPECT_EQ(bench::open_cache_session("", dir_.c_str()).mode(),
-            CacheMode::kOff);
-  EXPECT_EQ(bench::open_cache_session("off", dir_.c_str()).mode(),
-            CacheMode::kOff);
-  EXPECT_FALSE(std::filesystem::exists(dir_));
-  // "rw": a read-write session whose journal lives in DUTI_CACHE_DIR.
-  const ProbeCache rw = bench::open_cache_session("rw", dir_.c_str());
-  EXPECT_EQ(rw.mode(), CacheMode::kReadWrite);
-  EXPECT_EQ(rw.path(),
-            (std::filesystem::path(dir_) / "probes.jsonl").string());
-  // Anything else throws, naming the variable and the value.
-  for (const char* bad : {"readonly", "bogus"}) {
-    try {
-      (void)bench::open_cache_session(bad, dir_.c_str());
-      ADD_FAILURE() << bad << " was accepted";
-    } catch (const InvalidArgument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("DUTI_CACHE"), std::string::npos) << what;
-      EXPECT_NE(what.find(bad), std::string::npos) << what;
-    }
-  }
-}
-
-TEST(BenchCacheSession, FollowsTheEnvironmentEndToEnd) {
-  // Under the `adaptive-check` workflow preset this runs with DUTI_CACHE=rw
-  // against a scratch dir, exercising the benches' shared session end to
-  // end (the second preset run hits entries persisted by the first); in a
-  // plain test run DUTI_CACHE is unset and the session must be off.
-  const char* mode_env = std::getenv("DUTI_CACHE");
-  const std::string mode = mode_env == nullptr ? "" : mode_env;
-  ProbeCache& session = bench::cache_session();
-  EXPECT_EQ(session.mode(),
-            mode == "rw" ? CacheMode::kReadWrite : CacheMode::kOff);
-
-  ProbeKey key = sample_key();
-  key.workload = "bench-cache-session-smoke";
-  int computes = 0;
-  const auto compute = [&] {
-    ++computes;
-    return sample_result();
-  };
-  const ProbeResult first = session.get_or_compute(key, compute);
-  const ProbeResult second = session.get_or_compute(key, compute);
-  expect_bit_identical(first, second);
-  expect_bit_identical(first, sample_result());
-  if (session.mode() == CacheMode::kOff) {
-    EXPECT_EQ(computes, 2);
-  } else {
-    // At most one compute (zero when a previous run already persisted the
-    // record); the second call must always be served from the cache.
-    EXPECT_LE(computes, 1);
-  }
 }
 
 }  // namespace

@@ -321,9 +321,9 @@ void check_getenv(const std::string& file, const std::vector<LexedLine>& lines,
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string& code = lines[i].code;
     if (has_word(code, "getenv") || has_word(code, "secure_getenv"))
-      add(out, file, static_cast<int>(i + 1), "no-getenv-in-library",
-          "environment read in library code; take the setting as a "
-          "parameter and let the binary read the environment");
+      add(out, file, static_cast<int>(i + 1), "no-getenv",
+          "environment read; take the setting as a command-line flag or "
+          "a parameter");
   }
 }
 
@@ -632,7 +632,7 @@ void check_serial_sweep_loop(const std::string& file,
       add(out, file, static_cast<int>(i + 1), "no-serial-sweep-loop",
           "direct find_min_param call in a bench that never calls "
           "run_sweep; sweep the axis through duti::run_sweep to get warm "
-          "starts, the shared probe cache, and point-level parallelism");
+          "starts and point-level parallelism");
   }
 }
 
@@ -642,6 +642,7 @@ void check_serial_sweep_loop(const std::string& file,
 // ---------------------------------------------------------------------------
 
 const char* kThreadPoolDir = "src/util/thread_pool";
+const char* kBenchJson = "bench/bench_json";
 
 std::vector<Rule> build_rules() {
   const std::vector<std::string> kAllDirs = {"src/", "tests/", "bench/",
@@ -667,11 +668,13 @@ std::vector<Rule> build_rules() {
        "raw std::thread/std::async/OpenMP bypass the deterministic "
        "ThreadPool; use duti::ThreadPool / parallel_for",
        {"src/"}, {kThreadPoolDir}, false, check_raw_thread},
-      {"no-getenv-in-library",
-       "library code must not read the environment: an env-configured "
-       "global leaks between runs; the one exception is the pool's "
-       "DUTI_THREADS, and benches pass everything else in explicitly",
-       {"src/"}, {kThreadPoolDir}, false, check_getenv},
+      {"no-getenv",
+       "the library and the binaries must not read the environment: an "
+       "env-configured global leaks between runs, and a table stops being "
+       "a function of its flags and seed; the exceptions are the pool's "
+       "DUTI_THREADS and the benches' output directory DUTI_BENCH_OUT",
+       {"src/", "bench/", "examples/"}, {kThreadPoolDir, kBenchJson}, false,
+       check_getenv},
       // Reduction discipline (the ProbeResult integer-tally contract).
       {"no-unordered-iteration",
        "iteration order over unordered containers varies across runs and "
@@ -711,12 +714,12 @@ std::vector<Rule> build_rules() {
        "construction out of the loop",
        {"src/sim/"}, {}, false, check_per_trial_alloc},
       // Sweep discipline: benches that q*-sweep an axis should go through
-      // the sweep engine (warm starts, shared cache, point parallelism)
+      // the sweep engine (warm starts, point parallelism)
       // instead of a serial loop of cold find_min_param calls.
       {"no-serial-sweep-loop",
        "bench calls find_min_param directly without using run_sweep; "
        "axis sweeps should build SweepPoints and call duti::run_sweep "
-       "(src/stats/sweep.hpp) for warm starts and the shared probe cache",
+       "(src/stats/sweep.hpp) for warm starts and point parallelism",
        {"bench/"}, {}, false, check_serial_sweep_loop},
       // Cross-TU passes (lint_scan.cpp). Layering: the module include DAG
       // against layers.txt.

@@ -308,7 +308,8 @@ void check_cross_tu(const std::vector<FileModel>& files,
 
   // Call sites per def: (callee name, line). A name is a call when an
   // identifier is directly followed by '(' and is not a keyword-shaped
-  // token the definition finder already excludes.
+  // token the definition finder already excludes. A std::-qualified call
+  // names the standard library, never a definition in the scan.
   std::vector<std::vector<std::pair<std::string, int>>> calls(all_defs.size());
   for (std::size_t d = 0; d < all_defs.size(); ++d) {
     const FileModel& f = files[all_defs[d].file];
@@ -320,6 +321,9 @@ void check_cross_tu(const std::vector<FileModel>& files,
             t[0] == '_'))
         continue;
       if (is_rng_type(t)) continue;  // constructions handled by rng rules
+      if (i >= 2 && f.tokens[i - 1].text == "::" &&
+          f.tokens[i - 2].text == "std")
+        continue;
       calls[d].push_back({t, f.tokens[i].line});
     }
   }
@@ -463,11 +467,19 @@ void check_cross_tu(const std::vector<FileModel>& files,
   // --- Determinism purity ----------------------------------------------------
   {
     // BFS from every def in src/stats; parent pointers give the call path.
+    // Callees resolve only among definitions under src/: the library cannot
+    // include tests/, bench/, tools/ or examples/ (layers.txt), so a
+    // same-named definition there is never what a library call runs.
+    // Member calls still resolve by bare name, which errs toward false
+    // findings, never toward missed ones.
+    const auto under = [&](std::size_t d, const char* dir) {
+      return files[all_defs[d].file].path.rfind(dir, 0) == 0;
+    };
     std::vector<std::size_t> parent(all_defs.size(), all_defs.size());
     std::vector<char> reached(all_defs.size(), 0);
     std::vector<std::size_t> queue;
     for (std::size_t d = 0; d < all_defs.size(); ++d)
-      if (files[all_defs[d].file].path.rfind("src/stats/", 0) == 0) {
+      if (under(d, "src/stats/")) {
         reached[d] = 1;
         queue.push_back(d);
       }
@@ -478,7 +490,7 @@ void check_cross_tu(const std::vector<FileModel>& files,
         auto it = by_name.find(name);
         if (it == by_name.end()) continue;
         for (std::size_t callee : it->second)
-          if (!reached[callee]) {
+          if (!reached[callee] && under(callee, "src/")) {
             reached[callee] = 1;
             parent[callee] = d;
             queue.push_back(callee);
