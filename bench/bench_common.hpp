@@ -1,10 +1,10 @@
 // Shared plumbing for the experiment binaries: banner printing, CSV output
 // location, the measured-vs-predicted table assembly used by every
 // experiment, the stamped BENCH_*.json emitter, the micro benches' timer,
-// and the one-line sweep summary. Each bench prints the same kind of
-// artifact: a table with one row per sweep point carrying the measured
-// minimum resource, the paper's predicted curve, and the fitted
-// constant/slope comparison. Every sweep bench runs the engine's one
+// the one-line sweep summary and the failed-search check. Each bench prints
+// the same kind of artifact: a table with one row per sweep point carrying
+// the measured minimum resource, the paper's predicted curve, and the
+// fitted constant/slope comparison. Every sweep bench runs the engine's one
 // default configuration (warm, no cache session), so its table is a
 // function of its flags and seed alone.
 #pragma once
@@ -105,6 +105,22 @@ inline void print_sweep_summary(const std::string& name,
       static_cast<unsigned long long>(sweep.trials_consulted),
       static_cast<unsigned long long>(sweep.trials_computed),
       static_cast<unsigned long long>(sweep.cache.hits));
+}
+
+/// Names each point of `sweeps` whose search found no passing value, by its
+/// label, and returns whether every point was found. A failed search drops
+/// its table row, so a bench folds this into its exit code: a gate over the
+/// rows that are left would pass vacuously.
+template <typename... Sweeps>
+[[nodiscard]] bool all_found(const Sweeps&... sweeps) {
+  bool found = true;
+  for (const SweepResult* sweep : {&sweeps...})
+    for (const SweepPointResult& point : sweep->points)
+      if (!point.found) {
+        std::cout << point.label << ": search failed\n";
+        found = false;
+      }
+  return found;
 }
 
 }  // namespace duti::bench

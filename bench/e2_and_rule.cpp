@@ -48,20 +48,16 @@ int main(int argc, char** argv) {
       run_sweep(bench::e2_threshold_points(n, eps, ks, trials, seed));
   bench::print_sweep_summary("e2_and", and_sweep);
   bench::print_sweep_summary("e2_thr", thr_sweep);
+  const bool found = bench::all_found(and_sweep, thr_sweep);
 
   Table table({"k", "q* AND rule", "q* threshold rule", "AND/threshold",
                "thm1.2 lower-bound shape", "fmo AND-tester shape"});
   std::vector<double> xs, and_measured, thr_measured;
   for (std::size_t i = 0; i < ks.size(); ++i) {
+    if (!and_sweep.points[i].found || !thr_sweep.points[i].found) continue;
     const auto k = ks[i];
-    const std::uint64_t q_and =
-        and_sweep.points[i].found ? and_sweep.points[i].minimum : 0;
-    const std::uint64_t q_thr =
-        thr_sweep.points[i].found ? thr_sweep.points[i].minimum : 0;
-    if (q_and == 0 || q_thr == 0) {
-      std::cout << "k=" << k << ": search failed\n";
-      continue;
-    }
+    const std::uint64_t q_and = and_sweep.points[i].minimum;
+    const std::uint64_t q_thr = thr_sweep.points[i].minimum;
     table.add_row(
         {k, static_cast<std::int64_t>(q_and),
          static_cast<std::int64_t>(q_thr),
@@ -88,7 +84,7 @@ int main(int argc, char** argv) {
     const bool and_flatter = and_fit.slope > thr_fit.slope + 0.15;
     std::cout << "AND rule measurably flatter than threshold rule: "
               << (and_flatter ? "YES" : "NO") << "\n";
-    return and_flatter ? 0 : 1;
+    return and_flatter && found ? 0 : 1;
   }
-  return 0;
+  return found ? 0 : 1;
 }

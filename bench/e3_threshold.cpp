@@ -39,18 +39,15 @@ int main(int argc, char** argv) {
       bench::e3_points(n, k, eps, ts, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points);
   bench::print_sweep_summary("e3", sweep);
+  const bool found = bench::all_found(sweep);
 
   Table table({"T", "q* (measured)", "q* x T", "thm1.3 shape",
                "in thm1.3 window (c=10)"});
   std::vector<double> xs, measured, predicted;
   for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (!sweep.points[i].found) continue;
     const auto t_forced = ts[i];
-    const std::uint64_t q_star =
-        sweep.points[i].found ? sweep.points[i].minimum : 0;
-    if (q_star == 0) {
-      std::cout << "T=" << t_forced << ": search failed\n";
-      continue;
-    }
+    const std::uint64_t q_star = sweep.points[i].minimum;
     const double pred = predict::thm13_threshold_q(
         static_cast<double>(n), static_cast<double>(k), eps,
         static_cast<double>(t_forced));
@@ -92,7 +89,7 @@ int main(int argc, char** argv) {
               << " the Thm 1.3 small-T window is nearly empty (it is an "
                  "asymptotic small-eps regime);\nthe shape row is the "
                  "lower-bound curve, shown for consistency only.\n";
-    return (gain > 1.5 && consistent) ? 0 : 1;
+    return (gain > 1.5 && consistent && found) ? 0 : 1;
   }
-  return 0;
+  return found ? 0 : 1;
 }

@@ -50,6 +50,7 @@ int main(int argc, char** argv) {
   const SweepResult sweep = run_sweep(
       bench::e4_points(pool, n, delta, qs, trials, seed), {}, pool);
   bench::print_sweep_summary("e4", sweep);
+  const bool found = bench::all_found(sweep);
 
   Table table({"q", "k* (measured, multiples of n)", "thm1.4 lower bound",
                "natural upper-bound shape n^2/q"});
@@ -57,10 +58,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < qs.size(); ++i) {
     const auto q = qs[i];
     const SweepPointResult& point = sweep.points[i];
-    if (!point.found) {
-      std::cout << "q=" << q << ": search failed\n";
-      continue;
-    }
+    if (!point.found) continue;
     const double k_star = static_cast<double>(point.minimum * n);
     const double lower = predict::thm14_learning_k(static_cast<double>(n),
                                                    static_cast<double>(q));
@@ -86,7 +84,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "measured k* consistent with the n^2/q^2 lower bound: "
               << (consistent ? "YES" : "NO") << "\n";
-    return (consistent && fit.slope > -2.0) ? 0 : 1;
+    return (consistent && fit.slope > -2.0 && found) ? 0 : 1;
   }
-  return 0;
+  return found ? 0 : 1;
 }

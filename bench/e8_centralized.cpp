@@ -48,19 +48,19 @@ int main(int argc, char** argv) {
   bench::print_sweep_summary("e8_collision", coll_sweep);
   bench::print_sweep_summary("e8_chi", chi_sweep);
   bench::print_sweep_summary("e8_coincidence", coin_sweep);
+  const bool found_n = bench::all_found(coll_sweep, chi_sweep, coin_sweep);
 
   Table n_table({"n", "q* collision", "q* chi-squared", "q* coincidence",
                  "predicted sqrt(n)/eps^2"});
   std::vector<double> xs, measured, predicted;
   for (std::size_t i = 0; i < ns.size(); ++i) {
+    if (!coll_sweep.points[i].found || !chi_sweep.points[i].found ||
+        !coin_sweep.points[i].found)
+      continue;
     const auto n = ns[i];
-    const std::uint64_t q_star =
-        coll_sweep.points[i].found ? coll_sweep.points[i].minimum : 0;
-    const std::uint64_t q_chi =
-        chi_sweep.points[i].found ? chi_sweep.points[i].minimum : 0;
-    const std::uint64_t q_coin =
-        coin_sweep.points[i].found ? coin_sweep.points[i].minimum : 0;
-    if (q_star == 0) continue;
+    const std::uint64_t q_star = coll_sweep.points[i].minimum;
+    const std::uint64_t q_chi = chi_sweep.points[i].minimum;
+    const std::uint64_t q_coin = coin_sweep.points[i].minimum;
     const double pred = predict::centralized_q(static_cast<double>(n), eps);
     n_table.add_row({n, static_cast<std::int64_t>(q_star),
                      static_cast<std::int64_t>(q_chi),
@@ -84,11 +84,11 @@ int main(int argc, char** argv) {
   const SweepResult eps_sweep = run_sweep(
       bench::e8_eps_points(n_fixed, eps_values, trials, seed));
   bench::print_sweep_summary("e8_eps", eps_sweep);
+  const bool found_eps = bench::all_found(eps_sweep);
   for (std::size_t i = 0; i < eps_values.size(); ++i) {
+    if (!eps_sweep.points[i].found) continue;
     const double e = eps_values[i];
-    const std::uint64_t q_star =
-        eps_sweep.points[i].found ? eps_sweep.points[i].minimum : 0;
-    if (q_star == 0) continue;
+    const std::uint64_t q_star = eps_sweep.points[i].minimum;
     const double pred =
         predict::centralized_q(static_cast<double>(n_fixed), e);
     eps_table.add_row({e, static_cast<std::int64_t>(q_star), pred});
@@ -107,5 +107,5 @@ int main(int argc, char** argv) {
   const bool ok = std::fabs(slope_n - 0.5) < 0.2 && std::fabs(slope_e + 2.0) < 0.7;
   std::cout << "slopes within tolerance of (1/2, -2): " << (ok ? "YES" : "NO")
             << "\n";
-  return ok ? 0 : 1;
+  return ok && found_n && found_eps ? 0 : 1;
 }

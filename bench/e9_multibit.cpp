@@ -44,19 +44,16 @@ int main(int argc, char** argv) {
       bench::e9_points(n, k, eps, rs, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points);
   bench::print_sweep_summary("e9", sweep);
+  const bool found = bench::all_found(sweep);
 
   Table table({"r (bits)", "q* (measured)", "thm6.4 lower-bound shape",
                "1-bit baseline ratio"});
   std::vector<double> xs, measured;
   double q1 = 0.0;
   for (std::size_t i = 0; i < rs.size(); ++i) {
+    if (!sweep.points[i].found) continue;
     const auto r = rs[i];
-    const std::uint64_t q_star =
-        sweep.points[i].found ? sweep.points[i].minimum : 0;
-    if (q_star == 0) {
-      std::cout << "r=" << r << ": search failed\n";
-      continue;
-    }
+    const std::uint64_t q_star = sweep.points[i].minimum;
     if (q1 == 0.0) q1 = static_cast<double>(q_star);
     table.add_row({r, static_cast<std::int64_t>(q_star),
                    predict::thm64_multibit_q(static_cast<double>(n),
@@ -111,7 +108,7 @@ int main(int argc, char** argv) {
     const bool improves = measured.back() <= measured.front();
     std::cout << "wider messages never cost samples: "
               << (improves ? "YES" : "NO") << "\n";
-    return improves ? 0 : 1;
+    return improves && found ? 0 : 1;
   }
-  return 0;
+  return found ? 0 : 1;
 }

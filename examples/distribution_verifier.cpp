@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
     DiscreteDistribution live;
     bool should_pass;
   };
-  Rng scen_rng = make_rng(seed, 1);
   const std::vector<Scenario> scenarios{
       {"live == eta (healthy)", eta, true},
       {"uniform traffic (model broken)", DiscreteDistribution::uniform(n),
@@ -67,7 +66,6 @@ int main(int argc, char** argv) {
                                           0.6),
        false},
   };
-  (void)scen_rng;
 
   Table table({"live input", "l1 dist to eta", "verifier pass rate",
                "verdict"});

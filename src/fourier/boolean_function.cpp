@@ -71,17 +71,6 @@ double BooleanCubeFunction::level_weight(unsigned level) const {
   return acc;
 }
 
-double BooleanCubeFunction::low_level_weight(unsigned level) const {
-  const auto& coeffs = fourier();
-  double acc = 0.0;
-  for (std::uint64_t s = 1; s < coeffs.size(); ++s) {
-    if (static_cast<unsigned>(std::popcount(s)) <= level) {
-      acc += coeffs[s] * coeffs[s];
-    }
-  }
-  return acc;
-}
-
 double BooleanCubeFunction::parseval_sum() const {
   const auto& coeffs = fourier();
   double acc = 0.0;

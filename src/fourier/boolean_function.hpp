@@ -55,10 +55,6 @@ class BooleanCubeFunction {
   /// Sum of f_hat(S)^2 over |S| = level.
   [[nodiscard]] double level_weight(unsigned level) const;
 
-  /// Sum of f_hat(S)^2 over 1 <= |S| <= level (the "low-level weight" the
-  /// KKL lemma bounds).
-  [[nodiscard]] double low_level_weight(unsigned level) const;
-
   /// Sum of all f_hat(S)^2 — equals E[f^2] by Parseval.
   [[nodiscard]] double parseval_sum() const;
 

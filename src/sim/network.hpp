@@ -191,7 +191,6 @@ class Network {
   /// halted for termination, and messages delivered to them are counted in
   /// `messages_lost_to_halted`.
   void schedule_crash(NodeId node, unsigned round);
-  void clear_crashes() noexcept { crash_schedule_.clear(); }
 
   /// Run until every node has halted or `max_rounds` elapse; returns stats.
   /// Throws Error if any node is missing a behavior.

@@ -126,11 +126,6 @@ class RobustThresholdTester {
   /// One full execution with fault injection; aborts are distinct.
   [[nodiscard]] RefereeOutcome outcome(const SampleSource& source,
                                        Rng& rng) const;
-  /// Boolean view in the TesterRun shape (stats/harness.hpp): accept ==
-  /// true; aborts are failures on both sides.
-  [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const {
-    return outcome(source, rng) == RefereeOutcome::kAccept;
-  }
 
   [[nodiscard]] double p_reject_uniform() const noexcept { return p_u_; }
   [[nodiscard]] double local_threshold() const noexcept { return local_t_; }

@@ -17,7 +17,6 @@ struct Interval {
     return lo <= p && p <= hi;
   }
   [[nodiscard]] double width() const noexcept { return hi - lo; }
-  [[nodiscard]] double midpoint() const noexcept { return 0.5 * (lo + hi); }
 };
 
 /// Wilson score interval for a binomial proportion with `successes` out of

@@ -82,16 +82,6 @@ TEST(BooleanCubeFunction, LevelWeightsPartitionParseval) {
   EXPECT_NEAR(total, f.parseval_sum(), 1e-10);
 }
 
-TEST(BooleanCubeFunction, LowLevelWeightExcludesEmptySet) {
-  Rng rng(5);
-  const auto f = fn::random_boolean(5, 0.5, rng);
-  double expected = 0.0;
-  for (unsigned level = 1; level <= 3; ++level) {
-    expected += f.level_weight(level);
-  }
-  EXPECT_NEAR(f.low_level_weight(3), expected, 1e-12);
-}
-
 TEST(BooleanCubeFunction, TabulateMatchesValues) {
   const auto f = BooleanCubeFunction::tabulate(
       3, [](std::uint64_t x) { return static_cast<double>(x % 2); });

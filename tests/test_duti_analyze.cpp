@@ -1,9 +1,10 @@
 // Tests for duti-lint's cross-TU passes (tools/duti_lint): layer-policy
 // parsing, the token stream and definition finder, layering enforcement over
-// in-memory trees (positive AND seeded-violation fixtures), the RNG-stream
-// dataflow rules, the determinism-purity walk from src/stats entry points,
-// suppression of cross-TU findings (including staleness), report shapes and
-// fingerprint invariance. The per-file rules, the ledger they share and the
+// in-memory trees (positive AND seeded-violation fixtures), the orphan-module
+// reach from bench/ and examples/, the RNG-stream dataflow rules, the
+// determinism-purity walk from src/stats entry points, suppression of
+// cross-TU findings (including staleness), report shapes and fingerprint
+// invariance. The per-file rules, the ledger they share and the
 // CLI are tested in test_duti_lint.cpp. Fixtures are string literals, so the
 // tree-wide `duti_lint` CTest pass does not see their contents.
 #include "lint.hpp"
@@ -279,6 +280,64 @@ TEST(Layering, RawStringIncludeFixturesAreInvisible) {
        {"src/stats/b.hpp", "#pragma once\n"}});
   EXPECT_EQ(r.include_directives, 0u);
   EXPECT_EQ(count_rule(r, "layer-violation"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Orphan modules
+// ---------------------------------------------------------------------------
+
+const std::string kReachPolicy =
+    std::string(kPolicy) + "layer bench examples\n";
+
+TEST(OrphanModule, HeaderNoBenchReachesIsFlaggedAtLineZero) {
+  const auto r = run(
+      {{"bench/e1.cpp", "#include \"util/used.hpp\"\n"},
+       {"src/util/used.hpp", "#pragma once\n"},
+       {"src/util/unused.hpp", "#pragma once\n"},
+       {"tests/test_unused.cpp", "#include \"util/unused.hpp\"\n"}},
+      kReachPolicy);
+  ASSERT_EQ(count_rule(r, "orphan-module"), 1u);
+  const Finding& f = first_of(r, "orphan-module");
+  EXPECT_EQ(f.file, "src/util/unused.hpp");
+  EXPECT_EQ(f.line, 0);
+  EXPECT_NE(f.message.find("no bench/ or examples/ file reaches"),
+            std::string::npos);
+}
+
+TEST(OrphanModule, SameStemCppCarriesTheReach) {
+  const auto r = run(
+      {{"examples/demo.cpp", "#include \"stats/engine.hpp\"\n"},
+       {"src/stats/engine.hpp", "#pragma once\n"},
+       {"src/stats/engine.cpp",
+        "#include \"stats/engine.hpp\"\n#include \"util/shrink.hpp\"\n"},
+       {"src/util/shrink.hpp", "#pragma once\n"},
+       {"src/util/orphan.hpp", "#pragma once\n"}},
+      kReachPolicy);
+  ASSERT_EQ(count_rule(r, "orphan-module"), 1u);
+  EXPECT_EQ(first_of(r, "orphan-module").file, "src/util/orphan.hpp");
+}
+
+TEST(OrphanModule, ScanWithoutBenchOrExamplesHasNoRoots) {
+  const std::vector<SourceFile> lib = {
+      {"src/util/a.hpp", "#pragma once\n"},
+      {"src/stats/b.hpp", "#pragma once\n#include \"util/a.hpp\"\n"}};
+  EXPECT_EQ(count_rule(run(lib, kReachPolicy), "orphan-module"), 0u);
+  std::vector<SourceFile> tree = lib;
+  tree.push_back({"bench/e.cpp", "#include \"util/a.hpp\"\n"});
+  EXPECT_EQ(count_rule(run(tree, kReachPolicy), "orphan-module"), 1u);
+}
+
+TEST(OrphanModule, AllowFileDirectiveIsCredited) {
+  const auto r = run(
+      {{"bench/e.cpp", "int main() {\n  return 0;\n}\n"},
+       {"src/util/kept.hpp",
+        "#pragma once\n"
+        "// duti-lint: allow-file(orphan-module) -- fixture justification\n"}},
+      kReachPolicy);
+  EXPECT_EQ(count_rule(r, "orphan-module"), 0u);
+  EXPECT_EQ(count_rule(r, "stale-suppression"), 0u);
+  EXPECT_EQ(r.suppressions_used, 1u);
+  EXPECT_TRUE(r.findings.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ TEST(Registry, RuleNamesAreUniqueAndDescribed) {
     EXPECT_TRUE(names.insert(rule.name).second) << rule.name;
     EXPECT_FALSE(rule.description.empty()) << rule.name;
   }
-  // 15 per-file rules, 10 cross-TU rules and the ledger's 3 meta rules.
-  EXPECT_EQ(names.size(), 28u);
+  // 15 per-file rules, 11 cross-TU rules and the ledger's 3 meta rules.
+  EXPECT_EQ(names.size(), 29u);
 }
 
 TEST(NoRandomDevice, FlagsUseInSrc) {

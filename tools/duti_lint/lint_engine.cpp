@@ -731,6 +731,11 @@ std::vector<Rule> build_rules() {
        "DAG"},
       {"layer-unknown-module",
        "file belongs to a module that layers.txt does not place"},
+      // Reach: every library header feeds a bench or an example.
+      {"orphan-module",
+       "src/ header that no bench/ or examples/ file reaches through "
+       "includes (a reached header also reaches its same-stem .cpp); a "
+       "module whose only consumer is its own test feeds no table"},
       // RNG-stream dataflow, per function definition.
       {"rng-by-value",
        "function takes an RNG parameter by value; each copy replays the "

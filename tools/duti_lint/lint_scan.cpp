@@ -1,8 +1,9 @@
 // One scan of the tree for duti-lint: a lexed model per file, the per-file
 // rules of the registry, the cross-TU passes (include-DAG construction and
-// layering enforcement, the RNG-stream dataflow rules, the determinism-purity
-// walk from src/stats entry points), the one suppression ledger that settles
-// every finding, and the graph fingerprint.
+// layering enforcement, the orphan-module reach from bench/ and examples/,
+// the RNG-stream dataflow rules, the determinism-purity walk from src/stats
+// entry points), the one suppression ledger that settles every finding, and
+// the graph fingerprint.
 #include "lint.hpp"
 
 #include <algorithm>
@@ -204,9 +205,9 @@ bool is_blank(const std::string& code) {
 // Cross-TU passes
 // ---------------------------------------------------------------------------
 
-/// Layering, the call graph, RNG dataflow and purity over the path-sorted
-/// models: appends raw (pre-suppression) findings and fills the report's
-/// graph metrics.
+/// Layering, orphan modules, the call graph, RNG dataflow and purity over
+/// the path-sorted models: appends raw (pre-suppression) findings and fills
+/// the report's graph metrics.
 void check_cross_tu(const std::vector<FileModel>& files,
                     const LayerPolicy& policy, std::vector<Finding>& raw,
                     LintReport& report) {
@@ -291,6 +292,47 @@ void check_cross_tu(const std::vector<FileModel>& files,
     };
     for (const auto& [m, _] : adj)
       if (color[m] == 0) dfs(dfs, m);
+  }
+
+  // --- Orphan modules ------------------------------------------------------
+  // Every src/ header must be reached through includes from a bench/ or
+  // examples/ file: a module whose only consumer is its own test feeds no
+  // table. A reached header also reaches its same-stem .cpp, whose includes
+  // count too (chaos/shrink.hpp is included only by chaos/engine.cpp).
+  // A scan with no bench/ or examples/ file (`duti_lint src`, the fixtures)
+  // has no roots, and the pass stays silent.
+  {
+    auto under = [&files](std::size_t i, const char* dir) {
+      return files[i].path.rfind(dir, 0) == 0;
+    };
+    std::map<std::string, std::size_t> by_path;
+    std::vector<std::vector<std::size_t>> out(files.size());
+    for (std::size_t i = 0; i < files.size(); ++i) by_path[files[i].path] = i;
+    for (const auto& e : includes) out[e.from].push_back(e.to);
+    for (std::size_t i = 0; i < files.size(); ++i) {
+      const std::string& p = files[i].path;
+      if (!is_header_path(p)) continue;
+      auto it = by_path.find(p.substr(0, p.rfind('.')) + ".cpp");
+      if (it != by_path.end()) out[i].push_back(it->second);
+    }
+    std::vector<bool> reached(files.size(), false);
+    std::vector<std::size_t> todo;
+    for (std::size_t i = 0; i < files.size(); ++i)
+      if (under(i, "bench/") || under(i, "examples/")) todo.push_back(i);
+    const bool has_roots = !todo.empty();
+    while (!todo.empty()) {
+      const std::size_t u = todo.back();
+      todo.pop_back();
+      if (reached[u]) continue;
+      reached[u] = true;
+      todo.insert(todo.end(), out[u].begin(), out[u].end());
+    }
+    for (std::size_t i = 0; i < files.size(); ++i)
+      if (has_roots && !reached[i] && under(i, "src/") &&
+          is_header_path(files[i].path))
+        add(files[i].path, 0, "orphan-module",
+            "no bench/ or examples/ file reaches this header through "
+            "includes; give the module a table or delete it");
   }
 
   // --- Symbol table & call graph -------------------------------------------
