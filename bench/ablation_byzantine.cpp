@@ -63,7 +63,7 @@ std::pair<double, double> rates_with_byzantine(
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -139,4 +139,6 @@ int main(int argc, char** argv) {
   drop_table.print(std::cout, "message drops on a 6x6 grid (36 sensors)");
   drop_table.write_csv(bench::output_dir() + "/ablation_drops.csv");
   return 0;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

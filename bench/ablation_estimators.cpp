@@ -14,7 +14,7 @@
 #include "core/message_analysis.hpp"
 #include "fourier/families.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -75,4 +75,6 @@ int main(int argc, char** argv) {
                              ", q=" + std::to_string(q) + ")");
   table.write_csv(bench::output_dir() + "/ablation_estimators.csv");
   return 0;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

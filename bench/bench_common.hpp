@@ -1,16 +1,19 @@
 // Shared plumbing for the experiment binaries: banner printing, CSV output
 // location, the measured-vs-predicted table assembly used by every
 // experiment, the stamped BENCH_*.json emitter, the micro benches' timer,
-// the one-line sweep summary and the failed-search check. Each bench prints
-// the same kind of artifact: a table with one row per sweep point carrying
-// the measured minimum resource, the paper's predicted curve, and the
-// fitted constant/slope comparison. Every sweep bench runs the engine's one
+// the one-line sweep summary, the failed-search check and the guard that
+// turns a typed error into exit status 2. Each bench prints the same kind
+// of artifact: a table with one row per sweep point carrying the measured
+// minimum resource, the paper's predicted curve, and the fitted
+// constant/slope comparison. Every sweep bench runs the engine's one
 // default configuration (warm, no cache session), so its table is a
 // function of its flags and seed alone.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -108,19 +111,40 @@ inline void print_sweep_summary(const std::string& name,
 }
 
 /// Names each point of `sweeps` whose search found no passing value, by its
-/// label, and returns whether every point was found. A failed search drops
-/// its table row, so a bench folds this into its exit code: a gate over the
-/// rows that are left would pass vacuously.
+/// label, and returns how many there are. A failed search drops its table
+/// row, so a verdict over the rows that are left would pass or fail
+/// vacuously: a bench with a failed search prints not_judged instead.
 template <typename... Sweeps>
-[[nodiscard]] bool all_found(const Sweeps&... sweeps) {
-  bool found = true;
+[[nodiscard]] std::size_t failed_searches(const Sweeps&... sweeps) {
+  std::size_t failed = 0;
   for (const SweepResult* sweep : {&sweeps...})
     for (const SweepPointResult& point : sweep->points)
       if (!point.found) {
         std::cout << point.label << ": search failed\n";
-        found = false;
+        ++failed;
       }
-  return found;
+  return failed;
+}
+
+/// Prints each of `verdicts` as "<verdict>: not judged (<failed> failed
+/// search[es])" and returns the bench's exit status, 1.
+inline int not_judged(std::initializer_list<const char*> verdicts,
+                      std::size_t failed) {
+  for (const char* verdict : verdicts)
+    std::cout << verdict << ": not judged (" << failed << " failed search"
+              << (failed == 1 ? "" : "es") << ")\n";
+  return 1;
+}
+
+/// The handler of every bench main's function-try-block: a typed library
+/// error (a flag that does not parse, an invalid configuration) prints
+/// "<bench>: <message>" on stderr and exits 2, where it would otherwise end
+/// the process in std::terminate.
+inline int error_exit(int argc, char** argv, const Error& e) {
+  const std::string bench =
+      argc > 0 ? std::filesystem::path(argv[0]).filename().string() : "bench";
+  std::cerr << bench << ": " << e.what() << "\n";
+  return 2;
 }
 
 }  // namespace duti::bench

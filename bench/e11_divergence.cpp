@@ -18,7 +18,7 @@
 #include "fourier/families.hpp"
 #include "testers/message_maps.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -81,4 +81,6 @@ int main(int argc, char** argv) {
   std::cout << "inequality chain (11)-(12) holds at every point: "
             << (chain_holds ? "YES" : "NO") << "\n";
   return chain_holds ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

@@ -84,7 +84,7 @@ double advantage_two_sample_and(std::uint64_t n, unsigned k, unsigned q,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -124,4 +124,6 @@ int main(int argc, char** argv) {
   std::cout << "single-sample AND advantage stays below 0.15 at every k: "
             << (worst_single < 0.15 ? "YES" : "NO") << "\n";
   return worst_single < 0.15 ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

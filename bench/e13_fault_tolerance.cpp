@@ -198,7 +198,7 @@ bool sweep_transport(std::size_t trials, std::uint64_t seed) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -242,4 +242,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

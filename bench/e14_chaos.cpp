@@ -99,7 +99,7 @@ void write_json(const CampaignConfig& cfg, const CampaignSummary& summary) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
     std::cout << "e14_chaos --seeds=256 --seed0=1 --quick "
@@ -163,4 +163,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nall " << cfg.num_seeds << " schedules clean\n";
   return 0;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

@@ -17,7 +17,7 @@
 #include "core/predictions.hpp"
 #include "sweep_specs.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       bench::e1_points(n, eps, ks, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points);
   bench::print_sweep_summary("e1", sweep);
-  const bool found = bench::all_found(sweep);
+  const std::size_t failed = bench::failed_searches(sweep);
 
   Table table({"k", "q* (measured)", "predicted sqrt(n/k)/eps^2",
                "thm6.1 lower bound", "total k*q*"});
@@ -68,6 +68,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout, "E1: minimal per-player q vs number of players k");
   table.write_csv(bench::output_dir() + "/e1_any_rule.csv");
+  const char* const kVerdict = "Theorem 6.1 lower bound respected at every k";
+  if (failed > 0) return bench::not_judged({kVerdict}, failed);
   if (xs.size() >= 2) {
     bench::print_shape(xs, measured, predicted, "q* vs k");
   }
@@ -80,7 +82,8 @@ int main(int argc, char** argv) {
                                                  xs[i], eps);
     if (measured[i] < lower) consistent = false;
   }
-  std::cout << "Theorem 6.1 lower bound respected at every k: "
-            << (consistent ? "YES" : "NO") << "\n";
-  return consistent && found ? 0 : 1;
+  std::cout << kVerdict << ": " << (consistent ? "YES" : "NO") << "\n";
+  return consistent ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

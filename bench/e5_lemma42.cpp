@@ -31,7 +31,7 @@ struct Subject {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -154,4 +154,6 @@ int main(int argc, char** argv) {
             << "\nworst lhs/bound ratio: " << format_double(worst_ratio)
             << "\n";
   return all_hold ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

@@ -27,7 +27,7 @@
 #include "fourier/families.hpp"
 #include "fourier/level_inequality.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -117,4 +117,6 @@ int main(int argc, char** argv) {
                "width: "
             << (kkl_holds ? "YES" : "NO") << "\n";
   return all_hold && crossover > 0.0 && kkl_holds ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

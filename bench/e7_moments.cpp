@@ -14,7 +14,7 @@
 #include "bench_common.hpp"
 #include "fourier/evenly_covered.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace duti;
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
@@ -86,4 +86,6 @@ int main(int argc, char** argv) {
   mom_table.write_csv(bench::output_dir() + "/e7_moments.csv");
   std::cout << "all bounds hold: " << (all_hold ? "YES" : "NO") << "\n";
   return all_hold ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

@@ -1,6 +1,6 @@
-// Measures the protocol plane (src/sim/protocol_batch.hpp) on the
-// threshold-tester q*-search workload, and ENFORCES the contracts it ships
-// with:
+// Measures the protocol plane (src/sim/protocol_batch.hpp) on the reference
+// q*-search workload (bench::reference_point: the threshold tester at
+// n = 4096, k = 64, eps = 0.25), and ENFORCES the contracts it ships with:
 //
 // Gates (nonzero exit on any failure):
 //   - zero heap allocations per trial (global operator-new counter), in
@@ -10,10 +10,9 @@
 //     identical across pools
 //   - the 8-thread search services every referee calibration from the
 //     memo the 1-thread search filled (zero misses)
-//   - golden outputs: at --quick with the default n, k, eps and seed, q*
-//     and the FNV-1a fingerprint of the identity trials' messages and
-//     verdicts equal the values recorded from the retired per-player
-//     runner
+//   - golden outputs: at --quick with the default seed, q* and the FNV-1a
+//     fingerprint of the identity trials' messages and verdicts equal the
+//     values recorded from the retired per-player runner
 //
 // Emits BENCH_protocol.json. The ns/trial number is wall-clock and only
 // reported; every gate is on integer tallies and bit-identity, which
@@ -35,6 +34,7 @@
 #include "bench_common.hpp"
 #include "stats/harness.hpp"
 #include "stats/workloads.hpp"
+#include "sweep_specs.hpp"
 #include "testers/calibration.hpp"
 #include "testers/distributed.hpp"
 #include "util/fnv.hpp"
@@ -46,6 +46,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
+
+// The one free() behind every replaced delete, kept out of line: inlined
+// into this file's standard allocators, it would read to GCC as freeing a
+// pointer that operator new returned (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -65,17 +70,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace {
@@ -119,37 +124,10 @@ PlaneRow measure_plane(TrialFn&& trial, std::size_t trials, int reps,
   return row;
 }
 
-/// Probe over q for the threshold tester at (n, k, eps). Calibration and
-/// probe seeds depend only on (seed, q), so searches on different pools see
-/// identical testers (a second construction at a q is a calibration-memo
-/// hit that restores the same RNG exit state) and identical trial streams.
-ProbeFn make_q_probe(std::uint64_t n, unsigned k, double eps,
-                     std::size_t trials, std::uint64_t seed,
-                     ThreadPool& pool) {
-  return [n, k, eps, trials, seed, &pool](std::uint64_t q) {
-    DistributedTesterConfig cfg;
-    cfg.n = n;
-    cfg.k = k;
-    cfg.q = static_cast<unsigned>(q);
-    cfg.eps = eps;
-    Rng calib_rng = make_rng(seed, q, 0xCA11B);
-    auto tester = std::make_shared<DistributedThresholdTester>(cfg, calib_rng);
-    const TesterRun run = [tester](const SampleSource& s, Rng& r) {
-      return tester->run(s, r);
-    };
-    return probe_success(run, workloads::uniform_factory(n),
-                         workloads::paninski_far_factory(n, eps), trials,
-                         derive_seed(seed, q), pool);
-  };
-}
-
 /// Golden outputs of `micro_protocol --quick` at the default flags,
 /// recorded from the retired per-player runner, the plane's former
 /// comparator.
 struct Golden {
-  std::uint64_t n = 4096;
-  unsigned k = 64;
-  double eps = 0.25;
   std::uint64_t seed = 1;
   std::uint64_t q_star = 312;
   std::uint64_t fingerprint = 0xf67f7e86265b4fe4ULL;
@@ -170,16 +148,14 @@ bool same_tallies(const ProbeResult& a, const ProbeResult& b) {
 int run_bench(int argc, char** argv) {
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
-    std::printf(
-        "micro_protocol --n=4096 --k=64 --eps=0.25 --trials=150 --seed=1 "
-        "[--quick]\n");
+    std::printf("micro_protocol --trials=150 --seed=1 [--quick]\n");
     return 0;
   }
   bench::CommonFlags flags(cli);
-  const std::uint64_t n = cli.get_uint<std::uint64_t>("n", 4096);
-  const unsigned k = cli.get_uint<unsigned>("k", 64);
-  const double eps = cli.get_double("eps", 0.25);
   cli.reject_unread();
+  const std::uint64_t n = bench::kReferenceN;
+  const unsigned k = bench::kReferenceK;
+  const double eps = bench::kReferenceEps;
   const std::size_t search_trials = flags.quick ? 60 : flags.trials;
   const std::size_t timing_trials = flags.quick ? 400 : 2000;
   const int timing_reps = flags.quick ? 2 : 3;
@@ -194,23 +170,26 @@ int run_bench(int argc, char** argv) {
   ThreadPool pool8(8);
 
   // --- q*-search minima: 1 vs 8 threads -------------------------------------
+  // Calibration and probe seeds depend only on (seed, q), so searches on
+  // different pools see identical testers (a second construction at a q is
+  // a calibration-memo hit that restores the same RNG exit state) and
+  // identical trial streams.
+  SweepPoint reference = bench::reference_point(seed);
+  reference.search.trials = search_trials;
+  const ProbeFn probe1 = bench::full_budget_probe(reference, pool1);
+  const ProbeFn probe8 = bench::full_budget_probe(reference, pool8);
   CalibMemo::global().reset_stats();
-  MinSearchConfig search;
-  search.lo = 2;
-  search.hi = 1ULL << 12;
-  search.trials = search_trials;
-  search.seed = seed;
 
   // The two searches below are the measurement itself: the same single
   // q*-search on two pools, cold vs memoized. Routing them through
   // run_sweep would share probes across the arms being compared.
   const MinSearchResult min1 = find_min_param(  // duti-lint: allow(no-serial-sweep-loop) -- 1-thread arm of the comparison
-      make_q_probe(n, k, eps, search_trials, seed, pool1), search, pool1);
+      probe1, reference.search, pool1);
   const CalibMemo::Stats cold_stats = CalibMemo::global().stats();
 
   CalibMemo::global().reset_stats();
   const MinSearchResult min8 = find_min_param(  // duti-lint: allow(no-serial-sweep-loop) -- thread-invariance arm of the comparison
-      make_q_probe(n, k, eps, search_trials, seed, pool8), search, pool8);
+      probe8, reference.search, pool8);
   const CalibMemo::Stats rerun_stats = CalibMemo::global().stats();
 
   const bool minima_match =
@@ -234,10 +213,8 @@ int run_bench(int argc, char** argv) {
       static_cast<unsigned long long>(rerun_stats.misses));
 
   // --- ProbeResult tallies across pools at q* ------------------------------
-  const ProbeResult tally1 =
-      make_q_probe(n, k, eps, search_trials, seed, pool1)(q_star);
-  const ProbeResult tally8 =
-      make_q_probe(n, k, eps, search_trials, seed, pool8)(q_star);
+  const ProbeResult tally1 = probe1(q_star);
+  const ProbeResult tally8 = probe8(q_star);
   const bool pools_match = same_tallies(tally1, tally8);
 
   // --- Message and verdict fingerprint at q* -------------------------------
@@ -271,9 +248,7 @@ int run_bench(int argc, char** argv) {
     }
   }
   const Golden golden;
-  const bool golden_applies = flags.quick && n == golden.n &&
-                              k == golden.k && eps == golden.eps &&
-                              seed == golden.seed;
+  const bool golden_applies = flags.quick && seed == golden.seed;
   const bool golden_ok = !golden_applies ||
                          (min1.found && q_star == golden.q_star &&
                           fingerprint.value() == golden.fingerprint);
@@ -363,4 +338,8 @@ int run_bench(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run_bench(argc, argv); }
+int main(int argc, char** argv) try {
+  return run_bench(argc, argv);
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
+}

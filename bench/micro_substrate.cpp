@@ -17,6 +17,7 @@
 #include "fourier/wht.hpp"
 #include "sim/protocol_batch.hpp"
 #include "stats/workloads.hpp"
+#include "sweep_specs.hpp"
 #include "testers/calibration.hpp"
 #include "testers/collision.hpp"
 #include "testers/fixed_threshold.hpp"
@@ -338,10 +339,10 @@ void BM_CalibrateOnUniform(benchmark::State& state) {
   const unsigned q = 312;
   ThreadPool pool(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
-    CalibMemo::global().clear();
+    bench::clear_calibration_memo();
     Rng rng(5);
-    benchmark::DoNotOptimize(
-        uniform_reject_rates(4096, std::span(&q, 1), kTrials, rng, pool));
+    benchmark::DoNotOptimize(uniform_reject_rates(
+        bench::kReferenceN, std::span(&q, 1), kTrials, rng, pool));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kTrials));

@@ -157,7 +157,7 @@ FamilyRow measure_family(const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   if (cli.help_requested()) {
     std::printf("micro_sweep [--quick] [--trials=150] [--seed=1]\n");
@@ -311,4 +311,6 @@ int main(int argc, char** argv) {
 
   const bool ok = reduction_ok && all_match && rerun_ok && computed_invariant;
   return ok ? 0 : 1;
+} catch (const duti::Error& e) {
+  return duti::bench::error_exit(argc, argv, e);
 }

@@ -1,7 +1,8 @@
 // SweepPoint builders for every bench that searches a minimum: the
-// declarative q*-sweeps of e1, e2, e3, e8, e9 and e10, and the raw-probe
-// points of e4 (a learning probe) and e13 (RefereeOutcome probes with abort
-// attribution), whose probes the declarative path cannot describe. Each
+// declarative q*-sweeps of e1, e2, e3, e8, e9 and e10, the reference search
+// of micro_protocol, and the raw-probe points of e4 (a learning probe) and
+// e13 (RefereeOutcome probes with abort attribution), whose probes the
+// declarative path cannot describe. Each
 // builder reproduces the EXACT per-point seed derivations of the
 // pre-engine serial loops — probe seed, calibration stream, and search
 // range — so the engine's minima match the historical tables bit-for-bit,
@@ -11,6 +12,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "stats/sweep.hpp"
 #include "stats/workloads.hpp"
 #include "testers/asymmetric.hpp"
+#include "testers/calibration.hpp"
 #include "testers/centralized.hpp"
 #include "testers/distributed.hpp"
 #include "testers/fixed_threshold.hpp"
@@ -37,6 +40,21 @@ enum class SamplingKernel : std::uint8_t { kPerSample };
 }  // namespace duti
 
 namespace duti::bench {
+
+/// make_tester of the calibrated threshold tester at (n, k, eps) whose
+/// calibration stream at q is make_rng(seed, q, 0xCA11B).
+inline std::function<TesterRun(std::uint64_t)> threshold_tester(
+    std::uint64_t n, unsigned k, double eps, std::uint64_t seed) {
+  return [n, k, eps, seed](std::uint64_t q) -> TesterRun {
+    Rng calib_rng = make_rng(seed, q, 0xCA11B);
+    auto tester = std::make_shared<DistributedThresholdTester>(
+        DistributedTesterConfig{n, k, static_cast<unsigned>(q), eps},
+        calib_rng);
+    return [tester](const SampleSource& src, Rng& rng) {
+      return tester->run(src, rng);
+    };
+  };
+}
 
 /// E1: calibrated threshold tester, sweep axis k. Seeds per point:
 /// seed_k = derive_seed(seed, k); probe seed derive_seed(seed_k, q);
@@ -58,16 +76,8 @@ inline std::vector<SweepPoint> e1_points(std::uint64_t n, double eps,
     p.search.seed = seed_k;
     p.uniform = workloads::uniform_factory(n);
     p.far = workloads::paninski_far_factory(n, eps);
-    p.make_tester = [n, k, eps, seed_k](std::uint64_t q) -> TesterRun {
-      Rng calib_rng = make_rng(seed_k, q, 0xCA11B);
-      auto tester = std::make_shared<DistributedThresholdTester>(
-          DistributedTesterConfig{n, static_cast<unsigned>(k),
-                                  static_cast<unsigned>(q), eps},
-          calib_rng);
-      return [tester](const SampleSource& src, Rng& rng) {
-        return tester->run(src, rng);
-      };
-    };
+    p.make_tester =
+        threshold_tester(n, static_cast<unsigned>(k), eps, seed_k);
     p.cache_base.workload =
         "paninski:n=" + std::to_string(n) + ":eps=" + std::to_string(eps);
     p.cache_base.tester = "dist-threshold:k=" + std::to_string(k) +
@@ -76,6 +86,46 @@ inline std::vector<SweepPoint> e1_points(std::uint64_t n, double eps,
   }
   return points;
 }
+
+/// The reference q* search: the calibrated threshold tester at n = 4096,
+/// k = 64, eps = 0.25, 150 trials per probe, q in [2, 2^12]. The search
+/// seed is `seed` itself, where e1_points derives one per k: calibration
+/// stream make_rng(seed, q, 0xCA11B), probe seed derive_seed(seed, q).
+inline constexpr std::uint64_t kReferenceN = 4096;
+inline constexpr unsigned kReferenceK = 64;
+inline constexpr double kReferenceEps = 0.25;
+
+inline SweepPoint reference_point(std::uint64_t seed) {
+  SweepPoint p;
+  p.label = "reference";
+  p.axis = static_cast<double>(kReferenceK);
+  p.search.lo = 2;
+  p.search.hi = 1ULL << 12;
+  p.search.trials = 150;
+  p.search.seed = seed;
+  p.uniform = workloads::uniform_factory(kReferenceN);
+  p.far = workloads::paninski_far_factory(kReferenceN, kReferenceEps);
+  p.make_tester =
+      threshold_tester(kReferenceN, kReferenceK, kReferenceEps, seed);
+  return p;
+}
+
+/// A declarative point's full-budget probe on `pool`: what run_sweep's cold
+/// search consults at each value (the point's per-value seed, its
+/// search.trials, no early stop).
+inline ProbeFn full_budget_probe(SweepPoint point, ThreadPool& pool) {
+  return [point = std::move(point), &pool](std::uint64_t value) {
+    const std::uint64_t seed = point.seed_for
+                                   ? point.seed_for(value)
+                                   : derive_seed(point.search.seed, value);
+    return probe_success(point.make_tester(value), point.uniform, point.far,
+                         point.search.trials, seed, pool);
+  };
+}
+
+/// Forgets every memoized referee calibration, so each search after it
+/// starts cold.
+inline void clear_calibration_memo() { CalibMemo::global().clear(); }
 
 /// E2, AND-rule half: uncalibrated AND tester, sweep axis k. Per point the
 /// serial loop used seed_k = derive_seed(seed, k) and probe seed

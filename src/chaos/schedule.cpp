@@ -8,7 +8,6 @@
 
 #include "sim/convergecast.hpp"
 #include "util/error.hpp"
-#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace duti::chaos {
@@ -447,25 +446,6 @@ ScenarioSpec parse_token(const std::string& token) {
   Network net = build_network(spec);
   apply_schedule(spec, net);
   return spec;
-}
-
-std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
-  Fnv64 h;
-  h.u64(static_cast<std::uint64_t>(spec.topo));
-  h.u64(spec.vote_pct);
-  h.u64(spec.vote_seed);
-  h.u64(spec.run_seed);
-  for (const auto& c : spec.components) {
-    h.u64(static_cast<std::uint64_t>(c.kind));
-    h.u64(c.node);
-    h.u64(c.from);
-    h.u64(c.to);
-    h.u64(c.pct);
-    h.u64(c.lo);
-    h.u64(c.len);
-    h.u64(c.extra);
-  }
-  return h.value();
 }
 
 }  // namespace duti::chaos

@@ -109,7 +109,4 @@ void apply_schedule(const ScenarioSpec& spec, Network& net);
 /// any syntax or range error.
 [[nodiscard]] ScenarioSpec parse_token(const std::string& token);
 
-/// Content fingerprint of a spec (FNV-1a over all fields, order-sensitive).
-[[nodiscard]] std::uint64_t spec_fingerprint(const ScenarioSpec& spec);
-
 }  // namespace duti::chaos

@@ -28,18 +28,9 @@ double MessageAnalysis::nu_z_exact(const NuZ& nu) const {
   return acc;
 }
 
-double MessageAnalysis::nu_z_mc(const NuZ& nu, std::size_t trials,
-                                Rng& rng) const {
-  require(trials >= 1, "nu_z_mc: need at least one trial");
-  std::vector<std::uint64_t> elements(codec_.q());
-  double acc = 0.0;
-  for (std::size_t t = 0; t < trials; ++t) {
-    for (auto& e : elements) e = nu.sample(rng);
-    acc += g_.value(codec_.pack(elements));
-  }
-  return acc / static_cast<double>(trials);
-}
-
+// duti-lint: allow(orphan-function) -- states Lemma 4.1's Fourier-side
+// difference, which tests/test_message_analysis.cpp checks against
+// nu_z(G) - mu(G)
 double MessageAnalysis::lemma41_fourier_difference(const NuZ& nu) const {
   require(nu.domain().ell() == codec_.domain().ell(),
           "lemma41_fourier_difference: domain mismatch");

@@ -2,7 +2,7 @@
 //
 // The player's behaviour is a Boolean function G : {-1,1}^{(ell+1)q} -> {0,1}
 // mapping q samples to the bit it sends. This class computes, exactly (by
-// enumeration) or by Monte-Carlo:
+// enumeration) or, for the moments over z, by Monte-Carlo:
 //
 //   * mu(G)     — acceptance probability under uniform samples,
 //   * nu_z(G)   — acceptance probability under nu_z^q,
@@ -46,10 +46,6 @@ class MessageAnalysis {
   /// nu_z(G) = E_{S ~ nu_z^q}[G(S)], computed exactly by summing over all
   /// n^q tuples.
   [[nodiscard]] double nu_z_exact(const NuZ& nu) const;
-
-  /// Monte-Carlo estimate of nu_z(G) from `trials` sample tuples.
-  [[nodiscard]] double nu_z_mc(const NuZ& nu, std::size_t trials,
-                               Rng& rng) const;
 
   /// The Lemma 4.1 right-hand side:
   ///   (2^q / n^q) sum_{S != empty} sum_x eps^{|S|}

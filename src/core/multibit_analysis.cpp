@@ -74,18 +74,6 @@ double MultibitMessageAnalysis::expected_divergence_exact(double eps) const {
   return acc / static_cast<double>(num_z);
 }
 
-double MultibitMessageAnalysis::expected_divergence_mc(double eps,
-                                                       std::size_t z_trials,
-                                                       Rng& rng) const {
-  require(z_trials >= 1, "expected_divergence_mc: need trials");
-  double acc = 0.0;
-  for (std::size_t t = 0; t < z_trials; ++t) {
-    const auto z = PerturbationVector::random(codec_.domain().ell(), rng);
-    acc += divergence_given_z(NuZ(codec_.domain(), z, eps));
-  }
-  return acc / static_cast<double>(z_trials);
-}
-
 double MultibitMessageAnalysis::full_tuple_divergence_exact(
     const SampleTupleCodec& codec, double eps) {
   const unsigned ell = codec.domain().ell();
@@ -109,16 +97,6 @@ double MultibitMessageAnalysis::full_tuple_divergence_exact(
     acc += kl;
   }
   return acc / static_cast<double>(num_z);
-}
-
-std::function<std::uint32_t(std::uint64_t)> first_sample_prefix_message(
-    const SampleTupleCodec& codec, unsigned r) {
-  require(r <= codec.domain().ell() + 1,
-          "first_sample_prefix_message: r exceeds element width");
-  return [codec, r](std::uint64_t packed) {
-    return static_cast<std::uint32_t>(codec.element(packed, 0) &
-                                      ((1ULL << r) - 1));
-  };
 }
 
 }  // namespace duti

@@ -23,7 +23,6 @@
 
 #include "core/sample_tuple.hpp"
 #include "dist/nu_z.hpp"
-#include "util/rng.hpp"
 
 namespace duti {
 
@@ -56,11 +55,6 @@ class MultibitMessageAnalysis {
   /// Exact E_z over all 2^{2^ell} perturbation vectors (ell <= 4).
   [[nodiscard]] double expected_divergence_exact(double eps) const;
 
-  /// Monte-Carlo over `z_trials` random perturbation vectors.
-  [[nodiscard]] double expected_divergence_mc(double eps,
-                                              std::size_t z_trials,
-                                              Rng& rng) const;
-
   /// Data-processing ceiling: the divergence of the FULL sample tuple,
   /// E_z[D(nu_z^q || mu^q)] — no message function can exceed it.
   [[nodiscard]] static double full_tuple_divergence_exact(
@@ -77,12 +71,5 @@ class MultibitMessageAnalysis {
   mutable std::vector<std::uint32_t> symbols_;
   mutable std::vector<double> uniform_push_;
 };
-
-/// The first r bits of the first sample: a "useless" map carrying no
-/// collision information — its divergence should be ~0 under the mixture.
-/// (The collision-count message map lives in testers/message_maps.hpp,
-/// next to the tester encodings it mirrors.)
-[[nodiscard]] std::function<std::uint32_t(std::uint64_t)>
-first_sample_prefix_message(const SampleTupleCodec& codec, unsigned r);
 
 }  // namespace duti

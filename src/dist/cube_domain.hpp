@@ -51,11 +51,6 @@ class CubeDomain {
     return x | (static_cast<std::uint64_t>(s == -1) << ell_);
   }
 
-  /// The matched partner of an element: (x, s) -> (x, -s).
-  [[nodiscard]] std::uint64_t partner(std::uint64_t element) const noexcept {
-    return element ^ (1ULL << ell_);
-  }
-
  private:
   unsigned ell_;
 };

@@ -51,22 +51,6 @@ DiscreteDistribution dirac_mixture(std::size_t n, std::size_t heavy,
   return DiscreteDistribution(std::move(pmf));
 }
 
-DiscreteDistribution uniform_subset(std::size_t n, std::size_t m, Rng& rng) {
-  require(m >= 1 && m <= n, "uniform_subset: need 1 <= m <= n");
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  // Partial Fisher-Yates: pick the first m positions.
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t j = i + rng.next_below(n - i);
-    std::swap(idx[i], idx[j]);
-  }
-  std::vector<double> pmf(n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    pmf[idx[i]] = 1.0 / static_cast<double>(m);
-  }
-  return DiscreteDistribution(std::move(pmf));
-}
-
 DiscreteDistribution random_perturbation(std::size_t n, double eps,
                                          Rng& rng) {
   require(n >= 2 && n % 2 == 0, "random_perturbation: n must be even");

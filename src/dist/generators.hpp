@@ -39,11 +39,6 @@ namespace duti::gen {
 [[nodiscard]] DiscreteDistribution dirac_mixture(std::size_t n,
                                                  std::size_t heavy, double w);
 
-/// Uniform over a random subset of size m < n (far from uniform by
-/// 2(1 - m/n) in l1).
-[[nodiscard]] DiscreteDistribution uniform_subset(std::size_t n,
-                                                  std::size_t m, Rng& rng);
-
 /// A random distribution at l1 distance exactly eps from uniform, obtained
 /// by a random direction in the simplex tangent space (rejection-free:
 /// random pairing with +-eps/n transfers, like paninski but with a random

@@ -73,23 +73,4 @@ DiscreteDistribution NuZ::to_distribution(std::size_t max_cells) const {
   return DiscreteDistribution(std::move(pmf_vec));
 }
 
-DiscreteDistribution exact_mixture_over_z(unsigned ell, double eps) {
-  require(ell <= 4, "exact_mixture_over_z: 2^(2^ell) enumerations; ell <= 4");
-  const CubeDomain dom(ell);
-  const std::uint64_t side = dom.side_size();
-  const std::uint64_t n = dom.universe_size();
-  const std::uint64_t num_z = 1ULL << side;
-  std::vector<double> acc(n, 0.0);
-  for (std::uint64_t zbits = 0; zbits < num_z; ++zbits) {
-    PerturbationVector z(ell);
-    for (std::uint64_t x = 0; x < side; ++x) {
-      z.set_sign(x, ((zbits >> x) & 1ULL) ? -1 : +1);
-    }
-    const NuZ nu(dom, z, eps);
-    for (std::uint64_t e = 0; e < n; ++e) acc[e] += nu.pmf(e);
-  }
-  for (double& p : acc) p /= static_cast<double>(num_z);
-  return DiscreteDistribution(std::move(acc));
-}
-
 }  // namespace duti

@@ -90,10 +90,4 @@ class NuZ {
   double eps_;
 };
 
-/// Convenience: the mixture E_z[nu_z] materialized exactly (it is uniform;
-/// provided so tests can verify the identity E_z[nu_z] = U_n by enumeration
-/// for small ell).
-[[nodiscard]] DiscreteDistribution exact_mixture_over_z(unsigned ell,
-                                                        double eps);
-
 }  // namespace duti

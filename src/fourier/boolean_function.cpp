@@ -71,13 +71,6 @@ double BooleanCubeFunction::level_weight(unsigned level) const {
   return acc;
 }
 
-double BooleanCubeFunction::parseval_sum() const {
-  const auto& coeffs = fourier();
-  double acc = 0.0;
-  for (double c : coeffs) acc += c * c;
-  return acc;
-}
-
 BooleanCubeFunction BooleanCubeFunction::restrict_vars(
     std::uint64_t fixed_mask, std::uint64_t fixed_values) const {
   require(fixed_mask < (1ULL << m_), "restrict_vars: mask out of range");
@@ -98,12 +91,6 @@ BooleanCubeFunction BooleanCubeFunction::restrict_vars(
     }
     out[packed] = values_[x];
   }
-  return BooleanCubeFunction(std::move(out));
-}
-
-BooleanCubeFunction BooleanCubeFunction::complement() const {
-  std::vector<double> out(values_.size());
-  for (std::size_t i = 0; i < values_.size(); ++i) out[i] = 1.0 - values_[i];
   return BooleanCubeFunction(std::move(out));
 }
 

@@ -55,18 +55,11 @@ class BooleanCubeFunction {
   /// Sum of f_hat(S)^2 over |S| = level.
   [[nodiscard]] double level_weight(unsigned level) const;
 
-  /// Sum of all f_hat(S)^2 — equals E[f^2] by Parseval.
-  [[nodiscard]] double parseval_sum() const;
-
   /// Restriction: fix the variables in `fixed_mask` to the bits of
   /// `fixed_values`; the result is a function on the remaining variables
   /// (re-indexed densely in increasing original-variable order).
   [[nodiscard]] BooleanCubeFunction restrict_vars(
       std::uint64_t fixed_mask, std::uint64_t fixed_values) const;
-
-  /// Pointwise 1 - f (used for the "complement the biased bit" step in the
-  /// proof of Lemma 4.3).
-  [[nodiscard]] BooleanCubeFunction complement() const;
 
  private:
   unsigned m_;

@@ -324,6 +324,8 @@ double count_x_s(unsigned ell, unsigned q, unsigned s_size) {
   return even * std::pow(side, static_cast<double>(q - s_size));
 }
 
+// duti-lint: allow(orphan-function) -- the brute-force reference that
+// tests/test_evenly_covered.cpp checks count_x_s against
 double count_x_s_brute(unsigned ell, unsigned q, std::uint64_t s_mask) {
   require(q >= 1 && q <= 63, "count_x_s_brute: q in [1,63]");
   require(s_mask < (1ULL << q), "count_x_s_brute: mask out of range");

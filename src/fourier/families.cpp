@@ -10,13 +10,6 @@ BooleanCubeFunction constant(unsigned m, double c) {
   return BooleanCubeFunction::tabulate(m, [c](std::uint64_t) { return c; });
 }
 
-BooleanCubeFunction dictator(unsigned m, unsigned i) {
-  require(i < m, "dictator: variable index out of range");
-  return BooleanCubeFunction::tabulate(m, [i](std::uint64_t x) {
-    return static_cast<double>((x >> i) & 1ULL);
-  });
-}
-
 BooleanCubeFunction parity(unsigned m, std::uint64_t s_mask) {
   require(s_mask < (1ULL << m), "parity: mask out of range");
   return BooleanCubeFunction::tabulate(m, [s_mask](std::uint64_t x) {
@@ -24,24 +17,10 @@ BooleanCubeFunction parity(unsigned m, std::uint64_t s_mask) {
   });
 }
 
-BooleanCubeFunction character(unsigned m, std::uint64_t s_mask) {
-  require(s_mask < (1ULL << m), "character: mask out of range");
-  return BooleanCubeFunction::tabulate(m, [s_mask](std::uint64_t x) {
-    return static_cast<double>(chi(s_mask, x));
-  });
-}
-
 BooleanCubeFunction and_of(unsigned m, std::uint64_t s_mask) {
   require(s_mask < (1ULL << m), "and_of: mask out of range");
   return BooleanCubeFunction::tabulate(m, [s_mask](std::uint64_t x) {
     return (x & s_mask) == s_mask ? 1.0 : 0.0;
-  });
-}
-
-BooleanCubeFunction or_of(unsigned m, std::uint64_t s_mask) {
-  require(s_mask < (1ULL << m), "or_of: mask out of range");
-  return BooleanCubeFunction::tabulate(m, [s_mask](std::uint64_t x) {
-    return (x & s_mask) != 0 ? 1.0 : 0.0;
   });
 }
 

@@ -14,23 +14,13 @@ namespace duti::fn {
 /// Constant function c on m variables.
 [[nodiscard]] BooleanCubeFunction constant(unsigned m, double c);
 
-/// Dictator: the i-th coordinate as a {0,1} value (1 when coordinate is -1,
-/// matching the bit encoding).
-[[nodiscard]] BooleanCubeFunction dictator(unsigned m, unsigned i);
-
 /// Parity of the coordinates in `s_mask`, as a {0,1} value (1 when an odd
 /// number of the masked coordinates are -1).
 [[nodiscard]] BooleanCubeFunction parity(unsigned m, std::uint64_t s_mask);
 
-/// The character chi_S itself, +-1 valued.
-[[nodiscard]] BooleanCubeFunction character(unsigned m, std::uint64_t s_mask);
-
 /// AND of all variables in `s_mask` (1 iff all masked coordinates are -1):
 /// mean 2^{-|mask|}, the canonical highly-biased function.
 [[nodiscard]] BooleanCubeFunction and_of(unsigned m, std::uint64_t s_mask);
-
-/// OR over the masked coordinates (1 iff at least one is -1).
-[[nodiscard]] BooleanCubeFunction or_of(unsigned m, std::uint64_t s_mask);
 
 /// Majority over all m coordinates (m odd); 1 when more than half are -1.
 [[nodiscard]] BooleanCubeFunction majority(unsigned m);

@@ -6,14 +6,6 @@
 
 namespace duti {
 
-double kkl_level_bound(double mu, unsigned r, double delta) {
-  require(mu >= 0.0 && mu <= 1.0, "kkl_level_bound: mu in [0,1]");
-  require(delta > 0.0 && delta <= 1.0, "kkl_level_bound: delta in (0,1]");
-  if (mu == 0.0) return 0.0;
-  return std::pow(delta, -static_cast<double>(r)) *
-         std::pow(mu, 2.0 / (1.0 + delta));
-}
-
 double kkl_level_bound_optimized(double mu, unsigned r) {
   require(mu >= 0.0 && mu <= 1.0, "kkl_level_bound_optimized: mu in [0,1]");
   if (mu == 0.0) return 0.0;
@@ -53,11 +45,6 @@ double level_weight_up_to(const BooleanCubeFunction& f, unsigned r) {
     acc += f.level_weight(level);
   }
   return acc;
-}
-
-double kkl_violation(const BooleanCubeFunction& f, unsigned r, double delta) {
-  require(f.is_boolean01(), "kkl_violation: f must be {0,1}-valued");
-  return level_weight_up_to(f, r) - kkl_level_bound(f.mean(), r, delta);
 }
 
 }  // namespace duti

@@ -13,21 +13,14 @@
 
 namespace duti {
 
-/// The right-hand side delta^{-r} mu^{2/(1+delta)}.
-[[nodiscard]] double kkl_level_bound(double mu, unsigned r, double delta);
-
-/// The delta minimizing the bound for given (mu, r), found by golden-section
-/// search over (0, 1]; returns the minimized bound value.
+/// The right-hand side delta^{-r} mu^{2/(1+delta)} at the delta minimizing
+/// it for given (mu, r), found by golden-section search over (0, 1]; returns
+/// the minimized bound value.
 [[nodiscard]] double kkl_level_bound_optimized(double mu, unsigned r);
 
 /// Left-hand side: total Fourier weight of f on levels 0..r.
 /// (Includes the empty set, as in the lemma statement.)
 [[nodiscard]] double level_weight_up_to(const BooleanCubeFunction& f,
                                         unsigned r);
-
-/// Check the inequality for a concrete function; returns lhs - rhs
-/// (non-positive when the inequality holds).
-[[nodiscard]] double kkl_violation(const BooleanCubeFunction& f, unsigned r,
-                                   double delta);
 
 }  // namespace duti

@@ -90,13 +90,6 @@ void add_path(Network& net) {
   }
 }
 
-void add_cycle(Network& net) {
-  require(net.num_nodes() >= 3, "add_cycle: need at least 3 nodes");
-  add_path(net);
-  net.add_edge(net.num_nodes() - 1, 0);
-  net.add_edge(0, net.num_nodes() - 1);
-}
-
 void add_grid(Network& net, std::uint32_t rows, std::uint32_t cols) {
   require(rows * cols == net.num_nodes(),
           "add_grid: rows*cols must equal node count");

@@ -50,7 +50,6 @@ struct ConvergecastResult {
 
 /// Topology builders (symmetric edges) for experiments and examples.
 void add_path(Network& net);
-void add_cycle(Network& net);
 void add_grid(Network& net, std::uint32_t rows, std::uint32_t cols);
 void add_binary_tree(Network& net);
 

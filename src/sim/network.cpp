@@ -14,30 +14,6 @@ void RoundContext::send(NodeId to, std::vector<std::uint64_t> payload,
   outbox_.push_back(std::move(m));
 }
 
-NodeBehavior make_byzantine(NodeBehavior inner, ByzantineMode mode) {
-  require(static_cast<bool>(inner), "make_byzantine: empty behavior");
-  return [inner = std::move(inner), mode](RoundContext& ctx) {
-    inner(ctx);
-    for (auto& m : ctx.outbox()) {
-      if (m.payload.empty()) continue;
-      switch (mode) {
-        case ByzantineMode::kStuckAtZero:
-          m.payload[0] = 0;
-          break;
-        case ByzantineMode::kStuckAtOne:
-          m.payload[0] = 1;
-          break;
-        case ByzantineMode::kRandomBit:
-          m.payload[0] = ctx.rng()() & 1ULL;
-          break;
-        case ByzantineMode::kAdversarialFlip:
-          m.payload[0] ^= 1ULL;
-          break;
-      }
-    }
-  };
-}
-
 namespace {
 
 void check_fault(const LinkFault& fault, const char* what) {
@@ -79,14 +55,6 @@ void Network::add_star(NodeId center) {
     if (v == center) continue;
     add_edge(v, center);
     add_edge(center, v);
-  }
-}
-
-void Network::add_complete() {
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (NodeId v = 0; v < num_nodes(); ++v) {
-      if (u != v) adjacency_[u][v] = 1;
-    }
   }
 }
 

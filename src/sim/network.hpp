@@ -9,9 +9,9 @@
 //
 // Fault model (the reliability assumptions the paper makes, broken on
 // purpose): per-link drops, full-width bit corruption, bounded delivery
-// delay, scheduled link outages; per-node crash-stop schedules and
-// Byzantine behaviour wrappers. All fault randomness derives from the run
-// RNG through dedicated streams, so faulty runs replay bit-for-bit.
+// delay, scheduled link outages, and per-node crash-stop schedules. All
+// fault randomness derives from the run RNG through dedicated streams, so
+// faulty runs replay bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +58,6 @@ class RoundContext {
   /// Mark this node as finished; the simulation stops when all nodes halt.
   void halt() noexcept { halted_ = true; }
   [[nodiscard]] bool halted() const noexcept { return halted_; }
-
-  /// Mutable view of the queued outgoing messages. Byzantine behaviour
-  /// wrappers use this to tamper with an honest node's output.
-  [[nodiscard]] std::vector<NetMessage>& outbox() noexcept { return outbox_; }
 
   [[nodiscard]] std::vector<NetMessage> take_outbox() noexcept {
     return std::move(outbox_);
@@ -144,23 +140,6 @@ struct LinkFault {
   }
 };
 
-/// How a Byzantine wrapper tampers with an honest node's outgoing messages
-/// (the first payload word — the vote/verdict channel of every protocol
-/// here).
-enum class ByzantineMode {
-  kStuckAtZero,      // every outgoing word0 forced to 0 (always-accept)
-  kStuckAtOne,       // every outgoing word0 forced to 1 (stuck-on-alarm)
-  kRandomBit,        // word0 replaced by a fair coin
-  kAdversarialFlip,  // low bit of word0 inverted (vote negation)
-};
-
-/// Decorate a behaviour with Byzantine message tampering. The inner
-/// behaviour runs unmodified (same RNG stream), then every queued message
-/// is tampered with. Honest accounting: tampered messages are still
-/// charged at their declared bit size.
-[[nodiscard]] NodeBehavior make_byzantine(NodeBehavior inner,
-                                          ByzantineMode mode);
-
 class Network {
  public:
   /// `num_nodes` nodes, ids 0..num_nodes-1, no edges yet.
@@ -170,7 +149,6 @@ class Network {
   /// time. add_star wires every node to a center (both directions).
   void add_edge(NodeId from, NodeId to);
   void add_star(NodeId center);
-  void add_complete();
 
   [[nodiscard]] std::uint32_t num_nodes() const noexcept {
     return static_cast<std::uint32_t>(adjacency_.size());

@@ -31,12 +31,4 @@ SourceSpec nu_z_far_factory(unsigned ell, double eps) {
   }};
 }
 
-SourceSpec fixed_factory(DiscreteDistribution dist) {
-  return {[dist = std::move(dist)](Rng& /*rng*/)
-              -> std::unique_ptr<SampleSource> {
-            return std::make_unique<DistributionSource>(dist);
-          },
-          /*trial_invariant=*/true};
-}
-
 }  // namespace duti::workloads

@@ -1,6 +1,6 @@
 // Canonical source factories shared by the benches and integration tests:
-// the uniform null, the random-Paninski far ensemble (flat domain), the
-// structured NuZ far ensemble (cube domain), and fixed distributions.
+// the uniform null, the random-Paninski far ensemble (flat domain) and the
+// structured NuZ far ensemble (cube domain).
 #pragma once
 
 #include <cstdint>
@@ -23,9 +23,5 @@ namespace duti::workloads {
 /// (universe size 2^{ell+1}); sampling is O(1) per draw, so this scales to
 /// large universes.
 [[nodiscard]] SourceSpec nu_z_far_factory(unsigned ell, double eps);
-
-/// The same fixed distribution every trial (trial-invariant, like
-/// uniform_factory).
-[[nodiscard]] SourceSpec fixed_factory(DiscreteDistribution dist);
 
 }  // namespace duti::workloads

@@ -25,10 +25,6 @@ namespace duti {
 /// ||mu||_2^2 = sum_i mu(i)^2, the per-pair collision probability.
 [[nodiscard]] double l2_norm_squared(const DiscreteDistribution& dist);
 
-/// Expected pair-collision count for q samples from `dist`.
-[[nodiscard]] double expected_collision_pairs(const DiscreteDistribution& dist,
-                                              unsigned q);
-
 /// Expected pair-collision count for q uniform samples on domain n.
 [[nodiscard]] double expected_collision_pairs_uniform(double n, unsigned q);
 
@@ -39,14 +35,5 @@ namespace duti {
 /// (kNoPairBound).
 [[nodiscard]] std::uint64_t collision_vote_decided_above(
     double local_threshold);
-
-/// Lower bound on ||mu||_2^2 for mu eps-far from uniform: (1 + eps^2)/n.
-[[nodiscard]] double far_l2_lower_bound(double n, double eps);
-
-/// Variance of the pair-collision count under the uniform distribution on
-/// domain n (exact): Var[C] = C(q,2) * (1/n)(1 - 1/n)
-///                          + 6*C(q,3) * (1/n^2 - 1/n^3) ... computed from
-/// the standard decomposition over pair/triple overlaps.
-[[nodiscard]] double collision_variance_uniform(double n, unsigned q);
 
 }  // namespace duti

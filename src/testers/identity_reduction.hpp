@@ -30,9 +30,6 @@ class IdentityReduction {
   [[nodiscard]] std::uint64_t expanded_size() const noexcept {
     return expanded_size_;
   }
-  [[nodiscard]] std::uint64_t bucket_size(std::uint64_t element) const {
-    return sizes_.at(element);
-  }
 
   /// The exact pmf of the mapped distribution when the input is `mu`
   /// (for tests): cell j in bucket i has mass mu_i / size_i.

@@ -84,9 +84,6 @@ class GroupedLearner {
   [[nodiscard]] double learn_l1_error(const DiscreteDistribution& truth,
                                       Rng& rng) const;
 
-  [[nodiscard]] std::uint64_t group_size() const noexcept {
-    return group_size_;
-  }
   [[nodiscard]] std::uint64_t num_groups() const noexcept {
     return n_ / group_size_;
   }

@@ -25,12 +25,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/network.hpp"  // ByzantineMode
 #include "sim/sample_source.hpp"
 #include "testers/distributed.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
+
+/// How a Byzantine player tampers with its one-bit vote.
+enum class ByzantineMode {
+  kStuckAtZero,      // always 0 (always-accept)
+  kStuckAtOne,       // always 1 (stuck-on-alarm)
+  kRandomBit,        // a fair coin
+  kAdversarialFlip,  // the honest vote, negated
+};
 
 /// What one protocol execution produced at the referee. Abort reasons are
 /// kept distinct from rejections so the harness can attribute failures.

@@ -11,11 +11,6 @@
 
 namespace duti {
 
-/// Coordinate i of the cube point encoded by `x`: +1 or -1.
-[[nodiscard]] constexpr int cube_coord(std::uint64_t x, unsigned i) noexcept {
-  return ((x >> i) & 1ULL) ? -1 : +1;
-}
-
 /// Character chi_S evaluated at cube point x: (-1)^{|{i in S : x_i = -1}|}.
 [[nodiscard]] constexpr int chi(std::uint64_t s_mask,
                                 std::uint64_t x) noexcept {
@@ -35,16 +30,6 @@ namespace duti {
 /// floor(log2(x)); undefined for x == 0 (asserted by callers).
 [[nodiscard]] constexpr unsigned floor_log2(std::uint64_t x) noexcept {
   return 63U - static_cast<unsigned>(std::countl_zero(x));
-}
-
-/// Iterate subsets: next subset of `mask` after `sub` in the standard
-/// (sub - mask) & mask enumeration; returns 0 after the last subset.
-/// Usage: for (uint64_t sub = mask;; sub = next_subset(sub, mask)) { ...
-///          if (sub == 0) break; } visits all nonempty subsets; include 0
-/// separately if needed.
-[[nodiscard]] constexpr std::uint64_t next_subset(std::uint64_t sub,
-                                                  std::uint64_t mask) noexcept {
-  return (sub - 1) & mask;
 }
 
 }  // namespace duti

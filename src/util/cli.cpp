@@ -15,19 +15,17 @@ Cli::Cli(int argc, const char* const* argv) {
       help_ = true;
       continue;
     }
-    if (arg.rfind("--", 0) == 0) {
-      const std::string body = arg.substr(2);
-      require(!body.empty(), "Cli: bare '--' is not a valid flag");
-      const auto eq = body.find('=');
-      if (eq != std::string::npos) {
-        flags_[body.substr(0, eq)] = body.substr(eq + 1);
-      } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        flags_[body] = argv[++i];
-      } else {
-        flags_[body] = "true";  // bare boolean flag
-      }
+    require(arg.rfind("--", 0) == 0, "Cli: unexpected argument '" + arg +
+                                         "'; flags look like --name=value");
+    const std::string body = arg.substr(2);
+    require(!body.empty(), "Cli: bare '--' is not a valid flag");
+    const auto eq = body.find('=');
+    if (eq != std::string::npos) {
+      flags_[body.substr(0, eq)] = body.substr(eq + 1);
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      flags_[body] = argv[++i];
     } else {
-      positional_.push_back(std::move(arg));
+      flags_[body] = "true";  // bare boolean flag
     }
   }
 }

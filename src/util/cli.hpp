@@ -19,7 +19,8 @@ namespace duti {
 
 class Cli {
  public:
-  /// Parse argv; throws InvalidArgument on malformed flags.
+  /// Parse argv; throws InvalidArgument on malformed flags and on any
+  /// argument that is not a flag or a flag's value (no binary takes one).
   Cli(int argc, const char* const* argv);
 
   /// The flag's value as given on the command line, if it was. Every
@@ -64,11 +65,6 @@ class Cli {
     return out;
   }
 
-  /// Positional (non-flag) arguments in order.
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-
   /// True if --help/-h was passed.
   [[nodiscard]] bool help_requested() const noexcept { return help_; }
 
@@ -83,7 +79,6 @@ class Cli {
 
   std::map<std::string, std::string> flags_;
   mutable std::set<std::string> read_;  // every name a getter asked for
-  std::vector<std::string> positional_;
   bool help_ = false;
 };
 

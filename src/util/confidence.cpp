@@ -32,12 +32,6 @@ std::uint64_t hoeffding_trials(double margin, double delta) {
   return static_cast<std::uint64_t>(std::ceil(n));
 }
 
-double hoeffding_tail(std::uint64_t trials, double eps) {
-  require(eps > 0.0, "hoeffding_tail: eps must be positive");
-  const double n = static_cast<double>(trials);
-  return std::min(1.0, 2.0 * std::exp(-2.0 * n * eps * eps));
-}
-
 double normal_quantile(double p) {
   require(p > 0.0 && p < 1.0, "normal_quantile: p in (0,1)");
   // Acklam's rational approximation, three regions.

@@ -12,10 +12,6 @@ namespace duti {
 struct Interval {
   double lo = 0.0;
   double hi = 1.0;
-
-  [[nodiscard]] bool contains(double p) const noexcept {
-    return lo <= p && p <= hi;
-  }
   [[nodiscard]] double width() const noexcept { return hi - lo; }
 };
 
@@ -30,10 +26,6 @@ struct Interval {
 /// Hoeffding bound: number of trials sufficient to estimate a probability
 /// within +-margin with failure probability at most delta.
 [[nodiscard]] std::uint64_t hoeffding_trials(double margin, double delta);
-
-/// Two-sided Hoeffding deviation for a mean of `trials` [0,1]-valued samples:
-/// P(|empirical - true| >= eps) <= 2 exp(-2 trials eps^2); returns that bound.
-[[nodiscard]] double hoeffding_tail(std::uint64_t trials, double eps);
 
 /// Standard normal quantile Phi^{-1}(p) for p in (0, 1) (Acklam's rational
 /// approximation, ~1e-9 absolute error). normal_quantile(0.975) ~ 1.96.
@@ -60,9 +52,6 @@ class SuccessCounter {
     return trials_ == 0 ? 0.0
                         : static_cast<double>(successes_) /
                               static_cast<double>(trials_);
-  }
-  [[nodiscard]] Interval wilson(double z = 1.96) const {
-    return wilson_interval(successes_, trials_, z);
   }
 
   /// Fold another tally into this one. Counts are integers, so merging

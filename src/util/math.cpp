@@ -9,20 +9,6 @@
 
 namespace duti {
 
-std::uint64_t double_factorial(int n) {
-  if (n <= 0) return 1;
-  std::uint64_t out = 1;
-  for (int i = n; i > 1; i -= 2) {
-    const auto factor = static_cast<std::uint64_t>(i);
-    if (out > std::numeric_limits<std::uint64_t>::max() / factor) {
-      throw InvalidArgument("double_factorial: uint64 overflow at n=" +
-                            std::to_string(n));
-    }
-    out *= factor;
-  }
-  return out;
-}
-
 double log_double_factorial(int n) {
   if (n <= 0) return 0.0;
   double out = 0.0;
@@ -61,17 +47,6 @@ double log_binomial(int n, int k) {
   return log_factorial(n) - log_factorial(k) - log_factorial(n - k);
 }
 
-std::uint64_t ipow(std::uint64_t base, unsigned exp) {
-  std::uint64_t out = 1;
-  for (unsigned i = 0; i < exp; ++i) {
-    if (base != 0 && out > std::numeric_limits<std::uint64_t>::max() / base) {
-      throw InvalidArgument("ipow: uint64 overflow");
-    }
-    out *= base;
-  }
-  return out;
-}
-
 double dpow_int(double base, unsigned exp) {
   double out = 1.0;
   double b = base;
@@ -81,13 +56,6 @@ double dpow_int(double base, unsigned exp) {
     exp >>= 1U;
   }
   return out;
-}
-
-bool approx_equal(double a, double b, double tol) {
-  const double diff = std::fabs(a - b);
-  if (diff <= tol) return true;
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return diff <= tol * scale;
 }
 
 double binomial_upper_tail(int n, double p, int t) {

@@ -7,12 +7,8 @@
 
 namespace duti {
 
-/// Double factorial N!! = N * (N-2) * (N-4) * ... (1 for N <= 0).
-/// Used by Proposition 5.2: |X_S| <= (|S|-1)!! * (n/2)^{q-|S|/2}.
-/// Throws InvalidArgument if the result would overflow uint64.
-[[nodiscard]] std::uint64_t double_factorial(int n);
-
-/// log(N!!) computed stably for large N.
+/// log(N!!), N!! = N * (N-2) * (N-4) * ... (1 for N <= 0), computed stably
+/// for large N. Used by Proposition 5.2: |X_S| <= (|S|-1)!! * (n/2)^{q-|S|/2}.
 [[nodiscard]] double log_double_factorial(int n);
 
 /// Exact binomial coefficient C(n, k); throws on overflow of uint64.
@@ -24,14 +20,8 @@ namespace duti {
 /// log C(n, k); returns -inf when k < 0 or k > n.
 [[nodiscard]] double log_binomial(int n, int k);
 
-/// Integer power base^exp with overflow check.
-[[nodiscard]] std::uint64_t ipow(std::uint64_t base, unsigned exp);
-
 /// base^exp as double (no overflow concerns; exp >= 0).
 [[nodiscard]] double dpow_int(double base, unsigned exp);
-
-/// Relative-or-absolute closeness test for doubles.
-[[nodiscard]] bool approx_equal(double a, double b, double tol = 1e-9);
 
 /// Exact binomial upper tail P(Bin(n, p) >= t), summed in log space.
 [[nodiscard]] double binomial_upper_tail(int n, double p, int t);

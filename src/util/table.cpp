@@ -15,6 +15,16 @@ std::string format_double(double v, int digits) {
   return os.str();
 }
 
+namespace {
+
+std::string format_cell(const Cell& c) {
+  if (const auto* s = std::get_if<std::string>(&c)) return *s;
+  if (const auto* i = std::get_if<std::int64_t>(&c)) return std::to_string(*i);
+  return format_double(std::get<double>(c));
+}
+
+}  // namespace
+
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   require(!headers_.empty(), "Table: need at least one column");
 }
@@ -23,17 +33,6 @@ void Table::add_row(std::vector<Cell> row) {
   require(row.size() == headers_.size(),
           "Table::add_row: cell count does not match header count");
   rows_.push_back(std::move(row));
-}
-
-void Table::set_precision(int digits) {
-  require(digits >= 1 && digits <= 17, "Table::set_precision: digits in [1,17]");
-  precision_ = digits;
-}
-
-std::string Table::format_cell(const Cell& c) const {
-  if (const auto* s = std::get_if<std::string>(&c)) return *s;
-  if (const auto* i = std::get_if<std::int64_t>(&c)) return std::to_string(*i);
-  return format_double(std::get<double>(c), precision_);
 }
 
 void Table::print(std::ostream& os, const std::string& title) const {

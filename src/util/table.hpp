@@ -10,7 +10,8 @@
 
 namespace duti {
 
-/// One cell: string, integer, or double (formatted with sensible precision).
+/// One cell: string, integer, or double (formatted with 5 significant
+/// digits).
 using Cell = std::variant<std::string, std::int64_t, double>;
 
 /// A simple column-aligned table. Typical use:
@@ -26,10 +27,6 @@ class Table {
   /// Append a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<Cell> row);
 
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] std::size_t num_cols() const noexcept {
-    return headers_.size();
-  }
   [[nodiscard]] const std::vector<Cell>& row(std::size_t i) const {
     return rows_.at(i);
   }
@@ -40,15 +37,9 @@ class Table {
   /// Write as RFC-4180-ish CSV (cells containing commas/quotes are quoted).
   void write_csv(const std::string& path) const;
 
-  /// Number of significant digits used to format double cells (default 5).
-  void set_precision(int digits);
-
  private:
-  [[nodiscard]] std::string format_cell(const Cell& c) const;
-
   std::vector<std::string> headers_;
   std::vector<std::vector<Cell>> rows_;
-  int precision_ = 5;
 };
 
 /// Format a double with `digits` significant digits (no trailing zeros mess).

@@ -2,25 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 namespace duti {
 namespace {
-
-TEST(Bits, CubeCoordConvention) {
-  // bit=1 encodes coordinate -1.
-  EXPECT_EQ(cube_coord(0b000, 0), +1);
-  EXPECT_EQ(cube_coord(0b001, 0), -1);
-  EXPECT_EQ(cube_coord(0b010, 1), -1);
-  EXPECT_EQ(cube_coord(0b010, 0), +1);
-}
 
 TEST(Bits, ChiMatchesProductOfCoordinates) {
   for (std::uint64_t s = 0; s < 16; ++s) {
     for (std::uint64_t x = 0; x < 16; ++x) {
       int expected = 1;
       for (unsigned i = 0; i < 4; ++i) {
-        if ((s >> i) & 1ULL) expected *= cube_coord(x, i);
+        // bit = 1 encodes coordinate -1.
+        if ((s >> i) & 1ULL) expected *= ((x >> i) & 1ULL) ? -1 : +1;
       }
       EXPECT_EQ(chi(s, x), expected) << "S=" << s << " x=" << x;
     }
@@ -66,21 +57,6 @@ TEST(Bits, FloorLog2) {
   EXPECT_EQ(floor_log2(3), 1u);
   EXPECT_EQ(floor_log2(1024), 10u);
   EXPECT_EQ(floor_log2((1ULL << 50) + 123), 50u);
-}
-
-TEST(Bits, SubsetEnumerationVisitsAllSubsets) {
-  const std::uint64_t mask = 0b10110;
-  std::set<std::uint64_t> seen;
-  std::uint64_t sub = mask;
-  while (true) {
-    seen.insert(sub);
-    if (sub == 0) break;
-    sub = next_subset(sub, mask);
-  }
-  EXPECT_EQ(seen.size(), 8u);  // 2^3 subsets of a 3-bit mask
-  for (std::uint64_t s : seen) {
-    EXPECT_EQ(s & ~mask, 0u);
-  }
 }
 
 }  // namespace

@@ -61,14 +61,21 @@ TEST(BooleanCubeFunction, Fact22VarianceIsNonEmptyWeight) {
   }
 }
 
+/// E[f^2] over the uniform distribution on the cube.
+double second_moment(const BooleanCubeFunction& f) {
+  double e2 = 0.0;
+  for (double v : f.values()) e2 += v * v;
+  return e2 / static_cast<double>(f.domain_size());
+}
+
 TEST(BooleanCubeFunction, ParsevalFact21) {
+  // sum_S f_hat(S)^2 = E[f^2].
   Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
     const auto f = fn::random_real(7, -2.0, 2.0, rng);
-    double e2 = 0.0;
-    for (double v : f.values()) e2 += v * v;
-    e2 /= static_cast<double>(f.domain_size());
-    EXPECT_NEAR(f.parseval_sum(), e2, 1e-10);
+    double weight = 0.0;
+    for (double c : f.fourier()) weight += c * c;
+    EXPECT_NEAR(weight, second_moment(f), 1e-10);
   }
 }
 
@@ -79,7 +86,7 @@ TEST(BooleanCubeFunction, LevelWeightsPartitionParseval) {
   for (unsigned level = 0; level <= 6; ++level) {
     total += f.level_weight(level);
   }
-  EXPECT_NEAR(total, f.parseval_sum(), 1e-10);
+  EXPECT_NEAR(total, second_moment(f), 1e-10);
 }
 
 TEST(BooleanCubeFunction, TabulateMatchesValues) {
@@ -123,26 +130,6 @@ TEST(BooleanCubeFunction, RestrictionValidation) {
   const auto f = fn::constant(3, 1.0);
   EXPECT_THROW(f.restrict_vars(0b1000, 0), InvalidArgument);
   EXPECT_THROW(f.restrict_vars(0b001, 0b010), InvalidArgument);
-}
-
-TEST(BooleanCubeFunction, ComplementFlipsValues) {
-  const BooleanCubeFunction f({0.0, 1.0, 1.0, 1.0});
-  const auto g = f.complement();
-  EXPECT_DOUBLE_EQ(g.value(0), 1.0);
-  EXPECT_DOUBLE_EQ(g.value(3), 0.0);
-  EXPECT_NEAR(g.mean(), 1.0 - f.mean(), 1e-12);
-  EXPECT_NEAR(g.variance(), f.variance(), 1e-12);
-}
-
-TEST(BooleanCubeFunction, ComplementPreservesNonEmptySpectrumMagnitude) {
-  // 1 - f flips the sign of every non-empty coefficient; level weights are
-  // unchanged (used in the proof of Lemma 4.3).
-  Rng rng(7);
-  const auto f = fn::random_boolean(5, 0.2, rng);
-  const auto g = f.complement();
-  for (unsigned level = 1; level <= 5; ++level) {
-    EXPECT_NEAR(f.level_weight(level), g.level_weight(level), 1e-12);
-  }
 }
 
 TEST(BooleanCubeFunction, FourierCoefficientRangeCheck) {

@@ -16,21 +16,25 @@ TEST(ChaosSchedule, TokenRoundTripsExactly) {
     const std::string token = serialize_token(spec);
     const ScenarioSpec back = parse_token(token);
     EXPECT_EQ(serialize_token(back), token) << "seed " << seed;
-    EXPECT_EQ(spec_fingerprint(back), spec_fingerprint(spec))
+    EXPECT_TRUE(back.topo == spec.topo && back.vote_pct == spec.vote_pct &&
+                back.vote_seed == spec.vote_seed &&
+                back.run_seed == spec.run_seed &&
+                back.components == spec.components)
         << "seed " << seed;
   }
 }
 
 TEST(ChaosSchedule, GenerationIsDeterministicAndVaried) {
-  std::set<std::uint64_t> fingerprints;
+  // The replay token names the whole schedule.
+  std::set<std::string> tokens;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    EXPECT_EQ(spec_fingerprint(generate_scenario(seed)),
-              spec_fingerprint(generate_scenario(seed)));
-    fingerprints.insert(spec_fingerprint(generate_scenario(seed)));
+    EXPECT_EQ(serialize_token(generate_scenario(seed)),
+              serialize_token(generate_scenario(seed)));
+    tokens.insert(serialize_token(generate_scenario(seed)));
   }
   // Seeds name distinct schedules (a tiny collision rate would be fine;
   // total collapse would mean the seed is ignored).
-  EXPECT_GE(fingerprints.size(), 35u);
+  EXPECT_GE(tokens.size(), 35u);
 }
 
 TEST(ChaosSchedule, GeneratorRespectsStructuralConstraints) {

@@ -122,11 +122,14 @@ TEST(Cli, UnsignedGettersTakeTheirWholeRange) {
             (std::vector<std::int64_t>{0, 9223372036854775807LL}));
 }
 
-TEST(Cli, Positional) {
-  const auto cli = make({"first", "--n=1", "second"});
-  ASSERT_EQ(cli.positional().size(), 2u);
-  EXPECT_EQ(cli.positional()[0], "first");
-  EXPECT_EQ(cli.positional()[1], "second");
+TEST(Cli, ArgumentThatIsNoFlagThrows) {
+  try {
+    (void)make({"first", "--n=1"});
+    ADD_FAILURE() << "a non-flag argument did not throw";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("'first'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Cli, HelpDetected) {
@@ -163,8 +166,8 @@ TEST(Cli, UnreadFlagsAreRejected) {
   (void)cli.get_string("kss", "");
   (void)cli.get_double("trails", 0.0);
   EXPECT_NO_THROW(cli.reject_unread());
-  // Positional arguments and --help are not flags.
-  EXPECT_NO_THROW(make({"first", "--help"}).reject_unread());
+  // --help is not a flag.
+  EXPECT_NO_THROW(make({"--help"}).reject_unread());
   EXPECT_NO_THROW(make({}).reject_unread());
 }
 

@@ -99,15 +99,15 @@ TEST(L2NormSquared, KnownValues) {
 TEST(ExpectedCollisions, UniformFormula) {
   EXPECT_NEAR(expected_collision_pairs_uniform(100.0, 10), 45.0 / 100.0,
               1e-12);
-  EXPECT_NEAR(expected_collision_pairs(DiscreteDistribution::uniform(100), 10),
-              expected_collision_pairs_uniform(100.0, 10), 1e-12);
 }
 
 TEST(ExpectedCollisions, EmpiricalAgreement) {
+  // E[C] = C(q,2) ||mu||_2^2.
   Rng rng(2);
   const auto dist = gen::zipf(50, 1.0);
   const unsigned q = 30;
-  const double expected = expected_collision_pairs(dist, q);
+  const double expected = 0.5 * static_cast<double>(q * (q - 1)) *
+                          l2_norm_squared(dist);
   double acc = 0.0;
   const int trials = 20000;
   std::vector<std::uint64_t> samples;
@@ -123,14 +123,13 @@ TEST(FarL2LowerBound, CauchySchwarzHoldsOnConcreteFamilies) {
   Rng rng(3);
   const std::size_t n = 64;
   for (double eps : {0.2, 0.5, 1.0}) {
+    const double bound = (1.0 + eps * eps) / static_cast<double>(n);
     for (int trial = 0; trial < 20; ++trial) {
       const auto far = gen::paninski(n, eps, rng);
-      EXPECT_GE(l2_norm_squared(far),
-                far_l2_lower_bound(static_cast<double>(n), eps) - 1e-12);
+      EXPECT_GE(l2_norm_squared(far), bound - 1e-12);
     }
     const auto bim = gen::bimodal(n, eps);
-    EXPECT_GE(l2_norm_squared(bim),
-              far_l2_lower_bound(static_cast<double>(n), eps) - 1e-12);
+    EXPECT_GE(l2_norm_squared(bim), bound - 1e-12);
   }
 }
 
@@ -141,35 +140,13 @@ TEST(FarL2LowerBound, PaninskiIsExtremal) {
   const std::size_t n = 128;
   const double eps = 0.4;
   const auto far = gen::paninski(n, eps, rng);
-  EXPECT_NEAR(l2_norm_squared(far),
-              far_l2_lower_bound(static_cast<double>(n), eps), 1e-12);
-}
-
-TEST(CollisionVariance, MatchesEmpiricalUnderUniform) {
-  Rng rng(5);
-  const double n = 64.0;
-  const unsigned q = 16;
-  const double expected_var = collision_variance_uniform(n, q);
-  std::vector<std::uint64_t> samples(q);
-  double s1 = 0.0, s2 = 0.0;
-  const int trials = 50000;
-  for (int t = 0; t < trials; ++t) {
-    for (auto& s : samples) s = rng.next_below(64);
-    const auto c = static_cast<double>(collision_pairs(samples, 64));
-    s1 += c;
-    s2 += c * c;
-  }
-  const double mean_c = s1 / trials;
-  const double var_c = s2 / trials - mean_c * mean_c;
-  EXPECT_NEAR(mean_c, expected_collision_pairs_uniform(n, q), 0.05);
-  EXPECT_NEAR(var_c, expected_var, 0.05 * expected_var);
+  EXPECT_NEAR(l2_norm_squared(far), (1.0 + eps * eps) / static_cast<double>(n),
+              1e-12);
 }
 
 TEST(Collision, ArgumentValidation) {
   EXPECT_THROW((void)expected_collision_pairs_uniform(0.5, 5), InvalidArgument);
   EXPECT_THROW((void)expected_collision_pairs_uniform(10.0, 1), InvalidArgument);
-  EXPECT_THROW((void)far_l2_lower_bound(10.0, 3.0), InvalidArgument);
-  EXPECT_THROW((void)collision_variance_uniform(10.0, 0), InvalidArgument);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ TEST(Wilson, ContainsEmpiricalRateInInterior) {
     for (std::uint64_t s = trials / 5; s < trials; s += trials / 5) {
       const auto iv = wilson_interval(s, trials);
       const double p = static_cast<double>(s) / static_cast<double>(trials);
-      EXPECT_TRUE(iv.contains(p)) << s << "/" << trials;
+      EXPECT_TRUE(iv.lo <= p && p <= iv.hi) << s << "/" << trials;
     }
   }
 }
@@ -74,7 +74,8 @@ TEST(Wilson, Coverage) {
     for (int t = 0; t < trials; ++t) {
       if (rng.next_bernoulli(p)) ++hits;
     }
-    if (wilson_interval(hits, trials).contains(p)) ++covered;
+    const auto iv = wilson_interval(hits, trials);
+    if (iv.lo <= p && p <= iv.hi) ++covered;
   }
   EXPECT_GE(covered, static_cast<int>(0.9 * reps));
 }
@@ -85,11 +86,6 @@ TEST(HoeffdingTrials, MatchesFormula) {
   EXPECT_EQ(n, 185u);
   EXPECT_THROW((void)hoeffding_trials(0.0, 0.1), InvalidArgument);
   EXPECT_THROW((void)hoeffding_trials(0.1, 1.5), InvalidArgument);
-}
-
-TEST(HoeffdingTail, DecreasesWithTrials) {
-  EXPECT_GT(hoeffding_tail(10, 0.1), hoeffding_tail(1000, 0.1));
-  EXPECT_LE(hoeffding_tail(1, 0.01), 1.0);
 }
 
 TEST(NormalQuantile, MatchesKnownValues) {
@@ -145,7 +141,6 @@ TEST(SuccessCounter, TallyAndRate) {
   EXPECT_EQ(c.trials(), 3u);
   EXPECT_EQ(c.successes(), 2u);
   EXPECT_NEAR(c.rate(), 2.0 / 3.0, 1e-12);
-  EXPECT_TRUE(c.wilson().contains(2.0 / 3.0));
 }
 
 }  // namespace

@@ -11,6 +11,13 @@
 namespace duti {
 namespace {
 
+/// A path closed into a ring (symmetric edges).
+void add_ring(Network& net) {
+  add_path(net);
+  net.add_edge(net.num_nodes() - 1, 0);
+  net.add_edge(0, net.num_nodes() - 1);
+}
+
 TEST(SpanningTree, PathFromEnd) {
   Network net(5);
   add_path(net);
@@ -44,7 +51,7 @@ TEST(SpanningTree, BinaryTreeDepths) {
 
 TEST(SpanningTree, CycleHalvesTheDistance) {
   Network net(8);
-  add_cycle(net);
+  add_ring(net);
   const auto tree = bfs_spanning_tree(net, 0);
   EXPECT_EQ(tree.height, 4u);  // farthest node on an 8-cycle
 }
@@ -189,7 +196,7 @@ TEST(TreeTester, VoteCountMatchesDirectComputation) {
   const std::uint64_t n = 128;
   const unsigned q = 16;
   Network net(8);
-  add_cycle(net);
+  add_ring(net);
   const auto tree = bfs_spanning_tree(net, 0);
   const UniformSource uniform(n);
   const double local_t = 16.0 * 15.0 / 2.0 / 128.0;

@@ -33,17 +33,6 @@ TEST(CubeDomain, LeftCubeIsLowHalf) {
   for (std::uint64_t e = 4; e < 8; ++e) EXPECT_EQ(d.s_of(e), -1);
 }
 
-TEST(CubeDomain, PartnerFlipsSideOnly) {
-  const CubeDomain d(3);
-  for (std::uint64_t e = 0; e < d.universe_size(); ++e) {
-    const auto p = d.partner(e);
-    EXPECT_NE(p, e);
-    EXPECT_EQ(d.x_of(p), d.x_of(e));
-    EXPECT_EQ(d.s_of(p), -d.s_of(e));
-    EXPECT_EQ(d.partner(p), e);  // involution
-  }
-}
-
 TEST(CubeDomain, EncodeValidation) {
   const CubeDomain d(2);
   EXPECT_THROW((void)d.encode(4, +1), InvalidArgument);

@@ -1,7 +1,9 @@
 // Tests for duti-lint's cross-TU passes (tools/duti_lint): layer-policy
 // parsing, the token stream and definition finder, layering enforcement over
 // in-memory trees (positive AND seeded-violation fixtures), the orphan-module
-// reach from bench/ and examples/, the RNG-stream dataflow rules, the
+// reach from bench/ and examples/, the orphan-function reach from bench/,
+// examples/, perfbench/ and other modules' tests, the RNG-stream dataflow
+// rules, the
 // determinism-purity walk from src/stats entry points, suppression of
 // cross-TU findings (including staleness), report shapes and fingerprint
 // invariance. The per-file rules, the ledger they share and the
@@ -178,6 +180,14 @@ TEST(FindFunctions, NoexceptAndTrailingReturn) {
   EXPECT_EQ(d[0].name, "f");
 }
 
+TEST(FindFunctions, CallShapedReturnTypeIsNotTheName) {
+  const auto d = defs_of(
+      "std::function<std::uint32_t(std::uint64_t)> make_map(unsigned r) {\n"
+      "  return {};\n}\n");
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].name, "make_map");
+}
+
 TEST(FindFunctions, LambdaBodyBelongsToEnclosingFunction) {
   const auto d = defs_of(
       "void outer() {\n"
@@ -338,6 +348,123 @@ TEST(OrphanModule, AllowFileDirectiveIsCredited) {
   EXPECT_EQ(count_rule(r, "stale-suppression"), 0u);
   EXPECT_EQ(r.suppressions_used, 1u);
   EXPECT_TRUE(r.findings.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Orphan functions
+// ---------------------------------------------------------------------------
+
+const SourceFile kCalcHeader = {"src/util/calc.hpp",
+                                "#pragma once\n"
+                                "int used(int x);\n"
+                                "int lonely(int x);\n"};
+const SourceFile kCalcSource = {"src/util/calc.cpp",
+                                "#include \"util/calc.hpp\"\n"
+                                "int used(int x) {\n  return x;\n}\n"
+                                "static int helper(int x) {\n  return x;\n}\n"
+                                "int lonely(int x) {\n"
+                                "  return helper(x);\n}\n"};
+const SourceFile kCalcBench = {"bench/e1.cpp",
+                               "#include \"util/calc.hpp\"\n"
+                               "int main() {\n  return used(1);\n}\n"};
+
+std::vector<std::string> orphan_names(const LintReport& r) {
+  std::vector<std::string> names;
+  for (const auto& f : r.findings)
+    if (f.rule == "orphan-function")
+      names.push_back(f.message.substr(1, f.message.find('\'', 1) - 1));
+  return names;
+}
+
+TEST(OrphanFunction, OnlyItsOwnModuleTestsReachingItIsAFinding) {
+  // tests/test_<stem>.cpp and tests/test_<module>.cpp are its own tests;
+  // `helper` is unreached too, but no header declares it.
+  const auto r = run({kCalcHeader, kCalcSource, kCalcBench,
+                      {"tests/test_calc.cpp",
+                       "TEST(Calc, Lonely) {\n  EXPECT_EQ(lonely(1), 1);\n}\n"},
+                      {"tests/test_util.cpp",
+                       "TEST(Util, Lonely) {\n"
+                       "  EXPECT_EQ(lonely(2), 2);\n}\n"}},
+                     kReachPolicy);
+  ASSERT_EQ(orphan_names(r), std::vector<std::string>{"lonely"});
+  const Finding& f = first_of(r, "orphan-function");
+  EXPECT_EQ(f.file, "src/util/calc.cpp");
+  EXPECT_EQ(f.line, 8);
+  EXPECT_NE(f.message.find("tests/test_calc.cpp"), std::string::npos);
+  EXPECT_EQ(count_rule(r, "orphan-module"), 0u);
+}
+
+TEST(OrphanFunction, AnotherModulesTestIsAUse) {
+  const auto r = run({kCalcHeader, kCalcSource, kCalcBench,
+                      {"tests/test_stats.cpp",
+                       "TEST(Stats, Lonely) {\n"
+                       "  EXPECT_EQ(lonely(1), 1);\n}\n"}},
+                     kReachPolicy);
+  EXPECT_EQ(count_rule(r, "orphan-function"), 0u);
+}
+
+TEST(OrphanFunction, ReachThroughLibraryDefinitionsAndDefaultArguments) {
+  // bench -> used -> lonely, and used's declaration names `fallback` as a
+  // default argument; `stray` stays unreached.
+  const auto r = run(
+      {{"src/util/calc.hpp",
+        "#pragma once\n"
+        "int used(int x = fallback());\n"
+        "int fallback();\n"
+        "int lonely(int x);\n"
+        "int stray();\n"},
+       {"src/util/calc.cpp",
+        "#include \"util/calc.hpp\"\n"
+        "int used(int x) {\n  return lonely(x);\n}\n"
+        "int lonely(int x) {\n  return x;\n}\n"
+        "int fallback() {\n  return 0;\n}\n"
+        "int stray() {\n  return 1;\n}\n"},
+       kCalcBench},
+      kReachPolicy);
+  EXPECT_EQ(orphan_names(r), std::vector<std::string>{"stray"});
+}
+
+TEST(OrphanFunction, TemplateCallsAndFunctionPointersAreUses) {
+  const auto r = run(
+      {{"src/util/calc.hpp",
+        "#pragma once\n"
+        "template <class T> T scaled(T x) {\n  return x + x;\n}\n"
+        "int hook(int x);\n"},
+       {"src/util/calc.cpp",
+        "#include \"util/calc.hpp\"\nint hook(int x) {\n  return x;\n}\n"},
+       {"bench/e1.cpp",
+        "#include \"util/calc.hpp\"\n"
+        "int main() {\n  register_fn(&hook);\n  return scaled<int>(2);\n}\n"}},
+      kReachPolicy);
+  EXPECT_EQ(count_rule(r, "orphan-function"), 0u);
+}
+
+TEST(OrphanFunction, PerfbenchIsReadForNamesOnly) {
+  // perfbench/ mentions count as uses; its own definitions, includes and
+  // module stay out of the report.
+  const auto r = run({kCalcHeader, kCalcSource, kCalcBench,
+                      {"perfbench/driver/main.cpp",
+                       "#include \"util/calc.hpp\"\n"
+                       "int drive(Rng rng) {\n  return lonely(1);\n}\n"}},
+                     kReachPolicy);
+  EXPECT_TRUE(r.findings.empty()) << duti::lint::to_human(r);
+  EXPECT_EQ(r.functions, 4u);  // main, used, helper, lonely
+  EXPECT_EQ(r.files_scanned, 4u);
+}
+
+TEST(OrphanFunction, ScanWithoutRootsSkipsThePass) {
+  const auto r = run({kCalcHeader, kCalcSource}, kReachPolicy);
+  EXPECT_EQ(count_rule(r, "orphan-function"), 0u);
+}
+
+TEST(OrphanFunction, JustifiedKeeperIsCredited) {
+  SourceFile kept = kCalcSource;
+  kept.content.replace(kept.content.find("int lonely"), 0,
+                       "// duti-lint: allow(orphan-function) -- fixture\n"
+                       "// justification\n");
+  const auto r = run({kCalcHeader, kept, kCalcBench}, kReachPolicy);
+  EXPECT_TRUE(r.findings.empty()) << duti::lint::to_human(r);
+  EXPECT_EQ(r.suppressions_used, 1u);
 }
 
 // ---------------------------------------------------------------------------

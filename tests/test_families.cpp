@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -14,16 +13,6 @@ TEST(Families, ConstantSpectrum) {
   const auto f = fn::constant(4, 0.3);
   EXPECT_NEAR(f.mean(), 0.3, 1e-12);
   EXPECT_NEAR(f.variance(), 0.0, 1e-12);
-}
-
-TEST(Families, DictatorSpectrum) {
-  // dictator_i = (1 - chi_{i}) / 2: hat(empty) = 1/2, hat({i}) = -1/2.
-  const auto f = fn::dictator(4, 2);
-  EXPECT_NEAR(f.fourier_coefficient(0), 0.5, 1e-12);
-  EXPECT_NEAR(f.fourier_coefficient(0b100), -0.5, 1e-12);
-  EXPECT_NEAR(f.level_weight(1), 0.25, 1e-12);
-  EXPECT_NEAR(f.variance(), 0.25, 1e-12);
-  EXPECT_THROW(fn::dictator(3, 3), InvalidArgument);
 }
 
 TEST(Families, ParitySpectrum) {
@@ -39,28 +28,6 @@ TEST(Families, ParitySpectrum) {
   }
 }
 
-TEST(Families, CharacterIsItsOwnSpectrum) {
-  const auto f = fn::character(5, 0b10101);
-  EXPECT_NEAR(f.fourier_coefficient(0b10101), 1.0, 1e-12);
-  EXPECT_NEAR(f.parseval_sum(), 1.0, 1e-12);
-}
-
-TEST(Families, CharactersAreOrthonormal) {
-  const unsigned m = 4;
-  for (std::uint64_t s = 0; s < 8; ++s) {
-    for (std::uint64_t t = 0; t < 8; ++t) {
-      const auto cs = fn::character(m, s);
-      const auto ct = fn::character(m, t);
-      double inner = 0.0;
-      for (std::uint64_t x = 0; x < (1ULL << m); ++x) {
-        inner += cs.value(x) * ct.value(x);
-      }
-      inner /= static_cast<double>(1ULL << m);
-      ASSERT_NEAR(inner, s == t ? 1.0 : 0.0, 1e-12);
-    }
-  }
-}
-
 TEST(Families, AndMeanIsExponentiallySmall) {
   for (unsigned width : {1u, 3u, 5u}) {
     const std::uint64_t mask = (1ULL << width) - 1;
@@ -69,17 +36,10 @@ TEST(Families, AndMeanIsExponentiallySmall) {
   }
 }
 
-TEST(Families, AndOrDeMorgan) {
-  const unsigned m = 5;
+TEST(Families, AndIsOneIffEveryMaskedBitIsSet) {
   const std::uint64_t mask = 0b10110;
-  const auto and_f = fn::and_of(m, mask);
-  const auto or_f = fn::or_of(m, mask);
-  // OR(x) = 1 - AND over complemented inputs; check mean relation:
-  EXPECT_NEAR(or_f.mean(), 1.0 - std::ldexp(1.0, -std::popcount(mask)),
-              1e-12);
-  // Pointwise: or_of is 1 unless no masked bit set; and_of is 1 iff all set.
+  const auto and_f = fn::and_of(5, mask);
   for (std::uint64_t x = 0; x < 32; ++x) {
-    EXPECT_DOUBLE_EQ(or_f.value(x), (x & mask) != 0 ? 1.0 : 0.0);
     EXPECT_DOUBLE_EQ(and_f.value(x), (x & mask) == mask ? 1.0 : 0.0);
   }
 }

@@ -72,26 +72,6 @@ TEST(DiracMixture, Distance) {
   EXPECT_NEAR(d.l1_from_uniform(), 2.0 * w * (1.0 - 1.0 / n), 1e-12);
 }
 
-TEST(UniformSubset, SupportSizeAndDistance) {
-  Rng rng(4);
-  const auto d = gen::uniform_subset(20, 5, rng);
-  int support = 0;
-  for (std::size_t i = 0; i < 20; ++i) {
-    if (d.pmf(i) > 0.0) {
-      ++support;
-      EXPECT_NEAR(d.pmf(i), 0.2, 1e-12);
-    }
-  }
-  EXPECT_EQ(support, 5);
-  EXPECT_NEAR(d.l1_from_uniform(), 2.0 * (1.0 - 5.0 / 20.0), 1e-12);
-}
-
-TEST(UniformSubset, FullSubsetIsUniform) {
-  Rng rng(5);
-  const auto d = gen::uniform_subset(8, 8, rng);
-  EXPECT_NEAR(d.l1_from_uniform(), 0.0, 1e-12);
-}
-
 TEST(RandomPerturbation, ExactlyEpsFar) {
   Rng rng(6);
   for (double eps : {0.1, 0.5, 1.0}) {

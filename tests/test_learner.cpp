@@ -151,10 +151,8 @@ TEST(GroupedLearner, Validation) {
 
 TEST(GroupedLearner, GroupGeometry) {
   const GroupedLearner learner(32, 64, 4);  // group size 8
-  EXPECT_EQ(learner.group_size(), 8u);
   EXPECT_EQ(learner.num_groups(), 4u);
   const GroupedLearner fine(32, 64, 1);  // group size 1: singleton groups
-  EXPECT_EQ(fine.group_size(), 1u);
   EXPECT_EQ(fine.num_groups(), 32u);
 }
 

@@ -108,16 +108,6 @@ TEST(MessageAnalysis, McMomentsConvergeToExact) {
               0.1 * std::max(1e-6, exact.second_moment) + 1e-6);
 }
 
-TEST(MessageAnalysis, NuZMcConvergesToExact) {
-  Rng rng(7);
-  const auto g = fn::random_boolean(6, 0.5, rng);
-  const auto analysis = make_analysis(2, 2, g);
-  const NuZ nu(CubeDomain(2), PerturbationVector::random(2, rng), 0.8);
-  const double exact = analysis.nu_z_exact(nu);
-  const double mc = analysis.nu_z_mc(nu, 200000, rng);
-  EXPECT_NEAR(mc, exact, 0.01);
-}
-
 // ---------------------------------------------------------------------------
 // The main lemmas, verified against exact enumeration: for every tested G
 // within each lemma's validity range, the bound dominates the exact moment.

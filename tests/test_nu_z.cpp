@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -129,9 +130,22 @@ TEST(NuZ, ZeroEpsIsUniform) {
 }
 
 TEST(NuZ, MixtureOverZIsExactlyUniform) {
-  // E_z[nu_z] = U_n — the paper's "average of the family is uniform".
+  // E_z[nu_z] = U_n — the paper's "average of the family is uniform" —
+  // by enumerating all 2^(2^ell) perturbation vectors.
   for (unsigned ell : {1u, 2u, 3u}) {
-    const auto mixture = exact_mixture_over_z(ell, 0.8);
+    const CubeDomain dom(ell);
+    const std::uint64_t num_z = 1ULL << dom.side_size();
+    std::vector<double> acc(dom.universe_size(), 0.0);
+    for (std::uint64_t zbits = 0; zbits < num_z; ++zbits) {
+      PerturbationVector z(ell);
+      for (std::uint64_t x = 0; x < dom.side_size(); ++x) {
+        z.set_sign(x, ((zbits >> x) & 1ULL) ? -1 : +1);
+      }
+      const NuZ nu(dom, z, 0.8);
+      for (std::uint64_t e = 0; e < acc.size(); ++e) acc[e] += nu.pmf(e);
+    }
+    for (double& p : acc) p /= static_cast<double>(num_z);
+    const DiscreteDistribution mixture(std::move(acc));
     EXPECT_NEAR(mixture.l1_from_uniform(), 0.0, 1e-9) << "ell=" << ell;
   }
 }

@@ -62,23 +62,10 @@ TEST(Workloads, NuZFactoryScalesToLargeDomains) {
   EXPECT_EQ(samples.size(), 1000u);
 }
 
-TEST(Workloads, FixedFactoryReturnsSameDistribution) {
-  const auto dist = gen::zipf(32, 1.0);
-  const auto factory = workloads::fixed_factory(dist);
-  Rng rng(5);
-  const auto a = factory(rng);
-  const auto b = factory(rng);
-  const auto* da = dynamic_cast<const DistributionSource*>(a.get());
-  const auto* db = dynamic_cast<const DistributionSource*>(b.get());
-  ASSERT_NE(da, nullptr);
-  EXPECT_DOUBLE_EQ(da->distribution().l1_distance(db->distribution()), 0.0);
-}
-
 TEST(Workloads, TrialInvarianceFlags) {
   // The invariance promise drives the probe loops' per-worker source reuse;
   // rng-consuming factories must NOT carry it.
   EXPECT_TRUE(workloads::uniform_factory(64).trial_invariant());
-  EXPECT_TRUE(workloads::fixed_factory(gen::zipf(16, 1.0)).trial_invariant());
   EXPECT_FALSE(workloads::paninski_far_factory(64, 0.5).trial_invariant());
   EXPECT_FALSE(workloads::nu_z_far_factory(5, 0.4).trial_invariant());
 }

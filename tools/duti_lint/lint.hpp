@@ -11,9 +11,11 @@
 // DESIGN.md section 9):
 //
 //   - per-file rules: line-oriented pattern checks, scoped by path prefix;
-//   - cross-TU passes: the module include DAG against layers.txt, the
-//     RNG-stream dataflow of every function, and the determinism-purity
-//     walk of the call graph from every function defined in src/stats.
+//   - cross-TU passes: the module include DAG against layers.txt, the reach
+//     of every src/ header and every src/ function from the code that uses
+//     the library, the RNG-stream dataflow of every function, and the
+//     determinism-purity walk of the call graph from every function defined
+//     in src/stats.
 //
 // Suppressions are inline comments with mandatory justification text:
 //
@@ -202,7 +204,10 @@ struct LintReport {
 
 /// Lex each source once, run every per-file rule and cross-TU pass against
 /// `policy`, and settle all findings through one suppression ledger.
-/// Findings are sorted by (file, line, rule).
+/// Findings are sorted by (file, line, rule). A source under perfbench/,
+/// which builds against the library on its own terms, is read only for the
+/// names it mentions: the orphan-function pass counts them as uses, and no
+/// rule, definition count or include edge comes from it.
 LintReport lint_sources(const std::vector<SourceFile>& files,
                         const LayerPolicy& policy);
 

@@ -26,7 +26,7 @@ int usage(std::ostream& out, int code) {
          "  --dot          emit the module DAG as Graphviz dot\n"
          "  --list-rules   print the rule registry and exit\n"
          "  paths          files/dirs relative to root"
-         " (default: src bench tests tools examples)\n";
+         " (default: src bench tests tools examples perfbench)\n";
   return code;
 }
 
@@ -67,7 +67,8 @@ int run_lint_cli(int argc, const char* const* argv, std::ostream& out,
       paths.push_back(arg);
     }
   }
-  if (paths.empty()) paths = {"src", "bench", "tests", "tools", "examples"};
+  if (paths.empty())
+    paths = {"src", "bench", "tests", "tools", "examples", "perfbench"};
   if (!std::filesystem::is_directory(root)) {
     err << "duti_lint: root '" << root << "' is not a directory\n";
     return 2;

@@ -20,6 +20,17 @@ bool is_ident(char c) {
 
 bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
 
+/// True when the quote at `i` is a digit separator (1'000'000): the run of
+/// identifier characters, separators and dots right before it starts with a
+/// digit. After `case ` or `u8` a quote opens a character literal.
+bool is_digit_separator(const std::string& src, std::size_t i) {
+  std::size_t k = i;
+  while (k > 0 && (is_ident(src[k - 1]) || src[k - 1] == '\'' ||
+                   src[k - 1] == '.'))
+    --k;
+  return k < i && std::isdigit(static_cast<unsigned char>(src[k])) != 0;
+}
+
 }  // namespace
 
 std::vector<LexedLine> lex_lines(const std::string& src) {
@@ -61,7 +72,7 @@ std::vector<LexedLine> lex_lines(const std::string& src) {
           } else {
             state = State::kString;
           }
-        } else if (c == '\'' && !is_ident(last_code)) {
+        } else if (c == '\'' && !is_digit_separator(src, i)) {
           cur.code += '\'';
           state = State::kChar;
         } else {
@@ -736,6 +747,11 @@ std::vector<Rule> build_rules() {
        "src/ header that no bench/ or examples/ file reaches through "
        "includes (a reached header also reaches its same-stem .cpp); a "
        "module whose only consumer is its own test feeds no table"},
+      {"orphan-function",
+       "src/ function, declared in a src/ header, that no bench/, examples/ "
+       "or perfbench/ code mentions directly or through other src/ "
+       "definitions, and no test but its own module's: an entry point only "
+       "its unit test reaches"},
       // RNG-stream dataflow, per function definition.
       {"rng-by-value",
        "function takes an RNG parameter by value; each copy replays the "

@@ -227,10 +227,17 @@ std::vector<FunctionDef> find_functions(const std::vector<Token>& tokens) {
     // Trailer scan: const / noexcept(...) / override / -> Type / ctor init
     // list, ending at '{' (definition) or a terminator (not a definition).
     std::size_t j = params_end;
-    bool init_list = false;
+    bool init_list = false, trailing = false;
     bool is_def = false;
     while (j < n) {
       const std::string& w = tokens[j].text;
+      // A call-shaped name before any init list or trailing return means
+      // the candidate sat inside a return type, as `uint32_t(` does in
+      // `std::function<uint32_t(uint64_t)> f(`; the name comes later.
+      if (!init_list && !trailing && is_ident_start(w[0]) && j + 1 < n &&
+          tokens[j + 1].text == "(" && w != "noexcept" && w != "throw")
+        break;
+      if (w == "->" || w == "requires") trailing = true;
       if (w == "{") {
         // In a ctor init list, a brace directly after an identifier is a
         // member brace-init group, not the body.

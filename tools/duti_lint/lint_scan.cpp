@@ -1,9 +1,9 @@
 // One scan of the tree for duti-lint: a lexed model per file, the per-file
 // rules of the registry, the cross-TU passes (include-DAG construction and
 // layering enforcement, the orphan-module reach from bench/ and examples/,
-// the RNG-stream dataflow rules, the determinism-purity walk from src/stats
-// entry points), the one suppression ledger that settles every finding, and
-// the graph fingerprint.
+// the orphan-function reach by name, the RNG-stream dataflow rules, the
+// determinism-purity walk from src/stats entry points), the one suppression
+// ledger that settles every finding, and the graph fingerprint.
 #include "lint.hpp"
 
 #include <algorithm>
@@ -205,16 +205,23 @@ bool is_blank(const std::string& code) {
 // Cross-TU passes
 // ---------------------------------------------------------------------------
 
-/// Layering, orphan modules, the call graph, RNG dataflow and purity over
-/// the path-sorted models: appends raw (pre-suppression) findings and fills
+/// Layering, orphan modules, the call graph, orphan functions, RNG dataflow
+/// and purity over the path-sorted models (`consumer_names`: every name
+/// perfbench/ mentions): appends raw (pre-suppression) findings and fills
 /// the report's graph metrics.
 void check_cross_tu(const std::vector<FileModel>& files,
+                    const std::set<std::string>& consumer_names,
                     const LayerPolicy& policy, std::vector<Finding>& raw,
                     LintReport& report) {
   auto add = [&raw](const std::string& file, int line, const std::string& rule,
                     const std::string& message, const std::string& path = "") {
     raw.push_back({file, line, rule, message, path});
   };
+  const auto under = [&files](std::size_t fi, const char* dir) {
+    return files[fi].path.rfind(dir, 0) == 0;
+  };
+  std::map<std::string, std::size_t> by_path;
+  for (std::size_t i = 0; i < files.size(); ++i) by_path[files[i].path] = i;
 
   // --- Layering ------------------------------------------------------------
   const std::vector<IncludeEdge> includes = resolve_includes(files);
@@ -302,12 +309,7 @@ void check_cross_tu(const std::vector<FileModel>& files,
   // A scan with no bench/ or examples/ file (`duti_lint src`, the fixtures)
   // has no roots, and the pass stays silent.
   {
-    auto under = [&files](std::size_t i, const char* dir) {
-      return files[i].path.rfind(dir, 0) == 0;
-    };
-    std::map<std::string, std::size_t> by_path;
     std::vector<std::vector<std::size_t>> out(files.size());
-    for (std::size_t i = 0; i < files.size(); ++i) by_path[files[i].path] = i;
     for (const auto& e : includes) out[e.from].push_back(e.to);
     for (std::size_t i = 0; i < files.size(); ++i) {
       const std::string& p = files[i].path;
@@ -379,6 +381,144 @@ void check_cross_tu(const std::vector<FileModel>& files,
           if (callee != d) resolved.insert({d, callee});
       }
     report.call_edges = resolved.size();
+  }
+
+  // --- Orphan functions -----------------------------------------------------
+  // Every function defined under src/ and declared in a src/ header must be
+  // used by code that is not only its own unit test. Mentions are the edges:
+  // any identifier naming a definition reaches every src/ definition of that
+  // name, so template calls and function pointers count as uses. A reached
+  // definition passes on the names in its parameters and body, and, once,
+  // those its file and same-stem partner mention outside any definition
+  // (default arguments, static tables), minus their own declarations. The
+  // first roots are every name in bench/, examples/ and perfbench/; a
+  // function they miss is still used when another module's test reaches it
+  // (its own tests are tests/test_<stem>.cpp and tests/test_<module>.cpp).
+  // Like orphan-module, a scan with no bench/, examples/ or perfbench/ code
+  // has no roots and skips the pass.
+  {
+    const auto is_ident = [](const std::string& t) {
+      return std::isalpha(static_cast<unsigned char>(t[0])) != 0 || t[0] == '_';
+    };
+    const auto stem_of = [](const std::string& path) {
+      const std::size_t slash = path.rfind('/') + 1;
+      return path.substr(slash, path.rfind('.') - slash);
+    };
+
+    // Names each file mentions outside its definitions: every name of a
+    // bench/, examples/ or tests/ file; in src/, none that a declaration
+    // introduces (`double f(`, `T* f(`, `std::vector<int> f(`).
+    std::vector<std::set<std::string>> file_names(files.size());
+    std::set<std::string> declared;  // src/ header names followed by '('
+    std::vector<std::size_t> partner(files.size(), files.size());
+    for (std::size_t fi = 0; fi < files.size(); ++fi) {
+      const FileModel& f = files[fi];
+      const bool lib = under(fi, "src/");
+      std::vector<char> in_def(f.tokens.size(), 0);
+      if (lib)
+        for (const auto& d : f.defs)
+          std::fill(in_def.begin() + static_cast<std::ptrdiff_t>(
+                                         d.params_begin - 1),
+                    in_def.begin() + static_cast<std::ptrdiff_t>(d.body_end),
+                    1);
+      for (std::size_t i = 0; i < f.tokens.size(); ++i) {
+        const std::string& t = f.tokens[i].text;
+        if (!is_ident(t)) continue;
+        const bool call =
+            i + 1 < f.tokens.size() && f.tokens[i + 1].text == "(";
+        if (lib && call && is_header_path(f.path)) declared.insert(t);
+        if (in_def[i]) continue;
+        if (lib && call && i >= 1) {
+          const std::string& prev = f.tokens[i - 1].text;
+          if (is_ident(prev) || prev == ">" || prev == "*" || prev == "&" ||
+              prev == "~")
+            continue;
+        }
+        file_names[fi].insert(t);
+      }
+      if (lib) {
+        const std::string& p = f.path;
+        const std::string base = p.substr(0, p.rfind('.'));
+        for (const char* ext : {".hpp", ".cpp"}) {
+          auto it = by_path.find(base + ext);
+          if (it != by_path.end() && it->second != fi) partner[fi] = it->second;
+        }
+      }
+    }
+    std::vector<std::set<std::string>> def_names(all_defs.size());
+    for (std::size_t d = 0; d < all_defs.size(); ++d) {
+      const FileModel& f = files[all_defs[d].file];
+      const FunctionDef& def = f.defs[all_defs[d].def];
+      for (std::size_t i = def.params_begin; i < def.body_end; ++i)
+        if (is_ident(f.tokens[i].text)) def_names[d].insert(f.tokens[i].text);
+    }
+
+    // The src/ definitions reached from the names of `roots`.
+    const auto reach = [&](const std::vector<const std::set<std::string>*>&
+                               roots) {
+      std::vector<char> seen(all_defs.size(), 0), file_seen(files.size(), 0);
+      std::vector<std::size_t> todo;
+      const auto mention = [&](const std::set<std::string>& names) {
+        for (const auto& n : names) {
+          auto it = by_name.find(n);
+          if (it == by_name.end()) continue;
+          for (std::size_t d : it->second)
+            if (!seen[d] && under(all_defs[d].file, "src/")) {
+              seen[d] = 1;
+              todo.push_back(d);
+            }
+        }
+      };
+      for (const auto* names : roots) mention(*names);
+      while (!todo.empty()) {
+        const std::size_t d = todo.back();
+        todo.pop_back();
+        mention(def_names[d]);
+        for (std::size_t fi : {all_defs[d].file, partner[all_defs[d].file]})
+          if (fi < files.size() && !file_seen[fi]) {
+            file_seen[fi] = 1;
+            mention(file_names[fi]);
+          }
+      }
+      return seen;
+    };
+
+    std::vector<const std::set<std::string>*> product;
+    if (!consumer_names.empty()) product.push_back(&consumer_names);
+    for (std::size_t fi = 0; fi < files.size(); ++fi)
+      if (under(fi, "bench/") || under(fi, "examples/"))
+        product.push_back(&file_names[fi]);
+    const std::vector<char> used = reach(product);
+
+    // Unused candidates, grouped by the two test files that do not count.
+    std::map<std::pair<std::string, std::string>, std::vector<std::size_t>>
+        by_own_tests;
+    for (std::size_t d = 0; !product.empty() && d < all_defs.size(); ++d) {
+      const std::size_t fi = all_defs[d].file;
+      if (used[d] || !under(fi, "src/") ||
+          !declared.count(files[fi].defs[all_defs[d].def].name))
+        continue;
+      by_own_tests[{"tests/test_" + stem_of(files[fi].path) + ".cpp",
+                    "tests/test_" + files[fi].module + ".cpp"}]
+          .push_back(d);
+    }
+    for (const auto& [own, defs] : by_own_tests) {
+      std::vector<const std::set<std::string>*> others;
+      for (std::size_t fi = 0; fi < files.size(); ++fi)
+        if (under(fi, "tests/") && files[fi].path != own.first &&
+            files[fi].path != own.second)
+          others.push_back(&file_names[fi]);
+      const std::vector<char> tested = reach(others);
+      for (std::size_t d : defs) {
+        if (tested[d]) continue;
+        const FileModel& f = files[all_defs[d].file];
+        const FunctionDef& def = f.defs[all_defs[d].def];
+        add(f.path, def.line, "orphan-function",
+            "'" + def.name + "' is reached by no bench/, examples/ or "
+            "perfbench/ code and by no test but its own (" + own.first +
+            "); delete it, or name what it is for in an allow");
+      }
+    }
   }
 
   // --- RNG dataflow ---------------------------------------------------------
@@ -514,14 +654,11 @@ void check_cross_tu(const std::vector<FileModel>& files,
     // same-named definition there is never what a library call runs.
     // Member calls still resolve by bare name, which errs toward false
     // findings, never toward missed ones.
-    const auto under = [&](std::size_t d, const char* dir) {
-      return files[all_defs[d].file].path.rfind(dir, 0) == 0;
-    };
     std::vector<std::size_t> parent(all_defs.size(), all_defs.size());
     std::vector<char> reached(all_defs.size(), 0);
     std::vector<std::size_t> queue;
     for (std::size_t d = 0; d < all_defs.size(); ++d)
-      if (under(d, "src/stats/")) {
+      if (under(all_defs[d].file, "src/stats/")) {
         reached[d] = 1;
         queue.push_back(d);
       }
@@ -532,7 +669,7 @@ void check_cross_tu(const std::vector<FileModel>& files,
         auto it = by_name.find(name);
         if (it == by_name.end()) continue;
         for (std::size_t callee : it->second)
-          if (!reached[callee] && under(callee, "src/")) {
+          if (!reached[callee] && under(all_defs[callee].file, "src/")) {
             reached[callee] = 1;
             parent[callee] = d;
             queue.push_back(callee);
@@ -780,9 +917,18 @@ std::uint64_t graph_fingerprint(const std::vector<FileModel>& files,
 
 LintReport lint_sources(const std::vector<SourceFile>& sources,
                         const LayerPolicy& policy) {
+  // perfbench/ builds against the library on its own terms: the scan reads
+  // it only for the names it mentions, which the orphan-function pass counts
+  // as uses.
+  std::set<std::string> consumer_names;
   std::vector<FileModel> files;
   files.reserve(sources.size());
   for (const auto& src : sources) {
+    if (src.path.rfind("perfbench/", 0) == 0) {
+      for (const auto& t : tokenize(lex_lines(src.content)))
+        consumer_names.insert(t.text);
+      continue;
+    }
     FileModel f;
     f.path = src.path;
     f.module = module_of(src.path);
@@ -799,7 +945,7 @@ LintReport lint_sources(const std::vector<SourceFile>& sources,
 
   LintReport report;
   for (const auto& r : default_rules()) report.rule_counts[r.name] = 0;
-  report.files_scanned = files.size();
+  report.files_scanned = sources.size();
   std::vector<Finding> raw;
   for (const auto& f : files) {
     const bool header = is_header_path(f.path);
@@ -807,7 +953,7 @@ LintReport lint_sources(const std::vector<SourceFile>& sources,
       if (rule.check != nullptr && rule_applies(rule, f.path, header))
         rule.check(f.path, f.lines, raw);
   }
-  check_cross_tu(files, policy, raw, report);
+  check_cross_tu(files, consumer_names, policy, raw, report);
   settle(files, std::move(raw), report);
   std::sort(report.findings.begin(), report.findings.end(),
             [](const Finding& a, const Finding& b) {
