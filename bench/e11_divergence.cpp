@@ -15,7 +15,6 @@
 #include "bench_common.hpp"
 #include "core/divergence.hpp"
 #include "core/message_analysis.hpp"
-#include "fourier/families.hpp"
 #include "testers/message_maps.hpp"
 
 int main(int argc, char** argv) try {
@@ -42,28 +41,17 @@ int main(int argc, char** argv) try {
   for (unsigned q : {2u, 3u}) {  // q >= 2: the voter needs collisions
     if ((ell + 1) * q > 12) continue;
     const SampleTupleCodec codec(dom, q);
-    const auto vote = collision_vote_message(codec);
-    const auto g = BooleanCubeFunction::tabulate(
-        codec.total_bits(), [&vote](std::uint64_t packed) {
-          return static_cast<double>(vote(packed));
-        });
-    const MessageAnalysis analysis(codec, g);
+    const MessageAnalysis analysis(codec, 1, collision_vote_message(codec));
     const double mu_g = analysis.mu();
     if (mu_g <= 0.0 || mu_g >= 1.0) continue;  // degenerate voter at this q
     for (double eps : {0.1, 0.2, 0.4}) {
       // Exact expectation over all perturbation vectors.
-      const std::uint64_t num_z = 1ULL << dom.side_size();
       double kl_acc = 0.0, chi_acc = 0.0;
-      for (std::uint64_t zbits = 0; zbits < num_z; ++zbits) {
-        PerturbationVector z(ell);
-        for (std::uint64_t x = 0; x < dom.side_size(); ++x) {
-          z.set_sign(x, ((zbits >> x) & 1ULL) ? -1 : +1);
-        }
-        const NuZ nu(dom, z, eps);
-        const double alpha = analysis.nu_z_exact(nu);
+      const std::uint64_t num_z = for_each_z(dom, eps, [&](const NuZ& nu) {
+        const double alpha = analysis.nu_z(nu);
         kl_acc += kl_bernoulli(alpha, mu_g);
         chi_acc += chi2_bernoulli_bound(alpha, mu_g);
-      }
+      });
       const double kl = kl_acc / static_cast<double>(num_z);
       const double chi = chi_acc / static_cast<double>(num_z);
       const double lemma_cap = 2.0 * per_player_divergence_cap(n, q, eps);

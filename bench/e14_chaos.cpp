@@ -88,9 +88,7 @@ void write_json(const CampaignConfig& cfg, const CampaignSummary& summary) {
         "{\"accept\": " + bench::json_u64(summary.outcome_counts[0]) +
             ", \"reject\": " + bench::json_u64(summary.outcome_counts[1]) +
             ", \"abort_quorum\": " +
-            bench::json_u64(summary.outcome_counts[2]) +
-            ", \"abort_timeout\": " +
-            bench::json_u64(summary.outcome_counts[3]) + "}"},
+            bench::json_u64(summary.outcome_counts[2]) + "}"},
        {"campaign_fingerprint", bench::json_str(fp)},
        {"violations", bench::json_u64(summary.failures.size())},
        {"failures", failures}});
@@ -135,9 +133,8 @@ int main(int argc, char** argv) try {
   const CampaignSummary summary = run_campaign(cfg, ThreadPool::global());
 
   Table table({"outcome", "runs"});
-  const char* names[4] = {"accept", "reject", "abort_quorum",
-                          "abort_timeout"};
-  for (int i = 0; i < 4; ++i) {
+  const char* names[3] = {"accept", "reject", "abort_quorum"};
+  for (int i = 0; i < 3; ++i) {
     table.add_row({std::string(names[i]),
                    static_cast<std::int64_t>(summary.outcome_counts[i])});
   }

@@ -92,12 +92,8 @@ int main(int argc, char** argv) try {
         }
         // The real testers' message function (needs q >= 2 for collisions).
         if (q < 2) continue;
-        const auto vote = collision_vote_message(codec);
-        const auto g = BooleanCubeFunction::tabulate(
-            codec.total_bits(), [&vote](std::uint64_t packed) {
-              return static_cast<double>(vote(packed));
-            });
-        const MessageAnalysis analysis(codec, g);
+        const MessageAnalysis analysis(codec, 1,
+                                       collision_vote_message(codec));
         const auto moments = analysis.z_moments_exact(eps);
         const double bound =
             2.0 * bounds::lemma42_bound(n, q, eps, analysis.variance());

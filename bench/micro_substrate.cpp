@@ -8,7 +8,7 @@
 #include <span>
 #include <vector>
 
-#include "core/multibit_analysis.hpp"
+#include "core/message_analysis.hpp"
 #include "dist/alias_sampler.hpp"
 #include "dist/generators.hpp"
 #include "dist/nu_z.hpp"
@@ -162,8 +162,8 @@ void BM_MultibitDivergenceExact(benchmark::State& state) {
   const SampleTupleCodec codec(CubeDomain(3), 3);
   const auto r = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    const MultibitMessageAnalysis analysis(codec, r,
-                                           collision_count_message(codec, r));
+    const MessageAnalysis analysis(codec, r,
+                                   collision_count_message(codec, r));
     benchmark::DoNotOptimize(analysis.expected_divergence_exact(0.4));
   }
 }

@@ -582,7 +582,6 @@ inline std::vector<SweepPoint> e13_byzantine_points(const FaultSweepSetup& s) {
   for (const double b : kByzantineFractions) {
     FaultPlan plan;
     plan.byzantine_fraction = b;
-    plan.byzantine_mode = ByzantineMode::kStuckAtOne;
     for (const RefereeRule rule : kByzantineRules) {
       points.push_back(e13_point(s, "byzantine", b, plan, rule));
     }

@@ -70,7 +70,7 @@ struct CampaignSummary {
   std::uint32_t num_seeds = 0;
   std::uint64_t total_components = 0;
   /// Count per RefereeOutcome (index = static_cast<int>(outcome)).
-  std::uint64_t outcome_counts[4] = {0, 0, 0, 0};
+  std::uint64_t outcome_counts[3] = {0, 0, 0};
   /// FNV-1a chain over (seed, run fingerprint) in seed order — identical
   /// across thread counts or the campaign itself violates determinism.
   std::uint64_t fingerprint = 0;

@@ -205,9 +205,7 @@ void oracle_no_spurious_abort(const OracleContext& ctx,
   if (!ctx.predicted.within_tolerance) return;
   const std::uint64_t quorum = referee_rule_of(ctx.spec).quorum();
   const bool satisfiable = ctx.predicted.predicted_reached >= quorum;
-  const bool aborted = ctx.run.outcome == RefereeOutcome::kAbortQuorum ||
-                       ctx.run.outcome == RefereeOutcome::kAbortTimeout;
-  if (satisfiable && aborted) {
+  if (satisfiable && ctx.run.outcome == RefereeOutcome::kAbortQuorum) {
     out.push_back({"no-spurious-abort",
                    std::string("referee ") + to_string(ctx.run.outcome) +
                        " but " +

@@ -28,7 +28,7 @@ namespace duti::chaos {
 /// Everything one scenario execution produced, plus a content fingerprint
 /// over all of it (the replay-determinism oracle compares fingerprints).
 struct RunResult {
-  RefereeOutcome outcome = RefereeOutcome::kAbortTimeout;
+  RefereeOutcome outcome{};
   std::uint64_t root_sum = 0;
   std::uint32_t values_reached = 0;
   std::uint32_t values_lost = 0;
@@ -51,7 +51,7 @@ struct Prediction {
   std::uint32_t predicted_reached = 0;
   std::uint32_t predicted_lost = 0;  // alive nodes whose route is severed
   std::uint64_t predicted_rejects = 0;
-  RefereeOutcome predicted_outcome = RefereeOutcome::kAbortTimeout;
+  RefereeOutcome predicted_outcome{};  // meaningful within tolerance
 };
 
 /// The referee rule every chaos scenario is judged by: quorum-calibrated

@@ -43,9 +43,7 @@ struct Tally {
     kUniformSuccesses = 0,
     kFarSuccesses,
     kUniformAbortsQuorum,
-    kUniformAbortsTimeout,
     kFarAbortsQuorum,
-    kFarAbortsTimeout,
     kFieldCount,
   };
   std::array<std::uint64_t, kFieldCount> counts{};
@@ -139,9 +137,7 @@ ProbeResult finalize_tally(const Tally& total, std::uint64_t trials,
       total[Tally::kUniformSuccesses], total[Tally::kFarSuccesses],
       trials, budget, stop);
   out.uniform_aborts_quorum = total[Tally::kUniformAbortsQuorum];
-  out.uniform_aborts_timeout = total[Tally::kUniformAbortsTimeout];
   out.far_aborts_quorum = total[Tally::kFarAbortsQuorum];
-  out.far_aborts_timeout = total[Tally::kFarAbortsTimeout];
   return out;
 }
 
@@ -247,17 +243,11 @@ struct ExRuns {
     if (o == RefereeOutcome::kAbortQuorum) {
       ++tally[Tally::kUniformAbortsQuorum];
     }
-    if (o == RefereeOutcome::kAbortTimeout) {
-      ++tally[Tally::kUniformAbortsTimeout];
-    }
   }
   void far(const SampleSource& source, Rng& rng, Tally& tally) const {
     const RefereeOutcome o = tester(source, rng);
     tally.record_far(o == RefereeOutcome::kReject);
     if (o == RefereeOutcome::kAbortQuorum) ++tally[Tally::kFarAbortsQuorum];
-    if (o == RefereeOutcome::kAbortTimeout) {
-      ++tally[Tally::kFarAbortsTimeout];
-    }
   }
 };
 

@@ -103,9 +103,7 @@ struct ProbeResult {
   // Abort attribution (filled by the RefereeOutcome probe; zero for the
   // boolean one). Aborted trials fail their side but are NOT rejections.
   std::uint64_t uniform_aborts_quorum = 0;
-  std::uint64_t uniform_aborts_timeout = 0;
   std::uint64_t far_aborts_quorum = 0;
-  std::uint64_t far_aborts_timeout = 0;
 
   /// Both sides at or above the success bar.
   [[nodiscard]] bool passes() const {
@@ -136,8 +134,7 @@ struct ProbeResult {
     return stop != ProbeStop::kExhausted;
   }
   [[nodiscard]] std::uint64_t aborts() const noexcept {
-    return uniform_aborts_quorum + uniform_aborts_timeout +
-           far_aborts_quorum + far_aborts_timeout;
+    return uniform_aborts_quorum + far_aborts_quorum;
   }
 };
 

@@ -152,9 +152,7 @@ std::string serialize_record(const ProbeKey& key, const ProbeResult& r) {
        << ",\"t\":" << r.trials << ",\"budget\":" << r.budget
        << ",\"stop\":" << static_cast<unsigned>(r.stop)
        << ",\"uaq\":" << r.uniform_aborts_quorum
-       << ",\"uat\":" << r.uniform_aborts_timeout
-       << ",\"faq\":" << r.far_aborts_quorum
-       << ",\"fat\":" << r.far_aborts_timeout << "}";
+       << ",\"faq\":" << r.far_aborts_quorum << "}";
   out += tail.str();
   return out;
 }
@@ -181,13 +179,8 @@ bool parse_record(const std::string& line, ProbeKey& key, ProbeResult& result) {
   result =
       probe_result_from_tallies(us, fs, t, budget,
                                 static_cast<ProbeStop>(stop_raw));
-  if (!parse_u64_field(line, "uaq", result.uniform_aborts_quorum) ||
-      !parse_u64_field(line, "uat", result.uniform_aborts_timeout) ||
-      !parse_u64_field(line, "faq", result.far_aborts_quorum) ||
-      !parse_u64_field(line, "fat", result.far_aborts_timeout)) {
-    return false;
-  }
-  return true;
+  return parse_u64_field(line, "uaq", result.uniform_aborts_quorum) &&
+         parse_u64_field(line, "faq", result.far_aborts_quorum);
 }
 
 }  // namespace

@@ -129,48 +129,4 @@ double PresenceBitLearner::learn_l1_error(const DiscreteDistribution& truth,
   return learned.l1_distance(truth);
 }
 
-GroupedLearner::GroupedLearner(std::uint64_t n, std::uint64_t k, unsigned r)
-    : n_(n), k_(k), r_(r), group_size_(1ULL << (r - 1)) {
-  require(n >= 2, "GroupedLearner: n must be >= 2");
-  require(r >= 1 && r <= 24, "GroupedLearner: r in [1,24]");
-  require(n % group_size_ == 0,
-          "GroupedLearner: n must be divisible by the group size 2^(r-1)");
-  require(k >= n / group_size_,
-          "GroupedLearner: need at least one node per group");
-}
-
-DiscreteDistribution GroupedLearner::learn(const SampleSource& source,
-                                           Rng& rng) const {
-  require(source.domain_size() == n_, "GroupedLearner: domain size mismatch");
-  const std::uint64_t groups = num_groups();
-  std::vector<double> report_counts(n_, 0.0);
-  std::vector<std::uint64_t> nodes_per_group(groups, 0);
-  for (std::uint64_t j = 0; j < k_; ++j) {
-    const std::uint64_t group = j % groups;
-    ++nodes_per_group[group];
-    Rng node_rng = make_rng(rng(), j);
-    const std::uint64_t sample = source.sample(node_rng);
-    // Message: r bits — a presence flag plus the (r-1)-bit offset when the
-    // sample landed in the node's group.
-    if (sample / group_size_ == group) {
-      report_counts[sample] += 1.0;
-    }
-  }
-  std::vector<double> est(n_, 0.0);
-  for (std::uint64_t i = 0; i < n_; ++i) {
-    const std::uint64_t g = i / group_size_;
-    if (nodes_per_group[g] > 0) {
-      est[i] = report_counts[i] / static_cast<double>(nodes_per_group[g]);
-    }
-  }
-  return normalize_estimate(std::move(est));
-}
-
-double GroupedLearner::learn_l1_error(const DiscreteDistribution& truth,
-                                      Rng& rng) const {
-  const DistributionSource source(truth);
-  const auto learned = learn(source, rng);
-  return learned.l1_distance(truth);
-}
-
 }  // namespace duti

@@ -13,11 +13,6 @@
 //    ~ mu/q per node — a full factor q better — so k* ~ n^2/(q delta^2).
 //    This is the curve bench E4 compares against the paper's
 //    k = Omega(n^2/q^2) lower bound (the remaining factor-q gap is open).
-//
-//  * GroupedLearner — one sample and r bits per node ([1]'s regime): the
-//    domain is split into groups of 2^{r-1}; a node reports whether its
-//    sample fell in its group and, if so, the offset. Realizes the
-//    k = Theta(n^2/(2^r eps^2)) trade-off of [1].
 #pragma once
 
 #include <cstdint>
@@ -71,28 +66,6 @@ class PresenceBitLearner {
   std::uint64_t n_;
   std::uint64_t k_;
   unsigned q_;
-};
-
-class GroupedLearner {
- public:
-  /// r >= 1 message bits; group size is 2^{r-1}; n must be divisible by the
-  /// group size.
-  GroupedLearner(std::uint64_t n, std::uint64_t k, unsigned r);
-
-  [[nodiscard]] DiscreteDistribution learn(const SampleSource& source,
-                                           Rng& rng) const;
-  [[nodiscard]] double learn_l1_error(const DiscreteDistribution& truth,
-                                      Rng& rng) const;
-
-  [[nodiscard]] std::uint64_t num_groups() const noexcept {
-    return n_ / group_size_;
-  }
-
- private:
-  std::uint64_t n_;
-  std::uint64_t k_;
-  unsigned r_;
-  std::uint64_t group_size_;
 };
 
 }  // namespace duti

@@ -1,5 +1,5 @@
 // Message maps bridging the testers' encodings to the core module's
-// MultibitMessageAnalysis: dense (tuple -> symbol) functions on small
+// MessageAnalysis: dense (tuple -> symbol) functions on small
 // universes that mirror what the scalable testers compute per player.
 #pragma once
 

@@ -158,33 +158,20 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
   bits.reserve(k);
   // A player's vote is decided once its pair count passes floor(local_t_),
   // and nothing reads its stream after the vote, so its count may stop
-  // there (a kRandomBit Byzantine player draws no samples at all).
+  // there.
   const std::uint64_t decided_above = collision_vote_decided_above(local_t_);
   for (unsigned j = 0; j < k; ++j) {
     if (role[j] == 2) continue;  // crashed: nothing arrives
+    // Every player that sends draws its seed from the run stream; a
+    // Byzantine one sends a stuck alarm without sampling.
     Rng player_rng = make_rng(rng(), j);
-    std::uint8_t bit = 0;
-    const bool need_honest_vote =
-        role[j] == 0 ||
-        plan_.byzantine_mode == ByzantineMode::kAdversarialFlip;
-    if (need_honest_vote) {
-      const std::uint64_t pairs =
-          source.count_pairs(player_rng, cfg_.q, decided_above);
-      bit = static_cast<double>(pairs) > local_t_ ? 1 : 0;
-    }
     if (role[j] == 1) {
-      switch (plan_.byzantine_mode) {
-        case ByzantineMode::kStuckAtZero: bit = 0; break;
-        case ByzantineMode::kStuckAtOne: bit = 1; break;
-        case ByzantineMode::kRandomBit:
-          bit = static_cast<std::uint8_t>(player_rng() & 1ULL);
-          break;
-        case ByzantineMode::kAdversarialFlip:
-          bit = bit ? 0 : 1;
-          break;
-      }
+      bits.push_back(1);
+      continue;
     }
-    bits.push_back(bit);
+    const std::uint64_t pairs =
+        source.count_pairs(player_rng, cfg_.q, decided_above);
+    bits.push_back(static_cast<double>(pairs) > local_t_ ? 1 : 0);
   }
 
   const std::uint64_t received = bits.size();
@@ -199,10 +186,10 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
     case Rule::kMedianOfGroups:
       return MedianOfGroupsRule{k, p_u_, effective_delta()}.decide(bits);
     case Rule::kTrimmed:
-      return TrimmedMeanRule{k, p_u_, effective_delta()}.decide(rejects,
-                                                                received);
+      break;
   }
-  return RefereeOutcome::kAbortTimeout;  // unreachable
+  return TrimmedMeanRule{k, p_u_, effective_delta()}.decide(rejects,
+                                                            received);
 }
 
 }  // namespace duti

@@ -31,21 +31,12 @@
 
 namespace duti {
 
-/// How a Byzantine player tampers with its one-bit vote.
-enum class ByzantineMode {
-  kStuckAtZero,      // always 0 (always-accept)
-  kStuckAtOne,       // always 1 (stuck-on-alarm)
-  kRandomBit,        // a fair coin
-  kAdversarialFlip,  // the honest vote, negated
-};
-
-/// What one protocol execution produced at the referee. Abort reasons are
-/// kept distinct from rejections so the harness can attribute failures.
+/// What one protocol execution produced at the referee. An abort is kept
+/// distinct from a rejection so the harness can attribute failures.
 enum class RefereeOutcome {
   kAccept,
   kReject,
-  kAbortQuorum,   // too few bits arrived to decide
-  kAbortTimeout,  // the protocol ran out of rounds before deciding
+  kAbortQuorum,  // too few bits arrived to decide
 };
 
 [[nodiscard]] constexpr const char* to_string(RefereeOutcome o) noexcept {
@@ -53,7 +44,6 @@ enum class RefereeOutcome {
     case RefereeOutcome::kAccept: return "accept";
     case RefereeOutcome::kReject: return "reject";
     case RefereeOutcome::kAbortQuorum: return "abort-quorum";
-    case RefereeOutcome::kAbortTimeout: return "abort-timeout";
   }
   return "?";
 }
@@ -114,8 +104,7 @@ struct TrimmedMeanRule {
 /// rates average over fault placements.
 struct FaultPlan {
   double crash_fraction = 0.0;      // players that send nothing
-  double byzantine_fraction = 0.0;  // players whose bit is adversarial
-  ByzantineMode byzantine_mode = ByzantineMode::kStuckAtOne;
+  double byzantine_fraction = 0.0;  // players whose bit is stuck at 1
 };
 
 /// The distributed threshold tester of [7] run under a fault plan, with a

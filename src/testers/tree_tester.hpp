@@ -10,6 +10,7 @@
 
 #include "sim/convergecast.hpp"
 #include "sim/sample_source.hpp"
+#include "testers/distributed.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
@@ -20,17 +21,10 @@ struct TreeTestResult {
   NetworkStats stats;
 };
 
-/// One epoch: every node (root included) draws q samples from `source`,
-/// votes reject iff its collision count exceeds `local_threshold`, the
-/// votes convergecast to the tree root, and the root rejects iff at least
-/// `referee_t` rejections arrived.
-[[nodiscard]] TreeTestResult tree_uniformity_test(
-    Network& net, const SpanningTree& tree, const SampleSource& source,
-    unsigned q, double local_threshold, std::uint64_t referee_t, Rng& rng);
-
-/// A calibrated multi-hop tester mirroring DistributedThresholdTester: the
-/// local rule votes at the uniform collision mean, and the root threshold
-/// comes from the same calibration (simulate one player on uniform).
+/// The calibrated threshold tester on a network: a DistributedThresholdTester
+/// with one player per node supplies the calibration and, on its protocol
+/// plane, the votes; the votes convergecast to the root, which rejects iff
+/// at least referee_threshold() rejections arrived.
 class TreeUniformityTester {
  public:
   struct Config {
@@ -43,6 +37,8 @@ class TreeUniformityTester {
   TreeUniformityTester(Network& net, NodeId root, Config cfg, Rng& calib_rng,
                        std::size_t calib_trials = 0 /* auto */);
 
+  /// One epoch: every node (root included) votes on q samples from
+  /// `source`, and the reject votes convergecast to the root.
   [[nodiscard]] TreeTestResult run_epoch(const SampleSource& source,
                                          Rng& rng) const;
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const {
@@ -51,16 +47,16 @@ class TreeUniformityTester {
 
   [[nodiscard]] const SpanningTree& tree() const noexcept { return tree_; }
   [[nodiscard]] std::uint64_t referee_threshold() const noexcept {
-    return referee_t_;
+    return players_.referee_threshold();
   }
-  [[nodiscard]] double local_threshold() const noexcept { return local_t_; }
+  [[nodiscard]] double local_threshold() const noexcept {
+    return players_.local_threshold();
+  }
 
  private:
   Network* net_;  // not owned
   SpanningTree tree_;
-  Config cfg_;
-  double local_t_ = 0.0;
-  std::uint64_t referee_t_ = 1;
+  DistributedThresholdTester players_;
 };
 
 }  // namespace duti

@@ -58,7 +58,7 @@ ProbeResult result_for(std::uint64_t i) {
   ProbeResult r = probe_result_from_tallies(i % 101, (i * 7) % 101, 100, 100,
                                             ProbeStop::kExhausted);
   r.uniform_aborts_quorum = i % 3;
-  r.far_aborts_timeout = i % 5;
+  r.far_aborts_quorum = i % 5;
   return r;
 }
 
@@ -75,7 +75,7 @@ void expect_bit_identical(const ProbeResult& a, const ProbeResult& b) {
   EXPECT_EQ(a.uniform_ci.lo, b.uniform_ci.lo);
   EXPECT_EQ(a.far_ci.hi, b.far_ci.hi);
   EXPECT_EQ(a.uniform_aborts_quorum, b.uniform_aborts_quorum);
-  EXPECT_EQ(a.far_aborts_timeout, b.far_aborts_timeout);
+  EXPECT_EQ(a.far_aborts_quorum, b.far_aborts_quorum);
 }
 
 std::vector<std::string> journal_lines(const std::string& dir) {

@@ -5,6 +5,8 @@
 #include <numeric>
 
 #include "dist/generators.hpp"
+#include "dist/paninski.hpp"
+#include "testers/distributed.hpp"
 #include "testers/tree_tester.hpp"
 #include "util/confidence.hpp"
 
@@ -191,20 +193,37 @@ TEST(TreeTester, RoundsScaleWithDiameterNotSize) {
 }
 
 TEST(TreeTester, VoteCountMatchesDirectComputation) {
-  // The convergecast total must equal the sum of the local votes computed
-  // offline with the same seeds.
+  // The convergecast total must equal the reject count that the threshold
+  // tester's plane collects, with one player per node, from the same
+  // stream: a lossless ring delivers every vote.
   const std::uint64_t n = 128;
   const unsigned q = 16;
   Network net(8);
   add_ring(net);
-  const auto tree = bfs_spanning_tree(net, 0);
+  Rng calib(13);
+  const TreeUniformityTester tester(net, 0, {n, q, 0.5}, calib, 500);
+  Rng calib_players(13);
+  const DistributedThresholdTester players({n, 8, q, 0.5}, calib_players,
+                                           500);
+  EXPECT_EQ(tester.referee_threshold(), players.referee_threshold());
+  Rng far_rng(14);
+  const PaninskiSource far(Paninski::random(n, 0.5, far_rng));
   const UniformSource uniform(n);
-  const double local_t = 16.0 * 15.0 / 2.0 / 128.0;
-  Rng r1(13);
-  const auto result =
-      tree_uniformity_test(net, tree, uniform, q, local_t, 3, r1);
-  EXPECT_LE(result.reject_votes, 8u);
-  EXPECT_EQ(result.accept, result.reject_votes < 3);
+  for (const SampleSource* source :
+       {static_cast<const SampleSource*>(&uniform),
+        static_cast<const SampleSource*>(&far)}) {
+    for (std::uint64_t seed = 15; seed < 20; ++seed) {
+      Rng r1(seed), r2(seed);
+      const auto result = tester.run_epoch(*source, r1);
+      std::uint64_t rejects = 0;
+      for (const Message& m : players.executor().collect(*source, r2)) {
+        if (!m.as_bit()) ++rejects;
+      }
+      EXPECT_EQ(result.reject_votes, rejects) << "seed=" << seed;
+      EXPECT_EQ(result.accept,
+                result.reject_votes < tester.referee_threshold());
+    }
+  }
 }
 
 }  // namespace

@@ -29,9 +29,7 @@ void expect_probe_equal(const ProbeResult& a, const ProbeResult& b) {
   EXPECT_EQ(a.budget, b.budget);
   EXPECT_EQ(a.stop, b.stop);
   EXPECT_EQ(a.uniform_aborts_quorum, b.uniform_aborts_quorum);
-  EXPECT_EQ(a.uniform_aborts_timeout, b.uniform_aborts_timeout);
   EXPECT_EQ(a.far_aborts_quorum, b.far_aborts_quorum);
-  EXPECT_EQ(a.far_aborts_timeout, b.far_aborts_timeout);
 }
 
 // A representative tester: draws samples and thresholds collision pairs,
@@ -49,14 +47,13 @@ TesterRun noisy_collision_tester() {
 }
 
 // A TesterRunEx whose outcome depends on the trial's sample and run
-// streams, with all four referee outcomes reachable, so every abort tally
+// streams, with all three referee outcomes reachable, so every abort tally
 // moves.
 TesterRunEx aborting_tester() {
   return [](const SampleSource& source, Rng& rng) {
     const std::uint64_t s = source.sample(rng);
     const double u = rng.next_double();
-    if (u < 0.10) return RefereeOutcome::kAbortQuorum;
-    if (u < 0.25) return RefereeOutcome::kAbortTimeout;
+    if (u < 0.25) return RefereeOutcome::kAbortQuorum;
     return (s + static_cast<std::uint64_t>(u * 1000.0)) % 3 == 0
                ? RefereeOutcome::kAccept
                : RefereeOutcome::kReject;

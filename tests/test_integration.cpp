@@ -106,12 +106,8 @@ TEST(IntegrationLemma42, HoldsForTheActualCollisionVoterMessageFunction) {
   const CubeDomain dom(ell);
   const double n = static_cast<double>(dom.universe_size());
   const SampleTupleCodec codec(dom, q);
-  const auto vote = collision_vote_message(codec);
-  const auto g = BooleanCubeFunction::tabulate(
-      codec.total_bits(), [&vote](std::uint64_t packed) {
-        return static_cast<double>(vote(packed));  // 1 = accept
-      });
-  const MessageAnalysis analysis(codec, g);
+  // Symbol 1 = accept.
+  const MessageAnalysis analysis(codec, 1, collision_vote_message(codec));
   const auto moments = analysis.z_moments_exact(eps);
   ASSERT_TRUE(bounds::lemma42_valid(n, q, eps));
   const double bound =
@@ -127,19 +123,14 @@ TEST(IntegrationDivergencePipeline, Fact63CapsExactPerPlayerDivergence) {
   const double eps = 0.5;
   const CubeDomain dom(ell);
   const SampleTupleCodec codec(dom, q);
-  const auto vote = collision_vote_message(codec);
-  const auto g = BooleanCubeFunction::tabulate(
-      codec.total_bits(), [&vote](std::uint64_t packed) {
-        return static_cast<double>(vote(packed));
-      });
-  const MessageAnalysis analysis(codec, g);
+  const MessageAnalysis analysis(codec, 1, collision_vote_message(codec));
   const double mu_g = analysis.mu();
   ASSERT_GT(mu_g, 0.0);
   ASSERT_LT(mu_g, 1.0);
   Rng rng(56);
   for (int t = 0; t < 50; ++t) {
     const NuZ nu(dom, PerturbationVector::random(ell, rng), eps);
-    const double alpha = analysis.nu_z_exact(nu);
+    const double alpha = analysis.nu_z(nu);
     EXPECT_LE(kl_bernoulli(alpha, mu_g),
               chi2_bernoulli_bound(alpha, mu_g) + 1e-12);
   }

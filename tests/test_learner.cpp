@@ -143,61 +143,6 @@ TEST(PresenceBitLearner, Validation) {
   EXPECT_THROW(PresenceBitLearner(16, 32, 0), InvalidArgument);
 }
 
-TEST(GroupedLearner, Validation) {
-  EXPECT_THROW(GroupedLearner(10, 100, 3), InvalidArgument);  // 10 % 4 != 0
-  EXPECT_THROW(GroupedLearner(16, 2, 3), InvalidArgument);    // k < groups
-  EXPECT_NO_THROW(GroupedLearner(16, 16, 3));
-}
-
-TEST(GroupedLearner, GroupGeometry) {
-  const GroupedLearner learner(32, 64, 4);  // group size 8
-  EXPECT_EQ(learner.num_groups(), 4u);
-  const GroupedLearner fine(32, 64, 1);  // group size 1: singleton groups
-  EXPECT_EQ(fine.num_groups(), 32u);
-}
-
-TEST(GroupedLearner, OutputIsADistribution) {
-  const GroupedLearner learner(16, 256, 3);
-  const DistributionSource source(gen::zipf(16, 0.8));
-  Rng rng(7);
-  const auto learned = learner.learn(source, rng);
-  double total = 0.0;
-  for (double p : learned.pmf_vector()) total += p;
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(GroupedLearner, ErrorDecreasesWithK) {
-  const std::uint64_t n = 16;
-  const auto truth = gen::zipf(n, 1.0);
-  auto avg_error = [&](std::uint64_t k, std::uint64_t seed) {
-    const GroupedLearner learner(n, k, 3);
-    std::vector<double> errs;
-    for (int t = 0; t < 10; ++t) {
-      Rng rng = make_rng(seed, t);
-      errs.push_back(learner.learn_l1_error(truth, rng));
-    }
-    return mean(errs);
-  };
-  EXPECT_LT(avg_error(8192, 9), avg_error(128, 8));
-}
-
-TEST(GroupedLearner, WiderMessagesHelpAtFixedK) {
-  // More bits per node => larger groups => more nodes effectively observe
-  // each element => lower error ([1]'s n^2/(2^r eps^2) trade-off).
-  const std::uint64_t n = 32, k = 2048;
-  const auto truth = gen::bimodal(n, 0.9);
-  auto avg_error = [&](unsigned r, std::uint64_t seed) {
-    const GroupedLearner learner(n, k, r);
-    std::vector<double> errs;
-    for (int t = 0; t < 10; ++t) {
-      Rng rng = make_rng(seed, t);
-      errs.push_back(learner.learn_l1_error(truth, rng));
-    }
-    return mean(errs);
-  };
-  EXPECT_LT(avg_error(6, 11), avg_error(1, 10));
-}
-
 TEST(Learners, DomainMismatchThrows) {
   const StochasticRoundingLearner learner(8, 64, 2);
   const UniformSource source(16);

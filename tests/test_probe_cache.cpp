@@ -46,7 +46,7 @@ ProbeResult sample_result() {
   ProbeResult r = probe_result_from_tallies(301, 295, 400, 400,
                                             ProbeStop::kExhausted);
   r.uniform_aborts_quorum = 3;
-  r.far_aborts_timeout = 1;
+  r.far_aborts_quorum = 1;
   return r;
 }
 
@@ -65,9 +65,7 @@ void expect_bit_identical(const ProbeResult& a, const ProbeResult& b) {
   EXPECT_EQ(a.budget, b.budget);
   EXPECT_EQ(a.stop, b.stop);
   EXPECT_EQ(a.uniform_aborts_quorum, b.uniform_aborts_quorum);
-  EXPECT_EQ(a.uniform_aborts_timeout, b.uniform_aborts_timeout);
   EXPECT_EQ(a.far_aborts_quorum, b.far_aborts_quorum);
-  EXPECT_EQ(a.far_aborts_timeout, b.far_aborts_timeout);
 }
 
 TEST_F(ProbeCacheTest, RoundTripsAcrossProcesses) {

@@ -155,7 +155,6 @@ TEST(RobustThresholdTester, QuorumSurvivesCrashesThatKillNaiveRule) {
 TEST(RobustThresholdTester, MedianOfGroupsSurvivesStuckAtOneByzantines) {
   FaultPlan byz10;
   byz10.byzantine_fraction = 0.1;
-  byz10.byzantine_mode = ByzantineMode::kStuckAtOne;
   Rng calib(17);
   const RobustThresholdTester median({kN, kK, 48, kEps}, byz10,
                                      RobustThresholdTester::Rule::kMedianOfGroups,
