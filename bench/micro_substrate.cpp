@@ -91,8 +91,10 @@ void BM_PaninskiPmfBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_PaninskiPmfBuild)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
-/// Branch-free alias draws from a Paninski table. At eps = 0.25 the coin
-/// sends a quarter of the draws to the alias, unpredictably.
+/// Alias draws from a Paninski table: the index shift, then the integer
+/// coin (the raw's top 53 bits against the column's threshold) and a
+/// cmov to the alias. At eps = 0.25 the coin sends a quarter of the draws
+/// to the alias, unpredictably, so a branch would mispredict.
 void BM_PaninskiSampleMany(benchmark::State& state) {
   Rng rng(9);
   const PaninskiSource source(

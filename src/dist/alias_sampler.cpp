@@ -13,31 +13,43 @@ namespace {
 /// order, and tops up the top small bucket from the top large one. A large
 /// bucket demoted below 1 is pushed onto the small stack and popped on the
 /// very next step, so each stack is a downward cursor over its class plus
-/// one pending slot. `next_small(i, v)` and `next_large(i, v)` advance a
+/// one pending slot. `next_small(i, v, t)` and `next_large(i, v)` advance a
 /// class's cursor to its next index below, with that column's scaled
-/// weight, and return false (then and on every later call) once the class
-/// is exhausted. `prob` doubles as the working copy: the only weight that
-/// changes is the current large bucket's, which lives in a register.
+/// weight (and, for a small column, its coin threshold
+/// t = Rng::coin_threshold(v)), and return false (then and on every later
+/// call) once the class is exhausted. The only weight that changes is the
+/// current large bucket's, which lives in a register. A demoted bucket's
+/// threshold is taken when it is topped up, and is the cursor's last one
+/// when its weight is the cursor's last weight: on a Paninski table with
+/// no rounding every demoted bucket holds the light weight L, since
+/// (H + L) - 1 = 1 and (1 + L) - 1 = L, so no demotion converts.
 template <typename NextSmall, typename NextLarge>
-void vose(double* prob, std::uint64_t* alias, NextSmall next_small,
+void vose(std::uint64_t* threshold, std::uint64_t* alias, NextSmall next_small,
           NextLarge next_large) {
   std::uint64_t s = 0;
   std::uint64_t l = 0;
   double sv = 0.0;
+  std::uint64_t st = 0;
   double lv = 0.0;
   std::uint64_t pending = 0;
   double pending_v = 0.0;
   bool has_pending = false;
+  double cursor_v = 0.0;
+  std::uint64_t cursor_t = 0;  // Rng::coin_threshold(cursor_v)
   bool has_large = next_large(l, lv);
   while (has_large) {
     if (has_pending) {
       s = pending;
       sv = pending_v;
+      st = sv == cursor_v ? cursor_t : Rng::coin_threshold(sv);
       has_pending = false;
-    } else if (!next_small(s, sv)) {
+    } else if (next_small(s, cursor_v, cursor_t)) {
+      sv = cursor_v;
+      st = cursor_t;
+    } else {
       break;
     }
-    prob[s] = sv;
+    threshold[s] = st;
     alias[s] = l;
     lv = (lv + sv) - 1.0;
     if (lv < 1.0) {
@@ -47,22 +59,24 @@ void vose(double* prob, std::uint64_t* alias, NextSmall next_small,
       has_large = next_large(l, lv);
     }
   }
-  // Remaining buckets are exactly 1 up to float round-off.
-  const auto keep = [prob, alias](std::uint64_t i) {
-    prob[i] = 1.0;
+  // Remaining buckets are exactly 1 up to float round-off: every raw keeps
+  // them.
+  const std::uint64_t always = Rng::coin_threshold(1.0);
+  const auto keep = [threshold, alias, always](std::uint64_t i) {
+    threshold[i] = always;
     alias[i] = i;
   };
   if (has_large) keep(l);
   while (next_large(l, lv)) keep(l);
   if (has_pending) keep(pending);
-  while (next_small(s, sv)) keep(s);
+  while (next_small(s, sv, st)) keep(s);
 }
 
 }  // namespace
 
 void AliasSampler::allocate(std::size_t n) {
   n_ = n;
-  prob_ = std::make_unique_for_overwrite<double[]>(n);
+  threshold_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
   alias_ = std::make_unique_for_overwrite<std::uint64_t[]>(n);
 }
 
@@ -98,8 +112,14 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   };
   std::size_t small_cursor = n;
   std::size_t large_cursor = n;
-  vose(prob_.get(), alias_.get(), scan(small_cursor, true),
-       scan(large_cursor, false));
+  const auto next_small = [small = scan(small_cursor, true)](
+                              std::uint64_t& i, double& v,
+                              std::uint64_t& t) {
+    if (!small(i, v)) return false;
+    t = Rng::coin_threshold(v);
+    return true;
+  };
+  vose(threshold_.get(), alias_.get(), next_small, scan(large_cursor, false));
 }
 
 AliasSampler::AliasSampler(std::span<const std::uint64_t> heavy_odd,
@@ -113,15 +133,17 @@ AliasSampler::AliasSampler(std::span<const std::uint64_t> heavy_odd,
   if (heavy < 1.0 || !(light < 1.0)) {
     // Both columns on one side of 1: one class is empty and every bucket
     // is kept, as in the weights constructor.
+    const std::uint64_t always = Rng::coin_threshold(1.0);
     for (std::size_t i = 0; i < n; ++i) {
-      prob_[i] = 1.0;
+      threshold_[i] = always;
       alias_[i] = i;
     }
     return;
   }
   // Every pair holds exactly one small (light) and one large (heavy)
   // column, so both cursors walk the pairs from the top, without scanning;
-  // `flip` turns a pair's heavy column into its light partner.
+  // `flip` turns a pair's heavy column into its light partner. Every light
+  // column has the one threshold of `light`, converted once here.
   const std::uint64_t* words = heavy_odd.data();
   const auto walk = [words](std::size_t& pair, std::uint64_t flip,
                             double value) {
@@ -135,7 +157,14 @@ AliasSampler::AliasSampler(std::span<const std::uint64_t> heavy_odd,
   };
   std::size_t small_pair = pairs;
   std::size_t large_pair = pairs;
-  vose(prob_.get(), alias_.get(), walk(small_pair, 1U, light),
+  const auto next_light = [light_walk = walk(small_pair, 1U, light),
+                           t_light = Rng::coin_threshold(light)](
+                              std::uint64_t& i, double& v,
+                              std::uint64_t& t) {
+    t = t_light;
+    return light_walk(i, v);
+  };
+  vose(threshold_.get(), alias_.get(), next_light,
        walk(large_pair, 0U, heavy));
 }
 

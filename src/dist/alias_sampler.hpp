@@ -38,13 +38,18 @@ class AliasSampler {
   /// so a loop holding a Draw keeps the table pointers in registers.
   template <typename Index>
   struct Draw {
-    const double* prob;
+    const std::uint64_t* threshold;
     const std::uint64_t* alias;
     Index index;
 
     std::uint64_t operator()(Rng& rng) const noexcept {
       const std::uint64_t i = index(rng);
-      return pick(i, rng.next_double() < prob[i], alias[i]);
+      // Column i's coin `next_double() < p` as its integer threshold
+      // (Rng::coin_threshold), and a select, not a branch: the coin fails
+      // wherever a bucket was topped up, which on a Paninski table is a
+      // quarter to half of all draws (DESIGN.md §11).
+      const std::uint64_t other = alias[i];
+      return (rng() >> 11) < threshold[i] ? i : other;
     }
   };
 
@@ -53,7 +58,8 @@ class AliasSampler {
   template <typename Body>
   [[gnu::always_inline]] decltype(auto) with_draw(Body&& body) const {
     return with_index_draw(n_, [this, &body](auto index) {
-      return body(Draw<decltype(index)>{prob_.get(), alias_.get(), index});
+      return body(
+          Draw<decltype(index)>{threshold_.get(), alias_.get(), index});
     });
   }
 
@@ -77,9 +83,12 @@ class AliasSampler {
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
-  /// The acceptance probability table (exposed for tests).
-  [[nodiscard]] std::span<const double> prob_table() const noexcept {
-    return {prob_.get(), n_};
+  /// The coin table (exposed for tests): column i keeps i when the coin
+  /// raw's top 53 bits are below threshold i, ⌈p_i·2^53⌉ for Vose's
+  /// acceptance probability p_i, at most 2^53.
+  [[nodiscard]] std::span<const std::uint64_t> threshold_table()
+      const noexcept {
+    return {threshold_.get(), n_};
   }
 
   /// The alias table (exposed for tests).
@@ -88,21 +97,12 @@ class AliasSampler {
   }
 
  private:
-  /// `keep ? i : alias` through a mask, not a branch: the coin fails
-  /// wherever a bucket was topped up, which on a Paninski table is a
-  /// quarter to half of all draws, so a branch mispredicts (DESIGN.md §11).
-  static std::uint64_t pick(std::uint64_t i, bool keep,
-                            std::uint64_t alias) noexcept {
-    const std::uint64_t mask = 0 - static_cast<std::uint64_t>(keep);
-    return alias ^ ((i ^ alias) & mask);
-  }
-
   /// Allocate both n-entry tables without zero-filling them: the Vose walk
   /// and the identity path of each constructor write every entry.
   void allocate(std::size_t n);
 
   std::size_t n_ = 0;
-  std::unique_ptr<double[]> prob_;
+  std::unique_ptr<std::uint64_t[]> threshold_;
   std::unique_ptr<std::uint64_t[]> alias_;
 };
 

@@ -46,6 +46,9 @@ NuZ::NuZ(CubeDomain domain, PerturbationVector z, double eps)
     : domain_(domain), z_(std::move(z)), eps_(eps) {
   require(domain_.ell() == z_.ell(), "NuZ: domain/z dimension mismatch");
   require(eps_ >= 0.0 && eps_ <= 1.0, "NuZ: eps must be in [0,1]");
+  // P(s=+1 | x) = (1 + z(x) eps) / 2, as the draw computed it per sample.
+  plus_threshold_ = {Rng::coin_threshold(0.5 * (1.0 + eps_)),
+                     Rng::coin_threshold(0.5 * (1.0 - eps_))};
 }
 
 double NuZ::pmf(std::uint64_t element) const noexcept {

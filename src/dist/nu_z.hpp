@@ -8,6 +8,7 @@
 // uniformly random z averages to the uniform distribution exactly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -64,11 +65,12 @@ class NuZ {
   /// register copy of the stream.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
     const std::uint64_t x = ShiftIndex{64U - domain_.ell()}(rng);
-    // P(s=+1 | x) = (1 + z(x) eps) / 2.
-    const double p_plus = 0.5 * (1.0 + static_cast<double>(z_.sign(x)) * eps_);
-    // s = -1 sets bit ell. As a shifted flag, not a select: GCC 12 turned
-    // the select into a branch, which the coin mispredicts half the time.
-    const bool minus = !(rng.next_double() < p_plus);
+    // s = -1 sets bit ell: the coin `next_double() < (1 + z(x) eps)/2`
+    // fails. The coin is the integer compare against the threshold of
+    // z(x)'s sign (Rng::coin_threshold), indexed, not branched on: a random
+    // z takes either sign half the time.
+    const std::uint64_t plus_below = plus_threshold_[z_.sign(x) < 0 ? 1 : 0];
+    const bool minus = (rng() >> 11) >= plus_below;
     return x | (static_cast<std::uint64_t>(minus) << domain_.ell());
   }
 
@@ -88,6 +90,8 @@ class NuZ {
   CubeDomain domain_;
   PerturbationVector z_;
   double eps_;
+  /// coin_threshold((1 + eps)/2) for z(x) = +1, and of (1 - eps)/2 for -1.
+  std::array<std::uint64_t, 2> plus_threshold_{};
 };
 
 }  // namespace duti

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/error.hpp"
+
 namespace duti {
 
 /// splitmix64: a tiny 64-bit generator used to seed other generators and to
@@ -78,6 +80,26 @@ class Xoshiro256pp {
   /// Uniform double in [0, 1) with 53 bits of precision.
   double next_double() noexcept {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
+
+  /// The coin `next_double() < p` as an integer compare on the same raw:
+  /// `(raw >> 11) < coin_threshold(p)` holds for exactly the raws on which
+  /// next_double() < p. With m = raw >> 11 < 2^53, next_double() is
+  /// m·2^-53 exactly, and p·2^53 is exact as well (a power-of-two scale of
+  /// p <= 1 neither overflows nor rounds, subnormal p included), so
+  /// m·2^-53 < p ⟺ m < p·2^53 ⟺ m < ⌈p·2^53⌉, the last step because m is
+  /// an integer. The threshold is at most 2^53, which every raw passes.
+  /// Throws InvalidArgument for p < 0, p > 1 and NaN, whose conversion to
+  /// an integer could be undefined.
+  [[nodiscard]] static std::uint64_t coin_threshold(double p) {
+    require(p >= 0.0 && p <= 1.0, "coin_threshold: p must be in [0, 1]");
+    const double scaled = p * 0x1.0p53;
+    // Truncation is the floor here (scaled >= 0); the ceiling adds 1
+    // unless scaled is whole. Both conversions are exact up to 2^53, and
+    // signed ones, which x86-64 does in one instruction each.
+    const auto floor = static_cast<std::int64_t>(scaled);
+    return static_cast<std::uint64_t>(
+        floor + (static_cast<double>(floor) < scaled ? 1 : 0));
   }
 
   /// Uniform integer in [0, bound) without modulo bias (Lemire's method).

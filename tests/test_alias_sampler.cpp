@@ -85,10 +85,11 @@ TEST(AliasSampler, InvalidInputsThrow) {
 
 TEST(AliasSampler, ProbTablesWellFormed) {
   const AliasSampler s({0.1, 0.2, 0.3, 0.4});
-  for (double p : s.prob_table()) {
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0 + 1e-12);
+  // A threshold of 2^53 keeps its column on every raw.
+  for (const std::uint64_t t : s.threshold_table()) {
+    EXPECT_LE(t, std::uint64_t{1} << 53);
   }
+  for (const std::uint64_t a : s.alias_table()) EXPECT_LT(a, s.size());
 }
 
 TEST(AliasSampler, ChiSquareGoodnessOfFit) {

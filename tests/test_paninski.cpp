@@ -2,8 +2,9 @@
 // from the pair signs, without a pmf. These tests pin that every table,
 // draw and RNG exit state is bit-identical to the materialized path
 // (gen::paninski -> DiscreteDistribution -> AliasSampler over the pmf), and
-// that AliasSampler's implicit-stack Vose loop reproduces the classic
-// worklist construction.
+// that AliasSampler's implicit-stack Vose loop with integer coins
+// reproduces the classic double-coin worklist construction
+// (vose_reference.hpp): the same aliases, and ⌈p·2^53⌉ for every p.
 #include "dist/paninski.hpp"
 
 #include <gtest/gtest.h>
@@ -24,9 +25,14 @@
 #include "stats/workloads.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "vose_reference.hpp"
 
 namespace duti {
 namespace {
+
+using vose_reference::ceil_thresholds;
+using vose_reference::worklist_table;
+using vose_reference::WorklistTable;
 
 std::vector<std::uint64_t> bits_of(std::span<const double> v) {
   std::vector<std::uint64_t> out(v.size());
@@ -41,49 +47,11 @@ std::vector<std::uint64_t> alias_of(const AliasSampler& s) {
   return {a.begin(), a.end()};
 }
 
-/// Vose's construction with explicit small/large worklists and a scaled
-/// copy, as AliasSampler built it before its cursors: the reference the
-/// implicit-stack loop must reproduce bit for bit.
-struct WorklistTable {
-  std::vector<double> prob;
-  std::vector<std::uint64_t> alias;
-};
-
-WorklistTable worklist_table(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (const double w : weights) total += w;
-  const std::size_t n = weights.size();
-  WorklistTable t{std::vector<double>(n, 0.0),
-                  std::vector<std::uint64_t>(n, 0)};
-  std::vector<double> scaled(n);
-  const double scale = static_cast<double>(n) / total;
-  for (std::size_t i = 0; i < n; ++i) scaled[i] = weights[i] * scale;
-  std::vector<std::uint64_t> small;
-  std::vector<std::uint64_t> large;
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(i);
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint64_t s = small.back();
-    small.pop_back();
-    const std::uint64_t l = large.back();
-    t.prob[s] = scaled[s];
-    t.alias[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  for (const std::uint64_t l : large) {
-    t.prob[l] = 1.0;
-    t.alias[l] = l;
-  }
-  for (const std::uint64_t s : small) {
-    t.prob[s] = 1.0;
-    t.alias[s] = s;
-  }
-  return t;
+/// A sampler's coin thresholds as a vector, so gtest compares and prints
+/// them.
+std::vector<std::uint64_t> thresholds_of(const AliasSampler& s) {
+  const std::span<const std::uint64_t> t = s.threshold_table();
+  return {t.begin(), t.end()};
 }
 
 TEST(AliasSamplerCursors, MatchWorklistConstruction) {
@@ -126,7 +94,8 @@ TEST(AliasSamplerCursors, MatchWorklistConstruction) {
     }
     const AliasSampler sampler(w);
     const WorklistTable ref = worklist_table(w);
-    ASSERT_EQ(bits_of(sampler.prob_table()), bits_of(ref.prob)) << "case " << c;
+    ASSERT_EQ(thresholds_of(sampler), ceil_thresholds(ref.prob))
+        << "case " << c;
     ASSERT_EQ(alias_of(sampler), ref.alias) << "case " << c;
   }
   EXPECT_GT(exact_ones, 400);
@@ -147,8 +116,12 @@ void expect_bit_identical(std::size_t n, double eps, std::uint64_t seed) {
   ASSERT_NE(source, nullptr);
   const AliasSampler direct = source->paninski().sampler();
   const AliasSampler reference(materialized.distribution().pmf_vector());
-  ASSERT_EQ(bits_of(direct.prob_table()), bits_of(reference.prob_table()));
+  ASSERT_EQ(thresholds_of(direct), thresholds_of(reference));
   ASSERT_EQ(alias_of(direct), alias_of(reference));
+  const WorklistTable ref =
+      worklist_table(materialized.distribution().pmf_vector());
+  ASSERT_EQ(thresholds_of(direct), ceil_thresholds(ref.prob));
+  ASSERT_EQ(alias_of(direct), ref.alias);
 
   Rng draw_a(derive_seed(seed, 1));
   Rng draw_b(derive_seed(seed, 1));

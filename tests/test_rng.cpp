@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/sample_source.hpp"
+#include "util/error.hpp"
 
 namespace duti {
 namespace {
@@ -252,6 +256,100 @@ TEST(IndexDraw, UniformOverOneTakesOneRawPerDrawAndReturnsZero) {
   Rng stopped(34);
   EXPECT_EQ(one.count_pairs(stopped, 40, 5), 6U);
   expect_raws(stopped, 34, 4);
+}
+
+// --- The integer coin --------------------------------------------------------
+//
+// Rng::coin_threshold(p) must give `next_double() < p`'s verdict on every
+// raw. These rows set up a generator whose next raw is chosen, so the
+// verdict on the right is the real next_double's.
+
+/// A generator whose next output is `raw`: xoshiro256++ returns
+/// rotl(s0 + s3, 23) + s0, which is raw for s0 = 0 and s3 = rotr(raw, 23).
+Rng with_next_raw(std::uint64_t raw) {
+  Rng rng;
+  rng.set_state({0, 0, 0, (raw >> 23) | (raw << 41)});
+  return rng;
+}
+
+/// For raws whose top 53 bits are t - 1, t and t + 1 (those below 2^53),
+/// each with low 11 bits 0 and 2047, the integer coin against next_double.
+void expect_coin_matches_next_double(double p, std::uint64_t t) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  for (const std::uint64_t m : {t - 1, t, t + 1}) {
+    if (m >= kTop) continue;  // t - 1 wraps at t = 0; t + 1 can be 2^53
+    for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{2047}}) {
+      const std::uint64_t raw = (m << 11) | low;
+      Rng rng = with_next_raw(raw);
+      const bool keep = (raw >> 11) < t;
+      ASSERT_EQ(keep, rng.next_double() < p)
+          << "p=" << p << " raw=" << raw;
+    }
+  }
+}
+
+TEST(CoinThreshold, BoundaryRowsGiveTheDoubleCoinsVerdict) {
+  ASSERT_EQ(with_next_raw(0x0123456789abcdefULL)(), 0x0123456789abcdefULL);
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  // p, then ⌈p·2^53⌉ at p's lower neighbour, at p, at its upper neighbour
+  // (computed in exact rational arithmetic).
+  struct Row {
+    double p;
+    std::uint64_t below, at, above;
+  };
+  const Row rows[] = {
+      {0.0, 0, 0, 1},
+      {kTiny, 0, 1, 1},
+      {0x1p-53, 1, 1, 2},
+      {0.25, 2251799813685248, 2251799813685248, 2251799813685249},
+      {1.0 / 3.0, 3002399751580330, 3002399751580331, 3002399751580331},
+      {0.5, 4503599627370496, 4503599627370496, 4503599627370497},
+      {0.75, 6755399441055743, 6755399441055744, 6755399441055745},
+      {1.0 - 0x1p-53, 9007199254740990, 9007199254740991, 9007199254740992},
+      {1.0, 9007199254740991, 9007199254740992, 0},
+  };
+  for (const Row& r : rows) {
+    const double below = std::nextafter(r.p, -1.0);
+    const double above = std::nextafter(r.p, 2.0);
+    for (const auto& [p, t] : {std::pair(below, r.below), std::pair(r.p, r.at),
+                               std::pair(above, r.above)}) {
+      SCOPED_TRACE(testing::Message() << std::hexfloat << "p=" << p);
+      if (p < 0.0 || p > 1.0) {
+        EXPECT_THROW((void)Rng::coin_threshold(p), InvalidArgument);
+        continue;
+      }
+      ASSERT_EQ(Rng::coin_threshold(p), t);
+      expect_coin_matches_next_double(p, t);
+    }
+  }
+  EXPECT_THROW((void)Rng::coin_threshold(std::nan("")), InvalidArgument);
+  EXPECT_THROW((void)Rng::coin_threshold(-1.0), InvalidArgument);
+  EXPECT_THROW((void)Rng::coin_threshold(2.0), InvalidArgument);
+  EXPECT_THROW(
+      (void)Rng::coin_threshold(std::numeric_limits<double>::infinity()),
+      InvalidArgument);
+  // -0.0 is 0: no raw passes.
+  EXPECT_EQ(Rng::coin_threshold(-0.0), 0U);
+}
+
+TEST(CoinThreshold, MatchesTheDoubleCoinAtRandomProbabilities) {
+  // Random p over every binade in [0, 1] (uniform exponent and mantissa
+  // bits), and uniform p, each checked on the raws around its threshold.
+  Rng rng(41);
+  for (int i = 0; i < 20000; ++i) {
+    double p = 0.0;
+    if (i % 2 == 0) {
+      p = rng.next_double();
+    } else {
+      const std::uint64_t exponent = rng.next_below(1024);  // up to 2^0
+      const std::uint64_t mantissa = rng() >> 12;
+      p = std::bit_cast<double>((exponent << 52) | mantissa);
+      if (p > 1.0) p = 1.0;
+    }
+    const std::uint64_t t = Rng::coin_threshold(p);
+    ASSERT_LE(t, std::uint64_t{1} << 53);
+    expect_coin_matches_next_double(p, t);
+  }
 }
 
 TEST(Xoshiro, SatisfiesUniformRandomBitGenerator) {

@@ -340,6 +340,22 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
        0x9b73e12950f83762ULL, {369, 197, 59}},
       {"e9", bench::e9_points(4096, 32, 0.5, {1, 8}, 150, 1),
        0x247908c4c95728a8ULL, {125, 106}},
+      // perfbench's sweeps families (perfbench/refs/references.txt), so a
+      // far-draw change that moves them fails here too. e8_chi and
+      // e8_coincidence take their seed salts through the SamplingKernel
+      // tag and stay perfbench's.
+      {"e2_and", bench::e2_and_points(1024, 0.5, {2, 32, 512}, 150, 1),
+       0x6ea6a27102e3efdaULL, {336, 293, 250}},
+      {"e2_thr", bench::e2_threshold_points(1024, 0.5, {2, 32, 512}, 150, 1),
+       0x973e582fd2950a7fULL, {184, 62, 13}},
+      {"e3", bench::e3_points(4096, 64, 0.5, {1, 4, 16}, 150, 1),
+       0x858e3e0d9545a6ceULL, {175, 96, 77}},
+      {"e8_collision",
+       bench::e8_n_points<CentralizedCollisionTester>("collision",
+                                                      {256, 4096}, 0.5, 150, 1),
+       0x41177c44c3e0f8d1ULL, {88, 372}},
+      {"e8_eps", bench::e8_eps_points(4096, {0.25, 0.5, 1.0}, 150, 1),
+       0xe2fef6b1631db9c3ULL, {1405, 368, 116}},
       {"e10", bench::e10_points(4096, 0.5, bench::e10_shapes(), 150, 1),
        0x625de3bcb9b8a769ULL, {155, 164, 80, 193}},
       {"e13_crash", bench::e13_crash_points(e13_quick), 0x2f49bc8fae3bec99ULL,

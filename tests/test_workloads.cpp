@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <map>
 
 #include "dist/generators.hpp"
 #include "util/error.hpp"
+#include "vose_reference.hpp"
 
 namespace duti {
 namespace {
@@ -163,14 +165,13 @@ TEST(UniformSampleMany, MatchesNextBelowStreamAndFinalState) {
 
 using ReferenceDraw = std::function<std::uint64_t(Rng&)>;
 
-/// The alias draw written out over `sampler`'s tables (which must outlive
-/// the draw): next_below(n), then the coin.
-ReferenceDraw alias_reference(const AliasSampler& sampler) {
-  const std::span<const double> prob = sampler.prob_table();
-  const std::span<const std::uint64_t> alias = sampler.alias_table();
-  return [prob, alias](Rng& rng) {
-    const std::uint64_t i = rng.next_below(prob.size());
-    return rng.next_double() < prob[i] ? i : alias[i];
+/// The alias draw written out over the double-coin table of `pmf`, built
+/// apart from AliasSampler (vose_reference.hpp): next_below(n), then the
+/// coin `next_double() < p`.
+ReferenceDraw alias_reference(const std::vector<double>& pmf) {
+  return [table = vose_reference::worklist_table(pmf)](Rng& rng) {
+    const std::uint64_t i = rng.next_below(table.prob.size());
+    return rng.next_double() < table.prob[i] ? i : table.alias[i];
   };
 }
 
@@ -246,15 +247,15 @@ TEST(SampleSources, AliasBoundaryRowsDrawLikeNextBelow) {
   for (const std::size_t n : paninski_sizes) {
     SCOPED_TRACE(testing::Message() << "paninski n=" << n);
     const PaninskiSource source(Paninski::random(n, 0.25, rng));
-    const AliasSampler table = source.paninski().sampler();
-    expect_draws_like(source, alias_reference(table), n);
+    const DiscreteDistribution pmf = source.paninski().to_distribution();
+    expect_draws_like(source, alias_reference(pmf.pmf_vector()), n);
   }
   const std::size_t zipf_sizes[] = {1000, 1024};
   for (const std::size_t n : zipf_sizes) {
     SCOPED_TRACE(testing::Message() << "zipf n=" << n);
     const DistributionSource source(gen::zipf(n, 1.0));
-    expect_draws_like(source, alias_reference(source.distribution().sampler()),
-                      n);
+    expect_draws_like(source,
+                      alias_reference(source.distribution().pmf_vector()), n);
   }
 }
 
@@ -266,6 +267,66 @@ TEST(SampleSources, NuZBoundaryRowsDrawLikeNextBelow) {
         NuZ(CubeDomain(ell), PerturbationVector::random(ell, rng), 0.5));
     expect_draws_like(source, nu_z_reference(source.nu()), ell);
   }
+}
+
+TEST(SampleSources, CoinRawsAtTheThresholdDrawLikeTheDoubleCoin) {
+  // A coin raw lands on its column's threshold with probability 2^-53 per
+  // draw, so the rows above never reach it. These rows build each source
+  // around its stream instead: the first draw's coin raw has top 53 bits m,
+  // and the drawn column's probability is p = t·2^-53 for t the even one of
+  // m and m + 1, so next_double() = m·2^-53 < p fails at t = m and holds at
+  // t = m + 1. An even t keeps both pmf entries below exact.
+  int kept = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng peek(seed);
+    const std::uint64_t index_raw = peek();
+    const std::uint64_t m = peek() >> 11;
+    const std::uint64_t t = m + (m & 1U);
+    const double p = std::ldexp(static_cast<double>(t), -53);
+    const bool keep = m < t;
+    kept += keep ? 1 : 0;
+    std::vector<std::uint64_t> out;
+
+    // Two columns; the index raw's top bit draws column i, of weight p / 2.
+    const std::uint64_t i = index_raw >> 63;
+    std::vector<double> pmf(2);
+    pmf[i] = p / 2.0;
+    pmf[1 - i] = 1.0 - pmf[i];
+    ASSERT_EQ(vose_reference::worklist_table(pmf).prob[i], p);
+    const DistributionSource alias_source{DiscreteDistribution(pmf)};
+    Rng expected(seed);
+    const std::uint64_t alias_want = alias_reference(pmf)(expected);
+    ASSERT_EQ(alias_want, keep ? i : 1 - i);
+    Rng drawn(seed);
+    EXPECT_EQ(alias_source.sample(drawn), alias_want);
+    Rng batch(seed);
+    alias_source.sample_many(batch, 1, out);
+    EXPECT_EQ(out[0], alias_want);
+
+    // nu_z: P(s = +1 | x) = (1 + z(x) eps)/2 = p, from z(x) = +1 when
+    // p >= 1/2 and -1 below; both eps and 1 ± eps are exact.
+    const unsigned ell = 4;
+    const std::uint64_t x = index_raw >> (64 - ell);
+    PerturbationVector z(ell);
+    double eps = 2.0 * p - 1.0;
+    if (p < 0.5) {
+      z.set_sign(x, -1);
+      eps = 1.0 - 2.0 * p;
+    }
+    const NuZSource nu_source(NuZ(CubeDomain(ell), z, eps));
+    Rng nu_expected(seed);
+    const std::uint64_t nu_want = nu_z_reference(nu_source.nu())(nu_expected);
+    ASSERT_EQ(nu_want, keep ? x : x | (std::uint64_t{1} << ell));
+    Rng nu_drawn(seed);
+    EXPECT_EQ(nu_source.sample(nu_drawn), nu_want);
+    Rng nu_batch(seed);
+    nu_source.sample_many(nu_batch, 1, out);
+    EXPECT_EQ(out[0], nu_want);
+  }
+  // Both verdicts occur.
+  EXPECT_GT(kept, 0);
+  EXPECT_LT(kept, 64);
 }
 
 TEST(Workloads, Validation) {
