@@ -29,7 +29,7 @@ using namespace duti;
 /// Success rates with `byzantine` players replaced by always-reject votes.
 std::pair<double, double> rates_with_byzantine(
     const DistributedTesterConfig& cfg, std::uint64_t referee_t,
-    double local_threshold, unsigned byzantine, bool and_rule, int trials,
+    const CollisionVote& vote, unsigned byzantine, bool and_rule, int trials,
     std::uint64_t seed) {
   SuccessCounter uniform_ok, far_ok;
   const UniformSource uniform(cfg.n);
@@ -43,10 +43,7 @@ std::pair<double, double> rates_with_byzantine(
       }
       Rng player_rng = make_rng(rng(), j);
       source.sample_many(player_rng, cfg.q, samples);
-      if (static_cast<double>(collision_pairs(samples, cfg.n)) >
-          local_threshold) {
-        ++rejects;
-      }
+      if (vote.rejects(collision_pairs(samples, cfg.n))) ++rejects;
     }
     return and_rule ? rejects == 0 : rejects < referee_t;
   };
@@ -98,12 +95,11 @@ int main(int argc, char** argv) try {
                "threshold uniform-accept", "threshold far-reject"});
   for (unsigned byz : {0u, 1u, 2u, 4u, 8u}) {
     const auto [and_u, and_f] = rates_with_byzantine(
-        cfg, 0, and_recipe.local_threshold(), byz, /*and_rule=*/true, trials,
+        cfg, 0, and_recipe.vote(), byz, /*and_rule=*/true, trials,
         derive_seed(seed, byz, 1));
     const auto [thr_u, thr_f] = rates_with_byzantine(
-        cfg, threshold_recipe.referee_threshold(),
-        threshold_recipe.local_threshold(), byz, /*and_rule=*/false, trials,
-        derive_seed(seed, byz, 2));
+        cfg, threshold_recipe.referee_threshold(), threshold_recipe.vote(),
+        byz, /*and_rule=*/false, trials, derive_seed(seed, byz, 2));
     table.add_row({static_cast<std::int64_t>(byz), and_u, and_f, thr_u,
                    thr_f});
   }

@@ -6,9 +6,13 @@
 // z-samples does the MC estimator need to reach a given relative error,
 // and what does each method cost? The table justifies the defaults used by
 // the lemma benches.
+//
+// duti-lint: allow-file(no-wall-clock) -- the time column is the cost half
+// of this ablation; the moments themselves depend only on seeded streams.
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "core/message_analysis.hpp"
@@ -37,15 +41,14 @@ int main(int argc, char** argv) try {
   const auto g = fn::random_boolean(codec.total_bits(), 0.3, fn_rng);
   const MessageAnalysis analysis(codec, g);
 
-  using Clock = std::chrono::steady_clock;
-  // duti-lint: allow(no-wall-clock) -- timing the exact enumerator is the
-  // point of this ablation; the moments themselves are seed-deterministic.
-  const auto exact_start = Clock::now();
-  const auto exact = analysis.z_moments_exact(eps);
-  const double exact_ms =
-      // duti-lint: allow(no-wall-clock) -- closes the exact-path timer.
-      std::chrono::duration<double, std::milli>(Clock::now() - exact_start)
-          .count();
+  // An estimator's result and the milliseconds it took.
+  const auto timed = [](const auto& estimate) {
+    const auto start = std::chrono::steady_clock::now();
+    auto moments = estimate();
+    return std::pair(moments, 1e3 * bench::seconds_since(start));
+  };
+  const auto [exact, exact_ms] =
+      timed([&] { return analysis.z_moments_exact(eps); });
 
   Table table({"method", "z trials", "second moment", "rel error",
                "time (ms)"});
@@ -54,14 +57,8 @@ int main(int argc, char** argv) try {
                  exact.second_moment, 0.0, exact_ms});
   for (std::size_t trials : {100ULL, 1000ULL, 10000ULL, 100000ULL}) {
     Rng rng(derive_seed(seed, trials));
-    // duti-lint: allow(no-wall-clock) -- times the MC estimator for the
-    // cost-vs-accuracy table; estimates depend only on derive_seed streams.
-    const auto mc_start = Clock::now();
-    const auto mc = analysis.z_moments_mc(eps, trials, rng);
-    const double mc_ms =
-        // duti-lint: allow(no-wall-clock) -- closes the MC timer.
-        std::chrono::duration<double, std::milli>(Clock::now() - mc_start)
-            .count();
+    const auto [mc, mc_ms] =
+        timed([&] { return analysis.z_moments_mc(eps, trials, rng); });
     const double rel =
         exact.second_moment > 0.0
             ? std::fabs(mc.second_moment - exact.second_moment) /

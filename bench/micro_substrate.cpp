@@ -201,14 +201,13 @@ void BM_ProtocolRound(benchmark::State& state) {
   const auto k = static_cast<unsigned>(state.range(0));
   const std::uint64_t n = 4096;
   const unsigned q = 32;
-  const double local_t =
-      expected_collision_pairs_uniform(static_cast<double>(n), q);
+  const CollisionVote vote = CollisionVote::at_uniform_mean(n, q);
   const ProtocolBatchExecutor executor(
       k, q,
-      [local_t](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
-        return Message::bit(!(static_cast<double>(pairs) > local_t));
+      [vote](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
+        return Message::bit(!vote.rejects(pairs));
       },
-      collision_vote_decided_above(local_t));
+      vote.decided_above());
   const UniformSource source(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.run(source, rng, 2));
@@ -233,8 +232,7 @@ void BM_PlayerPairs(benchmark::State& state) {
   const std::uint64_t bound =
       state.range(1) == 0
           ? kNoPairBound
-          : collision_vote_decided_above(
-                expected_collision_pairs_uniform(static_cast<double>(n), q));
+          : CollisionVote::at_uniform_mean(n, q).decided_above();
   Rng rng(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(source->count_pairs(rng, q, bound));
@@ -316,7 +314,7 @@ BENCHMARK(BM_ProbeSourceFresh);
 void BM_ProbeSuccess(benchmark::State& state) {
   constexpr std::uint64_t kN = 4096;
   constexpr std::size_t kTrials = 300;
-  const FixedThresholdTester tester({kN, 32, 64, 0.5, 4});
+  const FixedThresholdTester tester({kN, 32, 64, 0.5}, 4);
   const TesterRun run = [&tester](const SampleSource& src, Rng& rng) {
     return tester.run(src, rng);
   };

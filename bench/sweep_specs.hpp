@@ -226,9 +226,8 @@ inline std::vector<SweepPoint> e3_points(std::uint64_t n, unsigned k,
     p.far = workloads::paninski_far_factory(n, eps);
     p.make_tester = [n, k, eps, t_forced](std::uint64_t q) -> TesterRun {
       auto tester = std::make_shared<FixedThresholdTester>(
-          FixedThresholdTester::Config{
-              n, k, static_cast<unsigned>(q), eps,
-              static_cast<std::uint64_t>(t_forced)});
+          DistributedTesterConfig{n, k, static_cast<unsigned>(q), eps},
+          static_cast<std::uint64_t>(t_forced));
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
       };
@@ -341,9 +340,8 @@ inline std::vector<SweepPoint> e9_points(std::uint64_t n, unsigned k,
     p.make_tester = [n, k, eps, r, seed_r](std::uint64_t q) -> TesterRun {
       Rng calib_rng = make_rng(seed_r, q, 0xCA11B);
       auto tester = std::make_shared<MultibitSumTester>(
-          MultibitSumTester::Config{n, k, static_cast<unsigned>(q), eps,
-                                    static_cast<unsigned>(r)},
-          calib_rng);
+          DistributedTesterConfig{n, k, static_cast<unsigned>(q), eps},
+          static_cast<unsigned>(r), calib_rng);
       return [tester](const SampleSource& src, Rng& rng) {
         return tester->run(src, rng);
       };

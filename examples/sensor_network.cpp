@@ -45,11 +45,11 @@ struct EpochResult {
   unsigned rounds = 0;
 };
 
-/// One epoch on the network simulator. `local_threshold` is each sensor's
-/// alarm cutoff on its collision count; `referee_min_alarms` = 0 selects
-/// the LOCAL deployment (alarm-only transmission, OR/AND semantics).
+/// One epoch on the network simulator. `vote` is each sensor's alarm rule
+/// on its collision count; `referee_min_alarms` = 0 selects the LOCAL
+/// deployment (alarm-only transmission, OR/AND semantics).
 EpochResult run_epoch(const SampleSource& environment, unsigned sensors,
-                      unsigned q, double local_threshold,
+                      unsigned q, const CollisionVote& vote,
                       std::uint64_t referee_min_alarms, Rng& rng) {
   Network net(sensors + 1);  // node 0 = base station
   net.add_star(0);
@@ -79,9 +79,8 @@ EpochResult run_epoch(const SampleSource& environment, unsigned sensors,
     net.set_behavior(s, [&, s](RoundContext& ctx) {
       std::vector<std::uint64_t> readings;
       environment.sample_many(ctx.rng(), q, readings);
-      const bool unhappy =
-          static_cast<double>(collision_pairs(
-              readings, environment.domain_size())) > local_threshold;
+      const bool unhappy = vote.rejects(
+          collision_pairs(readings, environment.domain_size()));
       if (referee_min_alarms == 0) {
         if (unhappy) ctx.send(0, {1}, 1);  // speak only to raise an alarm
       } else {
@@ -112,16 +111,15 @@ int main(int argc, char** argv) {
             << q << " measurements/sensor/epoch, healthy = uniform over "
             << n << " buckets, anomaly = " << eps << "-far\n\n";
 
-  const double lambda =
-      expected_collision_pairs_uniform(static_cast<double>(n), q);
   // LOCAL deployment: per-sensor false-alarm budget 1/(3*sensors) -> high
   // local bar (the DistributedAndTester recipe).
   const DistributedAndTester and_recipe({n, sensors, q, eps});
-  const double local_bar = and_recipe.local_threshold();
+  const CollisionVote& alarm_vote = and_recipe.vote();
   // REFEREE deployment: vote at the uniform mean; alarm when >= T unhappy.
   Rng calib_rng = make_rng(seed, 0);
   const DistributedThresholdTester ref_recipe({n, sensors, q, eps},
                                               calib_rng);
+  const CollisionVote& mean_vote = ref_recipe.vote();
 
   const UniformSource healthy(n);
   SuccessCounter local_false, local_detect, ref_false, ref_detect;
@@ -129,11 +127,11 @@ int main(int argc, char** argv) {
   for (int e = 0; e < epochs; ++e) {
     // Healthy epochs.
     Rng r1 = make_rng(seed, 1, e);
-    const auto local_h = run_epoch(healthy, sensors, q, local_bar, 0, r1);
+    const auto local_h = run_epoch(healthy, sensors, q, alarm_vote, 0, r1);
     local_false.record(local_h.alarm);
     local_bits += local_h.bits_sent;
     Rng r2 = make_rng(seed, 2, e);
-    const auto ref_h = run_epoch(healthy, sensors, q, lambda,
+    const auto ref_h = run_epoch(healthy, sensors, q, mean_vote,
                                  ref_recipe.referee_threshold(), r2);
     ref_false.record(ref_h.alarm);
     ref_bits += ref_h.bits_sent;
@@ -142,9 +140,9 @@ int main(int argc, char** argv) {
     const DistributionSource anomaly(gen::paninski(n, eps, gen_rng));
     Rng r3 = make_rng(seed, 4, e);
     local_detect.record(
-        run_epoch(anomaly, sensors, q, local_bar, 0, r3).alarm);
+        run_epoch(anomaly, sensors, q, alarm_vote, 0, r3).alarm);
     Rng r4 = make_rng(seed, 5, e);
-    ref_detect.record(run_epoch(anomaly, sensors, q, lambda,
+    ref_detect.record(run_epoch(anomaly, sensors, q, mean_vote,
                                 ref_recipe.referee_threshold(), r4)
                           .alarm);
   }
@@ -173,7 +171,6 @@ int main(int argc, char** argv) {
   // re-parenting around the crash).
   const std::uint32_t rows = 4, cols = 4;
   const auto relays = static_cast<unsigned>(rows * cols - 1);
-  const double vote_bar = lambda;  // vote at the uniform collision mean
   Rng grid_calib = make_rng(seed, 6);
   const DistributedThresholdTester grid_recipe({n, relays, q, eps},
                                                grid_calib);
@@ -185,10 +182,8 @@ int main(int argc, char** argv) {
     for (NodeId s = 1; s < rows * cols; ++s) {
       Rng sensor_rng = make_rng(rng(), s);
       env.sample_many(sensor_rng, q, readings);
-      values[s] = static_cast<double>(collision_pairs(
-                      readings, env.domain_size())) > vote_bar
-                      ? 1
-                      : 0;
+      const std::uint64_t pairs = collision_pairs(readings, env.domain_size());
+      values[s] = grid_recipe.vote().rejects(pairs) ? 1 : 0;
     }
     return values;
   };

@@ -63,25 +63,34 @@ struct Tally {
   }
 };
 
-// One worker slot's state for a whole probe: its trial-invariant sources,
-// materialized on first use and reused for every later trial the slot runs
-// (the allocation hoist), and the tallies of every trial it ran. Only the
-// thread running the slot touches it during a loop, and each slot has its
-// own cache lines, so workers never write to a shared line.
+// One worker slot's tallies for a whole probe: only the thread running the
+// slot touches it during a loop, and each slot has its own cache lines, so
+// workers never write to a shared line.
 struct alignas(64) WorkerSlot {
-  std::unique_ptr<SampleSource> uniform;
-  std::unique_ptr<SampleSource> far;
   Tally tally;
 };
 
-// Materialize (or fetch the cached) source for one trial side.
-const SampleSource& trial_source(const SourceSpec& spec, Rng& rng,
-                                 std::unique_ptr<SampleSource>& cached,
+// Stream salts of a trial's uniform and far sources.
+constexpr std::uint64_t kUniformSourceSalt = 0xF00DULL;
+constexpr std::uint64_t kFarSourceSalt = 0xFA5ULL;
+
+// A trial-invariant side's one source for the whole probe, built from trial
+// 0's stream (the factory ignores it), or null for a side that builds a
+// fresh source per trial.
+std::unique_ptr<SampleSource> invariant_source(const SourceSpec& spec,
+                                               std::uint64_t seed,
+                                               std::uint64_t salt) {
+  if (!spec.trial_invariant()) return nullptr;
+  Rng rng = make_rng(seed, salt, 0);
+  return spec(rng);
+}
+
+// The source one trial side reads: the probe's shared source, or a fresh
+// one from the trial's stream.
+const SampleSource& trial_source(const SourceSpec& spec,
+                                 const SampleSource* shared, Rng& rng,
                                  std::unique_ptr<SampleSource>& fresh) {
-  if (spec.trial_invariant()) {
-    if (!cached) cached = spec(rng);
-    return *cached;
-  }
+  if (shared != nullptr) return *shared;
   fresh = spec(rng);
   return *fresh;
 }
@@ -96,7 +105,9 @@ const SampleSource& trial_source(const SourceSpec& spec, Rng& rng,
 // one is taken.
 template <typename Runs>
 void run_trial_range(const Runs& runs, const SourceSpec& uniform_source,
-                     const SourceSpec& far_source, std::size_t t0,
+                     const SampleSource* uniform_shared,
+                     const SourceSpec& far_source,
+                     const SampleSource* far_shared, std::size_t t0,
                      std::size_t t1, std::uint64_t seed, ThreadPool& pool,
                      std::vector<WorkerSlot>& slots) {
   pool.parallel_for(
@@ -105,18 +116,18 @@ void run_trial_range(const Runs& runs, const SourceSpec& uniform_source,
         for (std::size_t i = begin; i < end; ++i) {
           const std::size_t t = t0 + i;
           {
-            Rng rng = make_rng(seed, 0xF00DULL, t);
+            Rng rng = make_rng(seed, kUniformSourceSalt, t);
             std::unique_ptr<SampleSource> fresh;
             const SampleSource& source =
-                trial_source(uniform_source, rng, slot.uniform, fresh);
+                trial_source(uniform_source, uniform_shared, rng, fresh);
             Rng run_rng = make_rng(seed, 0xBEEFULL, t);
             runs.uniform(source, run_rng, slot.tally);
           }
           {
-            Rng rng = make_rng(seed, 0xFA5ULL, t);
+            Rng rng = make_rng(seed, kFarSourceSalt, t);
             std::unique_ptr<SampleSource> fresh;
             const SampleSource& source =
-                trial_source(far_source, rng, slot.far, fresh);
+                trial_source(far_source, far_shared, rng, fresh);
             Rng run_rng = make_rng(seed, 0xCAFEULL, t);
             runs.far(source, run_rng, slot.tally);
           }
@@ -187,14 +198,20 @@ ProbeResult run_probe(const Runs& runs, const SourceSpec& uniform_source,
   const double z =
       checks > 0 ? union_bound_z(kAdaptiveDelta, 2 * checks) : 0.0;
 
+  // Each trial-invariant side's source is built once per probe, here,
+  // before the first batch, and every worker reads that one source.
+  const std::unique_ptr<SampleSource> uniform_shared =
+      invariant_source(uniform_source, seed, kUniformSourceSalt);
+  const std::unique_ptr<SampleSource> far_shared =
+      invariant_source(far_source, seed, kFarSourceSalt);
   std::vector<WorkerSlot> slots(pool.size());
   Tally total;
   const double budget_d = static_cast<double>(max_trials);
   std::size_t done = 0;
   while (done < max_trials) {
     const std::size_t next = std::min(done + batch, max_trials);
-    run_trial_range(runs, uniform_source, far_source, done, next, seed, pool,
-                    slots);
+    run_trial_range(runs, uniform_source, uniform_shared.get(), far_source,
+                    far_shared.get(), done, next, seed, pool, slots);
     total = merged_tally(slots);
     done = next;
     if (done == max_trials) break;

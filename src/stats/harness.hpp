@@ -43,9 +43,11 @@ using TesterRunEx = std::function<RefereeOutcome(const SampleSource&, Rng&)>;
 using SourceFactory = std::function<std::unique_ptr<SampleSource>(Rng&)>;
 
 /// A SourceFactory plus the promise (or not) that it ignores its Rng — i.e.
-/// every trial would see an identical source. When the promise holds, the
-/// probe loops materialize the source once per worker instead of paying a
-/// heap allocation per trial (measured in micro_substrate).
+/// every trial would see an identical source. When the promise holds, a
+/// probe builds the source once, before its first batch, and its concurrent
+/// workers all read that one source, so the source must be safe to share
+/// (UniformSource is: it holds only n). That replaces a heap allocation per
+/// trial (measured in micro_substrate).
 /// Implicitly convertible from a plain SourceFactory (treated as
 /// trial-varying), so existing call sites are unaffected.
 class SourceSpec {

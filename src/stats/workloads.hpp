@@ -10,8 +10,8 @@
 
 namespace duti::workloads {
 
-/// Fresh UniformSource on {0,...,n-1} per trial. Trial-invariant: the probe
-/// loops materialize it once per worker instead of once per trial.
+/// UniformSource on {0,...,n-1}. Trial-invariant: a probe builds it once
+/// and every worker reads it, instead of building one per trial.
 [[nodiscard]] SourceSpec uniform_factory(std::uint64_t n);
 
 /// Fresh eps-far Paninski distribution with random pair signs per trial

@@ -41,19 +41,19 @@ AsymmetricRateTester::AsymmetricRateTester(std::uint64_t n,
   }
   referee_t_ = mean + std::sqrt(std::max(1e-12, var));
 
-  // Per-player local thresholds, resolved once for the vote functor.
-  std::vector<double> local_t(qs_.size());
-  std::vector<std::uint64_t> decided_above(qs_.size());
-  for (std::size_t j = 0; j < qs_.size(); ++j) {
-    local_t[j] = expected_collision_pairs_uniform(static_cast<double>(n_),
-                                                  qs_[j]);
-    decided_above[j] = collision_vote_decided_above(local_t[j]);
+  // Per-player votes at each q's uniform mean, resolved once for the
+  // executor.
+  std::vector<CollisionVote> votes;
+  std::vector<std::uint64_t> decided_above;
+  for (const unsigned q : qs_) {
+    votes.push_back(CollisionVote::at_uniform_mean(n_, q));
+    decided_above.push_back(votes.back().decided_above());
   }
   exec_.emplace(
       qs_,
-      [local_t = std::move(local_t)](unsigned j, std::uint64_t pairs,
-                                     Rng& /*rng*/) {
-        return Message::bit(!(static_cast<double>(pairs) > local_t[j]));
+      [votes = std::move(votes)](unsigned j, std::uint64_t pairs,
+                                 Rng& /*rng*/) {
+        return Message::bit(!votes[j].rejects(pairs));
       },
       std::move(decided_above));
   // Same verdict as the original bench referee: it accumulated rejects as

@@ -33,7 +33,6 @@ class AsymmetricRateTester {
   /// One protocol execution on the batched plane; true = accept.
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
-  [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
   [[nodiscard]] const std::vector<unsigned>& qs() const noexcept {
     return qs_;
   }

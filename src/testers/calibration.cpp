@@ -72,11 +72,10 @@ std::vector<double> uniform_reject_rates(std::uint64_t n,
   return calibrate_on_uniform(
       "rejects", n, qs, trials, calib_rng,
       [n](unsigned q, std::span<const std::uint64_t> pairs) {
-        const double local_t =
-            expected_collision_pairs_uniform(static_cast<double>(n), q);
+        const CollisionVote vote = CollisionVote::at_uniform_mean(n, q);
         std::uint64_t rejects = 0;
         for (const std::uint64_t p : pairs) {
-          if (static_cast<double>(p) > local_t) ++rejects;
+          if (vote.rejects(p)) ++rejects;
         }
         return std::vector<double>{static_cast<double>(rejects) /
                                    static_cast<double>(pairs.size())};

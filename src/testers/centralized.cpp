@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "testers/collision.hpp"
+#include "testers/distributed.hpp"
 #include "util/error.hpp"
 
 namespace duti {
@@ -24,9 +25,7 @@ double chi_squared_from_pairs(std::uint64_t n, unsigned q,
 CentralizedCollisionTester::CentralizedCollisionTester(std::uint64_t n,
                                                        double eps, unsigned q)
     : n_(n), eps_(eps), q_(q) {
-  require(n >= 2, "CentralizedCollisionTester: n must be >= 2");
-  require(eps > 0.0 && eps <= 1.0, "CentralizedCollisionTester: eps in (0,1]");
-  require(q >= 2, "CentralizedCollisionTester: q must be >= 2");
+  check_tester_config("CentralizedCollisionTester", {n, 1, q, eps});
   const double nd = static_cast<double>(n);
   const double mean_uniform = expected_collision_pairs_uniform(nd, q);
   // eps-far distributions have expected pairs >= mean_uniform*(1 + eps^2);
@@ -60,9 +59,7 @@ bool CentralizedCollisionTester::run(const SampleSource& source,
 PaninskiCoincidenceTester::PaninskiCoincidenceTester(std::uint64_t n,
                                                      double eps, unsigned q)
     : n_(n), eps_(eps), q_(q) {
-  require(n >= 2, "PaninskiCoincidenceTester: n must be >= 2");
-  require(eps > 0.0 && eps <= 1.0, "PaninskiCoincidenceTester: eps in (0,1]");
-  require(q >= 2, "PaninskiCoincidenceTester: q must be >= 2");
+  check_tester_config("PaninskiCoincidenceTester", {n, 1, q, eps});
   const double nd = static_cast<double>(n);
   const double qd = static_cast<double>(q);
   // Exact expected distinct counts. Uniform: n (1 - (1 - 1/n)^q). For the
@@ -96,9 +93,7 @@ bool PaninskiCoincidenceTester::run(const SampleSource& source,
 
 ChiSquaredTester::ChiSquaredTester(std::uint64_t n, double eps, unsigned q)
     : n_(n), eps_(eps), q_(q) {
-  require(n >= 2, "ChiSquaredTester: n must be >= 2");
-  require(eps > 0.0 && eps <= 1.0, "ChiSquaredTester: eps in (0,1]");
-  require(q >= 2, "ChiSquaredTester: q must be >= 2");
+  check_tester_config("ChiSquaredTester", {n, 1, q, eps});
   // E[statistic] = q n ||mu - U||_2^2 - n ||mu||_2^2: equals -1 under
   // uniform, and at least q eps^2 - 1 - eps^2 for eps-far mu (via
   // ||mu - U||_2^2 >= eps^2/n). Accept below the midpoint.

@@ -25,7 +25,6 @@ class CentralizedCollisionTester {
   [[nodiscard]] static unsigned sufficient_q(std::uint64_t n, double eps,
                                              double c = 3.0);
 
-  [[nodiscard]] unsigned q() const noexcept { return q_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   /// Decide from an explicit sample vector: true = accept (looks uniform).
@@ -49,7 +48,6 @@ class PaninskiCoincidenceTester {
  public:
   PaninskiCoincidenceTester(std::uint64_t n, double eps, unsigned q);
 
-  [[nodiscard]] unsigned q() const noexcept { return q_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
@@ -73,7 +71,6 @@ class ChiSquaredTester {
  public:
   ChiSquaredTester(std::uint64_t n, double eps, unsigned q);
 
-  [[nodiscard]] unsigned q() const noexcept { return q_; }
   [[nodiscard]] double threshold() const noexcept { return threshold_; }
 
   /// The statistic itself (exposed for tests). Throws InvalidArgument,

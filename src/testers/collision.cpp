@@ -21,12 +21,12 @@ double expected_collision_pairs_uniform(double n, unsigned q) {
   return pairs / n;
 }
 
-std::uint64_t collision_vote_decided_above(double local_threshold) {
+std::uint64_t CollisionVote::decided_above() const noexcept {
   // Below 2^53 every count above floor(t) converts to a double above t.
   constexpr double kExactCounts = 9007199254740992.0;  // 2^53
-  if (!(local_threshold < kExactCounts)) return kNoPairBound;
-  if (local_threshold < 0.0) return 0;
-  return static_cast<std::uint64_t>(std::floor(local_threshold));
+  if (!(t_ < kExactCounts)) return kNoPairBound;
+  if (t_ < 0.0) return 0;
+  return static_cast<std::uint64_t>(std::floor(t_));
 }
 
 }  // namespace duti

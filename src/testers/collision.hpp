@@ -28,12 +28,37 @@ namespace duti {
 /// Expected pair-collision count for q uniform samples on domain n.
 [[nodiscard]] double expected_collision_pairs_uniform(double n, unsigned q);
 
-/// The decided_above of the one-bit collision vote "reject iff
-/// double(pairs) > local_threshold" (sim/protocol_batch.hpp): any count
-/// above floor(local_threshold) rejects. Counts from 2^53 up no longer
-/// convert to double exactly, so a threshold there decides nothing early
-/// (kNoPairBound).
-[[nodiscard]] std::uint64_t collision_vote_decided_above(
-    double local_threshold);
+/// The one-bit collision vote of Fischer-Meir-Oshman [7], the rule every
+/// distributed tester's players follow: reject iff the exact pair count,
+/// converted to double, strictly exceeds the threshold t. Every voter
+/// (executor votes, calibration, message maps, benches and examples) asks
+/// this type, so the compare is written once.
+class CollisionVote {
+ public:
+  explicit CollisionVote(double threshold) noexcept : t_(threshold) {}
+
+  /// The vote at the uniform mean: t = C(q,2)/n.
+  [[nodiscard]] static CollisionVote at_uniform_mean(std::uint64_t n,
+                                                     unsigned q) {
+    return CollisionVote(
+        expected_collision_pairs_uniform(static_cast<double>(n), q));
+  }
+
+  [[nodiscard]] double threshold() const noexcept { return t_; }
+
+  /// true = the player rejects (raises an alarm).
+  [[nodiscard]] bool rejects(std::uint64_t pairs) const noexcept {
+    return static_cast<double>(pairs) > t_;
+  }
+
+  /// The count above which the vote is decided (sim/protocol_batch.hpp):
+  /// any count above floor(t) rejects. Counts from 2^53 up no longer
+  /// convert to double exactly, so a threshold there decides nothing early
+  /// (kNoPairBound).
+  [[nodiscard]] std::uint64_t decided_above() const noexcept;
+
+ private:
+  double t_;
+};
 
 }  // namespace duti

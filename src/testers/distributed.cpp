@@ -2,40 +2,54 @@
 
 #include <cmath>
 #include <span>
+#include <string>
 
 #include "testers/calibration.hpp"
-#include "testers/collision.hpp"
 #include "util/error.hpp"
 
 namespace duti {
 
 namespace {
 
-void check_config(const DistributedTesterConfig& cfg) {
-  require(cfg.n >= 2, "DistributedTester: n must be >= 2");
-  require(cfg.k >= 1, "DistributedTester: k must be >= 1");
-  require(cfg.q >= 2, "DistributedTester: q must be >= 2 (collisions)");
-  require(cfg.eps > 0.0 && cfg.eps <= 1.0, "DistributedTester: eps in (0,1]");
+// The executor's vote: the player's bit is 1 (accept) unless its collision
+// vote rejects.
+ProtocolBatchExecutor::Vote executor_vote(CollisionVote vote) {
+  return [vote](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
+    return Message::bit(!vote.rejects(pairs));
+  };
 }
 
-// The collision voter: reject iff the exact pair count strictly exceeds
-// the local threshold.
-ProtocolBatchExecutor::Vote collision_vote(double local_threshold) {
-  return [local_threshold](unsigned /*j*/, std::uint64_t pairs, Rng& /*rng*/) {
-    return Message::bit(!(static_cast<double>(pairs) > local_threshold));
-  };
+// Per-player false-alarm budget 1/(3k): with lambda = C(q,2)/n, a
+// Poisson-style upper tail P(C >= lambda + t) <= exp(-t^2/(2(lambda+t/3)))
+// gives t = sqrt(2 lambda L) + L for L = ln(3k). No calibration needed;
+// the bound is conservative, which only helps the uniform side.
+CollisionVote and_vote(const DistributedTesterConfig& cfg) {
+  const double lambda =
+      expected_collision_pairs_uniform(static_cast<double>(cfg.n), cfg.q);
+  const double big_l = std::log(3.0 * static_cast<double>(cfg.k));
+  return CollisionVote(lambda + std::sqrt(2.0 * lambda * big_l) + big_l);
 }
 
 }  // namespace
 
+DistributedTesterConfig check_tester_config(
+    std::string_view tester, const DistributedTesterConfig& cfg) {
+  // The message is built only on failure: testers are built per probe.
+  const auto check = [tester](bool ok, const char* what) {
+    if (!ok) throw InvalidArgument(std::string(tester) + ": " + what);
+  };
+  check(cfg.n >= 2, "n must be >= 2");
+  check(cfg.k >= 1, "k must be >= 1");
+  check(cfg.q >= 2, "q must be >= 2 (collisions)");
+  check(cfg.eps > 0.0 && cfg.eps <= 1.0, "eps in (0,1]");
+  return cfg;
+}
+
 DistributedThresholdTester::DistributedThresholdTester(
     DistributedTesterConfig cfg, Rng& calib_rng, std::size_t calib_trials)
-    : cfg_(cfg) {
-  check_config(cfg_);
-  // Local rule: reject iff the collision count exceeds its uniform mean.
-  local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
-                                              cfg_.q);
-
+    : cfg_(check_tester_config("DistributedTester", cfg)),
+      // Local rule: reject iff the collision count exceeds its uniform mean.
+      vote_(CollisionVote::at_uniform_mean(cfg_.n, cfg_.q)) {
   // p_u = P(player rejects | uniform), calibrated by simulating one player
   // (testers differing only in k share the calibration when their trial
   // counts resolve alike). The referee rejects iff at least T players
@@ -46,8 +60,7 @@ DistributedThresholdTester::DistributedThresholdTester(
                               calib_rng)[0];
   referee_t_ = calibrated_referee_threshold(cfg_.k, p_u_);
 
-  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_),
-                collision_vote_decided_above(local_t_));
+  exec_.emplace(cfg_.k, cfg_.q, executor_vote(vote_), vote_.decided_above());
 }
 
 bool DistributedThresholdTester::run(const SampleSource& source,
@@ -58,19 +71,9 @@ bool DistributedThresholdTester::run(const SampleSource& source,
 }
 
 DistributedAndTester::DistributedAndTester(DistributedTesterConfig cfg)
-    : cfg_(cfg) {
-  check_config(cfg_);
-  // Per-player false-alarm budget 1/(3k): with lambda = C(q,2)/n, a
-  // Poisson-style upper tail P(C >= lambda + t) <= exp(-t^2/(2(lambda+t/3)))
-  // gives t = sqrt(2 lambda L) + L for L = ln(3k). No calibration needed;
-  // the bound is conservative, which only helps the uniform side.
-  const double lambda = expected_collision_pairs_uniform(
-      static_cast<double>(cfg_.n), cfg_.q);
-  const double big_l = std::log(3.0 * static_cast<double>(cfg_.k));
-  local_t_ = lambda + std::sqrt(2.0 * lambda * big_l) + big_l;
-
-  exec_.emplace(cfg_.k, cfg_.q, collision_vote(local_t_),
-                collision_vote_decided_above(local_t_));
+    : cfg_(check_tester_config("DistributedTester", cfg)),
+      vote_(and_vote(cfg_)) {
+  exec_.emplace(cfg_.k, cfg_.q, executor_vote(vote_), vote_.decided_above());
 }
 
 bool DistributedAndTester::run(const SampleSource& source, Rng& rng) const {

@@ -21,16 +21,19 @@
 // run() executes on the protocol plane (sim/protocol_batch.hpp): the vote
 // functor and the referee's reject bar are resolved once at construction
 // and trials run through reusable per-worker buffers, with zero per-trial
-// heap allocations. The vote is the only definition of the player's rule:
-// reject iff its exact pair count strictly exceeds local_threshold(), so a
-// player stops drawing once its count passes floor(local_threshold()).
+// heap allocations. Both testers' players vote with the one CollisionVote
+// (testers/collision.hpp): reject iff the exact pair count strictly exceeds
+// vote().threshold(), so a player stops drawing once its count passes
+// vote().decided_above().
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
+#include "testers/collision.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
@@ -41,6 +44,13 @@ struct DistributedTesterConfig {
   unsigned q = 0;       // samples per player (>= 2 so collisions exist)
   double eps = 0.0;     // proximity parameter
 };
+
+/// The one config check of every collision tester: n >= 2, k >= 1, q >= 2
+/// (so pairs exist) and eps in (0, 1]. A centralized tester is one player
+/// ({n, 1, q, eps}). Returns `cfg`; throws InvalidArgument whose message
+/// starts with `tester`.
+DistributedTesterConfig check_tester_config(
+    std::string_view tester, const DistributedTesterConfig& cfg);
 
 class DistributedThresholdTester {
  public:
@@ -58,7 +68,8 @@ class DistributedThresholdTester {
     return referee_t_;
   }
   [[nodiscard]] double p_reject_uniform() const noexcept { return p_u_; }
-  [[nodiscard]] double local_threshold() const noexcept { return local_t_; }
+  /// Every player's vote: at the uniform mean C(q,2)/n.
+  [[nodiscard]] const CollisionVote& vote() const noexcept { return vote_; }
   [[nodiscard]] const DistributedTesterConfig& config() const noexcept {
     return cfg_;
   }
@@ -70,7 +81,7 @@ class DistributedThresholdTester {
 
  private:
   DistributedTesterConfig cfg_;
-  double local_t_ = 0.0;
+  CollisionVote vote_;
   double p_u_ = 0.0;
   std::uint64_t referee_t_ = 1;
   std::optional<ProtocolBatchExecutor> exec_;
@@ -82,10 +93,8 @@ class DistributedAndTester {
 
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
-  [[nodiscard]] double local_threshold() const noexcept { return local_t_; }
-  [[nodiscard]] const DistributedTesterConfig& config() const noexcept {
-    return cfg_;
-  }
+  /// Every player's vote: at the Poisson-tail bound above the uniform mean.
+  [[nodiscard]] const CollisionVote& vote() const noexcept { return vote_; }
 
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;
@@ -93,7 +102,7 @@ class DistributedAndTester {
 
  private:
   DistributedTesterConfig cfg_;
-  double local_t_ = 0.0;
+  CollisionVote vote_;
   std::optional<ProtocolBatchExecutor> exec_;
 };
 

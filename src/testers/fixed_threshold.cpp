@@ -50,13 +50,10 @@ std::uint64_t poisson_upper_quantile(double lambda, double tail) {
   return c;
 }
 
-FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
-  require(cfg_.n >= 2, "FixedThresholdTester: n must be >= 2");
-  require(cfg_.k >= 1, "FixedThresholdTester: k must be >= 1");
-  require(cfg_.q >= 2, "FixedThresholdTester: q must be >= 2");
-  require(cfg_.eps > 0.0 && cfg_.eps <= 1.0,
-          "FixedThresholdTester: eps in (0,1]");
-  require(cfg_.t >= 1 && cfg_.t <= cfg_.k,
+FixedThresholdTester::FixedThresholdTester(DistributedTesterConfig cfg,
+                                           std::uint64_t t)
+    : cfg_(check_tester_config("FixedThresholdTester", cfg)), t_(t) {
+  require(t_ >= 1 && t_ <= cfg_.k,
           "FixedThresholdTester: T must be in [1, k]");
 
   // Step 1: the largest safe per-player rejection probability, by binary
@@ -65,7 +62,7 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
     if (binomial_upper_tail(static_cast<int>(cfg_.k), mid,
-                            static_cast<int>(cfg_.t)) <= kUniformRisk) {
+                            static_cast<int>(t_)) <= kUniformRisk) {
       lo = mid;
     } else {
       hi = mid;
@@ -103,7 +100,7 @@ FixedThresholdTester::FixedThresholdTester(Config cfg) : cfg_(cfg) {
 bool FixedThresholdTester::run(const SampleSource& source, Rng& rng) const {
   require(source.domain_size() == cfg_.n,
           "FixedThresholdTester: domain size mismatch");
-  return exec_->run(source, rng, cfg_.t);
+  return exec_->run(source, rng, t_);
 }
 
 }  // namespace duti

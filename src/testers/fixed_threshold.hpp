@@ -21,6 +21,7 @@
 
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
+#include "testers/distributed.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
@@ -35,15 +36,8 @@ namespace duti {
 
 class FixedThresholdTester {
  public:
-  struct Config {
-    std::uint64_t n = 0;
-    unsigned k = 0;
-    unsigned q = 0;
-    double eps = 0.0;
-    std::uint64_t t = 1;  // referee: reject iff >= T players reject
-  };
-
-  explicit FixedThresholdTester(Config cfg);
+  /// The referee rejects iff at least `t` players reject, t in [1, k].
+  FixedThresholdTester(DistributedTesterConfig cfg, std::uint64_t t);
 
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
@@ -61,14 +55,14 @@ class FixedThresholdTester {
   }
   /// Randomized part: rejection probability when count == c.
   [[nodiscard]] double local_boundary_gamma() const noexcept { return gamma_; }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;
   }
 
  private:
-  Config cfg_;
+  DistributedTesterConfig cfg_;
+  std::uint64_t t_;
   double p_star_ = 0.0;
   std::uint64_t c_ = 0;
   double gamma_ = 0.0;

@@ -5,7 +5,8 @@
 //    responsible for element i = j mod n, and sends a Bernoulli bit whose
 //    expectation is its empirical frequency of i. Unbiased but WASTEFUL:
 //    the bit's variance is mu_i(1-mu_i) regardless of q, so extra samples
-//    buy nothing (k* ~ n^2/delta^2, flat in q — measured in bench E4).
+//    buy nothing (k* ~ n^2/delta^2, flat in q). examples/learning_demo
+//    runs it; bench E4 measures only the presence-bit learner below.
 //
 //  * PresenceBitLearner — q samples and ONE bit per node: the node sends
 //    1[count_i >= 1] and the referee inverts mu_hat = 1 - (1 - p_hat)^{1/q}.
@@ -35,9 +36,6 @@ class StochasticRoundingLearner {
   [[nodiscard]] double learn_l1_error(const DiscreteDistribution& truth,
                                       Rng& rng) const;
 
-  [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
-  [[nodiscard]] std::uint64_t k() const noexcept { return k_; }
-  [[nodiscard]] unsigned q() const noexcept { return q_; }
 
  private:
   std::uint64_t n_;
@@ -58,9 +56,6 @@ class PresenceBitLearner {
   /// p at the boundary (exposed for tests).
   [[nodiscard]] static double invert_presence(double p_hat, unsigned q);
 
-  [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
-  [[nodiscard]] std::uint64_t k() const noexcept { return k_; }
-  [[nodiscard]] unsigned q() const noexcept { return q_; }
 
  private:
   std::uint64_t n_;

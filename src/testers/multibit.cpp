@@ -20,28 +20,26 @@ std::uint32_t MultibitSumTester::encode_count(std::uint64_t pairs, unsigned r,
   return static_cast<std::uint32_t>(std::min(shifted, cap));
 }
 
-MultibitSumTester::MultibitSumTester(Config cfg, Rng& calib_rng,
-                                     std::size_t calib_trials)
-    : cfg_(cfg) {
-  require(cfg_.n >= 2, "MultibitSumTester: n must be >= 2");
-  require(cfg_.k >= 1, "MultibitSumTester: k must be >= 1");
-  require(cfg_.q >= 2, "MultibitSumTester: q must be >= 2");
-  require(cfg_.eps > 0.0 && cfg_.eps <= 1.0, "MultibitSumTester: eps in (0,1]");
-  require(cfg_.r >= 1 && cfg_.r <= 24, "MultibitSumTester: r in [1,24]");
+std::uint64_t MultibitSumTester::window_offset(std::uint64_t n, unsigned q,
+                                               unsigned r) {
+  const double lambda =
+      expected_collision_pairs_uniform(static_cast<double>(n), q);
+  const std::uint64_t half_window = 1ULL << (r - 1);
+  const auto lambda_ceil = static_cast<std::uint64_t>(std::ceil(lambda));
+  return lambda_ceil > half_window ? lambda_ceil - half_window : 0;
+}
+
+MultibitSumTester::MultibitSumTester(DistributedTesterConfig cfg, unsigned r,
+                                     Rng& calib_rng, std::size_t calib_trials)
+    : cfg_(check_tester_config("MultibitSumTester", cfg)) {
+  require(r >= 1 && r <= 24, "MultibitSumTester: r in [1,24]");
 
   // Center the saturating window at the uniform collision mean so the
   // encoding never pins on both hypotheses at once (see header comment).
-  const double lambda = expected_collision_pairs_uniform(
-      static_cast<double>(cfg_.n), cfg_.q);
-  const std::uint64_t half_window = 1ULL << (cfg_.r - 1);
-  const auto lambda_ceil =
-      static_cast<std::uint64_t>(std::ceil(lambda));
-  offset_ = lambda_ceil > half_window ? lambda_ceil - half_window : 0;
+  const std::uint64_t offset = window_offset(cfg_.n, cfg_.q, r);
 
   // Mean and variance of the encoded count under uniform. The encoding
   // reads (n, q, r), so r is the only input the statistic must name.
-  const unsigned r = cfg_.r;
-  const std::uint64_t offset = offset_;
   const std::vector<double> moments = calibrate_on_uniform(
       "encoded|r=" + std::to_string(r), cfg_.n, std::span(&cfg_.q, 1),
       calibration_trials(calib_trials, cfg_.k), calib_rng,

@@ -15,30 +15,22 @@
 
 #include "sim/protocol_batch.hpp"
 #include "sim/sample_source.hpp"
+#include "testers/distributed.hpp"
 #include "util/rng.hpp"
 
 namespace duti {
 
 class MultibitSumTester {
  public:
-  struct Config {
-    std::uint64_t n = 0;
-    unsigned k = 0;
-    unsigned q = 0;
-    double eps = 0.0;
-    unsigned r = 1;  // message bits per player, in [1, 24]
-  };
-
-  /// Calibrates the referee threshold on uniform inputs (see
-  /// DistributedThresholdTester for the calibration rationale; memoized
-  /// through CalibMemo the same way).
-  MultibitSumTester(Config cfg, Rng& calib_rng,
+  /// r message bits per player, in [1, 24]. Calibrates the referee
+  /// threshold on uniform inputs (see DistributedThresholdTester for the
+  /// calibration rationale; memoized through CalibMemo the same way).
+  MultibitSumTester(DistributedTesterConfig cfg, unsigned r, Rng& calib_rng,
                     std::size_t calib_trials = 0 /* auto */);
 
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
   [[nodiscard]] double sum_threshold() const noexcept { return sum_t_; }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// The centered saturating r-bit encoding of a collision count:
   /// clamp(pairs - offset, 0, 2^r - 1).
@@ -46,18 +38,19 @@ class MultibitSumTester {
                                                   unsigned r,
                                                   std::uint64_t offset);
 
-  /// The window offset for this tester's (n, q, r).
-  [[nodiscard]] std::uint64_t window_offset() const noexcept {
-    return offset_;
-  }
+  /// The offset of the r-bit window centered at the uniform mean
+  /// lambda = C(q,2)/n on a domain of n: max(0, ceil(lambda) - 2^{r-1}).
+  /// The tester and its dense message map (testers/message_maps.hpp) both
+  /// take it from here.
+  [[nodiscard]] static std::uint64_t window_offset(std::uint64_t n,
+                                                   unsigned q, unsigned r);
 
   [[nodiscard]] const ProtocolBatchExecutor& executor() const {
     return *exec_;
   }
 
  private:
-  Config cfg_;
-  std::uint64_t offset_ = 0;
+  DistributedTesterConfig cfg_;
   double sum_t_ = 0.0;
   std::optional<ProtocolBatchExecutor> exec_;
 };

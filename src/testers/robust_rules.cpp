@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "testers/calibration.hpp"
-#include "testers/collision.hpp"
 #include "util/error.hpp"
 
 namespace duti {
@@ -14,6 +12,15 @@ namespace {
 
 // Share of the k players whose bits the quorum referee needs to decide.
 constexpr double kQuorumFraction = 0.5;
+
+FaultPlan checked(const FaultPlan& plan) {
+  require(plan.crash_fraction >= 0.0 && plan.crash_fraction <= 1.0 &&
+              plan.byzantine_fraction >= 0.0 &&
+              plan.byzantine_fraction <= 1.0 &&
+              plan.crash_fraction + plan.byzantine_fraction <= 1.0,
+          "RobustThresholdTester: fault fractions in [0,1], sum <= 1");
+  return plan;
+}
 
 }  // namespace
 
@@ -110,33 +117,16 @@ RobustThresholdTester::RobustThresholdTester(DistributedTesterConfig cfg,
                                              FaultPlan plan, Rule rule,
                                              Rng& calib_rng,
                                              std::size_t calib_trials)
-    : cfg_(cfg), plan_(plan), rule_(rule) {
-  require(cfg_.n >= 2, "RobustThresholdTester: n must be >= 2");
-  require(cfg_.k >= 1, "RobustThresholdTester: k must be >= 1");
-  require(cfg_.q >= 2, "RobustThresholdTester: q must be >= 2");
-  require(cfg_.eps > 0.0 && cfg_.eps <= 1.0,
-          "RobustThresholdTester: eps in (0,1]");
-  require(plan_.crash_fraction >= 0.0 && plan_.crash_fraction <= 1.0 &&
-              plan_.byzantine_fraction >= 0.0 &&
-              plan_.byzantine_fraction <= 1.0 &&
-              plan_.crash_fraction + plan_.byzantine_fraction <= 1.0,
-          "RobustThresholdTester: fault fractions in [0,1], sum <= 1");
-
-  // Identical calibration to DistributedThresholdTester (the same memo
-  // entries), so rule comparisons isolate the referee side.
-  local_t_ = expected_collision_pairs_uniform(static_cast<double>(cfg_.n),
-                                              cfg_.q);
-  p_u_ = uniform_reject_rates(cfg_.n, std::span(&cfg_.q, 1),
-                              calibration_trials(calib_trials, cfg_.k),
-                              calib_rng)[0];
-  naive_t_ = calibrated_referee_threshold(cfg_.k, p_u_);
-}
+    : plan_(checked(plan)),
+      rule_(rule),
+      players_(cfg, calib_rng, calib_trials) {}
 
 RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
                                               Rng& rng) const {
-  require(source.domain_size() == cfg_.n,
+  const DistributedTesterConfig& cfg = players_.config();
+  require(source.domain_size() == cfg.n,
           "RobustThresholdTester: domain size mismatch");
-  const unsigned k = cfg_.k;
+  const unsigned k = cfg.k;
   const auto n_byz = static_cast<unsigned>(
       std::floor(plan_.byzantine_fraction * static_cast<double>(k)));
   const auto n_crash = static_cast<unsigned>(
@@ -154,12 +144,15 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
   for (unsigned j = 0; j < n_byz; ++j) role[order[j]] = 1;
   for (unsigned j = n_byz; j < n_byz + n_crash; ++j) role[order[j]] = 2;
 
+  // The players' own loop, not the executor's: a crashed player draws no
+  // seed from the run stream, which the executor's layout cannot express.
+  // A vote is decided once its pair count passes decided_above(), and
+  // nothing reads a player's stream after its vote, so its count may stop
+  // there.
+  const CollisionVote& vote = players_.vote();
+  const std::uint64_t decided_above = vote.decided_above();
   std::vector<std::uint8_t> bits;  // arrival order = player order
   bits.reserve(k);
-  // A player's vote is decided once its pair count passes floor(local_t_),
-  // and nothing reads its stream after the vote, so its count may stop
-  // there.
-  const std::uint64_t decided_above = collision_vote_decided_above(local_t_);
   for (unsigned j = 0; j < k; ++j) {
     if (role[j] == 2) continue;  // crashed: nothing arrives
     // Every player that sends draws its seed from the run stream; a
@@ -170,26 +163,28 @@ RefereeOutcome RobustThresholdTester::outcome(const SampleSource& source,
       continue;
     }
     const std::uint64_t pairs =
-        source.count_pairs(player_rng, cfg_.q, decided_above);
-    bits.push_back(static_cast<double>(pairs) > local_t_ ? 1 : 0);
+        source.count_pairs(player_rng, cfg.q, decided_above);
+    bits.push_back(vote.rejects(pairs) ? 1 : 0);
   }
 
   const std::uint64_t received = bits.size();
   std::uint64_t rejects = 0;
   for (const auto b : bits) rejects += b;
+  const double p_u = p_reject_uniform();
 
   switch (rule_) {
     case Rule::kNaive:
-      return NaiveThresholdRule{k, naive_t_}.decide(rejects, received);
+      return NaiveThresholdRule{k, naive_referee_threshold()}.decide(
+          rejects, received);
     case Rule::kQuorum:
-      return QuorumThresholdRule{k, p_u_}.decide(rejects, received);
+      return QuorumThresholdRule{k, p_u}.decide(rejects, received);
     case Rule::kMedianOfGroups:
-      return MedianOfGroupsRule{k, p_u_, effective_delta()}.decide(bits);
+      return MedianOfGroupsRule{k, p_u, effective_delta()}.decide(bits);
     case Rule::kTrimmed:
       break;
   }
-  return TrimmedMeanRule{k, p_u_, effective_delta()}.decide(rejects,
-                                                            received);
+  return TrimmedMeanRule{k, p_u, effective_delta()}.decide(rejects,
+                                                           received);
 }
 
 }  // namespace duti

@@ -108,9 +108,9 @@ struct FaultPlan {
 };
 
 /// The distributed threshold tester of [7] run under a fault plan, with a
-/// selectable referee rule. Calibration (local collision threshold, p_u)
-/// matches DistributedThresholdTester exactly, so naive-vs-robust
-/// comparisons isolate the referee rule.
+/// selectable referee rule. It wraps a DistributedThresholdTester, which
+/// supplies the votes and the calibration (the same stream and memo entry),
+/// so naive-vs-robust comparisons isolate the referee rule.
 class RobustThresholdTester {
  public:
   enum class Rule { kNaive, kQuorum, kMedianOfGroups, kTrimmed };
@@ -123,16 +123,12 @@ class RobustThresholdTester {
   [[nodiscard]] RefereeOutcome outcome(const SampleSource& source,
                                        Rng& rng) const;
 
-  [[nodiscard]] double p_reject_uniform() const noexcept { return p_u_; }
-  [[nodiscard]] double local_threshold() const noexcept { return local_t_; }
+  [[nodiscard]] double p_reject_uniform() const noexcept {
+    return players_.p_reject_uniform();
+  }
   [[nodiscard]] std::uint64_t naive_referee_threshold() const noexcept {
-    return naive_t_;
+    return players_.referee_threshold();
   }
-  [[nodiscard]] const DistributedTesterConfig& config() const noexcept {
-    return cfg_;
-  }
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] Rule rule() const noexcept { return rule_; }
 
  private:
   /// Byzantine tolerance the robust aggregators are budgeted for: the
@@ -141,12 +137,9 @@ class RobustThresholdTester {
     return plan_.byzantine_fraction;
   }
 
-  DistributedTesterConfig cfg_;
   FaultPlan plan_;
   Rule rule_;
-  double local_t_ = 0.0;
-  double p_u_ = 0.0;
-  std::uint64_t naive_t_ = 1;
+  DistributedThresholdTester players_;
 };
 
 }  // namespace duti

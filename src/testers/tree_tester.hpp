@@ -49,9 +49,6 @@ class TreeUniformityTester {
   [[nodiscard]] std::uint64_t referee_threshold() const noexcept {
     return players_.referee_threshold();
   }
-  [[nodiscard]] double local_threshold() const noexcept {
-    return players_.local_threshold();
-  }
 
  private:
   Network* net_;  // not owned

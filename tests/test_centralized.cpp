@@ -11,29 +11,14 @@
 #include <cmath>
 #include <tuple>
 
+#include "success_rates.hpp"
 #include "testers/collision.hpp"
 #include "util/confidence.hpp"
 
 namespace duti {
 namespace {
 
-/// Success rates over fresh far distributions each trial.
-template <typename Tester>
-std::pair<double, double> success_rates(const Tester& tester, std::uint64_t n,
-                                        double eps, int trials,
-                                        std::uint64_t seed) {
-  SuccessCounter uniform_ok, far_ok;
-  const UniformSource uniform(n);
-  for (int t = 0; t < trials; ++t) {
-    Rng rng = make_rng(seed, 1, t);
-    uniform_ok.record(tester.run(uniform, rng));
-    Rng far_rng = make_rng(seed, 2, t);
-    const DistributionSource far(gen::paninski(n, eps, far_rng));
-    Rng run_rng = make_rng(seed, 3, t);
-    far_ok.record(!tester.run(far, run_rng));
-  }
-  return {uniform_ok.rate(), far_ok.rate()};
-}
+using test::success_rates;
 
 class CentralizedSweep
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};

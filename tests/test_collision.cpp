@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +144,47 @@ TEST(FarL2LowerBound, PaninskiIsExtremal) {
   const auto far = gen::paninski(n, eps, rng);
   EXPECT_NEAR(l2_norm_squared(far), (1.0 + eps * eps) / static_cast<double>(n),
               1e-12);
+}
+
+TEST(CollisionVote, DecidedAboveBoundaryRows) {
+  // For each threshold t, decided_above() is d = floor(t), and the vote's
+  // strict double compare agrees with p > d at p = d - 1, d and d + 1.
+  // From 2^53 up counts no longer convert to double exactly, so the vote
+  // decides nothing early there.
+  constexpr double kTwo53 = 9007199254740992.0;
+  struct Row {
+    double t;
+    std::uint64_t decided_above;
+  };
+  const std::vector<Row> rows = {
+      {1.0, 1},
+      {11.5, 11},
+      {std::nextafter(12.0, 0.0), 11},
+      {kTwo53 - 1.0, (1ULL << 53) - 1},
+      {kTwo53, kNoPairBound},
+  };
+  for (const auto& [t, decided_above] : rows) {
+    SCOPED_TRACE(testing::Message() << "t=" << t);
+    const CollisionVote vote(t);
+    const std::uint64_t d = vote.decided_above();
+    EXPECT_EQ(d, decided_above);
+    if (d == kNoPairBound) continue;
+    for (const std::uint64_t p : {d - 1, d, d + 1}) {
+      EXPECT_EQ(vote.rejects(p), p > d) << "pairs=" << p;
+    }
+  }
+  EXPECT_EQ(CollisionVote(2.0 * kTwo53).decided_above(), kNoPairBound);
+  EXPECT_EQ(CollisionVote(std::numeric_limits<double>::infinity())
+                .decided_above(),
+            kNoPairBound);
+}
+
+TEST(CollisionVote, AtUniformMeanIsTheExpectedPairCount) {
+  // n = 6, q = 4: C(4,2)/6 = 1, so a count of 1 accepts and 2 rejects.
+  const CollisionVote vote = CollisionVote::at_uniform_mean(6, 4);
+  EXPECT_EQ(vote.threshold(), expected_collision_pairs_uniform(6.0, 4));
+  EXPECT_FALSE(vote.rejects(1));
+  EXPECT_TRUE(vote.rejects(2));
 }
 
 TEST(Collision, ArgumentValidation) {

@@ -3,28 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "dist/generators.hpp"
+#include "success_rates.hpp"
 #include "testers/collision.hpp"
 #include "util/confidence.hpp"
 
 namespace duti {
 namespace {
 
-template <typename Tester>
-std::pair<double, double> success_rates(const Tester& tester, double eps,
-                                        int trials, std::uint64_t seed) {
-  const auto n = tester.config().n;
-  SuccessCounter uniform_ok, far_ok;
-  const UniformSource uniform(n);
-  for (int t = 0; t < trials; ++t) {
-    Rng rng = make_rng(seed, 1, t);
-    uniform_ok.record(tester.run(uniform, rng));
-    Rng far_rng = make_rng(seed, 2, t);
-    const DistributionSource far(gen::paninski(n, eps, far_rng));
-    Rng run_rng = make_rng(seed, 3, t);
-    far_ok.record(!tester.run(far, run_rng));
-  }
-  return {uniform_ok.rate(), far_ok.rate()};
-}
+using test::success_rates;
 
 /// A source that replays fixed draws in order, so a player's pair count is
 /// chosen by the test.
@@ -50,7 +36,7 @@ TEST(CollisionVoters, VoteSemantics) {
   // rejects.
   Rng calib(1);
   const DistributedThresholdTester tester({6, 1, 4, 0.5}, calib, 50);
-  ASSERT_EQ(tester.local_threshold(), 1.0);
+  ASSERT_EQ(tester.vote().threshold(), 1.0);
   const auto vote = [&tester](std::vector<std::uint64_t> draws) {
     Rng rng(2);
     return tester.executor()
@@ -92,7 +78,7 @@ TEST(DistributedThresholdTester, CalibrationIsSane) {
   EXPECT_GE(tester.referee_threshold(), 1u);
   EXPECT_LE(tester.referee_threshold(), 32u);
   // Local threshold is the uniform collision mean.
-  EXPECT_NEAR(tester.local_threshold(),
+  EXPECT_NEAR(tester.vote().threshold(),
               expected_collision_pairs_uniform(256.0, 24), 1e-12);
 }
 
@@ -104,7 +90,7 @@ TEST(DistributedThresholdTester, SucceedsWithGenerousSamples) {
   // Generous: ~ 4 sqrt(n/k) / eps^2 = 4 * 5.7 / 0.25 ~ 91.
   const unsigned q = 96;
   const DistributedThresholdTester tester({n, k, q, eps}, rng);
-  const auto [u, f] = success_rates(tester, eps, 150, 41);
+  const auto [u, f] = success_rates(tester, n, eps, 150, 41);
   EXPECT_GE(u, 0.7);
   EXPECT_GE(f, 0.7);
 }
@@ -113,7 +99,7 @@ TEST(DistributedThresholdTester, FailsWithFarTooFewSamples) {
   Rng rng(5);
   const std::uint64_t n = 1 << 14;
   const DistributedThresholdTester tester({n, 8, 2, 0.3}, rng);
-  const auto [u, f] = success_rates(tester, 0.3, 150, 42);
+  const auto [u, f] = success_rates(tester, n, 0.3, 150, 42);
   EXPECT_GE(u, 0.6);  // uniform side is easy
   EXPECT_LE(f, 0.4);  // cannot reject far with 2 samples on 16k domain
 }
@@ -127,8 +113,8 @@ TEST(DistributedThresholdTester, MoreNodesNeedFewerSamplesPerNode) {
   Rng rng1(6), rng2(7);
   const DistributedThresholdTester small_k({n, 4, q, eps}, rng1);
   const DistributedThresholdTester large_k({n, 256, q, eps}, rng2);
-  const auto [us, fs] = success_rates(small_k, eps, 200, 43);
-  const auto [ul, fl] = success_rates(large_k, eps, 200, 44);
+  const auto [us, fs] = success_rates(small_k, n, eps, 200, 43);
+  const auto [ul, fl] = success_rates(large_k, n, eps, 200, 44);
   EXPECT_GE(ul, 0.7);
   EXPECT_GE(fl, 0.7);
   // The 2-node version with the same q must do clearly worse on the far
@@ -140,7 +126,7 @@ TEST(DistributedThresholdTester, MoreNodesNeedFewerSamplesPerNode) {
 TEST(DistributedAndTester, LocalThresholdGrowsWithK) {
   const DistributedAndTester t8({1024, 8, 32, 0.5});
   const DistributedAndTester t1024({1024, 1024, 32, 0.5});
-  EXPECT_GT(t1024.local_threshold(), t8.local_threshold());
+  EXPECT_GT(t1024.vote().threshold(), t8.vote().threshold());
 }
 
 TEST(DistributedAndTester, UniformSideSafeEvenWithManyNodes) {
@@ -163,7 +149,7 @@ TEST(DistributedAndTester, SucceedsWithCentralizedScaleSamples) {
   const double eps = 0.5;
   const unsigned q = 160;  // ~ 10 sqrt(n) / eps^2
   const DistributedAndTester tester({n, 8, q, eps});
-  const auto [u, f] = success_rates(tester, eps, 150, 46);
+  const auto [u, f] = success_rates(tester, n, eps, 150, 46);
   EXPECT_GE(u, 0.7);
   EXPECT_GE(f, 0.7);
 }
@@ -176,7 +162,7 @@ TEST(DistributedAndTester, DoesNotGainFromMoreNodesAtFixedSmallQ) {
   const double eps = 0.5;
   const unsigned q = 48;
   const DistributedAndTester tester({n, 64, q, eps});
-  const auto [u, f] = success_rates(tester, eps, 200, 47);
+  const auto [u, f] = success_rates(tester, n, eps, 200, 47);
   EXPECT_GE(u, 0.8);
   EXPECT_LE(f, 0.5);  // threshold tester passed 0.7 here (test above)
 }

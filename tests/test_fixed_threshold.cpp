@@ -54,15 +54,15 @@ TEST(BinomialUpperTail, ByHand) {
 }
 
 TEST(FixedThresholdTester, Validation) {
-  EXPECT_THROW(FixedThresholdTester({64, 8, 16, 0.5, 0}), InvalidArgument);
-  EXPECT_THROW(FixedThresholdTester({64, 8, 16, 0.5, 9}), InvalidArgument);
-  EXPECT_NO_THROW(FixedThresholdTester({64, 8, 16, 0.5, 8}));
+  EXPECT_THROW(FixedThresholdTester({64, 8, 16, 0.5}, 0), InvalidArgument);
+  EXPECT_THROW(FixedThresholdTester({64, 8, 16, 0.5}, 9), InvalidArgument);
+  EXPECT_NO_THROW(FixedThresholdTester({64, 8, 16, 0.5}, 8));
 }
 
 TEST(FixedThresholdTester, CalibrationRealizesPStar) {
   // The randomized rule's rejection probability under the Poisson model is
   // exactly p*: P(X > c) + gamma P(X = c) = p*.
-  const FixedThresholdTester tester({4096, 64, 64, 0.5, 8});
+  const FixedThresholdTester tester({4096, 64, 64, 0.5}, 8);
   const double lambda = 64.0 * 63.0 / 2.0 / 4096.0;
   const double realized =
       poisson_upper_tail(lambda, tester.local_count_threshold()) +
@@ -74,7 +74,7 @@ TEST(FixedThresholdTester, CalibrationRealizesPStar) {
 TEST(FixedThresholdTester, PStarIsSafeAndMaximal) {
   const unsigned k = 64;
   for (std::uint64_t t_param : {1ULL, 4ULL, 16ULL}) {
-    const FixedThresholdTester tester({4096, k, 64, 0.5, t_param});
+    const FixedThresholdTester tester({4096, k, 64, 0.5}, t_param);
     const double p = tester.local_reject_probability();
     EXPECT_LE(binomial_upper_tail(k, p, static_cast<int>(t_param)), 0.2);
     // Maximal: 5% more would break the budget.
@@ -87,9 +87,9 @@ TEST(FixedThresholdTester, PStarIsSafeAndMaximal) {
 TEST(FixedThresholdTester, LocalBudgetGrowsWithT) {
   // Larger forced T allows each player a bigger rejection budget — the
   // "biased bits" mechanism of Theorem 1.3 in reverse.
-  const FixedThresholdTester t1({4096, 64, 64, 0.5, 1});
-  const FixedThresholdTester t8({4096, 64, 64, 0.5, 8});
-  const FixedThresholdTester t32({4096, 64, 64, 0.5, 32});
+  const FixedThresholdTester t1({4096, 64, 64, 0.5}, 1);
+  const FixedThresholdTester t8({4096, 64, 64, 0.5}, 8);
+  const FixedThresholdTester t32({4096, 64, 64, 0.5}, 32);
   EXPECT_LT(t1.local_reject_probability(), t8.local_reject_probability());
   EXPECT_LT(t8.local_reject_probability(), t32.local_reject_probability());
 }
@@ -98,7 +98,7 @@ TEST(FixedThresholdTester, UniformSideSafeAcrossT) {
   const std::uint64_t n = 1024;
   const UniformSource uniform(n);
   for (std::uint64_t t_param : {1ULL, 2ULL, 8ULL, 32ULL}) {
-    const FixedThresholdTester tester({n, 32, 48, 0.5, t_param});
+    const FixedThresholdTester tester({n, 32, 48, 0.5}, t_param);
     SuccessCounter ok;
     for (int t = 0; t < 120; ++t) {
       Rng rng = make_rng(61, t_param, t);
@@ -114,8 +114,8 @@ TEST(FixedThresholdTester, LargerTNeedsFewerSamples) {
   const std::uint64_t n = 4096;
   const double eps = 0.5;
   const unsigned k = 64, q = 96;
-  const FixedThresholdTester small_t({n, k, q, eps, 1});
-  const FixedThresholdTester large_t({n, k, q, eps, 16});
+  const FixedThresholdTester small_t({n, k, q, eps}, 1);
+  const FixedThresholdTester large_t({n, k, q, eps}, 16);
   auto far_reject_rate = [&](const FixedThresholdTester& tester,
                              std::uint64_t seed) {
     SuccessCounter rejects;
@@ -136,23 +136,22 @@ TEST(FixedThresholdTester, ConcurrentConstructionMatchesSerial) {
   // under the sanitize-thread preset this test reports any such write
   // (std::lgamma's global signgam would be one). Every concurrent
   // construction must also agree with the serial one.
-  const auto config = [](std::size_t i) {
-    return FixedThresholdTester::Config{
-        4096, 64, static_cast<unsigned>(8 + 4 * i), 0.5,
-        static_cast<std::uint64_t>(1 + i % 16)};
+  const auto tester = [](std::size_t i) {
+    return FixedThresholdTester(
+        {4096, 64, static_cast<unsigned>(8 + 4 * i), 0.5},
+        static_cast<std::uint64_t>(1 + i % 16));
   };
   constexpr std::size_t kTesters = 64;
   std::vector<std::uint64_t> serial(kTesters);
   for (std::size_t i = 0; i < kTesters; ++i) {
-    serial[i] = FixedThresholdTester(config(i)).local_count_threshold();
+    serial[i] = tester(i).local_count_threshold();
   }
   std::vector<std::uint64_t> parallel(kTesters);
   ThreadPool pool(8);
   pool.parallel_for(kTesters, 1,
                     [&](std::size_t begin, std::size_t end, unsigned) {
                       for (std::size_t i = begin; i < end; ++i) {
-                        parallel[i] = FixedThresholdTester(config(i))
-                                          .local_count_threshold();
+                        parallel[i] = tester(i).local_count_threshold();
                       }
                     });
   EXPECT_EQ(parallel, serial);

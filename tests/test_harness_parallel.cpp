@@ -3,6 +3,7 @@
 // thread count (DESIGN.md §7).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -77,7 +78,7 @@ TEST(ParallelProbe, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelProbe, RealTesterBitIdentical) {
-  const FixedThresholdTester tester({64, 8, 16, 0.5, 2});
+  const FixedThresholdTester tester({64, 8, 16, 0.5}, 2);
   const TesterRun run = [&tester](const SampleSource& src, Rng& rng) {
     return tester.run(src, rng);
   };
@@ -128,6 +129,39 @@ TEST(ParallelProbe, SourceHoistDoesNotChangeResults) {
       probe_success(tester, varying,
                     workloads::paninski_far_factory(256, 0.5), 300, 23, pool);
   expect_probe_equal(a, b);
+}
+
+TEST(ParallelProbe, InvariantSourceIsBuiltOncePerProbe) {
+  // A trial-invariant side's source is built once per probe, before the
+  // first batch, and every worker reads it: one build whatever the pool
+  // and however many batches the probe runs.
+  std::atomic<int> builds{0};
+  const SourceSpec uniform = workloads::uniform_factory(256);
+  const SourceSpec counting(
+      [&builds, factory = uniform.factory()](Rng& rng) {
+        builds.fetch_add(1, std::memory_order_relaxed);
+        return factory(rng);
+      },
+      /*trial_invariant=*/true);
+  const TesterRun tester = noisy_collision_tester();
+  for (const unsigned threads : {1u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (const ProbeFlavor flavor :
+         {ProbeFlavor::kFull, ProbeFlavor::kAdaptive}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " adaptive="
+                   << (flavor == ProbeFlavor::kAdaptive));
+      builds.store(0);
+      const ProbeResult r =
+          probe_success(tester, counting,
+                        workloads::paninski_far_factory(256, 0.5), 400, 29,
+                        pool, flavor);
+      if (flavor == ProbeFlavor::kAdaptive) {
+        EXPECT_GT(r.trials, kAdaptiveBatch);  // more than one batch ran
+      }
+      EXPECT_EQ(builds.load(), 1);
+    }
+  }
 }
 
 // One trial per claim: which worker slot runs a trial depends on timing, so

@@ -334,7 +334,7 @@ TesterRun run_of(const Tester& tester) {
 TEST(ProtocolBatch, ThresholdTesterMatchesReference) {
   Rng calib_rng(11);
   const DistributedThresholdTester tester({512, 8, 24, 0.5}, calib_rng, 500);
-  const double local_t = tester.local_threshold();
+  const double local_t = tester.vote().threshold();
   const std::uint64_t referee_t = tester.referee_threshold();
   PlaneCase c;
   c.n = 512;
@@ -354,7 +354,7 @@ TEST(ProtocolBatch, ThresholdTesterMatchesReference) {
 
 TEST(ProtocolBatch, AndTesterMatchesReference) {
   const DistributedAndTester tester({256, 6, 40, 0.5});
-  const double local_t = tester.local_threshold();
+  const double local_t = tester.vote().threshold();
   PlaneCase c;
   c.n = 256;
   c.seed = 33;
@@ -372,13 +372,8 @@ TEST(ProtocolBatch, AndTesterMatchesReference) {
 TEST(ProtocolBatch, FixedThresholdTesterMatchesReference) {
   // The fixed-threshold vote consumes player randomness (the boundary
   // coin), so identity here also pins the post-sampling RNG handoff.
-  FixedThresholdTester::Config cfg;
-  cfg.n = 256;
-  cfg.k = 8;
-  cfg.q = 32;
-  cfg.eps = 0.5;
-  cfg.t = 3;
-  const FixedThresholdTester tester(cfg);
+  constexpr std::uint64_t kT = 3;
+  const FixedThresholdTester tester({256, 8, 32, 0.5}, kT);
   const std::uint64_t c_count = tester.local_count_threshold();
   const double gamma = tester.local_boundary_gamma();
   PlaneCase c;
@@ -392,23 +387,18 @@ TEST(ProtocolBatch, FixedThresholdTesterMatchesReference) {
     if (!reject && pairs == c_count) reject = rng.next_bernoulli(gamma);
     return Message::bit(!reject);
   };
-  c.accept = [t = cfg.t](const std::vector<Message>& m) {
-    return rejects_of(m) < t;
+  c.accept = [](const std::vector<Message>& m) {
+    return rejects_of(m) < kT;
   };
   c.golden = 0x9ee0ec944e730784ULL;
   expect_plane_matches_reference(c);
 }
 
 TEST(ProtocolBatch, MultibitTesterMatchesReference) {
-  MultibitSumTester::Config cfg;
-  cfg.n = 256;
-  cfg.k = 6;
-  cfg.q = 48;
-  cfg.eps = 0.5;
-  cfg.r = 4;
+  constexpr unsigned kR = 4;
   Rng calib_rng(55);
-  const MultibitSumTester tester(cfg, calib_rng, 500);
-  const std::uint64_t offset = tester.window_offset();
+  const MultibitSumTester tester({256, 6, 48, 0.5}, kR, calib_rng, 500);
+  const std::uint64_t offset = MultibitSumTester::window_offset(256, 48, kR);
   const double sum_t = tester.sum_threshold();
   PlaneCase c;
   c.n = 256;
@@ -416,8 +406,8 @@ TEST(ProtocolBatch, MultibitTesterMatchesReference) {
   c.qs.assign(6, 48);
   c.executor = &tester.executor();
   c.run = run_of(tester);
-  c.vote = [r = cfg.r, offset](unsigned, std::uint64_t pairs, Rng&) {
-    return Message{MultibitSumTester::encode_count(pairs, r, offset), r};
+  c.vote = [offset](unsigned, std::uint64_t pairs, Rng&) {
+    return Message{MultibitSumTester::encode_count(pairs, kR, offset), kR};
   };
   c.accept = [sum_t](const std::vector<Message>& m) {
     double total = 0.0;
@@ -463,14 +453,8 @@ TEST(ProtocolBatch, RunStopsOnTheFullCollectVerdict) {
   Rng calib(21);
   const DistributedThresholdTester threshold({256, 8, 24, 0.5}, calib, 300);
   const DistributedAndTester and_tester({256, 8, 24, 0.5});
-  FixedThresholdTester::Config fcfg;
-  fcfg.n = 256;
-  fcfg.k = 8;
-  fcfg.q = 24;
-  fcfg.eps = 0.5;
-  fcfg.t = 2;
-  const FixedThresholdTester fixed(fcfg);
-  const MultibitSumTester multibit({256, 8, 24, 0.5, 3}, calib, 300);
+  const FixedThresholdTester fixed({256, 8, 24, 0.5}, 2);
+  const MultibitSumTester multibit({256, 8, 24, 0.5}, 3, calib, 300);
   const AsymmetricRateTester asymmetric(256, {1, 2, 3, 4, 5, 6, 7, 8}, 6.0,
                                         calib, 100);
   const std::vector<std::pair<const char*, const ProtocolBatchExecutor*>>
@@ -521,13 +505,8 @@ TEST(ProtocolBatch, FixedThresholdTieCoinSurvivesTheStop) {
   // must get the reference runner's message: the stop at c + 1 pairs may
   // not swallow a coin, and a tie still sees the whole post-sampling
   // stream.
-  FixedThresholdTester::Config cfg;
-  cfg.n = 256;
-  cfg.k = 8;
-  cfg.q = 32;
-  cfg.eps = 0.5;
-  cfg.t = 3;
-  const FixedThresholdTester tester(cfg);
+  const DistributedTesterConfig cfg{256, 8, 32, 0.5};
+  const FixedThresholdTester tester(cfg, 3);
   const std::uint64_t c = tester.local_count_threshold();
   const double gamma = tester.local_boundary_gamma();
   ASSERT_GT(gamma, 0.0);
@@ -717,7 +696,7 @@ TEST(CalibMemo, PinnedCalibrationsReplayBitForBit) {
         0x47446321aa232186ULL}},
       {"multibit", 2,
        [](Rng& calib) {
-         const MultibitSumTester t({4096, 32, 2, 0.5, 8}, calib);
+         const MultibitSumTester t({4096, 32, 2, 0.5}, 8, calib);
          return std::vector<std::uint64_t>{bits_of(t.sum_threshold())};
        },
        {0x3eb0c6f7a0b5ed8dULL},
