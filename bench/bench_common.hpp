@@ -1,8 +1,7 @@
 // Shared plumbing for the experiment binaries: banner printing, CSV output
 // location, the measured-vs-predicted table assembly used by every
-// experiment, the stamped BENCH_*.json emitter, the micro benches' timer,
-// the one-line sweep summary, the failed-search check and the guard that
-// turns a typed error into exit status 2. Each bench prints the same kind
+// experiment, the bench timer, the one-line sweep summary, the failed-search
+// check and the guard that turns a typed error into exit status 2. Each bench prints the same kind
 // of artifact: a table with one row per sweep point carrying the measured
 // minimum resource, the paper's predicted curve, and the fitted
 // constant/slope comparison. Every sweep bench runs the engine's one
@@ -24,7 +23,6 @@
 #include "stats/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -51,20 +49,12 @@ inline void print_shape(const std::vector<double>& x,
             << format_double(cmp.max_ratio_deviation) << "\n";
 }
 
-/// Seconds on the monotonic clock since `start`: the one timer the micro
-/// benches share. Timings are reported, never fed into a ProbeResult.
+/// Seconds on the monotonic clock since `start`: the benches' one timer.
+/// Timings are reported, never fed into a ProbeResult.
 inline double seconds_since(std::chrono::steady_clock::time_point start) {
   // duti-lint: allow(no-wall-clock) -- bench timing; never feeds a result
   const auto now = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(now - start).count();
-}
-
-/// The configuration a bench actually ran under, for emit_bench_json's
-/// "env" stamp: the global pool's size and the host's SIMD tier — resolved
-/// values, not the raw DUTI_THREADS string.
-[[nodiscard]] inline JsonFields resolved_env() {
-  return {{"threads", json_u64(ThreadPool::global().size())},
-          {"simd", json_str(simd_level_name(simd_active_level()))}};
 }
 
 /// `trials` unless it is zero; zero throws InvalidArgument naming --trials.

@@ -30,8 +30,8 @@ int main(int argc, char** argv) try {
                 "expected: tau* ~ sqrt(n)/(eps^2 ||T||_2); tau* x ||T||_2 "
                 "approximately constant across rate-vector shapes");
 
-  // One declarative point per rate shape, axis ||T||_2; the cold
-  // full-budget baseline gives identical minima (micro_sweep checks it).
+  // One declarative point per rate shape, axis ||T||_2; test_sweep pins
+  // the table's minima and fingerprint.
   const auto shapes = bench::e10_shapes();
   const SweepResult sweep = run_sweep(
       bench::e10_points(n, eps, shapes, flags.trials, flags.seed));

@@ -25,26 +25,15 @@ namespace {
 
 using namespace duti;
 
-/// Single-sample AND-rule protocol: each player rejects with probability
-/// gamma = 2/(3k) when its sample lands in a shared random half-domain
-/// subset (fresh subset per run; players share it).
-double advantage_subset_rule(std::uint64_t n, unsigned k, double eps,
-                             std::size_t trials, std::uint64_t seed) {
+/// The tester advantage (uniform-accept + far-reject - 1) of `run_once`,
+/// which returns true to accept, over `trials` trials. Trial t draws its
+/// uniform and eps-far sources from make_rng(seed, 1, t) and
+/// make_rng(seed, 3, t), and runs on make_rng(seed, 2, t) and
+/// make_rng(seed, 4, t).
+template <typename RunOnce>
+double advantage(std::uint64_t n, double eps, std::size_t trials,
+                 std::uint64_t seed, const RunOnce& run_once) {
   SuccessCounter uniform_ok, far_ok;
-  const double gamma = 2.0 / (3.0 * static_cast<double>(k));
-  auto run_once = [&](const SampleSource& source, Rng& rng) {
-    const std::uint64_t subset_key = rng();  // shared randomness
-    for (unsigned j = 0; j < k; ++j) {
-      Rng player_rng = make_rng(rng(), j);
-      const std::uint64_t sample = source.sample(player_rng);
-      const bool in_subset =
-          (SplitMix64(subset_key ^ sample).next() & 1ULL) != 0;
-      if (in_subset && player_rng.next_bernoulli(gamma)) {
-        return false;  // AND rule: one alarm rejects
-      }
-    }
-    return true;
-  };
   const auto uniform_factory = workloads::uniform_factory(n);
   const auto far_factory = workloads::paninski_far_factory(n, eps);
   for (std::size_t t = 0; t < trials; ++t) {
@@ -60,26 +49,38 @@ double advantage_subset_rule(std::uint64_t n, unsigned k, double eps,
   return uniform_ok.rate() + far_ok.rate() - 1.0;
 }
 
+/// Single-sample AND-rule protocol: each player rejects with probability
+/// gamma = 2/(3k) when its sample lands in a shared random half-domain
+/// subset (fresh subset per run; players share it).
+double advantage_subset_rule(std::uint64_t n, unsigned k, double eps,
+                             std::size_t trials, std::uint64_t seed) {
+  const double gamma = 2.0 / (3.0 * static_cast<double>(k));
+  const auto run_once = [k, gamma](const SampleSource& source, Rng& rng) {
+    const std::uint64_t subset_key = rng();  // shared randomness
+    for (unsigned j = 0; j < k; ++j) {
+      Rng player_rng = make_rng(rng(), j);
+      const std::uint64_t sample = source.sample(player_rng);
+      const bool in_subset =
+          (SplitMix64(subset_key ^ sample).next() & 1ULL) != 0;
+      if (in_subset && player_rng.next_bernoulli(gamma)) {
+        return false;  // AND rule: one alarm rejects
+      }
+    }
+    return true;
+  };
+  return advantage(n, eps, trials, seed, run_once);
+}
+
 /// Contrast: q = 2 collision voters under the AND rule with generous n'
 /// (small domain so 2 samples already collide sometimes).
 double advantage_two_sample_and(std::uint64_t n, unsigned k, unsigned q,
                                 double eps, std::size_t trials,
                                 std::uint64_t seed) {
   const DistributedAndTester tester({n, k, q, eps});
-  SuccessCounter uniform_ok, far_ok;
-  const auto uniform_factory = workloads::uniform_factory(n);
-  const auto far_factory = workloads::paninski_far_factory(n, eps);
-  for (std::size_t t = 0; t < trials; ++t) {
-    Rng src_rng = make_rng(seed, 1, t);
-    const auto u = uniform_factory(src_rng);
-    Rng run_rng = make_rng(seed, 2, t);
-    uniform_ok.record(tester.run(*u, run_rng));
-    Rng far_src_rng = make_rng(seed, 3, t);
-    const auto f = far_factory(far_src_rng);
-    Rng far_run_rng = make_rng(seed, 4, t);
-    far_ok.record(!tester.run(*f, far_run_rng));
-  }
-  return uniform_ok.rate() + far_ok.rate() - 1.0;
+  return advantage(n, eps, trials, seed,
+                   [&tester](const SampleSource& source, Rng& rng) {
+                     return tester.run(source, rng);
+                   });
 }
 
 }  // namespace

@@ -8,16 +8,14 @@
 // conservation, transport accounting, bit-identical token replay, and —
 // for schedules inside the transport's provable tolerance — exact verdict
 // agreement with the analytic prediction and the fault-free baseline.
-// Any violation is shrunk to a minimal reproducer and printed as a replay
-// token; rerun it with --replay=<token>. The process exits nonzero when
-// any oracle fired, so the campaign can gate CI.
+// Any violation is printed with its generated replay token and shrunk to a
+// minimal reproducer, printed as a second token; rerun either with
+// --replay=<token>. The process exits nonzero when any oracle fired, so the
+// campaign can gate CI.
 //
 //   e14_chaos --seeds=256 --seed0=1 --quick
 //   e14_chaos --replay='chaos1;t=path;vp=10;...'
 //   e14_chaos --inject-retry-deficit=4   # demo: watch the oracles catch it
-//
-// The JSON summary lands in $DUTI_BENCH_OUT/BENCH_chaos.json.
-#include <cstdio>
 #include <iostream>
 #include <string>
 
@@ -53,46 +51,6 @@ int replay_mode(const std::string& token, const ChaosHooks& hooks) {
   }
   std::cout << describe_failure(report.token, report.violations) << "\n";
   return 1;
-}
-
-void write_json(const CampaignConfig& cfg, const CampaignSummary& summary) {
-  std::string failures = "[";
-  for (std::size_t i = 0; i < summary.failures.size(); ++i) {
-    const CampaignFailure& fail = summary.failures[i];
-    std::string oracles;
-    for (std::size_t v = 0; v < fail.violations.size(); ++v) {
-      if (v > 0) oracles += ", ";
-      oracles += bench::json_str(fail.violations[v].oracle);
-    }
-    failures += i == 0 ? "\n" : ",\n";
-    failures += "    {\"seed\": " + bench::json_u64(fail.seed) +
-                ", \"components\": " + bench::json_u64(fail.components) +
-                ", \"shrunk_components\": " +
-                bench::json_u64(fail.shrunk_components) +
-                ",\n     \"token\": " + bench::json_str(fail.token) +
-                ",\n     \"shrunk_token\": " +
-                bench::json_str(fail.shrunk_token) +
-                ",\n     \"oracles\": [" + oracles + "]}";
-  }
-  failures += summary.failures.empty() ? "]" : "\n  ]";
-  char fp[24];
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(summary.fingerprint));
-  const std::string path = bench::emit_bench_json(
-      "chaos", bench::resolved_env(),
-      {{"seed0", bench::json_u64(summary.seed0)},
-       {"num_seeds", bench::json_u64(summary.num_seeds)},
-       {"retry_deficit", bench::json_u64(cfg.hooks.retry_deficit)},
-       {"total_components", bench::json_u64(summary.total_components)},
-       {"outcomes",
-        "{\"accept\": " + bench::json_u64(summary.outcome_counts[0]) +
-            ", \"reject\": " + bench::json_u64(summary.outcome_counts[1]) +
-            ", \"abort_quorum\": " +
-            bench::json_u64(summary.outcome_counts[2]) + "}"},
-       {"campaign_fingerprint", bench::json_str(fp)},
-       {"violations", bench::json_u64(summary.failures.size())},
-       {"failures", failures}});
-  if (!path.empty()) std::cout << "JSON summary written to " << path << "\n";
 }
 
 }  // namespace
@@ -146,12 +104,10 @@ int main(int argc, char** argv) try {
   for (const CampaignFailure& fail : summary.failures) {
     std::cout << "\nseed " << fail.seed << " (" << fail.components
               << " components, shrunk to " << fail.shrunk_components
-              << "):\n"
+              << "):\n  generated: " << fail.token << "\n"
               << describe_failure(fail.shrunk_token, fail.violations)
               << "\n";
   }
-
-  write_json(cfg, summary);
 
   if (!summary.clean()) {
     std::cout << "\nCHAOS: " << summary.failures.size() << " of "

@@ -42,7 +42,7 @@ int main(int argc, char** argv) try {
   // The whole sweep runs through the engine: one declarative point per k
   // (seed derivations identical to the old serial loop) and anchor-first
   // warm scheduling. The cold full-budget baseline gives bit-identical
-  // minima; micro_sweep and test_sweep check that.
+  // minima; test_sweep checks that.
   const auto points =
       bench::e1_points(n, eps, ks, flags.trials, flags.seed);
   const SweepResult sweep = run_sweep(points);

@@ -1,12 +1,12 @@
 // SweepPoint builders for every bench that searches a minimum: the
-// declarative q*-sweeps of e1, e2, e3, e8, e9 and e10, the reference search
-// of micro_protocol, and the raw-probe points of e4 (a learning probe) and
-// e13 (RefereeOutcome probes with abort attribution), whose probes the
-// declarative path cannot describe. Each
-// builder reproduces the EXACT per-point seed derivations of the
-// pre-engine serial loops — probe seed, calibration stream, and search
-// range — so the engine's minima match the historical tables bit-for-bit,
-// warm or cold. micro_sweep and test_sweep reuse the same builders.
+// declarative q*-sweeps of e1, e2, e3, e8, e9 and e10, the reference q*
+// search, and the raw-probe points of e4 (a learning probe) and e13
+// (RefereeOutcome probes with abort attribution), whose probes the
+// declarative path cannot describe. Each builder reproduces the EXACT
+// per-point seed derivations of the pre-engine serial loops — probe seed,
+// calibration stream, and search range — so the engine's minima match the
+// historical tables bit-for-bit, warm or cold. test_sweep and
+// test_protocol_batch pin them through the same builders.
 #pragma once
 
 #include <array>

@@ -54,11 +54,6 @@ struct FaultComponent {
   std::uint32_t lo = 0;     // start round (crash round for kCrash)
   std::uint32_t len = 0;    // window length in rounds (link kinds)
   std::uint32_t extra = 0;  // delay_rounds for kDelay
-
-  [[nodiscard]] bool operator==(const FaultComponent& o) const noexcept {
-    return kind == o.kind && node == o.node && from == o.from && to == o.to &&
-           pct == o.pct && lo == o.lo && len == o.len && extra == o.extra;
-  }
 };
 
 [[nodiscard]] const char* to_string(FaultComponent::Kind k) noexcept;

@@ -32,7 +32,7 @@ class AliasSampler {
                double heavy, double light);
 
   /// The one alias draw, over pointers into the table: two raws per draw,
-  /// the index draw `Index` (next_below(size()) as util/rng.hpp's ShiftIndex
+  /// the index draw `Index` (next_below(n) as util/rng.hpp's ShiftIndex
   /// or BelowIndex) then the coin. sample(), sample_many and the sources'
   /// fused pair count (sim/sample_source.hpp) all draw through with_draw,
   /// so a loop holding a Draw keeps the table pointers in registers.
@@ -54,7 +54,7 @@ class AliasSampler {
   };
 
   /// Run `body(draw)` with this table's Draw, its index draw chosen once
-  /// for size() (with_index_draw).
+  /// for the table's n columns (with_index_draw).
   template <typename Body>
   [[gnu::always_inline]] decltype(auto) with_draw(Body&& body) const {
     return with_index_draw(n_, [this, &body](auto index) {
@@ -63,7 +63,7 @@ class AliasSampler {
     });
   }
 
-  /// Draw one index in [0, size()) with probability proportional to weight.
+  /// Draw one index in [0, n) with probability proportional to weight.
   [[nodiscard]] std::uint64_t sample(Rng& rng) const noexcept {
     return with_draw([&rng](const auto& d) { return d(rng); });
   }
@@ -80,8 +80,6 @@ class AliasSampler {
       });
     });
   }
-
-  [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
   /// The coin table (exposed for tests): column i keeps i when the coin
   /// raw's top 53 bits are below threshold i, ⌈p_i·2^53⌉ for Vose's

@@ -20,17 +20,6 @@ PerturbationVector PerturbationVector::random(unsigned ell, Rng& rng) {
   return z;
 }
 
-PerturbationVector PerturbationVector::from_signs(
-    unsigned ell, const std::vector<int>& signs) {
-  PerturbationVector z(ell);
-  require(signs.size() == (1ULL << ell),
-          "PerturbationVector::from_signs: size must be 2^ell");
-  for (std::uint64_t x = 0; x < signs.size(); ++x) {
-    z.set_sign(x, signs[x]);
-  }
-  return z;
-}
-
 void PerturbationVector::set_sign(std::uint64_t x, int s) {
   require(x < size(), "PerturbationVector::set_sign: x out of range");
   require(s == 1 || s == -1, "PerturbationVector::set_sign: s must be +-1");

@@ -27,10 +27,6 @@ class PerturbationVector {
   /// Uniformly random signs.
   static PerturbationVector random(unsigned ell, Rng& rng);
 
-  /// From explicit signs (size must be 2^ell, entries +-1).
-  static PerturbationVector from_signs(unsigned ell,
-                                       const std::vector<int>& signs);
-
   [[nodiscard]] unsigned ell() const noexcept { return ell_; }
   [[nodiscard]] std::uint64_t size() const noexcept { return 1ULL << ell_; }
 

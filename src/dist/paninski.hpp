@@ -39,13 +39,9 @@ class Paninski {
 
   [[nodiscard]] std::size_t domain_size() const noexcept { return n_; }
 
-  /// Pair i's sign: +1 puts the heavy mass (1+eps)/n on 2i, -1 on 2i+1.
-  [[nodiscard]] int sign(std::size_t pair) const {
-    return ((words_.at(pair / 64) >> (pair % 64)) & 1U) != 0 ? -1 : +1;
-  }
-
-  /// The packed signs backing sign(): bit i set means pair i's sign is -1,
-  /// i.e. its heavy member is 2i+1. Unused high bits are zero.
+  /// The packed pair signs: bit i clear means pair i's sign is +1, with the
+  /// heavy mass (1+eps)/n on 2i; set means -1, heavy member 2i+1. Unused
+  /// high bits are zero.
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
     return words_;
   }

@@ -44,7 +44,6 @@ class RoundContext {
                Rng& rng)
       : id_(id), round_(round), inbox_(std::move(inbox)), rng_(&rng) {}
 
-  [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] unsigned round() const noexcept { return round_; }
   [[nodiscard]] const std::vector<NetMessage>& inbox() const noexcept {
     return inbox_;

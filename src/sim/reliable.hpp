@@ -100,7 +100,6 @@ class ReliableEndpoint {
   [[nodiscard]] std::vector<FailedSend> take_failures();
 
   [[nodiscard]] const ReliableStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const ReliableConfig& config() const noexcept { return cfg_; }
 
  private:
   struct Pending {

@@ -49,7 +49,7 @@ namespace tally {
 /// returns or throws.
 [[nodiscard]] std::uint64_t* plane(std::uint64_t domain);
 
-/// The calling thread's sample buffer for count_pairs.
+/// The calling thread's sample buffer for count_pairs and coincidence draws.
 [[nodiscard]] std::vector<std::uint64_t>& samples();
 
 /// Zeroes the cells `counted` touched, then throws InvalidArgument naming

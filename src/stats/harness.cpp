@@ -24,8 +24,6 @@ ProbeResult probe_result_from_tallies(std::uint64_t uniform_successes,
     out.far_reject_rate =
         static_cast<double>(far_successes) / static_cast<double>(trials);
   }
-  out.uniform_ci = wilson_interval(uniform_successes, trials);
-  out.far_ci = wilson_interval(far_successes, trials);
   return out;
 }
 

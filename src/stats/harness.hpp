@@ -91,8 +91,6 @@ enum class ProbeStop : std::uint8_t {
 struct ProbeResult {
   double uniform_accept_rate = 0.0;
   double far_reject_rate = 0.0;
-  Interval uniform_ci;
-  Interval far_ci;
   std::uint64_t trials = 0;
   // Integer tallies behind the rates (rate = successes / trials). Kept so
   // CI-aware decisions and the probe cache can rebuild every derived field

@@ -27,8 +27,8 @@
 //
 // A session is either off (no I/O) or read-write. The library keeps no
 // session of its own and reads no environment for one: callers construct
-// a session and pass it in (micro_sweep, the tests and perfbench do; the
-// e-benches open none).
+// a session and pass it in (the tests and perfbench do; the benches open
+// none).
 #pragma once
 
 #include <atomic>

@@ -24,7 +24,7 @@ double chi_squared_from_pairs(std::uint64_t n, unsigned q,
 
 CentralizedCollisionTester::CentralizedCollisionTester(std::uint64_t n,
                                                        double eps, unsigned q)
-    : n_(n), eps_(eps), q_(q) {
+    : n_(n), q_(q) {
   check_tester_config("CentralizedCollisionTester", {n, 1, q, eps});
   const double nd = static_cast<double>(n);
   const double mean_uniform = expected_collision_pairs_uniform(nd, q);
@@ -42,12 +42,6 @@ unsigned CentralizedCollisionTester::sufficient_q(std::uint64_t n, double eps,
   return static_cast<unsigned>(std::ceil(std::max(2.0, qd)));
 }
 
-bool CentralizedCollisionTester::accept(
-    std::span<const std::uint64_t> samples) const {
-  require(samples.size() == q_, "CentralizedCollisionTester: wrong q");
-  return static_cast<double>(collision_pairs(samples, n_)) < threshold_;
-}
-
 bool CentralizedCollisionTester::run(const SampleSource& source,
                                      Rng& rng) const {
   require(source.domain_size() == n_,
@@ -58,7 +52,7 @@ bool CentralizedCollisionTester::run(const SampleSource& source,
 
 PaninskiCoincidenceTester::PaninskiCoincidenceTester(std::uint64_t n,
                                                      double eps, unsigned q)
-    : n_(n), eps_(eps), q_(q) {
+    : n_(n), q_(q) {
   check_tester_config("PaninskiCoincidenceTester", {n, 1, q, eps});
   const double nd = static_cast<double>(n);
   const double qd = static_cast<double>(q);
@@ -86,13 +80,13 @@ bool PaninskiCoincidenceTester::run(const SampleSource& source,
                                     Rng& rng) const {
   require(source.domain_size() == n_,
           "PaninskiCoincidenceTester: domain size mismatch");
-  std::vector<std::uint64_t> samples;
+  std::vector<std::uint64_t>& samples = tally::samples();
   source.sample_many(rng, q_, samples);
   return accept(samples);
 }
 
 ChiSquaredTester::ChiSquaredTester(std::uint64_t n, double eps, unsigned q)
-    : n_(n), eps_(eps), q_(q) {
+    : n_(n), q_(q) {
   check_tester_config("ChiSquaredTester", {n, 1, q, eps});
   // E[statistic] = q n ||mu - U||_2^2 - n ||mu||_2^2: equals -1 under
   // uniform, and at least q eps^2 - 1 - eps^2 for eps-far mu (via
@@ -105,10 +99,6 @@ double ChiSquaredTester::statistic(
     std::span<const std::uint64_t> samples) const {
   require(samples.size() == q_, "ChiSquaredTester: wrong sample count");
   return chi_squared_from_pairs(n_, q_, collision_pairs(samples, n_));
-}
-
-bool ChiSquaredTester::accept(std::span<const std::uint64_t> samples) const {
-  return statistic(samples) < threshold_;
 }
 
 bool ChiSquaredTester::run(const SampleSource& source, Rng& rng) const {

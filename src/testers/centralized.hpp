@@ -25,17 +25,12 @@ class CentralizedCollisionTester {
   [[nodiscard]] static unsigned sufficient_q(std::uint64_t n, double eps,
                                              double c = 3.0);
 
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
-
-  /// Decide from an explicit sample vector: true = accept (looks uniform).
-  [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
-
-  /// Draw q samples from `source` and decide.
+  /// Draw q samples from `source` and decide: true = accept (looks
+  /// uniform).
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
  private:
   std::uint64_t n_;
-  double eps_;
   unsigned q_;
   double threshold_;
 };
@@ -48,14 +43,13 @@ class PaninskiCoincidenceTester {
  public:
   PaninskiCoincidenceTester(std::uint64_t n, double eps, unsigned q);
 
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
-
+  /// Decide from an explicit sample vector: true = accept.
   [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
+  /// Draw q samples into the worker's buffer and decide.
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
  private:
   std::uint64_t n_;
-  double eps_;
   unsigned q_;
   double threshold_;
 };
@@ -71,18 +65,16 @@ class ChiSquaredTester {
  public:
   ChiSquaredTester(std::uint64_t n, double eps, unsigned q);
 
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
-
-  /// The statistic itself (exposed for tests). Throws InvalidArgument,
-  /// naming the sample and the domain, on a sample outside [0, n).
+  /// The statistic of an explicit sample vector, a test seam: the tests
+  /// check its mean identities and that run() decides on it. Throws
+  /// InvalidArgument, naming the sample and the domain, on a sample outside
+  /// [0, n).
   [[nodiscard]] double statistic(std::span<const std::uint64_t> samples) const;
 
-  [[nodiscard]] bool accept(std::span<const std::uint64_t> samples) const;
   [[nodiscard]] bool run(const SampleSource& source, Rng& rng) const;
 
  private:
   std::uint64_t n_;
-  double eps_;
   unsigned q_;
   double threshold_;
 };

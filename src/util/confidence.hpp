@@ -12,7 +12,6 @@ namespace duti {
 struct Interval {
   double lo = 0.0;
   double hi = 1.0;
-  [[nodiscard]] double width() const noexcept { return hi - lo; }
 };
 
 /// Wilson score interval for a binomial proportion with `successes` out of
@@ -47,19 +46,10 @@ class SuccessCounter {
   }
 
   [[nodiscard]] std::uint64_t trials() const noexcept { return trials_; }
-  [[nodiscard]] std::uint64_t successes() const noexcept { return successes_; }
   [[nodiscard]] double rate() const noexcept {
     return trials_ == 0 ? 0.0
                         : static_cast<double>(successes_) /
                               static_cast<double>(trials_);
-  }
-
-  /// Fold another tally into this one. Counts are integers, so merging
-  /// per-shard counters (in any order) reproduces the single-threaded tally
-  /// exactly — the keystone of the harness's bit-identical parallelism.
-  void merge(const SuccessCounter& other) noexcept {
-    successes_ += other.successes_;
-    trials_ += other.trials_;
   }
 
  private:

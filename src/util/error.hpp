@@ -30,7 +30,7 @@ class CapacityError : public Error {
 /// `const char*` overload is the hot-path form: literal call sites must not
 /// materialize a std::string (one heap allocation) when the check passes —
 /// the batched protocol plane's zero-allocation-per-trial gate
-/// (bench/micro_protocol) counts every one.
+/// (ProtocolBatch.TrialsAllocateNothing) counts every one.
 inline void require(bool cond, const char* what) {
   if (!cond) throw InvalidArgument(what);
 }

@@ -118,18 +118,6 @@ LinearFit fit_power_law(const std::vector<double>& x,
   return fit_line(lx, ly);
 }
 
-double median(std::vector<double> values) {
-  require(!values.empty(), "median: empty input");
-  const std::size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
-                   values.end());
-  if (values.size() % 2 == 1) return values[mid];
-  const double hi = values[mid];
-  const double lo = *std::max_element(
-      values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid));
-  return 0.5 * (lo + hi);
-}
-
 double mean(const std::vector<double>& values) {
   require(!values.empty(), "mean: empty input");
   return std::accumulate(values.begin(), values.end(), 0.0) /

@@ -41,9 +41,6 @@ struct LinearFit {
 [[nodiscard]] LinearFit fit_power_law(const std::vector<double>& x,
                                       const std::vector<double>& y);
 
-/// Median of a (copied) vector; throws on empty input.
-[[nodiscard]] double median(std::vector<double> values);
-
 /// Arithmetic mean; throws on empty input.
 [[nodiscard]] double mean(const std::vector<double>& values);
 

@@ -1,6 +1,7 @@
 // The host's SIMD tier, as a run stamp for benchmark reports. Nothing in
 // the library selects on it: every computation has one portable
 // implementation (DESIGN.md section 11), so outputs cannot depend on it.
+// duti-lint: allow-file(orphan-module) -- perfbench's environment stamp is its only reader (ROADMAP item 1 drops it)
 #pragma once
 
 namespace duti {

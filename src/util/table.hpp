@@ -27,10 +27,6 @@ class Table {
   /// Append a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<Cell> row);
 
-  [[nodiscard]] const std::vector<Cell>& row(std::size_t i) const {
-    return rows_.at(i);
-  }
-
   /// Render with aligned columns, a header rule, and `title` above if given.
   void print(std::ostream& os, const std::string& title = "") const;
 

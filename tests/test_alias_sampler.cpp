@@ -12,7 +12,7 @@ namespace {
 
 std::vector<double> empirical(const AliasSampler& sampler, std::size_t trials,
                               Rng& rng) {
-  std::vector<double> freq(sampler.size(), 0.0);
+  std::vector<double> freq(sampler.alias_table().size(), 0.0);
   for (std::size_t t = 0; t < trials; ++t) {
     ++freq[sampler.sample(rng)];
   }
@@ -89,7 +89,7 @@ TEST(AliasSampler, ProbTablesWellFormed) {
   for (const std::uint64_t t : s.threshold_table()) {
     EXPECT_LE(t, std::uint64_t{1} << 53);
   }
-  for (const std::uint64_t a : s.alias_table()) EXPECT_LT(a, s.size());
+  for (const std::uint64_t a : s.alias_table()) EXPECT_LT(a, 4u);
 }
 
 TEST(AliasSampler, ChiSquareGoodnessOfFit) {

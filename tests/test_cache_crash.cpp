@@ -72,8 +72,6 @@ void expect_bit_identical(const ProbeResult& a, const ProbeResult& b) {
   // exact bits of the fresh computation, not an approximation.
   EXPECT_EQ(a.uniform_accept_rate, b.uniform_accept_rate);
   EXPECT_EQ(a.far_reject_rate, b.far_reject_rate);
-  EXPECT_EQ(a.uniform_ci.lo, b.uniform_ci.lo);
-  EXPECT_EQ(a.far_ci.hi, b.far_ci.hi);
   EXPECT_EQ(a.uniform_aborts_quorum, b.uniform_aborts_quorum);
   EXPECT_EQ(a.far_aborts_quorum, b.far_aborts_quorum);
 }

@@ -63,17 +63,6 @@ TEST(CentralizedCollisionTester, FailsWithFarTooFewSamples) {
   EXPECT_LE(f, 0.3);  // but cannot reject far
 }
 
-TEST(CentralizedCollisionTester, ThresholdBetweenTheTwoMeans) {
-  const std::uint64_t n = 1000;
-  const double eps = 0.5;
-  const unsigned q = 200;
-  const CentralizedCollisionTester tester(n, eps, q);
-  const double uniform_mean =
-      expected_collision_pairs_uniform(static_cast<double>(n), q);
-  EXPECT_GT(tester.threshold(), uniform_mean);
-  EXPECT_LT(tester.threshold(), uniform_mean * (1.0 + eps * eps));
-}
-
 TEST(CentralizedCollisionTester, SufficientQScaling) {
   // q ~ sqrt(n)/eps^2 shape of the static helper.
   const auto q1 = CentralizedCollisionTester::sufficient_q(1 << 10, 0.5);
@@ -83,46 +72,37 @@ TEST(CentralizedCollisionTester, SufficientQScaling) {
   EXPECT_NEAR(static_cast<double>(q3) / q1, 4.0, 0.1);
 }
 
-TEST(CentralizedCollisionTester, AcceptChecksSampleCount) {
-  const CentralizedCollisionTester tester(100, 0.5, 10);
-  std::vector<std::uint64_t> wrong(5, 0);
-  EXPECT_THROW((void)tester.accept(wrong), InvalidArgument);
-}
-
-TEST(CentralizedTesters, AcceptChecksSamplesAgainstTheDomain) {
-  // Caller samples go straight into the pair and distinct counts and the
-  // chi^2 fold: the top cell n - 1 is counted, and a sample >= n throws
-  // instead of indexing past the counts plane or counting as a cell.
-  const CentralizedCollisionTester collision(4, 0.5, 3);
-  EXPECT_TRUE(collision.accept(std::vector<std::uint64_t>{3, 2, 1}));
-  EXPECT_FALSE(collision.accept(std::vector<std::uint64_t>{3, 3, 1}));
-  EXPECT_THROW((void)collision.accept(std::vector<std::uint64_t>{5, 5, 9}),
-               InvalidArgument);
+TEST(CentralizedTesters, CallerSamplesAreCheckedAgainstTheDomain) {
+  // Caller samples go straight into the distinct count and the chi^2 fold:
+  // the top cell n - 1 is counted, and a sample >= n throws instead of
+  // indexing past the counts plane or counting as a cell. At n = 4, q = 3
+  // the coincidence tester accepts above 2.24 distinct values.
   const PaninskiCoincidenceTester coincidence(4, 0.5, 3);
-  EXPECT_EQ(coincidence.accept(std::vector<std::uint64_t>{3, 2, 1}),
-            3.0 > coincidence.threshold());
+  EXPECT_TRUE(coincidence.accept(std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_FALSE(coincidence.accept(std::vector<std::uint64_t>{3, 3, 1}));
   EXPECT_THROW((void)coincidence.accept(std::vector<std::uint64_t>{5, 5, 9}),
                InvalidArgument);
   const ChiSquaredTester chi(4, 0.5, 3);
-  EXPECT_TRUE(chi.accept(std::vector<std::uint64_t>{3, 2, 1}));
-  EXPECT_FALSE(chi.accept(std::vector<std::uint64_t>{3, 3, 1}));
-  EXPECT_THROW((void)chi.accept(std::vector<std::uint64_t>{5, 5, 9}),
-               InvalidArgument);
   EXPECT_THROW((void)chi.statistic(std::vector<std::uint64_t>{0, 4, 1}),
                InvalidArgument);
 }
 
-TEST(CentralizedTesters, RunDecidesOnTheDrawsAcceptSees) {
-  // run counts its q draws' pairs without keeping the draws: it must reach
-  // accept's verdict on those draws and leave the stream where sample_many
-  // leaves it.
+TEST(CentralizedTesters, RunDecidesOnItsDrawsStatistic) {
+  // run counts its q draws' pairs without keeping the draws: it must accept
+  // exactly when those draws' statistic is below the threshold — the pair
+  // count below C(q,2)/n (1 + eps^2/2), chi^2 below q eps^2/2 - 1 — and
+  // leave the stream where sample_many leaves it.
   const std::uint64_t n = 256;
   const unsigned q = 48;
-  const CentralizedCollisionTester collision(n, 0.5, q);
-  const ChiSquaredTester chi(n, 0.5, q);
+  const double eps = 0.5;
+  const CentralizedCollisionTester collision(n, eps, q);
+  const ChiSquaredTester chi(n, eps, q);
+  const double pair_threshold =
+      expected_collision_pairs_uniform(static_cast<double>(n), q) *
+      (1.0 + 0.5 * eps * eps);
   Rng gen_rng(31);
   const UniformSource uniform(n);
-  const DistributionSource far(gen::paninski(n, 0.5, gen_rng));
+  const DistributionSource far(gen::paninski(n, eps, gen_rng));
   const std::vector<const SampleSource*> sources = {&uniform, &far};
   std::vector<std::uint64_t> samples;
   for (const SampleSource* source : sources) {
@@ -130,8 +110,10 @@ TEST(CentralizedTesters, RunDecidesOnTheDrawsAcceptSees) {
       Rng drawn(seed), ran_collision(seed), ran_chi(seed);
       source->sample_many(drawn, q, samples);
       EXPECT_EQ(collision.run(*source, ran_collision),
-                collision.accept(samples));
-      EXPECT_EQ(chi.run(*source, ran_chi), chi.accept(samples));
+                static_cast<double>(collision_pairs(samples, n)) <
+                    pair_threshold);
+      EXPECT_EQ(chi.run(*source, ran_chi),
+                chi.statistic(samples) < 0.5 * q * eps * eps - 1.0);
       const std::uint64_t next = drawn();
       EXPECT_EQ(ran_collision(), next);
       EXPECT_EQ(ran_chi(), next);

@@ -47,13 +47,13 @@ TEST(Wilson, StaysInUnitInterval) {
 TEST(Wilson, NarrowsWithTrials) {
   const auto small = wilson_interval(5, 10);
   const auto large = wilson_interval(500, 1000);
-  EXPECT_LT(large.width(), small.width());
+  EXPECT_LT(large.hi - large.lo, small.hi - small.lo);
 }
 
 TEST(Wilson, HigherZIsWider) {
   const auto z196 = wilson_interval(30, 100, 1.96);
   const auto z258 = wilson_interval(30, 100, 2.58);
-  EXPECT_GT(z258.width(), z196.width());
+  EXPECT_GT(z258.hi - z258.lo, z196.hi - z196.lo);
 }
 
 TEST(Wilson, InvalidArgsThrow) {
@@ -139,7 +139,6 @@ TEST(SuccessCounter, TallyAndRate) {
   c.record(true);
   c.record(false);
   EXPECT_EQ(c.trials(), 3u);
-  EXPECT_EQ(c.successes(), 2u);
   EXPECT_NEAR(c.rate(), 2.0 / 3.0, 1e-12);
 }
 

@@ -20,10 +20,6 @@ namespace {
 void expect_probe_equal(const ProbeResult& a, const ProbeResult& b) {
   EXPECT_DOUBLE_EQ(a.uniform_accept_rate, b.uniform_accept_rate);
   EXPECT_DOUBLE_EQ(a.far_reject_rate, b.far_reject_rate);
-  EXPECT_DOUBLE_EQ(a.uniform_ci.lo, b.uniform_ci.lo);
-  EXPECT_DOUBLE_EQ(a.uniform_ci.hi, b.uniform_ci.hi);
-  EXPECT_DOUBLE_EQ(a.far_ci.lo, b.far_ci.lo);
-  EXPECT_DOUBLE_EQ(a.far_ci.hi, b.far_ci.hi);
   EXPECT_EQ(a.trials, b.trials);
   EXPECT_EQ(a.uniform_successes, b.uniform_successes);
   EXPECT_EQ(a.far_successes, b.far_successes);

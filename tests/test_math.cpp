@@ -115,13 +115,6 @@ TEST(FitPowerLaw, RejectsNonPositive) {
   EXPECT_THROW((void)fit_power_law({1.0, 2.0}, {0.0, 1.0}), InvalidArgument);
 }
 
-TEST(Median, OddAndEven) {
-  EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-  EXPECT_DOUBLE_EQ(median({7.0}), 7.0);
-  EXPECT_THROW((void)median({}), InvalidArgument);
-}
-
 TEST(MeanAndVariance, Basics) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(v), 2.5);

@@ -68,8 +68,8 @@ TEST(Network, StarVoteAggregation) {
     if (ctx.round() >= 1) ctx.halt();
   });
   for (NodeId v = 1; v < 4; ++v) {
-    net.set_behavior(v, [](RoundContext& ctx) {
-      ctx.send(0, {ctx.id() + 10ULL}, 8);
+    net.set_behavior(v, [v](RoundContext& ctx) {
+      ctx.send(0, {v + 10ULL}, 8);
       ctx.halt();
     });
   }

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <utility>
@@ -18,8 +21,10 @@
 #include "sim/reliable.hpp"
 #include "stats/harness.hpp"
 #include "stats/workloads.hpp"
+#include "sweep_specs.hpp"
 #include "testers/asymmetric.hpp"
 #include "testers/calibration.hpp"
+#include "testers/centralized.hpp"
 #include "testers/collision.hpp"
 #include "testers/distributed.hpp"
 #include "testers/fixed_threshold.hpp"
@@ -30,6 +35,62 @@
 #include "util/fnv.hpp"
 #include "util/math.hpp"
 #include "util/thread_pool.hpp"
+
+// Every replaceable operator new counts into g_allocs, so a test can assert
+// that a trial loop allocates nothing; every operator delete frees what they
+// return.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t size, std::size_t align) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  align = std::max(align, alignof(std::max_align_t));
+  return posix_memalign(&p, align, size ? size : 1) == 0 ? p : nullptr;
+}
+void* counted_or_throw(std::size_t size, std::size_t align) {
+  if (void* p = counted_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+// Out of line: inlined into the deletes below, GCC reads the free() as
+// freeing what operator new returned (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+using Align = std::align_val_t;
+using NoThrow = std::nothrow_t;
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_or_throw(n, 0); }
+void* operator new[](std::size_t n) { return counted_or_throw(n, 0); }
+void* operator new(std::size_t n, Align a) {
+  return counted_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, Align a) {
+  return counted_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const NoThrow&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new[](std::size_t n, const NoThrow&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new(std::size_t n, Align a, const NoThrow&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, Align a, const NoThrow&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, Align) noexcept { release(p); }
+void operator delete[](void* p, Align) noexcept { release(p); }
+void operator delete(void* p, std::size_t, Align) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, Align) noexcept { release(p); }
+void operator delete(void* p, const NoThrow&) noexcept { release(p); }
+void operator delete[](void* p, const NoThrow&) noexcept { release(p); }
+void operator delete(void* p, Align, const NoThrow&) noexcept { release(p); }
+void operator delete[](void* p, Align, const NoThrow&) noexcept { release(p); }
 
 namespace duti {
 namespace {
@@ -569,6 +630,92 @@ TEST(ProtocolBatch, ProbeTalliesIdenticalAcrossThreadPools) {
   EXPECT_EQ(a.uniform_successes, b.uniform_successes);
   EXPECT_EQ(a.far_successes, b.far_successes);
   EXPECT_EQ(a.trials, b.trials);
+}
+
+// The reference search's minimum at seed 1 and 60 trials per probe.
+constexpr unsigned kGoldenQ = 312;
+
+// The reference q* search as perfbench's qsearch builds it
+// (bench::reference_point, seed 1) at 60 trials per full-budget probe finds
+// the same minimum on pools of 1 and 8 threads, and 128 trials at it,
+// alternating uniform and fresh eps-far sources, hash their messages and
+// verdicts to the same fingerprint: both recorded from the per-player
+// runner the batched plane replaced.
+TEST(ProtocolBatch, ReferenceSearchKeepsItsGoldenMinimumAndFingerprint) {
+  constexpr std::uint64_t kSeed = 1;
+  SweepPoint reference = bench::reference_point(kSeed);
+  reference.search.trials = 60;
+  for (const unsigned threads : {1U, 8U}) {
+    ThreadPool pool(threads);
+    const MinSearchResult min = find_min_param(
+        bench::full_budget_probe(reference, pool), reference.search, pool);
+    EXPECT_TRUE(min.found) << threads << " threads";
+    EXPECT_EQ(min.minimum, kGoldenQ) << threads << " threads";
+  }
+
+  const std::uint64_t n = bench::kReferenceN;
+  Rng calib_rng = make_rng(kSeed, kGoldenQ, 0xCA11B);
+  const DistributedThresholdTester tester(
+      {n, bench::kReferenceK, kGoldenQ, bench::kReferenceEps}, calib_rng);
+  const UniformSource uniform(n);
+  const SourceSpec far_spec =
+      workloads::paninski_far_factory(n, bench::kReferenceEps);
+  Rng src_rng(derive_seed(kSeed, 0x5eed));
+  Fnv64 fingerprint;
+  for (std::uint64_t t = 0; t < 128; ++t) {
+    std::unique_ptr<SampleSource> far;
+    if (t % 2 == 1) far = far_spec(src_rng);
+    const SampleSource* src = far ? far.get() : &uniform;
+    Rng rng_msgs(derive_seed(kSeed, 0x1de, t));
+    Rng rng_verdict(derive_seed(kSeed, 0x1de, t));
+    // Hash the per-worker messages before run() reuses the buffer.
+    for (const Message& m : tester.executor().collect(*src, rng_msgs)) {
+      fingerprint.u64(m.bits).u64(m.width);
+    }
+    fingerprint.u64(tester.run(*src, rng_verdict) ? 1U : 0U);
+  }
+  EXPECT_EQ(fingerprint.value(), 0xf67f7e86265b4fe4ULL);
+}
+
+// Once its worker's buffers have grown, a trial allocates nothing: the
+// threshold tester at the reference q* after an 8-trial warm-up, its first
+// trial on each of 16 fresh eps-far sources (built outside the counted
+// window, as a probe builds them), and each centralized tester.
+TEST(ProtocolBatch, TrialsAllocateNothing) {
+  const std::uint64_t n = bench::kReferenceN;
+  const double eps = bench::kReferenceEps;
+  const UniformSource uniform(n);
+  const auto allocations_per_trial = [&uniform](const auto& tester) {
+    constexpr std::uint64_t kTrials = 100;
+    Rng rng(7);
+    for (int t = 0; t < 8; ++t) (void)tester.run(uniform, rng);
+    const std::uint64_t before = g_allocs.load();
+    for (std::uint64_t t = 0; t < kTrials; ++t) (void)tester.run(uniform, rng);
+    return static_cast<double>(g_allocs.load() - before) / kTrials;
+  };
+  Rng calib_rng = make_rng(1, kGoldenQ, 0xCA11B);
+  const DistributedThresholdTester threshold(
+      {n, bench::kReferenceK, kGoldenQ, eps}, calib_rng);
+  EXPECT_EQ(allocations_per_trial(threshold), 0.0) << "threshold";
+  // E8's collision minimum at this (n, eps), for all three.
+  constexpr unsigned kQ = 1405;
+  EXPECT_EQ(allocations_per_trial(CentralizedCollisionTester(n, eps, kQ)), 0.0)
+      << "collision";
+  EXPECT_EQ(allocations_per_trial(PaninskiCoincidenceTester(n, eps, kQ)), 0.0)
+      << "coincidence";
+  EXPECT_EQ(allocations_per_trial(ChiSquaredTester(n, eps, kQ)), 0.0)
+      << "chi-squared";
+
+  std::vector<std::unique_ptr<SampleSource>> fresh_far;
+  Rng src_rng(derive_seed(1, 0xFA5));
+  const SourceSpec far_spec = workloads::paninski_far_factory(n, eps);
+  for (int i = 0; i < 16; ++i) fresh_far.push_back(far_spec(src_rng));
+  const std::uint64_t before = g_allocs.load();
+  for (std::size_t i = 0; i < fresh_far.size(); ++i) {
+    Rng rng(derive_seed(1, 0xFA6, i));
+    (void)threshold.run(*fresh_far[i], rng);
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0u) << "first trials on far sources";
 }
 
 TEST(AsymmetricRateTester, RejectsSampleCountsBeyondTheUnsignedRange) {

@@ -316,11 +316,14 @@ TEST_F(SweepFingerprintTest, WarmMatchesColdMinimaOnRealTester) {
 TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   // The bench tables exactly as the benches build them: e10 at its
   // defaults, the rest at --quick. Fingerprints and minima are pinned with
-  // the cache off and on both passes through a fresh rw session. The first
-  // rw pass starts from an empty calibration memo, so it computes every
-  // referee calibration; on the second pass (a new session over the same
-  // journal) the declarative families replay every probe and so build no
-  // tester. The raw families (e4, e13) bypass the cache and recompute on
+  // the cache off and on both passes through a fresh rw session. With the
+  // cache off, e1, e3 and e9 also run the cold baseline (no warm start,
+  // every probe at full budget): it finds the same minima and verdicts and
+  // consults more trials, pinned on both sides (16 500 cold against 12 364
+  // warm over the three). The first rw pass starts from an empty
+  // calibration memo, so it computes every referee calibration; on the
+  // second pass (a new session over the same journal) the declarative
+  // families replay every probe and so build no tester. The raw families (e4, e13) bypass the cache and recompute on
   // every pass they run; e4 runs on the cache-off pass only. Calibration
   // replay from the memo is CalibMemo.PinnedCalibrationsReplayBitForBit's
   // job.
@@ -329,6 +332,9 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
     std::vector<SweepPoint> points;
     std::uint64_t fingerprint;
     std::vector<std::uint64_t> minima;
+    // Consulted trials, warm and cold; 0 runs no cold pass.
+    std::uint64_t warm_trials = 0;
+    std::uint64_t cold_trials = 0;
     bool raw = false;
     bool off_pass_only = false;
   };
@@ -337,9 +343,9 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   ThreadPool& pool = ThreadPool::global();
   const std::vector<Family> families = {
       {"e1", bench::e1_points(4096, 0.5, {2, 16, 128}, 150, 1),
-       0x9b73e12950f83762ULL, {369, 197, 59}},
+       0x9b73e12950f83762ULL, {369, 197, 59}, 4780, 6450},
       {"e9", bench::e9_points(4096, 32, 0.5, {1, 8}, 150, 1),
-       0x247908c4c95728a8ULL, {125, 106}},
+       0x247908c4c95728a8ULL, {125, 106}, 2802, 3900},
       // perfbench's sweeps families (perfbench/refs/references.txt), so a
       // far-draw change that moves them fails here too. e8_chi and
       // e8_coincidence take their seed salts through the SamplingKernel
@@ -349,7 +355,7 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
       {"e2_thr", bench::e2_threshold_points(1024, 0.5, {2, 32, 512}, 150, 1),
        0x973e582fd2950a7fULL, {184, 62, 13}},
       {"e3", bench::e3_points(4096, 64, 0.5, {1, 4, 16}, 150, 1),
-       0x858e3e0d9545a6ceULL, {175, 96, 77}},
+       0x858e3e0d9545a6ceULL, {175, 96, 77}, 4782, 6150},
       {"e8_collision",
        bench::e8_n_points<CentralizedCollisionTester>("collision",
                                                       {256, 4096}, 0.5, 150, 1),
@@ -359,12 +365,12 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
       {"e10", bench::e10_points(4096, 0.5, bench::e10_shapes(), 150, 1),
        0x625de3bcb9b8a769ULL, {155, 164, 80, 193}},
       {"e13_crash", bench::e13_crash_points(e13_quick), 0x2f49bc8fae3bec99ULL,
-       {21, 21, 14, 22, 0, 24, 0, 29, 0, 31}, true},
+       {21, 21, 14, 22, 0, 24, 0, 29, 0, 31}, 0, 0, true},
       {"e13_byzantine", bench::e13_byzantine_points(e13_quick),
        0x45064704396e0ec5ULL, {21, 37, 21, 13, 65, 33, 0, 97, 0, 0, 81, 0},
-       true},
+       0, 0, true},
       {"e4", bench::e4_points(pool, 64, 0.3, {1, 4, 16}, 40, 1),
-       0xe4b7222d8d55f851ULL, {460, 120, 33}, true, true},
+       0xe4b7222d8d55f851ULL, {460, 120, 33}, 0, 0, true, true},
   };
   const auto expect_pinned = [](const Family& f, const SweepResult& r,
                                 const std::string& pass) {
@@ -378,7 +384,22 @@ TEST_F(SweepFingerprintTest, QuickBenchTablesKeepTheirFingerprints) {
   cfg.cache = &off;
   CalibMemo::global().clear();
   for (const Family& f : families) {
-    expect_pinned(f, run_sweep(f.points, cfg, pool), "cache off");
+    const SweepResult warm = run_sweep(f.points, cfg, pool);
+    expect_pinned(f, warm, "cache off");
+    if (f.cold_trials == 0) continue;
+    SweepEngineConfig cold_cfg = cfg;
+    cold_cfg.warm_start = false;
+    const SweepResult cold = run_sweep(f.points, cold_cfg, pool);
+    ASSERT_EQ(cold.points.size(), warm.points.size()) << f.name;
+    for (std::size_t i = 0; i < warm.points.size(); ++i) {
+      const SweepPointResult& c = cold.points[i];
+      const SweepPointResult& w = warm.points[i];
+      EXPECT_EQ(c.found, w.found) << f.name << " " << w.label;
+      EXPECT_EQ(c.minimum, w.minimum) << f.name << " " << w.label;
+      EXPECT_EQ(c.verdict, w.verdict) << f.name << " " << w.label;
+    }
+    EXPECT_EQ(warm.trials_consulted, f.warm_trials) << f.name;
+    EXPECT_EQ(cold.trials_consulted, f.cold_trials) << f.name;
   }
   CalibMemo::global().clear();
   for (int pass = 0; pass < 2; ++pass) {

@@ -34,12 +34,6 @@ TEST(Table, EmptyHeadersThrow) {
   EXPECT_THROW(Table(std::vector<std::string>{}), InvalidArgument);
 }
 
-TEST(Table, AccessorsWork) {
-  Table t({"x"});
-  t.add_row({std::int64_t{7}});
-  EXPECT_EQ(std::get<std::int64_t>(t.row(0)[0]), 7);
-}
-
 TEST(Table, CsvRoundTrip) {
   Table t({"name", "value"});
   t.add_row({std::string("plain"), 1.5});
